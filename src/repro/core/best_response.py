@@ -8,10 +8,13 @@ two regimes the paper itself uses:
   enumeration*.  The key structural fact (also exploited by the reduction to
   facility location in Thm. 3) is that once the rest of the network is fixed,
   agent ``u``'s distance to ``x`` after buying the edge set ``S`` is
-  ``min(d_rest(u, x), min_{v in S} w(u, v) + d_rest(v, x))``.  The cost of
-  every subset of candidate edges is therefore computed with a handful of
-  NumPy reductions per batch of subsets; this is exponential in ``n`` but
-  perfectly practical for the gadget-sized instances of the paper.
+  ``min(d_rest(u, x), min_{v in S} w(u, v) + d_rest(v, x))``.  Hence the
+  distance row of a subset ``S`` with top candidate ``t`` is
+  ``min(row(S - {t}), row via t)``, and the rows of all ``2^m`` subsets of
+  the ``m`` candidates fill a subset lattice with one ``O(n)`` minimum each:
+  ``O(2^m n)`` work in chunks of ``2^B`` subsets that fix the high bits.
+  This is exponential in ``n`` but practical for the gadget-sized instances
+  of the paper.
 
 * :func:`best_single_move` / :func:`greedy_response` — the single-edge moves
   (add / delete / swap) underlying Greedy Equilibria [Lenzner'12, used in
@@ -84,8 +87,8 @@ _TOL = 1e-9
 _MAX_EXACT_CANDIDATES = 22
 # Enumerate subsets in batches of 2**_BATCH_BITS.  The scan keeps the first
 # subset index attaining the minimum regardless of how batches are cut, so
-# this bounds peak memory (2**bits * m * n floats per batch) without
-# affecting results; 12 keeps a worker under ~120 MB even at m=18, n=200.
+# this bounds peak memory (2**bits * n floats per batch) without affecting
+# results; 12 keeps a chunk's distance rows at ~6.5 MB even at n=200.
 _BATCH_BITS = 12
 
 
@@ -156,15 +159,16 @@ def strategy_cost_given_residual(
 
 
 # ----------------------------------------------------------------------
-# Exact best response (vectorized subset enumeration)
+# Exact best response (subset-lattice enumeration)
 # ----------------------------------------------------------------------
 def _scan_candidate_subsets(
     evaluator: CandidateEvaluator, max_candidates: int
 ) -> tuple[frozenset[int], float]:
-    """Best subset of the evaluator's candidates by batched enumeration.
+    """Best subset of the evaluator's candidates by a chunked lattice scan.
 
     Seeds with the empty strategy so the search is well-defined even when
-    every subset leaves the agent disconnected (cost infinity).
+    every subset leaves the agent disconnected (cost infinity).  Ties keep
+    the first subset index attaining the minimum.
     """
     m = evaluator.num_candidates
     if m > max_candidates:
@@ -175,18 +179,16 @@ def _scan_candidate_subsets(
     best_cost = evaluator.empty_cost
     if m == 0:
         return frozenset(), best_cost
-    best_mask: np.ndarray = np.zeros(m, dtype=bool)
-    total = 1 << m
-    batch = 1 << min(_BATCH_BITS, m)
-    for start in range(0, total, batch):
-        size = min(batch, total - start)
-        masks = (((start + np.arange(size))[:, None] >> np.arange(m)) & 1).astype(bool)
-        costs = evaluator.batch_costs(masks)
+    best_index = 0
+    bits = min(_BATCH_BITS, m)
+    for start in range(0, 1 << m, 1 << bits):
+        costs = evaluator.subset_costs(start, bits)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost - 1e-15:
             best_cost = float(costs[idx])
-            best_mask = masks[idx].copy()
-    targets = frozenset(int(v) for v in evaluator.candidates[best_mask])
+            best_index = start + idx
+    chosen = ((best_index >> np.arange(m)) & 1).astype(bool)
+    targets = frozenset(int(v) for v in evaluator.candidates[chosen])
     return targets, float(best_cost)
 
 

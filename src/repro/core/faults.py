@@ -304,5 +304,8 @@ def pool_fault_hook(plan: FaultPlan) -> "Callable[[ParallelEvaluator, int], None
             os.kill(victim, signal.SIGKILL)
         except ProcessLookupError:  # pragma: no cover - already gone
             pass
+        # Return only once the victim is gone, so the break surfaces in
+        # this batch however quickly the survivors could score it.
+        evaluator.wait_worker_exit(victim)
 
     return hook

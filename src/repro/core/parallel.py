@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
+import multiprocessing.connection
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -584,6 +585,16 @@ class ParallelEvaluator:
         if self._pool is None:
             return []
         return sorted(self._pool._processes)
+
+    def wait_worker_exit(self, pid: int, timeout: float = 30.0) -> bool:
+        """Block until pool worker ``pid`` has exited (fault injection and tests).
+
+        A SIGKILLed worker takes a moment to exit, and until it has, the
+        executor cannot see the break while the surviving workers may finish
+        whole batches.  Returns ``False`` if ``pid`` outlived ``timeout``.
+        """
+        process = self._pool._processes.get(pid) if self._pool is not None else None
+        return process is None or bool(mp.connection.wait([process.sentinel], timeout))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -43,8 +43,10 @@ primitives used by the fast best-response engine
     Scores candidate edge-sets of a single agent against a fixed residual
     distance matrix.  All candidate edges share one endpoint (the agent), so
     a path uses at most one bought edge before leaving the agent and the
-    post-purchase distances follow from pure ``O(n)``-per-candidate
-    relaxations — no per-candidate shortest-path recomputation at all.
+    post-purchase distances follow from pure ``O(n)`` relaxations — no
+    per-candidate shortest-path recomputation at all.  Whole chunks of the
+    ``2^m`` candidate subsets are scored by filling the subset lattice, one
+    ``O(n)`` minimum per subset.
 
 ``SingleMoveScorer``
     Batch-scores *all* single-edge moves (add / delete / swap) of one agent
@@ -96,7 +98,6 @@ __all__ = [
     "all_pairs_shortest_paths",
     "single_source_dijkstra",
     "dijkstra_rows",
-    "distances_with_candidate_edges",
     "relax_through_edges",
     "relax_source_row",
     "strategy_cost_from_residual",
@@ -341,54 +342,6 @@ def decremental_distances(
     return DecrementalRepair(out, count, False)
 
 
-def distances_with_candidate_edges(
-    base_from_u: np.ndarray,
-    candidate_matrix: np.ndarray,
-    subset_mask: np.ndarray,
-) -> np.ndarray:
-    """Distances from an agent ``u`` after buying a subset of candidate edges.
-
-    This implements the key observation used by the exact best-response
-    solver (and by the facility-location view of Theorem 3): once the
-    residual network ``G_rest`` (the created network without ``u``'s owned
-    edges) is fixed, the distance from ``u`` to any node ``x`` after buying
-    edges towards a set ``S`` of candidates is::
-
-        d(u, x) = min( d_rest(u, x), min_{v in S} [ w(u, v) + d_rest(v, x) ] )
-
-    because a shortest path leaving ``u`` through a bought edge never returns
-    to ``u``.
-
-    Parameters
-    ----------
-    base_from_u:
-        ``(n,)`` distances from ``u`` in the residual network.
-    candidate_matrix:
-        ``(m, n)`` matrix whose row ``i`` is ``w(u, c_i) + d_rest(c_i, :)``
-        for candidate ``c_i``.
-    subset_mask:
-        ``(..., m)`` boolean mask selecting which candidates are bought.  Any
-        leading batch dimensions are supported.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(..., n)`` distances from ``u`` for each subset in the batch.
-    """
-    base = np.asarray(base_from_u, dtype=float)
-    cand = np.asarray(candidate_matrix, dtype=float)
-    mask = np.asarray(subset_mask, dtype=bool)
-    if cand.ndim != 2 or cand.shape[1] != base.shape[0]:
-        raise ValueError("candidate_matrix must be (m, n) matching base_from_u")
-    if mask.shape[-1] != cand.shape[0]:
-        raise ValueError("subset_mask last dimension must equal number of candidates")
-    selected = np.where(mask[..., :, None], cand, np.inf)
-    best_via_candidates = selected.min(axis=-2) if cand.shape[0] else np.full_like(
-        np.broadcast_to(base, mask.shape[:-1] + base.shape), np.inf
-    )
-    return np.minimum(base, best_via_candidates)
-
-
 def relax_through_edges(
     dist: np.ndarray,
     edges: Sequence[tuple[int, int, float]],
@@ -537,9 +490,10 @@ class CandidateEvaluator:
     alpha:
         Edge-price parameter of the game.
     candidates:
-        Optional explicit candidate target list used by the vectorized batch
-        interface (:meth:`batch_costs`).  Defaults to every other node with a
-        finite host weight.
+        Optional explicit candidate target list used by the subset scan
+        (:meth:`subset_costs`).  Defaults to every other node with a finite
+        host weight.  Indices must lie in ``[0, n)``; the agent itself is
+        dropped and repeats are dropped in first-occurrence order.
     """
 
     __slots__ = ("d_rest", "source", "alpha", "_w", "base", "candidates", "prices", "reach")
@@ -564,7 +518,10 @@ class CandidateEvaluator:
             finite[source] = False
             cand = np.nonzero(finite)[0].astype(int)
         else:
-            cand = np.asarray([int(v) for v in candidates if int(v) != source], dtype=int)
+            picked = dict.fromkeys(int(v) for v in candidates)
+            if any(not 0 <= v < n for v in picked):
+                raise ValueError(f"candidates out of range for n={n}")
+            cand = np.asarray([v for v in picked if v != source], dtype=int)
         self.d_rest = d
         self.source = int(source)
         self.alpha = float(alpha)
@@ -595,7 +552,7 @@ class CandidateEvaluator:
         """Total agent cost (edge + distance) of playing ``targets``.
 
         Strategies containing infinite-weight host edges cost ``inf`` for
-        every ``alpha``, matching the exact oracle and :meth:`batch_costs`.
+        every ``alpha``, matching the exact oracle and :meth:`subset_costs`.
         """
         return strategy_cost_from_residual(
             self.d_rest, self.source, self._w, self.alpha, targets
@@ -611,21 +568,37 @@ class CandidateEvaluator:
         return np.minimum(self.d_rest, du[:, None] + du[None, :])
 
     # ------------------------------------------------------------------
-    # Vectorized candidate subsets
+    # Candidate subsets (subset lattice)
     # ------------------------------------------------------------------
-    def batch_costs(self, masks: np.ndarray) -> np.ndarray:
-        """Agent costs of candidate subsets given as ``(..., m)`` boolean masks."""
-        masks = np.asarray(masks, dtype=bool)
-        if masks.shape[-1] != self.num_candidates:
-            raise ValueError(
-                f"mask last dimension {masks.shape[-1]} does not match "
-                f"{self.num_candidates} candidates"
-            )
-        dist = distances_with_candidate_edges(self.base, self.reach, masks)
+    def subset_costs(self, start: int, bits: int) -> np.ndarray:
+        """Agent costs of the ``2**bits`` candidate subsets from index ``start``.
+
+        Subset index ``i`` buys candidate ``j`` iff bit ``j`` of ``i`` is set;
+        ``start`` must be a multiple of ``2**bits``, so the chunk fixes the
+        high bits and enumerates the low ``bits`` candidates.  Distance rows
+        fill the subset lattice: the chunk's base row is
+        ``min(d_rest(u, .), reach[j] for each set high bit j)``, and the row
+        of ``i`` with top low bit ``k`` is ``min(row(i - 2**k), reach[k])``
+        — one ``np.minimum`` per low bit, ``O(2**bits * n)`` work and memory.
+        ``min`` is exact, so each row equals the direct minimum over the
+        subset bit for bit.
+        """
+        m = self.num_candidates
+        if not 0 <= bits <= m or start % (1 << bits) or not 0 <= start < 1 << m:
+            raise ValueError(f"bad subset chunk (start={start}, bits={bits}) for m={m}")
+        size = 1 << bits
+        dist = np.empty((size, self.base.shape[0]))
+        dist[0] = self.base
+        for j in range(bits, m):
+            if start >> j & 1:
+                np.minimum(dist[0], self.reach[j], out=dist[0])
+        for k in range(bits):
+            np.minimum(dist[: 1 << k], self.reach[k], out=dist[1 << k : 2 << k])
+        masks = (((start + np.arange(size))[:, None] >> np.arange(m)) & 1).astype(bool)
         finite = np.isfinite(self.prices)
         edge_costs = masks @ np.where(finite, self.prices, 0.0)
         if not finite.all():
-            edge_costs = np.where(masks[..., ~finite].any(axis=-1), np.inf, edge_costs)
+            edge_costs = np.where(masks[:, ~finite].any(axis=-1), np.inf, edge_costs)
         return edge_costs + dist.sum(axis=-1)
 
 

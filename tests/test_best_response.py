@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -20,7 +21,13 @@ from repro.core.best_response import (
 )
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
+from repro.core.residual_delta import DeltaResidual, encode_delta
+from repro.core.shortest_paths import CandidateEvaluator, floyd_warshall
 from repro.core.strategy import StrategyProfile
+
+# The module itself (``repro.core.best_response`` as an attribute path is
+# shadowed by the re-exported function of the same name).
+br = importlib.import_module("repro.core.best_response")
 
 
 def brute_force_best_response(game, profile, u):
@@ -131,6 +138,30 @@ class TestExactBestResponse:
         result = best_response_exact(game, profile, 0, candidates=[])
         assert result.strategy == frozenset()
 
+    @pytest.mark.parametrize("bad", [[-1], [-5], [5], [1, 7]])
+    def test_out_of_range_candidates_rejected(self, small_euclidean_game, bad):
+        # [-1] used to wrap to node n-1 and [-n] to alias the agent itself.
+        with pytest.raises(ValueError):
+            best_response_exact(small_euclidean_game, StrategyProfile.empty(5), 0, candidates=bad)
+
+    def test_duplicate_candidates_scanned_once(self, small_euclidean_game, monkeypatch):
+        game = small_euclidean_game
+        profile = StrategyProfile.from_sets(5, [[1], [2], [3], [], [0]])
+        scored = []
+        original = CandidateEvaluator.subset_costs
+
+        def spy(self, start, bits):
+            scored.append(1 << bits)
+            return original(self, start, bits)
+
+        monkeypatch.setattr(CandidateEvaluator, "subset_costs", spy)
+        dup = best_response_exact(game, profile, 0, candidates=[3, 1, 3, 1, 0])
+        assert sum(scored) == 4  # 2^2 subsets of {3, 1}, not 2^4
+        assert dup == best_response_exact(game, profile, 0, candidates=[3, 1])
+        # first-occurrence order fixes the subset indexing, hence tie-breaks
+        evaluator = game.candidate_evaluator(profile, 0, candidates=[3, 1, 3, 1, 0])
+        assert evaluator.candidates.tolist() == [3, 1]
+
 
 class TestSingleMovesAndGreedy:
     def test_enumerate_single_moves_gains(self, small_euclidean_game):
@@ -212,3 +243,148 @@ class TestBestResponseProperties:
         _, expected_cost = brute_force_best_response(game, profile, agent)
         result = best_response_exact(game, profile, agent)
         assert result.cost == pytest.approx(expected_cost)
+
+
+# ----------------------------------------------------------------------
+# Subset-lattice scan vs. the masked-tensor formula it replaced
+# ----------------------------------------------------------------------
+_LATTICE_KINDS = ("metric-inf-price", "one-two", "unit", "tree", "disconnected", "delta")
+
+
+def _lattice_instance(kind: str, m: int, seed: int) -> CandidateEvaluator:
+    """An evaluator with exactly ``m`` explicit candidates on a ``kind`` host.
+
+    ``metric-inf-price`` gives one candidate an infinite host weight,
+    ``disconnected`` splits the residual into two components (inf entries),
+    ``one-two``/``unit``/``tree`` are the tie-heavy paper regimes (integer
+    weights and a dyadic alpha make many subset costs exactly equal), and
+    ``delta`` serves the residual through a :class:`DeltaResidual` row-view.
+    """
+    rng = np.random.default_rng(seed)
+    n = m + 1 + int(rng.integers(0, 4))
+    if kind == "one-two":
+        host = rng.choice([1.0, 2.0], size=(n, n))
+    elif kind == "unit":
+        host = np.ones((n, n))
+    elif kind == "tree":
+        edges = [(v, int(rng.integers(0, v)), float(rng.integers(1, 4))) for v in range(1, n)]
+        host = HostGraph.from_tree(edges, n).weights.copy()
+    else:
+        host = rng.uniform(0.5, 5.0, size=(n, n))
+    host = np.minimum(host, host.T)
+    np.fill_diagonal(host, 0.0)
+    network = np.where(rng.random((n, n)) < 0.3, host, np.inf)
+    network = np.minimum(network, network.T)
+    if kind == "disconnected":
+        cut = n // 2
+        network[:cut, cut:] = np.inf
+        network[cut:, :cut] = np.inf
+    np.fill_diagonal(network, 0.0)
+    d_rest = floyd_warshall(network)
+    u = int(rng.integers(n))
+    weights = host[u].copy()
+    candidates = [int(v) for v in rng.permutation([v for v in range(n) if v != u])[:m]]
+    if kind == "metric-inf-price" and m:
+        weights[candidates[int(rng.integers(m))]] = np.inf
+    if kind == "delta":
+        base = d_rest.copy()
+        r = int(rng.integers(n))
+        base[r, :] += 1.0
+        base[:, r] = base[r, :]
+        base[r, r] = 0.0
+        d_rest = DeltaResidual(base, encode_delta(base, d_rest))
+    alpha = float(rng.choice([0.5, 1.0, 2.0]))
+    ev = CandidateEvaluator(d_rest, u, weights, alpha, candidates)
+    assert ev.num_candidates == m
+    return ev
+
+
+def _chunk_masks(start: int, bits: int, m: int) -> np.ndarray:
+    return (((start + np.arange(1 << bits))[:, None] >> np.arange(m)) & 1).astype(bool)
+
+
+def _masked_tensor_costs(ev: CandidateEvaluator, masks: np.ndarray) -> np.ndarray:
+    """The pre-lattice ``(batch, m, n)`` masked-tensor formula, kept as the oracle."""
+    selected = np.where(masks[:, :, None], ev.reach, np.inf)
+    if ev.num_candidates:
+        via = selected.min(axis=1)
+    else:
+        via = np.full((masks.shape[0], ev.base.shape[0]), np.inf)
+    dist = np.minimum(ev.base, via)
+    finite = np.isfinite(ev.prices)
+    edge_costs = masks @ np.where(finite, ev.prices, 0.0)
+    if not finite.all():
+        edge_costs = np.where(masks[:, ~finite].any(axis=-1), np.inf, edge_costs)
+    return edge_costs + dist.sum(axis=-1)
+
+
+def _recorded_scan(ev: CandidateEvaluator, bits: int, monkeypatch) -> tuple:
+    """``_scan_candidate_subsets`` under ``_BATCH_BITS = bits``, recording every chunk."""
+    calls: list[tuple[int, int, np.ndarray]] = []
+    original = CandidateEvaluator.subset_costs
+
+    def spy(self, start, chunk_bits):
+        costs = original(self, start, chunk_bits)
+        calls.append((start, chunk_bits, costs))
+        return costs
+
+    with monkeypatch.context() as mp:
+        mp.setattr(br, "_BATCH_BITS", bits)
+        mp.setattr(CandidateEvaluator, "subset_costs", spy)
+        result = br._scan_candidate_subsets(ev, 22)
+    return result, calls
+
+
+class TestSubsetLatticeScan:
+    @pytest.mark.parametrize("m", range(16))
+    def test_scan_costs_bitwise_equal_masked_tensor(self, m, monkeypatch):
+        """Every chunk's cost vector is byte-equal to the masked-tensor formula,
+        and the scan picks the same ``(strategy, cost)`` as the old loop."""
+        kind = _LATTICE_KINDS[m % len(_LATTICE_KINDS)]
+        ev = _lattice_instance(kind, m, seed=100 + m)
+        full = min(m, 12)
+        assert (
+            ev.subset_costs(0, full).tobytes()
+            == _masked_tensor_costs(ev, _chunk_masks(0, full, m)).tobytes()
+        )
+        for bits in (1, 2, 3, 12):
+            result, calls = _recorded_scan(ev, bits, monkeypatch)
+            chunk_bits = min(bits, m)
+            starts = [start for start, _, _ in calls]
+            assert starts == (list(range(0, 1 << m, 1 << chunk_bits)) if m else [])
+            best_cost, best_mask = ev.empty_cost, np.zeros(m, dtype=bool)
+            for start, used_bits, costs in calls:
+                assert used_bits == chunk_bits
+                masks = _chunk_masks(start, used_bits, m)
+                expected = _masked_tensor_costs(ev, masks)
+                assert costs.tobytes() == expected.tobytes(), (kind, m, bits, start)
+                idx = int(np.argmin(expected))
+                if expected[idx] < best_cost - 1e-15:
+                    best_cost, best_mask = float(expected[idx]), masks[idx]
+            oracle = frozenset(int(v) for v in ev.candidates[best_mask])
+            assert result == (oracle, float(best_cost)), (kind, m, bits)
+
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
+    def test_partition_invariance(self, kind, monkeypatch):
+        """How the subsets are cut into chunks never changes the scan's answer."""
+        ev = _lattice_instance(kind, 13, seed=7)
+        results = set()
+        for bits in range(1, 13):
+            monkeypatch.setattr(br, "_BATCH_BITS", bits)
+            results.add(br._scan_candidate_subsets(ev, 22))
+        assert len(results) == 1, results
+
+    def test_ties_keep_the_first_optimal_subset(self, monkeypatch):
+        """Unit host, agent 0 cut off from a clique of the others, alpha = 1:
+        buying k edges costs k + k + 2 (13 - k) = 26 for every k >= 1, so all
+        2^13 - 1 nonempty subsets tie and every chunking must keep index 1."""
+        n = 14
+        network = np.ones((n, n))
+        network[0, :] = network[:, 0] = np.inf
+        np.fill_diagonal(network, 0.0)
+        ev = CandidateEvaluator(floyd_warshall(network), 0, HostGraph.unit(n).weights[0], 1.0)
+        costs = ev.subset_costs(0, 13)
+        assert np.isinf(costs[0]) and np.all(costs[1:] == 26.0)
+        for bits in range(1, 13):
+            monkeypatch.setattr(br, "_BATCH_BITS", bits)
+            assert br._scan_candidate_subsets(ev, 22) == (frozenset({1}), 26.0)

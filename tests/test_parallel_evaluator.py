@@ -523,7 +523,9 @@ def test_pool_broken_twice_raises_clean_error(monkeypatch):
             engine.respond(u, "single") for u in range(6)
         ]
         monkeypatch.setattr(ParallelEvaluator, "_rebuild_pool", sabotage)
-        os.kill(evaluator.worker_pids()[0], signal.SIGKILL)
+        victim = evaluator.worker_pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        assert evaluator.wait_worker_exit(victim)
         with pytest.raises(PoolBrokenError):
             evaluator.evaluate(tasks, "single")
         assert issubclass(PoolBrokenError, EvaluatorError)

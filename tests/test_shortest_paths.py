@@ -12,7 +12,6 @@ from repro.core.shortest_paths import (
     CandidateEvaluator,
     all_pairs_shortest_paths,
     apsp_scipy,
-    distances_with_candidate_edges,
     floyd_warshall,
     relax_through_edges,
     single_source_dijkstra,
@@ -123,40 +122,44 @@ class TestSingleSource:
 
 
 class TestCandidateEdgeDistances:
+    """Post-purchase distances ``min(d_rest(u, .), min_{v in S} w(u, v) + d_rest(v, .))``."""
+
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(42)
         n = 6
         w = _random_weight_matrix(n, rng, edge_prob=0.8)
         d = floyd_warshall(w)
-        u = 0
-        candidates = [1, 2, 3]
-        extra = np.array([1.0, 2.0, 0.5])
-        cand_matrix = extra[:, None] + d[candidates]
-        mask = np.array([True, False, True])
-        combined = distances_with_candidate_edges(d[u], cand_matrix, mask)
-        expected = np.minimum(d[u], np.minimum(cand_matrix[0], cand_matrix[2]))
-        assert np.allclose(combined, expected)
+        weights = np.array([0.0, 1.0, 2.0, 0.5, 3.0, 3.0])
+        ev = CandidateEvaluator(d, 0, weights, alpha=1.0, candidates=[1, 2, 3])
+        expected = np.minimum(d[0], np.minimum(1.0 + d[1], 0.5 + d[3]))
+        assert np.allclose(ev.distance_row([1, 3]), expected)
 
     def test_empty_subset_returns_base(self):
-        base = np.array([0.0, 1.0, np.inf])
-        cand = np.ones((2, 3))
-        out = distances_with_candidate_edges(base, cand, np.array([False, False]))
-        assert np.array_equal(np.isfinite(out), np.isfinite(base))
-        assert np.allclose(out[:2], base[:2])
+        d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
+        ev = CandidateEvaluator(d, 0, np.ones(3), alpha=1.0)
+        out = ev.distance_row([])
+        assert np.array_equal(np.isfinite(out), np.isfinite(d[0]))
+        assert np.allclose(out[:2], d[0, :2])
+        # subset index 0 of the lattice scan is the empty strategy
+        assert ev.subset_costs(0, 0)[0] == ev.empty_cost
 
     def test_batch_dimension(self):
-        base = np.array([0.0, 5.0, 5.0])
-        cand = np.array([[10.0, 1.0, 10.0], [10.0, 10.0, 1.0]])
-        masks = np.array([[True, False], [False, True], [True, True]])
-        out = distances_with_candidate_edges(base, cand, masks)
-        assert out.shape == (3, 3)
-        assert np.allclose(out[0], [0.0, 1.0, 5.0])
-        assert np.allclose(out[1], [0.0, 5.0, 1.0])
-        assert np.allclose(out[2], [0.0, 1.0, 1.0])
+        # Agent 0 sees 1 and 2 at distance 5 in the residual; buying edge
+        # (0, 1) or (0, 2) at weight 1 shortcuts exactly one of them.
+        d = np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 9.0], [5.0, 9.0, 0.0]])
+        ev = CandidateEvaluator(d, 0, np.array([0.0, 1.0, 1.0]), alpha=0.0)
+        costs = ev.subset_costs(0, 2)  # subsets {}, {1}, {2}, {1, 2}
+        assert costs.shape == (4,)
+        assert costs.tolist() == [10.0, 6.0, 6.0, 2.0]
+        # a chunk fixing the high bit: subsets {2} and {1, 2}
+        assert ev.subset_costs(2, 1).tolist() == [6.0, 2.0]
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            distances_with_candidate_edges(np.zeros(3), np.zeros((2, 4)), np.zeros(2, dtype=bool))
+        d = floyd_warshall(np.ones((4, 4)) - np.eye(4))
+        ev = CandidateEvaluator(d, 0, np.ones(4), alpha=1.0)  # m = 3
+        for start, bits in [(0, 4), (1, 1), (8, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                ev.subset_costs(start, bits)
 
 
 def _assert_same_distances(a: np.ndarray, b: np.ndarray) -> None:
@@ -274,22 +277,27 @@ class TestCandidateEvaluator:
         assert ev.strategy_cost([]) == pytest.approx(d[0].sum())
 
     def test_batch_costs_match_scalar_costs(self):
+        """Every chunk of the lattice scan agrees with per-strategy scoring."""
         rng = np.random.default_rng(1)
         w = _random_weight_matrix(7, rng, edge_prob=0.8)
         d = floyd_warshall(w)
         weights = rng.uniform(0.5, 2.0, size=7)
         weights[3] = 0.0
-        ev = CandidateEvaluator(d, 3, weights, alpha=0.7)
+        weights[5] = np.inf  # an inf-priced candidate: every subset buying it costs inf
+        ev = CandidateEvaluator(d, 3, weights, alpha=0.7, candidates=[0, 1, 2, 4, 5, 6])
         m = ev.num_candidates
-        masks = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-        batch = ev.batch_costs(masks.astype(bool))
-        for row, cost in zip(masks.astype(bool), batch):
-            targets = [int(v) for v in ev.candidates[row]]
-            scalar = ev.strategy_cost(targets)
-            if np.isinf(scalar) or np.isinf(cost):
-                assert np.isinf(scalar) and np.isinf(cost)
-            else:
-                assert cost == pytest.approx(scalar)
+        for bits in (0, 1, 3, m):
+            costs = np.concatenate(
+                [ev.subset_costs(start, bits) for start in range(0, 1 << m, 1 << bits)]
+            )
+            assert costs.shape == (1 << m,)
+            for index, cost in enumerate(costs):
+                targets = [int(v) for j, v in enumerate(ev.candidates) if index >> j & 1]
+                scalar = ev.strategy_cost(targets)
+                if np.isinf(scalar) or np.isinf(cost):
+                    assert np.isinf(scalar) and np.isinf(cost)
+                else:
+                    assert cost == pytest.approx(scalar)
 
     def test_rejects_self_target_and_bad_shapes(self):
         d = floyd_warshall(np.ones((4, 4)) - np.eye(4))
@@ -297,7 +305,7 @@ class TestCandidateEvaluator:
         with pytest.raises(ValueError):
             ev.strategy_cost([1])
         with pytest.raises(ValueError):
-            ev.batch_costs(np.zeros(5, dtype=bool))
+            ev.subset_costs(0, ev.num_candidates + 1)
         with pytest.raises(ValueError):
             CandidateEvaluator(d, 9, np.ones(4), alpha=1.0)
 

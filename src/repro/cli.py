@@ -401,16 +401,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
     )
     if full:
         parser.add_argument(
-            "--buffering",
-            default=None,
-            choices=["single", "double"],
-            help=(
-                "snapshot buffering of the local shared-memory pool: "
-                "'single' (default) or 'double' (overlap the next chunk's "
-                "snapshot writes with scoring; identical results)"
-            ),
-        )
-        parser.add_argument(
             "--response", default=None, choices=["best", "greedy", "single"]
         )
         parser.add_argument(
@@ -489,7 +479,6 @@ _CONFIG_FIELDS = (
     "seed",
     "backend",
     "endpoints",
-    "buffering",
     "residual_encoding",
     "batch_timeout",
     "max_retries",

@@ -75,6 +75,7 @@ __all__ = [
     "residual_distances",
     "strategy_cost_given_residual",
     "score_response",
+    "score_tasks",
     "batch_best_responses",
     "best_response_exact",
     "best_response_incremental",
@@ -162,8 +163,11 @@ def strategy_cost_given_residual(
 # Exact best response (subset-lattice enumeration)
 # ----------------------------------------------------------------------
 def _scan_candidate_subsets(
-    evaluator: CandidateEvaluator, max_candidates: int
-) -> tuple[frozenset[int], float]:
+    evaluator: CandidateEvaluator,
+    current_cost: float,
+    max_candidates: int,
+    method: str,
+) -> BestResponseResult:
     """Best subset of the evaluator's candidates by a chunked lattice scan.
 
     Seeds with the empty strategy so the search is well-defined even when
@@ -177,19 +181,23 @@ def _scan_candidate_subsets(
             f"raise max_candidates explicitly if this is intended"
         )
     best_cost = evaluator.empty_cost
-    if m == 0:
-        return frozenset(), best_cost
     best_index = 0
     bits = min(_BATCH_BITS, m)
-    for start in range(0, 1 << m, 1 << bits):
+    # m == 0 leaves only the empty strategy: no chunk to scan.
+    for start in range(0, (1 << m) if m else 0, 1 << bits):
         costs = evaluator.subset_costs(start, bits)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost - 1e-15:
             best_cost = float(costs[idx])
             best_index = start + idx
     chosen = ((best_index >> np.arange(m)) & 1).astype(bool)
-    targets = frozenset(int(v) for v in evaluator.candidates[chosen])
-    return targets, float(best_cost)
+    return BestResponseResult(
+        agent=int(evaluator.source),
+        strategy=frozenset(int(v) for v in evaluator.candidates[chosen]),
+        cost=float(best_cost),
+        current_cost=float(current_cost),
+        method=method,
+    )
 
 
 def best_response_exact(
@@ -217,14 +225,8 @@ def best_response_exact(
         Safety bound on the enumeration size (``2**m`` subsets are scanned).
     """
     evaluator = game.candidate_evaluator(profile, u, candidates=candidates)
-    current_cost = game.agent_cost(profile, u)
-    best_set, best_cost = _scan_candidate_subsets(evaluator, max_candidates)
-    return BestResponseResult(
-        agent=u,
-        strategy=best_set,
-        cost=float(best_cost),
-        current_cost=float(current_cost),
-        method="exact",
+    return _scan_candidate_subsets(
+        evaluator, game.agent_cost(profile, u), max_candidates, "exact"
     )
 
 
@@ -248,14 +250,7 @@ def best_response_incremental(
     """
     evaluator = game.candidate_evaluator(profile, u, d_rest=d_rest, candidates=candidates)
     current_cost = evaluator.strategy_cost(profile.strategy(u))
-    best_set, best_cost = _scan_candidate_subsets(evaluator, max_candidates)
-    return BestResponseResult(
-        agent=u,
-        strategy=best_set,
-        cost=float(best_cost),
-        current_cost=float(current_cost),
-        method="incremental",
-    )
+    return _scan_candidate_subsets(evaluator, current_cost, max_candidates, "incremental")
 
 
 # ----------------------------------------------------------------------
@@ -419,32 +414,53 @@ def score_response(
     """Score one agent's response against a fixed residual matrix.
 
     The array-only entry point behind :meth:`repro.core.incremental.
-    IncrementalEngine.respond` and the parallel evaluator's worker
-    processes: ``d_rest`` and ``edge_weights`` may be (shared-memory) views
-    — or a delta-encoded :class:`~repro.core.residual_delta.DeltaResidual`
-    row-view, which every response path reads only row by row —
+    IncrementalEngine.respond`, :func:`score_tasks` and the parallel
+    evaluator's worker processes: ``d_rest`` and ``edge_weights`` may be
+    (shared-memory) views — or a delta-encoded
+    :class:`~repro.core.residual_delta.DeltaResidual` row-view, which every
+    response path reads only row by row —
     ``current`` is the agent's current strategy, ``response`` is ``"best"``,
     ``"greedy"`` or ``"single"``.  No shortest-path computation happens
     here — every candidate is scored by pure relaxation.
     """
     if response == "best":
         evaluator = CandidateEvaluator(d_rest, u, edge_weights, alpha)
-        current_cost = strategy_cost_from_residual(
-            d_rest, u, edge_weights, alpha, current
-        )
-        best_set, best_cost = _scan_candidate_subsets(evaluator, max_candidates)
-        return BestResponseResult(
-            agent=int(u),
-            strategy=best_set,
-            cost=float(best_cost),
-            current_cost=float(current_cost),
-            method="incremental",
-        )
+        current_cost = evaluator.strategy_cost(current)
+        return _scan_candidate_subsets(evaluator, current_cost, max_candidates, "incremental")
     if response == "greedy":
         return _greedy_given(d_rest, u, edge_weights, alpha, current)
     if response == "single":
         return _single_given(d_rest, u, edge_weights, alpha, current)
     raise ValueError(f"unknown response kind {response!r}")
+
+
+def score_tasks(
+    tasks: Iterable[tuple[int, np.ndarray | DeltaResidual, Iterable[int]]],
+    weights: np.ndarray,
+    alpha: float,
+    response: str,
+    *,
+    max_candidates: int = _MAX_EXACT_CANDIDATES,
+) -> list[BestResponseResult]:
+    """:func:`score_response` over ``(agent, d_rest, strategy)`` tasks, in order.
+
+    The one in-process scoring loop: the engine's serial batches, the
+    failover ladder's serial rung and the socket worker server all run it,
+    so every backend scores exactly the same way.  ``weights`` is the full
+    host-weight matrix; row ``agent`` is passed to the kernel.
+    """
+    return [
+        score_response(
+            d_rest,
+            int(u),
+            weights[int(u)],
+            alpha,
+            tuple(int(v) for v in strategy),
+            response,
+            max_candidates=max_candidates,
+        )
+        for u, d_rest, strategy in tasks
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +559,7 @@ def batch_best_responses(
 
     ``engine`` is a stateful evaluator of the current profile — in practice
     a :class:`repro.core.incremental.IncrementalEngine`; any object with
-    ``game``, ``respond(u, response, max_candidates=...)`` and ``residual``
+    ``game`` and ``respond_many(agents, response, max_candidates=...)``
     works, which keeps this module free of an engine import.  All agents are
     scored against the *same* state (no move is applied in between), one
     residual matrix per agent and zero shortest-path recomputations per
@@ -558,9 +574,7 @@ def batch_best_responses(
     """
     if agents is None:
         agents = range(engine.game.n)
-    return [
-        engine.respond(int(u), response, max_candidates=max_candidates) for u in agents
-    ]
+    return engine.respond_many(agents, response, max_candidates=max_candidates)
 
 
 def best_response(

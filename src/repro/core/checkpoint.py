@@ -106,7 +106,7 @@ CHECKPOINT_VERSION = 1
 _SCHEMA = "repro-gncg-checkpoint"
 
 # Config fields that shape the *trajectory or stats* of a run.  A resume may
-# change anything else (backend, workers, endpoints, buffering, fleet
+# change anything else (backend, workers, endpoints, residual encoding, fleet
 # timeouts, checkpoint policy) — those trade nothing but time and placement —
 # but never these: the continuation would no longer be the same run.
 TRAJECTORY_FIELDS = (

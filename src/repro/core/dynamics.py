@@ -367,26 +367,14 @@ def _respond(
     if response == "greedy":
         return greedy_response(game, profile, agent)
     if response == "single":
-        move = best_single_move(game, profile, agent)
-        if move.kind == "none":
-            current = game.agent_cost(profile, agent)
-            from .best_response import BestResponseResult
-
-            return BestResponseResult(
-                agent=agent,
-                strategy=profile.strategy(agent),
-                cost=current,
-                current_cost=current,
-                method="single",
-            )
-        new_profile = move.apply(profile, agent)
-        from .best_response import BestResponseResult
-
+        current = game.agent_cost(profile, agent)
+        # ``apply`` returns ``profile`` itself when no single move improves.
+        moved = best_single_move(game, profile, agent).apply(profile, agent)
         return BestResponseResult(
             agent=agent,
-            strategy=new_profile.strategy(agent),
-            cost=game.agent_cost(new_profile, agent),
-            current_cost=game.agent_cost(profile, agent),
+            strategy=moved.strategy(agent),
+            cost=current if moved is profile else game.agent_cost(moved, agent),
+            current_cost=current,
             method="single",
         )
     raise ValueError(f"unknown response kind {response!r}")

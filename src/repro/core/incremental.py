@@ -77,12 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import (
-    BestResponseResult,
-    best_response_incremental,
-    greedy_response,
-    score_response,
-)
+from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
 from .shortest_paths import decremental_distances, relax_source_row
 from .strategy import StrategyProfile
@@ -359,48 +354,6 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
     # Responses
     # ------------------------------------------------------------------
-    def best_response(
-        self,
-        u: int,
-        *,
-        max_candidates: int = 22,
-        d_rest: np.ndarray | None = None,
-    ) -> BestResponseResult:
-        """Exact best response of ``u`` against the current profile.
-
-        Callers that already hold ``u``'s residual matrix (from a preceding
-        :meth:`residual` call) can pass it as ``d_rest`` to skip the cache
-        lookup.
-        """
-        if d_rest is None:
-            d_rest = self.residual(u)
-        return best_response_incremental(
-            self._game, self._profile, u, d_rest=d_rest, max_candidates=max_candidates
-        )
-
-    def greedy_response(
-        self, u: int, *, d_rest: np.ndarray | None = None
-    ) -> BestResponseResult:
-        """Single-move local optimum of ``u`` against the current profile."""
-        if d_rest is None:
-            d_rest = self.residual(u)
-        return greedy_response(self._game, self._profile, u, d_rest=d_rest)
-
-    def single_response(
-        self, u: int, *, d_rest: np.ndarray | None = None
-    ) -> BestResponseResult:
-        """The best single add/delete/swap of ``u`` packaged as a response."""
-        if d_rest is None:
-            d_rest = self.residual(u)
-        return score_response(
-            d_rest,
-            u,
-            self._game.host.weights[u],
-            self._game.alpha,
-            self._profile.strategy(u),
-            "single",
-        )
-
     def respond(
         self,
         u: int,
@@ -409,14 +362,24 @@ class IncrementalEngine:
         max_candidates: int = 22,
         d_rest: np.ndarray | None = None,
     ) -> BestResponseResult:
-        """Dispatch on the response kind used by :func:`repro.core.dynamics.run_dynamics`."""
-        if response == "best":
-            return self.best_response(u, max_candidates=max_candidates, d_rest=d_rest)
-        if response == "greedy":
-            return self.greedy_response(u, d_rest=d_rest)
-        if response == "single":
-            return self.single_response(u, d_rest=d_rest)
-        raise ValueError(f"unknown response kind {response!r}")
+        """Response of ``u`` to the current profile, scored by ``score_response``.
+
+        ``response`` is ``"best"``, ``"greedy"`` or ``"single"``.  Callers
+        that already hold ``u``'s residual matrix (from a preceding
+        :meth:`residual` call) can pass it as ``d_rest`` to skip the cache
+        lookup.
+        """
+        if d_rest is None:
+            d_rest = self.residual(u)
+        return score_response(
+            d_rest,
+            u,
+            self._game.host.weights[u],
+            self._game.alpha,
+            self._profile.strategy(u),
+            response,
+            max_candidates=max_candidates,
+        )
 
     def respond_many(
         self,
@@ -443,15 +406,21 @@ class IncrementalEngine:
             d_rests = [self.residual(u) for u in agents]
         elif len(d_rests) != len(agents):
             raise ValueError("d_rests must match agents one to one")
+        tasks = [
+            (u, dr, self._profile.strategy(u)) for u, dr in zip(agents, d_rests)
+        ]
         # An injected evaluator is used whatever its fan-out degree (a
         # remote backend is worth dispatching to even with one endpoint);
         # a pool is only worth *creating* for workers > 1.
         use_backend = self._evaluator is not None or self._workers > 1
         if not use_backend or len(agents) < 2:
-            return [
-                self.respond(u, response, max_candidates=max_candidates, d_rest=dr)
-                for u, dr in zip(agents, d_rests)
-            ]
+            return score_tasks(
+                tasks,
+                self._game.host.weights,
+                self._game.alpha,
+                response,
+                max_candidates=max_candidates,
+            )
         if self._evaluator is None:
             from .parallel import ParallelEvaluator
 
@@ -459,9 +428,6 @@ class IncrementalEngine:
                 self._game, workers=self._workers
             )
             self._owns_evaluator = True
-        tasks = [
-            (u, dr, self._profile.strategy(u)) for u, dr in zip(agents, d_rests)
-        ]
         return self._evaluator.evaluate(
             tasks, response, max_candidates=max_candidates
         )

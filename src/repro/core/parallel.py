@@ -23,12 +23,11 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     :mod:`multiprocessing.shared_memory` segments are used: a *static*
     segment holding the host-graph weight matrix (written once, valid for
     the lifetime of the pool because host weights never change during a
-    dynamics run) and a *slot* segment holding the residual distance
-    matrices of the in-flight batch — ``slots`` matrices per *bank*, with
-    one bank under ``buffering="single"`` and two under
-    ``buffering="double"``.  Workers attach by name at pool start-up and
-    build zero-copy NumPy views; per task only a slot index, an agent id
-    and a (tiny) strategy tuple cross the process boundary.
+    dynamics run) and a *slot* segment holding the ``slots`` residual
+    distance matrices of the in-flight chunk.  Workers attach by name at
+    pool start-up and build zero-copy NumPy views; per task only a slot
+    index, an agent id and a (tiny) strategy tuple cross the process
+    boundary.
 
 ``ParallelEvaluator``
     The persistent worker pool.  It is created *lazily* on the first
@@ -39,30 +38,24 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     residual matrix into a free slot (matrices shared by several agents —
     e.g. the network distances of agents owning no solely-owned edges — are
     written once), dispatches one task per agent and gathers results in
-    submission order.  With ``buffering="double"`` the snapshot writes of
-    the *next* chunk overlap the workers still scoring the current one
-    (the ROADMAP "slot pressure" item): chunks alternate between two slot
-    banks and at most one chunk per bank is in flight, so no slot is ever
-    rewritten under a pending task.
+    submission order.  A batch with more distinct matrices than slots is
+    dispatched in chunks, each gathered before the next is written.
 
 Determinism is the design constraint, not an afterthought: workers execute
 :func:`repro.core.best_response.score_response` — the exact same pure
 kernel the serial engine runs — against bit-identical matrix copies, and
 results are collected in submission order, so a parallel evaluation is
-indistinguishable from the serial one for every worker count *and* either
-buffering mode (the property tests in ``tests/test_parallel_evaluator.py``
-assert bit-identical trajectories for ``workers in {1, 2, 4}`` times
-``buffering in {"single", "double"}``).
+indistinguishable from the serial one for every worker count (the property
+tests in ``tests/test_parallel_evaluator.py`` assert bit-identical
+trajectories for ``workers in {1, 2, 4}``).
 
 Snapshot invariants:
 
 * the weights segment is written once, before the first task is dispatched,
   and never mutated while the pool lives;
 * a slot is only rewritten after every task of the chunk that referenced it
-  has been gathered (dispatch is chunked at ``slots`` distinct matrices per
-  bank; single buffering gathers a chunk before writing the next, double
-  buffering writes the next chunk into the *other* bank and gathers a
-  bank's chunk before that bank is reused);
+  has been gathered (dispatch is chunked at ``slots`` distinct matrices and
+  each chunk is gathered before the next one is written);
 * matrices are C-contiguous ``float64`` — the copy into the slot is an
   exact bitwise copy, so worker-side arithmetic sees the same numbers.
 
@@ -85,7 +78,6 @@ import atexit
 import multiprocessing as mp
 import multiprocessing.connection
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -103,7 +95,7 @@ from typing import (
 import numpy as np
 
 from .best_response import BestResponseResult, score_response
-from .residual_delta import DeltaResidual, encode_delta, pack_delta, unpack_delta
+from .residual_delta import DeltaResidual, delta_if_smaller, unpack_delta
 
 if TYPE_CHECKING:  # import cycle: game sits above the evaluator layer
     from .game import NetworkCreationGame
@@ -120,7 +112,6 @@ __all__ = [
 ]
 
 _DEFAULT_SLOTS = 16
-_BUFFERING_MODES = ("single", "double")
 RESIDUAL_ENCODINGS = ("dense", "delta")
 
 
@@ -406,26 +397,23 @@ def _init_worker(meta: dict[str, Any], alpha: float) -> None:
 
 
 def _score_task(
-    task: tuple[int, int, "tuple[int, int] | None", Sequence[int], str, int]
+    task: tuple[int, int, int | None, Sequence[int], str, int]
 ) -> BestResponseResult:
     """Score one agent against a slot of the shared snapshot.
 
-    ``spec`` selects the slot's interpretation: ``None`` means the slot
-    holds a dense ``(n, n)`` matrix; ``(base_slot, payload_bytes)`` means
-    it holds a packed residual delta against the dense matrix in
-    ``base_slot``, which is served to the kernel as a lazy
+    ``payload_bytes`` selects the slot's interpretation: ``None`` means the
+    slot holds a dense ``(n, n)`` matrix; a byte count means it holds a
+    packed residual delta against the chunk's dense base matrix in slot 0,
+    which is served to the kernel as a lazy
     :class:`~repro.core.residual_delta.DeltaResidual` row-view — the dense
     matrix is never materialized worker-side.
     """
-    u, slot, spec, strategy, response, max_candidates = task
+    u, slot, payload_bytes, strategy, response, max_candidates = task
     snapshot: SharedSnapshot = _WORKER_STATE["snapshot"]
-    d_rest: np.ndarray | DeltaResidual
-    if spec is None:
-        d_rest = snapshot.slot_matrices[slot]
-    else:
-        base_slot, payload_bytes = spec
+    d_rest: np.ndarray | DeltaResidual = snapshot.slot_matrices[slot]
+    if payload_bytes is not None:
         delta = unpack_delta(snapshot.slot_payload(slot, payload_bytes), snapshot.n)
-        d_rest = DeltaResidual(snapshot.slot_matrices[base_slot], delta)
+        d_rest = DeltaResidual(snapshot.slot_matrices[0], delta)
     return score_response(
         d_rest,
         u,
@@ -454,24 +442,16 @@ class ParallelEvaluator:
         process.  ``workers=1`` is allowed but callers normally keep the
         serial path for it (see ``IncrementalEngine.respond_many``).
     slots:
-        Residual-matrix slots per bank of the shared snapshot; a batch
-        referencing more *distinct* matrices than this is dispatched in
-        chunks (slots are only rewritten after every task reading them has
-        returned).
-    buffering:
-        ``"single"`` (default) gathers each chunk before writing the next
-        one's matrices; ``"double"`` allocates a second slot bank and
-        writes the next chunk's snapshot while the workers are still
-        scoring the current one, keeping at most one chunk per bank in
-        flight.  Results are bit-identical either way — buffering trades
-        nothing but memory (one extra slot bank) for overlap.
+        Residual-matrix slots of the shared snapshot; a batch referencing
+        more *distinct* matrices than this is dispatched in chunks, each
+        gathered before the next one's matrices are written.
     residual_encoding:
         ``"dense"`` (default) writes every distinct residual matrix into
         its slot verbatim; ``"delta"`` writes the first distinct matrix of
         each chunk dense (the chunk's *base*) and encodes every later
         distinct matrix as a packed residual delta against it
         (:mod:`repro.core.residual_delta`), falling back to a dense write
-        for any matrix whose packed delta would not fit the slot.  Workers
+        for any matrix whose packed delta would not be smaller.  Workers
         relax from ``base + changed rows`` through a lazy
         :class:`~repro.core.residual_delta.DeltaResidual` row-view, so
         results are bit-identical to the dense encoding while localized
@@ -493,7 +473,7 @@ class ParallelEvaluator:
     """
 
     __slots__ = (
-        "_weights", "_alpha", "_workers", "_slots", "_banks", "_start_method",
+        "_weights", "_alpha", "_workers", "_slots", "_start_method",
         "_encoding", "_snapshot", "_pool", "pools_started", "_batches",
         "_tasks", "_bytes_sent", "_failures", "_retries", "fault_hook",
     )
@@ -505,7 +485,6 @@ class ParallelEvaluator:
         *,
         workers: int | None = None,
         slots: int = _DEFAULT_SLOTS,
-        buffering: str = "single",
         residual_encoding: str = "dense",
         start_method: str | None = None,
     ) -> None:
@@ -516,17 +495,12 @@ class ParallelEvaluator:
             raise ValueError("workers must be >= 1")
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if buffering not in _BUFFERING_MODES:
-            raise ValueError(
-                f"unknown buffering {buffering!r} (expected one of {_BUFFERING_MODES})"
-            )
         if residual_encoding not in RESIDUAL_ENCODINGS:
             raise ValueError(
                 f"unknown residual_encoding {residual_encoding!r} "
                 f"(expected one of {RESIDUAL_ENCODINGS})"
             )
         self._slots = int(slots)
-        self._banks = 2 if buffering == "double" else 1
         self._encoding = residual_encoding
         self._start_method = start_method
         self._snapshot: SharedSnapshot | None = None
@@ -556,11 +530,6 @@ class ParallelEvaluator:
     def is_running(self) -> bool:
         """True while the worker pool (and its shared memory) is alive."""
         return self._pool is not None
-
-    @property
-    def buffering(self) -> str:
-        """``"single"`` or ``"double"`` snapshot buffering (see the class docs)."""
-        return "double" if self._banks == 2 else "single"
 
     @property
     def residual_encoding(self) -> str:
@@ -619,7 +588,7 @@ class ParallelEvaluator:
     def _ensure_pool(self) -> None:
         if self._pool is not None:
             return
-        self._snapshot = SharedSnapshot.create(self._weights, self._slots * self._banks)
+        self._snapshot = SharedSnapshot.create(self._weights, self._slots)
         self._pool = self._new_executor()
         self.pools_started += 1
         atexit.register(self.close)
@@ -628,7 +597,7 @@ class ParallelEvaluator:
         """Replace a broken executor, keeping the shared-memory snapshot.
 
         The snapshot — and the residual matrices already written into its
-        slots — survives the executor, so in-flight chunks can be
+        slots — survives the executor, so the in-flight chunk can be
         resubmitted against the same slot indices after the rebuild.
         """
         pool, self._pool = self._pool, None
@@ -668,128 +637,93 @@ class ParallelEvaluator:
         Each distinct residual matrix (by object identity — agents sharing
         a matrix share a slot) is copied into shared memory exactly once
         per chunk; results come back in submission order, so the output is
-        deterministic regardless of worker scheduling.  Under
-        ``buffering="double"`` consecutive chunks go to alternating slot
-        banks and one chunk may stay in flight while the next one's
-        matrices are written — a bank is always fully gathered before it
-        is written again.
+        deterministic regardless of worker scheduling.
 
         A pool worker dying mid-batch (SIGKILL, segfault, OOM kill) breaks
         the whole executor: every pending future raises
         ``BrokenProcessPool``.  The slots referenced by the in-flight
-        chunks are still intact (a slot is only rewritten after its chunk
+        chunk are still intact (a slot is only rewritten after its chunk
         has been gathered), so the pool is rebuilt **once per call** and
-        every in-flight chunk is resubmitted in order — tasks are pure, so
-        the re-scored results are bit-identical.  A second break in the
-        same call raises :class:`PoolBrokenError`.
+        the chunk is resubmitted — tasks are pure, so the re-scored
+        results are bit-identical.  A second break in the same call raises
+        :class:`PoolBrokenError`.
         """
         task_list = list(tasks)
         if not task_list:
             return []
         self._ensure_pool()
-        assert self._snapshot is not None
         if self.fault_hook is not None:
             self.fault_hook(self, self._batches)
         self._batches += 1
         self._tasks += len(task_list)
         results: list[BestResponseResult] = []
-        in_flight: deque[tuple[list[tuple], list]] = deque()
         rebuilt = False
-
-        def recover(exc: BaseException) -> None:
-            nonlocal rebuilt
-            if rebuilt:
-                raise PoolBrokenError(
-                    "worker pool broke twice in one batch "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-            rebuilt = True
-            self._failures += 1
-            self._retries += 1
-            self._rebuild_pool()
-            try:
-                for index, (chunk, _dead) in enumerate(in_flight):
-                    in_flight[index] = (
-                        chunk,
-                        [self._pool.submit(_score_task, task) for task in chunk],
-                    )
-            except BrokenProcessPool as exc2:
-                raise PoolBrokenError(
-                    "worker pool broke twice in one batch "
-                    f"({type(exc2).__name__}: {exc2})"
-                ) from exc2
-
-        def gather_oldest() -> None:
-            while True:
-                chunk, chunk_futures = in_flight[0]
-                try:
-                    gathered = [future.result() for future in chunk_futures]
-                except BrokenProcessPool as exc:
-                    recover(exc)  # raises PoolBrokenError on the second break
-                    continue
-                in_flight.popleft()
-                results.extend(gathered)
-                return
-
-        slot_capacity = self._snapshot.n * self._snapshot.n * 8
         pos = 0
-        bank = 0
         while pos < len(task_list):
-            bank_base = bank * self._slots
-            slot_of: dict[int, int] = {}
-            spec_of: dict[int, tuple[int, int] | None] = {}
-            chunk_base: tuple[int, np.ndarray] | None = None
-            chunk: list[tuple] = []
-            while pos < len(task_list):
-                u, d_rest, strategy = task_list[pos]
-                key = id(d_rest)
-                slot = slot_of.get(key)
-                if slot is None:
-                    if len(slot_of) >= self._slots:
-                        break  # chunk full: the bank has no free slot left
-                    slot = bank_base + len(slot_of)
-                    slot_of[key] = slot
-                    spec: tuple[int, int] | None = None
-                    if self._encoding == "delta" and chunk_base is not None:
-                        # Later distinct matrices ride as packed deltas
-                        # against the chunk's first (base) matrix — unless
-                        # the delta would not fit the slot, in which case
-                        # the dense write is both smaller and simpler.
-                        payload = pack_delta(encode_delta(chunk_base[1], d_rest))
-                        if len(payload) <= slot_capacity:
-                            self._snapshot.write_slot_packed(slot, payload)
-                            spec = (chunk_base[0], len(payload))
-                            self._bytes_sent += len(payload)
-                    if spec is None:
-                        self._snapshot.write_slot(slot, d_rest)
-                        self._bytes_sent += slot_capacity
-                        if self._encoding == "delta" and chunk_base is None:
-                            chunk_base = (slot, d_rest)
-                    spec_of[key] = spec
-                chunk.append(
-                    (
-                        int(u),
-                        slot,
-                        spec_of[key],
-                        tuple(int(v) for v in strategy),
-                        response,
-                        int(max_candidates),
-                    )
-                )
-                pos += 1
+            chunk, pos = self._write_chunk(task_list, pos, response, max_candidates)
             while True:
                 try:
-                    chunk_futures = [
-                        self._pool.submit(_score_task, task) for task in chunk
-                    ]
+                    futures = [self._pool.submit(_score_task, task) for task in chunk]
+                    gathered = [future.result() for future in futures]
+                    break
                 except BrokenProcessPool as exc:
-                    recover(exc)
-                    continue
-                break
-            in_flight.append((chunk, chunk_futures))
-            if len(in_flight) >= self._banks:
-                gather_oldest()
-            bank = (bank + 1) % self._banks
-        while in_flight:
-            gather_oldest()
+                    if rebuilt:
+                        raise PoolBrokenError(
+                            "worker pool broke twice in one batch "
+                            f"({type(exc).__name__}: {exc})"
+                        ) from exc
+                    rebuilt = True
+                    self._failures += 1
+                    self._retries += 1
+                    self._rebuild_pool()
+            results.extend(gathered)
         return results
+
+    def _write_chunk(
+        self,
+        task_list: list[tuple[int, np.ndarray, Sequence[int]]],
+        pos: int,
+        response: str,
+        max_candidates: int,
+    ) -> tuple[list[tuple[Any, ...]], int]:
+        """Write the distinct matrices of the tasks from ``pos`` into the slots.
+
+        Stops at the first task whose matrix finds no free slot and returns
+        the chunk's worker tasks plus the position to continue from.
+        """
+        snapshot = self._snapshot
+        assert snapshot is not None
+        # id(matrix) -> (slot, packed delta size or None when dense); the
+        # chunk's first matrix, its base, is written dense into slot 0.
+        placed: dict[int, tuple[int, int | None]] = {}
+        base: np.ndarray | None = None
+        chunk: list[tuple[Any, ...]] = []
+        while pos < len(task_list):
+            u, d_rest, strategy = task_list[pos]
+            key = id(d_rest)
+            if key not in placed:
+                if len(placed) >= self._slots:
+                    break  # chunk full: no free slot left
+                slot = len(placed)
+                # Under the delta encoding later distinct matrices ride as
+                # packed deltas against the base when that is smaller.
+                payload = None
+                if base is None:
+                    base = d_rest
+                elif self._encoding == "delta":
+                    payload = delta_if_smaller(base, d_rest)
+                if payload is None:
+                    snapshot.write_slot(slot, d_rest)
+                    self._bytes_sent += snapshot.n * snapshot.n * 8
+                    placed[key] = (slot, None)
+                else:
+                    snapshot.write_slot_packed(slot, payload)
+                    self._bytes_sent += len(payload)
+                    placed[key] = (slot, len(payload))
+            slot, payload_bytes = placed[key]
+            strategy = tuple(int(v) for v in strategy)
+            chunk.append(
+                (int(u), slot, payload_bytes, strategy, response, int(max_candidates))
+            )
+            pos += 1
+        return chunk, pos

@@ -60,12 +60,12 @@ Failure semantics (the point of this fleet being *production-grade*; see
   batch.  :meth:`RemoteEvaluator.revive` is the never-raising probe the
   session's failover ladder polls for promotion.
 
-Wire format (version ``4``): every frame is an 8-byte big-endian length
+Wire format (version ``5``): every frame is an 8-byte big-endian length
 prefix followed by that many payload bytes.  A *message* is one JSON header
 frame optionally followed by raw-buffer frames it announces — matrices
 travel as raw C-order ``float64`` bytes, **never pickled**:
 
-* client → server ``hello``: ``{"kind": "hello", "protocol": 3, "n": n,
+* client → server ``hello``: ``{"kind": "hello", "protocol": 5, "n": n,
   "alpha": alpha}`` + 1 raw frame holding the ``(n, n)`` weight matrix
   (shipped once per connection; host weights are static for a game).
   With a shared secret configured the hello also carries ``auth_nonce``
@@ -80,19 +80,19 @@ travel as raw C-order ``float64`` bytes, **never pickled**:
 * server → client ``ready``: ``{"kind": "ready", "pid": ...}`` (plus
   ``auth_proof`` when authenticating);
 * client → server ``batch``: ``{"kind": "batch", "response": ...,
-  "max_candidates": ..., "matrices": k, "tasks": [[agent, matrix_index,
-  [strategy...]], ...]}`` + ``k`` raw ``(n, n)`` residual-matrix frames;
-* client → server ``delta_batch`` (version 4, sent under
-  ``residual_encoding="delta"``): like ``batch`` but ``"matrices"`` is a
-  *list* of frame descriptors — ``{"enc": "dense"}`` for a raw ``(n, n)``
-  matrix frame, ``{"enc": "delta", "base": b, "rows": k}`` for a packed
-  residual-delta frame (:mod:`repro.core.residual_delta` layout: a
-  little-endian ``uint64`` row count, ``k`` sorted little-endian ``int64``
-  row indices, then the ``k`` changed rows as raw C-order ``float64``)
-  decoded against the dense matrix at descriptor index ``b``.  The first
-  distinct matrix of a shard ships dense and serves as the shard's base;
-  a matrix whose packed delta would not beat the dense frame ships dense
-  too, so the encoding never inflates a shard;
+  "max_candidates": ..., "matrices": [descriptor...], "tasks": [[agent,
+  matrix_index, [strategy...]], ...]}`` + one frame per descriptor.  A
+  descriptor is ``{"enc": "dense"}`` for a raw ``(n, n)`` matrix frame or
+  ``{"enc": "delta", "base": b, "rows": k}`` for a packed residual-delta
+  frame (:mod:`repro.core.residual_delta` layout: a little-endian
+  ``uint64`` row count, ``k`` sorted little-endian ``int64`` row indices,
+  then the ``k`` changed rows as raw C-order ``float64``) decoded against
+  the dense matrix at descriptor index ``b``.  Under
+  ``residual_encoding="dense"`` every descriptor is dense; under
+  ``"delta"`` the first distinct matrix of a shard ships dense and serves
+  as the shard's base, and a later matrix ships as a delta only when its
+  packed delta is strictly smaller than the dense frame, so the encoding
+  never inflates a shard;
 * server → client ``results``: ``{"kind": "results", "results": [[agent,
   [strategy...], cost_hex, current_cost_hex, method], ...]}`` — costs are
   serialized with :meth:`float.hex`, which round-trips every ``float``
@@ -137,13 +137,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .best_response import BestResponseResult, score_response
+from .best_response import BestResponseResult, score_tasks
 from .faults import FaultInjector, FaultPlan
 from .parallel import RESIDUAL_ENCODINGS, EvaluatorError, EvaluatorStats
 from .residual_delta import (
     DeltaResidual,
-    encode_delta,
-    pack_delta,
+    delta_if_smaller,
     packed_size,
     unpack_delta,
 )
@@ -167,10 +166,12 @@ __all__ = [
 
 # Version 2 added the ping/pong health-check verb (accepted pre-hello and
 # between batches); version 3 added the optional HMAC shared-secret
-# challenge/response folded into hello/ready; version 4 added the
-# delta_batch verb shipping residuals as packed deltas against a dense
-# base frame.  Client and server versions must match exactly.
-PROTOCOL_VERSION = 4
+# challenge/response folded into hello/ready; version 4 added a delta_batch
+# verb shipping residuals as packed deltas against a dense base frame;
+# version 5 folded the two batch verbs into one ``batch`` whose matrices
+# are always a descriptor list.  Client and server versions must match
+# exactly.
+PROTOCOL_VERSION = 5
 
 _LEN = struct.Struct("!Q")
 # A frame can at most hold one dense (n, n) float64 matrix; 1 GiB bounds
@@ -385,8 +386,7 @@ def _handle_connection(
             if header.get("kind") == "ping":  # liveness check between batches
                 _pong(conn)
                 continue
-            is_delta = header.get("kind") == "delta_batch"
-            if not is_delta and header.get("kind") != "batch":
+            if header.get("kind") != "batch":
                 raise RemoteEvaluatorError(
                     f"expected batch, got {header.get('kind')!r}"
                 )
@@ -406,12 +406,8 @@ def _handle_connection(
                     _recv_exact(conn, min(size, size // 2 + 1))
                 time.sleep(fault.duration)
                 return
-            if is_delta:
-                descriptors = list(header["matrices"])
-            else:
-                descriptors = [{"enc": "dense"}] * int(header["matrices"])
             matrices: list[np.ndarray | DeltaResidual] = []
-            for descriptor in descriptors:
+            for descriptor in header["matrices"]:
                 frame = _recv_frame(conn)
                 if frame is None:
                     raise RemoteEvaluatorError("residual frame missing")
@@ -460,21 +456,20 @@ def _handle_connection(
                     # ...then score normally: a *stalled* worker, which
                     # the client's batch deadline must turn into an
                     # endpoint failure.
-            response = str(header["response"])
-            max_candidates = int(header["max_candidates"])
-            results = []
-            for agent, matrix_index, strategy in header["tasks"]:
-                result = score_response(
-                    matrices[int(matrix_index)],
-                    int(agent),
-                    weights[int(agent)],
-                    alpha,
-                    tuple(int(v) for v in strategy),
-                    response,
-                    max_candidates=max_candidates,
-                )
-                results.append(_pack_result(result))
-            _send_json(conn, {"kind": "results", "results": results})
+            results = score_tasks(
+                [
+                    (agent, matrices[int(matrix_index)], strategy)
+                    for agent, matrix_index, strategy in header["tasks"]
+                ],
+                weights,
+                alpha,
+                str(header["response"]),
+                max_candidates=int(header["max_candidates"]),
+            )
+            _send_json(
+                conn,
+                {"kind": "results", "results": [_pack_result(r) for r in results]},
+            )
     except Exception as exc:  # noqa: BLE001 - reported to the client, connection dropped
         with contextlib.suppress(OSError):
             _send_json(conn, {"kind": "error", "message": f"{type(exc).__name__}: {exc}"})
@@ -854,8 +849,7 @@ class RemoteEvaluator:
         cheap promotion poll for the session's failover ladder.
     residual_encoding:
         ``"dense"`` (default) ships every distinct residual matrix of a
-        shard as a raw ``(n, n)`` frame under the ``batch`` verb;
-        ``"delta"`` uses the protocol-4 ``delta_batch`` verb — the first
+        shard as a raw ``(n, n)`` frame; under ``"delta"`` the first
         distinct matrix ships dense as the shard's base and every later
         one ships as a packed residual delta against it
         (:mod:`repro.core.residual_delta`), falling back to a dense frame
@@ -1351,58 +1345,43 @@ class RemoteEvaluator:
         response: str,
         max_candidates: int,
     ) -> None:
-        matrices: list[np.ndarray] = []
+        # Each distinct matrix ships once.  The first ships dense and is the
+        # shard's base; under the delta encoding every later one ships as a
+        # packed delta against it when that is smaller.
+        descriptors: list[dict[str, Any]] = []
+        frames: list[bytes | np.ndarray] = []
+        base: np.ndarray | None = None
         index_of: dict[int, int] = {}
         wire_tasks: list[list[Any]] = []
         for agent, d_rest, strategy in shard_tasks:
             key = id(d_rest)
-            matrix_index = index_of.get(key)
-            if matrix_index is None:
-                matrix_index = len(matrices)
-                index_of[key] = matrix_index
-                matrices.append(np.ascontiguousarray(d_rest, dtype=np.float64))
-            wire_tasks.append(
-                [int(agent), matrix_index, [int(v) for v in strategy]]
-            )
-        if self._encoding == "delta" and matrices:
-            # Protocol-4 delta shard: the first distinct matrix ships
-            # dense and is the base; every later one ships as a packed
-            # delta against it unless the delta would not be smaller.
-            descriptors: list[dict[str, Any]] = [{"enc": "dense"}]
-            frames: list[bytes | np.ndarray] = [matrices[0]]
-            for matrix in matrices[1:]:
-                delta = encode_delta(matrices[0], matrix)
-                payload = pack_delta(delta)
-                if len(payload) < matrix.nbytes:
-                    descriptors.append(
-                        {"enc": "delta", "base": 0, "rows": int(delta.num_rows)}
-                    )
-                    frames.append(payload)
-                else:
+            if key not in index_of:
+                index_of[key] = len(frames)
+                matrix = np.ascontiguousarray(d_rest, dtype=np.float64)
+                payload = None
+                if base is None:
+                    base = matrix
+                elif self._encoding == "delta":
+                    payload = delta_if_smaller(base, matrix)
+                if payload is None:
                     descriptors.append({"enc": "dense"})
                     frames.append(matrix)
-            header: dict[str, Any] = {
-                "kind": "delta_batch",
-                "response": str(response),
-                "max_candidates": int(max_candidates),
-                "matrices": descriptors,
-                "tasks": wire_tasks,
-            }
-            sent = _send_json(entry.sock, header)
-            for frame in frames:
-                sent += _send_frame(entry.sock, frame)
-            self._bytes_sent += sent
-            return
-        header = {
+                else:
+                    # The packed layout leads with its little-endian row count.
+                    rows = int.from_bytes(payload[:8], "little")
+                    descriptors.append({"enc": "delta", "base": 0, "rows": rows})
+                    frames.append(payload)
+            wire_tasks.append([int(agent), index_of[key], [int(v) for v in strategy]])
+        header: dict[str, Any] = {
             "kind": "batch",
             "response": str(response),
             "max_candidates": int(max_candidates),
-            "matrices": len(matrices),
+            "matrices": descriptors,
             "tasks": wire_tasks,
         }
         sent = _send_json(entry.sock, header)
-        for matrix in matrices:
-            sent += _send_frame(entry.sock, matrix)
+        for frame in frames:
+            sent += _send_frame(entry.sock, frame)
         self._bytes_sent += sent
 
     def _recv_shard(self, entry: _Endpoint, count: int) -> list[BestResponseResult]:

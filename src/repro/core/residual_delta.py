@@ -74,6 +74,7 @@ __all__ = [
     "decode_delta",
     "pack_delta",
     "unpack_delta",
+    "delta_if_smaller",
     "packed_size",
 ]
 
@@ -278,6 +279,21 @@ def pack_delta(delta: ResidualDelta) -> bytes:
         + np.ascontiguousarray(delta.rows, dtype=_ROW_DTYPE).tobytes()
         + np.ascontiguousarray(delta.data, dtype=_DATA_DTYPE).tobytes()
     )
+
+
+def delta_if_smaller(base: np.ndarray, matrix: np.ndarray) -> bytes | None:
+    """The packed delta of ``matrix`` against ``base`` if it beats the dense matrix.
+
+    The one dense-vs-delta rule of both transports: a delta ships only
+    when its packed size is strictly below the ``n * n * 8`` bytes of the
+    dense matrix, otherwise the caller ships ``matrix`` dense (``None``).
+    At ``n - 1`` changed rows the two sizes are equal and dense wins.
+    """
+    delta = encode_delta(base, matrix)
+    n = np.shape(base)[0]
+    if packed_size(delta.num_rows, n) >= n * n * 8:
+        return None
+    return pack_delta(delta)
 
 
 def unpack_delta(payload: bytes | bytearray | memoryview, n: int) -> ResidualDelta:

@@ -72,6 +72,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .best_response import score_tasks
 from .checkpoint import (
     TRAJECTORY_FIELDS,
     Checkpoint,
@@ -89,6 +90,7 @@ from .equilibria import is_greedy_equilibrium, is_nash_equilibrium
 from .game import NetworkCreationGame
 from .incremental import EngineStats, IncrementalEngine
 from .parallel import (
+    RESIDUAL_ENCODINGS,
     EvaluatorBackend,
     EvaluatorError,
     EvaluatorStats,
@@ -138,8 +140,6 @@ _SCHEDULES = ("sequential", "batched")
 _RESPONSES = ("best", "greedy", "single")
 _ORDERS = ("round_robin", "random", "max_gain")
 _BACKENDS = ("local", "remote")
-_BUFFERINGS = ("single", "double")
-_RESIDUAL_ENCODINGS = ("dense", "delta")
 _FAILOVERS = ("ladder", "strict")
 
 # Config fields a session cannot change per run: they shape the owned
@@ -151,7 +151,6 @@ _SESSION_SCOPED = (
     "repair_threshold",
     "backend",
     "endpoints",
-    "buffering",
     "residual_encoding",
     "batch_timeout",
     "max_retries",
@@ -162,6 +161,29 @@ _SESSION_SCOPED = (
     "breaker_max_delay",
     "breaker_jitter",
 )
+
+# Fields whose None means "unset" (the entry point's or the backend's
+# default), with the type any other value is coerced to.
+_OPTIONAL_FIELD_TYPES: tuple[tuple[str, Callable[[Any], Any]], ...] = (
+    ("max_rounds", int),
+    ("seed", int),
+    ("batch_timeout", float),
+    ("max_retries", int),
+    ("auth_token", str),
+    ("breaker_trip_after", int),
+    ("breaker_base_delay", float),
+    ("breaker_max_delay", float),
+    ("breaker_jitter", float),
+    ("checkpoint_every", int),
+    ("checkpoint_path", lambda path: str(os.fspath(path))),
+)
+
+# Fields older releases wrote into every dumped config and checkpoint and
+# that no longer exist.  from_dict drops them, whatever their value, so
+# those files still load; every other unknown key is still an error.  The
+# one retired field chose between one and two shared-memory slot banks;
+# the pool now always runs one.
+RETIRED_FIELDS = ("buffering",)
 
 # Entry-point round budgets applied when ``max_rounds`` is None ("not
 # configured"): plain dynamics runs keep run_dynamics' historical 100,
@@ -217,10 +239,9 @@ class SimulationConfig:
 
     ``backend`` selects the batch-evaluator implementation: ``"local"``
     (default) scores in-process, or — with ``workers > 1`` — on a
-    shared-memory worker pool whose snapshot ``buffering`` is ``"single"``
-    or ``"double"`` (double-buffered slot banks overlap snapshot writes
-    with scoring); ``"remote"`` scores on ``endpoints`` — ``"host:port"``
-    addresses of running ``repro worker serve`` processes — over sockets.
+    shared-memory worker pool; ``"remote"`` scores on ``endpoints`` —
+    ``"host:port"`` addresses of running ``repro worker serve`` processes
+    — over sockets.
     All backends replay bit-identical trajectories; they trade nothing but
     time and placement.
 
@@ -233,9 +254,8 @@ class SimulationConfig:
     changed rows`` without materializing dense copies, so trajectories
     and stats stay bit-identical to ``"dense"`` while localized dynamics
     move O(k·n) bytes per matrix instead of O(n²) — the knob that unlocks
-    n ≥ 1000.  It shapes both the shared-memory slot banks and the
-    protocol-4 wire frames; the in-process serial path has no transport
-    and ignores it.
+    n ≥ 1000.  It shapes both the shared-memory slots and the wire
+    frames; the in-process serial path has no transport and ignores it.
 
     ``checkpoint_every``/``checkpoint_path`` set the run's checkpoint
     policy (see :mod:`repro.core.checkpoint`): every
@@ -301,7 +321,6 @@ class SimulationConfig:
     seed: int | None = 0
     backend: str = "local"
     endpoints: tuple[str, ...] = ()
-    buffering: str = "single"
     residual_encoding: str = "dense"
     batch_timeout: float | None = None
     max_retries: int | None = None
@@ -323,9 +342,7 @@ class SimulationConfig:
             raise ValueError(f"unknown response kind {self.response!r}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.buffering not in _BUFFERINGS:
-            raise ValueError(f"unknown buffering {self.buffering!r}")
-        if self.residual_encoding not in _RESIDUAL_ENCODINGS:
+        if self.residual_encoding not in RESIDUAL_ENCODINGS:
             raise ValueError(
                 f"unknown residual_encoding {self.residual_encoding!r}"
             )
@@ -342,39 +359,11 @@ class SimulationConfig:
                 object.__setattr__(self, "order", tuple(int(a) for a in self.order))
             object.__setattr__(self, "workers", int(self.workers))
             object.__setattr__(self, "repair_threshold", float(self.repair_threshold))
-            if self.max_rounds is not None:
-                object.__setattr__(self, "max_rounds", int(self.max_rounds))
             object.__setattr__(self, "max_candidates", int(self.max_candidates))
-            if self.seed is not None:
-                object.__setattr__(self, "seed", int(self.seed))
-            if self.batch_timeout is not None:
-                object.__setattr__(self, "batch_timeout", float(self.batch_timeout))
-            if self.max_retries is not None:
-                object.__setattr__(self, "max_retries", int(self.max_retries))
-            if self.auth_token is not None:
-                object.__setattr__(self, "auth_token", str(self.auth_token))
-            if self.breaker_trip_after is not None:
-                object.__setattr__(
-                    self, "breaker_trip_after", int(self.breaker_trip_after)
-                )
-            if self.breaker_base_delay is not None:
-                object.__setattr__(
-                    self, "breaker_base_delay", float(self.breaker_base_delay)
-                )
-            if self.breaker_max_delay is not None:
-                object.__setattr__(
-                    self, "breaker_max_delay", float(self.breaker_max_delay)
-                )
-            if self.breaker_jitter is not None:
-                object.__setattr__(
-                    self, "breaker_jitter", float(self.breaker_jitter)
-                )
-            if self.checkpoint_every is not None:
-                object.__setattr__(self, "checkpoint_every", int(self.checkpoint_every))
-            if self.checkpoint_path is not None:
-                object.__setattr__(
-                    self, "checkpoint_path", str(os.fspath(self.checkpoint_path))
-                )
+            for name, convert in _OPTIONAL_FIELD_TYPES:
+                value = getattr(self, name)
+                if value is not None:
+                    object.__setattr__(self, name, convert(value))
             endpoints = self.endpoints
             if isinstance(endpoints, str):  # a lone "host:port" is accepted
                 endpoints = (endpoints,)
@@ -419,11 +408,6 @@ class SimulationConfig:
                     "backend='remote' fans out to the endpoint workers; "
                     "'workers' sizes the local shared-memory pool and must "
                     "stay 1 under the remote backend"
-                )
-            if self.buffering != "single":
-                raise ValueError(
-                    "buffering='double' banks the local shared-memory "
-                    "snapshot slots and does not apply to backend='remote'"
                 )
         elif self.endpoints:
             raise ValueError(
@@ -529,17 +513,19 @@ class SimulationConfig:
         """Build a validated config from a dict (e.g. parsed from JSON).
 
         Unknown keys are rejected so a typo in a config file fails loudly
-        instead of silently falling back to a default.
+        instead of silently falling back to a default; only the
+        :data:`RETIRED_FIELDS` of older configs and checkpoints are dropped.
         """
         if not isinstance(data, Mapping):
             raise ValueError(
                 f"config must be a mapping of field names, got {type(data).__name__}"
             )
+        data = {key: value for key, value in data.items() if key not in RETIRED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown SimulationConfig field(s): {sorted(unknown)}")
-        return cls(**dict(data))
+        return cls(**data)
 
     def resolved_max_rounds(self, default: int) -> int:
         """The effective round budget: the entry point's ``default`` when unset."""
@@ -590,25 +576,21 @@ class SimulationConfig:
 class _SerialEvaluator:
     """The ladder's last rung: in-process serial scoring, nothing to fail.
 
-    Scores each ``(agent, d_rest, strategy)`` task with the same pure
-    :func:`~repro.core.best_response.score_response` call the pool and
-    socket workers make, so results are bit-identical to every other
-    backend.  It holds no processes and no sockets — the rung of last
-    resort can always finish the batch.
+    Scores the ``(agent, d_rest, strategy)`` tasks with
+    :func:`~repro.core.best_response.score_tasks`, the loop the engine's
+    in-process path and the socket workers run, so results are
+    bit-identical to every other backend.  It holds no processes and no
+    sockets — the rung of last resort can always finish the batch.
     """
 
     __slots__ = ("_weights", "_alpha", "pools_started", "_batches", "_tasks")
 
-    def __init__(self, weights: np.ndarray, alpha: float) -> None:
-        self._weights = np.asarray(weights, dtype=np.float64)
-        self._alpha = float(alpha)
+    def __init__(self, game: NetworkCreationGame) -> None:
+        self._weights = game.host.weights
+        self._alpha = game.alpha
         self.pools_started = 0
         self._batches = 0
         self._tasks = 0
-
-    @classmethod
-    def for_game(cls, game: NetworkCreationGame) -> "_SerialEvaluator":
-        return cls(game.host.weights, game.alpha)
 
     @property
     def workers(self) -> int:
@@ -634,26 +616,59 @@ class _SerialEvaluator:
         *,
         max_candidates: int = 22,
     ) -> "list[BestResponseResult]":
-        from .best_response import score_response
-
-        results = [
-            score_response(
-                d_rest,
-                int(agent),
-                self._weights[int(agent)],
-                self._alpha,
-                tuple(int(v) for v in strategy),
-                response,
-                max_candidates=max_candidates,
-            )
-            for agent, d_rest, strategy in tasks
-        ]
+        results = score_tasks(
+            tasks, self._weights, self._alpha, response, max_candidates=max_candidates
+        )
         self._batches += 1
         self._tasks += len(results)
         return results
 
     def close(self) -> None:
         return None
+
+
+def _build_backend(
+    game: NetworkCreationGame, cfg: "SimulationConfig", kind: str
+) -> Any:
+    """Build one evaluator backend of ``kind`` for ``cfg``.
+
+    ``kind`` is ``"remote"`` (a :class:`~repro.core.remote.RemoteEvaluator`
+    over the config's endpoints), ``"local"`` (a shared-memory
+    :class:`~repro.core.parallel.ParallelEvaluator`: ``cfg.workers``
+    processes when it is the configured backend, every CPU when it is the
+    fallback below a remote primary) or ``"serial"`` (the ladder's last
+    rung).  The one place a session turns its config into a backend, for
+    the failover ladder's rungs and for the bare ``failover="strict"``
+    backend alike.
+    """
+    if kind == "remote":
+        from .remote import RemoteEvaluator
+
+        # None means "the backend's default": only pin what the config
+        # actually set, so backend defaults stay in one place.  Strict
+        # failover deliberately runs without a circuit breaker.
+        fleet_kwargs: dict[str, Any] = {}
+        if cfg.batch_timeout is not None:
+            fleet_kwargs["batch_timeout"] = cfg.batch_timeout
+        if cfg.max_retries is not None:
+            fleet_kwargs["max_retries"] = cfg.max_retries
+        if cfg.auth_token is not None:
+            fleet_kwargs["auth_token"] = cfg.auth_token
+        if cfg.failover == "ladder":
+            fleet_kwargs["breaker"] = cfg.breaker_policy()
+        return RemoteEvaluator.for_game(
+            game,
+            endpoints=cfg.endpoints,
+            residual_encoding=cfg.residual_encoding,
+            **fleet_kwargs,
+        )
+    if kind == "local":
+        return ParallelEvaluator.for_game(
+            game,
+            workers=cfg.workers if cfg.backend == "local" else default_workers(),
+            residual_encoding=cfg.residual_encoding,
+        )
+    return _SerialEvaluator(game)
 
 
 class _FailoverLadder:
@@ -683,48 +698,14 @@ class _FailoverLadder:
     """
 
     def __init__(self, game: NetworkCreationGame, cfg: "SimulationConfig") -> None:
-        builders: list[Any] = []
-        if cfg.backend == "remote":
-            from .remote import RemoteEvaluator
-
-            # None means "the backend's default": only pin what the
-            # config actually set, so backend defaults stay in one place.
-            fleet_kwargs: dict[str, Any] = {}
-            if cfg.batch_timeout is not None:
-                fleet_kwargs["batch_timeout"] = cfg.batch_timeout
-            if cfg.max_retries is not None:
-                fleet_kwargs["max_retries"] = cfg.max_retries
-            if cfg.auth_token is not None:
-                fleet_kwargs["auth_token"] = cfg.auth_token
-            builders.append(
-                lambda: RemoteEvaluator.for_game(
-                    game,
-                    endpoints=cfg.endpoints,
-                    breaker=cfg.breaker_policy(),
-                    residual_encoding=cfg.residual_encoding,
-                    **fleet_kwargs,
-                )
-            )
-            builders.append(
-                lambda: ParallelEvaluator.for_game(
-                    game,
-                    workers=default_workers(),
-                    buffering=cfg.buffering,
-                    residual_encoding=cfg.residual_encoding,
-                )
-            )
-        else:
-            builders.append(
-                lambda: ParallelEvaluator.for_game(
-                    game,
-                    workers=cfg.workers,
-                    buffering=cfg.buffering,
-                    residual_encoding=cfg.residual_encoding,
-                )
-            )
-        builders.append(lambda: _SerialEvaluator.for_game(game))
-        self._builders = builders
-        self._rungs: list[Any] = [None] * len(builders)
+        self._game = game
+        self._cfg = cfg
+        self._kinds = (
+            ("remote", "local", "serial")
+            if cfg.backend == "remote"
+            else ("local", "serial")
+        )
+        self._rungs: list[Any] = [None] * len(self._kinds)
         self._level = 0
         self.fallbacks = 0
         self.promotions = 0
@@ -733,7 +714,7 @@ class _FailoverLadder:
 
     def _rung(self, level: int) -> Any:
         if self._rungs[level] is None:
-            rung = self._builders[level]()
+            rung = _build_backend(self._game, self._cfg, self._kinds[level])
             if self._fault_hook is not None and isinstance(rung, ParallelEvaluator):
                 rung.fault_hook = self._fault_hook
             self._rungs[level] = rung
@@ -808,7 +789,7 @@ class _FailoverLadder:
                     task_list, response, max_candidates=max_candidates
                 )
             except (EvaluatorError, OSError):
-                if self._level + 1 >= len(self._builders):
+                if self._level + 1 >= len(self._kinds):
                     raise
                 self._level += 1
                 self.fallbacks += 1
@@ -883,13 +864,14 @@ class GameSession:
     fail-fast semantics.
 
     Per-run keyword overrides may change ``response``, ``order``,
-    ``schedule``, ``max_rounds``, ``max_candidates`` and ``seed``;
-    ``engine``, ``workers``, ``repair_threshold``, ``backend``,
-    ``endpoints``, ``buffering``, ``batch_timeout``, ``max_retries``,
-    ``failover`` and ``auth_token`` are fixed for the session's lifetime
-    because the owned engine and evaluator are shaped by them (open a new
-    session — or :meth:`SimulationConfig.replace` the config — to change
-    those).
+    ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
+    checkpoint policy; the session-scoped fields — ``engine``,
+    ``workers``, ``repair_threshold``, ``backend``, ``endpoints``,
+    ``residual_encoding``, ``batch_timeout``, ``max_retries``,
+    ``failover``, ``auth_token`` and the four ``breaker_*`` fields — are
+    fixed for the session's lifetime because the owned engine and
+    evaluator are shaped by them (open a new session — or
+    :meth:`SimulationConfig.replace` the config — to change those).
     """
 
     def __init__(
@@ -989,31 +971,8 @@ class GameSession:
         if self._evaluator is None:
             if cfg.failover == "ladder":
                 self._evaluator = _FailoverLadder(self._game, cfg)
-            elif cfg.backend == "remote":
-                from .remote import RemoteEvaluator
-
-                # None means "the backend's default": only pin what the
-                # config actually set, so backend defaults stay in one place.
-                fleet_kwargs: dict[str, Any] = {}
-                if cfg.batch_timeout is not None:
-                    fleet_kwargs["batch_timeout"] = cfg.batch_timeout
-                if cfg.max_retries is not None:
-                    fleet_kwargs["max_retries"] = cfg.max_retries
-                if cfg.auth_token is not None:
-                    fleet_kwargs["auth_token"] = cfg.auth_token
-                self._evaluator = RemoteEvaluator.for_game(
-                    self._game,
-                    endpoints=cfg.endpoints,
-                    residual_encoding=cfg.residual_encoding,
-                    **fleet_kwargs,
-                )
             else:
-                self._evaluator = ParallelEvaluator.for_game(
-                    self._game,
-                    workers=cfg.workers,
-                    buffering=cfg.buffering,
-                    residual_encoding=cfg.residual_encoding,
-                )
+                self._evaluator = _build_backend(self._game, cfg, cfg.backend)
             self._evaluators_created += 1
         return self._evaluator
 
@@ -1426,8 +1385,9 @@ def resume_dynamics(
 
     ``overrides`` replace fields of the checkpointed config for the
     continuation — placement fields (``backend``, ``workers``,
-    ``endpoints``, ``buffering``, ``batch_timeout``, ``max_retries``) and
-    the checkpoint policy may change freely (``checkpoint_every=None,
+    ``endpoints``, ``residual_encoding``, ``batch_timeout``,
+    ``max_retries``, ``failover``, ``auth_token`` and the ``breaker_*``
+    fields) and the checkpoint policy may change freely (``checkpoint_every=None,
     checkpoint_path=None`` stops further checkpointing); the
     trajectory-shaping fields (:data:`~repro.core.checkpoint
     .TRAJECTORY_FIELDS`) may not, and ``None`` is applied literally, not

@@ -151,7 +151,7 @@ def test_batch_best_responses_matches_engine(property_budget):
         results = batch_best_responses(IncrementalEngine(game, profile))
         fresh = IncrementalEngine(game, profile)
         for u, result in enumerate(results):
-            expected = fresh.best_response(u)
+            expected = fresh.respond(u, "best")
             assert result.strategy == expected.strategy
             assert _same_cost(result.cost, expected.cost)
 

@@ -318,6 +318,12 @@ def _masked_tensor_costs(ev: CandidateEvaluator, masks: np.ndarray) -> np.ndarra
     return edge_costs + dist.sum(axis=-1)
 
 
+def _scan(ev: CandidateEvaluator) -> tuple[frozenset[int], float]:
+    """``(strategy, cost)`` picked by ``_scan_candidate_subsets``."""
+    result = br._scan_candidate_subsets(ev, ev.empty_cost, 22, "incremental")
+    return result.strategy, result.cost
+
+
 def _recorded_scan(ev: CandidateEvaluator, bits: int, monkeypatch) -> tuple:
     """``_scan_candidate_subsets`` under ``_BATCH_BITS = bits``, recording every chunk."""
     calls: list[tuple[int, int, np.ndarray]] = []
@@ -331,7 +337,7 @@ def _recorded_scan(ev: CandidateEvaluator, bits: int, monkeypatch) -> tuple:
     with monkeypatch.context() as mp:
         mp.setattr(br, "_BATCH_BITS", bits)
         mp.setattr(CandidateEvaluator, "subset_costs", spy)
-        result = br._scan_candidate_subsets(ev, 22)
+        result = _scan(ev)
     return result, calls
 
 
@@ -371,7 +377,7 @@ class TestSubsetLatticeScan:
         results = set()
         for bits in range(1, 13):
             monkeypatch.setattr(br, "_BATCH_BITS", bits)
-            results.add(br._scan_candidate_subsets(ev, 22))
+            results.add(_scan(ev))
         assert len(results) == 1, results
 
     def test_ties_keep_the_first_optimal_subset(self, monkeypatch):
@@ -387,4 +393,4 @@ class TestSubsetLatticeScan:
         assert np.isinf(costs[0]) and np.all(costs[1:] == 26.0)
         for bits in range(1, 13):
             monkeypatch.setattr(br, "_BATCH_BITS", bits)
-            assert br._scan_candidate_subsets(ev, 22) == (frozenset({1}), 26.0)
+            assert _scan(ev) == (frozenset({1}), 26.0)

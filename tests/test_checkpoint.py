@@ -468,6 +468,29 @@ def test_checkpoint_config_fields_round_trip_through_json():
     assert SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+def test_checkpoint_with_a_retired_config_field_still_resumes(tmp_path):
+    """Checkpoints written before a config field was retired carry it in
+    their embedded config; they load and resume bit-identically."""
+    import dataclasses
+
+    rng = np.random.default_rng(23)
+    game = _random_game("euclidean", 8, rng)
+    start = _random_profile(8, rng, 0.3)
+    cfg = SimulationConfig(max_rounds=4)
+    straight = _run_straight(game, start, cfg)
+    template, directory = _boundary_files(tmp_path, "retired")
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    ckpt = load_checkpoint(_written_boundaries(directory)[0])
+    old = tmp_path / "old.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, "buffering": "single"}), old
+    )
+    loaded = load_checkpoint(old)
+    assert loaded.config["buffering"] == "single"
+    assert loaded.simulation_config() == ckpt.simulation_config()
+    _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
+
+
 def test_resume_rejects_trajectory_field_changes(tmp_path):
     rng = np.random.default_rng(13)
     game = _random_game("euclidean", 8, rng)

@@ -114,14 +114,21 @@ class TestBackendFlags:
         data = json.loads(capsys.readouterr().out)
         assert data["backend"] == "remote"
         assert data["endpoints"] == ["127.0.0.1:7601", "127.0.0.1:7602"]
-        assert data["buffering"] == "single"
+        assert "buffering" not in data
 
-    def test_config_dump_buffering_flag(self, capsys):
+    def test_config_dump_buffering_flag(self, capsys, tmp_path):
+        """The retired --buffering flag is gone, but an old dumped config
+        file that still carries the key keeps driving the CLI."""
         import json
 
-        code = main(["config", "dump", "--workers", "2", "--buffering", "double"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["buffering"] == "double"
+        with pytest.raises(SystemExit):
+            main(["config", "dump", "--workers", "2", "--buffering", "double"])
+        assert "--buffering" in capsys.readouterr().err
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"workers": 2, "buffering": "double"}))
+        assert main(["config", "dump", "--config", str(old)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["workers"] == 2 and "buffering" not in data
 
     def test_remote_backend_without_endpoint_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit):

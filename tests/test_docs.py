@@ -3,9 +3,10 @@
 Five subsystems' invariants used to live only in commit messages; PR 5
 moved them into ``docs/``.  These checks keep that surface honest:
 
-* every :class:`~repro.core.session.SimulationConfig` field appears in the
-  field table of ``docs/api.md`` (adding a config knob without documenting
-  it fails CI);
+* the field table of ``docs/api.md`` has exactly one row per
+  :class:`~repro.core.session.SimulationConfig` field (adding a config
+  knob without documenting it fails CI, and so does a row left behind for
+  a field that no longer exists);
 * every benchmark module is mapped in ``docs/benchmarks.md`` (adding a
   benchmark without saying which paper figure/theorem it certifies fails
   CI);
@@ -18,6 +19,7 @@ moved them into ``docs/``.  These checks keep that surface honest:
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 from repro.core.session import SimulationConfig
@@ -26,17 +28,37 @@ REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 
 
+def _config_field_table_rows(api: str) -> list[str]:
+    """Field names of the rows of the SimulationConfig table in docs/api.md."""
+    lines = api.splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if re.match(r"\s*\| field\s+\| default\s+\| meaning \|", line)
+    )
+    rows = []
+    for line in lines[start + 2:]:  # skip the header and its separator
+        if not line.lstrip().startswith("|"):
+            break
+        match = re.match(r"\s*\| `(\w+)`", line)
+        assert match, f"malformed docs/api.md field-table row: {line!r}"
+        rows.append(match.group(1))
+    return rows
+
+
 def test_api_doc_tables_cover_every_simulation_config_field():
-    api = (DOCS / "api.md").read_text()
-    missing = [
-        field.name
-        for field in dataclasses.fields(SimulationConfig)
-        if f"| `{field.name}`" not in api
-    ]
+    rows = _config_field_table_rows((DOCS / "api.md").read_text())
+    fields = [field.name for field in dataclasses.fields(SimulationConfig)]
+    missing = [name for name in fields if name not in rows]
     assert not missing, (
         f"SimulationConfig field(s) {missing} are not documented in the "
         "docs/api.md field table (rows look like '| `field` | default | ...')"
     )
+    stale = [name for name in rows if name not in fields]
+    assert not stale, (
+        f"the docs/api.md field table documents {stale}, which are not "
+        "SimulationConfig fields"
+    )
+    assert len(rows) == len(set(rows)), "duplicate docs/api.md field-table rows"
 
 
 def test_benchmarks_doc_maps_every_benchmark_module():

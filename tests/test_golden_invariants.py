@@ -92,7 +92,7 @@ class TestFig5TreeCycleHost:
         exact = best_response_exact(game, star, 3)
         assert exact.cost == EXACT(156.0, abs=1e-9)
         assert sorted(exact.strategy) == [2, 4, 6, 7, 8, 9]
-        incremental = IncrementalEngine(game, star).best_response(3)
+        incremental = IncrementalEngine(game, star).respond(3, "best")
         assert incremental.cost == EXACT(156.0, abs=1e-9)
         assert incremental.strategy == exact.strategy
 
@@ -117,6 +117,6 @@ class TestFig8GeometricCycleHost:
         exact = best_response_exact(game, star, 4)
         assert exact.cost == EXACT(41.0, abs=1e-9)
         assert sorted(exact.strategy) == [1, 2, 3, 8, 9]
-        incremental = IncrementalEngine(game, star).best_response(4)
+        incremental = IncrementalEngine(game, star).respond(4, "best")
         assert incremental.cost == EXACT(41.0, abs=1e-9)
         assert incremental.strategy == exact.strategy

@@ -87,7 +87,7 @@ class TestBestResponseEquality:
             engine = IncrementalEngine(game, profile)
             for u in range(n):
                 exact = best_response_exact(game, profile, u)
-                incremental = engine.best_response(u)
+                incremental = engine.respond(u, "best")
                 assert exact.strategy == incremental.strategy
                 assert _same_cost(exact.cost, incremental.cost)
                 assert _same_cost(exact.current_cost, incremental.current_cost)
@@ -141,7 +141,7 @@ class TestEngineCaches:
             game = _random_game("metric", n, rng)
             engine = IncrementalEngine(game, _random_profile(n, rng))
             for u in list(range(n)) * 2:
-                result = engine.best_response(u)
+                result = engine.respond(u, "best")
                 if result.is_improving:
                     engine.apply(u, result.strategy)
                 assert _same_matrix(engine.distances, game.distances(engine.profile))
@@ -155,7 +155,7 @@ class TestEngineCaches:
             u = int(rng.integers(0, 7))
             assert _same_matrix(engine.residual(u), residual_distances(game, engine.profile, u))
             mover = int(rng.integers(0, 7))
-            engine.apply(mover, engine.best_response(mover).strategy)
+            engine.apply(mover, engine.respond(mover, "best").strategy)
 
     def test_own_move_keeps_residual_valid(self):
         """An agent's residual is invariant under its own strategy changes."""
@@ -203,7 +203,7 @@ class TestEngineCaches:
             assert np.isinf(evaluator.strategy_cost([v]))
             assert np.isinf(game.agent_cost(profile, u))
             exact = best_response_exact(game, profile, u)
-            incremental = IncrementalEngine(game, profile).best_response(u)
+            incremental = IncrementalEngine(game, profile).respond(u, "best")
             assert exact.strategy == incremental.strategy
             assert _same_cost(exact.current_cost, incremental.current_cost)
             assert not np.isnan(incremental.current_cost)
@@ -241,6 +241,6 @@ def test_slow_exhaustive_equality_sweep(variant):
         engine = IncrementalEngine(game, profile)
         for u in range(n):
             exact = best_response_exact(game, profile, u)
-            incremental = engine.best_response(u)
+            incremental = engine.respond(u, "best")
             assert exact.strategy == incremental.strategy
             assert _same_cost(exact.cost, incremental.cost)

@@ -579,33 +579,18 @@ def test_proto001_detects_client_verb_drift(tmp_path):
     assert "client sends verb 'batch2' but the server half never checks for it" in messages
 
 
-def test_proto001_detects_delta_batch_client_verb_drift(tmp_path):
-    # Rename the client's protocol-4 delta verb: the server still handles
-    # "delta_batch" but the client never sends it, and the renamed verb
-    # goes unchecked server-side.
-    path = _drifted_copy(
-        tmp_path, "remote.py", '"kind": "delta_batch",', '"kind": "delta_batchX",'
-    )
-    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
-    messages = "\n".join(f.message for f in findings)
-    assert (
-        "client sends verb 'delta_batchX' but the server half never checks for it"
-        in messages
-    )
-
-
-def test_proto001_detects_delta_batch_server_verb_drift(tmp_path):
-    # Rename the server's delta_batch check instead: the client's verb is
-    # now unhandled — the other direction of the same drift.
+def test_proto001_detects_server_verb_drift(tmp_path):
+    # Rename the server's batch check instead: the client's verb is now
+    # unhandled — the other direction of the same drift.
     path = _drifted_copy(
         tmp_path,
         "remote.py",
-        'header.get("kind") == "delta_batch"',
-        'header.get("kind") == "delta_batchY"',
+        'header.get("kind") != "batch"',
+        'header.get("kind") != "batchY"',
     )
     findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
     messages = "\n".join(f.message for f in findings)
-    assert "delta_batch" in messages
+    assert "client sends verb 'batch' but the server half never checks for it" in messages
 
 
 def test_proto001_detects_checkpoint_schema_drift(tmp_path):

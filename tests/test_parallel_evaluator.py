@@ -141,7 +141,10 @@ def test_max_gain_workers_identical():
 
 
 def test_respond_many_matches_respond():
-    """Parallel respond_many equals fresh per-agent serial scoring bit-exactly."""
+    """Parallel respond_many and the ladder's serial rung equal fresh
+    per-agent serial scoring bit-exactly."""
+    from repro.core.session import _SerialEvaluator
+
     rng = np.random.default_rng(17)
     for response in ("best", "greedy", "single"):
         n = 7
@@ -150,13 +153,18 @@ def test_respond_many_matches_respond():
         with IncrementalEngine(game, profile, workers=2) as parallel_engine:
             batch = parallel_engine.respond_many(range(n), response)
         serial_engine = IncrementalEngine(game, profile)
-        for u, result in enumerate(batch):
+        rung = _SerialEvaluator(game)
+        with IncrementalEngine(game, profile, evaluator=rung) as rung_engine:
+            rung_batch = rung_engine.respond_many(range(n), response)
+        assert rung.stats.tasks == n
+        for u, (result, rung_result) in enumerate(zip(batch, rung_batch)):
             expected = serial_engine.respond(u, response)
-            assert result.agent == expected.agent
-            assert result.strategy == expected.strategy
-            assert result.cost == expected.cost
-            assert result.current_cost == expected.current_cost
-            assert result.method == expected.method
+            for got in (result, rung_result):
+                assert got.agent == expected.agent
+                assert got.strategy == expected.strategy
+                assert got.cost == expected.cost
+                assert got.current_cost == expected.current_cost
+                assert got.method == expected.method
 
 
 def test_workers_validation():
@@ -173,38 +181,15 @@ def test_workers_validation():
 
 
 # ----------------------------------------------------------------------
-# Double-buffered snapshots
+# Chunked snapshots
 # ----------------------------------------------------------------------
-def test_double_buffering_identical_dynamics():
-    """buffering in {single, double} x workers in {1, 2, 4}: one trajectory."""
-    from repro.core import SimulationConfig
-
-    rng = np.random.default_rng(37)
-    game = _random_game("euclidean", 8, rng)
-    start = _random_profile(8, rng)
-    runs = [
-        run_dynamics(
-            game,
-            start,
-            rng=7,
-            config=SimulationConfig(
-                schedule="batched", workers=workers, buffering=buffering,
-                max_rounds=10,
-            ),
-        )
-        for workers in WORKER_COUNTS
-        for buffering in ("single", "double")
-    ]
-    _assert_identical_runs(runs)
-
-
-def test_double_buffering_under_slot_pressure():
+def test_slot_pressure_chunks_stay_bit_exact():
     """Chunked dispatch (more distinct matrices than slots) stays bit-exact.
 
     With ``slots=2`` and seven distinct residual matrices the batch spans
-    four chunks, so double buffering actually overlaps banks — and a bank
-    must never be rewritten before its previous chunk is gathered, which
-    the equality against the serial engine would expose immediately.
+    four chunks, and a slot must never be rewritten before its chunk is
+    gathered, which the equality against the serial engine would expose
+    immediately.
     """
     rng = np.random.default_rng(53)
     n = 7
@@ -214,21 +199,12 @@ def test_double_buffering_under_slot_pressure():
     # force distinct matrix objects per agent (copies break identity sharing)
     tasks = [(u, engine.residual(u).copy(), profile.strategy(u)) for u in range(n)]
     serial = [engine.respond(u, "best", d_rest=tasks[u][1]) for u in range(n)]
-    for buffering in ("single", "double"):
-        with ParallelEvaluator.for_game(
-            game, workers=2, slots=2, buffering=buffering
-        ) as evaluator:
-            assert evaluator.buffering == buffering
-            assert evaluator.evaluate(tasks, "best") == serial
-            stats = evaluator.stats
-            assert stats.backend == "local"
-            assert stats.batches == 1 and stats.tasks == n
-
-
-def test_buffering_validation():
-    game = _random_game("metric", 5, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="buffering"):
-        ParallelEvaluator.for_game(game, workers=2, buffering="triple")
+    with ParallelEvaluator.for_game(game, workers=2, slots=2) as evaluator:
+        assert evaluator.evaluate(tasks, "best") == serial
+        stats = evaluator.stats
+        assert stats.backend == "local"
+        assert stats.batches == 1 and stats.tasks == n
+        assert stats.bytes_sent == n * n * n * 8  # every matrix written once
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 :mod:`repro.core.residual_delta` encodes a residual distance matrix as
 ``(changed row index set, packed changed rows)`` against a base snapshot,
-and both transports — the shared-memory slot banks and the protocol-4
-``delta_batch`` wire frames — ship that encoding verbatim.  This battery
+and both transports — the shared-memory slots and the delta frames of the
+protocol-5 ``batch`` verb — ship that encoding verbatim, under one
+dense-vs-delta rule (``delta_if_smaller``).  This battery
 certifies the layers bottom-up:
 
 * **codec** — encode → decode is bit-exact for randomized symmetric
@@ -41,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro.core import GameSession, SimulationConfig, run_dynamics
-from repro.core.best_response import score_response
+from repro.core.best_response import score_response, score_tasks
 from repro.core.faults import Fault, FaultPlan
 from repro.core.parallel import ParallelEvaluator
 from repro.core.remote import _LEN, _reap_processes, spawn_local_worker
@@ -50,6 +51,7 @@ from repro.core.residual_delta import (
     ResidualDelta,
     changed_rows,
     decode_delta,
+    delta_if_smaller,
     encode_delta,
     pack_delta,
     packed_size,
@@ -140,6 +142,61 @@ def test_all_rows_delta_round_trips():
     delta = encode_delta(base, matrix, rows=range(7))
     assert np.array_equal(decode_delta(base, delta), matrix)
     assert delta.nbytes == packed_size(delta.num_rows, 7)
+
+
+def test_dense_wins_at_n_minus_one_changed_rows(monkeypatch):
+    """One dense-vs-delta rule for both transports, strict at the boundary.
+
+    A delta of k rows packs to 8 + 8k + 8kn bytes, which equals the dense
+    n * n * 8 bytes at k = n - 1: there the matrix ships dense, in the
+    pool's slots and on the wire alike; one changed row fewer ships as a
+    delta.
+    """
+    import repro.core.remote as remote
+    from repro.core.remote import RemoteEvaluator
+
+    rng = np.random.default_rng(31)
+    n = 6
+    weights = _random_symmetric(n, rng)
+    base = _random_symmetric(n, rng)
+    at_boundary = _perturb_rows(base, range(n - 1), rng)
+    below = _perturb_rows(base, range(n - 2), rng)
+    assert encode_delta(base, at_boundary).num_rows == n - 1
+    assert packed_size(n - 1, n) == n * n * 8
+    assert delta_if_smaller(base, at_boundary) is None
+    assert delta_if_smaller(base, below) == pack_delta(encode_delta(base, below))
+    tasks = [(0, base, ()), (1, at_boundary, (0,)), (2, below, (1,))]
+    serial = score_tasks(tasks, weights, 1.0, "single")
+
+    with ParallelEvaluator(weights, 1.0, workers=1, residual_encoding="delta") as pool:
+        assert pool.evaluate(tasks, "single") == serial
+        slots = pool._snapshot.slot_matrices
+        assert np.array_equal(slots[1], at_boundary)  # written dense
+        assert not np.array_equal(slots[2], below)  # holds the packed delta
+        assert pool.stats.bytes_sent == 2 * n * n * 8 + packed_size(n - 2, n)
+
+    headers = []
+    send_json = remote._send_json
+
+    def recording_send_json(sock, obj):
+        headers.append(obj)
+        return send_json(sock, obj)
+
+    monkeypatch.setattr(remote, "_send_json", recording_send_json)
+    processes, endpoints = _spawn_fleet(count=1)
+    try:
+        with RemoteEvaluator(
+            weights, 1.0, endpoints=endpoints, residual_encoding="delta"
+        ) as fleet:
+            assert fleet.evaluate(tasks, "single") == serial
+    finally:
+        _reap_processes(processes, timeout=5.0)
+    (batch,) = [h for h in headers if h["kind"] == "batch"]
+    assert batch["matrices"] == [
+        {"enc": "dense"},
+        {"enc": "dense"},
+        {"enc": "delta", "base": 0, "rows": n - 2},
+    ]
 
 
 def test_inf_entries_never_register_as_changed():
@@ -287,7 +344,10 @@ def test_golden_packed_delta_layout():
 
 
 def test_golden_protocol4_delta_frame():
-    """A delta_batch residual frame on the wire: !Q length prefix + payload.
+    """A delta residual frame on the wire: !Q length prefix + payload.
+
+    The frame layout dates from protocol 4 and is unchanged in protocol 5,
+    where it rides as a ``{"enc": "delta"}`` descriptor of the ``batch`` verb.
 
     The server validates the frame length against ``packed_size(rows, n)``
     from the header descriptor, so the prefix, the payload layout and the
@@ -466,7 +526,7 @@ def test_residual_encoding_is_validated():
 def test_hang_mid_frame_shard_redispatches_bit_identically():
     """A connection dropped halfway through a residual frame costs a retry.
 
-    The faulted worker reads the delta_batch header plus only part of the
+    The faulted worker reads the batch header plus only part of the
     first residual frame and stalls — the client is left mid-send with a
     packed delta partially on the wire.  The batch deadline must fire, the
     shard must be re-dispatched (to the healthy peer or down the ladder),

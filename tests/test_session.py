@@ -122,7 +122,7 @@ class TestSimulationConfig:
             {"seed": None, "repair_threshold": 0.0, "max_candidates": 5},
             {"response": "single", "workers": 2, "schedule": "batched"},
             {"backend": "remote", "endpoints": ("a:1", "b:2")},
-            {"workers": 2, "buffering": "double"},
+            {"workers": 2, "residual_encoding": "delta"},
             {
                 "backend": "remote",
                 "endpoints": ("a:1",),
@@ -136,6 +136,17 @@ class TestSimulationConfig:
         data = cfg.to_dict()
         assert json.loads(json.dumps(data)) == data  # JSON-safe
         assert SimulationConfig.from_dict(data) == cfg
+
+    @pytest.mark.parametrize("value", ["single", "double"])
+    def test_from_dict_drops_retired_fields(self, value):
+        # Every config dumped before the field was retired carries it.
+        data = {**SimulationConfig(workers=2).to_dict(), "buffering": value}
+        assert session_module.RETIRED_FIELDS == ("buffering",)
+        assert SimulationConfig.from_dict(data) == SimulationConfig(workers=2)
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            SimulationConfig.from_dict({**data, "bufering": value})
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            SimulationConfig().replace(buffering=value)
 
     def test_explicit_order_normalized_to_tuple(self):
         cfg = SimulationConfig(order=[3, 1, 2])
@@ -175,7 +186,7 @@ class TestSimulationConfig:
             ({"engine": "exact", "schedule": "batched"}, "incremental"),
             ({"schedule": "batched", "order": "max_gain"}, "max_gain"),
             ({"backend": "bogus"}, "unknown backend"),
-            ({"buffering": "triple"}, "unknown buffering"),
+            ({"residual_encoding": "sparse"}, "unknown residual_encoding"),
             ({"backend": "remote"}, "requires endpoints"),
             (
                 {"backend": "remote", "endpoints": ("h:1",), "engine": "exact"},
@@ -186,12 +197,8 @@ class TestSimulationConfig:
                 "workers",
             ),
             (
-                {
-                    "backend": "remote",
-                    "endpoints": ("h:1",),
-                    "buffering": "double",
-                },
-                "buffering",
+                {"checkpoint_path": "run.ckpt", "checkpoint_every": 0},
+                "checkpoint_every must be >= 1",
             ),
             ({"endpoints": ("h:1",)}, "backend='remote'"),
             ({"backend": "remote", "endpoints": ("nocolon",)}, "invalid endpoint"),
@@ -508,6 +515,7 @@ def test_session_scoped_fields_cannot_change_per_run():
             ("engine", "exact"),
             ("workers", 2),
             ("repair_threshold", 0.1),
+            ("residual_encoding", "delta"),
             ("failover", "strict"),
         ):
             with pytest.raises(ValueError, match=field):
@@ -686,11 +694,19 @@ class TestBreakerConfig:
             **self.REMOTE, breaker_trip_after=4, breaker_max_delay=60.0
         )
         ladder = _FailoverLadder(game, cfg)
-        rung = ladder._builders[0]()  # the RemoteEvaluator rung, not yet connected
         try:
-            assert rung._breaker == cfg.breaker_policy()
+            # the primary RemoteEvaluator rung is built eagerly, connected lazily
+            assert ladder._rungs[0]._breaker == cfg.breaker_policy()
         finally:
-            rung.close()
+            ladder.close()
+        # strict failover builds the same backend without a breaker
+        strict = session_module._build_backend(
+            game, SimulationConfig(**self.REMOTE, failover="strict"), "remote"
+        )
+        try:
+            assert strict._breaker is None
+        finally:
+            strict.close()
 
 
 class TestCLIConfig:

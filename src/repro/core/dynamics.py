@@ -61,8 +61,9 @@ the sequential processes used to explore this empirically:
 Per-activation complexity (``n`` agents, ``k`` candidates, ``a`` affected
 repair sources): candidate scoring is ``O(k n)`` per candidate strategy, an
 applied move updates the cached distances in ``O(n^2)``, a residual cache
-miss costs ``O(a n^2)`` decremental repair (full ``O(n^3)`` rebuild only
-when the repair frontier exceeds the engine threshold), and a batched
+miss costs a decremental repair of ``a`` sparse Dijkstra rows plus one
+``O(n^2)`` copy (full ``O(n^3)`` rebuild only when the repair frontier
+exceeds the engine threshold), and a batched
 cache hit is ``O(1)``.
 """
 

@@ -35,13 +35,15 @@ agent's current cost and one for the social cost after a move.
    the residual is the created network minus ``u``'s solely-owned edges.
    Instead of a from-scratch APSP, the engine repairs the cached network
    distances by affected-vertex relaxation
-   (:func:`repro.core.shortest_paths.decremental_distances`): only rows of
-   vertices whose old shortest paths could run through ``u`` are re-solved
-   (``O(n^2)`` per affected row), and a full ``O(n^3)`` rebuild happens
-   only when the repair frontier exceeds ``repair_threshold * n`` sources
-   (e.g. when a hub that owns most of its incident edges is activated).
-   The :attr:`IncrementalEngine.stats` counters record how often each path
-   was taken.
+   (:func:`repro.core.shortest_paths.decremental_distances`).  The residual
+   graph is built in ``O(m)`` from the current network's row-sorted edge
+   arrays; a neighbour prefilter narrows the affected test to the rows
+   whose paths may run through ``u`` (``O(n deg(u))``); and only affected
+   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  A
+   full rebuild happens only when the repair frontier exceeds
+   ``repair_threshold * n`` sources (e.g. when a hub that owns most of its
+   incident edges is activated).  The :attr:`IncrementalEngine.stats`
+   counters record how often each path was taken.
 
 5. **Multiprocess batch scoring.**  Queries that score *many* agents
    against one snapshot (:meth:`IncrementalEngine.respond_many` — the
@@ -51,8 +53,8 @@ agent's current cost and one for the social cost after a move.
    matrices.  Residuals and stats stay in the owning process and workers
    run the same pure kernel, so ``workers`` trades nothing but time.
 
-Per-operation complexity summary (``n`` agents, ``k`` candidate edges,
-``a`` affected repair sources):
+Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
+candidate edges, ``a`` affected repair sources):
 
 =====================================  ===========================
 operation                              cost
@@ -60,7 +62,8 @@ operation                              cost
 candidate strategy scoring             ``O(k n)`` per candidate
 post-move distance update (`apply`)    ``O(n^2)``
 residual cache hit                     ``O(n^2 / 8)`` (key check)
-residual miss, decremental repair      ``O(a n^2)``, ``a <= rn``
+residual miss, decremental repair      ``O(n deg(u) + a (n + m log n))``
+                                       plus one ``O(n^2)`` copy, ``a <= rn``
 residual miss, frontier fallback       ``O(n^3)`` (full APSP)
 =====================================  ===========================
 
@@ -79,7 +82,7 @@ import numpy as np
 
 from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
-from .shortest_paths import decremental_distances, relax_source_row
+from .shortest_paths import _as_graph, _Graph, decremental_distances, relax_source_row
 from .strategy import StrategyProfile
 
 __all__ = ["EngineStats", "IncrementalEngine"]
@@ -149,8 +152,8 @@ class IncrementalEngine:
     """
 
     __slots__ = (
-        "_game", "_profile", "_distances", "_residuals", "_repair_threshold",
-        "_workers", "_evaluator", "_owns_evaluator", "stats",
+        "_game", "_profile", "_distances", "_network", "_residuals",
+        "_repair_threshold", "_workers", "_evaluator", "_owns_evaluator", "stats",
     )
 
     def __init__(
@@ -173,6 +176,8 @@ class IncrementalEngine:
         self._game = game
         self._profile = profile
         self._distances: np.ndarray | None = None
+        # Row-sorted edge arrays of the current network, built on demand.
+        self._network: _Graph | None = None
         # agent -> (residual key, residual distance matrix)
         self._residuals: dict[int, tuple[bytes, np.ndarray]] = {}
         self._repair_threshold = float(repair_threshold)
@@ -230,6 +235,7 @@ class IncrementalEngine:
             )
         self._profile = profile
         self._distances = None
+        self._network = None
         self._residuals.clear()
         self.stats = EngineStats()
 
@@ -316,14 +322,26 @@ class IncrementalEngine:
         owns[u, :] = False
         return np.packbits(owns).tobytes()
 
+    def _residual_graph(self, u: int, removed: np.ndarray) -> _Graph:
+        """Sparse weights of the network without ``u``'s edges to ``removed``.
+
+        Drops those entries from the current network's row-sorted edge
+        arrays (validated once per profile), so a residual graph costs
+        ``O(m)`` for ``m`` network edges instead of a dense ``O(n^2)`` weight
+        matrix.
+        """
+        if self._network is None:
+            self._network = _as_graph(self._game.network_weights(self._profile))
+        return self._network.without_edges(u, removed)
+
     def residual(self, u: int) -> np.ndarray:
         """Residual distance matrix of agent ``u``, cached across activations.
 
         A cache miss for an edge-owning agent is served by decremental
-        repair of the cached network distances (only rows whose shortest
-        paths could run through ``u`` are re-solved), falling back to a full
-        rebuild when the repair frontier exceeds ``repair_threshold * n``
-        sources.
+        repair of the cached network distances on the sparse residual graph
+        (only rows whose shortest paths could run through ``u`` are
+        re-solved), falling back to a full rebuild when the repair frontier
+        exceeds ``repair_threshold * n`` sources.
         """
         owns = self._profile.ownership
         removed = owns[u] & ~owns[:, u]
@@ -338,8 +356,9 @@ class IncrementalEngine:
             return cached[1]
         repair = decremental_distances(
             self.distances,
-            self._game.residual_weights(self._profile, u),
+            self._residual_graph(u, removed),
             u,
+            removed=np.flatnonzero(removed),
             max_affected_fraction=self._repair_threshold,
         )
         if repair.rebuilt:
@@ -454,5 +473,6 @@ class IncrementalEngine:
             new_distances = d_rest
         self._profile = new_profile
         self._distances = new_distances
+        self._network = None
         self.stats.move_updates += 1
         return new_profile

@@ -9,21 +9,33 @@ The game engine needs shortest-path distances in two situations:
   created network with one agent's owned edges removed) are combined with
   candidate edges of that agent.
 
+Weights arrive either as a dense ``(n, n)`` matrix (``numpy.inf`` marks
+non-edges, the diagonal is ignored, and the edge ``{u, v}`` weighs the
+smaller of ``w[u, v]`` and ``w[v, u]``) or as a
+:class:`scipy.sparse.csr_matrix` whose stored entries are the edges, each
+stored in both directions with the same weight (explicit zeros are
+zero-weight edges).  Every kernel first turns its input into one validated,
+symmetric CSR graph: NaN or negative weights, and asymmetric sparse input,
+raise ``ValueError`` whatever kernel runs next, at ``O(m)`` cost for ``m``
+edges beyond reading the input.
+
 Two interchangeable all-pairs kernels are provided:
 
 ``floyd_warshall``
-    A fully vectorized NumPy Floyd–Warshall.  It is the reference
-    implementation: it handles zero-weight edges and ``inf`` non-edges
-    exactly and is fast enough for the instance sizes used throughout the
-    paper (n up to a few hundred).
+    A fully vectorized NumPy Floyd–Warshall on a dense matrix built from
+    that graph.  It is the reference implementation: it handles
+    zero-weight edges and ``inf`` non-edges exactly and is fast enough for
+    the instance sizes used throughout the paper (n up to a few hundred).
 
 ``apsp_scipy``
-    A wrapper around :func:`scipy.sparse.csgraph.shortest_path` operating on
-    a masked dense matrix.  It is used as a cross-validation oracle in the
-    test-suite and as a faster path for large sparse networks.
+    :func:`scipy.sparse.csgraph.shortest_path` (Dijkstra) run on the CSR
+    graph directly.  It is used as a cross-validation oracle in the
+    test-suite and as the faster path for large networks.
 
-Both accept the same input convention and return an ``(n, n)`` float array
-whose diagonal is zero and whose unreachable pairs are ``numpy.inf``.
+Both return an ``(n, n)`` float array whose diagonal is zero and whose
+unreachable pairs are ``numpy.inf``.  A Dijkstra distance is the minimum over
+paths of the left-to-right float sum of the path's weights, so it does not
+depend on how the graph was handed in.
 
 On top of the full-matrix kernels, this module provides the *incremental*
 primitives used by the fast best-response engine
@@ -66,31 +78,30 @@ primitives used by the fast best-response engine
     relaxation.  A pair ``(x, y)`` can only lose its shortest path when some
     shortest ``x``–``y`` path runs through the touched vertex ``v`` (every
     removed edge is incident to ``v``), i.e. when
-    ``d(x, v) + d(v, y) == d(x, y)``.  Only the rows of such *affected*
-    sources are recomputed (single-source Dijkstra each, ``O(n^2)`` per
-    affected row); all other entries are provably unchanged.  When the
-    affected frontier exceeds ``max_affected_fraction * n`` sources, the
-    repair degenerates towards a full recomputation and the function falls
-    back to one ``O(n^3)`` all-pairs rebuild instead.  This is what lets the
-    incremental engine (:mod:`repro.core.incremental`) serve residual-matrix
-    cache misses for edge-owning agents without a from-scratch APSP.
+    ``d(x, v) + d(v, y) == d(x, y)``.  Such a path leaves ``v`` by some edge
+    ``(v, b)``, so a source ``x`` can only be affected when ``x -> v -> b`` is
+    tight for a pre-removal neighbour ``b`` of ``v``: an ``O(n deg(v))``
+    prefilter picks those rows, and the pair test runs on them alone.  Only
+    the rows of *affected* sources are recomputed (one sparse single-source
+    Dijkstra each, ``O(n + m log n)``); all other entries are provably
+    unchanged.  When the affected frontier exceeds
+    ``max_affected_fraction * n`` sources, the repair degenerates towards a
+    full recomputation and the function falls back to one all-pairs rebuild
+    instead.  This is what lets the incremental engine
+    (:mod:`repro.core.incremental`) serve residual-matrix cache misses for
+    edge-owning agents without a from-scratch APSP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse
+from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
 
 from .residual_delta import DeltaResidual
-
-try:  # scipy is a hard dependency of the package, but keep the import local.
-    from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy is always installed in CI.
-    _HAVE_SCIPY = False
 
 __all__ = [
     "floyd_warshall",
@@ -120,52 +131,146 @@ def _as_square_float(matrix: np.ndarray) -> np.ndarray:
     return arr
 
 
-def floyd_warshall(weights: np.ndarray) -> np.ndarray:
-    """Vectorized Floyd–Warshall on a dense weight matrix.
+class _Graph(NamedTuple):
+    """A validated, symmetric weighted graph in CSR form.
+
+    Edge ``k`` runs from ``rows[k]`` to ``indices[k]`` with weight
+    ``data[k]``; edges are sorted by ``(row, column)``, so row ``i`` holds
+    ``indptr[i]:indptr[i + 1]``.  There are no self-loops or duplicates.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    data: np.ndarray
+
+    def csr(self) -> csr_matrix:
+        return csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def dense(self) -> np.ndarray:
+        """Dense weight matrix: ``inf`` off the edges, zero diagonal."""
+        dense = np.full((self.n, self.n), np.inf)
+        dense[self.rows, self.indices] = self.data
+        np.fill_diagonal(dense, 0.0)
+        return dense
+
+    def without_edges(self, v: int, flagged: np.ndarray) -> "_Graph":
+        """The graph minus the edges between ``v`` and the vertices ``flagged``
+        (a boolean mask), in ``O(m)``; still validated and symmetric."""
+        keep = ~(
+            (self.rows == v) & flagged[self.indices] | (self.indices == v) & flagged[self.rows]
+        )
+        dropped = np.concatenate(([0], np.cumsum(~keep)))
+        return _Graph(
+            self.n,
+            self.indptr - dropped[self.indptr],
+            self.indices[keep],
+            self.rows[keep],
+            self.data[keep],
+        )
+
+
+def _as_graph(weights) -> _Graph:
+    """``weights`` (dense or sparse) as a validated, symmetric :class:`_Graph`.
+
+    Dense input keeps its off-diagonal entries other than ``inf``, the
+    smaller of ``w[u, v]`` and ``w[v, u]`` for each pair; sparse input keeps
+    its stored off-diagonal entries, explicit zeros included, and must be
+    symmetric.  Raises ``ValueError`` for a NaN or negative weight or an
+    asymmetric sparse graph, in ``O(m)`` for ``m`` edges beyond reading the
+    input.
+    """
+    if isinstance(weights, _Graph):
+        return weights
+    if issparse(weights):
+        csr = weights.tocsr()
+        n = csr.shape[0]
+        if csr.shape != (n, n):
+            raise ValueError(f"expected a square matrix, got shape {csr.shape}")
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        indptr, indices = csr.indptr, csr.indices
+        data = csr.data.astype(np.float64, copy=False)
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        loops = rows == indices
+        if loops.any():
+            rows, indices, data = rows[~loops], indices[~loops], data[~loops]
+            indptr = _indptr(rows, n)
+        # Sorting the (row, column)-sorted edges stably by column lists the
+        # mirror images in the same order; 16-bit keys get a linear-time
+        # radix sort.
+        order = np.argsort(indices.astype(np.int16) if n <= 2**15 else indices, kind="stable")
+        symmetric = (
+            np.array_equal(indices[order], rows)
+            and np.array_equal(rows[order], indices)
+            and np.array_equal(data[order], data)
+        )
+    else:
+        w = _as_square_float(weights)
+        n = w.shape[0]
+        stored = w != np.inf  # NaN and -inf count as stored, so they get rejected
+        np.fill_diagonal(stored, False)
+        # A dense matrix is read as an undirected graph: the edge {u, v}
+        # weighs min(w[u, v], w[v, u]), as scipy's undirected Dijkstra reads
+        # it.  Symmetric input passes through unchanged.
+        stored |= stored.T
+        rows, indices = np.nonzero(stored)
+        data = np.minimum(w[rows, indices], w[indices, rows])
+        indptr = _indptr(rows, n)
+        symmetric = True
+    if not np.all(data >= 0):
+        raise ValueError("edge weights must be non-negative (and not NaN)")
+    if not symmetric:
+        raise ValueError("sparse weights must be symmetric")
+    return _Graph(n, indptr, indices, rows, data)
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of sorted row indices."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def floyd_warshall(weights) -> np.ndarray:
+    """Vectorized Floyd–Warshall.
 
     Parameters
     ----------
     weights:
-        ``(n, n)`` array; ``weights[u, v]`` is the length of the edge
-        ``(u, v)`` or ``numpy.inf`` if the edge is absent.  The diagonal is
-        ignored (treated as zero).  Weights must be non-negative; zero-weight
-        edges are allowed and handled exactly.
+        Dense ``(n, n)`` array — ``weights[u, v]`` is the length of the edge
+        ``(u, v)`` or ``numpy.inf`` if the edge is absent, the diagonal is
+        ignored — or a symmetric CSR graph (see the module docstring).
+        Weights must be non-negative; zero-weight edges are allowed and
+        handled exactly.
 
     Returns
     -------
     numpy.ndarray
         The ``(n, n)`` matrix of shortest-path distances.
     """
-    dist = _as_square_float(weights).copy()
-    n = dist.shape[0]
-    np.fill_diagonal(dist, 0.0)
-    if n == 0:
-        return dist
-    if np.any(dist < 0):
-        raise ValueError("negative edge weights are not supported")
-    for k in range(n):
+    dist = _as_graph(weights).dense()
+    for k in range(dist.shape[0]):
         # dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j]) for all i, j.
         np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
     return dist
 
 
-def apsp_scipy(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths via :mod:`scipy.sparse.csgraph`.
+def apsp_scipy(weights) -> np.ndarray:
+    """All-pairs shortest paths via :mod:`scipy.sparse.csgraph` Dijkstra.
 
-    Zero-weight edges are preserved by passing a masked array, which scipy
-    interprets as "masked entries are non-edges" (a plain dense matrix would
-    instead treat zeros as missing edges).
+    The graph goes to scipy as the validated CSR (``directed=True`` on the
+    symmetric graph), so zero-weight edges stay edges.
     """
-    if not _HAVE_SCIPY:  # pragma: no cover
-        return floyd_warshall(weights)
-    dist0 = _as_square_float(weights)
-    n = dist0.shape[0]
-    if n == 0:
-        return dist0.copy()
-    masked = np.ma.masked_array(dist0, mask=~np.isfinite(dist0))
-    result = _scipy_shortest_path(masked, method="D", directed=False)
+    graph = _as_graph(weights)
+    if graph.n == 0:
+        return np.zeros((0, 0))
+    result = np.asarray(
+        _scipy_shortest_path(graph.csr(), method="D", directed=True), dtype=float
+    )
     np.fill_diagonal(result, 0.0)
-    result = np.asarray(result, dtype=float)
     # scipy's per-source Dijkstra accumulates path sums in source order, so
     # ``result[i, j]`` and ``result[j, i]`` can disagree in the last ulp even
     # though the graph is undirected.  Distances are mathematically symmetric,
@@ -178,35 +283,31 @@ def apsp_scipy(weights: np.ndarray) -> np.ndarray:
     return result
 
 
-def all_pairs_shortest_paths(weights: np.ndarray, method: str = "auto") -> np.ndarray:
+def all_pairs_shortest_paths(weights, method: str = "auto") -> np.ndarray:
     """Dispatch to an all-pairs shortest-path kernel.
 
     ``method`` may be ``"auto"``, ``"floyd_warshall"`` or ``"scipy"``.  The
     automatic choice uses the vectorized Floyd–Warshall for small instances
     (where it is essentially free and exactly reproducible) and scipy's
-    Dijkstra for larger ones.
+    Dijkstra for larger ones.  The dense matrix Floyd–Warshall needs is
+    built only when it is the chosen kernel.
     """
-    dist0 = _as_square_float(weights)
-    n = dist0.shape[0]
-    if method == "floyd_warshall":
-        return floyd_warshall(dist0)
-    if method == "scipy":
-        return apsp_scipy(dist0)
-    if method != "auto":
+    if method not in ("auto", "floyd_warshall", "scipy"):
         raise ValueError(f"unknown shortest-path method: {method!r}")
-    if n <= 192 or not _HAVE_SCIPY:
-        return floyd_warshall(dist0)
-    return apsp_scipy(dist0)
+    graph = _as_graph(weights)
+    if method == "floyd_warshall" or (method == "auto" and graph.n <= 192):
+        return floyd_warshall(graph)
+    return apsp_scipy(graph)
 
 
-def single_source_dijkstra(weights: np.ndarray, source: int) -> np.ndarray:
+def single_source_dijkstra(weights, source: int) -> np.ndarray:
     """Single-source distances on a dense weight matrix.
 
     A simple ``O(n^2)`` Dijkstra without a heap; for the dense complete-graph
     setting of the paper this is the appropriate variant.  ``weights`` follows
     the same convention as :func:`floyd_warshall`.
     """
-    dist0 = _as_square_float(weights)
+    dist0 = _as_graph(weights).dense()
     n = dist0.shape[0]
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
@@ -224,28 +325,21 @@ def single_source_dijkstra(weights: np.ndarray, source: int) -> np.ndarray:
     return dist
 
 
-def dijkstra_rows(weights: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+def dijkstra_rows(weights, sources: Sequence[int]) -> np.ndarray:
     """Selected rows of the all-pairs distance matrix.
 
-    Runs one single-source computation per entry of ``sources`` (scipy's
-    C Dijkstra when available, the dense ``O(n^2)`` fallback otherwise) and
-    returns the ``(len(sources), n)`` block of shortest-path distances.
-    ``weights`` follows the :func:`floyd_warshall` convention (``inf`` marks
-    non-edges, the diagonal is ignored).
+    Runs scipy's C Dijkstra from each entry of ``sources`` on the validated
+    CSR graph and returns the ``(len(sources), n)`` block of shortest-path
+    distances.  ``weights`` is dense or CSR, as for :func:`floyd_warshall`.
     """
-    dist0 = _as_square_float(weights)
-    n = dist0.shape[0]
+    graph = _as_graph(weights)
     src = np.asarray([int(s) for s in sources], dtype=int)
     if src.size == 0:
-        return np.zeros((0, n), dtype=float)
-    if np.any((src < 0) | (src >= n)):
-        raise ValueError(f"sources out of range for n={n}")
-    if _HAVE_SCIPY and n > 0:
-        masked = np.ma.masked_array(dist0, mask=~np.isfinite(dist0))
-        rows = _scipy_shortest_path(masked, method="D", directed=False, indices=src)
-        rows = np.asarray(rows, dtype=float)
-    else:  # pragma: no cover - scipy is always installed in CI.
-        rows = np.stack([single_source_dijkstra(dist0, int(s)) for s in src])
+        return np.zeros((0, graph.n), dtype=float)
+    if np.any((src < 0) | (src >= graph.n)):
+        raise ValueError(f"sources out of range for n={graph.n}")
+    rows = _scipy_shortest_path(graph.csr(), method="D", directed=True, indices=src)
+    rows = np.asarray(rows, dtype=float)
     rows[np.arange(src.size), src] = 0.0
     return rows
 
@@ -266,11 +360,44 @@ class DecrementalRepair:
     rebuilt: bool
 
 
+def _rows_near_vertex(
+    d: np.ndarray, graph: _Graph, v: int, removed, tol: float
+) -> np.ndarray:
+    """Rows ``x != v`` that may hold a pair whose shortest path runs through ``v``.
+
+    Any near-shortest ``x -> v -> y`` path leaves ``v`` by some pre-removal
+    edge ``(v, b)``, so ``x -> v -> b`` is near-tight with at most the same
+    slack.  The slack of the pair test is at most
+    ``tol * (1 + d(x, v) + ecc(v))``; the prefilter allows four times that,
+    which also absorbs the rounding of ``d``.  ``O(n deg(v))``.  Without
+    ``removed`` the pre-removal neighbours are unknown and every row is kept.
+    """
+    n = d.shape[0]
+    if removed is None:
+        return np.flatnonzero(np.arange(n) != v)
+    removed = np.asarray(removed, dtype=np.intp)
+    if removed.size and not 0 <= removed.min() <= removed.max() < n:
+        raise ValueError(f"removed vertices out of range for n={n}")
+    flagged = np.zeros(n, dtype=bool)
+    flagged[graph.indices[graph.indptr[v] : graph.indptr[v + 1]]] = True
+    flagged[removed] = True
+    flagged[v] = False
+    neighbours = np.flatnonzero(flagged)
+    dv = d[v]
+    reachable = np.isfinite(dv)
+    delta = 4.0 * tol * (1.0 + dv + dv[reachable].max())
+    near = (dv[neighbours][:, None] + dv[None, :] <= d[neighbours] + delta).any(axis=0)
+    near &= reachable
+    near[v] = False
+    return np.flatnonzero(near)
+
+
 def decremental_distances(
     dist: np.ndarray,
-    new_weights: np.ndarray,
+    new_weights,
     vertex: int,
     *,
+    removed: Sequence[int] | np.ndarray | None = None,
     max_affected_fraction: float = 0.5,
     tol: float = 1e-9,
 ) -> DecrementalRepair:
@@ -283,10 +410,15 @@ def decremental_distances(
         (a symmetric metric closure, e.g. the output of
         :func:`floyd_warshall`; ``inf`` marks unreachable pairs).
     new_weights:
-        Weight matrix of the graph *after* the removal, in the
-        :func:`floyd_warshall` convention.  Every edge present in
-        ``new_weights`` must have been present with the same weight before;
-        only edges incident to ``vertex`` may have been dropped.
+        Weights of the graph *after* the removal, dense or CSR as for
+        :func:`floyd_warshall`.  Every edge present in ``new_weights`` must
+        have been present with the same weight before; only edges incident
+        to ``vertex`` may have been dropped.
+    removed:
+        The vertices whose edges to ``vertex`` were dropped.  With it, the
+        pre-removal neighbours of ``vertex`` are known and only rows that
+        pass an ``O(n deg(vertex))`` prefilter get the pair test; ``None``
+        tests every row.  The result is the same either way.
     max_affected_fraction:
         Fallback threshold: when more than ``max_affected_fraction * n``
         sources are affected, repairing row by row approaches the cost of a
@@ -303,42 +435,45 @@ def decremental_distances(
     ``d(x, y) < d(x, vertex) + d(vertex, y)`` has a shortest path avoiding
     ``vertex`` entirely — hence avoiding every removed edge — so its
     distance is unchanged.  Only sources with at least one potentially
-    affected pair (plus ``vertex`` itself) are re-solved, one single-source
-    Dijkstra (``O(n^2)``) each; the repaired rows/columns are exact by the
-    correctness of Dijkstra, the untouched entries by the argument above.
-    Total cost is ``O(a n^2)`` for ``a`` affected sources instead of the
-    ``O(n^3)`` from-scratch rebuild.
+    affected pair (plus ``vertex`` itself) are re-solved, one sparse
+    single-source Dijkstra (``O(n + m log n)`` for ``m`` edges) each; the
+    repaired rows/columns are exact by the correctness of Dijkstra, the
+    untouched entries by the argument above.  Total cost is
+    ``O(n deg(vertex) + k n + a (n + m log n))`` for ``k`` rows kept by the
+    prefilter and ``a`` affected sources, plus one copy of ``dist``.
     """
     d = _as_square_float(dist)
-    w = _as_square_float(new_weights)
-    if d.shape != w.shape:
-        raise ValueError(f"shape mismatch: dist {d.shape} vs new_weights {w.shape}")
+    graph = _as_graph(new_weights)
+    if d.shape != (graph.n, graph.n):
+        raise ValueError(f"shape mismatch: dist {d.shape} vs new_weights {(graph.n,) * 2}")
     n = d.shape[0]
     v = int(vertex)
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
+    rows = _rows_near_vertex(d, graph, v, removed, tol)
     # Pairs whose old shortest path may run through v (and hence through a
     # removed edge): d(x, v) + d(v, y) <= d(x, y) + slack.  Pairs at infinite
-    # distance cannot get worse and are never affected.
-    finite = np.isfinite(d)
-    via_v = d[:, v : v + 1] + d[v : v + 1, :]
-    slack = tol * (1.0 + np.where(finite, np.abs(d), 0.0))
-    affected = finite & (via_v <= d + slack)
-    # The through-v test is meaningless for pairs involving v itself (it
-    # degenerates to equality); v's own row is always recomputed instead.
-    affected[v, :] = False
+    # distance cannot get worse and are never affected.  The through-v test
+    # is meaningless for pairs involving v itself (it degenerates to
+    # equality); v's own row is always recomputed instead.
+    block = d[rows]
+    finite = np.isfinite(block)
+    via_v = d[rows, v][:, None] + d[v][None, :]
+    slack = tol * (1.0 + np.where(finite, np.abs(block), 0.0))
+    affected = finite & (via_v <= block + slack)
     affected[:, v] = False
-    source_mask = affected.any(axis=1)
+    source_mask = np.zeros(n, dtype=bool)
+    source_mask[rows[affected.any(axis=1)]] = True
     source_mask[v] = True
     count = int(source_mask.sum())
     budget = max(1, int(np.ceil(max_affected_fraction * n)))
     if count > budget:
-        return DecrementalRepair(all_pairs_shortest_paths(w), count, True)
-    sources = np.nonzero(source_mask)[0]
-    rows = dijkstra_rows(w, sources)
+        return DecrementalRepair(all_pairs_shortest_paths(graph), count, True)
+    sources = np.flatnonzero(source_mask)
+    repaired = dijkstra_rows(graph, sources)
     out = d.copy()
-    out[sources, :] = rows
-    out[:, sources] = rows.T
+    out[sources, :] = repaired
+    out[:, sources] = repaired.T
     return DecrementalRepair(out, count, False)
 
 

@@ -15,6 +15,10 @@ Two contracts are enforced here:
   from-scratch all-pairs recomputation, including when the affected
   frontier exceeds the threshold and the repair falls back to a full
   rebuild (removal-heavy hub instances force this path).
+
+A Hypothesis harness over tie-heavy hosts (1-2, unit and tree) checks both
+the schedules against each other and the incremental engine against
+``engine="exact"``; ``--slow`` raises its instances to n = 60.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     IncrementalEngine,
@@ -246,3 +252,121 @@ def test_batched_dynamics_on_removal_heavy_instance():
     assert seq.final_profile == bat.final_profile
     assert _same_cost(seq.final_social_cost, bat.final_social_cost)
     assert bat.engine_stats is not None
+
+
+# ----------------------------------------------------------------------
+# Tie-heavy differential harness
+# ----------------------------------------------------------------------
+# 1-2, unit and tree hosts are the paper's own regimes and the ones where
+# tolerance-based code (the 1e-9 repair slack, ``isclose`` invalidation,
+# 1e-15 subset ties) is most likely to take a different branch.  Hypothesis
+# draws the instances; ``derandomize=True`` makes every run draw the same
+# ones, so a failure reproduces from the test id alone.
+TIE_HEAVY = ("ncg", "one_two", "tree")
+
+
+@st.composite
+def _tie_heavy_runs(draw, max_n: int):
+    variant = draw(st.sampled_from(TIE_HEAVY))
+    n = draw(st.integers(3, max_n))
+    # Exact best responses enumerate 2^(n-1) subsets: keep "best" small.
+    kinds = ("best", "greedy", "single") if n <= 9 else ("greedy", "single")
+    response = draw(st.sampled_from(kinds))
+    start = draw(st.sampled_from(("empty", "random", "path", "star")))
+    alpha = draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    game = NetworkCreationGame(VARIANTS[variant](n, rng), alpha)
+    if start == "random":
+        profile = _random_profile(n, rng, density=float(rng.uniform(0.05, 0.4)))
+    elif start == "path":
+        profile = StrategyProfile.path(range(n))
+    else:
+        profile = getattr(StrategyProfile, start)(n)
+    return game, profile, response
+
+
+def _trajectory(result) -> tuple:
+    """Everything a run decides, as bytes: flags, counts, final ownership and
+    the social-cost trajectory.  Engine stats and proposal-cache counters are
+    left out because the two schedules do different residual work by design."""
+    return (
+        result.converged,
+        result.steps,
+        result.moves,
+        result.cycle_detected,
+        result.cycle_length,
+        result.final_profile.ownership.tobytes(),
+        np.asarray(result.social_costs, dtype=float).tobytes(),
+    )
+
+
+def _check_batched_matches_sequential(game, profile, response):
+    runs = [
+        run_dynamics(game, profile, response=response, max_rounds=12, rng=3, schedule=schedule)
+        for schedule in ("sequential", "batched")
+    ]
+    assert _trajectory(runs[0]) == _trajectory(runs[1])
+
+
+def _check_incremental_matches_exact(game, profile, response):
+    exact, incremental = (
+        run_dynamics(game, profile, response=response, max_rounds=12, rng=3, engine=engine)
+        for engine in ("exact", "incremental")
+    )
+    assert exact.moves == incremental.moves
+    assert exact.steps == incremental.steps
+    assert exact.final_profile == incremental.final_profile
+    assert len(exact.social_costs) == len(incremental.social_costs)
+    for a, b in zip(exact.social_costs, incremental.social_costs):
+        assert _same_cost(a, b, tol=1e-9)
+
+
+_TIER1 = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+_SLOW = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@_TIER1
+@given(_tie_heavy_runs(max_n=8))
+def test_tie_heavy_batched_matches_sequential(run):
+    _check_batched_matches_sequential(*run)
+
+
+@_TIER1
+@given(_tie_heavy_runs(max_n=8))
+def test_tie_heavy_incremental_matches_exact(run):
+    _check_incremental_matches_exact(*run)
+
+
+@pytest.mark.slow
+@_SLOW
+@given(_tie_heavy_runs(max_n=60))
+def test_tie_heavy_batched_matches_sequential_up_to_n60(run):
+    _check_batched_matches_sequential(*run)
+
+
+@pytest.mark.slow
+@_SLOW
+@given(_tie_heavy_runs(max_n=60))
+def test_tie_heavy_incremental_matches_exact_up_to_n60(run):
+    _check_incremental_matches_exact(*run)
+
+
+def test_engine_residual_graph_matches_dense_residual_weights(property_budget):
+    """The engine's O(m) residual CSR holds exactly the edges of the dense
+    ``game.residual_weights`` the exact oracle uses, including on 1-inf hosts
+    whose owned edges may have infinite host weight."""
+    rng = np.random.default_rng(53)
+    for trial in range(property_budget):
+        variant = ("one_infinity", "one_two", "general")[trial % 3]
+        n = int(rng.integers(3, 12))
+        game = _random_game(variant, n, rng)
+        profile = _random_profile(n, rng, density=float(rng.uniform(0.1, 0.6)))
+        engine = IncrementalEngine(game, profile)
+        for u in range(n):
+            owns = profile.ownership
+            graph = engine._residual_graph(u, owns[u] & ~owns[:, u])
+            dense = np.full((n, n), np.inf)
+            dense[np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices] = graph.data
+            np.fill_diagonal(dense, 0.0)
+            assert np.array_equal(dense, game.residual_weights(profile, u))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph, ModelVariant
+from repro.core.strategy import StrategyProfile
 
 
 class TestConstruction:
@@ -24,6 +26,16 @@ class TestConstruction:
         assert host.weight(0, 0) == 0.0
         assert host.weight(1, 1) == 0.0
         assert host.weight(0, 1) == 1.0
+
+    def test_near_symmetric_host_with_forbidden_edges_has_distances(self):
+        """Validation accepts asymmetry within the tolerance and keeps it when
+        some edges are ``inf``; the shortest-path kernels read each edge as
+        the smaller of its two directions, so distances stay symmetric."""
+        w = np.array([[0.0, 1.0, np.inf], [1.0 + 1e-13, 0.0, 2.0], [np.inf, 2.0, 0.0]])
+        game = NetworkCreationGame(HostGraph(w), 1.0)
+        d = game.distances(StrategyProfile.complete(3))
+        assert np.array_equal(d, d.T)
+        assert d[0, 1] == 1.0 and d[0, 2] == 3.0
 
     def test_asymmetric_rejected(self):
         w = np.array([[0.0, 1.0], [2.0, 0.0]])

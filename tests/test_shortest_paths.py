@@ -1,21 +1,35 @@
-"""Tests for the dense shortest-path kernels."""
+"""Tests for the shortest-path kernels and the decremental repair."""
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 from repro.core.shortest_paths import (
     CandidateEvaluator,
     all_pairs_shortest_paths,
     apsp_scipy,
+    decremental_distances,
+    dijkstra_rows,
     floyd_warshall,
     relax_through_edges,
     single_source_dijkstra,
 )
+from repro.metrics.generators import (
+    random_general_host,
+    random_metric_host,
+    random_one_two_host,
+    random_tree_host,
+    unit_host,
+)
+from repro.metrics.validation import nearest_metric_repair
 
 
 def _random_weight_matrix(n: int, rng: np.random.Generator, edge_prob: float = 0.6) -> np.ndarray:
@@ -341,3 +355,268 @@ class TestMetricProperties:
         d = floyd_warshall(w)
         assert np.all(d <= w + 1e-9)
         assert np.all(np.diag(d) == 0.0)
+
+
+def _csr(w: np.ndarray) -> csr_matrix:
+    """CSR of a dense weight matrix: every off-diagonal entry other than
+    ``inf``, explicit zeros included (``csr_matrix(w)`` would drop them)."""
+    stored = w != np.inf
+    np.fill_diagonal(stored, False)
+    rows, cols = np.nonzero(stored)
+    return csr_matrix((w[rows, cols], (rows, cols)), shape=w.shape)
+
+
+class TestInvalidWeights:
+    """NaN and negative weights raise for every kernel and size.
+
+    scipy's Dijkstra never returns on a negative edge and reads NaN as a
+    non-edge, so the check must not depend on which kernel ``n`` selects:
+    n = 200 takes the Dijkstra path, n = 5 Floyd–Warshall.
+    """
+
+    KERNELS = {
+        "floyd_warshall": floyd_warshall,
+        "apsp_scipy": apsp_scipy,
+        "auto": all_pairs_shortest_paths,
+        "dijkstra_rows": lambda w: dijkstra_rows(w, [0]),
+        "single_source_dijkstra": lambda w: single_source_dijkstra(w, 0),
+        "nearest_metric_repair": nearest_metric_repair,
+        "decremental": lambda w: decremental_distances(
+            np.zeros(w.shape), w, 0, removed=[1]
+        ),
+    }
+
+    @staticmethod
+    def _weights(n: int, bad: float) -> np.ndarray:
+        w = np.ones((n, n))
+        w[0, 1] = w[1, 0] = bad
+        return w
+
+    @pytest.mark.parametrize("n", [5, 200])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, -np.inf])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_dense_input_rejected(self, kernel, bad, n):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.KERNELS[kernel](self._weights(n, bad))
+
+    @pytest.mark.parametrize("n", [5, 200])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, -np.inf])
+    @pytest.mark.parametrize(
+        "kernel", ["floyd_warshall", "apsp_scipy", "auto", "dijkstra_rows", "decremental"]
+    )
+    def test_csr_input_rejected(self, kernel, bad, n):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.KERNELS[kernel](_csr(self._weights(n, bad)))
+
+    def test_two_node_negative_edge_raises_instead_of_hanging(self):
+        w = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        kernels = ("floyd_warshall", "apsp_scipy", "dijkstra_rows", "single_source_dijkstra")
+        for kernel in kernels:
+            with pytest.raises(ValueError):
+                self.KERNELS[kernel](w)
+
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_asymmetric_dense_input_is_undirected_for_every_kernel(self, n):
+        """The edge {u, v} weighs min(w[u, v], w[v, u]) whichever kernel runs;
+        Floyd–Warshall used to read the matrix as a directed graph."""
+        w = np.full((n, n), np.inf)
+        np.fill_diagonal(w, 0.0)
+        for i in range(n - 1):
+            w[i, i + 1] = w[i + 1, i] = 3.0
+        w[0, 1] = 2.0  # cheaper one way
+        w[n - 1, 0] = 1.0  # one way only
+        expected = _masked_apsp(np.minimum(w, w.T))
+        for kernel in ("floyd_warshall", "apsp_scipy", "auto"):
+            assert np.array_equal(self.KERNELS[kernel](w), expected)
+        assert np.array_equal(dijkstra_rows(w, [1]), expected[[1]])
+
+    @pytest.mark.parametrize("kernel", ["floyd_warshall", "apsp_scipy", "dijkstra_rows"])
+    def test_asymmetric_csr_input_rejected(self, kernel):
+        one_way = csr_matrix((np.array([1.0]), (np.array([0]), np.array([1]))), shape=(3, 3))
+        uneven = _csr(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]))
+        for graph in (one_way, uneven):
+            with pytest.raises(ValueError, match="symmetric"):
+                self.KERNELS[kernel](graph)
+
+    def test_csr_explicit_zero_is_an_edge_and_self_loops_are_dropped(self):
+        rows, cols = np.array([0, 1, 1, 2, 2]), np.array([1, 0, 2, 1, 2])
+        graph = csr_matrix((np.array([0.0, 0.0, 2.0, 2.0, 7.0]), (rows, cols)), shape=(3, 3))
+        expected = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+        for kernel in (floyd_warshall, apsp_scipy):
+            assert np.array_equal(kernel(graph), expected)
+
+    def test_diagonal_is_ignored(self):
+        w = self._weights(4, 2.0)
+        np.fill_diagonal(w, np.nan)
+        clean = self._weights(4, 2.0)
+        np.fill_diagonal(clean, 0.0)
+        assert np.array_equal(floyd_warshall(w), floyd_warshall(clean))
+        assert np.array_equal(apsp_scipy(w), apsp_scipy(clean))
+
+
+# ----------------------------------------------------------------------
+# Sparse input path: bitwise equal to the masked-array code it replaced
+# ----------------------------------------------------------------------
+def _masked(w: np.ndarray) -> np.ma.MaskedArray:
+    return np.ma.masked_array(w, mask=~np.isfinite(w))
+
+
+def _masked_apsp(w: np.ndarray) -> np.ndarray:
+    """The former ``all_pairs_shortest_paths`` on a dense matrix."""
+    n = w.shape[0]
+    if n <= 192:
+        dist = w.copy()
+        np.fill_diagonal(dist, 0.0)
+        for k in range(n):
+            np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+        return dist
+    result = scipy_shortest_path(_masked(w), method="D", directed=False)
+    result = np.asarray(result, dtype=float)
+    np.fill_diagonal(result, 0.0)
+    np.minimum(result, result.T, out=result)
+    return result
+
+
+def _masked_dijkstra_rows(w: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The former ``dijkstra_rows``: scipy on a masked dense matrix."""
+    rows = scipy_shortest_path(_masked(w), method="D", directed=False, indices=sources)
+    rows = np.asarray(rows, dtype=float)
+    rows[np.arange(sources.size), sources] = 0.0
+    return rows
+
+
+def _dense_scan_repair(d, w, v, max_affected_fraction, tol=1e-9):
+    """The former ``decremental_distances``: a dense all-pairs affected scan
+    and masked-array Dijkstra rows, kept verbatim as the repair oracle."""
+    n = d.shape[0]
+    finite = np.isfinite(d)
+    via_v = d[:, v : v + 1] + d[v : v + 1, :]
+    slack = tol * (1.0 + np.where(finite, np.abs(d), 0.0))
+    affected = finite & (via_v <= d + slack)
+    affected[v, :] = False
+    affected[:, v] = False
+    source_mask = affected.any(axis=1)
+    source_mask[v] = True
+    count = int(source_mask.sum())
+    budget = max(1, int(np.ceil(max_affected_fraction * n)))
+    if count > budget:
+        return _masked_apsp(w), count, True
+    sources = np.nonzero(source_mask)[0]
+    rows = _masked_dijkstra_rows(w, sources)
+    out = d.copy()
+    out[sources, :] = rows
+    out[:, sources] = rows.T
+    return out, count, False
+
+
+def _battery_host(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Complete symmetric host weights; 1-2, unit and tree hosts are tie-heavy."""
+    if kind == "one_two":
+        return random_one_two_host(n, rng=rng).weights.copy()
+    if kind == "unit":
+        return unit_host(n).weights.copy()
+    if kind == "tree":
+        return random_tree_host(n, rng=rng).weights.copy()
+    if kind == "metric":
+        return random_metric_host(n, rng=rng).weights.copy()
+    if kind == "general":
+        return random_general_host(n, rng=rng).weights.copy()
+    w = np.round(rng.uniform(0.0, 3.0, size=(n, n)), 1)  # "zero": exact 0-weight edges
+    w[rng.random((n, n)) < 0.3] = 0.0
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _battery_network(host: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A created network over ``host``: a random spanning tree (whose edge
+    removals disconnect the residual) plus a random share of extra edges."""
+    n = host.shape[0]
+    adj = np.zeros((n, n), dtype=bool)
+    order = rng.permutation(n)
+    for i in range(1, n):
+        parent = order[int(rng.integers(0, i))]
+        adj[order[i], parent] = adj[parent, order[i]] = True
+    extra = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.1, 0.4]), k=1)
+    adj |= extra | extra.T
+    weights = np.where(adj, host, np.inf)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+BATTERY_HOSTS = ("one_two", "unit", "tree", "metric", "general", "zero")
+
+
+class TestDecrementalBitwise:
+    """``decremental_distances`` equals the dense-scan repair bit for bit.
+
+    Same ``affected_sources``, same ``rebuilt`` decision and
+    ``np.array_equal`` distances, on tie-heavy and generic hosts, for every
+    threshold, dense and CSR input, with and without ``removed``.
+    """
+
+    @staticmethod
+    def _check(weights, dist, v, drop, input_kind, give_removed):
+        removed_w = weights.copy()
+        removed_w[v, drop] = np.inf
+        removed_w[drop, v] = np.inf
+        new_weights = removed_w if input_kind == "dense" else _csr(removed_w)
+        for frac in (0.0, 0.3, 0.5, 1.0):
+            expected, count, rebuilt = _dense_scan_repair(dist, removed_w, v, frac)
+            got = decremental_distances(
+                dist,
+                new_weights,
+                v,
+                removed=drop if give_removed else None,
+                max_affected_fraction=frac,
+            )
+            assert got.affected_sources == count
+            assert got.rebuilt == rebuilt
+            assert np.array_equal(got.distances, expected)
+
+    @pytest.mark.parametrize("give_removed", [True, False], ids=["removed", "no-removed"])
+    @pytest.mark.parametrize("input_kind", ["dense", "csr"])
+    @pytest.mark.parametrize("host_kind", BATTERY_HOSTS)
+    def test_matches_dense_scan(self, host_kind, input_kind, give_removed):
+        rng = np.random.default_rng(zlib.crc32(f"repair-{host_kind}".encode()))
+        for _ in range(6):
+            n = int(rng.integers(3, 26))
+            weights = _battery_network(_battery_host(host_kind, n, rng), rng)
+            dist = all_pairs_shortest_paths(weights)
+            v = int(rng.integers(0, n))
+            incident = np.flatnonzero(np.isfinite(weights[v]))
+            incident = incident[incident != v]
+            # Drop all of v's edges now and then: v ends up isolated.
+            keep = rng.random(incident.size) < (0.0 if rng.random() < 0.25 else 0.5)
+            drop = incident[~keep] if (~keep).any() else incident[:1]
+            self._check(weights, dist, v, drop, input_kind, give_removed)
+
+    @pytest.mark.parametrize("input_kind", ["dense", "csr"])
+    def test_matches_dense_scan_past_floyd_warshall_size(self, input_kind):
+        """n > 192: the fallback rebuild runs scipy's Dijkstra, not Floyd–Warshall."""
+        rng = np.random.default_rng(193)
+        weights = _battery_network(_battery_host("one_two", 200, rng), rng)
+        dist = all_pairs_shortest_paths(weights)
+        hub = int(np.argmax(np.isfinite(weights).sum(axis=1)))
+        incident = np.flatnonzero(np.isfinite(weights[hub]))
+        self._check(weights, dist, hub, incident[incident != hub], input_kind, True)
+
+    @pytest.mark.parametrize("host_kind", BATTERY_HOSTS)
+    def test_apsp_and_rows_match_masked_input(self, host_kind):
+        """Dijkstra on the CSR graph equals Dijkstra on the masked matrix, bitwise."""
+        rng = np.random.default_rng(zlib.crc32(f"format-{host_kind}".encode()))
+        for _ in range(5):
+            n = int(rng.integers(2, 30))
+            weights = _battery_network(_battery_host(host_kind, n, rng), rng)
+            expected = np.asarray(
+                scipy_shortest_path(_masked(weights), method="D", directed=False), dtype=float
+            )
+            np.fill_diagonal(expected, 0.0)
+            np.minimum(expected, expected.T, out=expected)
+            sources = rng.choice(n, size=min(n, 3), replace=False)
+            for given in (weights, _csr(weights)):
+                assert np.array_equal(apsp_scipy(given), expected)
+                assert np.array_equal(
+                    dijkstra_rows(given, sources), _masked_dijkstra_rows(weights, sources)
+                )
+                assert np.array_equal(floyd_warshall(given), _masked_apsp(weights))

@@ -30,15 +30,13 @@ Every sweep is configured by a
 ``workers`` keywords, which override the config's fields — and executes
 its per-instance dynamics runs through one
 :class:`~repro.core.session.GameSession` per instance, so the runs of an
-instance share a single incremental engine and a single evaluator backend
-— a shared-memory worker pool for ``workers > 1``, a remote connection
-set for ``config.backend="remote"`` — instead of paying pool start-up
-(or reconnecting) per run.  The engines compute identical best responses,
-the schedules follow identical trajectories and the worker counts and
-backends produce bit-identical results — all of these switches trade
-nothing but time and placement; see :mod:`repro.core.session`,
-:mod:`repro.core.incremental`, :mod:`repro.core.parallel`,
-:mod:`repro.core.remote` and :mod:`repro.core.dynamics`.
+instance share a single incremental engine and, for ``workers > 1``, a
+single shared-memory worker pool instead of paying pool start-up per run.
+The engines compute identical best responses, the schedules follow
+identical trajectories and the worker counts produce bit-identical
+results — all of these switches trade nothing but time; see
+:mod:`repro.core.session`, :mod:`repro.core.incremental`,
+:mod:`repro.core.parallel` and :mod:`repro.core.dynamics`.
 """
 
 from __future__ import annotations

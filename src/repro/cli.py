@@ -15,16 +15,14 @@ writing any code:
 * ``resume``        — continue a checkpointed ``simulate`` run from its
   checkpoint file (see ``--checkpoint``/``--checkpoint-every`` below); the
   continuation is byte-identical to the uninterrupted run, even in a fresh
-  process and even onto a different backend or worker count;
+  process and even onto a different worker count;
 * ``config dump``   — print the resolved simulation config as JSON;
-* ``worker serve``  — run a remote-evaluator worker server
-  (:mod:`repro.core.remote`) that experiment commands on any machine can
-  score batches against via ``--backend remote --endpoint host:port``;
-  ``--auth-token`` arms the shared-secret handshake and ``--fault-plan``
-  arms a deterministic :class:`~repro.core.faults.FaultPlan`;
 * ``chaos``         — replay a fault plan (``--preset`` or ``--plan``)
-  against a live run and verify the degradation invariant: the faulted
-  run's trajectory must be bit-identical to the undisturbed serial run.
+  against a live two-process pool and verify the recovery invariant: the
+  faulted run's trajectory must be bit-identical to the undisturbed serial
+  run;
+* ``lint``          — check the tree against the determinism and lifecycle
+  invariant rules.
 
 Every command accepts ``--seed`` for reproducibility.  The ``poa``,
 ``dynamics`` and ``simulate`` commands are driven by a
@@ -34,10 +32,8 @@ to load one (the JSON layout of
 flags — ``--engine`` (incremental distance engine vs. exact from-scratch
 oracle), ``--schedule`` (sequential vs. batched proposal-caching
 activation), ``--workers`` (shared-memory worker processes for the batched
-evaluations), ``--backend``/``--endpoint`` (local shared-memory evaluation
-vs. remote worker servers), ``--batch-timeout``/``--max-retries`` (the
-remote fleet's hung-worker deadline and shard-retry budget) and ``--seed``
-— which override the file.  ``repro config
+evaluations), ``--residual-encoding`` (dense or delta slot writes), the
+checkpoint policy and ``--seed`` — which override the file.  ``repro config
 dump`` prints the config the same flags resolve to, so a flag combination
 can be frozen into a reusable JSON file:
 
@@ -124,58 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(p_dump, full=True)
 
-    p_worker = sub.add_parser(
-        "worker", help="remote-evaluator worker servers (repro.core.remote)"
-    )
-    worker_sub = p_worker.add_subparsers(dest="action", required=True)
-    p_serve = worker_sub.add_parser(
-        "serve",
-        help="serve best-response scoring over a TCP socket; experiment "
-        "commands connect with --backend remote --endpoint host:port",
-    )
-    p_serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; use 0.0.0.0 for multi-host)",
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0 = OS-assigned; the bound endpoint is "
-        "printed as the first output line)",
-    )
-    p_serve.add_argument(
-        "--auth-token",
-        dest="auth_token",
-        default=None,
-        metavar="SECRET",
-        help="require the protocol-3 shared-secret handshake: clients must "
-        "pass the same token (mismatch is a clean handshake error, never a "
-        "hang)",
-    )
-    p_serve.add_argument(
-        "--fault-plan",
-        dest="fault_plan",
-        default=None,
-        metavar="PATH",
-        help="arm a deterministic FaultPlan JSON file (repro.core.faults) on "
-        "this worker — testing only",
-    )
-    p_serve.add_argument(
-        "--worker-index",
-        dest="worker_index",
-        type=int,
-        default=0,
-        metavar="I",
-        help="this worker's index in the fleet, matched against the fault "
-        "plan's per-endpoint faults (default 0)",
-    )
-
     p_chaos = sub.add_parser(
         "chaos",
-        help="inject a deterministic fault plan into a live run and verify "
-        "the result is bit-identical to the undisturbed serial run",
+        help="inject a deterministic fault plan into a live two-process pool "
+        "run and verify the result is bit-identical to the undisturbed serial "
+        "run",
     )
     p_chaos.add_argument("--variant", default="euclidean", choices=_VARIANTS)
     p_chaos.add_argument("--n", type=int, default=10)
@@ -189,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         default=None,
         help="named fault plan from the catalog (see repro.core.faults."
-        "preset_names: fleet-kill, worker-kill, flaky-worker, pool-kill)",
+        "preset_names: pool-kill)",
     )
     plan_source.add_argument(
         "--plan",
@@ -201,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="check the tree against the determinism & lifecycle invariant "
-        "rules (DET*/NET*/RES*/PROTO*; exit 1 on findings)",
+        "rules (DET*/RES*/PROTO*; exit 1 on findings)",
     )
     p_lint.add_argument(
         "paths",
@@ -286,64 +235,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         ),
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["local", "remote"],
-        help=(
-            "evaluator backend for the batched evaluations: 'local' "
-            "(default) scores in-process or on a shared-memory worker pool "
-            "(--workers); 'remote' fans batches out over sockets to "
-            "'repro worker serve' processes listed via --endpoint — "
-            "bit-identical trajectories either way"
-        ),
-    )
-    parser.add_argument(
-        "--endpoint",
-        dest="endpoints",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "address of a running 'repro worker serve' process; repeat the "
-            "flag for multiple workers (requires --backend remote)"
-        ),
-    )
-    parser.add_argument(
         "--residual-encoding",
         dest="residual_encoding",
         default=None,
         choices=["dense", "delta"],
         help=(
-            "how residual matrices reach the evaluation workers: 'dense' "
-            "(default) ships every distinct matrix verbatim; 'delta' ships "
-            "one dense base per chunk/shard plus packed changed-row deltas "
+            "how residual matrices reach the pool workers: 'dense' "
+            "(default) writes every distinct matrix verbatim; 'delta' writes "
+            "one dense base per chunk plus packed changed-row deltas "
             "against it — bit-identical trajectories, O(k*n) bytes per "
-            "localized move instead of O(n^2), the knob for n >= 1000"
-        ),
-    )
-    parser.add_argument(
-        "--batch-timeout",
-        dest="batch_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-socket-operation inactivity deadline for remote batches: a "
-            "worker that produces no bytes for this long is dropped and its "
-            "shard re-dispatched to surviving endpoints (default 120; "
-            "requires --backend remote)"
-        ),
-    )
-    parser.add_argument(
-        "--max-retries",
-        dest="max_retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard re-dispatch rounds allowed per remote batch after "
-            "endpoint failures before the batch fails (default 2; requires "
-            "--backend remote)"
+            "localized move instead of O(n^2)"
         ),
     )
     parser.add_argument(
@@ -370,30 +271,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         ),
     )
     parser.add_argument(
-        "--failover",
-        default=None,
-        choices=["ladder", "strict"],
-        help=(
-            "policy for a batch that fails terminally on the configured "
-            "backend: 'ladder' (default) degrades remote -> local pool -> "
-            "serial with bit-identical results and promotes back once the "
-            "fleet recovers; 'strict' fails fast (after the emergency "
-            "checkpoint, when --checkpoint is set)"
-        ),
-    )
-    parser.add_argument(
-        "--auth-token",
-        dest="auth_token",
-        default=None,
-        metavar="SECRET",
-        help=(
-            "shared secret of the protocol-3 worker handshake; every "
-            "'repro worker serve' must run with the same token (requires "
-            "--backend remote)"
-        ),
-    )
-    _add_breaker_flags(parser)
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -418,78 +295,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         )
 
 
-def _add_breaker_flags(parser: argparse.ArgumentParser) -> None:
-    """The degradation ladder's circuit-breaker knobs (remote + ladder only).
-
-    Backoff timing schedules re-probes of dead endpoints; it can never
-    change a trajectory, so these are placement flags like ``--workers``.
-    """
-    parser.add_argument(
-        "--breaker-trip-after",
-        dest="breaker_trip_after",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "consecutive failures that trip an endpoint's circuit breaker "
-            "(default 1; requires --backend remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-base-delay",
-        dest="breaker_base_delay",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "starting backoff before a tripped endpoint is re-probed; "
-            "doubles per failed probe (default 0.25; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-max-delay",
-        dest="breaker_max_delay",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "cap on the re-probe backoff (default 30; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-jitter",
-        dest="breaker_jitter",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help=(
-            "deterministic jitter factor applied to each backoff, drawn "
-            "from a config-seeded stream (default 0.1; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-
-
 _CONFIG_FIELDS = (
     "engine",
     "schedule",
     "workers",
     "seed",
-    "backend",
-    "endpoints",
     "residual_encoding",
-    "batch_timeout",
-    "max_retries",
     "checkpoint_every",
     "checkpoint_path",
-    "failover",
-    "auth_token",
-    "breaker_trip_after",
-    "breaker_base_delay",
-    "breaker_max_delay",
-    "breaker_jitter",
     "response",
     "order",
     "max_rounds",
@@ -515,20 +328,6 @@ def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
         "trajectory is bit-identical for every worker count)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["local", "remote"],
-        help="evaluator backend for the continuation (bit-identical either way)",
-    )
-    parser.add_argument(
-        "--endpoint",
-        dest="endpoints",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="remote worker address; repeat for multiple (requires --backend remote)",
-    )
-    parser.add_argument(
         "--residual-encoding",
         dest="residual_encoding",
         default=None,
@@ -536,30 +335,6 @@ def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
         help="residual transport encoding for the continuation (placement "
         "only: dense and delta replay bit-identical trajectories)",
     )
-    parser.add_argument(
-        "--batch-timeout", dest="batch_timeout", type=float, default=None,
-        metavar="SECONDS",
-        help="remote fleet inactivity deadline (requires --backend remote)",
-    )
-    parser.add_argument(
-        "--max-retries", dest="max_retries", type=int, default=None, metavar="N",
-        help="remote shard re-dispatch budget (requires --backend remote)",
-    )
-    parser.add_argument(
-        "--failover",
-        default=None,
-        choices=["ladder", "strict"],
-        help="failover policy for the continuation (placement only: the "
-        "ladder swaps backends, never trajectories)",
-    )
-    parser.add_argument(
-        "--auth-token",
-        dest="auth_token",
-        default=None,
-        metavar="SECRET",
-        help="shared secret of the worker handshake (requires --backend remote)",
-    )
-    _add_breaker_flags(parser)
     parser.add_argument(
         "--checkpoint",
         dest="checkpoint_path",
@@ -714,19 +489,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _report_degradation(session) -> None:
-    """Print the run's failover/breaker counters — to stderr, only if nonzero.
+    """Print the pool's in-process fallbacks — to stderr, only if nonzero.
 
-    Stdout is the byte-diffable surface (the CI chaos-smoke job diffs a
-    degraded run against the serial one), so degradation telemetry must
-    never land there.
+    Stdout is the byte-diffable surface (a rescued run must print exactly
+    what the serial one prints), so degradation telemetry never lands there.
     """
     ev = session.stats().evaluator_stats
-    if ev is not None and (ev.fallbacks or ev.promotions or ev.breaker_trips):
-        print(
-            f"fleet degradation : fallbacks={ev.fallbacks} "
-            f"promotions={ev.promotions} breaker_trips={ev.breaker_trips}",
-            file=sys.stderr,
-        )
+    if ev is not None and ev.fallbacks:
+        print(f"pool degradation  : fallbacks={ev.fallbacks}", file=sys.stderr)
 
 
 def _cmd_resume(args) -> int:
@@ -738,21 +508,16 @@ def _cmd_resume(args) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        ckpt.simulation_config()  # e.g. a run on the removed remote backend
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     overrides = {
         key: value
         for key, value in {
             "workers": args.workers,
-            "backend": args.backend,
-            "endpoints": args.endpoints,
             "residual_encoding": args.residual_encoding,
-            "batch_timeout": args.batch_timeout,
-            "max_retries": args.max_retries,
-            "failover": args.failover,
-            "auth_token": args.auth_token,
-            "breaker_trip_after": args.breaker_trip_after,
-            "breaker_base_delay": args.breaker_base_delay,
-            "breaker_max_delay": args.breaker_max_delay,
-            "breaker_jitter": args.breaker_jitter,
             "checkpoint_path": args.checkpoint_path,
             "checkpoint_every": args.checkpoint_every,
         }.items()
@@ -781,31 +546,6 @@ def _cmd_config(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from .core.remote import serve
-
-    plan = None
-    if args.fault_plan is not None:
-        from .core.faults import FaultPlan
-
-        try:
-            plan = FaultPlan.from_json(Path(args.fault_plan).read_text())
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot load --fault-plan {args.fault_plan}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-    serve(
-        args.host,
-        args.port,
-        auth_token=args.auth_token,
-        fault_plan=plan,
-        worker_index=args.worker_index,
-    )
-    return 0
-
-
 def _load_fault_plan(args):
     """The chaos command's plan: a named preset or a FaultPlan JSON file."""
     from .core.faults import FaultPlan, preset
@@ -823,7 +563,6 @@ def _cmd_chaos(args) -> int:
 
     from .analysis.experiments import host_factory
     from .core.game import NetworkCreationGame
-    from .core.remote import _reap_processes, spawn_local_worker
     from .core.session import GameSession, SimulationConfig
     from .core.strategy import StrategyProfile
 
@@ -843,33 +582,11 @@ def _cmd_chaos(args) -> int:
     with GameSession(game, base) as session:
         reference = session.run(initial)
 
-    worker_side = bool(plan.worker_faults())
-    processes = []
-    try:
-        if worker_side:
-            # Worker-side faults run against a live two-worker fleet, each
-            # worker armed with the plan under its own fleet index.
-            endpoints = []
-            for index in range(2):
-                process, endpoint = spawn_local_worker(
-                    fault_plan=plan, worker_index=index
-                )
-                processes.append(process)
-                endpoints.append(endpoint)
-            cfg = base.replace(
-                backend="remote", endpoints=tuple(endpoints), batch_timeout=10.0
-            )
-        else:
-            # Pool faults need only the local shared-memory pool.
-            cfg = base.replace(workers=2)
-        with GameSession(game, cfg) as session:
-            session.arm_faults(plan)
-            chaotic = session.run(initial)
-            ev = session.stats().evaluator_stats
-            _report_degradation(session)
-    finally:
-        if processes:
-            _reap_processes(processes)
+    with GameSession(game, base.replace(workers=2)) as session:
+        session.arm_faults(plan)
+        chaotic = session.run(initial)
+        ev = session.stats().evaluator_stats
+        _report_degradation(session)
 
     identical = (
         chaotic.converged == reference.converged
@@ -882,15 +599,12 @@ def _cmd_chaos(args) -> int:
     print(
         f"fault plan        : {args.preset or args.plan} "
         f"({len(plan.faults)} fault(s), seed={plan.seed})\n"
-        f"faulted backend   : {cfg.backend} "
-        f"({'fleet of 2 workers' if worker_side else '2-process pool'})\n"
+        "faulted backend   : 2-process pool\n"
         f"reference run     : converged={reference.converged} "
         f"moves={reference.moves}\n"
         f"faulted run       : converged={chaotic.converged} "
         f"moves={chaotic.moves}\n"
         f"counters          : fallbacks={ev.fallbacks if ev else 0} "
-        f"promotions={ev.promotions if ev else 0} "
-        f"breaker_trips={ev.breaker_trips if ev else 0} "
         f"pool_rebuilds={ev.retries if ev else 0}\n"
         f"trajectory        : "
         f"{'IDENTICAL' if identical else 'DIVERGED'}"
@@ -925,7 +639,6 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "resume": _cmd_resume,
         "config": _cmd_config,
-        "worker": _cmd_worker,
         "chaos": _cmd_chaos,
         "lint": _cmd_lint,
     }

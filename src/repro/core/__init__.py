@@ -8,8 +8,7 @@ The sub-modules are organised bottom-up:
 * :mod:`repro.core.game`           — the cost model (agent and social costs),
 * :mod:`repro.core.best_response`  — exact and greedy best responses,
 * :mod:`repro.core.incremental`    — cached-distance incremental BR engine,
-* :mod:`repro.core.parallel`       — evaluator backends, shared-memory pool,
-* :mod:`repro.core.remote`         — socket-based remote evaluator backend,
+* :mod:`repro.core.parallel`       — evaluator protocol, shared-memory pool,
 * :mod:`repro.core.equilibria`     — NE / GE / AE / β-approximate checks,
 * :mod:`repro.core.checkpoint`     — versioned run checkpoints, atomic writes,
 * :mod:`repro.core.dynamics`       — response dynamics and cycle detection,
@@ -74,7 +73,6 @@ from .parallel import (
     SharedSnapshot,
     default_workers,
 )
-from .remote import EndpointSet, RemoteEvaluator, RemoteEvaluatorError, WorkerServer
 from .shortest_paths import (
     CandidateEvaluator,
     DecrementalRepair,
@@ -109,7 +107,6 @@ __all__ = [
     "CycleCheckResult",
     "DecrementalRepair",
     "DynamicsResult",
-    "EndpointSet",
     "EngineStats",
     "EquilibriumReport",
     "EvaluatorBackend",
@@ -123,8 +120,6 @@ __all__ = [
     "OptimumResult",
     "ParallelEvaluator",
     "PoAEstimate",
-    "RemoteEvaluator",
-    "RemoteEvaluatorError",
     "SessionStats",
     "SharedSnapshot",
     "SimulationConfig",
@@ -133,7 +128,6 @@ __all__ = [
     "SpannerResult",
     "StrategyProfile",
     "TRAJECTORY_FIELDS",
-    "WorkerServer",
     "ae_to_ne_factor",
     "algorithm1_one_two",
     "batch_best_responses",

@@ -444,9 +444,9 @@ def score_tasks(
 ) -> list[BestResponseResult]:
     """:func:`score_response` over ``(agent, d_rest, strategy)`` tasks, in order.
 
-    The one in-process scoring loop: the engine's serial batches, the
-    failover ladder's serial rung and the socket worker server all run it,
-    so every backend scores exactly the same way.  ``weights`` is the full
+    The one in-process scoring loop: the engine's serial batches and the
+    session's rescue of a broken pool both run it, so every path scores
+    exactly the same way.  ``weights`` is the full
     host-weight matrix; row ``agent`` is passed to the kernel.
     """
     return [

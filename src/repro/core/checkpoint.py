@@ -1,6 +1,6 @@
 """Checkpointing of dynamics runs: serialize-at-round-boundaries, resume bit-identically.
 
-Long best-response sweeps (large ``n``, many rounds, remote fleets) used to
+Long best-response sweeps (large ``n``, many rounds) used to
 restart from zero on any failure.  This module serializes the *complete*
 state of a run at a round boundary — everything the activation loop in
 :func:`repro.core.dynamics._run_session_loop` and its injected machinery
@@ -106,9 +106,9 @@ CHECKPOINT_VERSION = 1
 _SCHEMA = "repro-gncg-checkpoint"
 
 # Config fields that shape the *trajectory or stats* of a run.  A resume may
-# change anything else (backend, workers, endpoints, residual encoding, fleet
-# timeouts, checkpoint policy) — those trade nothing but time and placement —
-# but never these: the continuation would no longer be the same run.
+# change anything else (workers, residual encoding, checkpoint policy) —
+# those trade nothing but time and placement — but never these: the
+# continuation would no longer be the same run.
 TRAJECTORY_FIELDS = (
     "engine",
     "schedule",

@@ -460,11 +460,7 @@ def run_dynamics(
         and the proposal-cache counters are bit-identical for every
         worker count; the sequential schedule scores one agent per
         activation and gains nothing from ``workers``.  Requires
-        ``engine="incremental"``.  The batched evaluations can also run on
-        a *remote* backend — set ``config.backend="remote"`` with
-        ``config.endpoints`` pointing at ``repro worker serve`` processes
-        (see :mod:`repro.core.remote`); trajectories stay bit-identical to
-        every local configuration.
+        ``engine="incremental"``.
     repair_threshold:
         Decremental-repair frontier bound of the incremental engine (see
         :class:`~repro.core.incremental.IncrementalEngine`).
@@ -566,7 +562,8 @@ def _run_session_loop(
     exhausted runs never write a trailing stale checkpoint.  Independent of
     the cadence, a terminal evaluator failure flushes an *emergency*
     checkpoint of the last completed round boundary before the exception
-    propagates, so even a ``failover="strict"`` abort resumes losslessly.
+    propagates, so even a run whose in-process rescue failed too resumes
+    losslessly.
     """
     profile = initial
     n = game.n
@@ -875,8 +872,8 @@ def _run_session_loop(
     try:
         result = run_rounds()
     except (EvaluatorError, OSError):
-        # Terminal evaluator failure (strict mode, or a ladder whose last
-        # rung somehow failed): flush the emergency checkpoint so the run
+        # Terminal evaluator failure (a broken pool whose in-process rescue
+        # failed too): flush the emergency checkpoint so the run
         # resumes from its last completed round boundary, then re-raise —
         # the checkpoint write must never mask the real failure.
         if emergency is not None:

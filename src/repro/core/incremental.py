@@ -139,13 +139,12 @@ class IncrementalEngine:
     Alternatively, a caller that manages pool lifetime itself — a
     :class:`~repro.core.session.GameSession` sharing one pool across many
     runs — can inject an ``evaluator``: any
-    :class:`~repro.core.parallel.EvaluatorBackend`, i.e. a shared-memory
-    :class:`~repro.core.parallel.ParallelEvaluator` or a socket-connected
-    :class:`~repro.core.remote.RemoteEvaluator`.  The engine then uses
+    :class:`~repro.core.parallel.EvaluatorBackend`, such as a shared-memory
+    :class:`~repro.core.parallel.ParallelEvaluator`.  The engine then uses
     (but does **not** own) it: :meth:`close` leaves injected evaluators
     running, so per-run engine teardown can never destroy a session's
     shared pool, and an injected backend is dispatched to whatever its
-    fan-out degree (even a single remote endpoint).  :meth:`reset`
+    fan-out degree.  :meth:`reset`
     re-points the engine at a new profile with fresh caches and stats
     while keeping the evaluator, which is what makes session runs
     bit-identical to one-shot engines.
@@ -428,9 +427,8 @@ class IncrementalEngine:
         tasks = [
             (u, dr, self._profile.strategy(u)) for u, dr in zip(agents, d_rests)
         ]
-        # An injected evaluator is used whatever its fan-out degree (a
-        # remote backend is worth dispatching to even with one endpoint);
-        # a pool is only worth *creating* for workers > 1.
+        # An injected evaluator is used whatever its fan-out degree; a pool
+        # is only worth *creating* for workers > 1.
         use_backend = self._evaluator is not None or self._workers > 1
         if not use_backend or len(agents) < 2:
             return score_tasks(

@@ -13,10 +13,8 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     over ``(agent, d_rest, strategy)`` tasks, ``close()``, plus the
     ``workers``/``is_running``/``pools_started``/``stats`` introspection
     surface.  :class:`ParallelEvaluator` (this module) fans out to worker
-    processes on one machine over shared memory;
-    :class:`repro.core.remote.RemoteEvaluator` fans out to worker
-    *servers* over sockets.  Both are drop-in engine injections — see the
-    ownership rules below.
+    processes on one machine over shared memory; it is a drop-in engine
+    injection — see the ownership rules below.
 
 ``SharedSnapshot``
     The shared-memory encoding of one evaluation snapshot.  Two
@@ -59,8 +57,8 @@ Snapshot invariants:
 * matrices are C-contiguous ``float64`` — the copy into the slot is an
   exact bitwise copy, so worker-side arithmetic sees the same numbers.
 
-Ownership rules (shared with :mod:`repro.core.remote`): whoever *creates*
-an evaluator closes it, and nobody else.  An
+Ownership rules: whoever *creates* an evaluator closes it, and nobody
+else.  An
 :class:`~repro.core.incremental.IncrementalEngine` that lazily built its
 own evaluator tears it down in ``close()``; an engine that received an
 *injected* evaluator (from a :class:`~repro.core.session.GameSession`
@@ -118,12 +116,9 @@ RESIDUAL_ENCODINGS = ("dense", "delta")
 class EvaluatorError(RuntimeError):
     """A backend failed a batch terminally (its own recovery is exhausted).
 
-    Root of the evaluator failure hierarchy:
-    :class:`PoolBrokenError` (local shared-memory pool) and
-    :class:`repro.core.remote.RemoteEvaluatorError` (socket fleet) both
-    derive from it, so the session's failover ladder — and any caller
-    implementing its own policy — can catch one type to mean "this rung
-    is down, try the next one".
+    Root of the evaluator failure hierarchy: :class:`PoolBrokenError`
+    derives from it, and the dynamics loop catches it to flush the
+    emergency checkpoint before the failure propagates.
     """
 
 
@@ -142,35 +137,18 @@ class PoolBrokenError(EvaluatorError):
 class EvaluatorStats:
     """What an evaluator backend did over its lifetime.
 
-    ``pools_started`` counts worker-pool launches (local backend) or
-    connection-set establishments (remote backend) — 0 until the first
-    ``evaluate``, above 1 only when the evaluator was revived after a
-    ``close``.  ``batches``/``tasks`` count ``evaluate`` calls and the
-    tasks they carried.  ``bytes_sent`` counts snapshot payload bytes the
-    client wrote toward the workers — slot writes for the shared-memory
-    backend (a dense matrix counts its ``n * n * 8`` bytes, a packed
-    residual delta counts its packed size), socket frames for the remote
-    backend — so the dense/delta encodings are directly comparable on
-    either transport; ``bytes_received`` is nonzero only for the socket
-    transport (shared-memory results are not byte-accounted).
+    ``pools_started`` counts worker-pool launches — 0 until the first
+    ``evaluate``, above 1 when a broken pool was rebuilt or the evaluator
+    was revived after a ``close``.  ``batches``/``tasks`` count
+    ``evaluate`` calls and the tasks they carried.  ``bytes_sent`` counts
+    the slot bytes written toward the workers: a dense matrix counts its
+    ``n * n * 8`` bytes, a packed residual delta its packed size, so the
+    dense/delta encodings are directly comparable.
 
-    The fleet-health fields describe the remote backend's endpoints and
-    stay at their defaults for the local backend (whose workers share the
-    client's fate — there is no partial failure to count): ``failures``
-    counts endpoint drops and failed (re)connect attempts, ``retries``
-    counts shard re-dispatches after a mid-batch endpoint failure,
-    ``reconnects`` counts endpoints that rejoined after having been
-    connected before, and ``endpoints_alive``/``endpoints_total`` snapshot
-    the fleet at stats time; ``endpoint_failures``/``endpoint_retries``
-    break the first two down per ``"host:port"`` address.
-
-    The degradation fields describe the failover ladder and the circuit
-    breaker (all zero on a healthy run): ``fallbacks`` counts rung
-    descents (remote → local pool → serial), ``promotions`` counts climbs
-    back up after a successful re-probe, ``breaker_trips`` counts
-    endpoints moved to the tripped state, and ``endpoint_backoff`` maps
-    each ``host:port`` to the seconds remaining until its next probe
-    (0.0 when not tripped).
+    ``failures`` counts broken pools, ``retries`` the chunk re-submissions
+    after an in-place rebuild, and ``fallbacks`` the batches the session
+    re-ran in process after the pool broke beyond that rebuild (all zero
+    on a healthy run).
     """
 
     backend: str
@@ -178,18 +156,9 @@ class EvaluatorStats:
     tasks: int
     pools_started: int
     bytes_sent: int = 0
-    bytes_received: int = 0
     failures: int = 0
     retries: int = 0
-    reconnects: int = 0
-    endpoints_alive: int = 0
-    endpoints_total: int = 0
-    endpoint_failures: tuple[tuple[str, int], ...] = ()
-    endpoint_retries: tuple[tuple[str, int], ...] = ()
     fallbacks: int = 0
-    promotions: int = 0
-    breaker_trips: int = 0
-    endpoint_backoff: tuple[tuple[str, float], ...] = ()
 
 
 @runtime_checkable
@@ -203,25 +172,25 @@ class EvaluatorBackend(Protocol):
     trajectories indistinguishable from the serial engine.  The residual
     matrices and all :class:`~repro.core.incremental.EngineStats`
     accounting stay in the calling process; a backend only ever sees the
-    finished snapshot.  Known implementations:
-    :class:`ParallelEvaluator` (shared-memory worker processes) and
-    :class:`repro.core.remote.RemoteEvaluator` (socket-connected worker
-    servers).
+    finished snapshot.  The known implementation is
+    :class:`ParallelEvaluator` (shared-memory worker processes).
     """
 
-    pools_started: int
-    """Pool launches / connection-set establishments (0 until the first
-    ``evaluate``); :class:`~repro.core.session.SessionStats` reads this to
-    prove a sweep paid start-up exactly once."""
+    @property
+    def pools_started(self) -> int:
+        """Pool launches (0 until the first ``evaluate``);
+        :class:`~repro.core.session.SessionStats` reads this to prove a
+        sweep paid start-up exactly once."""
+        ...
 
     @property
     def workers(self) -> int:
-        """Degree of fan-out (worker processes or connected endpoints)."""
+        """Degree of fan-out (worker processes)."""
         ...
 
     @property
     def is_running(self) -> bool:
-        """True while the pool / connection set is alive."""
+        """True while the pool is alive."""
         ...
 
     @property

@@ -5,11 +5,10 @@ matrix: the decremental repair that produces them
 (:func:`repro.core.shortest_paths.decremental_distances`) rewrites only the
 rows and columns of the affected sources, so two residuals of the same
 round typically differ in ``O(k)`` symmetric row/column pairs out of ``n``.
-Shipping each of them as a dense ``(n, n)`` float64 block through the
-shared-memory slots (:mod:`repro.core.parallel`) or the wire frames
-(:mod:`repro.core.remote`) therefore wastes ``O(n^2)`` bytes per matrix on
-data the receiver already holds.  This module is the codec both transports
-share:
+Writing each of them as a dense ``(n, n)`` float64 block into the
+shared-memory slots (:mod:`repro.core.parallel`) therefore wastes
+``O(n^2)`` bytes per matrix on data the workers already hold.  This module
+is the pool's slot codec:
 
 ``encode_delta`` / ``decode_delta``
     Encode a matrix as ``(changed row index set, packed changed rows)``
@@ -22,9 +21,9 @@ share:
     grows the row set until every row outside it is bitwise
     column-consistent with the packed block, so decoding is exact for any
     input.  Reconstruction is bit-exact: the packed rows are
-    verbatim float64 copies, never re-derived, so delta-encoded transports
-    stay byte-identical to dense ones (the cross-oracle sweep in
-    ``tests/test_residual_delta.py`` asserts this across backends).
+    verbatim float64 copies, never re-derived, so the delta-encoded pool
+    stays byte-identical to the dense one (the cross-oracle sweep in
+    ``tests/test_residual_delta.py`` asserts this).
 
 ``changed_rows``
     The row auto-detection behind ``encode_delta``: the changed entries
@@ -40,8 +39,8 @@ share:
     is why the cover formulation matters.
 
 ``pack_delta`` / ``unpack_delta``
-    The byte layout used verbatim by both transports, pinned byte-for-byte
-    by the golden wire-format test: an 8-byte little-endian unsigned row
+    The byte layout written verbatim into a pool slot, pinned byte-for-byte
+    by the golden layout test: an 8-byte little-endian unsigned row
     count, the sorted row indices as little-endian int64, then the changed
     rows as C-order little-endian float64.  All sections are 8-byte aligned
     so a receiver can build zero-copy views over the payload.
@@ -273,7 +272,7 @@ def decode_delta(base: np.ndarray, delta: ResidualDelta) -> np.ndarray:
 
 
 def pack_delta(delta: ResidualDelta) -> bytes:
-    """Serialize a delta to the pinned transport layout (see module docs)."""
+    """Serialize a delta to the pinned slot layout (see module docs)."""
     return (
         _COUNT.pack(delta.num_rows)
         + np.ascontiguousarray(delta.rows, dtype=_ROW_DTYPE).tobytes()
@@ -284,7 +283,7 @@ def pack_delta(delta: ResidualDelta) -> bytes:
 def delta_if_smaller(base: np.ndarray, matrix: np.ndarray) -> bytes | None:
     """The packed delta of ``matrix`` against ``base`` if it beats the dense matrix.
 
-    The one dense-vs-delta rule of both transports: a delta ships only
+    The one dense-vs-delta rule of the slot writer: a delta ships only
     when its packed size is strictly below the ``n * n * 8`` bytes of the
     dense matrix, otherwise the caller ships ``matrix`` dense (``None``).
     At ``n - 1`` changed rows the two sizes are equal and dense wins.
@@ -300,7 +299,7 @@ def unpack_delta(payload: bytes | bytearray | memoryview, n: int) -> ResidualDel
     """Parse a packed delta for an ``(n, n)`` matrix; zero-copy over ``payload``.
 
     Validates the exact payload size and the row-index invariants (sorted,
-    unique, in range) so a corrupted frame fails loudly instead of decoding
+    unique, in range) so a corrupted payload fails loudly instead of decoding
     into a silently wrong matrix.  The returned arrays view ``payload``
     where the buffer protocol allows it — callers keeping the delta beyond
     the payload's lifetime must copy.

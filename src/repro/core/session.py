@@ -41,13 +41,11 @@ creates, the call closes) while session users amortize the pool across all
 runs of an instance.  A run through a session is *bit-identical* — same
 trajectory, same :class:`~repro.core.incremental.EngineStats` — to the same
 run through the legacy keywords, because the session resets (never reuses)
-engine state between runs; only the worker pool survives.  The session is
-also the backend plug-in point: ``config.backend`` selects the evaluator
-implementation injected into every per-run engine — ``"local"`` (a
-:class:`~repro.core.parallel.ParallelEvaluator` worker pool when
-``workers > 1``) or ``"remote"`` (a
-:class:`~repro.core.remote.RemoteEvaluator` over ``config.endpoints``
-worker servers) — without touching any entry point.
+engine state between runs; only the worker pool survives.  With
+``workers > 1`` the session injects one
+:class:`~repro.core.parallel.ParallelEvaluator` worker pool into every
+per-run engine; a pool that breaks beyond its one in-place rebuild is
+rescued by in-process scoring, bit-identically.
 
 Ownership rules (the invariants every layer must preserve):
 
@@ -55,12 +53,12 @@ Ownership rules (the invariants every layer must preserve):
    else.**  A one-shot entry point builds its own session and cleans up on
    return; a run through an explicit session closes nothing.
 2. **Engines only close evaluators they created.**  A session-injected
-   evaluator (local pool or remote connection set) survives
+   evaluator (the shared worker pool) survives
    :meth:`~repro.core.incremental.IncrementalEngine.close`; per-run engine
    teardown must never churn the session's pool.
 3. **Sessions reset — never rebuild — engine state between runs**, so a
    session run is bit-identical (trajectory *and* stats) to a one-shot
-   run; only pool/connection start-up is amortized.
+   run; only pool start-up is amortized.
 """
 
 from __future__ import annotations
@@ -92,19 +90,17 @@ from .incremental import EngineStats, IncrementalEngine
 from .parallel import (
     RESIDUAL_ENCODINGS,
     EvaluatorBackend,
-    EvaluatorError,
     EvaluatorStats,
     ParallelEvaluator,
-    default_workers,
+    PoolBrokenError,
 )
 from .poa import PoAEstimate, _initial_profiles
 from .social_optimum import social_optimum
 from .strategy import StrategyProfile
 
-if TYPE_CHECKING:  # import cycle: remote imports parallel which peers here
+if TYPE_CHECKING:
     from .best_response import BestResponseResult
     from .faults import FaultPlan
-    from .remote import BreakerPolicy
 
 __all__ = [
     "SimulationConfig",
@@ -139,51 +135,44 @@ _ENGINES = ("exact", "incremental")
 _SCHEDULES = ("sequential", "batched")
 _RESPONSES = ("best", "greedy", "single")
 _ORDERS = ("round_robin", "random", "max_gain")
-_BACKENDS = ("local", "remote")
-_FAILOVERS = ("ladder", "strict")
 
 # Config fields a session cannot change per run: they shape the owned
 # engine and worker pool, so changing them needs a fresh session.  A
 # per-run "override" that equals the session's value is accepted (no-op).
-_SESSION_SCOPED = (
-    "engine",
-    "workers",
-    "repair_threshold",
-    "backend",
-    "endpoints",
-    "residual_encoding",
-    "batch_timeout",
-    "max_retries",
-    "failover",
-    "auth_token",
-    "breaker_trip_after",
-    "breaker_base_delay",
-    "breaker_max_delay",
-    "breaker_jitter",
-)
+_SESSION_SCOPED = ("engine", "workers", "repair_threshold", "residual_encoding")
 
-# Fields whose None means "unset" (the entry point's or the backend's
-# default), with the type any other value is coerced to.
+# Fields whose None means "unset" (the entry point's default), with the
+# type any other value is coerced to.
 _OPTIONAL_FIELD_TYPES: tuple[tuple[str, Callable[[Any], Any]], ...] = (
     ("max_rounds", int),
     ("seed", int),
-    ("batch_timeout", float),
-    ("max_retries", int),
-    ("auth_token", str),
-    ("breaker_trip_after", int),
-    ("breaker_base_delay", float),
-    ("breaker_max_delay", float),
-    ("breaker_jitter", float),
     ("checkpoint_every", int),
     ("checkpoint_path", lambda path: str(os.fspath(path))),
 )
 
+# Marks a retired field that is dropped whatever its value.
+_ANY_VALUE = object()
+
 # Fields older releases wrote into every dumped config and checkpoint and
-# that no longer exist.  from_dict drops them, whatever their value, so
-# those files still load; every other unknown key is still an error.  The
-# one retired field chose between one and two shared-memory slot banks;
-# the pool now always runs one.
-RETIRED_FIELDS = ("buffering",)
+# that no longer exist, each mapped to the default those files hold.
+# from_dict drops a retired key that holds its old default, so the files
+# still load; any other value asked for behaviour that is gone and raises.
+# ``buffering`` chose between one and two shared-memory slot banks, which
+# scored identically, so any value is dropped.  The other ten configured
+# the remote evaluator fleet and its failover ladder.
+RETIRED_FIELDS: dict[str, Any] = {
+    "buffering": _ANY_VALUE,
+    "backend": "local",
+    "endpoints": [],
+    "batch_timeout": None,
+    "max_retries": None,
+    "failover": "ladder",
+    "auth_token": None,
+    "breaker_trip_after": None,
+    "breaker_base_delay": None,
+    "breaker_max_delay": None,
+    "breaker_jitter": None,
+}
 
 # Entry-point round budgets applied when ``max_rounds`` is None ("not
 # configured"): plain dynamics runs keep run_dynamics' historical 100,
@@ -237,25 +226,17 @@ class SimulationConfig:
     ``seed=None`` means "the fixed default stream" (seed 0 — never OS
     entropy, so two equal configs always replay identical trajectories).
 
-    ``backend`` selects the batch-evaluator implementation: ``"local"``
-    (default) scores in-process, or — with ``workers > 1`` — on a
-    shared-memory worker pool; ``"remote"`` scores on ``endpoints`` —
-    ``"host:port"`` addresses of running ``repro worker serve`` processes
-    — over sockets.
-    All backends replay bit-identical trajectories; they trade nothing but
-    time and placement.
-
     ``residual_encoding`` selects how residual matrices reach the workers:
-    ``"dense"`` (default) ships every distinct matrix verbatim, while
-    ``"delta"`` ships the first distinct matrix of each chunk/shard dense
-    and every later one as a packed delta of its changed rows against that
+    ``"dense"`` (default) writes every distinct matrix verbatim, while
+    ``"delta"`` writes the first distinct matrix of each chunk dense and
+    every later one as a packed delta of its changed rows against that
     base (:mod:`repro.core.residual_delta`), falling back to dense
     whenever the delta would not be smaller.  Workers relax from ``base +
     changed rows`` without materializing dense copies, so trajectories
     and stats stay bit-identical to ``"dense"`` while localized dynamics
-    move O(k·n) bytes per matrix instead of O(n²) — the knob that unlocks
-    n ≥ 1000.  It shapes both the shared-memory slots and the wire
-    frames; the in-process serial path has no transport and ignores it.
+    move O(k·n) bytes per matrix instead of O(n²).  It shapes the
+    shared-memory slots; the in-process serial path has no transport and
+    ignores it.
 
     ``checkpoint_every``/``checkpoint_path`` set the run's checkpoint
     policy (see :mod:`repro.core.checkpoint`): every
@@ -267,47 +248,8 @@ class SimulationConfig:
     error.  A checkpointed run resumed via :meth:`GameSession.resume`,
     :func:`resume_dynamics` or ``repro resume`` continues byte-identically
     — trajectories, converged costs and stats — even in a fresh process and
-    even onto a different backend or worker count, and honors the
-    *remaining* round budget, never a restarted one.
-
-    ``batch_timeout`` and ``max_retries`` tune the remote fleet's failure
-    handling (see :class:`~repro.core.remote.RemoteEvaluator`):
-    ``batch_timeout`` is the per-socket-operation inactivity deadline in
-    seconds that turns a hung worker into a recoverable endpoint failure,
-    and ``max_retries`` bounds the shard re-dispatch rounds per batch after
-    mid-batch endpoint failures.  Both default to ``None`` — "the backend's
-    default" (120 s and 2) — and are only meaningful with
-    ``backend="remote"``.  Because failed shards re-run the same pure tasks
-    and results are gathered in submission order, retries never change a
-    trajectory — only whether the sweep survives a dying worker.
-
-    ``failover`` sets the policy for a batch that fails *terminally* on
-    the configured backend (every endpoint dead and retries exhausted, or
-    the local pool broken beyond its one rebuild): ``"ladder"`` (default)
-    wraps the backend in the session's degradation ladder — remote →
-    local shared-memory pool → in-process serial — which finishes the
-    batch on the next rung and keeps going (scoring tasks are pure and
-    gathered in submission order, so the trajectory is bit-identical on
-    every rung), re-probing dead endpoints on the circuit breaker's
-    capped exponential backoff and promoting back up at a batch boundary
-    once a probe succeeds; ``"strict"`` preserves the fail-fast behavior —
-    the terminal failure propagates (after the emergency checkpoint, when
-    checkpointing is configured).  ``auth_token`` arms the protocol-3
-    shared-secret handshake against the worker fleet (each worker must run
-    with the same ``--auth-token``); it is remote-only and, note, stored
-    in plaintext by ``to_dict`` — i.e. in config files and checkpoints.
-
-    ``breaker_trip_after``/``breaker_base_delay``/``breaker_max_delay``/
-    ``breaker_jitter`` pin the degradation ladder's circuit breaker (see
-    :class:`~repro.core.remote.BreakerPolicy`): how many consecutive
-    failures trip an endpoint, the starting/capped backoff delay of its
-    re-probes, and the deterministic jitter factor applied on top.  Each
-    defaults to ``None`` — "the policy's default" (1 / 0.25 s / 30 s /
-    0.1) — and they require ``backend="remote"`` with
-    ``failover="ladder"`` (``"strict"`` deliberately runs without a
-    breaker, preserving fail-fast re-attempts).  Backoff timing only
-    schedules *probes of dead endpoints*; tasks are pure and gathered in
-    submission order, so no breaker setting can change a trajectory.
+    even onto a different worker count or residual encoding, and honors
+    the *remaining* round budget, never a restarted one.
     """
 
     engine: str = "incremental"
@@ -319,19 +261,9 @@ class SimulationConfig:
     max_rounds: int | None = None
     max_candidates: int = 22
     seed: int | None = 0
-    backend: str = "local"
-    endpoints: tuple[str, ...] = ()
     residual_encoding: str = "dense"
-    batch_timeout: float | None = None
-    max_retries: int | None = None
     checkpoint_every: int | None = None
     checkpoint_path: str | None = None
-    failover: str = "ladder"
-    auth_token: str | None = None
-    breaker_trip_after: int | None = None
-    breaker_base_delay: float | None = None
-    breaker_max_delay: float | None = None
-    breaker_jitter: float | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
@@ -340,14 +272,10 @@ class SimulationConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.response not in _RESPONSES:
             raise ValueError(f"unknown response kind {self.response!r}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.residual_encoding not in RESIDUAL_ENCODINGS:
             raise ValueError(
                 f"unknown residual_encoding {self.residual_encoding!r}"
             )
-        if self.failover not in _FAILOVERS:
-            raise ValueError(f"unknown failover policy {self.failover!r}")
         # Coercion failures (e.g. {"workers": null} or {"order": 5} in a JSON
         # config file) must surface as ValueError — the error type callers
         # like the CLI catch — never as a raw TypeError traceback.
@@ -364,18 +292,8 @@ class SimulationConfig:
                 value = getattr(self, name)
                 if value is not None:
                     object.__setattr__(self, name, convert(value))
-            endpoints = self.endpoints
-            if isinstance(endpoints, str):  # a lone "host:port" is accepted
-                endpoints = (endpoints,)
-            object.__setattr__(
-                self, "endpoints", tuple(str(e) for e in endpoints)
-            )
         except TypeError as exc:
             raise ValueError(f"invalid SimulationConfig field value: {exc}") from exc
-        from .remote import parse_endpoint
-
-        for endpoint in self.endpoints:
-            parse_endpoint(endpoint)  # ValueError on anything but host:port
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.repair_threshold < 0:
@@ -390,62 +308,6 @@ class SimulationConfig:
                 "recomputes from scratch per agent and has no shared snapshot "
                 "to evaluate against"
             )
-        if self.backend == "remote":
-            if not self.endpoints:
-                raise ValueError(
-                    "backend='remote' requires endpoints: list the "
-                    "'host:port' addresses of running 'repro worker serve' "
-                    "processes"
-                )
-            if self.engine != "incremental":
-                raise ValueError(
-                    "backend='remote' requires engine='incremental': only "
-                    "the incremental engine produces the residual snapshots "
-                    "the workers score against"
-                )
-            if self.workers != 1:
-                raise ValueError(
-                    "backend='remote' fans out to the endpoint workers; "
-                    "'workers' sizes the local shared-memory pool and must "
-                    "stay 1 under the remote backend"
-                )
-        elif self.endpoints:
-            raise ValueError(
-                "endpoints are only meaningful with backend='remote'"
-            )
-        if self.batch_timeout is not None and self.batch_timeout <= 0:
-            raise ValueError(
-                "batch_timeout must be positive: it is the per-socket-"
-                "operation inactivity deadline in seconds"
-            )
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backend != "remote" and (
-            self.batch_timeout is not None or self.max_retries is not None
-        ):
-            raise ValueError(
-                "batch_timeout/max_retries tune the remote fleet's failure "
-                "handling and are only meaningful with backend='remote'"
-            )
-        if self.backend != "remote" and self.auth_token is not None:
-            raise ValueError(
-                "auth_token arms the remote handshake and is only "
-                "meaningful with backend='remote'"
-            )
-        if self.breaker_overrides():
-            if self.backend != "remote" or self.failover != "ladder":
-                raise ValueError(
-                    "breaker_* fields tune the degradation ladder's circuit "
-                    "breaker and are only meaningful with backend='remote' "
-                    "and failover='ladder' (strict mode deliberately runs "
-                    "without a breaker)"
-                )
-            # Range and cross-field validation (trip_after >= 1,
-            # 0 < base_delay <= max_delay, jitter >= 0) lives in one
-            # place: the policy's own constructor.
-            from .remote import BreakerPolicy
-
-            BreakerPolicy(seed=0, **self.breaker_overrides())
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_path is None:
@@ -505,7 +367,6 @@ class SimulationConfig:
         data = dataclasses.asdict(self)
         if not isinstance(self.order, str):
             data["order"] = list(self.order)
-        data["endpoints"] = list(self.endpoints)
         return data
 
     @classmethod
@@ -513,13 +374,25 @@ class SimulationConfig:
         """Build a validated config from a dict (e.g. parsed from JSON).
 
         Unknown keys are rejected so a typo in a config file fails loudly
-        instead of silently falling back to a default; only the
-        :data:`RETIRED_FIELDS` of older configs and checkpoints are dropped.
+        instead of silently falling back to a default.  The
+        :data:`RETIRED_FIELDS` of older configs and checkpoints are dropped
+        when they hold their old default; any other value raises, naming
+        the field.
         """
         if not isinstance(data, Mapping):
             raise ValueError(
                 f"config must be a mapping of field names, got {type(data).__name__}"
             )
+        for key, old_default in RETIRED_FIELDS.items():
+            value = data.get(key, old_default)
+            if old_default is not _ANY_VALUE and value != old_default:
+                raise ValueError(
+                    f"SimulationConfig field {key!r} configured "
+                    "the remote evaluator backend and its failover, which "
+                    f"were removed (only the old default {old_default!r} "
+                    "still loads); score on the local worker pool with "
+                    "workers=N instead"
+                )
         data = {key: value for key, value in data.items() if key not in RETIRED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -542,229 +415,56 @@ class SimulationConfig:
         """The config's default per-run generator (fixed seed, never OS entropy)."""
         return np.random.default_rng(self.root_seed())
 
-    # ------------------------------------------------------------------
-    # Failover breaker policy
-    # ------------------------------------------------------------------
-    def breaker_overrides(self) -> dict[str, Any]:
-        """The breaker fields this config explicitly pins (``None`` = default)."""
-        overrides: dict[str, Any] = {}
-        if self.breaker_trip_after is not None:
-            overrides["trip_after"] = self.breaker_trip_after
-        if self.breaker_base_delay is not None:
-            overrides["base_delay"] = self.breaker_base_delay
-        if self.breaker_max_delay is not None:
-            overrides["max_delay"] = self.breaker_max_delay
-        if self.breaker_jitter is not None:
-            overrides["jitter"] = self.breaker_jitter
-        return overrides
-
-    def breaker_policy(self) -> "BreakerPolicy":
-        """The ladder's circuit-breaker policy this config resolves to.
-
-        Seeded from :meth:`root_seed`, so backoff jitter is as reproducible
-        as everything else the config derives from its seed.
-        """
-        from .remote import BreakerPolicy
-
-        return BreakerPolicy(seed=self.root_seed(), **self.breaker_overrides())
-
     def spawn_seeds(self, count: int) -> list[int]:
         """``count`` independent child seeds of the config's root seed (see :func:`spawn_seeds`)."""
         return spawn_seeds(self.root_seed(), count)
 
 
-class _SerialEvaluator:
-    """The ladder's last rung: in-process serial scoring, nothing to fail.
+class _RescuedPool:
+    """The session's shared evaluator: the worker pool, rescued in process.
 
-    Scores the ``(agent, d_rest, strategy)`` tasks with
-    :func:`~repro.core.best_response.score_tasks`, the loop the engine's
-    in-process path and the socket workers run, so results are
-    bit-identical to every other backend.  It holds no processes and no
-    sockets — the rung of last resort can always finish the batch.
-    """
+    Wraps the session's :class:`~repro.core.parallel.ParallelEvaluator`.
+    A batch the pool cannot finish — it broke again after its one in-place
+    rebuild (:class:`~repro.core.parallel.PoolBrokenError`) or the OS
+    refused it a resource (``OSError``) — is re-run whole on in-process
+    :func:`~repro.core.best_response.score_tasks`, and so is every later
+    batch: a pool that broke twice is not trusted again.  Scoring tasks are
+    pure and results gather in submission order, so the re-run is
+    bit-identical and the trajectory never notices.
 
-    __slots__ = ("_weights", "_alpha", "pools_started", "_batches", "_tasks")
-
-    def __init__(self, game: NetworkCreationGame) -> None:
-        self._weights = game.host.weights
-        self._alpha = game.alpha
-        self.pools_started = 0
-        self._batches = 0
-        self._tasks = 0
-
-    @property
-    def workers(self) -> int:
-        return 1
-
-    @property
-    def is_running(self) -> bool:
-        return False
-
-    @property
-    def stats(self) -> EvaluatorStats:
-        return EvaluatorStats(
-            backend="serial",
-            batches=self._batches,
-            tasks=self._tasks,
-            pools_started=self.pools_started,
-        )
-
-    def evaluate(
-        self,
-        tasks: Iterable[tuple[int, np.ndarray, Sequence[int]]],
-        response: str = "best",
-        *,
-        max_candidates: int = 22,
-    ) -> "list[BestResponseResult]":
-        results = score_tasks(
-            tasks, self._weights, self._alpha, response, max_candidates=max_candidates
-        )
-        self._batches += 1
-        self._tasks += len(results)
-        return results
-
-    def close(self) -> None:
-        return None
-
-
-def _build_backend(
-    game: NetworkCreationGame, cfg: "SimulationConfig", kind: str
-) -> Any:
-    """Build one evaluator backend of ``kind`` for ``cfg``.
-
-    ``kind`` is ``"remote"`` (a :class:`~repro.core.remote.RemoteEvaluator`
-    over the config's endpoints), ``"local"`` (a shared-memory
-    :class:`~repro.core.parallel.ParallelEvaluator`: ``cfg.workers``
-    processes when it is the configured backend, every CPU when it is the
-    fallback below a remote primary) or ``"serial"`` (the ladder's last
-    rung).  The one place a session turns its config into a backend, for
-    the failover ladder's rungs and for the bare ``failover="strict"``
-    backend alike.
-    """
-    if kind == "remote":
-        from .remote import RemoteEvaluator
-
-        # None means "the backend's default": only pin what the config
-        # actually set, so backend defaults stay in one place.  Strict
-        # failover deliberately runs without a circuit breaker.
-        fleet_kwargs: dict[str, Any] = {}
-        if cfg.batch_timeout is not None:
-            fleet_kwargs["batch_timeout"] = cfg.batch_timeout
-        if cfg.max_retries is not None:
-            fleet_kwargs["max_retries"] = cfg.max_retries
-        if cfg.auth_token is not None:
-            fleet_kwargs["auth_token"] = cfg.auth_token
-        if cfg.failover == "ladder":
-            fleet_kwargs["breaker"] = cfg.breaker_policy()
-        return RemoteEvaluator.for_game(
-            game,
-            endpoints=cfg.endpoints,
-            residual_encoding=cfg.residual_encoding,
-            **fleet_kwargs,
-        )
-    if kind == "local":
-        return ParallelEvaluator.for_game(
-            game,
-            workers=cfg.workers if cfg.backend == "local" else default_workers(),
-            residual_encoding=cfg.residual_encoding,
-        )
-    return _SerialEvaluator(game)
-
-
-class _FailoverLadder:
-    """Supervised evaluator stack: remote → local pool → in-process serial.
-
-    The ladder wraps the configured backend (the *primary* rung) and owns
-    its fallbacks, built lazily and only on first descent.  A batch that
-    fails terminally on the current rung — every endpoint dead and retries
-    exhausted (:class:`~repro.core.remote.RemoteEvaluatorError` /
-    ``OSError``), or the local pool broken beyond its one rebuild
-    (:class:`~repro.core.parallel.PoolBrokenError`) — is re-run whole on
-    the next rung down; scoring tasks are pure and results gather in
-    submission order, so the re-run is bit-identical and the trajectory
-    never notices the swap.  While degraded below a remote primary, every
-    batch boundary polls :meth:`~repro.core.remote.RemoteEvaluator.revive`
-    (which honors the circuit breaker's backoff, so the poll is free until
-    a probe is due) and promotes back to the primary as soon as a probe
-    succeeds.
-
-    Stats keep the primary rung's ``backend`` label and sum the volume
-    counters (``batches``/``tasks``/``pools_started``/``failures``/
-    ``retries``) across rungs; ``fallbacks``/``promotions`` count the
-    ladder's own moves.  Unknown attributes (``add_endpoint``,
-    ``check_endpoints`` and the rest of the fleet-management surface)
-    pass through to the primary rung, so ``GameSession.evaluator`` keeps
-    its documented API under the ladder.
+    Stats are the pool's, with the rescued batches and tasks added and
+    ``fallbacks`` counting the descent.
     """
 
     def __init__(self, game: NetworkCreationGame, cfg: "SimulationConfig") -> None:
         self._game = game
-        self._cfg = cfg
-        self._kinds = (
-            ("remote", "local", "serial")
-            if cfg.backend == "remote"
-            else ("local", "serial")
+        self.pool = ParallelEvaluator.for_game(
+            game, workers=cfg.workers, residual_encoding=cfg.residual_encoding
         )
-        self._rungs: list[Any] = [None] * len(self._kinds)
-        self._level = 0
         self.fallbacks = 0
-        self.promotions = 0
-        self._fault_hook: Callable[[ParallelEvaluator, int], None] | None = None
-        self._rung(0)  # the primary is the configured backend: built eagerly
-
-    def _rung(self, level: int) -> Any:
-        if self._rungs[level] is None:
-            rung = _build_backend(self._game, self._cfg, self._kinds[level])
-            if self._fault_hook is not None and isinstance(rung, ParallelEvaluator):
-                rung.fault_hook = self._fault_hook
-            self._rungs[level] = rung
-        return self._rungs[level]
-
-    @property
-    def level(self) -> int:
-        """Current rung index: 0 = primary backend, higher = degraded."""
-        return self._level
-
-    @property
-    def fault_hook(self) -> "Callable[[ParallelEvaluator, int], None] | None":
-        """Test-only injection seam, propagated to every pool rung."""
-        return self._fault_hook
-
-    @fault_hook.setter
-    def fault_hook(
-        self, hook: "Callable[[ParallelEvaluator, int], None] | None"
-    ) -> None:
-        self._fault_hook = hook
-        for rung in self._rungs:
-            if isinstance(rung, ParallelEvaluator):
-                rung.fault_hook = hook
+        self._rescued_batches = 0
+        self._rescued_tasks = 0
 
     @property
     def workers(self) -> int:
-        return self._rungs[self._level].workers
+        return 1 if self.fallbacks else self.pool.workers
 
     @property
     def is_running(self) -> bool:
-        return any(r.is_running for r in self._rungs if r is not None)
+        return self.pool.is_running
 
     @property
     def pools_started(self) -> int:
-        return sum(r.pools_started for r in self._rungs if r is not None)
+        return self.pool.pools_started
 
     @property
     def stats(self) -> EvaluatorStats:
-        built = [r for r in self._rungs if r is not None]
+        stats = self.pool.stats
         return dataclasses.replace(
-            built[0].stats,
-            batches=sum(r.stats.batches for r in built),
-            tasks=sum(r.stats.tasks for r in built),
-            pools_started=self.pools_started,
-            bytes_sent=sum(r.stats.bytes_sent for r in built),
-            bytes_received=sum(r.stats.bytes_received for r in built),
-            failures=sum(r.stats.failures for r in built),
-            retries=sum(r.stats.retries for r in built),
+            stats,
+            batches=stats.batches + self._rescued_batches,
+            tasks=stats.tasks + self._rescued_tasks,
             fallbacks=self.fallbacks,
-            promotions=self.promotions,
         )
 
     def evaluate(
@@ -774,38 +474,29 @@ class _FailoverLadder:
         *,
         max_candidates: int = 22,
     ) -> "list[BestResponseResult]":
-        # Materialize first: a rung may die mid-iteration, and the next
-        # rung must re-run the *whole* batch.
+        # Materialize first: the pool may die mid-iteration, and the rescue
+        # must re-run the *whole* batch.
         task_list = list(tasks)
-        if self._level > 0:
-            primary = self._rungs[0]
-            if hasattr(primary, "revive") and primary.revive():
-                self._level = 0
-                self.promotions += 1
-        while True:
-            rung = self._rung(self._level)
+        if not self.fallbacks:
             try:
-                return rung.evaluate(
+                return self.pool.evaluate(
                     task_list, response, max_candidates=max_candidates
                 )
-            except (EvaluatorError, OSError):
-                if self._level + 1 >= len(self._kinds):
-                    raise
-                self._level += 1
+            except (PoolBrokenError, OSError):
                 self.fallbacks += 1
+        results = score_tasks(
+            task_list,
+            self._game.host.weights,
+            self._game.alpha,
+            response,
+            max_candidates=max_candidates,
+        )
+        self._rescued_batches += 1
+        self._rescued_tasks += len(results)
+        return results
 
     def close(self) -> None:
-        for rung in self._rungs:
-            if rung is not None:
-                rung.close()
-
-    def __getattr__(self, name: str) -> Any:
-        # Fleet management (add_endpoint/remove_endpoint/check_endpoints)
-        # passes through to the primary rung.  Private names never forward
-        # (they would recurse through a half-built instance).
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._rungs[0], name)
+        self.pool.close()
 
 
 @dataclass(frozen=True)
@@ -821,11 +512,10 @@ class SessionStats:
     :class:`~repro.core.incremental.EngineStats` counters.
 
     ``evaluator_stats`` is the shared evaluator's own
-    :class:`~repro.core.parallel.EvaluatorStats` — for the remote backend
-    that includes fleet health: endpoints alive/total and the
-    failure/retry/reconnect counters.  It is ``None`` until an evaluator
-    exists, and :meth:`GameSession.close` snapshots it, so fleet health
-    survives session teardown.
+    :class:`~repro.core.parallel.EvaluatorStats`, including the pool's
+    failure/rebuild/fallback counters.  It is ``None`` until an evaluator
+    exists, and :meth:`GameSession.close` snapshots it, so the counters
+    survive session teardown.
     """
 
     runs: int
@@ -844,31 +534,21 @@ class GameSession:
 
     The session lazily builds the
     :class:`~repro.core.incremental.IncrementalEngine` (reset — never
-    rebuilt — between runs), the batched schedule's proposal cache and a
-    single shared evaluator backend injected into the engine — a
-    :class:`~repro.core.parallel.ParallelEvaluator` worker pool for
-    ``config.backend="local"`` with ``workers > 1``, a
-    :class:`~repro.core.remote.RemoteEvaluator` connection set for
-    ``config.backend="remote"`` — so every run of the session reuses one
-    pool (or one connection set: ``SessionStats.evaluator_pools_started``
-    stays at 1 however many runs a sweep makes).  :meth:`close` (or
-    context-manager exit) tears all of it down; engines never close an
-    evaluator they did not create, so nothing a session owns is destroyed
-    by the runs inside it.
-
-    Under ``config.failover="ladder"`` (the default) the shared evaluator
-    is wrapped in the degradation ladder (:class:`_FailoverLadder`):
-    terminal backend failures descend remote → local pool → serial with
-    bit-identical results, and a recovered fleet promotes back at a batch
-    boundary.  ``failover="strict"`` injects the bare backend — today's
-    fail-fast semantics.
+    rebuilt — between runs), the batched schedule's proposal cache and,
+    with ``workers > 1``, a single shared
+    :class:`~repro.core.parallel.ParallelEvaluator` worker pool injected
+    into the engine, so every run of the session reuses one pool
+    (``SessionStats.evaluator_pools_started`` stays at 1 however many runs
+    a sweep makes).  A pool that breaks beyond its one in-place rebuild is
+    rescued by in-process scoring with bit-identical results (see
+    :class:`_RescuedPool`).  :meth:`close` (or context-manager exit) tears
+    all of it down; engines never close an evaluator they did not create,
+    so nothing a session owns is destroyed by the runs inside it.
 
     Per-run keyword overrides may change ``response``, ``order``,
     ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
     checkpoint policy; the session-scoped fields — ``engine``,
-    ``workers``, ``repair_threshold``, ``backend``, ``endpoints``,
-    ``residual_encoding``, ``batch_timeout``, ``max_retries``,
-    ``failover``, ``auth_token`` and the four ``breaker_*`` fields — are
+    ``workers``, ``repair_threshold`` and ``residual_encoding`` — are
     fixed for the session's lifetime because the owned engine and
     evaluator are shaped by them (open a new session — or
     :meth:`SimulationConfig.replace` the config — to change those).
@@ -884,7 +564,7 @@ class GameSession:
         self._game = game
         self._config = config.replace(**overrides)
         self._engine: IncrementalEngine | None = None
-        self._evaluator: EvaluatorBackend | None = None
+        self._evaluator: _RescuedPool | None = None
         self._cache: _ProposalCache | None = None
         self._closed = False
         self._runs = 0
@@ -915,11 +595,7 @@ class GameSession:
     def evaluator(self) -> "EvaluatorBackend | None":
         """The session's shared evaluator, if one exists yet (else ``None``).
 
-        Exposed for fleet management on the remote backend —
-        :meth:`~repro.core.remote.RemoteEvaluator.add_endpoint` /
-        :meth:`~repro.core.remote.RemoteEvaluator.remove_endpoint` between
-        runs, :meth:`~repro.core.remote.RemoteEvaluator.check_endpoints`
-        health checks.  The session owns it: do **not** ``close()`` it.
+        The session owns it: do **not** ``close()`` it.
         """
         return self._evaluator
 
@@ -953,43 +629,32 @@ class GameSession:
     # ------------------------------------------------------------------
     # Owned resources
     # ------------------------------------------------------------------
-    def _shared_evaluator(self) -> "EvaluatorBackend | None":
-        """The session's single shared evaluator backend (created once, lazily).
+    def _shared_evaluator(self) -> "_RescuedPool | None":
+        """The session's single shared worker pool (created once, lazily).
 
-        ``backend="local"`` with ``workers > 1`` builds a shared-memory
-        :class:`~repro.core.parallel.ParallelEvaluator`;
-        ``backend="remote"`` builds a
-        :class:`~repro.core.remote.RemoteEvaluator` over the config's
-        endpoints (its connection set is the session's "pool" — opened
-        lazily, exactly once, shared by every run).
+        ``None`` unless the config runs the incremental engine with
+        ``workers > 1``.
         """
         cfg = self._config
-        if cfg.engine != "incremental":
-            return None
-        if cfg.backend != "remote" and cfg.workers <= 1:
+        if cfg.engine != "incremental" or cfg.workers <= 1:
             return None
         if self._evaluator is None:
-            if cfg.failover == "ladder":
-                self._evaluator = _FailoverLadder(self._game, cfg)
-            else:
-                self._evaluator = _build_backend(self._game, cfg, cfg.backend)
+            self._evaluator = _RescuedPool(self._game, cfg)
             self._evaluators_created += 1
         return self._evaluator
 
     def arm_faults(self, plan: "FaultPlan") -> None:
         """Arm a :class:`~repro.core.faults.FaultPlan`'s pool faults (test seam).
 
-        Builds the shared evaluator if needed and installs the plan's
-        ``kill_pool_worker`` hook on it (the ladder propagates the hook to
-        every pool rung).  Worker-side faults are armed on the *servers*
-        (``repro worker serve --fault-plan``), not here.  No-op when the
-        config runs serial in-process (there is no pool to kill).
+        Builds the shared pool if needed and installs the plan's
+        ``kill_pool_worker`` hook on it.  No-op when the config runs serial
+        in-process (there is no pool to kill).
         """
         from .faults import pool_fault_hook
 
         evaluator = self._shared_evaluator()
-        if evaluator is not None and hasattr(evaluator, "fault_hook"):
-            evaluator.fault_hook = pool_fault_hook(plan)
+        if evaluator is not None:
+            evaluator.pool.fault_hook = pool_fault_hook(plan)
 
     def _engine_for(self, initial: StrategyProfile) -> IncrementalEngine | None:
         """The owned incremental engine, pointed at ``initial``.
@@ -1120,8 +785,7 @@ class GameSession:
         (``rounds_total - rounds_completed``; the budget is never
         restarted).  The returned :class:`~repro.core.dynamics
         .DynamicsResult` is byte-identical — trajectory, converged costs,
-        ``EngineStats``, proposal-cache counters — to the straight-through
-        run, whatever backend or worker count this session uses: placement
+        run, whatever worker count this session uses: placement
         fields are free to differ from the checkpointing run, the
         trajectory-shaping fields (:data:`~repro.core.checkpoint
         .TRAJECTORY_FIELDS`) must match and are validated.
@@ -1160,7 +824,7 @@ class GameSession:
             raise ValueError(
                 f"cannot resume with different trajectory-shaping field(s) "
                 f"{mismatched}: the continuation would not be the same run "
-                "(backend/workers/endpoints may change freely; these may not)"
+                "(workers and residual_encoding may change freely; these may not)"
             )
         initial = ckpt.profile()
         engine = self._engine_for(initial)
@@ -1384,10 +1048,8 @@ def resume_dynamics(
     :meth:`GameSession.resume`).
 
     ``overrides`` replace fields of the checkpointed config for the
-    continuation — placement fields (``backend``, ``workers``,
-    ``endpoints``, ``residual_encoding``, ``batch_timeout``,
-    ``max_retries``, ``failover``, ``auth_token`` and the ``breaker_*``
-    fields) and the checkpoint policy may change freely (``checkpoint_every=None,
+    continuation — placement fields (``workers``, ``residual_encoding``)
+    and the checkpoint policy may change freely (``checkpoint_every=None,
     checkpoint_path=None`` stops further checkpointing); the
     trajectory-shaping fields (:data:`~repro.core.checkpoint
     .TRAJECTORY_FIELDS`) may not, and ``None`` is applied literally, not

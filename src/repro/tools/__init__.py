@@ -5,7 +5,7 @@ repro.tools.lint``): an AST-based checker that enforces the repo's written
 determinism and lifecycle invariants as named, suppressible rules.  The
 rules certify *statically* what the property sweeps and chaos tests check
 dynamically — that trajectories are bit-identical across serial,
-shared-memory, remote, failover, and checkpoint-resume execution.
+shared-memory and checkpoint-resume execution.
 
 Rule catalog (see ``docs/development.md`` for the full table):
 
@@ -16,13 +16,12 @@ DET002    no wall-clock reads in ``core/`` outside an injectable
           ``clock=`` parameter
 DET003    no hash-ordered ``set``/``frozenset`` iteration feeding
           ordering in ``core/``
-DET004    no lossy float formatting at the serialization boundaries
-          (``remote.py``, ``checkpoint.py``)
-NET001    every socket in ``remote.py`` gets a deadline before use
+DET004    no lossy float formatting at the serialization boundary
+          (``checkpoint.py``)
 RES001    evaluators, sockets and shared memory are constructed inside
           an owning lifecycle (``with`` / ``close()`` / ``try-finally``)
-PROTO001  wire-protocol verbs and checkpoint schema stay in sync across
-          the client/server and serializer/loader module halves
+PROTO001  the checkpoint schema stays in sync across the serializer and
+          loader halves of ``checkpoint.py``
 PRAGMA001 a ``# repro-lint: disable=`` pragma must suppress something
 ========  ==============================================================
 

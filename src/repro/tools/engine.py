@@ -13,9 +13,8 @@ engine concern, which is what makes unused-pragma detection possible.
 
 Scoping is path-based so the self-test corpus can exercise every rule on
 synthetic fixtures: a rule that targets ``core/`` fires on any file with
-a ``core`` path component, and a rule that targets the wire or
-checkpoint boundary fires on any file *named* ``remote.py`` or
-``checkpoint.py``.
+a ``core`` path component, and a rule that targets the checkpoint
+serialization boundary fires on any file *named* ``checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 # One pragma grammar, one place: a comment of the form
-# ``repro-lint: disable=DET001,NET001`` (comma-separated rule ids).
+# ``repro-lint: disable=DET001,RES001`` (comma-separated rule ids).
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 # Rule id for the engine's own audit findings (unused/unknown pragmas).
@@ -138,7 +137,7 @@ class LintRule:
 
     @staticmethod
     def at_wire_boundary(module: ParsedModule) -> bool:
-        return module.filename in ("remote.py", "checkpoint.py")
+        return module.filename == "checkpoint.py"
 
 
 _REGISTRY: dict[str, LintRule] = {}

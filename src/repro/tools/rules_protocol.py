@@ -1,21 +1,15 @@
-"""PROTO001: wire-protocol and checkpoint-schema drift detection.
+"""PROTO001: checkpoint-schema drift detection.
 
-Unlike the other rules, PROTO001 is a *consistency* check between two
-halves of one module:
+PROTO001 is a *consistency* check between the two halves of
+``checkpoint.py``: every ``Checkpoint`` dataclass field must be serialized
+(as a header state key, an array-manifest entry, or a known derived key),
+and the loader's required/optional key sets must match exactly what the
+serializer writes.
 
-* ``remote.py`` — the verbs the client (any ``*Evaluator`` class) sends
-  must be handled by the server half (everything else in the module),
-  and vice versa for replies; the protocol version must always travel as
-  the ``PROTOCOL_VERSION`` name, never as a re-hardcoded int literal.
-* ``checkpoint.py`` — every ``Checkpoint`` dataclass field must be
-  serialized (as a header state key, an array-manifest entry, or a known
-  derived key), and the loader's required/optional key sets must match
-  exactly what the serializer writes.
-
-The collections are purely syntactic (dict literals, ``.get("kind")``
-comparisons, ``writer.add("name", ...)`` calls, ``for required in
-(...)`` tuples), which is what lets the self-test corpus assert that a
-single mutated verb or schema field is detected.
+The collections are purely syntactic (``writer.add("name", ...)`` calls,
+the header dict literal, ``for required in (...)`` tuples and
+``state.get()``/``arrays.get()`` reads), which is what lets the self-test
+corpus assert that a single mutated schema field is detected.
 """
 
 from __future__ import annotations
@@ -31,155 +25,17 @@ __all__ = ["ProtocolDrift"]
 _DERIVED_STATE_KEYS = {"engine_residuals": "residual_keys"}
 
 
-def _dict_literal_entries(node: ast.Dict, key: str) -> list[tuple[str, int]]:
-    """``(value, lineno)`` pairs where a dict literal maps ``key`` to a str."""
-    entries: list[tuple[str, int]] = []
-    for key_node, value_node in zip(node.keys, node.values):
-        if (
-            isinstance(key_node, ast.Constant)
-            and key_node.value == key
-            and isinstance(value_node, ast.Constant)
-            and isinstance(value_node.value, str)
-        ):
-            entries.append((value_node.value, value_node.lineno))
-    return entries
-
-
-def _is_kind_access(node: ast.expr, key: str) -> bool:
-    """Matches ``x.get("kind")`` / ``x["kind"]`` style accesses."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "get"
-        and node.args
-        and isinstance(node.args[0], ast.Constant)
-        and node.args[0].value == key
-    ):
-        return True
-    return (
-        isinstance(node, ast.Subscript)
-        and isinstance(node.slice, ast.Constant)
-        and node.slice.value == key
-    )
-
-
-def _compared_values(tree: ast.AST, key: str) -> dict[str, int]:
-    """String literals compared against ``.get(key)`` accesses."""
-    checked: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        sides = [node.left, *node.comparators]
-        if not any(_is_kind_access(side, key) for side in sides):
-            continue
-        for side in sides:
-            if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                checked.setdefault(side.value, side.lineno)
-    return checked
-
-
-def _sent_verbs(nodes: list[ast.AST]) -> dict[str, int]:
-    sent: dict[str, int] = {}
-    for tree in nodes:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Dict):
-                for verb, lineno in _dict_literal_entries(node, "kind"):
-                    sent.setdefault(verb, lineno)
-    return sent
-
-
-def _checked_verbs(nodes: list[ast.AST]) -> dict[str, int]:
-    checked: dict[str, int] = {}
-    for tree in nodes:
-        for verb, lineno in _compared_values(tree, "kind").items():
-            checked.setdefault(verb, lineno)
-    return checked
-
-
 @register
 class ProtocolDrift(LintRule):
-    """PROTO001: the two halves of a boundary module must agree."""
+    """PROTO001: the serializer and loader halves of checkpoint.py agree."""
 
     id = "PROTO001"
-    title = "protocol/schema halves stay in sync"
+    title = "checkpoint schema halves stay in sync"
 
     def applies(self, module: ParsedModule) -> bool:
         return self.at_wire_boundary(module)
 
     def check(self, module: ParsedModule) -> Iterator[tuple[int, str]]:
-        if module.filename == "remote.py":
-            yield from self._check_remote(module)
-        else:
-            yield from self._check_checkpoint(module)
-
-    # -- remote.py ------------------------------------------------------
-    @staticmethod
-    def _check_remote(module: ParsedModule) -> Iterator[tuple[int, str]]:
-        client_nodes: list[ast.AST] = [
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Evaluator")
-        ]
-        inside_client = {
-            id(sub) for cls in client_nodes for sub in ast.walk(cls)
-        }
-        server_nodes: list[ast.AST] = [
-            node
-            for node in module.tree.body
-            if id(node) not in inside_client
-        ]
-
-        client_sent = _sent_verbs(client_nodes)
-        client_checked = _checked_verbs(client_nodes)
-        server_sent = _sent_verbs(server_nodes)
-        server_checked = _checked_verbs(server_nodes)
-
-        if client_sent and server_checked:
-            for verb in sorted(set(client_sent) - set(server_checked)):
-                yield (
-                    client_sent[verb],
-                    f"client sends verb {verb!r} but the server half never "
-                    "checks for it",
-                )
-        if server_sent and client_checked:
-            for verb in sorted(set(server_sent) - set(client_checked)):
-                yield (
-                    server_sent[verb],
-                    f"server sends verb {verb!r} but the client half never "
-                    "checks for it",
-                )
-
-        # The version must travel as the PROTOCOL_VERSION name.
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Dict):
-                for key_node, value_node in zip(node.keys, node.values):
-                    if (
-                        isinstance(key_node, ast.Constant)
-                        and key_node.value == "protocol"
-                        and isinstance(value_node, ast.Constant)
-                        and isinstance(value_node.value, int)
-                    ):
-                        yield (
-                            value_node.lineno,
-                            "hardcoded protocol version literal; send the "
-                            "PROTOCOL_VERSION name",
-                        )
-            elif isinstance(node, ast.Compare):
-                sides = [node.left, *node.comparators]
-                if any(_is_kind_access(side, "protocol") for side in sides):
-                    for side in sides:
-                        if isinstance(side, ast.Constant) and isinstance(
-                            side.value, int
-                        ):
-                            yield (
-                                side.lineno,
-                                "protocol version compared against an int "
-                                "literal; compare against PROTOCOL_VERSION",
-                            )
-
-    # -- checkpoint.py --------------------------------------------------
-    @staticmethod
-    def _check_checkpoint(module: ParsedModule) -> Iterator[tuple[int, str]]:
         checkpoint_cls = None
         serialize_fn = None
         load_fn = None

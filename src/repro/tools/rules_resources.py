@@ -1,11 +1,4 @@
-"""Lifecycle rules: NET001 (socket deadlines) and RES001 (owned resources).
-
-NET001 guards the PR 6 bug class: a socket that enters service without a
-deadline turns a hung peer into a hung sweep.  Statically we enforce the
-strongest checkable form — *every socket acquires its deadline in the
-scope that creates it* (a ``timeout=`` argument or a ``settimeout()``
-call on the bound name).  Helpers that receive an already-deadlined
-socket as a parameter are trusted at the boundary.
+"""Lifecycle rule RES001: owned resources.
 
 RES001 guards leaks: shared-memory segments, sockets, and evaluator
 backends must be constructed inside an owning lifecycle — a ``with``
@@ -28,7 +21,7 @@ from repro.tools.engine import (
     walk_scope,
 )
 
-__all__ = ["OwnedResourceConstruction", "SocketDeadlines"]
+__all__ = ["OwnedResourceConstruction"]
 
 _LIFECYCLE_METHODS = frozenset(
     {"close", "shutdown", "stop", "terminate", "__exit__", "__del__"}
@@ -53,10 +46,6 @@ def _is_socket_creation(node: ast.Call) -> bool:
     if chain in (("socket", "socket"), ("create_connection",)):
         return True
     return len(chain) >= 2 and chain[-2:] == ("socket", "create_connection")
-
-
-def _has_timeout_kwarg(node: ast.Call) -> bool:
-    return any(keyword.arg == "timeout" for keyword in node.keywords)
 
 
 def _bound_names(scope_body: list[ast.stmt], call: ast.Call) -> list[str]:
@@ -100,48 +89,8 @@ def _method_call_targets(scope_body: list[ast.stmt], methods: frozenset[str]) ->
     return targets
 
 
-@register
-class SocketDeadlines(LintRule):
-    """NET001: a socket must get a deadline in the scope that creates it."""
-
-    id = "NET001"
-    title = "sockets acquire deadlines at creation"
-
-    def applies(self, module: ParsedModule) -> bool:
-        return module.filename == "remote.py"
-
-    def check(self, module: ParsedModule) -> Iterator[tuple[int, str]]:
-        for _scope, body in iter_scopes(module.tree):
-            deadlined = _method_call_targets(body, frozenset({"settimeout"}))
-            for node in walk_scope(body):
-                creation: ast.Call | None = None
-                what = ""
-                if isinstance(node, ast.Call) and _is_socket_creation(node):
-                    creation, what = node, "socket"
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "accept"
-                ):
-                    creation, what = node, "accepted connection"
-                if creation is None:
-                    continue
-                if _has_timeout_kwarg(creation):
-                    continue
-                names = _bound_names(body, creation)
-                if any(name in deadlined for name in names):
-                    continue
-                yield (
-                    creation.lineno,
-                    f"{what} enters service without a deadline; pass timeout= "
-                    "or call settimeout() before any recv/sendall",
-                )
-
-
 # Constructors whose results hold OS resources or worker pools.
-_RESOURCE_LAST = frozenset(
-    {"SharedMemory", "ParallelEvaluator", "RemoteEvaluator"}
-)
+_RESOURCE_LAST = frozenset({"SharedMemory", "ParallelEvaluator"})
 
 
 def _is_resource_creation(node: ast.Call) -> bool:

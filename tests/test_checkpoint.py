@@ -3,8 +3,8 @@
 The headline guarantee of :mod:`repro.core.checkpoint` is enforced here,
 not asserted in prose: a run checkpointed at **any** round boundary and
 resumed — in the same process or a fresh one (the SIGKILL crash-injection
-test), onto the same backend or a different one (serial / shared-memory
-pool / remote socket fleet, workers 1 and 2) — produces byte-identical
+test), onto the same placement or a different one (serial or the
+shared-memory pool, dense or delta slots) — produces byte-identical
 trajectories, converged costs, :class:`~repro.core.incremental.EngineStats`
 and proposal-cache counters versus the straight-through run.
 
@@ -54,7 +54,6 @@ from repro.core.checkpoint import (
     rng_state_to_dict,
 )
 from repro.core.dynamics import DynamicsResult
-from repro.core.remote import local_workers
 from repro.core.session import MAX_ROUNDS_RUN, MAX_ROUNDS_SAMPLING
 
 from test_parallel_evaluator import (
@@ -121,13 +120,13 @@ def test_every_boundary_resume_matches_straight_through(
 
 
 # ----------------------------------------------------------------------
-# Backend/worker-count crossing: a serial checkpoint resumed on the
-# shared-memory pool and on a remote socket fleet
+# Placement crossing: a serial checkpoint resumed on the shared-memory
+# pool, with dense and delta slot encodings
 # ----------------------------------------------------------------------
 def test_resume_crosses_backends_and_worker_counts(tmp_path):
     """Every boundary of a serial run resumes bit-identically on workers
-    {1, 2} of the local shared-memory backend and on a two-endpoint remote
-    fleet — placement never changes a trajectory."""
+    {1, 2} of the shared-memory pool and on a delta-encoded two-worker
+    pool — placement never changes a trajectory."""
     rng = np.random.default_rng(424242)
     game = _random_game("metric", 10, rng)
     start = _random_profile(10, rng, 0.3)
@@ -141,12 +140,34 @@ def test_resume_crosses_backends_and_worker_counts(tmp_path):
         for workers in (1, 2):
             resumed = resume_dynamics(str(path), workers=workers, **NO_CHECKPOINTING)
             _assert_identical_runs([straight, resumed])
-    with local_workers(2) as endpoints:
-        for path in boundaries:
-            resumed = resume_dynamics(
-                str(path), backend="remote", endpoints=endpoints, **NO_CHECKPOINTING
-            )
-            _assert_identical_runs([straight, resumed])
+    for path in boundaries:
+        resumed = resume_dynamics(
+            str(path), workers=2, residual_encoding="delta", **NO_CHECKPOINTING
+        )
+        _assert_identical_runs([straight, resumed])
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_pool_checkpoints_resume_serially(tmp_path, variant):
+    """Every boundary written by a delta-encoded two-worker pool resumes
+    bit-identically in process: the pool leaves no trace in the file."""
+    rng = np.random.default_rng(zlib.crc32(f"pool-ckpt-{variant}".encode()) % 2**32)
+    game = _random_game(variant, 8, rng)
+    start = _random_profile(8, rng, 0.3)
+    cfg = SimulationConfig(schedule="batched", seed=2, max_rounds=6)
+    straight = _run_straight(game, start, cfg)
+    template, directory = _boundary_files(tmp_path, "pool")
+    on_pool = cfg.replace(
+        workers=2, residual_encoding="delta", checkpoint_path=template
+    )
+    _assert_identical_runs([straight, _run_straight(game, start, on_pool)])
+    boundaries = _written_boundaries(directory)
+    assert boundaries
+    for path in boundaries:
+        resumed = resume_dynamics(
+            str(path), workers=1, residual_encoding="dense", **NO_CHECKPOINTING
+        )
+        _assert_identical_runs([straight, resumed])
 
 
 def test_resume_through_an_open_session_reuses_its_machinery(tmp_path):
@@ -491,6 +512,102 @@ def test_checkpoint_with_a_retired_config_field_still_resumes(tmp_path):
     _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
 
 
+def test_checkpoint_written_with_the_remote_fleet_fields_still_resumes(tmp_path):
+    """Checkpoints written while the remote backend existed embed its ten
+    fields at their defaults; they load and resume bit-identically, while
+    one that ran on the remote backend fails to load its config clearly."""
+    import dataclasses
+
+    rng = np.random.default_rng(29)
+    game = _random_game("metric", 8, rng)
+    start = _random_profile(8, rng, 0.3)
+    cfg = SimulationConfig(schedule="batched", workers=2, max_rounds=4)
+    straight = _run_straight(game, start, cfg)
+    template, directory = _boundary_files(tmp_path, "fleet")
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    ckpt = load_checkpoint(_written_boundaries(directory)[0])
+    fleet_defaults = {
+        "backend": "local",
+        "endpoints": [],
+        "batch_timeout": None,
+        "max_retries": None,
+        "failover": "ladder",
+        "auth_token": None,
+        "breaker_trip_after": None,
+        "breaker_base_delay": None,
+        "breaker_max_delay": None,
+        "breaker_jitter": None,
+        "buffering": "single",
+    }
+    old = tmp_path / "old.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, **fleet_defaults}), old
+    )
+    assert load_checkpoint(old).simulation_config() == ckpt.simulation_config()
+    _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
+    remote = tmp_path / "remote.bin"
+    save_checkpoint(
+        dataclasses.replace(
+            ckpt,
+            config={**ckpt.config, **fleet_defaults, "backend": "remote",
+                    "endpoints": ["127.0.0.1:7601"], "workers": 1},
+        ),
+        remote,
+    )
+    with pytest.raises(ValueError, match="'backend'.*workers=N"):
+        resume_dynamics(str(remote), **NO_CHECKPOINTING)
+
+
+@pytest.fixture(scope="module")
+def boundary_checkpoint(tmp_path_factory):
+    """One checkpoint boundary of a short serial run."""
+    rng = np.random.default_rng(31)
+    game = _random_game("euclidean", 7, rng)
+    start = _random_profile(7, rng, 0.3)
+    template, directory = _boundary_files(tmp_path_factory.mktemp("ckpt"), "one")
+    _run_straight(game, start, SimulationConfig(max_rounds=3, checkpoint_path=template))
+    return load_checkpoint(_written_boundaries(directory)[0])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("backend", "remote"),
+        ("endpoints", ["127.0.0.1:7601"]),
+        ("batch_timeout", 30.0),
+        ("max_retries", 3),
+        ("failover", "strict"),
+        ("auth_token", "sesame"),
+        ("breaker_trip_after", 2),
+        ("breaker_base_delay", 0.5),
+        ("breaker_max_delay", 10.0),
+        ("breaker_jitter", 0.0),
+    ],
+)
+def test_checkpoint_with_a_remote_field_off_its_default_is_refused(
+    tmp_path, boundary_checkpoint, capsys, key, value
+):
+    """A checkpoint of a run that configured the removed fleet does not
+    resume: the API raises naming the field, the CLI exits with a usage
+    error instead of a traceback."""
+    import dataclasses
+
+    from repro.cli import main
+
+    path = tmp_path / "fleet.bin"
+    save_checkpoint(
+        dataclasses.replace(
+            boundary_checkpoint, config={**boundary_checkpoint.config, key: value}
+        ),
+        path,
+    )
+    with pytest.raises(ValueError, match=f"'{key}'.*workers=N"):
+        resume_dynamics(str(path), **NO_CHECKPOINTING)
+    assert main(["resume", str(path), "--no-checkpoint"]) == 2
+    captured = capsys.readouterr()
+    assert f"'{key}'" in captured.err and captured.out == ""
+
+
 def test_resume_rejects_trajectory_field_changes(tmp_path):
     rng = np.random.default_rng(13)
     game = _random_game("euclidean", 8, rng)
@@ -502,7 +619,7 @@ def test_resume_rejects_trajectory_field_changes(tmp_path):
         resume_dynamics(str(path), response="greedy", **NO_CHECKPOINTING)
     with pytest.raises(ValueError, match="trajectory-shaping"):
         resume_dynamics(str(path), max_rounds=7, **NO_CHECKPOINTING)
-    # Placement fields stay free (exercised for real in the backend test).
+    # Placement fields stay free (exercised for real in the crossing test).
     resume_dynamics(str(path), workers=2, **NO_CHECKPOINTING)
 
 

@@ -104,17 +104,20 @@ class TestCLI:
 
 class TestBackendFlags:
     def test_config_dump_includes_backend_fields(self, capsys):
+        """The dump carries the pool placement fields and nothing retired."""
         import json
 
         code = main(
-            ["config", "dump", "--schedule", "batched", "--backend", "remote",
-             "--endpoint", "127.0.0.1:7601", "--endpoint", "127.0.0.1:7602"]
+            ["config", "dump", "--schedule", "batched", "--workers", "2",
+             "--residual-encoding", "delta"]
         )
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "remote"
-        assert data["endpoints"] == ["127.0.0.1:7601", "127.0.0.1:7602"]
-        assert "buffering" not in data
+        assert data["workers"] == 2
+        assert data["residual_encoding"] == "delta"
+        assert len(data) == 12
+        for retired in ("backend", "endpoints", "failover", "buffering"):
+            assert retired not in data
 
     def test_config_dump_buffering_flag(self, capsys, tmp_path):
         """The retired --buffering flag is gone, but an old dumped config
@@ -130,30 +133,13 @@ class TestBackendFlags:
         data = json.loads(capsys.readouterr().out)
         assert data["workers"] == 2 and "buffering" not in data
 
-    def test_remote_backend_without_endpoint_is_a_parse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["poa", "--variant", "euclidean", "--n", "5", "--backend", "remote"])
-        assert "requires endpoints" in capsys.readouterr().err
-
-    def test_worker_serve_parser(self):
-        args = build_parser().parse_args(
-            ["worker", "serve", "--host", "0.0.0.0", "--port", "7601"]
-        )
-        assert args.command == "worker"
-        assert args.action == "serve"
-        assert (args.host, args.port) == ("0.0.0.0", 7601)
-
-    def test_simulate_remote_backend_matches_local_output(self, capsys):
-        """--backend remote must print the exact same report as the default."""
-        from repro.core.remote import local_workers
-
+    def test_simulate_pool_matches_serial_output(self, capsys):
+        """--workers 2 (dense or delta slots) prints the exact same report."""
         base = ["simulate", "--variant", "metric", "--n", "6", "--alpha", "1.2",
                 "--seed", "2", "--schedule", "batched"]
         assert main(base) == 0
-        local_out = capsys.readouterr().out
-        with local_workers(2) as endpoints:
-            remote = base + ["--backend", "remote"]
-            for endpoint in endpoints:
-                remote += ["--endpoint", endpoint]
-            assert main(remote) == 0
-        assert capsys.readouterr().out == local_out
+        serial_out = capsys.readouterr().out
+        for encoding in ("dense", "delta"):
+            pool = base + ["--workers", "2", "--residual-encoding", encoding]
+            assert main(pool) == 0
+            assert capsys.readouterr().out == serial_out

@@ -6,14 +6,15 @@ moved them into ``docs/``.  These checks keep that surface honest:
 * the field table of ``docs/api.md`` has exactly one row per
   :class:`~repro.core.session.SimulationConfig` field (adding a config
   knob without documenting it fails CI, and so does a row left behind for
-  a field that no longer exists);
+  a field that no longer exists), and its ``EvaluatorStats`` list names
+  exactly the :class:`~repro.core.parallel.EvaluatorStats` fields;
 * every benchmark module is mapped in ``docs/benchmarks.md`` (adding a
   benchmark without saying which paper figure/theorem it certifies fails
   CI);
 * ``docs/architecture.md`` names every layer of the evaluation stack and
   the bit-identical-trajectory invariant;
 * the README documents the config-file workflow (``repro config dump`` +
-  ``--config``) and the backend matrix.
+  ``--config``) and the evaluator matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+from repro.core.parallel import EvaluatorStats
 from repro.core.session import SimulationConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,6 +63,28 @@ def test_api_doc_tables_cover_every_simulation_config_field():
     assert len(rows) == len(set(rows)), "duplicate docs/api.md field-table rows"
 
 
+def _evaluator_stats_list(api: str) -> list[str]:
+    """Field names of the nested ``EvaluatorStats`` bullet list in docs/api.md."""
+    lines = api.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("* `EvaluatorStats`"))
+    names = []
+    for line in lines[start + 1:]:
+        if line.startswith("    "):  # a wrapped bullet continues
+            continue
+        if not line.startswith("  * "):
+            break
+        names.extend(re.findall(r"`(\w+)`", line.split(" — ")[0]))
+    return names
+
+
+def test_api_doc_lists_exactly_the_evaluator_stats_fields():
+    listed = _evaluator_stats_list((DOCS / "api.md").read_text())
+    fields = [field.name for field in dataclasses.fields(EvaluatorStats)]
+    assert sorted(listed) == sorted(fields), (
+        f"docs/api.md lists EvaluatorStats fields {listed}; the dataclass has {fields}"
+    )
+
+
 def test_benchmarks_doc_maps_every_benchmark_module():
     doc = (DOCS / "benchmarks.md").read_text()
     missing = [
@@ -79,34 +103,25 @@ def test_architecture_doc_names_the_evaluation_stack():
         "IncrementalEngine",
         "EvaluatorBackend",
         "ParallelEvaluator",
-        "RemoteEvaluator",
         "SharedSnapshot",
         "GameSession",
         "bit-identical",
         "Failure semantics",
-        "EndpointSet",
-        "batch_timeout",
-        "max_retries",
+        "residual_encoding",
     ):
         assert term in doc, f"docs/architecture.md does not mention {term}"
 
 
-def test_architecture_doc_specifies_the_degradation_ladder():
+def test_architecture_doc_specifies_the_pool_rescue():
     doc = (DOCS / "architecture.md").read_text()
     for term in (
-        "Degradation ladder",
-        "BreakerPolicy",
-        "tripped",
-        "probing",
-        "recovered",
-        "revive()",
-        "failover",
+        "In-place rebuild",
+        "In-process rescue",
+        "PoolBrokenError",
+        "score_tasks",
         "fallbacks",
-        "promotions",
-        "breaker_trips",
         "FaultPlan",
         "emergency checkpoint",
-        "auth_nonce",
     ):
         assert term in doc, f"docs/architecture.md does not mention {term}"
 
@@ -114,18 +129,13 @@ def test_architecture_doc_specifies_the_degradation_ladder():
 def test_api_doc_documents_the_degradation_surface():
     api = (DOCS / "api.md").read_text()
     for term in (
-        "BreakerPolicy",
         "PoolBrokenError",
         "EvaluatorError",
         "fallbacks",
-        "promotions",
-        "breaker_trips",
-        "endpoint_backoff",
         "FaultPlan",
         "arm_faults",
         "repro chaos",
-        "--auth-token",
-        "--fault-plan",
+        "RETIRED_FIELDS",
     ):
         assert term in api, f"docs/api.md does not mention {term}"
 
@@ -173,13 +183,13 @@ def test_lint_checker_is_cross_referenced():
 
 def test_readme_documents_config_workflow_and_backends():
     readme = (REPO / "README.md").read_text()
-    for term in ("config dump", "--config", "Scaling out", "worker serve"):
+    for term in ("config dump", "--config", "Scaling out", "--workers"):
         assert term in readme, f"README.md does not mention {term!r}"
 
 
 def test_api_doc_documents_the_backend_surface():
     api = (DOCS / "api.md").read_text()
-    for term in ("EvaluatorBackend", "RemoteEvaluator", "worker serve"):
+    for term in ("EvaluatorBackend", "ParallelEvaluator", "EvaluatorStats"):
         assert term in api, f"docs/api.md does not mention {term}"
 
 

@@ -8,14 +8,15 @@ the per-rule corpus:
 * the shipped tree must lint clean (the checker gates CI, so this *is*
   the CI gate, run as a test);
 * PROTO001 is exercised against drifted copies of the real
-  ``remote.py`` / ``checkpoint.py`` — mutate one verb or one schema
-  field and the checker must notice;
+  ``checkpoint.py`` — mutate one schema field and the checker must
+  notice;
 * the CLI surface (exit codes, ``--json`` stability, path scoping) is
   pinned.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.checkpoint import Checkpoint
 from repro.tools.engine import (
     PRAGMA_RULE_ID,
     SYNTAX_RULE_ID,
@@ -36,7 +38,7 @@ from repro.tools.lint import default_target, run
 REPO = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO / "src" / "repro"
 
-RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "NET001", "PROTO001", "RES001")
+RULE_IDS = ("DET001", "DET002", "DET003", "DET004", "PROTO001", "RES001")
 
 
 def lint_source(
@@ -302,7 +304,7 @@ def test_det003_pragma_suppresses(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# DET004 — no lossy float formatting (remote.py / checkpoint.py only)
+# DET004 — no lossy float formatting (checkpoint.py only)
 # ---------------------------------------------------------------------------
 
 
@@ -321,14 +323,13 @@ BAD_DET004 = """\
 
 
 def test_det004_flags_all_lossy_forms_at_the_boundary(tmp_path):
-    findings = lint_source(tmp_path, BAD_DET004, name="remote.py")
+    findings = lint_source(tmp_path, BAD_DET004, name="checkpoint.py")
     assert rule_ids(findings) == ["DET004"] * 6
-    findings_ckpt = lint_source(tmp_path, BAD_DET004, name="checkpoint.py")
-    assert rule_ids(findings_ckpt) == ["DET004"] * 6
 
 
 def test_det004_is_scoped_to_boundary_modules(tmp_path):
-    assert lint_source(tmp_path, BAD_DET004, name="transport.py") == []
+    for name in ("transport.py", "remote.py"):
+        assert lint_source(tmp_path, BAD_DET004, name=name) == []
 
 
 def test_det004_accepts_faithful_forms(tmp_path):
@@ -345,7 +346,7 @@ def test_det004_accepts_faithful_forms(tmp_path):
             e = round(value)
             return a, b, c, d, e
         """,
-        name="remote.py",
+        name="checkpoint.py",
     )
     assert findings == []
 
@@ -357,94 +358,7 @@ def test_det004_pragma_suppresses(tmp_path):
         def human(wait):
             return f"retry in {wait:.2f}s"  # repro-lint: disable=DET004
         """,
-        name="remote.py",
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# NET001 — sockets acquire deadlines at creation (remote.py only)
-# ---------------------------------------------------------------------------
-
-
-BAD_NET001 = """\
-    import socket
-
-    def dial(addr):
-        sock = socket.create_connection(addr)
-        try:
-            return sock.recv(16)
-        finally:
-            sock.close()
-"""
-
-
-def test_net001_flags_deadline_free_socket(tmp_path):
-    findings = lint_source(tmp_path, BAD_NET001, name="remote.py")
-    assert rule_ids(findings) == ["NET001"]
-    assert "without a deadline" in findings[0].message
-
-
-def test_net001_is_scoped_to_remote(tmp_path):
-    assert lint_source(tmp_path, BAD_NET001, name="parallel.py") == []
-
-
-def test_net001_accepts_timeout_kwarg_and_settimeout(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """\
-        import socket
-
-        def dial(addr, timeout):
-            sock = socket.create_connection(addr, timeout=timeout)
-            try:
-                return sock.recv(16)
-            finally:
-                sock.close()
-
-        def serve(listener):
-            conn, _addr = listener.accept()
-            conn.settimeout(5.0)
-            try:
-                return conn.recv(16)
-            finally:
-                conn.close()
-        """,
-        name="remote.py",
-    )
-    assert findings == []
-
-
-def test_net001_flags_accepted_connection_without_deadline(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """\
-        def serve(listener):
-            conn, _addr = listener.accept()
-            try:
-                return conn.recv(16)
-            finally:
-                conn.close()
-        """,
-        name="remote.py",
-    )
-    assert rule_ids(findings) == ["NET001"]
-    assert "accepted connection" in findings[0].message
-
-
-def test_net001_pragma_suppresses(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """\
-        import socket
-
-        def listen():
-            sock = socket.socket()  # repro-lint: disable=NET001
-            sock.bind(("127.0.0.1", 0))
-            sock.close()
-            return None
-        """,
-        name="remote.py",
+        name="checkpoint.py",
     )
     assert findings == []
 
@@ -547,7 +461,7 @@ def test_res001_pragma_suppresses(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PROTO001 — cross-half protocol drift (remote.py / checkpoint.py)
+# PROTO001 — serializer/loader schema drift (checkpoint.py)
 # ---------------------------------------------------------------------------
 
 
@@ -563,34 +477,8 @@ def _drifted_copy(tmp_path: Path, module: str, old: str, new: str) -> Path:
 
 
 def test_proto001_real_modules_have_no_drift(tmp_path):
-    for module in ("remote.py", "checkpoint.py"):
-        findings = lint_paths([SRC_REPRO / "core" / module], root=REPO)
-        assert findings == []
-
-
-def test_proto001_detects_client_verb_drift(tmp_path):
-    # Rename the client's batch verb: the server half no longer checks it
-    # and the server's own "batch" handler goes unsent.
-    path = _drifted_copy(
-        tmp_path, "remote.py", '"kind": "batch",', '"kind": "batch2",'
-    )
-    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
-    messages = "\n".join(f.message for f in findings)
-    assert "client sends verb 'batch2' but the server half never checks for it" in messages
-
-
-def test_proto001_detects_server_verb_drift(tmp_path):
-    # Rename the server's batch check instead: the client's verb is now
-    # unhandled — the other direction of the same drift.
-    path = _drifted_copy(
-        tmp_path,
-        "remote.py",
-        'header.get("kind") != "batch"',
-        'header.get("kind") != "batchY"',
-    )
-    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
-    messages = "\n".join(f.message for f in findings)
-    assert "client sends verb 'batch' but the server half never checks for it" in messages
+    findings = lint_paths([SRC_REPRO / "core" / "checkpoint.py"], root=REPO)
+    assert findings == []
 
 
 def test_proto001_detects_checkpoint_schema_drift(tmp_path):
@@ -604,15 +492,33 @@ def test_proto001_detects_checkpoint_schema_drift(tmp_path):
     assert "seen_moves" in messages
 
 
-def test_proto001_detects_protocol_version_literal(tmp_path):
-    # Hard-coding the wire protocol number instead of PROTOCOL_VERSION
-    # lets the two halves drift silently on the next bump.
+def test_proto001_detects_an_unserialized_checkpoint_field(tmp_path):
+    # Rename one Checkpoint dataclass field: _serialize never writes it.
     path = _drifted_copy(
-        tmp_path, "remote.py", '"protocol": PROTOCOL_VERSION', '"protocol": 3'
+        tmp_path, "checkpoint.py", "    detect_cycles: bool\n", "    detect_cycle: bool\n"
     )
     findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
-    assert findings, "hard-coded protocol version went undetected"
-    assert any("PROTOCOL_VERSION" in f.message for f in findings)
+    messages = "\n".join(f.message for f in findings)
+    assert "Checkpoint field 'detect_cycle' is never written by _serialize" in messages
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
+def test_proto001_flags_every_renamed_checkpoint_field(tmp_path, name):
+    # No field of the on-disk schema may drift past the rule unnoticed.
+    source = (SRC_REPRO / "core" / "checkpoint.py").read_text()
+    head, marker, body = source.partition("class Checkpoint:")
+    declaration = f"\n    {name}:"
+    assert declaration in body, f"Checkpoint field {name!r} not declared"
+    directory = tmp_path / "core"
+    directory.mkdir()
+    path = directory / "checkpoint.py"
+    drifted = body.replace(declaration, f"\n    {name}_drift:", 1)
+    path.write_text(head + marker + drifted)
+    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
+    assert [f.message for f in findings] == [
+        f"Checkpoint field '{name}_drift' is never written by _serialize "
+        "(state keys, array manifest, or derived keys)"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +626,6 @@ STRICT_MODULES = [
     "src/repro/core/checkpoint.py",
     "src/repro/core/faults.py",
     "src/repro/core/parallel.py",
-    "src/repro/core/remote.py",
     "src/repro/tools",
 ]
 

@@ -141,9 +141,13 @@ def test_max_gain_workers_identical():
 
 
 def test_respond_many_matches_respond():
-    """Parallel respond_many and the ladder's serial rung equal fresh
-    per-agent serial scoring bit-exactly."""
-    from repro.core.session import _SerialEvaluator
+    """Parallel respond_many and the session's in-process rescue of a broken
+    pool equal fresh per-agent serial scoring bit-exactly."""
+    from repro.core.parallel import PoolBrokenError
+    from repro.core.session import SimulationConfig, _RescuedPool
+
+    def broken(evaluator, batch_index):
+        raise PoolBrokenError("injected")
 
     rng = np.random.default_rng(17)
     for response in ("best", "greedy", "single"):
@@ -153,10 +157,14 @@ def test_respond_many_matches_respond():
         with IncrementalEngine(game, profile, workers=2) as parallel_engine:
             batch = parallel_engine.respond_many(range(n), response)
         serial_engine = IncrementalEngine(game, profile)
-        rung = _SerialEvaluator(game)
-        with IncrementalEngine(game, profile, evaluator=rung) as rung_engine:
-            rung_batch = rung_engine.respond_many(range(n), response)
-        assert rung.stats.tasks == n
+        rung = _RescuedPool(game, SimulationConfig(workers=2))
+        rung.pool.fault_hook = broken
+        try:
+            with IncrementalEngine(game, profile, evaluator=rung) as rung_engine:
+                rung_batch = rung_engine.respond_many(range(n), response)
+        finally:
+            rung.close()
+        assert rung.stats.tasks == n and rung.stats.fallbacks == 1
         for u, (result, rung_result) in enumerate(zip(batch, rung_batch)):
             expected = serial_engine.respond(u, response)
             for got in (result, rung_result):
@@ -165,6 +173,54 @@ def test_respond_many_matches_respond():
                 assert got.cost == expected.cost
                 assert got.current_cost == expected.current_cost
                 assert got.method == expected.method
+
+
+@pytest.mark.parametrize("encoding", ("dense", "delta"))
+@pytest.mark.parametrize("response", ("best", "greedy", "single"))
+def test_pool_evaluate_matches_engine_respond(response, encoding):
+    """ParallelEvaluator.evaluate equals per-agent serial scoring bit-exactly,
+    under either slot encoding, and counts what it did."""
+    rng = np.random.default_rng(zlib.crc32(f"evaluate-{response}".encode()) % 2**32)
+    n = 7
+    game = _random_game("metric", n, rng)
+    profile = _random_profile(n, rng)
+    engine = IncrementalEngine(game, profile)
+    tasks = [(u, engine.residual(u), profile.strategy(u)) for u in range(n)]
+    with ParallelEvaluator.for_game(
+        game, workers=2, residual_encoding=encoding
+    ) as evaluator:
+        batch = evaluator.evaluate(tasks, response)
+        stats = evaluator.stats
+    assert batch == [engine.respond(u, response) for u in range(n)]
+    assert (stats.batches, stats.tasks, stats.pools_started) == (1, n, 1)
+    assert 0 < stats.bytes_sent <= n * n * n * 8
+    assert (stats.failures, stats.retries, stats.fallbacks) == (0, 0, 0)
+
+
+def test_empty_batch_is_a_noop():
+    """Zero tasks: no pool, no shared memory, no counters, no results."""
+    game = _random_game("euclidean", 4, np.random.default_rng(97))
+    with ParallelEvaluator.for_game(game, workers=2) as evaluator:
+        assert evaluator.evaluate([], "best") == []
+        assert not evaluator.is_running
+        stats = evaluator.stats
+    assert (stats.batches, stats.tasks, stats.pools_started, stats.bytes_sent) == (
+        0, 0, 0, 0,
+    )
+
+
+def test_fewer_tasks_than_workers_matches_serial():
+    """A one-task batch on a four-worker pool scores like the serial engine."""
+    rng = np.random.default_rng(89)
+    game = _random_game("tree", 6, rng)
+    profile = _random_profile(6, rng)
+    engine = IncrementalEngine(game, profile)
+    with ParallelEvaluator.for_game(game, workers=4) as evaluator:
+        for u in range(6):
+            task = [(u, engine.residual(u), profile.strategy(u))]
+            assert evaluator.evaluate(task, "best") == [engine.respond(u, "best")]
+        assert evaluator.stats.batches == 6 and evaluator.pools_started == 1
+    assert _no_pool_children()
 
 
 def test_workers_validation():
@@ -451,9 +507,9 @@ def test_pool_kill_during_dynamics_is_bit_identical():
         chaotic = session.run(start, rng=7)
         stats = session.stats()
     _assert_identical_runs([serial, chaotic])
-    fleet = stats.evaluator_stats
-    assert fleet is not None and fleet.retries >= 1
-    assert fleet.fallbacks == 0  # the pool healed in place: no rung descent
+    pool = stats.evaluator_stats
+    assert pool is not None and pool.retries >= 1
+    assert pool.fallbacks == 0  # the pool healed in place: no in-process rescue
     assert _no_pool_children()
 
 
@@ -463,8 +519,8 @@ def test_pool_broken_twice_raises_clean_error(monkeypatch):
     The rebuild-and-resubmit path retries exactly once per batch; if the
     rebuilt pool is broken too, the evaluator must surface a
     :class:`~repro.core.parallel.PoolBrokenError` (an
-    :class:`~repro.core.parallel.EvaluatorError`, so the failover ladder
-    can catch it) instead of looping or hanging.
+    :class:`~repro.core.parallel.EvaluatorError`, so the session's
+    in-process rescue can catch it) instead of looping or hanging.
     """
     import os
     import signal

@@ -1,10 +1,9 @@
-"""Delta-codec certification: the sparse residual transport for n >= 1000.
+"""Delta-codec certification: the sparse residual slot encoding.
 
 :mod:`repro.core.residual_delta` encodes a residual distance matrix as
 ``(changed row index set, packed changed rows)`` against a base snapshot,
-and both transports — the shared-memory slots and the delta frames of the
-protocol-5 ``batch`` verb — ship that encoding verbatim, under one
-dense-vs-delta rule (``delta_if_smaller``).  This battery
+and the worker pool's shared-memory slots hold that encoding verbatim,
+under one dense-vs-delta rule (``delta_if_smaller``).  This battery
 certifies the layers bottom-up:
 
 * **codec** — encode → decode is bit-exact for randomized symmetric
@@ -14,9 +13,8 @@ certifies the layers bottom-up:
   row/column write — the naive per-row test would return nearly all of
   them);
 
-* **golden layout** — the packed byte layout and the length-prefixed wire
-  frame wrapping it are pinned byte-for-byte as literals, so any codec
-  change that silently reshapes the wire format fails here first;
+* **golden layout** — the packed byte layout is pinned byte-for-byte as a
+  literal, so any codec change that silently reshapes it fails here first;
 
 * **row view** — :class:`~repro.core.residual_delta.DeltaResidual` serves
   every row bit-identically to the dense matrix (scalar, negative and
@@ -25,12 +23,11 @@ certifies the layers bottom-up:
 
 * **cross-oracle sweep** — ``residual_encoding="delta"`` replays the exact
   trajectory *and* EngineStats of ``"dense"`` across model variants,
-  schedules and the serial/pool/remote backends, while shipping no more
-  bytes;
+  schedules and the serial path, while writing no more bytes;
 
-* **chaos** — a worker dropped mid-frame while a delta batch is partially
-  on the wire (``hang_mid_frame``) costs a deadline and a shard
-  re-dispatch, never a trajectory bit.
+* **chaos** — a pool worker SIGKILLed while a delta batch is in flight
+  costs one pool rebuild and a resubmission against the surviving packed
+  slots, never a trajectory bit.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.core import GameSession, SimulationConfig, run_dynamics
 from repro.core.best_response import score_response, score_tasks
 from repro.core.faults import Fault, FaultPlan
 from repro.core.parallel import ParallelEvaluator
-from repro.core.remote import _LEN, _reap_processes, spawn_local_worker
 from repro.core.residual_delta import (
     DeltaResidual,
     ResidualDelta,
@@ -58,6 +54,7 @@ from repro.core.residual_delta import (
     unpack_delta,
 )
 from test_parallel_evaluator import (
+    VARIANTS,
     _assert_identical_runs,
     _random_game,
     _random_profile,
@@ -91,15 +88,6 @@ def _perturb_rows(base, rows, rng):
         for j in rows:
             m[j, i] = m[i, j]
     return m
-
-
-def _spawn_fleet(plan=None, count=2):
-    processes, endpoints = [], []
-    for index in range(count):
-        process, endpoint = spawn_local_worker(fault_plan=plan, worker_index=index)
-        processes.append(process)
-        endpoints.append(endpoint)
-    return processes, endpoints
 
 
 # ----------------------------------------------------------------------
@@ -144,17 +132,13 @@ def test_all_rows_delta_round_trips():
     assert delta.nbytes == packed_size(delta.num_rows, 7)
 
 
-def test_dense_wins_at_n_minus_one_changed_rows(monkeypatch):
-    """One dense-vs-delta rule for both transports, strict at the boundary.
+def test_dense_wins_at_n_minus_one_changed_rows():
+    """One dense-vs-delta rule for the pool's slots, strict at the boundary.
 
     A delta of k rows packs to 8 + 8k + 8kn bytes, which equals the dense
-    n * n * 8 bytes at k = n - 1: there the matrix ships dense, in the
-    pool's slots and on the wire alike; one changed row fewer ships as a
-    delta.
+    n * n * 8 bytes at k = n - 1: there the matrix is written dense; one
+    changed row fewer is written as a delta.
     """
-    import repro.core.remote as remote
-    from repro.core.remote import RemoteEvaluator
-
     rng = np.random.default_rng(31)
     n = 6
     weights = _random_symmetric(n, rng)
@@ -174,29 +158,6 @@ def test_dense_wins_at_n_minus_one_changed_rows(monkeypatch):
         assert np.array_equal(slots[1], at_boundary)  # written dense
         assert not np.array_equal(slots[2], below)  # holds the packed delta
         assert pool.stats.bytes_sent == 2 * n * n * 8 + packed_size(n - 2, n)
-
-    headers = []
-    send_json = remote._send_json
-
-    def recording_send_json(sock, obj):
-        headers.append(obj)
-        return send_json(sock, obj)
-
-    monkeypatch.setattr(remote, "_send_json", recording_send_json)
-    processes, endpoints = _spawn_fleet(count=1)
-    try:
-        with RemoteEvaluator(
-            weights, 1.0, endpoints=endpoints, residual_encoding="delta"
-        ) as fleet:
-            assert fleet.evaluate(tasks, "single") == serial
-    finally:
-        _reap_processes(processes, timeout=5.0)
-    (batch,) = [h for h in headers if h["kind"] == "batch"]
-    assert batch["matrices"] == [
-        {"enc": "dense"},
-        {"enc": "dense"},
-        {"enc": "delta", "base": 0, "rows": n - 2},
-    ]
 
 
 def test_inf_entries_never_register_as_changed():
@@ -309,10 +270,10 @@ def test_codec_validation_rejects_malformed_input():
 
 
 # ----------------------------------------------------------------------
-# Golden layout: the packed bytes and the wire frame, pinned as literals
+# Golden layout: the packed bytes, pinned as a literal
 # ----------------------------------------------------------------------
 def test_golden_packed_delta_layout():
-    """The transport byte layout, frozen: count u64 | rows i64 | data f64."""
+    """The slot byte layout, frozen: count u64 | rows i64 | data f64."""
     base = np.array(
         [
             [0.0, 2.0, 3.0],
@@ -341,54 +302,6 @@ def test_golden_packed_delta_layout():
     assert len(payload) == packed_size(1, 3) == 40
     rehydrated = unpack_delta(golden, 3)
     assert np.array_equal(decode_delta(base, rehydrated), matrix)
-
-
-def test_golden_protocol4_delta_frame():
-    """A delta residual frame on the wire: !Q length prefix + payload.
-
-    The frame layout dates from protocol 4 and is unchanged in protocol 5,
-    where it rides as a ``{"enc": "delta"}`` descriptor of the ``batch`` verb.
-
-    The server validates the frame length against ``packed_size(rows, n)``
-    from the header descriptor, so the prefix, the payload layout and the
-    size formula are one contract — pinned here byte-for-byte.
-    """
-    import socket
-
-    base = np.array([[0.0, 2.0], [2.0, 0.0]])
-    matrix = np.array([[0.0, 5.0], [5.0, 0.0]])
-    payload = pack_delta(encode_delta(base, matrix))
-    client, server = socket.socketpair()
-    try:
-        from repro.core.remote import _recv_frame, _send_frame
-
-        sent = _send_frame(client, payload)
-        raw = b""
-        while len(raw) < sent:
-            raw += server.recv(4096)
-    finally:
-        client.close()
-    golden = (
-        b"\x00\x00\x00\x00\x00\x00\x00\x20"  # frame length 32, network-order u64
-        b"\x01\x00\x00\x00\x00\x00\x00\x00"  # k = 1
-        b"\x00\x00\x00\x00\x00\x00\x00\x00"  # row index 0
-        b"\x00\x00\x00\x00\x00\x00\x00\x00"  # matrix[0, 0] = 0.0
-        b"\x00\x00\x00\x00\x00\x00\x14\x40"  # matrix[0, 1] = 5.0
-    )
-    try:
-        assert raw == golden
-        assert sent == _LEN.size + packed_size(1, 2)
-        # And the receiving half parses the exact same bytes back.
-        client2, server2 = socket.socketpair()
-        try:
-            server2.sendall(raw)
-            frame = _recv_frame(client2)
-        finally:
-            client2.close()
-            server2.close()
-        assert frame == payload
-    finally:
-        server.close()
 
 
 # ----------------------------------------------------------------------
@@ -455,9 +368,9 @@ def test_score_response_on_view_matches_dense(property_budget):
 
 
 # ----------------------------------------------------------------------
-# Cross-oracle sweep: delta == dense across backends and schedules
+# Cross-oracle sweep: delta == dense across variants and schedules
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("variant", ("euclidean", "metric", "tree", "one_two", "general"))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_delta_pool_matches_dense_and_serial(variant, property_budget):
     """serial == pool/dense == pool/delta, trajectories and EngineStats."""
     rng = np.random.default_rng(zlib.crc32(f"delta-pool-{variant}".encode()) % 2**32)
@@ -483,35 +396,6 @@ def test_delta_pool_matches_dense_and_serial(variant, property_budget):
         assert stats["delta"].bytes_sent <= stats["dense"].bytes_sent
 
 
-def test_delta_remote_matches_dense_and_serial():
-    """serial == remote/dense == remote/delta over a live local fleet."""
-    rng = np.random.default_rng(zlib.crc32(b"delta-remote") % 2**32)
-    n = 8
-    game = _random_game("euclidean", n, rng)
-    start = _random_profile(n, rng, density=0.4)
-    for schedule in ("batched", "sequential"):
-        runs = [run_dynamics(game, start, schedule=schedule, max_rounds=8, rng=7)]
-        stats = {}
-        for encoding in ("dense", "delta"):
-            processes, endpoints = _spawn_fleet()
-            try:
-                config = SimulationConfig(
-                    backend="remote",
-                    endpoints=tuple(endpoints),
-                    batch_timeout=10.0,
-                    schedule=schedule,
-                    max_rounds=8,
-                    residual_encoding=encoding,
-                )
-                with GameSession(game, config) as session:
-                    runs.append(session.run(start, rng=7))
-                    stats[encoding] = session.stats().evaluator_stats
-            finally:
-                _reap_processes(processes, timeout=5.0)
-        _assert_identical_runs(runs)
-        assert stats["delta"].bytes_sent <= stats["dense"].bytes_sent
-
-
 def test_residual_encoding_is_validated():
     with pytest.raises(ValueError, match="residual_encoding"):
         SimulationConfig(residual_encoding="sparse")
@@ -521,39 +405,29 @@ def test_residual_encoding_is_validated():
 
 
 # ----------------------------------------------------------------------
-# Chaos: a worker dropped mid-frame while a delta batch is on the wire
+# Chaos: a pool worker killed while a delta batch is in flight
 # ----------------------------------------------------------------------
-def test_hang_mid_frame_shard_redispatches_bit_identically():
-    """A connection dropped halfway through a residual frame costs a retry.
+def test_pool_kill_mid_delta_batch_resubmits_bit_identically():
+    """A SIGKILLed pool worker under the delta encoding costs one rebuild.
 
-    The faulted worker reads the batch header plus only part of the
-    first residual frame and stalls — the client is left mid-send with a
-    packed delta partially on the wire.  The batch deadline must fire, the
-    shard must be re-dispatched (to the healthy peer or down the ladder),
-    and the trajectory must stay bit-identical to a serial run.
+    The packed deltas of the in-flight chunk survive the executor in their
+    shared-memory slots, so the rebuilt pool re-scores the chunk against
+    the same slot indices, and the trajectory stays bit-identical to a
+    serial run.
     """
-    rng = np.random.default_rng(zlib.crc32(b"delta-midframe") % 2**32)
+    rng = np.random.default_rng(zlib.crc32(b"delta-pool-kill") % 2**32)
     n = 6
     game = _random_game("metric", n, rng)
     start = _random_profile(n, rng)
     serial = run_dynamics(game, start, schedule="batched", max_rounds=6, rng=7)
-    plan = FaultPlan(
-        faults=(Fault(kind="hang_mid_frame", at_batch=1, endpoint=0, duration=5.0),)
+    plan = FaultPlan(faults=(Fault(kind="kill_pool_worker", at_batch=1),))
+    config = SimulationConfig(
+        workers=2, schedule="batched", max_rounds=6, residual_encoding="delta"
     )
-    processes, endpoints = _spawn_fleet(plan)
-    try:
-        config = SimulationConfig(
-            backend="remote",
-            endpoints=tuple(endpoints),
-            batch_timeout=1.0,
-            schedule="batched",
-            max_rounds=6,
-            residual_encoding="delta",
-        )
-        with GameSession(game, config) as session:
-            chaotic = session.run(start, rng=7)
-            stats = session.stats()
-    finally:
-        _reap_processes(processes, timeout=5.0)
+    with GameSession(game, config) as session:
+        session.arm_faults(plan)
+        chaotic = session.run(start, rng=7)
+        stats = session.stats()
     _assert_identical_runs([serial, chaotic])
-    assert stats.evaluator_stats.failures >= 1  # the deadline fired mid-frame
+    assert stats.evaluator_stats.retries == 1  # one rebuild, no rescue
+    assert stats.evaluator_stats.fallbacks == 0

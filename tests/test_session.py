@@ -29,6 +29,7 @@ enforced here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing as mp
 import zlib
@@ -121,13 +122,14 @@ class TestSimulationConfig:
             {"order": "random", "seed": 123, "max_rounds": 7},
             {"seed": None, "repair_threshold": 0.0, "max_candidates": 5},
             {"response": "single", "workers": 2, "schedule": "batched"},
-            {"backend": "remote", "endpoints": ("a:1", "b:2")},
+            {"checkpoint_path": "run-{round}.ckpt", "checkpoint_every": 3},
             {"workers": 2, "residual_encoding": "delta"},
             {
-                "backend": "remote",
-                "endpoints": ("a:1",),
-                "batch_timeout": 30.0,
-                "max_retries": 0,
+                "order": [4, 1, 3],
+                "workers": 3,
+                "schedule": "batched",
+                "residual_encoding": "delta",
+                "max_rounds": 0,
             },
         ],
     )
@@ -139,9 +141,10 @@ class TestSimulationConfig:
 
     @pytest.mark.parametrize("value", ["single", "double"])
     def test_from_dict_drops_retired_fields(self, value):
-        # Every config dumped before the field was retired carries it.
+        # Every config dumped before the field was retired carries it, and
+        # any buffering value is dropped: both slot banks scored alike.
         data = {**SimulationConfig(workers=2).to_dict(), "buffering": value}
-        assert session_module.RETIRED_FIELDS == ("buffering",)
+        assert "buffering" in session_module.RETIRED_FIELDS
         assert SimulationConfig.from_dict(data) == SimulationConfig(workers=2)
         with pytest.raises(ValueError, match="unknown SimulationConfig field"):
             SimulationConfig.from_dict({**data, "bufering": value})
@@ -153,15 +156,6 @@ class TestSimulationConfig:
         assert cfg.order == (3, 1, 2)
         assert cfg == SimulationConfig(order=np.array([3, 1, 2]))
         assert cfg.to_dict()["order"] == [3, 1, 2]
-
-    def test_endpoints_normalized_to_tuple(self):
-        cfg = SimulationConfig(backend="remote", endpoints=["a:1", "b:2"])
-        assert cfg.endpoints == ("a:1", "b:2")
-        # a lone "host:port" string is one endpoint, not five characters
-        assert SimulationConfig(
-            backend="remote", endpoints="a:1"
-        ).endpoints == ("a:1",)
-        assert cfg.to_dict()["endpoints"] == ["a:1", "b:2"]
 
     def test_replace_validates_and_preserves(self):
         cfg = SimulationConfig()
@@ -185,62 +179,105 @@ class TestSimulationConfig:
             ({"engine": "exact", "workers": 2}, "incremental"),
             ({"engine": "exact", "schedule": "batched"}, "incremental"),
             ({"schedule": "batched", "order": "max_gain"}, "max_gain"),
-            ({"backend": "bogus"}, "unknown backend"),
+            ({"workers": None}, "invalid SimulationConfig field value"),
             ({"residual_encoding": "sparse"}, "unknown residual_encoding"),
-            ({"backend": "remote"}, "requires endpoints"),
+            ({"checkpoint_every": 2}, "checkpoint_every without checkpoint_path"),
             (
-                {"backend": "remote", "endpoints": ("h:1",), "engine": "exact"},
+                {"engine": "exact", "workers": 2, "residual_encoding": "delta"},
                 "incremental",
             ),
-            (
-                {"backend": "remote", "endpoints": ("h:1",), "workers": 2},
-                "workers",
-            ),
+            ({"workers": "0", "residual_encoding": "delta"}, "workers"),
             (
                 {"checkpoint_path": "run.ckpt", "checkpoint_every": 0},
                 "checkpoint_every must be >= 1",
             ),
-            ({"endpoints": ("h:1",)}, "backend='remote'"),
-            ({"backend": "remote", "endpoints": ("nocolon",)}, "invalid endpoint"),
-            ({"backend": "remote", "endpoints": ("h:port",)}, "invalid endpoint"),
-            ({"batch_timeout": 30.0}, "backend='remote'"),
-            ({"max_retries": 2}, "backend='remote'"),
-            (
-                {"backend": "remote", "endpoints": ("h:1",), "batch_timeout": 0},
-                "batch_timeout must be positive",
-            ),
-            (
-                {"backend": "remote", "endpoints": ("h:1",), "max_retries": -1},
-                "max_retries must be non-negative",
-            ),
-            ({"failover": "yolo"}, "unknown failover policy"),
-            ({"auth_token": "sesame"}, "backend='remote'"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**kwargs)
 
-    def test_failover_and_auth_token_fields(self):
-        assert SimulationConfig().failover == "ladder"  # graceful by default
-        assert SimulationConfig().auth_token is None
-        strict = SimulationConfig(failover="strict")
-        assert strict.failover == "strict"
-        remote = SimulationConfig(
-            backend="remote", endpoints=("h:1",), auth_token=1234
-        )
-        assert remote.auth_token == "1234"  # coerced to str
-        # Round-trips through the dict form like every other field.
-        assert SimulationConfig.from_dict(remote.to_dict()) == remote
+    def test_twelve_fields(self):
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "engine", "schedule", "workers", "repair_threshold", "response",
+            "order", "max_rounds", "max_candidates", "seed",
+            "residual_encoding", "checkpoint_every", "checkpoint_path",
+        ]
 
-    def test_fleet_fields_are_coerced_and_default_to_backend_defaults(self):
-        cfg = SimulationConfig(
-            backend="remote", endpoints=("h:1",), batch_timeout="30", max_retries="3"
+    def test_from_dict_loads_a_full_config_dumped_before_the_fleet_was_removed(self):
+        # `repro config dump --schedule batched --workers 2` as written
+        # while the remote backend existed: all 22 fields, every retired
+        # one at its old default.
+        old_dump = {
+            "engine": "incremental",
+            "schedule": "batched",
+            "workers": 2,
+            "repair_threshold": 0.5,
+            "response": "best",
+            "order": "round_robin",
+            "max_rounds": None,
+            "max_candidates": 22,
+            "seed": 0,
+            "backend": "local",
+            "endpoints": [],
+            "residual_encoding": "dense",
+            "batch_timeout": None,
+            "max_retries": None,
+            "checkpoint_every": None,
+            "checkpoint_path": None,
+            "failover": "ladder",
+            "auth_token": None,
+            "breaker_trip_after": None,
+            "breaker_base_delay": None,
+            "breaker_max_delay": None,
+            "breaker_jitter": None,
+        }
+        assert SimulationConfig.from_dict(old_dump) == SimulationConfig(
+            schedule="batched", workers=2
         )
-        assert cfg.batch_timeout == 30.0 and cfg.max_retries == 3
-        # None = "the backend's default", valid for any backend
-        assert SimulationConfig().batch_timeout is None
-        assert SimulationConfig().max_retries is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("backend", "remote"),
+            ("endpoints", ["127.0.0.1:7601"]),
+            ("batch_timeout", 30.0),
+            ("max_retries", 3),
+            ("failover", "strict"),
+            ("auth_token", "sesame"),
+            ("breaker_trip_after", 2),
+            ("breaker_base_delay", 0.5),
+            ("breaker_max_delay", 10.0),
+            ("breaker_jitter", 0.0),
+        ],
+    )
+    def test_from_dict_rejects_a_retired_remote_field_off_its_default(self, key, value):
+        data = {**SimulationConfig().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"'{key}'") as excinfo:
+            SimulationConfig.from_dict(data)
+        message = str(excinfo.value)
+        assert "remote evaluator backend" in message and "removed" in message
+        assert "workers=N" in message
+        assert "sesame" not in message  # a retired secret is never echoed
+
+    @pytest.mark.parametrize(
+        "key",
+        sorted(k for k in session_module.RETIRED_FIELDS if k != "buffering"),
+    )
+    def test_from_dict_drops_a_retired_remote_field_at_its_old_default(self, key):
+        old_default = session_module.RETIRED_FIELDS[key]
+        cfg = SimulationConfig(schedule="batched", workers=3, seed=5)
+        data = json.loads(json.dumps({**cfg.to_dict(), key: old_default}))
+        assert SimulationConfig.from_dict(data) == cfg
+        # An old file that never wrote the field loads the same way.
+        assert key not in cfg.to_dict()
+        assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_retired_remote_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(backend="remote")
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            SimulationConfig().replace(endpoints=("h:1",))
 
     def test_from_dict_rejects_unknown_keys_and_non_mappings(self):
         with pytest.raises(ValueError, match="worker"):
@@ -516,7 +553,6 @@ def test_session_scoped_fields_cannot_change_per_run():
             ("workers", 2),
             ("repair_threshold", 0.1),
             ("residual_encoding", "delta"),
-            ("failover", "strict"),
         ):
             with pytest.raises(ValueError, match=field):
                 session.run(start, **{field: value})
@@ -612,103 +648,6 @@ def test_session_rejects_unknown_verify_mode():
 # ----------------------------------------------------------------------
 # CLI: --config files and `repro config dump`
 # ----------------------------------------------------------------------
-class TestBreakerConfig:
-    """The ``breaker_*`` knobs: validated, round-tripped, remote-only."""
-
-    REMOTE = {"backend": "remote", "endpoints": ("host:1",)}
-
-    def test_unset_fields_resolve_to_policy_defaults(self):
-        from repro.core.remote import BreakerPolicy
-
-        cfg = SimulationConfig(**self.REMOTE)
-        assert cfg.breaker_overrides() == {}
-        assert cfg.breaker_policy() == BreakerPolicy(seed=cfg.root_seed())
-
-    def test_overrides_resolve_and_seed_follows_root_seed(self):
-        cfg = SimulationConfig(
-            **self.REMOTE, seed=42, breaker_trip_after=5, breaker_jitter=0.0
-        )
-        policy = cfg.breaker_policy()
-        assert policy.trip_after == 5
-        assert policy.jitter == 0.0
-        assert policy.base_delay == 0.25  # untouched knobs keep policy defaults
-        assert policy.max_delay == 30.0
-        assert policy.seed == cfg.root_seed() == 42
-
-    def test_json_round_trip_and_coercion(self):
-        cfg = SimulationConfig(
-            **self.REMOTE,
-            breaker_trip_after="3",
-            breaker_base_delay="0.5",
-            breaker_max_delay=10,
-            breaker_jitter=0,
-        )
-        assert cfg.breaker_trip_after == 3
-        assert cfg.breaker_base_delay == 0.5
-        assert cfg.breaker_max_delay == 10.0
-        assert cfg.breaker_jitter == 0.0
-        assert SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"breaker_trip_after": 0}, "trip_after must be >= 1"),
-            ({"breaker_base_delay": 0.0}, "base_delay must be positive"),
-            (
-                {"breaker_base_delay": 5.0, "breaker_max_delay": 1.0},
-                "max_delay must be >= base_delay",
-            ),
-            ({"breaker_jitter": -0.1}, "jitter must be >= 0"),
-            ({"breaker_trip_after": "three"}, "invalid literal"),
-        ],
-    )
-    def test_range_validation_delegates_to_breaker_policy(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            SimulationConfig(**self.REMOTE, **kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"breaker_trip_after": 2},  # local backend
-            {"backend": "remote", "endpoints": ("host:1",), "failover": "strict",
-             "breaker_jitter": 0.5},  # strict mode runs breaker-less by design
-        ],
-    )
-    def test_requires_remote_backend_and_ladder_failover(self, kwargs):
-        with pytest.raises(ValueError, match="failover='ladder'"):
-            SimulationConfig(**kwargs)
-
-    def test_fields_are_session_scoped(self):
-        assert {
-            "breaker_trip_after",
-            "breaker_base_delay",
-            "breaker_max_delay",
-            "breaker_jitter",
-        } <= set(session_module._SESSION_SCOPED)
-
-    def test_ladder_threads_policy_into_the_remote_rung(self):
-        from repro.core.session import _FailoverLadder
-
-        game = _random_game("euclidean", 5, np.random.default_rng(77))
-        cfg = SimulationConfig(
-            **self.REMOTE, breaker_trip_after=4, breaker_max_delay=60.0
-        )
-        ladder = _FailoverLadder(game, cfg)
-        try:
-            # the primary RemoteEvaluator rung is built eagerly, connected lazily
-            assert ladder._rungs[0]._breaker == cfg.breaker_policy()
-        finally:
-            ladder.close()
-        # strict failover builds the same backend without a breaker
-        strict = session_module._build_backend(
-            game, SimulationConfig(**self.REMOTE, failover="strict"), "remote"
-        )
-        try:
-            assert strict._breaker is None
-        finally:
-            strict.close()
-
-
 class TestCLIConfig:
     def test_config_dump_round_trips(self, capsys):
         from repro.cli import main
@@ -721,26 +660,43 @@ class TestCLIConfig:
             schedule="batched", workers=3, seed=11, max_rounds=50
         )
 
-    def test_breaker_flags_flow_into_config(self, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "remote"],
+            ["--endpoint", "h:1"],
+            ["--batch-timeout", "30"],
+            ["--max-retries", "2"],
+            ["--failover", "strict"],
+            ["--auth-token", "sesame"],
+            ["--breaker-trip-after", "2"],
+            ["--breaker-base-delay", "0.5"],
+            ["--breaker-max-delay", "10"],
+            ["--breaker-jitter", "0"],
+        ],
+    )
+    def test_removed_remote_flags_exit_with_usage_error(self, flags):
         from repro.cli import main
 
-        assert main([
-            "config", "dump", "--backend", "remote", "--endpoint", "h:1",
-            "--breaker-trip-after", "3", "--breaker-base-delay", "0.5",
-            "--breaker-max-delay", "10", "--breaker-jitter", "0.2",
-        ]) == 0
-        cfg = SimulationConfig.from_dict(json.loads(capsys.readouterr().out))
-        assert cfg.breaker_trip_after == 3
-        assert cfg.breaker_base_delay == 0.5
-        assert cfg.breaker_max_delay == 10.0
-        assert cfg.breaker_jitter == 0.2
-
-    def test_breaker_flags_without_remote_backend_exit_with_usage_error(self):
-        from repro.cli import main
-
+        for command in (["config", "dump"], ["resume", "run.ckpt"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + flags)
+            assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
-            main(["config", "dump", "--breaker-trip-after", "2"])
+            main(["worker", "serve"])
         assert excinfo.value.code == 2
+
+    def test_config_file_selecting_the_remote_backend_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps({"backend": "remote", "endpoints": ["h:1"]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["config", "dump", "--config", str(path)])
+        assert excinfo.value.code == 2
+        assert "'backend'" in capsys.readouterr().err
 
     def test_config_file_drives_poa_and_flags_override(self, tmp_path, capsys):
         from repro.cli import main

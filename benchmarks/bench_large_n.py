@@ -1,12 +1,13 @@
-"""Large-n localized dynamics: dense vs. delta residual slots on the pool.
+"""Large-n localized dynamics: delta residual slots on the pool.
 
-``residual_encoding="delta"`` (:mod:`repro.core.residual_delta`):
-residual matrices are near copies of the round's distance snapshot, so
-writing each distinct one as a dense ``(n, n)`` float64 slot — 8 MB at
-``n = 1000`` — spends almost all of the slot writes on bytes the workers
-already hold.  This benchmark measures the
-effect on a *localized-dynamics* workload built to mirror the shape the
-codec targets:
+The pool writes each chunk's first distinct residual matrix dense and
+every later one as a packed changed-row delta when that is smaller
+(:mod:`repro.core.residual_delta`).  Residual matrices are near copies of
+the round's distance snapshot, so writing each distinct one as a dense
+``(n, n)`` float64 slot — 8 MB at ``n = 1000`` — would spend almost all
+of the slot writes on bytes the workers already hold.  This benchmark
+measures the effect on a *localized-dynamics* workload built to mirror
+the shape the codec targets:
 
 * the created network is a doubly-owned BFS spanning tree of a
   degree-bounded geometric mesh — an agent owning no edge solely has a
@@ -20,12 +21,13 @@ codec targets:
   of ``O(n^2)``.
 
 A batched prefill at ``n = 1000`` therefore writes one dense base per
-chunk plus tiny per-hub deltas under ``"delta"`` where ``"dense"`` writes
-every distinct residual as a full matrix: the measured slot-write
-reduction of a two-worker pool (``EvaluatorStats.bytes_sent``) must be
-**>= 5x at n = 1000, asserted unconditionally** — alongside
-bit-identical trajectories *and* engine stats across serial, pool/dense
-and pool/delta.  The wall-clock ratio of the two pool runs is reported,
+chunk plus tiny per-hub deltas where dense slots would write every
+distinct residual as a full matrix.  The benchmark counts the pool's slot
+writes itself and compares ``EvaluatorStats.bytes_sent`` with the dense
+bytes of the same writes (``slot writes * n * n * 8``): that reduction
+must be **>= 5x at n = 1000, asserted unconditionally** — alongside
+bit-identical trajectories *and* engine stats between the serial run and
+the two-worker pool.  The wall-clock ratio of the two runs is reported,
 not asserted.  The ``n = 2000`` instance runs only on machines with
 >= 4 CPUs, to keep small-runner memory bounded.
 
@@ -36,6 +38,7 @@ other benchmarks.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import deque
 
@@ -51,6 +54,7 @@ from repro.core import (
     run_dynamics,
 )
 from repro.core.host_graph import HostGraph
+from repro.core.parallel import SharedSnapshot
 
 SIZES = (1000, 2000)
 HUBS = {1000: 48, 2000: 56}
@@ -154,17 +158,40 @@ def _base_config(**overrides) -> SimulationConfig:
     )
 
 
-def _timed_session(game, start, config):
-    t0 = time.perf_counter()
-    with GameSession(game, config) as session:
-        result = session.run(start, rng=0)
-        stats = session.stats().evaluator_stats
-    return time.perf_counter() - t0, result, stats
+@contextlib.contextmanager
+def _counting_slot_writes():
+    """Count the pool's slot writes, dense or packed, while active."""
+    writes = [0]
+    originals = {
+        name: getattr(SharedSnapshot, name)
+        for name in ("write_slot", "write_slot_packed")
+    }
+
+    def counted(original):
+        def write(snapshot, slot, data):
+            writes[0] += 1
+            return original(snapshot, slot, data)
+
+        return write
+
+    for name, original in originals.items():
+        setattr(SharedSnapshot, name, counted(original))
+    try:
+        yield writes
+    finally:
+        for name, original in originals.items():
+            setattr(SharedSnapshot, name, original)
 
 
-def _pool_run(game, start, encoding: str):
-    config = _base_config(workers=POOL_WORKERS, residual_encoding=encoding)
-    return _timed_session(game, start, config)
+def _pool_run(game, start):
+    config = _base_config(workers=POOL_WORKERS)
+    with _counting_slot_writes() as writes:
+        t0 = time.perf_counter()
+        with GameSession(game, config) as session:
+            result = session.run(start, rng=0)
+            stats = session.stats().evaluator_stats
+        elapsed = time.perf_counter() - t0
+    return elapsed, result, stats, writes[0]
 
 
 def _identical(runs) -> bool:
@@ -180,37 +207,43 @@ def _identical(runs) -> bool:
     )
 
 
-def compare_encodings(n: int) -> dict:
-    """Serial oracle vs. the pool under both encodings; bytes and timings."""
+def compare_slot_bytes(n: int) -> dict:
+    """Serial oracle vs. the pool; slot bytes against dense writes, timings."""
     game, start = localized_instance(n)
+    t0 = time.perf_counter()
     serial = run_dynamics(
         game, start, response="single", schedule="batched", max_rounds=ROUNDS, rng=0
     )
-    out: dict = {"runs": [serial], "n": n}
-    for encoding in ("dense", "delta"):
-        elapsed, result, stats = _pool_run(game, start, encoding)
-        out["runs"].append(result)
-        out[f"pool_{encoding}_s"] = elapsed
-        out[f"pool_{encoding}_bytes"] = stats.bytes_sent
-    out["identical"] = _identical(out["runs"])
-    out["pool_reduction"] = out["pool_dense_bytes"] / out["pool_delta_bytes"]
-    out["speedup"] = out["pool_dense_s"] / out["pool_delta_s"]
-    out["moves"] = serial.moves
-    return out
+    serial_s = time.perf_counter() - t0
+    pool_s, pooled, stats, writes = _pool_run(game, start)
+    dense_bytes = writes * n * n * 8
+    return {
+        "n": n,
+        "identical": _identical([serial, pooled]),
+        "slot_writes": writes,
+        "dense_bytes": dense_bytes,
+        "pool_bytes": stats.bytes_sent,
+        "pool_reduction": dense_bytes / stats.bytes_sent,
+        "serial_s": serial_s,
+        "pool_s": pool_s,
+        "speedup": serial_s / pool_s,
+        "moves": serial.moves,
+    }
 
 
 def _report_rows(stats, cpus):
     return [
-        ("pool dense [bytes]", "-", stats["pool_dense_bytes"]),
-        ("pool delta [bytes]", "-", stats["pool_delta_bytes"]),
+        ("slot writes", "-", stats["slot_writes"]),
+        ("dense bytes of those writes", "-", stats["dense_bytes"]),
+        ("pool bytes_sent", "-", stats["pool_bytes"]),
         (
             "slot-write reduction",
             f">= {BYTES_TARGET} at n=1000 (always)",
             stats["pool_reduction"],
         ),
-        ("pool dense [s]", "-", stats["pool_dense_s"]),
-        ("pool delta [s]", "-", stats["pool_delta_s"]),
-        ("speedup (delta over dense)", "reported only", stats["speedup"]),
+        ("serial [s]", "-", stats["serial_s"]),
+        ("pool [s]", "-", stats["pool_s"]),
+        ("speedup (pool over serial)", "reported only", stats["speedup"]),
         ("byte-identical runs", "always", stats["identical"]),
         ("available CPUs", "-", cpus),
     ]
@@ -222,7 +255,7 @@ def test_delta_transport_unlocks_large_n(benchmark, n, paper_report):
     cpus = _available_cpus()
     if n > 1000 and cpus < 4:
         pytest.skip(f"n={n} instance needs >= 4 CPUs (have {cpus})")
-    stats = benchmark.pedantic(lambda: compare_encodings(n), rounds=1, iterations=1)
+    stats = benchmark.pedantic(lambda: compare_slot_bytes(n), rounds=1, iterations=1)
     paper_report(
         f"Sparse residual deltas — localized dynamics (n={n})",
         _report_rows(stats, cpus),
@@ -232,9 +265,9 @@ def test_delta_transport_unlocks_large_n(benchmark, n, paper_report):
         hubs=HUBS[n],
         rounds=ROUNDS,
         pool_reduction=stats["pool_reduction"],
-        speedup_delta_over_dense=stats["speedup"],
+        speedup_pool_over_serial=stats["speedup"],
     )
-    assert stats["identical"], "encodings disagreed on the trajectory or stats"
+    assert stats["identical"], "pool and serial disagreed on the trajectory or stats"
     assert stats["pool_reduction"] >= BYTES_TARGET
 
 
@@ -254,12 +287,13 @@ def main() -> int:
         if n > 1000 and cpus < 4:
             print(f"  n={n}: skipped (needs >= 4 CPUs, have {cpus})")
             continue
-        stats = compare_encodings(n)
+        stats = compare_slot_bytes(n)
         print(
-            f"  n={n:>4}: slots {stats['pool_dense_bytes']/1e6:8.1f} MB -> "
-            f"{stats['pool_delta_bytes']/1e6:7.1f} MB "
+            f"  n={n:>4}: {stats['slot_writes']} slot writes, dense "
+            f"{stats['dense_bytes']/1e6:8.1f} MB -> sent "
+            f"{stats['pool_bytes']/1e6:7.1f} MB "
             f"({stats['pool_reduction']:.1f}x)  "
-            f"time {stats['pool_dense_s']:6.2f}s -> {stats['pool_delta_s']:6.2f}s "
+            f"time serial {stats['serial_s']:6.2f}s, pool {stats['pool_s']:6.2f}s "
             f"({stats['speedup']:.2f}x)  identical={stats['identical']}  "
             f"moves={stats['moves']}"
         )
@@ -279,7 +313,7 @@ def main() -> int:
                         "rounds": ROUNDS,
                         "cpus": cpus,
                         "pool_reduction": stats["pool_reduction"],
-                        "speedup_delta_over_dense": stats["speedup"],
+                        "speedup_pool_over_serial": stats["speedup"],
                     }
                 ),
             }
@@ -287,7 +321,7 @@ def main() -> int:
         ok &= stats["identical"] and stats["pool_reduction"] >= BYTES_TARGET
     path = write_bench_json("bench_large_n", entries)
     print(f"wrote {path}")
-    print("OK" if ok else "FAILED: encodings disagree or reduction below target")
+    print("OK" if ok else "FAILED: pool and serial disagree or reduction below target")
     return 0 if ok else 1
 
 

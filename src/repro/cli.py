@@ -32,10 +32,9 @@ to load one (the JSON layout of
 flags — ``--engine`` (incremental distance engine vs. exact from-scratch
 oracle), ``--schedule`` (sequential vs. batched proposal-caching
 activation), ``--workers`` (shared-memory worker processes for the batched
-evaluations), ``--residual-encoding`` (dense or delta slot writes), the
-checkpoint policy and ``--seed`` — which override the file.  ``repro config
-dump`` prints the config the same flags resolve to, so a flag combination
-can be frozen into a reusable JSON file:
+evaluations), the checkpoint policy and ``--seed`` — which override the
+file.  ``repro config dump`` prints the config the same flags resolve to,
+so a flag combination can be frozen into a reusable JSON file:
 
 .. code-block:: console
 
@@ -235,19 +234,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         ),
     )
     parser.add_argument(
-        "--residual-encoding",
-        dest="residual_encoding",
-        default=None,
-        choices=["dense", "delta"],
-        help=(
-            "how residual matrices reach the pool workers: 'dense' "
-            "(default) writes every distinct matrix verbatim; 'delta' writes "
-            "one dense base per chunk plus packed changed-row deltas "
-            "against it — bit-identical trajectories, O(k*n) bytes per "
-            "localized move instead of O(n^2)"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint",
         dest="checkpoint_path",
         default=None,
@@ -300,7 +286,6 @@ _CONFIG_FIELDS = (
     "schedule",
     "workers",
     "seed",
-    "residual_encoding",
     "checkpoint_every",
     "checkpoint_path",
     "response",
@@ -326,14 +311,6 @@ def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for the continuation (placement only: the "
         "trajectory is bit-identical for every worker count)",
-    )
-    parser.add_argument(
-        "--residual-encoding",
-        dest="residual_encoding",
-        default=None,
-        choices=["dense", "delta"],
-        help="residual transport encoding for the continuation (placement "
-        "only: dense and delta replay bit-identical trajectories)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -491,7 +468,7 @@ def _cmd_simulate(args) -> int:
 def _report_degradation(session) -> None:
     """Print the pool's in-process fallbacks — to stderr, only if nonzero.
 
-    Stdout is the byte-diffable surface (a rescued run must print exactly
+    Stdout is the byte-diffable surface (a degraded run must print exactly
     what the serial one prints), so degradation telemetry never lands there.
     """
     ev = session.stats().evaluator_stats
@@ -517,7 +494,6 @@ def _cmd_resume(args) -> int:
         key: value
         for key, value in {
             "workers": args.workers,
-            "residual_encoding": args.residual_encoding,
             "checkpoint_path": args.checkpoint_path,
             "checkpoint_every": args.checkpoint_every,
         }.items()

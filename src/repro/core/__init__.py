@@ -8,7 +8,7 @@ The sub-modules are organised bottom-up:
 * :mod:`repro.core.game`           — the cost model (agent and social costs),
 * :mod:`repro.core.best_response`  — exact and greedy best responses,
 * :mod:`repro.core.incremental`    — cached-distance incremental BR engine,
-* :mod:`repro.core.parallel`       — evaluator protocol, shared-memory pool,
+* :mod:`repro.core.parallel`       — shared-memory worker pool,
 * :mod:`repro.core.equilibria`     — NE / GE / AE / β-approximate checks,
 * :mod:`repro.core.checkpoint`     — versioned run checkpoints, atomic writes,
 * :mod:`repro.core.dynamics`       — response dynamics and cycle detection,
@@ -67,7 +67,6 @@ from .game import AgentCostBreakdown, NetworkCreationGame
 from .host_graph import HostGraph, MetricViolation, ModelVariant
 from .incremental import EngineStats, IncrementalEngine
 from .parallel import (
-    EvaluatorBackend,
     EvaluatorStats,
     ParallelEvaluator,
     SharedSnapshot,
@@ -109,7 +108,6 @@ __all__ = [
     "DynamicsResult",
     "EngineStats",
     "EquilibriumReport",
-    "EvaluatorBackend",
     "EvaluatorStats",
     "GameSession",
     "HostGraph",

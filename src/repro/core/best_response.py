@@ -445,8 +445,8 @@ def score_tasks(
     """:func:`score_response` over ``(agent, d_rest, strategy)`` tasks, in order.
 
     The one in-process scoring loop: the engine's serial batches and the
-    session's rescue of a broken pool both run it, so every path scores
-    exactly the same way.  ``weights`` is the full
+    evaluator's fallback from a broken pool both run it, so every path
+    scores exactly the same way.  ``weights`` is the full
     host-weight matrix; row ``agent`` is passed to the kernel.
     """
     return [

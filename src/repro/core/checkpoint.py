@@ -59,7 +59,7 @@ for the property harness); without a placeholder the file is atomically
 overwritten in place and always holds the latest boundary.
 
 Resume surfaces: :meth:`repro.core.session.GameSession.resume` (continue
-inside an open session — e.g. onto a different backend or worker count,
+inside an open session — e.g. onto a different worker count,
 which never changes a trajectory), :func:`repro.core.session.resume_dynamics`
 (one-shot: rebuild game + config from the file and continue) and the CLI's
 ``repro resume`` command.
@@ -106,9 +106,9 @@ CHECKPOINT_VERSION = 1
 _SCHEMA = "repro-gncg-checkpoint"
 
 # Config fields that shape the *trajectory or stats* of a run.  A resume may
-# change anything else (workers, residual encoding, checkpoint policy) —
-# those trade nothing but time and placement — but never these: the
-# continuation would no longer be the same run.
+# change anything else (workers, checkpoint policy) — those trade nothing
+# but time and placement — but never these: the continuation would no
+# longer be the same run.
 TRAJECTORY_FIELDS = (
     "engine",
     "schedule",

@@ -562,7 +562,7 @@ def _run_session_loop(
     exhausted runs never write a trailing stale checkpoint.  Independent of
     the cadence, a terminal evaluator failure flushes an *emergency*
     checkpoint of the last completed round boundary before the exception
-    propagates, so even a run whose in-process rescue failed too resumes
+    propagates, so even a run whose in-process fallback failed too resumes
     losslessly.
     """
     profile = initial
@@ -595,7 +595,7 @@ def _run_session_loop(
         On a miss, up to ``prefill_window`` still-uncached agents due to
         activate later in the round (``u`` first) are scored against the
         current snapshot in one :meth:`IncrementalEngine.respond_many`
-        batch (parallel when the engine has workers).  A prefilled proposal
+        batch (on the session's worker pool when it has one).  A prefilled proposal
         is replayed at its own activation only if it survives the row-level
         validation of every move applied in between, so the trajectory is
         identical to the lazy sequential-batched evaluation.
@@ -782,8 +782,8 @@ def _run_session_loop(
             if order == "max_gain" and explicit_order is None:
                 # One round = n activations of the currently most-improving
                 # agent; every agent is scored against the same state, exactly
-                # the batch_best_responses primitive (parallel when the engine
-                # has workers).
+                # the batch_best_responses primitive (on the session's worker
+                # pool when it has one).
                 for _ in range(n):
                     steps += 1
                     if inc is not None:
@@ -872,7 +872,7 @@ def _run_session_loop(
     try:
         result = run_rounds()
     except (EvaluatorError, OSError):
-        # Terminal evaluator failure (a broken pool whose in-process rescue
+        # Terminal evaluator failure (a broken pool whose in-process fallback
         # failed too): flush the emergency checkpoint so the run
         # resumes from its last completed round boundary, then re-raise —
         # the checkpoint write must never mask the real failure.

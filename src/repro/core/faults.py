@@ -1,7 +1,7 @@
 """Deterministic, declarative fault injection for the worker pool.
 
-The pool's rebuild-and-resubmit recovery and the session's in-process
-rescue are only trustworthy if their invariants are *certified* — which
+The pool's rebuild-and-resubmit recovery and its in-process fallback
+are only trustworthy if their invariants are *certified* — which
 means failures must be reproducible, not demonstrated by ad-hoc kill
 scripts.  This module makes failure a first-class, seeded input:
 
@@ -154,8 +154,8 @@ def preset(name: str) -> FaultPlan:
 def pool_fault_hook(plan: FaultPlan) -> "Callable[[ParallelEvaluator, int], None]":
     """Build a ``ParallelEvaluator.fault_hook`` driving the plan's pool faults.
 
-    The evaluator invokes the hook with ``(evaluator, batch_index)`` at
-    the top of each ``evaluate`` call; at each planned
+    The evaluator invokes the hook with ``(evaluator, batch_index)``
+    before it dispatches a batch to the pool; at each planned
     ``kill_pool_worker`` batch one live pool worker — chosen
     deterministically from the plan's seed — is SIGKILLed, which breaks
     the executor and exercises the rebuild-and-resubmit path.

@@ -48,10 +48,11 @@ agent's current cost and one for the social cost after a move.
 5. **Multiprocess batch scoring.**  Queries that score *many* agents
    against one snapshot (:meth:`IncrementalEngine.respond_many` — the
    ``max_gain`` step and the batched schedule's round prefill) can fan the
-   per-agent candidate scans out to a persistent worker pool
-   (:mod:`repro.core.parallel`) over shared-memory copies of the residual
-   matrices.  Residuals and stats stay in the owning process and workers
-   run the same pure kernel, so ``workers`` trades nothing but time.
+   per-agent candidate scans out to an injected worker pool
+   (:class:`~repro.core.parallel.ParallelEvaluator`) over shared-memory
+   copies of the residual matrices.  Residuals and stats stay in the owning
+   process and workers run the same pure kernel, so the pool trades
+   nothing but time.
 
 Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
 candidate edges, ``a`` affected repair sources):
@@ -82,6 +83,7 @@ import numpy as np
 
 from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
+from .parallel import ParallelEvaluator
 from .shortest_paths import _as_graph, _Graph, decremental_distances, relax_source_row
 from .strategy import StrategyProfile
 
@@ -126,33 +128,23 @@ class IncrementalEngine:
     :func:`repro.core.shortest_paths.decremental_distances`).  ``stats``
     exposes :class:`EngineStats` counters of the shortest-path work done.
 
-    ``workers`` enables multiprocess scoring of *batched* queries
-    (:meth:`respond_many`): with ``workers > 1`` the engine lazily spins up
-    a :class:`~repro.core.parallel.ParallelEvaluator` whose worker pool
-    scores agents against shared-memory copies of the residual matrices.
-    Residual computation (and hence every :class:`EngineStats` counter)
-    always happens in the owning process, and workers run the same pure
-    scoring kernel as the serial path, so results are bit-identical for
-    every worker count.  The engine is a context manager; :meth:`close`
-    tears the pool down (an ``atexit`` hook covers abandoned engines).
-
-    Alternatively, a caller that manages pool lifetime itself — a
-    :class:`~repro.core.session.GameSession` sharing one pool across many
-    runs — can inject an ``evaluator``: any
-    :class:`~repro.core.parallel.EvaluatorBackend`, such as a shared-memory
-    :class:`~repro.core.parallel.ParallelEvaluator`.  The engine then uses
-    (but does **not** own) it: :meth:`close` leaves injected evaluators
-    running, so per-run engine teardown can never destroy a session's
-    shared pool, and an injected backend is dispatched to whatever its
-    fan-out degree.  :meth:`reset`
-    re-points the engine at a new profile with fresh caches and stats
-    while keeping the evaluator, which is what makes session runs
+    Without an ``evaluator`` every query scores serially in process.  An
+    injected :class:`~repro.core.parallel.ParallelEvaluator` — the one a
+    :class:`~repro.core.session.GameSession` shares across its runs —
+    scores *batched* queries (:meth:`respond_many`) on its worker pool
+    against shared-memory copies of the residual matrices.  The engine uses
+    the evaluator but never closes it; its owner does.  Residual
+    computation (and hence every :class:`EngineStats` counter) always
+    happens in the owning process, and workers run the same pure scoring
+    kernel as the serial path, so results are bit-identical either way.
+    :meth:`reset` re-points the engine at a new profile with fresh caches
+    and stats while keeping the evaluator, which is what makes session runs
     bit-identical to one-shot engines.
     """
 
     __slots__ = (
         "_game", "_profile", "_distances", "_network", "_residuals",
-        "_repair_threshold", "_workers", "_evaluator", "_owns_evaluator", "stats",
+        "_repair_threshold", "_evaluator", "stats",
     )
 
     def __init__(
@@ -161,8 +153,7 @@ class IncrementalEngine:
         profile: StrategyProfile,
         *,
         repair_threshold: float = 0.5,
-        workers: int = 1,
-        evaluator: "EvaluatorBackend | None" = None,
+        evaluator: ParallelEvaluator | None = None,
     ) -> None:
         if profile.n != game.n:
             raise ValueError(
@@ -170,8 +161,6 @@ class IncrementalEngine:
             )
         if repair_threshold < 0:
             raise ValueError("repair_threshold must be non-negative")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self._game = game
         self._profile = profile
         self._distances: np.ndarray | None = None
@@ -180,15 +169,7 @@ class IncrementalEngine:
         # agent -> (residual key, residual distance matrix)
         self._residuals: dict[int, tuple[bytes, np.ndarray]] = {}
         self._repair_threshold = float(repair_threshold)
-        if evaluator is not None:
-            # Injected (session-owned) pool: use it, never tear it down.
-            self._workers = int(evaluator.workers)
-            self._evaluator = evaluator
-            self._owns_evaluator = False
-        else:
-            self._workers = int(workers)
-            self._evaluator = None
-            self._owns_evaluator = True
+        self._evaluator = evaluator
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -202,21 +183,6 @@ class IncrementalEngine:
     def profile(self) -> StrategyProfile:
         """The current strategy profile."""
         return self._profile
-
-    @property
-    def workers(self) -> int:
-        """Worker-process count used by :meth:`respond_many` (1 = serial)."""
-        return self._workers
-
-    def close(self) -> None:
-        """Tear down the evaluator pool the engine itself created (idempotent).
-
-        Injected evaluators are detached but left running: their owner (a
-        :class:`~repro.core.session.GameSession`) closes them.
-        """
-        evaluator, self._evaluator = self._evaluator, None
-        if evaluator is not None and self._owns_evaluator:
-            evaluator.close()
 
     def reset(self, profile: StrategyProfile) -> None:
         """Re-point the engine at ``profile`` with fresh caches and stats.
@@ -283,12 +249,6 @@ class IncrementalEngine:
         }
         if stats is not None:
             self.stats = EngineStats(**stats)
-
-    def __enter__(self) -> "IncrementalEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def distances(self) -> np.ndarray:
@@ -412,12 +372,12 @@ class IncrementalEngine:
         All agents are scored against the same state (no move is applied in
         between).  Residual matrices are computed — or taken from ``d_rests``
         when the caller already holds them — in the owning process in agent
-        order, so :attr:`stats` is independent of the worker count; with
-        ``workers > 1`` the scoring itself fans out to the parallel
-        evaluator's pool, whose workers run the same pure kernel against
-        shared-memory matrix copies and whose results are gathered in
-        submission order.  The returned list is therefore bit-identical
-        for every worker count.
+        order, so :attr:`stats` is independent of the worker count; with an
+        injected evaluator a batch of two or more agents fans out to its
+        pool, whose workers run the same pure kernel against shared-memory
+        matrix copies and whose results are gathered in submission order.
+        The returned list is therefore bit-identical for every worker
+        count.
         """
         agents = [int(u) for u in agents]
         if d_rests is None:
@@ -427,10 +387,7 @@ class IncrementalEngine:
         tasks = [
             (u, dr, self._profile.strategy(u)) for u, dr in zip(agents, d_rests)
         ]
-        # An injected evaluator is used whatever its fan-out degree; a pool
-        # is only worth *creating* for workers > 1.
-        use_backend = self._evaluator is not None or self._workers > 1
-        if not use_backend or len(agents) < 2:
+        if self._evaluator is None or len(agents) < 2:
             return score_tasks(
                 tasks,
                 self._game.host.weights,
@@ -438,13 +395,6 @@ class IncrementalEngine:
                 response,
                 max_candidates=max_candidates,
             )
-        if self._evaluator is None:
-            from .parallel import ParallelEvaluator
-
-            self._evaluator = ParallelEvaluator.for_game(
-                self._game, workers=self._workers
-            )
-            self._owns_evaluator = True
         return self._evaluator.evaluate(
             tasks, response, max_candidates=max_candidates
         )

@@ -4,17 +4,7 @@ Within one batched-dynamics round (and on every ``order="max_gain"`` step)
 many agents are scored against the *same* state snapshot: each evaluation
 is a pure function of the agent's residual distance matrix, the host-graph
 weight row and the agent's current strategy — completely independent of the
-other evaluations.  This module defines the evaluator *protocol* behind
-which that fan-out is pluggable, plus the shared-memory implementation:
-
-``EvaluatorBackend``
-    The protocol every evaluator backend implements:
-    ``evaluate(tasks, response, max_candidates=) -> [BestResponseResult]``
-    over ``(agent, d_rest, strategy)`` tasks, ``close()``, plus the
-    ``workers``/``is_running``/``pools_started``/``stats`` introspection
-    surface.  :class:`ParallelEvaluator` (this module) fans out to worker
-    processes on one machine over shared memory; it is a drop-in engine
-    injection — see the ownership rules below.
+other evaluations.  This module fans that work out to worker processes:
 
 ``SharedSnapshot``
     The shared-memory encoding of one evaluation snapshot.  Two
@@ -22,10 +12,9 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     segment holding the host-graph weight matrix (written once, valid for
     the lifetime of the pool because host weights never change during a
     dynamics run) and a *slot* segment holding the ``slots`` residual
-    distance matrices of the in-flight chunk.  Workers attach by name at
-    pool start-up and build zero-copy NumPy views; per task only a slot
-    index, an agent id and a (tiny) strategy tuple cross the process
-    boundary.
+    matrices of the in-flight chunk.  Workers attach by name at pool
+    start-up and build zero-copy NumPy views; per task only a slot index,
+    an agent id and a (tiny) strategy tuple cross the process boundary.
 
 ``ParallelEvaluator``
     The persistent worker pool.  It is created *lazily* on the first
@@ -39,9 +28,18 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     submission order.  A batch with more distinct matrices than slots is
     dispatched in chunks, each gathered before the next is written.
 
+Slots use one format.  The first distinct matrix of each chunk (its
+*base*) is written dense into slot 0; every later one is written as a
+packed residual delta of its changed rows against the base
+(:mod:`repro.core.residual_delta`) whenever that is strictly smaller than
+the dense matrix, and dense otherwise.  Workers relax from ``base +
+changed rows`` through a lazy
+:class:`~repro.core.residual_delta.DeltaResidual` row-view, so localized
+dynamics move O(k·n) bytes per matrix instead of O(n²).
+
 Determinism is the design constraint, not an afterthought: workers execute
 :func:`repro.core.best_response.score_response` — the exact same pure
-kernel the serial engine runs — against bit-identical matrix copies, and
+kernel the serial engine runs — against bit-identical matrix views, and
 results are collected in submission order, so a parallel evaluation is
 indistinguishable from the serial one for every worker count (the property
 tests in ``tests/test_parallel_evaluator.py`` assert bit-identical
@@ -54,16 +52,20 @@ Snapshot invariants:
 * a slot is only rewritten after every task of the chunk that referenced it
   has been gathered (dispatch is chunked at ``slots`` distinct matrices and
   each chunk is gathered before the next one is written);
-* matrices are C-contiguous ``float64`` — the copy into the slot is an
-  exact bitwise copy, so worker-side arithmetic sees the same numbers.
+* matrices are C-contiguous ``float64`` and packed rows are verbatim
+  copies, so worker-side arithmetic sees the same numbers.
 
-Ownership rules: whoever *creates* an evaluator closes it, and nobody
-else.  An
-:class:`~repro.core.incremental.IncrementalEngine` that lazily built its
-own evaluator tears it down in ``close()``; an engine that received an
-*injected* evaluator (from a :class:`~repro.core.session.GameSession`
-sharing one pool across runs) detaches it on ``close()`` and leaves it
-running — per-run engine teardown must never churn a session's pool.
+Failure handling lives in :meth:`ParallelEvaluator.evaluate`: a broken pool
+is rebuilt once per batch and the chunk resubmitted; a second break in the
+same batch, or an ``OSError`` (e.g. shared memory refused), re-runs the
+whole batch on in-process :func:`~repro.core.best_response.score_tasks`,
+and every later batch runs in process too.
+
+Ownership: whoever *creates* an evaluator closes it, and nobody else.  A
+:class:`~repro.core.session.GameSession` builds the one evaluator of its
+runs and injects it into its
+:class:`~repro.core.incremental.IncrementalEngine`, which uses it but never
+closes it.
 
 The start method defaults to ``fork`` where available (zero-cost worker
 start-up; the snapshot names travel via the initializer so ``spawn``
@@ -80,78 +82,54 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .best_response import BestResponseResult, score_response
+from .best_response import BestResponseResult, score_response, score_tasks
 from .residual_delta import DeltaResidual, delta_if_smaller, unpack_delta
 
 if TYPE_CHECKING:  # import cycle: game sits above the evaluator layer
     from .game import NetworkCreationGame
 
 __all__ = [
-    "EvaluatorBackend",
     "EvaluatorError",
     "EvaluatorStats",
-    "PoolBrokenError",
-    "RESIDUAL_ENCODINGS",
     "SharedSnapshot",
     "ParallelEvaluator",
     "default_workers",
 ]
 
 _DEFAULT_SLOTS = 16
-RESIDUAL_ENCODINGS = ("dense", "delta")
 
 
 class EvaluatorError(RuntimeError):
-    """A backend failed a batch terminally (its own recovery is exhausted).
+    """A batch could not be scored at all, not even in process.
 
-    Root of the evaluator failure hierarchy: :class:`PoolBrokenError`
-    derives from it, and the dynamics loop catches it to flush the
-    emergency checkpoint before the failure propagates.
-    """
-
-
-class PoolBrokenError(EvaluatorError):
-    """The worker pool broke twice within one batch and was abandoned.
-
-    A single dead pool worker (SIGKILL, segfault, OOM) is recovered
-    transparently: :meth:`ParallelEvaluator.evaluate` rebuilds the pool
-    once per call and resubmits every in-flight chunk.  If the *rebuilt*
-    pool breaks again in the same batch the machine itself is suspect and
-    the evaluator gives up with this error instead of thrashing.
+    The dynamics loop catches it (and ``OSError``) to flush the emergency
+    checkpoint before the failure propagates.
     """
 
 
 @dataclass(frozen=True)
 class EvaluatorStats:
-    """What an evaluator backend did over its lifetime.
+    """What a :class:`ParallelEvaluator` did over its lifetime.
 
     ``pools_started`` counts worker-pool launches — 0 until the first
     ``evaluate``, above 1 when a broken pool was rebuilt or the evaluator
     was revived after a ``close``.  ``batches``/``tasks`` count
-    ``evaluate`` calls and the tasks they carried.  ``bytes_sent`` counts
-    the slot bytes written toward the workers: a dense matrix counts its
-    ``n * n * 8`` bytes, a packed residual delta its packed size, so the
-    dense/delta encodings are directly comparable.
+    ``evaluate`` calls and the tasks they carried, in process or not.
+    ``bytes_sent`` counts the slot bytes written toward the workers: a
+    dense matrix counts its ``n * n * 8`` bytes, a packed residual delta
+    its packed size.
 
     ``failures`` counts broken pools, ``retries`` the chunk re-submissions
-    after an in-place rebuild, and ``fallbacks`` the batches the session
-    re-ran in process after the pool broke beyond that rebuild (all zero
-    on a healthy run).
+    after an in-place rebuild, and ``fallbacks`` the descents to
+    in-process scoring after the pool broke beyond that rebuild — at most
+    one, since every later batch stays in process (all zero on a healthy
+    run).
     """
 
-    backend: str
     batches: int
     tasks: int
     pools_started: int
@@ -159,58 +137,6 @@ class EvaluatorStats:
     failures: int = 0
     retries: int = 0
     fallbacks: int = 0
-
-
-@runtime_checkable
-class EvaluatorBackend(Protocol):
-    """Protocol of a pluggable batch evaluator.
-
-    Implementations score ``(agent, d_rest, strategy)`` tasks with the pure
-    :func:`repro.core.best_response.score_response` kernel against
-    bit-identical copies of the caller's matrices and return the results in
-    **submission order** — the invariant that keeps every backend's
-    trajectories indistinguishable from the serial engine.  The residual
-    matrices and all :class:`~repro.core.incremental.EngineStats`
-    accounting stay in the calling process; a backend only ever sees the
-    finished snapshot.  The known implementation is
-    :class:`ParallelEvaluator` (shared-memory worker processes).
-    """
-
-    @property
-    def pools_started(self) -> int:
-        """Pool launches (0 until the first ``evaluate``);
-        :class:`~repro.core.session.SessionStats` reads this to prove a
-        sweep paid start-up exactly once."""
-        ...
-
-    @property
-    def workers(self) -> int:
-        """Degree of fan-out (worker processes)."""
-        ...
-
-    @property
-    def is_running(self) -> bool:
-        """True while the pool is alive."""
-        ...
-
-    @property
-    def stats(self) -> EvaluatorStats:
-        """Lifetime counters (see :class:`EvaluatorStats`)."""
-        ...
-
-    def evaluate(
-        self,
-        tasks: Iterable[tuple[int, np.ndarray, Sequence[int]]],
-        response: str = "best",
-        *,
-        max_candidates: int = 22,
-    ) -> list[BestResponseResult]:
-        """Score the tasks; results in submission order."""
-        ...
-
-    def close(self) -> None:
-        """Release the backend's resources (idempotent)."""
-        ...
 
 
 def default_workers() -> int:
@@ -408,23 +334,12 @@ class ParallelEvaluator:
         Edge-price parameter of the game.
     workers:
         Worker-process count; ``None`` uses every CPU available to this
-        process.  ``workers=1`` is allowed but callers normally keep the
-        serial path for it (see ``IncrementalEngine.respond_many``).
+        process.  ``workers=1`` is allowed but a session only builds an
+        evaluator for ``workers > 1``.
     slots:
         Residual-matrix slots of the shared snapshot; a batch referencing
         more *distinct* matrices than this is dispatched in chunks, each
         gathered before the next one's matrices are written.
-    residual_encoding:
-        ``"dense"`` (default) writes every distinct residual matrix into
-        its slot verbatim; ``"delta"`` writes the first distinct matrix of
-        each chunk dense (the chunk's *base*) and encodes every later
-        distinct matrix as a packed residual delta against it
-        (:mod:`repro.core.residual_delta`), falling back to a dense write
-        for any matrix whose packed delta would not be smaller.  Workers
-        relax from ``base + changed rows`` through a lazy
-        :class:`~repro.core.residual_delta.DeltaResidual` row-view, so
-        results are bit-identical to the dense encoding while localized
-        dynamics move O(k·n) bytes per matrix instead of O(n²).
     start_method:
         Explicit :mod:`multiprocessing` start method; default is ``fork``
         where available, the platform default otherwise.
@@ -435,16 +350,17 @@ class ParallelEvaluator:
     again after a close.
 
     ``pools_started`` counts the worker-pool launches this evaluator
-    performed (0 until the first :meth:`evaluate`; above 1 only when the
-    evaluator is revived after a :meth:`close`).  Session-reuse tests and
-    benchmarks assert on it to prove that a sweep sharing one evaluator
-    paid pool start-up exactly once.
+    performed (0 until the first :meth:`evaluate`; above 1 only when a
+    broken pool was rebuilt or the evaluator was revived after a
+    :meth:`close`).  Session-reuse tests and benchmarks assert on it to
+    prove that a sweep sharing one evaluator paid pool start-up exactly
+    once.
     """
 
     __slots__ = (
         "_weights", "_alpha", "_workers", "_slots", "_start_method",
-        "_encoding", "_snapshot", "_pool", "pools_started", "_batches",
-        "_tasks", "_bytes_sent", "_failures", "_retries", "fault_hook",
+        "_snapshot", "_pool", "pools_started", "_batches", "_tasks",
+        "_bytes_sent", "_failures", "_retries", "_fallbacks", "fault_hook",
     )
 
     def __init__(
@@ -454,7 +370,6 @@ class ParallelEvaluator:
         *,
         workers: int | None = None,
         slots: int = _DEFAULT_SLOTS,
-        residual_encoding: str = "dense",
         start_method: str | None = None,
     ) -> None:
         self._weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -464,13 +379,7 @@ class ParallelEvaluator:
             raise ValueError("workers must be >= 1")
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if residual_encoding not in RESIDUAL_ENCODINGS:
-            raise ValueError(
-                f"unknown residual_encoding {residual_encoding!r} "
-                f"(expected one of {RESIDUAL_ENCODINGS})"
-            )
         self._slots = int(slots)
-        self._encoding = residual_encoding
         self._start_method = start_method
         self._snapshot: SharedSnapshot | None = None
         self._pool = None
@@ -480,10 +389,11 @@ class ParallelEvaluator:
         self._bytes_sent = 0
         self._failures = 0
         self._retries = 0
+        self._fallbacks = 0
         # Test-only seam for the deterministic fault layer
         # (repro.core.faults): when set, called as
-        # ``fault_hook(evaluator, batch_index)`` at the top of every
-        # evaluate() call, before any task is dispatched.
+        # ``fault_hook(evaluator, batch_index)`` once the pool is up, before
+        # any task of a pool batch is dispatched.
         self.fault_hook: Callable[[ParallelEvaluator, int], None] | None = None
 
     @classmethod
@@ -492,30 +402,21 @@ class ParallelEvaluator:
         return cls(game.host.weights, game.alpha, **kwargs)
 
     @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
     def is_running(self) -> bool:
         """True while the worker pool (and its shared memory) is alive."""
         return self._pool is not None
 
     @property
-    def residual_encoding(self) -> str:
-        """``"dense"`` or ``"delta"`` slot encoding (see the class docs)."""
-        return self._encoding
-
-    @property
     def stats(self) -> EvaluatorStats:
-        """Lifetime counters of this backend (see :class:`EvaluatorStats`)."""
+        """Lifetime counters of this evaluator (see :class:`EvaluatorStats`)."""
         return EvaluatorStats(
-            backend="local",
             batches=self._batches,
             tasks=self._tasks,
             pools_started=self.pools_started,
             bytes_sent=self._bytes_sent,
             failures=self._failures,
             retries=self._retries,
+            fallbacks=self._fallbacks,
         )
 
     def worker_pids(self) -> list[int]:
@@ -604,7 +505,7 @@ class ParallelEvaluator:
         """Score ``(agent, d_rest, strategy)`` tasks across the pool.
 
         Each distinct residual matrix (by object identity — agents sharing
-        a matrix share a slot) is copied into shared memory exactly once
+        a matrix share a slot) is written into shared memory exactly once
         per chunk; results come back in submission order, so the output is
         deterministic regardless of worker scheduling.
 
@@ -612,19 +513,45 @@ class ParallelEvaluator:
         the whole executor: every pending future raises
         ``BrokenProcessPool``.  The slots referenced by the in-flight
         chunk are still intact (a slot is only rewritten after its chunk
-        has been gathered), so the pool is rebuilt **once per call** and
-        the chunk is resubmitted — tasks are pure, so the re-scored
-        results are bit-identical.  A second break in the same call raises
-        :class:`PoolBrokenError`.
+        has been gathered), so the pool is rebuilt **once per batch** and
+        the chunk is resubmitted.  A second break in the same batch, or an
+        ``OSError`` (e.g. shared memory refused), re-runs the whole batch
+        on in-process :func:`~repro.core.best_response.score_tasks`, and
+        every later batch runs in process too: a pool that broke twice is
+        not trusted again.  Tasks are pure, so every path returns
+        bit-identical results.
         """
+        # Materialize first: the pool may die mid-batch, and the fallback
+        # must re-run the *whole* batch.
         task_list = list(tasks)
         if not task_list:
             return []
-        self._ensure_pool()
-        if self.fault_hook is not None:
-            self.fault_hook(self, self._batches)
+        batch_index = self._batches
         self._batches += 1
         self._tasks += len(task_list)
+        if not self._fallbacks:
+            try:
+                return self._evaluate_on_pool(
+                    task_list, batch_index, response, max_candidates
+                )
+            except (BrokenProcessPool, OSError):
+                self._fallbacks += 1
+        return score_tasks(
+            task_list, self._weights, self._alpha, response,
+            max_candidates=max_candidates,
+        )
+
+    def _evaluate_on_pool(
+        self,
+        task_list: list[tuple[int, np.ndarray, Sequence[int]]],
+        batch_index: int,
+        response: str,
+        max_candidates: int,
+    ) -> list[BestResponseResult]:
+        """Chunked dispatch with one in-place rebuild; a second break raises."""
+        self._ensure_pool()
+        if self.fault_hook is not None:
+            self.fault_hook(self, batch_index)
         results: list[BestResponseResult] = []
         rebuilt = False
         pos = 0
@@ -635,12 +562,9 @@ class ParallelEvaluator:
                     futures = [self._pool.submit(_score_task, task) for task in chunk]
                     gathered = [future.result() for future in futures]
                     break
-                except BrokenProcessPool as exc:
+                except BrokenProcessPool:
                     if rebuilt:
-                        raise PoolBrokenError(
-                            "worker pool broke twice in one batch "
-                            f"({type(exc).__name__}: {exc})"
-                        ) from exc
+                        raise
                     rebuilt = True
                     self._failures += 1
                     self._retries += 1
@@ -674,12 +598,12 @@ class ParallelEvaluator:
                 if len(placed) >= self._slots:
                     break  # chunk full: no free slot left
                 slot = len(placed)
-                # Under the delta encoding later distinct matrices ride as
-                # packed deltas against the base when that is smaller.
+                # Later distinct matrices ride as packed deltas against
+                # the base when that is smaller.
                 payload = None
                 if base is None:
                     base = d_rest
-                elif self._encoding == "delta":
+                else:
                     payload = delta_if_smaller(base, d_rest)
                 if payload is None:
                     snapshot.write_slot(slot, d_rest)

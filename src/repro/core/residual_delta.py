@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -140,11 +139,6 @@ class ResidualDelta:
     def num_rows(self) -> int:
         return int(self.rows.shape[0])
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the packed representation (see :func:`pack_delta`)."""
-        return packed_size(self.num_rows, self.n)
-
 
 def changed_rows(base: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Deterministic row set covering every entry where ``matrix != base``.
@@ -188,37 +182,16 @@ def changed_rows(base: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.array(sorted(picked), dtype=np.int64)
 
 
-def encode_delta(
-    base: np.ndarray,
-    matrix: np.ndarray,
-    rows: Sequence[int] | np.ndarray | None = None,
-) -> ResidualDelta:
+def encode_delta(base: np.ndarray, matrix: np.ndarray) -> ResidualDelta:
     """Encode ``matrix`` as a delta against ``base`` (both symmetric).
 
-    When ``rows`` is omitted the changed rows are auto-detected with
-    :func:`changed_rows`.  An explicit ``rows`` must cover every changed
-    entry (e.g. the affected sources of a decremental repair); it is
-    normalized to the canonical form — sorted, duplicate-free, rows equal
-    to their base row dropped — so encoding the same pair of matrices
-    always yields byte-identical packed output.
+    The changed rows are auto-detected with :func:`changed_rows`, which is
+    deterministic, so encoding the same pair of matrices always yields
+    byte-identical packed output.
     """
-    b = _square(base, "base")
+    rows = changed_rows(base, matrix)  # validates both shapes
     m = _square(matrix, "matrix")
-    if b.shape != m.shape:
-        raise ValueError(f"shape mismatch: base {b.shape} vs matrix {m.shape}")
-    n = b.shape[0]
-    if rows is None:
-        row_set = changed_rows(b, m)
-    else:
-        row_set = np.unique(np.asarray(rows, dtype=np.int64))
-        if row_set.size and (row_set[0] < 0 or row_set[-1] >= n):
-            raise ValueError(f"row indices out of range for n={n}")
-        if row_set.size:
-            keep = np.any(m[row_set] != b[row_set], axis=1) | np.any(
-                m[:, row_set] != b[:, row_set], axis=0
-            )
-            row_set = row_set[keep]
-    row_set = _close_asymmetric_partners(m, row_set)
+    row_set = _close_asymmetric_partners(m, rows)
     return ResidualDelta(rows=row_set, data=np.ascontiguousarray(m[row_set]))
 
 

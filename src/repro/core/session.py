@@ -42,20 +42,20 @@ runs of an instance.  A run through a session is *bit-identical* — same
 trajectory, same :class:`~repro.core.incremental.EngineStats` — to the same
 run through the legacy keywords, because the session resets (never reuses)
 engine state between runs; only the worker pool survives.  With
-``workers > 1`` the session injects one
-:class:`~repro.core.parallel.ParallelEvaluator` worker pool into every
-per-run engine; a pool that breaks beyond its one in-place rebuild is
-rescued by in-process scoring, bit-identically.
+``workers > 1`` the session injects its one
+:class:`~repro.core.parallel.ParallelEvaluator` worker pool into the
+engine; a pool that breaks beyond its one in-place rebuild falls back to
+in-process scoring, bit-identically.
 
 Ownership rules (the invariants every layer must preserve):
 
 1. **Whoever creates an engine or evaluator closes it — and nobody
    else.**  A one-shot entry point builds its own session and cleans up on
    return; a run through an explicit session closes nothing.
-2. **Engines only close evaluators they created.**  A session-injected
-   evaluator (the shared worker pool) survives
-   :meth:`~repro.core.incremental.IncrementalEngine.close`; per-run engine
-   teardown must never churn the session's pool.
+2. **The session is the only pool owner.**  It alone builds engines and
+   always injects its evaluator; an engine scores serially or through the
+   injected evaluator and never closes it, so per-run engine resets never
+   churn the session's pool.
 3. **Sessions reset — never rebuild — engine state between runs**, so a
    session run is bit-identical (trajectory *and* stats) to a one-shot
    run; only pool start-up is amortized.
@@ -66,11 +66,10 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .best_response import score_tasks
 from .checkpoint import (
     TRAJECTORY_FIELDS,
     Checkpoint,
@@ -87,19 +86,12 @@ from .dynamics import (
 from .equilibria import is_greedy_equilibrium, is_nash_equilibrium
 from .game import NetworkCreationGame
 from .incremental import EngineStats, IncrementalEngine
-from .parallel import (
-    RESIDUAL_ENCODINGS,
-    EvaluatorBackend,
-    EvaluatorStats,
-    ParallelEvaluator,
-    PoolBrokenError,
-)
+from .parallel import EvaluatorStats, ParallelEvaluator
 from .poa import PoAEstimate, _initial_profiles
 from .social_optimum import social_optimum
 from .strategy import StrategyProfile
 
 if TYPE_CHECKING:
-    from .best_response import BestResponseResult
     from .faults import FaultPlan
 
 __all__ = [
@@ -139,7 +131,7 @@ _ORDERS = ("round_robin", "random", "max_gain")
 # Config fields a session cannot change per run: they shape the owned
 # engine and worker pool, so changing them needs a fresh session.  A
 # per-run "override" that equals the session's value is accepted (no-op).
-_SESSION_SCOPED = ("engine", "workers", "repair_threshold", "residual_encoding")
+_SESSION_SCOPED = ("engine", "workers", "repair_threshold")
 
 # Fields whose None means "unset" (the entry point's default), with the
 # type any other value is coerced to.
@@ -157,11 +149,13 @@ _ANY_VALUE = object()
 # that no longer exist, each mapped to the default those files hold.
 # from_dict drops a retired key that holds its old default, so the files
 # still load; any other value asked for behaviour that is gone and raises.
-# ``buffering`` chose between one and two shared-memory slot banks, which
-# scored identically, so any value is dropped.  The other ten configured
-# the remote evaluator fleet and its failover ladder.
+# ``buffering`` chose between one and two shared-memory slot banks and the
+# residual encoding between dense and delta slot writes; both values of
+# each scored identically, so any value is dropped.  The other ten
+# configured the remote evaluator fleet and its failover ladder.
 RETIRED_FIELDS: dict[str, Any] = {
     "buffering": _ANY_VALUE,
+    "residual_encoding": _ANY_VALUE,
     "backend": "local",
     "endpoints": [],
     "batch_timeout": None,
@@ -226,18 +220,6 @@ class SimulationConfig:
     ``seed=None`` means "the fixed default stream" (seed 0 — never OS
     entropy, so two equal configs always replay identical trajectories).
 
-    ``residual_encoding`` selects how residual matrices reach the workers:
-    ``"dense"`` (default) writes every distinct matrix verbatim, while
-    ``"delta"`` writes the first distinct matrix of each chunk dense and
-    every later one as a packed delta of its changed rows against that
-    base (:mod:`repro.core.residual_delta`), falling back to dense
-    whenever the delta would not be smaller.  Workers relax from ``base +
-    changed rows`` without materializing dense copies, so trajectories
-    and stats stay bit-identical to ``"dense"`` while localized dynamics
-    move O(k·n) bytes per matrix instead of O(n²).  It shapes the
-    shared-memory slots; the in-process serial path has no transport and
-    ignores it.
-
     ``checkpoint_every``/``checkpoint_path`` set the run's checkpoint
     policy (see :mod:`repro.core.checkpoint`): every
     ``checkpoint_every``-th round boundary the complete loop/engine/cache
@@ -248,8 +230,8 @@ class SimulationConfig:
     error.  A checkpointed run resumed via :meth:`GameSession.resume`,
     :func:`resume_dynamics` or ``repro resume`` continues byte-identically
     — trajectories, converged costs and stats — even in a fresh process and
-    even onto a different worker count or residual encoding, and honors
-    the *remaining* round budget, never a restarted one.
+    even onto a different worker count, and honors the *remaining* round
+    budget, never a restarted one.
     """
 
     engine: str = "incremental"
@@ -261,7 +243,6 @@ class SimulationConfig:
     max_rounds: int | None = None
     max_candidates: int = 22
     seed: int | None = 0
-    residual_encoding: str = "dense"
     checkpoint_every: int | None = None
     checkpoint_path: str | None = None
 
@@ -272,10 +253,6 @@ class SimulationConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.response not in _RESPONSES:
             raise ValueError(f"unknown response kind {self.response!r}")
-        if self.residual_encoding not in RESIDUAL_ENCODINGS:
-            raise ValueError(
-                f"unknown residual_encoding {self.residual_encoding!r}"
-            )
         # Coercion failures (e.g. {"workers": null} or {"order": 5} in a JSON
         # config file) must surface as ValueError — the error type callers
         # like the CLI catch — never as a raw TypeError traceback.
@@ -420,85 +397,6 @@ class SimulationConfig:
         return spawn_seeds(self.root_seed(), count)
 
 
-class _RescuedPool:
-    """The session's shared evaluator: the worker pool, rescued in process.
-
-    Wraps the session's :class:`~repro.core.parallel.ParallelEvaluator`.
-    A batch the pool cannot finish — it broke again after its one in-place
-    rebuild (:class:`~repro.core.parallel.PoolBrokenError`) or the OS
-    refused it a resource (``OSError``) — is re-run whole on in-process
-    :func:`~repro.core.best_response.score_tasks`, and so is every later
-    batch: a pool that broke twice is not trusted again.  Scoring tasks are
-    pure and results gather in submission order, so the re-run is
-    bit-identical and the trajectory never notices.
-
-    Stats are the pool's, with the rescued batches and tasks added and
-    ``fallbacks`` counting the descent.
-    """
-
-    def __init__(self, game: NetworkCreationGame, cfg: "SimulationConfig") -> None:
-        self._game = game
-        self.pool = ParallelEvaluator.for_game(
-            game, workers=cfg.workers, residual_encoding=cfg.residual_encoding
-        )
-        self.fallbacks = 0
-        self._rescued_batches = 0
-        self._rescued_tasks = 0
-
-    @property
-    def workers(self) -> int:
-        return 1 if self.fallbacks else self.pool.workers
-
-    @property
-    def is_running(self) -> bool:
-        return self.pool.is_running
-
-    @property
-    def pools_started(self) -> int:
-        return self.pool.pools_started
-
-    @property
-    def stats(self) -> EvaluatorStats:
-        stats = self.pool.stats
-        return dataclasses.replace(
-            stats,
-            batches=stats.batches + self._rescued_batches,
-            tasks=stats.tasks + self._rescued_tasks,
-            fallbacks=self.fallbacks,
-        )
-
-    def evaluate(
-        self,
-        tasks: Iterable[tuple[int, np.ndarray, Sequence[int]]],
-        response: str = "best",
-        *,
-        max_candidates: int = 22,
-    ) -> "list[BestResponseResult]":
-        # Materialize first: the pool may die mid-iteration, and the rescue
-        # must re-run the *whole* batch.
-        task_list = list(tasks)
-        if not self.fallbacks:
-            try:
-                return self.pool.evaluate(
-                    task_list, response, max_candidates=max_candidates
-                )
-            except (PoolBrokenError, OSError):
-                self.fallbacks += 1
-        results = score_tasks(
-            task_list,
-            self._game.host.weights,
-            self._game.alpha,
-            response,
-            max_candidates=max_candidates,
-        )
-        self._rescued_batches += 1
-        self._rescued_tasks += len(results)
-        return results
-
-    def close(self) -> None:
-        self.pool.close()
-
-
 @dataclass(frozen=True)
 class SessionStats:
     """What a :class:`GameSession` built and did over its lifetime.
@@ -539,19 +437,20 @@ class GameSession:
     :class:`~repro.core.parallel.ParallelEvaluator` worker pool injected
     into the engine, so every run of the session reuses one pool
     (``SessionStats.evaluator_pools_started`` stays at 1 however many runs
-    a sweep makes).  A pool that breaks beyond its one in-place rebuild is
-    rescued by in-process scoring with bit-identical results (see
-    :class:`_RescuedPool`).  :meth:`close` (or context-manager exit) tears
-    all of it down; engines never close an evaluator they did not create,
-    so nothing a session owns is destroyed by the runs inside it.
+    a sweep makes).  A pool that breaks beyond its one in-place rebuild
+    falls back to in-process scoring with bit-identical results (see
+    :meth:`~repro.core.parallel.ParallelEvaluator.evaluate`).
+    :meth:`close` (or context-manager exit) tears all of it down; engines
+    never close the evaluator, so nothing a session owns is destroyed by
+    the runs inside it.
 
     Per-run keyword overrides may change ``response``, ``order``,
     ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
     checkpoint policy; the session-scoped fields — ``engine``,
-    ``workers``, ``repair_threshold`` and ``residual_encoding`` — are
-    fixed for the session's lifetime because the owned engine and
-    evaluator are shaped by them (open a new session — or
-    :meth:`SimulationConfig.replace` the config — to change those).
+    ``workers`` and ``repair_threshold`` — are fixed for the session's
+    lifetime because the owned engine and evaluator are shaped by them
+    (open a new session — or :meth:`SimulationConfig.replace` the config
+    — to change those).
     """
 
     def __init__(
@@ -564,7 +463,7 @@ class GameSession:
         self._game = game
         self._config = config.replace(**overrides)
         self._engine: IncrementalEngine | None = None
-        self._evaluator: _RescuedPool | None = None
+        self._evaluator: ParallelEvaluator | None = None
         self._cache: _ProposalCache | None = None
         self._closed = False
         self._runs = 0
@@ -592,7 +491,7 @@ class GameSession:
         return self._closed
 
     @property
-    def evaluator(self) -> "EvaluatorBackend | None":
+    def evaluator(self) -> ParallelEvaluator | None:
         """The session's shared evaluator, if one exists yet (else ``None``).
 
         The session owns it: do **not** ``close()`` it.
@@ -600,11 +499,9 @@ class GameSession:
         return self._evaluator
 
     def close(self) -> None:
-        """Tear down the owned engine, proposal cache and worker pool (idempotent)."""
+        """Drop the engine and proposal cache, tear down the pool (idempotent)."""
         self._closed = True
-        engine, self._engine = self._engine, None
-        if engine is not None:
-            engine.close()  # no-op on the shared evaluator: the engine does not own it
+        self._engine = None
         evaluator, self._evaluator = self._evaluator, None
         if evaluator is not None:
             self._pools_started = evaluator.pools_started
@@ -629,7 +526,7 @@ class GameSession:
     # ------------------------------------------------------------------
     # Owned resources
     # ------------------------------------------------------------------
-    def _shared_evaluator(self) -> "_RescuedPool | None":
+    def _shared_evaluator(self) -> ParallelEvaluator | None:
         """The session's single shared worker pool (created once, lazily).
 
         ``None`` unless the config runs the incremental engine with
@@ -639,7 +536,9 @@ class GameSession:
         if cfg.engine != "incremental" or cfg.workers <= 1:
             return None
         if self._evaluator is None:
-            self._evaluator = _RescuedPool(self._game, cfg)
+            self._evaluator = ParallelEvaluator.for_game(
+                self._game, workers=cfg.workers
+            )
             self._evaluators_created += 1
         return self._evaluator
 
@@ -654,7 +553,7 @@ class GameSession:
 
         evaluator = self._shared_evaluator()
         if evaluator is not None:
-            evaluator.pool.fault_hook = pool_fault_hook(plan)
+            evaluator.fault_hook = pool_fault_hook(plan)
 
     def _engine_for(self, initial: StrategyProfile) -> IncrementalEngine | None:
         """The owned incremental engine, pointed at ``initial``.
@@ -671,7 +570,6 @@ class GameSession:
                 self._game,
                 initial,
                 repair_threshold=self._config.repair_threshold,
-                workers=self._config.workers,
                 evaluator=self._shared_evaluator(),
             )
             self._engines_created += 1
@@ -824,7 +722,7 @@ class GameSession:
             raise ValueError(
                 f"cannot resume with different trajectory-shaping field(s) "
                 f"{mismatched}: the continuation would not be the same run "
-                "(workers and residual_encoding may change freely; these may not)"
+                "(workers may change freely; these may not)"
             )
         initial = ckpt.profile()
         engine = self._engine_for(initial)
@@ -1048,8 +946,8 @@ def resume_dynamics(
     :meth:`GameSession.resume`).
 
     ``overrides`` replace fields of the checkpointed config for the
-    continuation — placement fields (``workers``, ``residual_encoding``)
-    and the checkpoint policy may change freely (``checkpoint_every=None,
+    continuation — the placement field ``workers`` and the checkpoint
+    policy may change freely (``checkpoint_every=None,
     checkpoint_path=None`` stops further checkpointing); the
     trajectory-shaping fields (:data:`~repro.core.checkpoint
     .TRAJECTORY_FIELDS`) may not, and ``None`` is applied literally, not

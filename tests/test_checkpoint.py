@@ -4,7 +4,7 @@ The headline guarantee of :mod:`repro.core.checkpoint` is enforced here,
 not asserted in prose: a run checkpointed at **any** round boundary and
 resumed — in the same process or a fresh one (the SIGKILL crash-injection
 test), onto the same placement or a different one (serial or the
-shared-memory pool, dense or delta slots) — produces byte-identical
+shared-memory pool) — produces byte-identical
 trajectories, converged costs, :class:`~repro.core.incremental.EngineStats`
 and proposal-cache counters versus the straight-through run.
 
@@ -120,13 +120,11 @@ def test_every_boundary_resume_matches_straight_through(
 
 
 # ----------------------------------------------------------------------
-# Placement crossing: a serial checkpoint resumed on the shared-memory
-# pool, with dense and delta slot encodings
+# Placement crossing: a serial checkpoint resumed on the shared-memory pool
 # ----------------------------------------------------------------------
 def test_resume_crosses_backends_and_worker_counts(tmp_path):
     """Every boundary of a serial run resumes bit-identically on workers
-    {1, 2} of the shared-memory pool and on a delta-encoded two-worker
-    pool — placement never changes a trajectory."""
+    {1, 2, 3} — placement never changes a trajectory."""
     rng = np.random.default_rng(424242)
     game = _random_game("metric", 10, rng)
     start = _random_profile(10, rng, 0.3)
@@ -137,36 +135,27 @@ def test_resume_crosses_backends_and_worker_counts(tmp_path):
     boundaries = _written_boundaries(directory)
     assert len(boundaries) >= 2
     for path in boundaries:
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             resumed = resume_dynamics(str(path), workers=workers, **NO_CHECKPOINTING)
             _assert_identical_runs([straight, resumed])
-    for path in boundaries:
-        resumed = resume_dynamics(
-            str(path), workers=2, residual_encoding="delta", **NO_CHECKPOINTING
-        )
-        _assert_identical_runs([straight, resumed])
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_pool_checkpoints_resume_serially(tmp_path, variant):
-    """Every boundary written by a delta-encoded two-worker pool resumes
-    bit-identically in process: the pool leaves no trace in the file."""
+    """Every boundary written by a two-worker pool resumes bit-identically
+    in process: the pool leaves no trace in the file."""
     rng = np.random.default_rng(zlib.crc32(f"pool-ckpt-{variant}".encode()) % 2**32)
     game = _random_game(variant, 8, rng)
     start = _random_profile(8, rng, 0.3)
     cfg = SimulationConfig(schedule="batched", seed=2, max_rounds=6)
     straight = _run_straight(game, start, cfg)
     template, directory = _boundary_files(tmp_path, "pool")
-    on_pool = cfg.replace(
-        workers=2, residual_encoding="delta", checkpoint_path=template
-    )
+    on_pool = cfg.replace(workers=2, checkpoint_path=template)
     _assert_identical_runs([straight, _run_straight(game, start, on_pool)])
     boundaries = _written_boundaries(directory)
     assert boundaries
     for path in boundaries:
-        resumed = resume_dynamics(
-            str(path), workers=1, residual_encoding="dense", **NO_CHECKPOINTING
-        )
+        resumed = resume_dynamics(str(path), workers=1, **NO_CHECKPOINTING)
         _assert_identical_runs([straight, resumed])
 
 
@@ -510,6 +499,37 @@ def test_checkpoint_with_a_retired_config_field_still_resumes(tmp_path):
     assert loaded.config["buffering"] == "single"
     assert loaded.simulation_config() == ckpt.simulation_config()
     _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
+
+
+@pytest.mark.parametrize("encoding", ["dense", "delta"])
+def test_checkpoint_with_the_retired_residual_encoding_still_resumes(
+    tmp_path, encoding
+):
+    """A checkpoint whose embedded config still names a slot encoding —
+    either value — resumes bit-identically, serially and on the pool."""
+    import dataclasses
+
+    rng = np.random.default_rng(zlib.crc32(f"encoding-{encoding}".encode()) % 2**32)
+    game = _random_game("metric", 8, rng)
+    start = _random_profile(8, rng, 0.3)
+    cfg = SimulationConfig(schedule="batched", workers=2, max_rounds=5)
+    straight = _run_straight(game, start, cfg.replace(workers=1))
+    template, directory = _boundary_files(tmp_path, encoding)
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    ckpt = load_checkpoint(_written_boundaries(directory)[0])
+    old = tmp_path / "old.bin"
+    save_checkpoint(
+        dataclasses.replace(
+            ckpt, config={**ckpt.config, "residual_encoding": encoding}
+        ),
+        old,
+    )
+    loaded = load_checkpoint(old)
+    assert loaded.config["residual_encoding"] == encoding
+    assert loaded.simulation_config() == ckpt.simulation_config()
+    for workers in (1, 2):
+        resumed = resume_dynamics(str(old), workers=workers, **NO_CHECKPOINTING)
+        _assert_identical_runs([straight, resumed])
 
 
 def test_checkpoint_written_with_the_remote_fleet_fields_still_resumes(tmp_path):

@@ -107,16 +107,14 @@ class TestBackendFlags:
         """The dump carries the pool placement fields and nothing retired."""
         import json
 
-        code = main(
-            ["config", "dump", "--schedule", "batched", "--workers", "2",
-             "--residual-encoding", "delta"]
-        )
+        code = main(["config", "dump", "--schedule", "batched", "--workers", "2"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["workers"] == 2
-        assert data["residual_encoding"] == "delta"
-        assert len(data) == 12
-        for retired in ("backend", "endpoints", "failover", "buffering"):
+        assert len(data) == 11
+        for retired in (
+            "backend", "endpoints", "failover", "buffering", "residual_encoding"
+        ):
             assert retired not in data
 
     def test_config_dump_buffering_flag(self, capsys, tmp_path):
@@ -133,13 +131,56 @@ class TestBackendFlags:
         data = json.loads(capsys.readouterr().out)
         assert data["workers"] == 2 and "buffering" not in data
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["poa"],
+            ["dynamics"],
+            ["simulate"],
+            ["config", "dump"],
+            ["resume", "run.ckpt"],
+        ],
+        ids=["poa", "dynamics", "simulate", "config-dump", "resume"],
+    )
+    def test_residual_encoding_flag_is_a_usage_error(self, capsys, command):
+        """The retired --residual-encoding flag is rejected on every command."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--residual-encoding", "delta"])
+        assert excinfo.value.code == 2
+        assert "--residual-encoding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoding", ["dense", "delta"])
+    def test_twelve_field_config_dump_file_still_drives_the_cli(
+        self, capsys, tmp_path, encoding
+    ):
+        """A config dumped while the slot encoding was a knob loads with
+        either value, and prints the same report as a fresh config."""
+        import json
+
+        old = {
+            "engine": "incremental", "schedule": "batched", "workers": 2,
+            "repair_threshold": 0.5, "response": "best", "order": "round_robin",
+            "max_rounds": None, "max_candidates": 22, "seed": 0,
+            "residual_encoding": encoding, "checkpoint_every": None,
+            "checkpoint_path": None,
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        assert main(["config", "dump", "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {k: v for k, v in old.items() if k != "residual_encoding"}
+        base = ["simulate", "--variant", "metric", "--n", "6", "--seed", "2"]
+        assert main(base + ["--schedule", "batched"]) == 0
+        fresh_out = capsys.readouterr().out
+        assert main(base + ["--config", str(path)]) == 0
+        assert capsys.readouterr().out == fresh_out
+
     def test_simulate_pool_matches_serial_output(self, capsys):
-        """--workers 2 (dense or delta slots) prints the exact same report."""
+        """--workers 2 prints the exact same report as the serial run."""
         base = ["simulate", "--variant", "metric", "--n", "6", "--alpha", "1.2",
                 "--seed", "2", "--schedule", "batched"]
         assert main(base) == 0
         serial_out = capsys.readouterr().out
-        for encoding in ("dense", "delta"):
-            pool = base + ["--workers", "2", "--residual-encoding", encoding]
-            assert main(pool) == 0
+        for workers in ("2", "3"):
+            assert main(base + ["--workers", workers]) == 0
             assert capsys.readouterr().out == serial_out

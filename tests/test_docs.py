@@ -101,13 +101,13 @@ def test_architecture_doc_names_the_evaluation_stack():
     doc = (DOCS / "architecture.md").read_text()
     for term in (
         "IncrementalEngine",
-        "EvaluatorBackend",
         "ParallelEvaluator",
         "SharedSnapshot",
         "GameSession",
         "bit-identical",
         "Failure semantics",
-        "residual_encoding",
+        "Delta slots (the one slot format)",
+        "delta_if_smaller",
     ):
         assert term in doc, f"docs/architecture.md does not mention {term}"
 
@@ -116,8 +116,8 @@ def test_architecture_doc_specifies_the_pool_rescue():
     doc = (DOCS / "architecture.md").read_text()
     for term in (
         "In-place rebuild",
-        "In-process rescue",
-        "PoolBrokenError",
+        "In-process fallback",
+        "BrokenProcessPool",
         "score_tasks",
         "fallbacks",
         "FaultPlan",
@@ -129,7 +129,7 @@ def test_architecture_doc_specifies_the_pool_rescue():
 def test_api_doc_documents_the_degradation_surface():
     api = (DOCS / "api.md").read_text()
     for term in (
-        "PoolBrokenError",
+        "BrokenProcessPool",
         "EvaluatorError",
         "fallbacks",
         "FaultPlan",
@@ -189,8 +189,10 @@ def test_readme_documents_config_workflow_and_backends():
 
 def test_api_doc_documents_the_backend_surface():
     api = (DOCS / "api.md").read_text()
-    for term in ("EvaluatorBackend", "ParallelEvaluator", "EvaluatorStats"):
+    for term in ("ParallelEvaluator", "EvaluatorStats", "SharedSnapshot"):
         assert term in api, f"docs/api.md does not mention {term}"
+    for retired in ("EvaluatorBackend", "PoolBrokenError"):
+        assert retired not in api, f"docs/api.md still documents {retired}"
 
 
 def test_architecture_doc_specifies_checkpoint_format_and_resume():

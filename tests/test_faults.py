@@ -1,4 +1,4 @@
-"""Chaos certification: the worker pool and its in-process rescue under faults.
+"""Chaos certification: the worker pool and its in-process fallback under faults.
 
 :mod:`repro.core.faults` turns failure into a reproducible input — a
 JSON-round-trippable :class:`~repro.core.faults.FaultPlan` injected into
@@ -11,11 +11,11 @@ against those plans:
 
 * **pool recovery** — a SIGKILLed pool worker is absorbed by the pool's
   one in-place rebuild, and a pool that breaks beyond it (or never
-  starts) is rescued by in-process scoring; either way sweeps complete
+  starts) falls back to in-process scoring; either way sweeps complete
   *bit-identically* to serial runs across the model variants, with the
   ``fallbacks`` counter telling the story;
 
-* **last-resort durability** — when the in-process rescue fails too, the
+* **last-resort durability** — when the in-process fallback fails too, the
   terminal failure still flushes an emergency checkpoint at the last
   completed round boundary, and resuming it matches the straight-through
   run.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.core import (
 )
 from repro.cli import _VARIANTS as CLI_VARIANTS
 from repro.cli import main
-from repro.core import session as session_module
+from repro.core import parallel as parallel_module
 from repro.core.faults import (
     FAULT_KINDS,
     Fault,
@@ -45,7 +46,7 @@ from repro.core.faults import (
     preset,
     preset_names,
 )
-from repro.core.parallel import EvaluatorError, PoolBrokenError, SharedSnapshot
+from repro.core.parallel import EvaluatorError, SharedSnapshot
 from test_parallel_evaluator import (
     _assert_identical_runs,
     _random_game,
@@ -66,7 +67,7 @@ def _break_pool_at(batch: int):
 
     def hook(evaluator, batch_index: int) -> None:
         if batch_index >= batch:
-            raise PoolBrokenError("worker pool broke twice in one batch (injected)")
+            raise BrokenProcessPool("worker pool broke twice in one batch (injected)")
 
     return hook
 
@@ -157,12 +158,12 @@ def test_retired_fleet_presets_are_unknown(name, capsys):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", LADDER_VARIANTS)
 def test_broken_pool_rescue_completes_bit_identically(variant, property_budget):
-    """A pool broken beyond its rebuild mid-run: the rescue finishes in process.
+    """A pool broken beyond its rebuild mid-run: the fallback finishes in process.
 
-    From its second batch on the pool raises
-    :class:`~repro.core.parallel.PoolBrokenError`.  The session must re-run
-    the very batch that failed on in-process scoring, keep going there,
-    and complete the sweep bit-identically to a serial run.
+    From its second batch on the pool raises ``BrokenProcessPool`` past
+    its rebuild.  The evaluator must re-run the very batch that failed on
+    in-process scoring, keep going there, and complete the sweep
+    bit-identically to a serial run.
     """
     rng = np.random.default_rng(zlib.crc32(f"faults-{variant}".encode()) % 2**32)
     trials = max(1, property_budget // 8)
@@ -176,15 +177,15 @@ def test_broken_pool_rescue_completes_bit_identically(variant, property_budget):
         )
         config = SimulationConfig(workers=2, max_rounds=8, schedule=schedule)
         with GameSession(game, config) as session:
-            session._shared_evaluator().pool.fault_hook = _break_pool_at(1)
+            session._shared_evaluator().fault_hook = _break_pool_at(1)
             chaotic = session.run(start, rng=7)
             stats = session.stats()
         _assert_identical_runs([serial, chaotic])
         pool = stats.evaluator_stats
-        assert pool is not None and pool.backend == "local"
+        assert pool is not None
         if pool.batches >= 2:
             # The batched schedule drives the evaluator, so once the run
-            # reached the broken batch the session must have fallen back
+            # reached the broken batch the evaluator must have fallen back
             # (sequential scores in-process; a run that converged after a
             # single batch never reached the fault).
             assert pool.fallbacks == 1
@@ -242,7 +243,7 @@ def test_cli_chaos_replays_a_plan_file(tmp_path, capsys):
 
 
 def test_rescue_survives_a_pool_that_never_started(monkeypatch):
-    """Shared memory refused from batch zero: the rescue still delivers."""
+    """Shared memory refused from batch zero: the fallback still delivers."""
     rng = np.random.default_rng(139)
     game = _random_game("euclidean", 6, rng)
     start = _random_profile(6, rng)
@@ -268,7 +269,7 @@ def test_terminal_failure_flushes_emergency_checkpoint(tmp_path, monkeypatch):
     """A terminal evaluator failure leaves a resumable boundary checkpoint.
 
     The pool breaks beyond its rebuild at its third batch and the
-    in-process rescue raises too, so the run re-raises the evaluator
+    in-process fallback raises too, so the run re-raises the evaluator
     error — but first flushes the last completed round boundary to
     ``checkpoint_path`` (the cadence here is too sparse to have written
     anything).  Resuming that emergency file must match the
@@ -280,10 +281,10 @@ def test_terminal_failure_flushes_emergency_checkpoint(tmp_path, monkeypatch):
     serial = run_dynamics(game, start, schedule="batched", max_rounds=12, rng=7)
     assert serial.steps > 2  # the instance survives past the first boundary
 
-    def rescue_fails(*args, **kwargs):
-        raise EvaluatorError("in-process rescue failed (injected)")
+    def fallback_fails(*args, **kwargs):
+        raise EvaluatorError("in-process fallback failed (injected)")
 
-    monkeypatch.setattr(session_module, "score_tasks", rescue_fails)
+    monkeypatch.setattr(parallel_module, "score_tasks", fallback_fails)
     directory = tmp_path / "emergency"
     directory.mkdir()
     config = SimulationConfig(
@@ -294,8 +295,8 @@ def test_terminal_failure_flushes_emergency_checkpoint(tmp_path, monkeypatch):
         checkpoint_every=1000,  # the cadence never fires on its own
     )
     with GameSession(game, config) as session:
-        session._shared_evaluator().pool.fault_hook = _break_pool_at(2)
-        with pytest.raises(EvaluatorError, match="rescue failed"):
+        session._shared_evaluator().fault_hook = _break_pool_at(2)
+        with pytest.raises(EvaluatorError, match="fallback failed"):
             session.run(start, rng=7)
     written = sorted(directory.glob("ckpt-*.bin"))
     assert len(written) == 1, "expected exactly the emergency flush"

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import zlib
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -44,7 +45,9 @@ from repro.core import (
     StrategyProfile,
     run_dynamics,
 )
+from repro.core.best_response import score_tasks
 from repro.core.host_graph import HostGraph
+from repro.core.residual_delta import delta_if_smaller
 from repro.metrics.generators import (
     random_euclidean_host,
     random_general_host,
@@ -141,33 +144,29 @@ def test_max_gain_workers_identical():
 
 
 def test_respond_many_matches_respond():
-    """Parallel respond_many and the session's in-process rescue of a broken
-    pool equal fresh per-agent serial scoring bit-exactly."""
-    from repro.core.parallel import PoolBrokenError
-    from repro.core.session import SimulationConfig, _RescuedPool
+    """Pool respond_many and the evaluator's in-process fallback from a
+    broken pool equal fresh per-agent serial scoring bit-exactly."""
 
     def broken(evaluator, batch_index):
-        raise PoolBrokenError("injected")
+        raise BrokenProcessPool("injected")
 
     rng = np.random.default_rng(17)
     for response in ("best", "greedy", "single"):
         n = 7
         game = _random_game("general", n, rng)
         profile = _random_profile(n, rng)
-        with IncrementalEngine(game, profile, workers=2) as parallel_engine:
+        with ParallelEvaluator.for_game(game, workers=2) as evaluator:
+            parallel_engine = IncrementalEngine(game, profile, evaluator=evaluator)
             batch = parallel_engine.respond_many(range(n), response)
         serial_engine = IncrementalEngine(game, profile)
-        rung = _RescuedPool(game, SimulationConfig(workers=2))
-        rung.pool.fault_hook = broken
-        try:
-            with IncrementalEngine(game, profile, evaluator=rung) as rung_engine:
-                rung_batch = rung_engine.respond_many(range(n), response)
-        finally:
-            rung.close()
-        assert rung.stats.tasks == n and rung.stats.fallbacks == 1
-        for u, (result, rung_result) in enumerate(zip(batch, rung_batch)):
+        with ParallelEvaluator.for_game(game, workers=2) as fallback:
+            fallback.fault_hook = broken
+            fallback_engine = IncrementalEngine(game, profile, evaluator=fallback)
+            fallback_batch = fallback_engine.respond_many(range(n), response)
+        assert fallback.stats.tasks == n and fallback.stats.fallbacks == 1
+        for u, (result, fallback_result) in enumerate(zip(batch, fallback_batch)):
             expected = serial_engine.respond(u, response)
-            for got in (result, rung_result):
+            for got in (result, fallback_result):
                 assert got.agent == expected.agent
                 assert got.strategy == expected.strategy
                 assert got.cost == expected.cost
@@ -175,23 +174,23 @@ def test_respond_many_matches_respond():
                 assert got.method == expected.method
 
 
-@pytest.mark.parametrize("encoding", ("dense", "delta"))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("response", ("best", "greedy", "single"))
-def test_pool_evaluate_matches_engine_respond(response, encoding):
-    """ParallelEvaluator.evaluate equals per-agent serial scoring bit-exactly,
-    under either slot encoding, and counts what it did."""
-    rng = np.random.default_rng(zlib.crc32(f"evaluate-{response}".encode()) % 2**32)
+def test_pool_evaluate_matches_engine_respond(response, variant):
+    """ParallelEvaluator.evaluate equals serial score_tasks bit-exactly on
+    every model variant, and counts what it did."""
+    rng = np.random.default_rng(
+        zlib.crc32(f"evaluate-{response}-{variant}".encode()) % 2**32
+    )
     n = 7
-    game = _random_game("metric", n, rng)
+    game = _random_game(variant, n, rng)
     profile = _random_profile(n, rng)
     engine = IncrementalEngine(game, profile)
     tasks = [(u, engine.residual(u), profile.strategy(u)) for u in range(n)]
-    with ParallelEvaluator.for_game(
-        game, workers=2, residual_encoding=encoding
-    ) as evaluator:
+    with ParallelEvaluator.for_game(game, workers=2) as evaluator:
         batch = evaluator.evaluate(tasks, response)
         stats = evaluator.stats
-    assert batch == [engine.respond(u, response) for u in range(n)]
+    assert batch == score_tasks(tasks, game.host.weights, game.alpha, response)
     assert (stats.batches, stats.tasks, stats.pools_started) == (1, n, 1)
     assert 0 < stats.bytes_sent <= n * n * n * 8
     assert (stats.failures, stats.retries, stats.fallbacks) == (0, 0, 0)
@@ -230,8 +229,8 @@ def test_workers_validation():
         run_dynamics(game, start, workers=0)
     with pytest.raises(ValueError, match="incremental"):
         run_dynamics(game, start, engine="exact", workers=2)
-    with pytest.raises(ValueError, match="workers"):
-        IncrementalEngine(game, start, workers=0)
+    with pytest.raises(TypeError):  # only a session-injected evaluator fans out
+        IncrementalEngine(game, start, workers=2)
     with pytest.raises(ValueError, match="workers"):
         ParallelEvaluator.for_game(game, workers=0)
 
@@ -245,7 +244,8 @@ def test_slot_pressure_chunks_stay_bit_exact():
     With ``slots=2`` and seven distinct residual matrices the batch spans
     four chunks, and a slot must never be rewritten before its chunk is
     gathered, which the equality against the serial engine would expose
-    immediately.
+    immediately.  Each chunk writes its base dense and its second matrix
+    as a packed delta when that is smaller.
     """
     rng = np.random.default_rng(53)
     n = 7
@@ -258,9 +258,15 @@ def test_slot_pressure_chunks_stay_bit_exact():
     with ParallelEvaluator.for_game(game, workers=2, slots=2) as evaluator:
         assert evaluator.evaluate(tasks, "best") == serial
         stats = evaluator.stats
-        assert stats.backend == "local"
         assert stats.batches == 1 and stats.tasks == n
-        assert stats.bytes_sent == n * n * n * 8  # every matrix written once
+    expected = 0
+    for first in range(0, n, 2):  # chunks of two slots: base, then a delta
+        base = tasks[first][1]
+        expected += n * n * 8
+        if first + 1 < n:
+            payload = delta_if_smaller(base, tasks[first + 1][1])
+            expected += n * n * 8 if payload is None else len(payload)
+    assert stats.bytes_sent == expected  # every matrix written once
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +407,14 @@ def test_spawn_start_method_parity_and_cleanup():
         shared_memory.SharedMemory(name=names["weights_name"])
 
 
-def test_engine_context_manager_reaps_pool():
+def test_evaluator_context_manager_reaps_injected_pool():
     rng = np.random.default_rng(13)
     game = _random_game("metric", 6, rng)
     profile = _random_profile(6, rng)
-    with IncrementalEngine(game, profile, workers=2) as engine:
+    with ParallelEvaluator.for_game(game, workers=2) as evaluator:
+        engine = IncrementalEngine(game, profile, evaluator=evaluator)
         engine.respond_many(range(6), "single")
+        assert evaluator.is_running
     assert _no_pool_children()
 
 
@@ -485,7 +493,6 @@ def test_pool_worker_sigkill_mid_batch_recovers_bit_identically():
         for batch in batches:
             assert batch == serial
         stats = evaluator.stats
-        assert stats.backend == "local"
         assert stats.retries >= 1  # the rebuild-and-resubmit path ran
         assert evaluator.pools_started >= 2  # original pool + one rebuild
         assert evaluator.is_running
@@ -513,27 +520,24 @@ def test_pool_kill_during_dynamics_is_bit_identical():
     assert _no_pool_children()
 
 
-def test_pool_broken_twice_raises_clean_error(monkeypatch):
-    """A pool that breaks again right after its one rebuild fails loudly.
+def test_pool_broken_twice_falls_back_in_process(monkeypatch):
+    """A pool that breaks again right after its one rebuild is abandoned.
 
     The rebuild-and-resubmit path retries exactly once per batch; if the
-    rebuilt pool is broken too, the evaluator must surface a
-    :class:`~repro.core.parallel.PoolBrokenError` (an
-    :class:`~repro.core.parallel.EvaluatorError`, so the session's
-    in-process rescue can catch it) instead of looping or hanging.
+    rebuilt pool is broken too, the evaluator must re-run the whole batch
+    on in-process ``score_tasks`` — bit-identically, without looping or
+    hanging — count one fallback, and keep every later batch in process.
     """
     import os
     import signal
     import time
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.core.parallel import EvaluatorError, PoolBrokenError
 
     rng = np.random.default_rng(43)
     game = _random_game("metric", 6, rng)
     profile = _random_profile(6, rng)
     engine = IncrementalEngine(game, profile)
     tasks = [(u, engine.residual(u), profile.strategy(u)) for u in range(6)]
+    serial = [engine.respond(u, "single") for u in range(6)]
 
     class _BrokenPool:
         def submit(self, *args, **kwargs):
@@ -551,16 +555,17 @@ def test_pool_broken_twice_raises_clean_error(monkeypatch):
 
     evaluator = ParallelEvaluator.for_game(game, workers=2)
     try:
-        assert evaluator.evaluate(tasks, "single") == [
-            engine.respond(u, "single") for u in range(6)
-        ]
+        assert evaluator.evaluate(tasks, "single") == serial
         monkeypatch.setattr(ParallelEvaluator, "_rebuild_pool", sabotage)
         victim = evaluator.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
         assert evaluator.wait_worker_exit(victim)
-        with pytest.raises(PoolBrokenError):
-            evaluator.evaluate(tasks, "single")
-        assert issubclass(PoolBrokenError, EvaluatorError)
+        assert evaluator.evaluate(tasks, "single") == serial
+        assert evaluator.evaluate(tasks, "single") == serial  # stays in process
+        stats = evaluator.stats
+        assert (stats.batches, stats.tasks) == (3, 18)
+        assert (stats.failures, stats.retries, stats.fallbacks) == (1, 1, 1)
+        assert stats.pools_started == 2  # the original pool and one rebuild
     finally:
         evaluator.close()
     # The sabotaged shutdown joined the survivors of the SIGKILLed pool,

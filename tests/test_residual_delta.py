@@ -7,7 +7,7 @@ under one dense-vs-delta rule (``delta_if_smaller``).  This battery
 certifies the layers bottom-up:
 
 * **codec** — encode → decode is bit-exact for randomized symmetric
-  matrices and row subsets (empty deltas, all-row deltas, ``inf`` rows,
+  matrices and row subsets (empty deltas, full-cover deltas, ``inf`` rows,
   n in {1, 2, 3, large}), re-encoding is byte-stable, and the changed-row
   auto-detection returns a vertex cover (one index for a symmetric
   row/column write — the naive per-row test would return nearly all of
@@ -21,9 +21,9 @@ certifies the layers bottom-up:
   fancy indexing), and ``score_response`` over the view equals the dense
   result field-for-field;
 
-* **cross-oracle sweep** — ``residual_encoding="delta"`` replays the exact
-  trajectory *and* EngineStats of ``"dense"`` across model variants,
-  schedules and the serial path, while writing no more bytes;
+* **cross-oracle sweep** — the pool's delta slots replay the exact
+  trajectory *and* EngineStats of the serial path across model variants
+  and schedules, while writing no more bytes than dense slots would;
 
 * **chaos** — a pool worker SIGKILLed while a delta batch is in flight
   costs one pool rebuild and a resubmission against the surviving packed
@@ -41,7 +41,7 @@ import pytest
 from repro.core import GameSession, SimulationConfig, run_dynamics
 from repro.core.best_response import score_response, score_tasks
 from repro.core.faults import Fault, FaultPlan
-from repro.core.parallel import ParallelEvaluator
+from repro.core.parallel import ParallelEvaluator, SharedSnapshot
 from repro.core.residual_delta import (
     DeltaResidual,
     ResidualDelta,
@@ -103,14 +103,13 @@ def test_roundtrip_randomized_rows_and_sizes(property_budget):
         k = int(rng.integers(0, n + 1))
         rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
         matrix = _perturb_rows(base, rows, rng)
-        for explicit in (None, rows):
-            delta = encode_delta(base, matrix, explicit)
-            out = decode_delta(base, delta)
-            assert out.dtype == np.float64
-            assert np.array_equal(out, matrix), (n, rows, explicit)
-            # The packed form round-trips through bytes identically too.
-            rehydrated = unpack_delta(pack_delta(delta), n)
-            assert np.array_equal(decode_delta(base, rehydrated), matrix)
+        delta = encode_delta(base, matrix)
+        out = decode_delta(base, delta)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, matrix), (n, rows)
+        # The packed form round-trips through bytes identically too.
+        rehydrated = unpack_delta(pack_delta(delta), n)
+        assert np.array_equal(decode_delta(base, rehydrated), matrix)
 
 
 def test_empty_delta_encodes_identity():
@@ -118,18 +117,20 @@ def test_empty_delta_encodes_identity():
     base = _random_symmetric(6, rng)
     delta = encode_delta(base, base)
     assert delta.num_rows == 0
-    assert delta.nbytes == packed_size(0, 6) == 8
+    assert len(pack_delta(delta)) == packed_size(0, 6) == 8
     assert pack_delta(delta) == b"\x00" * 8
     assert np.array_equal(decode_delta(base, delta), base)
 
 
 def test_all_rows_delta_round_trips():
+    """Every entry changed: the cover takes all rows but one, still exact."""
     rng = np.random.default_rng(5)
     base = _random_symmetric(7, rng)
     matrix = _random_symmetric(7, rng)
-    delta = encode_delta(base, matrix, rows=range(7))
+    delta = encode_delta(base, matrix)
+    assert delta.num_rows == 6  # a vertex cover of the complete graph K7
     assert np.array_equal(decode_delta(base, delta), matrix)
-    assert delta.nbytes == packed_size(delta.num_rows, 7)
+    assert len(pack_delta(delta)) == packed_size(delta.num_rows, 7)
 
 
 def test_dense_wins_at_n_minus_one_changed_rows():
@@ -152,7 +153,7 @@ def test_dense_wins_at_n_minus_one_changed_rows():
     tasks = [(0, base, ()), (1, at_boundary, (0,)), (2, below, (1,))]
     serial = score_tasks(tasks, weights, 1.0, "single")
 
-    with ParallelEvaluator(weights, 1.0, workers=1, residual_encoding="delta") as pool:
+    with ParallelEvaluator(weights, 1.0, workers=1) as pool:
         assert pool.evaluate(tasks, "single") == serial
         slots = pool._snapshot.slot_matrices
         assert np.array_equal(slots[1], at_boundary)  # written dense
@@ -239,14 +240,14 @@ def test_fully_asymmetric_matrices_still_decode_exactly():
 
 
 def test_reencoding_is_byte_stable():
-    """Same matrices -> same packed bytes, however the row set is supplied."""
+    """Same matrices -> same packed bytes, from equal but distinct arrays too."""
     rng = np.random.default_rng(13)
     base = _random_symmetric(9, rng)
     matrix = _perturb_rows(base, [2, 6], rng)
     reference = pack_delta(encode_delta(base, matrix))
+    assert encode_delta(base, matrix).rows.tolist() == [2, 6]
     assert pack_delta(encode_delta(base, matrix)) == reference
-    # Unsorted, duplicated explicit rows normalize to the canonical form.
-    assert pack_delta(encode_delta(base, matrix, rows=[6, 2, 2])) == reference
+    assert pack_delta(encode_delta(base.copy(), matrix.copy())) == reference
 
 
 def test_codec_validation_rejects_malformed_input():
@@ -257,7 +258,7 @@ def test_codec_validation_rejects_malformed_input():
     with pytest.raises(ValueError, match="shape mismatch"):
         encode_delta(base, _random_symmetric(5, rng))
     with pytest.raises(ValueError, match="out of range"):
-        encode_delta(base, base, rows=[7])
+        ResidualDelta(rows=np.array([7]), data=np.zeros((1, 4)))
     with pytest.raises(ValueError, match="strictly increasing"):
         ResidualDelta(rows=np.array([2, 2]), data=np.zeros((2, 4)))
     with pytest.raises(ValueError, match="too short"):
@@ -316,7 +317,7 @@ def test_view_serves_every_row_bit_identically(property_budget):
         k = int(rng.integers(0, n + 1))
         rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
         matrix = _perturb_rows(base, rows, rng)
-        view = DeltaResidual(base, encode_delta(base, matrix, rows))
+        view = DeltaResidual(base, encode_delta(base, matrix))
         assert view.shape == (n, n) and len(view) == n
         assert view.dtype == np.float64 and view.ndim == 2
         assert np.array_equal(view.dense(), matrix)
@@ -368,11 +369,24 @@ def test_score_response_on_view_matches_dense(property_budget):
 
 
 # ----------------------------------------------------------------------
-# Cross-oracle sweep: delta == dense across variants and schedules
+# Cross-oracle sweep: the delta-slot pool == serial across variants
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_delta_pool_matches_dense_and_serial(variant, property_budget):
-    """serial == pool/dense == pool/delta, trajectories and EngineStats."""
+def test_delta_pool_matches_dense_and_serial(variant, property_budget, monkeypatch):
+    """serial == pool, trajectories and EngineStats, and the pool's slot
+    writes never exceed the dense bytes of the same writes."""
+    writes = []
+
+    def counted(original):
+        def write(snapshot, slot, data):
+            writes.append(slot)
+            original(snapshot, slot, data)
+
+        return write
+
+    for name in ("write_slot", "write_slot_packed"):
+        original = getattr(SharedSnapshot, name)
+        monkeypatch.setattr(SharedSnapshot, name, counted(original))
     rng = np.random.default_rng(zlib.crc32(f"delta-pool-{variant}".encode()) % 2**32)
     trials = max(1, property_budget // 8)
     for trial in range(trials):
@@ -380,35 +394,32 @@ def test_delta_pool_matches_dense_and_serial(variant, property_budget):
         game = _random_game(variant, n, rng)
         start = _random_profile(n, rng, density=0.35)
         schedule = ("batched", "sequential")[trial % 2]
-        runs = [run_dynamics(game, start, schedule=schedule, max_rounds=8, rng=7)]
-        stats = {}
-        for encoding in ("dense", "delta"):
-            config = SimulationConfig(
-                schedule=schedule,
-                workers=2,
-                max_rounds=8,
-                residual_encoding=encoding,
-            )
-            with GameSession(game, config) as session:
-                runs.append(session.run(start, rng=7))
-                stats[encoding] = session.stats().evaluator_stats
-        _assert_identical_runs(runs)
-        assert stats["delta"].bytes_sent <= stats["dense"].bytes_sent
+        serial = run_dynamics(game, start, schedule=schedule, max_rounds=8, rng=7)
+        config = SimulationConfig(schedule=schedule, workers=2, max_rounds=8)
+        writes.clear()
+        with GameSession(game, config) as session:
+            pooled = session.run(start, rng=7)
+            stats = session.stats().evaluator_stats
+        _assert_identical_runs([serial, pooled])
+        assert stats.bytes_sent <= len(writes) * n * n * 8
 
 
-def test_residual_encoding_is_validated():
-    with pytest.raises(ValueError, match="residual_encoding"):
-        SimulationConfig(residual_encoding="sparse")
+def test_residual_encoding_is_not_an_argument():
+    """The retired slot-encoding knob is no argument of config or evaluator."""
+    with pytest.raises(TypeError):
+        SimulationConfig(residual_encoding="delta")
+    with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+        SimulationConfig().replace(residual_encoding="delta")
     game = _random_game("metric", 5, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="residual_encoding"):
-        ParallelEvaluator.for_game(game, workers=1, residual_encoding="rle")
+    with pytest.raises(TypeError):
+        ParallelEvaluator.for_game(game, workers=1, residual_encoding="delta")
 
 
 # ----------------------------------------------------------------------
 # Chaos: a pool worker killed while a delta batch is in flight
 # ----------------------------------------------------------------------
 def test_pool_kill_mid_delta_batch_resubmits_bit_identically():
-    """A SIGKILLed pool worker under the delta encoding costs one rebuild.
+    """A SIGKILLed pool worker with delta slots in flight costs one rebuild.
 
     The packed deltas of the in-flight chunk survive the executor in their
     shared-memory slots, so the rebuilt pool re-scores the chunk against
@@ -421,9 +432,7 @@ def test_pool_kill_mid_delta_batch_resubmits_bit_identically():
     start = _random_profile(n, rng)
     serial = run_dynamics(game, start, schedule="batched", max_rounds=6, rng=7)
     plan = FaultPlan(faults=(Fault(kind="kill_pool_worker", at_batch=1),))
-    config = SimulationConfig(
-        workers=2, schedule="batched", max_rounds=6, residual_encoding="delta"
-    )
+    config = SimulationConfig(workers=2, schedule="batched", max_rounds=6)
     with GameSession(game, config) as session:
         session.arm_faults(plan)
         chaotic = session.run(start, rng=7)

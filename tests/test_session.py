@@ -123,12 +123,11 @@ class TestSimulationConfig:
             {"seed": None, "repair_threshold": 0.0, "max_candidates": 5},
             {"response": "single", "workers": 2, "schedule": "batched"},
             {"checkpoint_path": "run-{round}.ckpt", "checkpoint_every": 3},
-            {"workers": 2, "residual_encoding": "delta"},
+            {"workers": 2, "repair_threshold": 0.25},
             {
                 "order": [4, 1, 3],
                 "workers": 3,
                 "schedule": "batched",
-                "residual_encoding": "delta",
                 "max_rounds": 0,
             },
         ],
@@ -180,13 +179,10 @@ class TestSimulationConfig:
             ({"engine": "exact", "schedule": "batched"}, "incremental"),
             ({"schedule": "batched", "order": "max_gain"}, "max_gain"),
             ({"workers": None}, "invalid SimulationConfig field value"),
-            ({"residual_encoding": "sparse"}, "unknown residual_encoding"),
+            ({"max_candidates": "0"}, "max_candidates"),
             ({"checkpoint_every": 2}, "checkpoint_every without checkpoint_path"),
-            (
-                {"engine": "exact", "workers": 2, "residual_encoding": "delta"},
-                "incremental",
-            ),
-            ({"workers": "0", "residual_encoding": "delta"}, "workers"),
+            ({"engine": "exact", "workers": 3}, "incremental"),
+            ({"workers": "0"}, "workers"),
             (
                 {"checkpoint_path": "run.ckpt", "checkpoint_every": 0},
                 "checkpoint_every must be >= 1",
@@ -197,12 +193,35 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**kwargs)
 
-    def test_twelve_fields(self):
+    def test_eleven_fields(self):
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
             "engine", "schedule", "workers", "repair_threshold", "response",
             "order", "max_rounds", "max_candidates", "seed",
-            "residual_encoding", "checkpoint_every", "checkpoint_path",
+            "checkpoint_every", "checkpoint_path",
         ]
+
+    @pytest.mark.parametrize("encoding", ["dense", "delta"])
+    def test_from_dict_loads_a_twelve_field_dump_with_either_encoding(self, encoding):
+        # `repro config dump --schedule batched --workers 2` as written while
+        # the slot encoding was a knob: twelve fields, and both encodings
+        # replayed identical trajectories, so either value is dropped.
+        old_dump = {
+            "engine": "incremental",
+            "schedule": "batched",
+            "workers": 2,
+            "repair_threshold": 0.5,
+            "response": "best",
+            "order": "round_robin",
+            "max_rounds": None,
+            "max_candidates": 22,
+            "seed": 0,
+            "residual_encoding": encoding,
+            "checkpoint_every": None,
+            "checkpoint_path": None,
+        }
+        assert SimulationConfig.from_dict(old_dump) == SimulationConfig(
+            schedule="batched", workers=2
+        )
 
     def test_from_dict_loads_a_full_config_dumped_before_the_fleet_was_removed(self):
         # `repro config dump --schedule batched --workers 2` as written
@@ -262,7 +281,11 @@ class TestSimulationConfig:
 
     @pytest.mark.parametrize(
         "key",
-        sorted(k for k in session_module.RETIRED_FIELDS if k != "buffering"),
+        sorted(
+            key
+            for key, old_default in session_module.RETIRED_FIELDS.items()
+            if old_default is not session_module._ANY_VALUE
+        ),
     )
     def test_from_dict_drops_a_retired_remote_field_at_its_old_default(self, key):
         old_default = session_module.RETIRED_FIELDS[key]
@@ -475,7 +498,6 @@ def test_engine_reset_keeps_evaluator_and_replaces_stats():
     profile = _random_profile(6, np.random.default_rng(9))
     with ParallelEvaluator.for_game(game, workers=2) as evaluator:
         engine = IncrementalEngine(game, profile, evaluator=evaluator)
-        assert engine.workers == 2
         engine.respond_many(range(6), "single")
         old_stats = engine.stats
         assert evaluator.pools_started == 1
@@ -517,14 +539,14 @@ def test_one_shot_run_still_cleans_up_after_itself():
     assert mp.active_children() == []
 
 
-def test_engine_close_spares_injected_evaluator():
+def test_engine_never_closes_injected_evaluator():
     game = _random_game("metric", 5, np.random.default_rng(55))
     profile = _random_profile(5, np.random.default_rng(56))
     with ParallelEvaluator.for_game(game, workers=2) as evaluator:
         engine = IncrementalEngine(game, profile, evaluator=evaluator)
         engine.respond_many(range(5), "single")
         assert evaluator.is_running
-        engine.close()
+        del engine
         assert evaluator.is_running  # not owned by the engine
     assert not evaluator.is_running  # the owner's context manager closed it
 
@@ -552,7 +574,6 @@ def test_session_scoped_fields_cannot_change_per_run():
             ("engine", "exact"),
             ("workers", 2),
             ("repair_threshold", 0.1),
-            ("residual_encoding", "delta"),
         ):
             with pytest.raises(ValueError, match=field):
                 session.run(start, **{field: value})

@@ -27,9 +27,12 @@ writes itself and compares ``EvaluatorStats.bytes_sent`` with the dense
 bytes of the same writes (``slot writes * n * n * 8``): that reduction
 must be **>= 5x at n = 1000, asserted unconditionally** — alongside
 bit-identical trajectories *and* engine stats between the serial run and
-the two-worker pool.  The wall-clock ratio of the two runs is reported,
-not asserted.  The ``n = 2000`` instance runs only on machines with
->= 4 CPUs, to keep small-runner memory bounded.
+the two-worker pool.  The evaluator is serial-first and would keep these
+single-move batches in process, so the pool run sends every batch to
+the pool (``repro.core.parallel.pool_always``).  The wall-clock ratio
+of the two runs is reported, not asserted.  The ``n = 2000`` instance
+runs only on machines with >= 4 CPUs, to keep small-runner memory
+bounded.
 
 Run directly (``python benchmarks/bench_large_n.py``) for a plain-text
 report plus ``BENCH_large_n.json``, or through pytest-benchmark like the
@@ -54,7 +57,7 @@ from repro.core import (
     run_dynamics,
 )
 from repro.core.host_graph import HostGraph
-from repro.core.parallel import SharedSnapshot
+from repro.core.parallel import SharedSnapshot, pool_always
 
 SIZES = (1000, 2000)
 HUBS = {1000: 48, 2000: 56}
@@ -184,8 +187,14 @@ def _counting_slot_writes():
 
 
 def _pool_run(game, start):
+    """The two-worker run, every batch on the pool.
+
+    Single-move batches never pay for the pool, so the serial-first
+    evaluator would keep them all in process; ``pool_always`` sends them
+    to the pool to measure its slot writes.
+    """
     config = _base_config(workers=POOL_WORKERS)
-    with _counting_slot_writes() as writes:
+    with pool_always(), _counting_slot_writes() as writes:
         t0 = time.perf_counter()
         with GameSession(game, config) as session:
             result = session.run(start, rng=0)

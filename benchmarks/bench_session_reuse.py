@@ -25,7 +25,10 @@ the session must create exactly **one** evaluator and start its pool at
 most once (asserted always via ``SessionStats``/``pools_started``
 instrumentation), and the session path must beat per-run pool creation
 (speedup asserted only with >= 2 CPUs available — on a single-CPU
-container the timings are still reported).
+container the timings are still reported).  Both paths send every batch
+to the pool (``repro.core.parallel.pool_always``): the serial-first
+evaluator would otherwise keep this small instance's batches in process
+and start no pool at all.
 
 Run directly (``python benchmarks/bench_session_reuse.py``) for a
 plain-text report plus ``BENCH_session_reuse.json``, or through
@@ -52,6 +55,7 @@ from repro.core import (
     run_dynamics,
 )
 from repro.core.host_graph import HostGraph
+from repro.core.parallel import pool_always
 
 N = 28
 ALPHA = 1.8
@@ -111,8 +115,12 @@ def run_shared_session(game, starts):
 
 
 def compare_paths(game, starts) -> dict:
-    per_run_s, per_run_results = run_per_run_pools(game, starts)
-    session_s, session_results, stats = run_shared_session(game, starts)
+    # The serial-first evaluator would keep this small instance's batches
+    # in process and never start a pool: force the pool so both paths pay
+    # for the pool start-up this benchmark compares.
+    with pool_always():
+        per_run_s, per_run_results = run_per_run_pools(game, starts)
+        session_s, session_results, stats = run_shared_session(game, starts)
     identical = all(
         a.converged == b.converged
         and a.moves == b.moves

@@ -559,7 +559,7 @@ def _cmd_chaos(args) -> int:
         reference = session.run(initial)
 
     with GameSession(game, base.replace(workers=2)) as session:
-        session.arm_faults(plan)
+        hook = session.arm_faults(plan)
         chaotic = session.run(initial)
         ev = session.stats().evaluator_stats
         _report_degradation(session)
@@ -572,20 +572,29 @@ def _cmd_chaos(args) -> int:
             chaotic.final_profile.ownership, reference.final_profile.ownership
         )
     )
+    # A fault that never fired proves nothing: the run must reach every
+    # planned batch (the sequential schedule dispatches none).
+    fired = len(hook.fired) if hook is not None else 0
+    planned = len(plan.faults)
+    if not identical:
+        verdict = "DIVERGED"
+    elif fired < planned:
+        verdict = f"NOT EXERCISED ({fired} of {planned} fault(s) fired)"
+    else:
+        verdict = "IDENTICAL"
     print(
         f"fault plan        : {args.preset or args.plan} "
-        f"({len(plan.faults)} fault(s), seed={plan.seed})\n"
+        f"({planned} fault(s), seed={plan.seed})\n"
         "faulted backend   : 2-process pool\n"
         f"reference run     : converged={reference.converged} "
         f"moves={reference.moves}\n"
         f"faulted run       : converged={chaotic.converged} "
         f"moves={chaotic.moves}\n"
         f"counters          : fallbacks={ev.fallbacks if ev else 0} "
-        f"pool_rebuilds={ev.retries if ev else 0}\n"
-        f"trajectory        : "
-        f"{'IDENTICAL' if identical else 'DIVERGED'}"
+        f"pool_rebuilds={ev.retries if ev else 0} faults_fired={fired}\n"
+        f"trajectory        : {verdict}"
     )
-    return 0 if identical else 1
+    return 0 if verdict == "IDENTICAL" else 1
 
 
 def _cmd_lint(args) -> int:

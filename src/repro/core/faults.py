@@ -9,7 +9,9 @@ scripts.  This module makes failure a first-class, seeded input:
     One failure at one injection point: a ``kind`` from :data:`FAULT_KINDS`
     and the 0-based batch index at which it fires.  ``kill_pool_worker``
     fires inside a :class:`~repro.core.parallel.ParallelEvaluator` via
-    :func:`pool_fault_hook` and SIGKILLs one pool worker.
+    :func:`pool_fault_hook` and SIGKILLs one pool worker; the hook records
+    each fault it fired, so a replay can tell a fault that never fired
+    from one that was absorbed.
 
 ``FaultPlan``
     An immutable, JSON-round-trippable set of faults plus a seed.  The
@@ -28,7 +30,7 @@ import json
 import os
 import signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # import cycle: parallel's pools are this module's targets
     from .parallel import ParallelEvaluator
@@ -37,6 +39,7 @@ __all__ = [
     "FAULT_KINDS",
     "Fault",
     "FaultPlan",
+    "PoolFaultHook",
     "pool_fault_hook",
     "preset",
     "preset_names",
@@ -151,24 +154,23 @@ def preset(name: str) -> FaultPlan:
         ) from None
 
 
-def pool_fault_hook(plan: FaultPlan) -> "Callable[[ParallelEvaluator, int], None]":
-    """Build a ``ParallelEvaluator.fault_hook`` driving the plan's pool faults.
+class PoolFaultHook:
+    """A ``ParallelEvaluator.fault_hook`` replaying a plan's pool faults.
 
-    The evaluator invokes the hook with ``(evaluator, batch_index)``
-    before it dispatches a batch to the pool; at each planned
-    ``kill_pool_worker`` batch one live pool worker — chosen
-    deterministically from the plan's seed — is SIGKILLed, which breaks
-    the executor and exercises the rebuild-and-resubmit path.
+    Build it with :func:`pool_fault_hook`.  ``fired`` lists the faults it
+    fired so far, in order.
     """
-    kill_batches = {f.at_batch for f in plan.faults}
 
-    def hook(evaluator: "ParallelEvaluator", batch_index: int) -> None:
-        if batch_index not in kill_batches:
-            return
-        pids = evaluator.worker_pids()
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        self.fired: list[Fault] = []
+
+    def __call__(self, evaluator: "ParallelEvaluator", batch_index: int) -> None:
+        due = [f for f in self.plan.faults if f.at_batch == batch_index]
+        pids = evaluator.worker_pids() if due else []
         if not pids:
             return
-        victim = pids[plan.seed % len(pids)]
+        victim = pids[self.plan.seed % len(pids)]
         try:
             os.kill(victim, signal.SIGKILL)
         except ProcessLookupError:  # pragma: no cover - already gone
@@ -176,5 +178,20 @@ def pool_fault_hook(plan: FaultPlan) -> "Callable[[ParallelEvaluator, int], None
         # Return only once the victim is gone, so the break surfaces in
         # this batch however quickly the survivors could score it.
         evaluator.wait_worker_exit(victim)
+        self.fired.extend(due)
 
-    return hook
+
+def pool_fault_hook(plan: FaultPlan) -> PoolFaultHook:
+    """Build a ``ParallelEvaluator.fault_hook`` driving the plan's pool faults.
+
+    The evaluator invokes the hook with ``(evaluator, batch_index)``
+    before it dispatches a batch to the pool (an armed hook sends every
+    batch there); at each planned ``kill_pool_worker`` batch one live pool
+    worker — chosen deterministically from the plan's seed — is
+    SIGKILLed, which breaks the executor and exercises the
+    rebuild-and-resubmit path.  The hook's ``fired`` list records each
+    fault it fired, in order: a planned batch the run never reached (a
+    sequential schedule, which dispatches no batch, or a run that
+    converged first) leaves its fault out.
+    """
+    return PoolFaultHook(plan)

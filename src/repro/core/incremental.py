@@ -47,12 +47,14 @@ agent's current cost and one for the social cost after a move.
 
 5. **Multiprocess batch scoring.**  Queries that score *many* agents
    against one snapshot (:meth:`IncrementalEngine.respond_many` — the
-   ``max_gain`` step and the batched schedule's round prefill) can fan the
-   per-agent candidate scans out to an injected worker pool
-   (:class:`~repro.core.parallel.ParallelEvaluator`) over shared-memory
-   copies of the residual matrices.  Residuals and stats stay in the owning
-   process and workers run the same pure kernel, so the pool trades
-   nothing but time.
+   ``max_gain`` step and the batched schedule's round prefill) go through
+   an injected :class:`~repro.core.parallel.ParallelEvaluator`, which fans
+   the per-agent candidate scans out to its worker pool over
+   shared-memory copies of the residual matrices when the scoring this
+   saves outweighs the pool's own cost, and scores in process otherwise
+   (serial-first dispatch).  Residuals and stats stay in the
+   owning process and workers run the same pure kernel, so the pool
+   trades nothing but time.
 
 Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
 candidate edges, ``a`` affected repair sources):
@@ -131,8 +133,9 @@ class IncrementalEngine:
     Without an ``evaluator`` every query scores serially in process.  An
     injected :class:`~repro.core.parallel.ParallelEvaluator` — the one a
     :class:`~repro.core.session.GameSession` shares across its runs —
-    scores *batched* queries (:meth:`respond_many`) on its worker pool
-    against shared-memory copies of the residual matrices.  The engine uses
+    scores *batched* queries (:meth:`respond_many`), on its worker pool
+    against shared-memory copies of the residual matrices when the batch
+    is heavy enough to pay for it.  The engine uses
     the evaluator but never closes it; its owner does.  Residual
     computation (and hence every :class:`EngineStats` counter) always
     happens in the owning process, and workers run the same pure scoring
@@ -373,9 +376,12 @@ class IncrementalEngine:
         between).  Residual matrices are computed — or taken from ``d_rests``
         when the caller already holds them — in the owning process in agent
         order, so :attr:`stats` is independent of the worker count; with an
-        injected evaluator a batch of two or more agents fans out to its
-        pool, whose workers run the same pure kernel against shared-memory
-        matrix copies and whose results are gathered in submission order.
+        injected evaluator a batch of two or more agents goes to
+        :meth:`~repro.core.parallel.ParallelEvaluator.evaluate`, which
+        runs it on the pool when that saves more than it costs — workers
+        run the same pure kernel against shared-memory matrix copies and
+        results are gathered in submission order — and in process
+        otherwise.
         The returned list is therefore bit-identical for every worker
         count.
         """

@@ -18,15 +18,16 @@ other evaluations.  This module fans that work out to worker processes:
 
 ``ParallelEvaluator``
     The persistent worker pool.  It is created *lazily* on the first
-    evaluation, reused across rounds of a dynamics run, and torn down via
-    :meth:`ParallelEvaluator.close` (also a context manager, plus an
-    ``atexit`` safety net) so CLI runs and test-suites never leak worker
-    processes or shared-memory segments.  ``evaluate`` writes each distinct
-    residual matrix into a free slot (matrices shared by several agents —
-    e.g. the network distances of agents owning no solely-owned edges — are
-    written once), dispatches one task per agent and gathers results in
-    submission order.  A batch with more distinct matrices than slots is
-    dispatched in chunks, each gathered before the next is written.
+    batch sent to it, reused across rounds of a dynamics run, and torn
+    down via :meth:`ParallelEvaluator.close` (also a context manager, plus
+    an ``atexit`` safety net) so CLI runs and test-suites never leak worker
+    processes or shared-memory segments.  On the pool, ``evaluate``
+    writes each distinct residual matrix into a free slot (matrices shared
+    by several agents — e.g. the network distances of agents owning no
+    solely-owned edges — are written once), dispatches one task per agent
+    and gathers results in submission order.  A batch with more distinct
+    matrices than slots is dispatched in chunks, each gathered before the
+    next is written.
 
 Slots use one format.  The first distinct matrix of each chunk (its
 *base*) is written dense into slot 0; every later one is written as a
@@ -55,11 +56,24 @@ Snapshot invariants:
 * matrices are C-contiguous ``float64`` and packed rows are verbatim
   copies, so worker-side arithmetic sees the same numbers.
 
-Failure handling lives in :meth:`ParallelEvaluator.evaluate`: a broken pool
-is rebuilt once per batch and the chunk resubmitted; a second break in the
-same batch, or an ``OSError`` (e.g. shared memory refused), re-runs the
-whole batch on in-process :func:`~repro.core.best_response.score_tasks`,
-and every later batch runs in process too.
+Dispatch is serial-first.  :meth:`ParallelEvaluator.evaluate` sends a
+batch to the pool only when the pool saves more scoring time than it
+costs, and runs it on in-process
+:func:`~repro.core.best_response.score_tasks` otherwise: the same kernel,
+so the choice never changes a result.  Only exact best responses can
+pay; their scoring work (:func:`_scoring_work`) is weighed against the
+pool's per-batch and per-matrix costs, measured by
+``benchmarks/bench_parallel_dynamics.py`` (``docs/architecture.md``
+tabulates them).  The pool starts lazily, so a run whose batches all stay
+in process never forks a worker or allocates shared memory.  An armed
+``fault_hook`` always uses the pool, and :func:`pool_always` does the
+same for the tests and benchmarks that must exercise it; there is no user
+setting.
+
+Failure handling lives in :meth:`ParallelEvaluator.evaluate` too: a broken
+pool is rebuilt once per batch and the chunk resubmitted; a second break
+in the same batch, or an ``OSError`` (e.g. shared memory refused), re-runs
+the whole batch in process, and every later batch runs in process too.
 
 Ownership: whoever *creates* an evaluator closes it, and nobody else.  A
 :class:`~repro.core.session.GameSession` builds the one evaluator of its
@@ -75,6 +89,7 @@ platforms work identically, just with a slower pool start).
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing as mp
 import multiprocessing.connection
 import os
@@ -82,7 +97,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +117,49 @@ __all__ = [
 
 _DEFAULT_SLOTS = 16
 
+# Serial-first dispatch constants, in units of in-process scoring work
+# (``_scoring_work``), fitted by the break-even sweep of
+# benchmarks/bench_parallel_dynamics.py on a 2-CPU x86-64 container
+# (docs/architecture.md lists the measurements): the pool's own cost of
+# one batch and of each distinct residual matrix it writes to a slot,
+# expressed as the exact best-response work scored in process meanwhile.
+_POOL_BATCH_WORK = 1.6e6
+_POOL_MATRIX_WORK = 7.1e5
+# Set by pool_always(): every batch goes to the pool.
+_POOL_ALWAYS = False
+
+
+@contextlib.contextmanager
+def pool_always() -> Iterator[None]:
+    """Send every batch to the worker pool inside the block.
+
+    The one seam for tests and benchmarks that must exercise the pool,
+    which the dispatch rule would otherwise skip for batches it does not
+    speed up.  Users have no setting for it; results are bit-identical
+    either way.
+    """
+    global _POOL_ALWAYS
+    previous, _POOL_ALWAYS = _POOL_ALWAYS, True
+    try:
+        yield
+    finally:
+        _POOL_ALWAYS = previous
+
+
+def _scoring_work(
+    degree: np.ndarray,
+    tasks: Sequence[tuple[int, Any, Sequence[int]]],
+    max_candidates: int,
+) -> np.ndarray:
+    """Scoring work of each ``(agent, d_rest, strategy)`` exact best-response task.
+
+    The benchmark tracer's ``subsets_scored`` count times ``n``: the
+    response scores ``2^min(m, max_candidates)`` candidate subsets, each
+    an ``O(n)`` relaxation, with ``m`` the agent's host degree.
+    """
+    m = degree[[int(u) for u, _, _ in tasks]]
+    return np.ldexp(float(degree.shape[0]), np.minimum(m, max_candidates))
+
 
 class EvaluatorError(RuntimeError):
     """A batch could not be scored at all, not even in process.
@@ -116,9 +174,11 @@ class EvaluatorStats:
     """What a :class:`ParallelEvaluator` did over its lifetime.
 
     ``pools_started`` counts worker-pool launches — 0 until the first
-    ``evaluate``, above 1 when a broken pool was rebuilt or the evaluator
-    was revived after a ``close``.  ``batches``/``tasks`` count
-    ``evaluate`` calls and the tasks they carried, in process or not.
+    batch sent to the pool, above 1 when a broken pool was rebuilt or the
+    evaluator was revived after a ``close``.  ``batches``/``tasks`` count
+    ``evaluate`` calls and the tasks they carried, in process or not;
+    ``in_process_batches`` counts the batches the serial-first dispatch
+    rule kept in process because the pool would not have paid for itself.
     ``bytes_sent`` counts the slot bytes written toward the workers: a
     dense matrix counts its ``n * n * 8`` bytes, a packed residual delta
     its packed size.
@@ -137,6 +197,7 @@ class EvaluatorStats:
     failures: int = 0
     retries: int = 0
     fallbacks: int = 0
+    in_process_batches: int = 0
 
 
 def default_workers() -> int:
@@ -344,14 +405,17 @@ class ParallelEvaluator:
         Explicit :mod:`multiprocessing` start method; default is ``fork``
         where available, the platform default otherwise.
 
-    The pool and the shared-memory segments are created lazily on the first
-    :meth:`evaluate` call, reused until :meth:`close` (context-manager exit
-    or the ``atexit`` safety net), and can be re-created by evaluating
-    again after a close.
+    :meth:`evaluate` is serial-first: a batch goes to the pool only when
+    the scoring it saves outweighs the pool's own cost (see the module
+    docstring), and runs on in-process ``score_tasks`` otherwise.  The
+    pool and the shared-memory segments are created lazily on the first
+    batch sent to the pool, reused until :meth:`close` (context-manager
+    exit or the ``atexit`` safety net), and can be re-created by
+    evaluating again after a close.
 
     ``pools_started`` counts the worker-pool launches this evaluator
-    performed (0 until the first :meth:`evaluate`; above 1 only when a
-    broken pool was rebuilt or the evaluator was revived after a
+    performed (0 until the first batch sent to the pool; above 1 only when
+    a broken pool was rebuilt or the evaluator was revived after a
     :meth:`close`).  Session-reuse tests and benchmarks assert on it to
     prove that a sweep sharing one evaluator paid pool start-up exactly
     once.
@@ -359,8 +423,9 @@ class ParallelEvaluator:
 
     __slots__ = (
         "_weights", "_alpha", "_workers", "_slots", "_start_method",
-        "_snapshot", "_pool", "pools_started", "_batches", "_tasks",
-        "_bytes_sent", "_failures", "_retries", "_fallbacks", "fault_hook",
+        "_degree", "_parallelism", "_snapshot", "_pool", "pools_started",
+        "_batches", "_tasks", "_bytes_sent", "_failures", "_retries",
+        "_fallbacks", "_in_process_batches", "fault_hook",
     )
 
     def __init__(
@@ -381,6 +446,11 @@ class ParallelEvaluator:
             raise ValueError("slots must be >= 1")
         self._slots = int(slots)
         self._start_method = start_method
+        # Host degree of every agent (its candidate count), for the
+        # dispatch rule's work prediction; scoring runs on at most as many
+        # CPUs as this process may use.
+        self._degree = (np.isfinite(self._weights).sum(axis=1) - 1).astype(np.int64)
+        self._parallelism = min(self._workers, default_workers())
         self._snapshot: SharedSnapshot | None = None
         self._pool = None
         self.pools_started = 0
@@ -390,10 +460,12 @@ class ParallelEvaluator:
         self._failures = 0
         self._retries = 0
         self._fallbacks = 0
+        self._in_process_batches = 0
         # Test-only seam for the deterministic fault layer
         # (repro.core.faults): when set, called as
         # ``fault_hook(evaluator, batch_index)`` once the pool is up, before
-        # any task of a pool batch is dispatched.
+        # any task of a pool batch is dispatched.  An armed hook sends every
+        # batch to the pool: the hook exists to test it.
         self.fault_hook: Callable[[ParallelEvaluator, int], None] | None = None
 
     @classmethod
@@ -417,12 +489,20 @@ class ParallelEvaluator:
             failures=self._failures,
             retries=self._retries,
             fallbacks=self._fallbacks,
+            in_process_batches=self._in_process_batches,
         )
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live pool workers (fault injection and tests)."""
+        """PIDs of the live pool workers (fault injection and tests).
+
+        The executor forks its workers on its first task, so a pool that
+        has run none yet gets one no-op task first: a fault planned for the
+        pool's first batch then has a worker to kill.
+        """
         if self._pool is None:
             return []
+        if not self._pool._processes:
+            self._pool.submit(int).result()
         return sorted(self._pool._processes)
 
     def wait_worker_exit(self, pid: int, timeout: float = 30.0) -> bool:
@@ -502,11 +582,14 @@ class ParallelEvaluator:
         *,
         max_candidates: int = 22,
     ) -> list[BestResponseResult]:
-        """Score ``(agent, d_rest, strategy)`` tasks across the pool.
+        """Score ``(agent, d_rest, strategy)`` tasks, on the pool when it pays.
 
-        Each distinct residual matrix (by object identity — agents sharing
-        a matrix share a slot) is written into shared memory exactly once
-        per chunk; results come back in submission order, so the output is
+        A batch the pool would not speed up (:meth:`_pool_pays`)
+        runs on in-process :func:`~repro.core.best_response.score_tasks`
+        and counts in ``in_process_batches``.  On the pool, each distinct
+        residual matrix (by object identity — agents sharing a matrix
+        share a slot) is written into shared memory exactly once per
+        chunk; results come back in submission order, so the output is
         deterministic regardless of worker scheduling.
 
         A pool worker dying mid-batch (SIGKILL, segfault, OOM kill) breaks
@@ -530,16 +613,46 @@ class ParallelEvaluator:
         self._batches += 1
         self._tasks += len(task_list)
         if not self._fallbacks:
-            try:
-                return self._evaluate_on_pool(
-                    task_list, batch_index, response, max_candidates
-                )
-            except (BrokenProcessPool, OSError):
-                self._fallbacks += 1
+            if self._pool_pays(task_list, response, max_candidates):
+                try:
+                    return self._evaluate_on_pool(
+                        task_list, batch_index, response, max_candidates
+                    )
+                except (BrokenProcessPool, OSError):
+                    self._fallbacks += 1
+            else:
+                self._in_process_batches += 1
         return score_tasks(
             task_list, self._weights, self._alpha, response,
             max_candidates=max_candidates,
         )
+
+    def _pool_pays(
+        self,
+        task_list: Sequence[tuple[int, Any, Sequence[int]]],
+        response: str,
+        max_candidates: int,
+    ) -> bool:
+        """The dispatch rule: does the pool save more scoring than it costs?
+
+        Only exact best responses can pay: single and greedy batches lost
+        to in-process scoring at every size the sweep measured.  On the
+        pool a batch's scoring takes its work shared among the usable
+        CPUs, but no less than its longest task; the pool pays when the
+        work this saves reaches its cost of ``_POOL_BATCH_WORK`` plus
+        ``_POOL_MATRIX_WORK`` per distinct residual matrix.  A lone task or
+        a single usable CPU saves nothing.  An armed ``fault_hook`` or
+        :func:`pool_always` sends every batch to the pool.
+        """
+        if self.fault_hook is not None or _POOL_ALWAYS:
+            return True
+        if response != "best":
+            return False
+        work = _scoring_work(self._degree, task_list, max_candidates)
+        total = float(work.sum())
+        saved = total - max(total / self._parallelism, float(work.max()))
+        matrices = len({id(d_rest) for _, d_rest, _ in task_list})
+        return saved >= _POOL_BATCH_WORK + _POOL_MATRIX_WORK * matrices
 
     def _evaluate_on_pool(
         self,

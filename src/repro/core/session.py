@@ -92,7 +92,7 @@ from .social_optimum import social_optimum
 from .strategy import StrategyProfile
 
 if TYPE_CHECKING:
-    from .faults import FaultPlan
+    from .faults import FaultPlan, PoolFaultHook
 
 __all__ = [
     "SimulationConfig",
@@ -405,7 +405,7 @@ class SessionStats:
     a session reuses both across runs, so they stay at (at most) 1 however
     many runs are made, which is exactly what the pool-amortization tests
     assert.  ``evaluator_pools_started`` counts worker-pool launches of the
-    shared evaluator (lazy: 0 until a batch is actually dispatched) and
+    shared evaluator (lazy: 0 until a batch is sent to the pool) and
     ``engine_stats`` accumulates the per-run
     :class:`~repro.core.incremental.EngineStats` counters.
 
@@ -542,18 +542,22 @@ class GameSession:
             self._evaluators_created += 1
         return self._evaluator
 
-    def arm_faults(self, plan: "FaultPlan") -> None:
+    def arm_faults(self, plan: "FaultPlan") -> "PoolFaultHook | None":
         """Arm a :class:`~repro.core.faults.FaultPlan`'s pool faults (test seam).
 
-        Builds the shared pool if needed and installs the plan's
-        ``kill_pool_worker`` hook on it.  No-op when the config runs serial
-        in-process (there is no pool to kill).
+        Builds the shared evaluator if needed, installs the plan's
+        ``kill_pool_worker`` hook on it (an armed evaluator sends every
+        batch to its pool) and returns the hook, whose ``fired`` list
+        records the faults that actually fired.  Returns ``None`` when the
+        config runs serial in-process (there is no pool to kill).
         """
         from .faults import pool_fault_hook
 
         evaluator = self._shared_evaluator()
-        if evaluator is not None:
-            evaluator.fault_hook = pool_fault_hook(plan)
+        if evaluator is None:
+            return None
+        evaluator.fault_hook = pool_fault_hook(plan)
+        return evaluator.fault_hook
 
     def _engine_for(self, initial: StrategyProfile) -> IncrementalEngine | None:
         """The owned incremental engine, pointed at ``initial``.

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
+from repro.core import parallel
 from repro.core.strategy import StrategyProfile
 
 
@@ -59,6 +60,18 @@ def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item
 def property_budget(request: pytest.FixtureRequest) -> int:
     """Number of random instances per property sweep (larger under ``--slow``)."""
     return 40 if _slow_enabled(request.config) else 8
+
+
+@pytest.fixture
+def pool_always():
+    """Send every evaluator batch to the worker pool for the test's duration.
+
+    The evaluator is serial-first: small batches, which is what test-sized
+    instances produce, never reach the pool.  Tests that exercise the pool
+    wrap themselves in :func:`repro.core.parallel.pool_always`.
+    """
+    with parallel.pool_always():
+        yield
 
 
 @pytest.fixture

@@ -122,6 +122,7 @@ def test_every_boundary_resume_matches_straight_through(
 # ----------------------------------------------------------------------
 # Placement crossing: a serial checkpoint resumed on the shared-memory pool
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_always")
 def test_resume_crosses_backends_and_worker_counts(tmp_path):
     """Every boundary of a serial run resumes bit-identically on workers
     {1, 2, 3} — placement never changes a trajectory."""
@@ -140,6 +141,7 @@ def test_resume_crosses_backends_and_worker_counts(tmp_path):
             _assert_identical_runs([straight, resumed])
 
 
+@pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_pool_checkpoints_resume_serially(tmp_path, variant):
     """Every boundary written by a two-worker pool resumes bit-identically
@@ -159,6 +161,7 @@ def test_pool_checkpoints_resume_serially(tmp_path, variant):
         _assert_identical_runs([straight, resumed])
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_resume_through_an_open_session_reuses_its_machinery(tmp_path):
     """GameSession.resume continues through the session's own engine/pool."""
     rng = np.random.default_rng(77)
@@ -501,6 +504,7 @@ def test_checkpoint_with_a_retired_config_field_still_resumes(tmp_path):
     _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
 
 
+@pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("encoding", ["dense", "delta"])
 def test_checkpoint_with_the_retired_residual_encoding_still_resumes(
     tmp_path, encoding

@@ -175,6 +175,7 @@ class TestBackendFlags:
         assert main(base + ["--config", str(path)]) == 0
         assert capsys.readouterr().out == fresh_out
 
+    @pytest.mark.usefixtures("pool_always")
     def test_simulate_pool_matches_serial_output(self, capsys):
         """--workers 2 prints the exact same report as the serial run."""
         base = ["simulate", "--variant", "metric", "--n", "6", "--alpha", "1.2",

@@ -108,6 +108,10 @@ def test_architecture_doc_names_the_evaluation_stack():
         "Failure semantics",
         "Delta slots (the one slot format)",
         "delta_if_smaller",
+        "Serial-first dispatch",
+        "pool_always",
+        "in_process_batches",
+        "_POOL_MATRIX_WORK",
     ):
         assert term in doc, f"docs/architecture.md does not mention {term}"
 
@@ -135,6 +139,7 @@ def test_api_doc_documents_the_degradation_surface():
         "FaultPlan",
         "arm_faults",
         "repro chaos",
+        "NOT EXERCISED",
         "RETIRED_FIELDS",
     ):
         assert term in api, f"docs/api.md does not mention {term}"
@@ -183,15 +188,15 @@ def test_lint_checker_is_cross_referenced():
 
 def test_readme_documents_config_workflow_and_backends():
     readme = (REPO / "README.md").read_text()
-    for term in ("config dump", "--config", "Scaling out", "--workers"):
+    for term in ("config dump", "--config", "Scaling out", "--workers", "serial-first"):
         assert term in readme, f"README.md does not mention {term!r}"
 
 
 def test_api_doc_documents_the_backend_surface():
     api = (DOCS / "api.md").read_text()
-    for term in ("ParallelEvaluator", "EvaluatorStats", "SharedSnapshot"):
+    for term in ("ParallelEvaluator", "EvaluatorStats", "SharedSnapshot", "pool_always"):
         assert term in api, f"docs/api.md does not mention {term}"
-    for retired in ("EvaluatorBackend", "PoolBrokenError"):
+    for retired in ("EvaluatorBackend", "PoolBrokenError", "pool_break_even"):
         assert retired not in api, f"docs/api.md still documents {retired}"
 
 

@@ -53,6 +53,10 @@ from test_parallel_evaluator import (
     _random_profile,
 )
 
+# Every test here exercises the worker pool, so every batch goes to it:
+# the serial-first dispatch rule would keep these small batches in process.
+pytestmark = pytest.mark.usefixtures("pool_always")
+
 LADDER_VARIANTS = (
     "euclidean", "metric", "tree", "one_two", "general", "ncg", "one_infinity"
 )
@@ -240,6 +244,29 @@ def test_cli_chaos_replays_a_plan_file(tmp_path, capsys):
     assert "(2 fault(s), seed=5)" in out and "IDENTICAL" in out
     assert main(["chaos", "--plan", str(tmp_path / "missing.json")]) == 2
     assert "cannot read --plan" in capsys.readouterr().err
+
+
+def test_cli_chaos_on_the_sequential_schedule_is_not_exercised(capsys):
+    """The sequential schedule dispatches no batch, so no fault can fire:
+    the replay must fail instead of reporting a vacuous IDENTICAL."""
+    code = main(
+        ["chaos", "--preset", "pool-kill", "--n", "10", "--schedule", "sequential"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert "trajectory        : NOT EXERCISED (0 of 1 fault(s) fired)" in out
+    assert "pool_rebuilds=0 faults_fired=0" in out
+
+
+def test_cli_chaos_fault_past_the_last_batch_is_not_exercised(tmp_path, capsys):
+    """A fault planned for a batch the run never reaches did not fire."""
+    plan = FaultPlan(seed=0, faults=(Fault(kind="kill_pool_worker", at_batch=999),))
+    path = tmp_path / "late.json"
+    path.write_text(plan.to_json())
+    code = main(["chaos", "--plan", str(path), "--n", "10"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert "trajectory        : NOT EXERCISED (0 of 1 fault(s) fired)" in out
 
 
 def test_rescue_survives_a_pool_that_never_started(monkeypatch):

@@ -58,6 +58,10 @@ from repro.metrics.generators import (
     unit_host,
 )
 
+# Every test here exercises the worker pool, so every batch goes to it:
+# the serial-first dispatch rule would keep these small batches in process.
+pytestmark = pytest.mark.usefixtures("pool_always")
+
 VARIANTS = {
     "ncg": lambda n, rng: unit_host(n),
     "one_two": lambda n, rng: random_one_two_host(n, rng=rng),

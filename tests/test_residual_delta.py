@@ -60,6 +60,11 @@ from test_parallel_evaluator import (
     _random_profile,
 )
 
+# The pool tests here measure slot writes, so every batch goes to the
+# pool: the serial-first dispatch rule would keep these small batches in
+# process.
+pytestmark = pytest.mark.usefixtures("pool_always")
+
 INF = float("inf")
 
 

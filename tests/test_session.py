@@ -340,6 +340,7 @@ class TestSimulationConfig:
 # ----------------------------------------------------------------------
 # Deprecation-shim equivalence: legacy kwargs == session path, bit for bit
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_legacy_kwargs_match_session_path(variant, property_budget):
     """run_dynamics(kwargs) == GameSession.run for all variants/schedules/workers."""
@@ -378,6 +379,7 @@ def test_legacy_kwargs_match_session_path(variant, property_budget):
             _assert_identical(legacy, via_config)
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_sample_equilibria_legacy_matches_session():
     rng_seed = 0
     game = _random_game("euclidean", 7, np.random.default_rng(23))
@@ -456,6 +458,7 @@ def test_session_bound_to_a_different_game_is_rejected():
 # ----------------------------------------------------------------------
 # Pool amortization: one evaluator per session, shared across runs
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_always")
 def test_sampling_sweep_creates_exactly_one_evaluator():
     game = _random_game("euclidean", 8, np.random.default_rng(41))
     cfg = SimulationConfig(max_rounds=60, schedule="batched", workers=2)
@@ -493,6 +496,7 @@ def test_session_engine_is_reset_not_rebuilt():
     assert stats.engine_stats.move_updates == 2 * first.engine_stats.move_updates
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_engine_reset_keeps_evaluator_and_replaces_stats():
     game = _random_game("euclidean", 6, np.random.default_rng(8))
     profile = _random_profile(6, np.random.default_rng(9))
@@ -512,6 +516,7 @@ def test_engine_reset_keeps_evaluator_and_replaces_stats():
 # ----------------------------------------------------------------------
 # Ownership / lifecycle (the ROADMAP pool-churn leak regression)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_always")
 def test_run_never_closes_session_injected_evaluator():
     """A run through a session must leave the session's pool running."""
     game = _random_game("euclidean", 7, np.random.default_rng(51))
@@ -531,6 +536,7 @@ def test_run_never_closes_session_injected_evaluator():
     assert mp.active_children() == []  # close() reaped the workers
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_one_shot_run_still_cleans_up_after_itself():
     """Without a session, run_dynamics owns — and closes — what it creates."""
     game = _random_game("euclidean", 7, np.random.default_rng(53))
@@ -539,6 +545,7 @@ def test_one_shot_run_still_cleans_up_after_itself():
     assert mp.active_children() == []
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_engine_never_closes_injected_evaluator():
     game = _random_game("metric", 5, np.random.default_rng(55))
     profile = _random_profile(5, np.random.default_rng(56))

@@ -39,11 +39,18 @@ agent's current cost and one for the social cost after a move.
    graph is built in ``O(m)`` from the current network's row-sorted edge
    arrays; a neighbour prefilter narrows the affected test to the rows
    whose paths may run through ``u`` (``O(n deg(u))``); and only affected
-   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  A
-   full rebuild happens only when the repair frontier exceeds
-   ``repair_threshold * n`` sources (e.g. when a hub that owns most of its
-   incident edges is activated).  The :attr:`IncrementalEngine.stats`
-   counters record how often each path was taken.
+   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  When
+   the repair frontier exceeds ``repair_threshold * n`` sources (e.g. when
+   a hub that owns most of its incident edges is activated) the repair
+   falls back to the exact all-pairs matrix of the residual graph,
+   recomputed in full or carried row by row: above
+   :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N` agents a
+   fallback re-solves only the Dijkstra rows of the agent's previous
+   fallback that the edges added and removed since can touch
+   (:func:`~repro.core.shortest_paths.carry_dijkstra`), and equals a full
+   recomputation bit for bit.  The :attr:`IncrementalEngine.stats`
+   counters record how often each path was taken; a carried fallback
+   counts exactly as a full one.
 
 5. **Multiprocess batch scoring.**  Queries that score *many* agents
    against one snapshot (:meth:`IncrementalEngine.respond_many` — the
@@ -57,7 +64,8 @@ agent's current cost and one for the social cost after a move.
    trades nothing but time.
 
 Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
-candidate edges, ``a`` affected repair sources):
+candidate edges, ``a`` affected repair sources, ``c`` residual edges added
+or removed since the agent's previous fallback, ``r`` rows they touch):
 
 =====================================  ===========================
 operation                              cost
@@ -67,8 +75,17 @@ post-move distance update (`apply`)    ``O(n^2)``
 residual cache hit                     ``O(n^2 / 8)`` (key check)
 residual miss, decremental repair      ``O(n deg(u) + a (n + m log n))``
                                        plus one ``O(n^2)`` copy, ``a <= rn``
-residual miss, frontier fallback       ``O(n^3)`` (full APSP)
+residual miss, fallback in full        ``O(n^3)`` (full APSP)
+residual miss, carried fallback        ``O(n c + r (n + m log n))``
+                                       plus ``O(n^2)`` key diff, copy, pin
 =====================================  ===========================
+
+A fallback is carried when the agent's previous residual came from a
+Dijkstra fallback (``n > FLOYD_WARSHALL_MAX_N``).  The cache keeps that
+matrix's unpinned form as a one-byte-per-entry ulp lift over the pinned
+residual (:func:`_lift`); a repair, a Floyd–Warshall fallback, a lift gap
+over 255 ulp or a checkpoint restore leaves none, and the agent's next
+fallback runs in full.
 
 The engine is *exact*: it returns the same best responses and costs as the
 from-scratch oracle (:func:`repro.core.best_response.best_response_exact`),
@@ -86,21 +103,52 @@ import numpy as np
 from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
 from .parallel import ParallelEvaluator
-from .shortest_paths import _as_graph, _Graph, decremental_distances, relax_source_row
+from .shortest_paths import (
+    FLOYD_WARSHALL_MAX_N,
+    _as_graph,
+    _Graph,
+    all_pairs_shortest_paths,
+    carry_dijkstra,
+    decremental_distances,
+    relax_source_row,
+)
 from .strategy import StrategyProfile
 
 __all__ = ["EngineStats", "IncrementalEngine"]
+
+# Widest pinning gap, in ulp, that a residual's lift stores (one uint8).
+_LIFT_MAX = int(np.iinfo(np.uint8).max)
+
+
+def _lift(unpinned: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:
+    """The ulp gap from ``pinned = min(unpinned, unpinned.T)`` up to ``unpinned``.
+
+    Distances are non-negative, so their int64 views order like the floats
+    and the gap is a non-negative integer; ``None`` when some entry's gap
+    exceeds :data:`_LIFT_MAX`.
+    """
+    gap = unpinned.view(np.int64) - pinned.view(np.int64)
+    if gap.max(initial=0) > _LIFT_MAX:
+        return None
+    return gap.astype(np.uint8)
+
+
+def _unlift(pinned: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """The unpinned matrix :func:`_lift` measured, rebuilt bit for bit."""
+    return (pinned.view(np.int64) + lift).view(np.float64)
 
 
 @dataclass
 class EngineStats:
     """Counters of the engine's shortest-path work, for tests and benchmarks.
 
-    ``apsp_rebuilds`` counts full ``O(n^3)`` all-pairs computations (the
-    initial distance matrix plus any repair fallbacks), ``residual_repairs``
-    the residual cache misses served by decremental row repair,
-    ``repair_fallbacks`` the repairs whose affected frontier exceeded the
-    threshold (these also perform — and count — a full rebuild),
+    ``apsp_rebuilds`` counts exact all-pairs matrices computed outside a
+    repair: the initial distance matrix plus every repair fallback, whether
+    recomputed in full or carried row by row from the agent's previous
+    fallback.  ``residual_repairs`` counts the residual cache misses served
+    by decremental row repair, ``repair_fallbacks`` the repairs whose
+    affected frontier exceeded the threshold (these also count as an
+    ``apsp_rebuilds``),
     ``residual_cache_hits`` the residual queries answered without any
     shortest-path work (a valid cached matrix, or an agent owning no
     solely-owned edges), and ``move_updates`` the ``O(n^2)`` post-move
@@ -125,9 +173,10 @@ class IncrementalEngine:
 
     ``repair_threshold`` bounds the decremental repair used on residual
     cache misses: when more than ``repair_threshold * n`` sources are
-    affected by removing the agent's solely-owned edges, the engine rebuilds
-    the residual matrix from scratch instead (see
-    :func:`repro.core.shortest_paths.decremental_distances`).  ``stats``
+    affected by removing the agent's solely-owned edges, the engine falls
+    back to the exact all-pairs matrix of the residual graph instead (see
+    :func:`repro.core.shortest_paths.decremental_distances` and
+    :meth:`_rebuild`).  ``stats``
     exposes :class:`EngineStats` counters of the shortest-path work done.
 
     Without an ``evaluator`` every query scores serially in process.  An
@@ -169,8 +218,10 @@ class IncrementalEngine:
         self._distances: np.ndarray | None = None
         # Row-sorted edge arrays of the current network, built on demand.
         self._network: _Graph | None = None
-        # agent -> (residual key, residual distance matrix)
-        self._residuals: dict[int, tuple[bytes, np.ndarray]] = {}
+        # agent -> (residual key, residual distance matrix, lift): the lift
+        # (see _lift) is kept for Dijkstra fallbacks only, and rebuilds the
+        # unpinned matrix that the agent's next fallback carries rows from.
+        self._residuals: dict[int, tuple[bytes, np.ndarray, np.ndarray | None]] = {}
         self._repair_threshold = float(repair_threshold)
         self._evaluator = evaluator
         self.stats = EngineStats()
@@ -221,7 +272,7 @@ class IncrementalEngine:
             "distances": None if self._distances is None else self._distances.copy(),
             "residuals": {
                 int(u): (key, matrix.copy())
-                for u, (key, matrix) in self._residuals.items()
+                for u, (key, matrix, _) in self._residuals.items()
             },
             "stats": dataclasses.asdict(self.stats),
         }
@@ -238,7 +289,9 @@ class IncrementalEngine:
         Call after :meth:`reset` pointed the engine at the checkpointed
         profile; the caches must describe that same profile or later queries
         will silently serve stale distances — the checkpoint loader validates
-        shapes, the pairing is the caller's contract.
+        shapes, the pairing is the caller's contract.  Lifts are not part of
+        the state, so each agent's first fallback after a restore is
+        recomputed in full.
         """
         n = self._game.n
         if distances is not None:
@@ -247,7 +300,7 @@ class IncrementalEngine:
                 raise ValueError("restored distance matrix has the wrong shape")
         self._distances = distances
         self._residuals = {
-            int(u): (bytes(key), np.ascontiguousarray(matrix, dtype=np.float64))
+            int(u): (bytes(key), np.ascontiguousarray(matrix, dtype=np.float64), None)
             for u, (key, matrix) in residuals.items()
         }
         if stats is not None:
@@ -296,14 +349,67 @@ class IncrementalEngine:
             self._network = _as_graph(self._game.network_weights(self._profile))
         return self._network.without_edges(u, removed)
 
+    def _edge_changes(
+        self, old_key: bytes, new_key: bytes
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Residual edges ``old_key`` has and ``new_key`` lacks, and the reverse.
+
+        An edge is present iff either direction is owned in the key's
+        ownership matrix (row ``u`` is already cleared); each comes back once,
+        as ``(a, b, w)`` arrays with ``a < b`` and the network's edge weight.
+        """
+        n = self._game.n
+
+        def present(key: bytes) -> np.ndarray:
+            bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n)
+            owns = bits.reshape(n, n).view(bool)
+            return owns | owns.T
+
+        old = present(old_key)
+        a, b = np.nonzero(old ^ present(new_key))
+        upper = a < b
+        a, b = a[upper], b[upper]
+        host = self._game.host.weights
+        w = np.minimum(host[a, b], host[b, a])
+        gone = old[a, b]
+        return (a[gone], b[gone], w[gone]), (a[~gone], b[~gone], w[~gone])
+
+    def _rebuild(self, u: int, key: bytes, graph: _Graph) -> np.ndarray:
+        """Fallback residual of ``u`` on ``graph`` (the residual under ``key``), cached.
+
+        Up to :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N`
+        agents it is one Floyd–Warshall.  Above, it is Dijkstra: carried
+        row by row (:func:`~repro.core.shortest_paths.carry_dijkstra`) from
+        ``u``'s previous fallback when that one left a lift, solved in full
+        otherwise; either way the matrix equals ``apsp_scipy(graph)`` bit for
+        bit, and the new entry keeps a lift for the next carry.
+        """
+        lift = None
+        if graph.n <= FLOYD_WARSHALL_MAX_N:
+            d_rest = all_pairs_shortest_paths(graph)
+        else:
+            cached = self._residuals.get(u)
+            if cached is not None and cached[2] is not None:
+                old_key, pinned, old_lift = cached
+                removed, added = self._edge_changes(old_key, key)
+                carry = carry_dijkstra(graph, _unlift(pinned, old_lift), removed, added)
+            else:
+                carry = carry_dijkstra(graph)
+            d_rest = carry.distances
+            lift = _lift(carry.unpinned, d_rest)
+        self._residuals[u] = (key, d_rest, lift)
+        return d_rest
+
     def residual(self, u: int) -> np.ndarray:
         """Residual distance matrix of agent ``u``, cached across activations.
 
         A cache miss for an edge-owning agent is served by decremental
         repair of the cached network distances on the sparse residual graph
         (only rows whose shortest paths could run through ``u`` are
-        re-solved), falling back to a full rebuild when the repair frontier
-        exceeds ``repair_threshold * n`` sources.
+        re-solved), falling back to the exact all-pairs matrix of the
+        residual graph when the repair frontier exceeds
+        ``repair_threshold * n`` sources — recomputed in full, or carried
+        row by row from ``u``'s previous fallback (:meth:`_rebuild`).
         """
         owns = self._profile.ownership
         removed = owns[u] & ~owns[:, u]
@@ -322,15 +428,15 @@ class IncrementalEngine:
             u,
             removed=np.flatnonzero(removed),
             max_affected_fraction=self._repair_threshold,
+            rebuild=lambda graph: self._rebuild(u, key, graph),
         )
         if repair.rebuilt:
             self.stats.repair_fallbacks += 1
             self.stats.apsp_rebuilds += 1
         else:
             self.stats.residual_repairs += 1
-        d_rest = repair.distances
-        self._residuals[u] = (key, d_rest)
-        return d_rest
+            self._residuals[u] = (key, repair.distances, None)
+        return repair.distances
 
     # ------------------------------------------------------------------
     # Responses

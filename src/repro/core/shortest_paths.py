@@ -30,7 +30,8 @@ Two interchangeable all-pairs kernels are provided:
 ``apsp_scipy``
     :func:`scipy.sparse.csgraph.shortest_path` (Dijkstra) run on the CSR
     graph directly.  It is used as a cross-validation oracle in the
-    test-suite and as the faster path for large networks.
+    test-suite and as the faster path for large networks
+    (``n > FLOYD_WARSHALL_MAX_N``).
 
 Both return an ``(n, n)`` float array whose diagonal is zero and whose
 unreachable pairs are ``numpy.inf``.  A Dijkstra distance is the minimum over
@@ -40,6 +41,17 @@ depend on how the graph was handed in.
 On top of the full-matrix kernels, this module provides the *incremental*
 primitives used by the fast best-response engine
 (:mod:`repro.core.incremental`):
+
+``carry_dijkstra``
+    The Dijkstra matrix of a graph carried over from the one of an earlier
+    graph, given the edges removed and added in between.  A scipy Dijkstra
+    row is the minimum over paths of their left-to-right float sums, a pure
+    function of the graph, so a row is unchanged bit for bit unless a
+    removed edge is *tight* for it (``d(x, a) + w == d(x, b)`` in either
+    direction) or an added edge strictly improves it.  Only those rows are
+    re-solved, in one multi-source Dijkstra call, and the result is pinned
+    exactly as :func:`apsp_scipy` pins its own (the affected-row test of
+    Ramalingam and Reps, exact on any host).
 
 ``relax_through_edges``
     Given an already shortest-path-closed distance matrix ``d`` and a set of
@@ -95,7 +107,7 @@ primitives used by the fast best-response engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
@@ -107,6 +119,9 @@ __all__ = [
     "floyd_warshall",
     "apsp_scipy",
     "all_pairs_shortest_paths",
+    "FLOYD_WARSHALL_MAX_N",
+    "CarriedDijkstra",
+    "carry_dijkstra",
     "single_source_dijkstra",
     "dijkstra_rows",
     "relax_through_edges",
@@ -117,6 +132,10 @@ __all__ = [
     "DecrementalRepair",
     "decremental_distances",
 ]
+
+# Largest graph that ``all_pairs_shortest_paths(method="auto")`` solves by
+# Floyd–Warshall; larger ones go to scipy's Dijkstra.
+FLOYD_WARSHALL_MAX_N = 192
 
 
 def _as_square_float(matrix: np.ndarray) -> np.ndarray:
@@ -258,29 +277,49 @@ def floyd_warshall(weights) -> np.ndarray:
     return dist
 
 
+def _dijkstra(graph: _Graph, sources: np.ndarray | None = None) -> np.ndarray:
+    """Unpinned scipy Dijkstra rows of ``sources`` (every vertex when ``None``).
+
+    Row ``i`` is source ``sources[i]``'s distance vector, with a zero at the
+    source; ``directed=True`` on the symmetric CSR keeps zero-weight edges
+    edges.
+    """
+    if graph.n == 0:
+        return np.zeros((0, 0))
+    rows = np.asarray(
+        _scipy_shortest_path(graph.csr(), method="D", directed=True, indices=sources),
+        dtype=float,
+    )
+    if sources is None:
+        np.fill_diagonal(rows, 0.0)
+    else:
+        rows[np.arange(sources.size), sources] = 0.0
+    return rows
+
+
+def _pin(dist: np.ndarray) -> np.ndarray:
+    """The bitwise-symmetric representative ``min(dist, dist.T)`` of a Dijkstra matrix.
+
+    scipy's per-source Dijkstra accumulates path sums in source order, so
+    ``dist[i, j]`` and ``dist[j, i]`` can disagree in the last ulp even
+    though the graph is undirected.  Distances are mathematically
+    symmetric, so pin the smaller one: this keeps every snapshot and
+    row/column repair of it exactly symmetric, which is what lets the
+    residual delta codec cover changed entries with a small row set (the
+    Floyd–Warshall path is bitwise symmetric already, as float addition
+    commutes).  Every pinned matrix of this module comes from here.
+    """
+    return np.minimum(dist, dist.T)
+
+
 def apsp_scipy(weights) -> np.ndarray:
     """All-pairs shortest paths via :mod:`scipy.sparse.csgraph` Dijkstra.
 
     The graph goes to scipy as the validated CSR (``directed=True`` on the
-    symmetric graph), so zero-weight edges stay edges.
+    symmetric graph), so zero-weight edges stay edges; the result is pinned
+    bitwise symmetric (:func:`_pin`).
     """
-    graph = _as_graph(weights)
-    if graph.n == 0:
-        return np.zeros((0, 0))
-    result = np.asarray(
-        _scipy_shortest_path(graph.csr(), method="D", directed=True), dtype=float
-    )
-    np.fill_diagonal(result, 0.0)
-    # scipy's per-source Dijkstra accumulates path sums in source order, so
-    # ``result[i, j]`` and ``result[j, i]`` can disagree in the last ulp even
-    # though the graph is undirected.  Distances are mathematically symmetric,
-    # so pin the bitwise-symmetric representative: this keeps every snapshot
-    # and row/column repair of it exactly symmetric, which is what lets the
-    # residual delta codec cover changed entries with a small row set (the
-    # Floyd–Warshall path is bitwise symmetric already, as float addition
-    # commutes).
-    np.minimum(result, result.T, out=result)
-    return result
+    return _pin(_dijkstra(_as_graph(weights)))
 
 
 def all_pairs_shortest_paths(weights, method: str = "auto") -> np.ndarray:
@@ -288,16 +327,104 @@ def all_pairs_shortest_paths(weights, method: str = "auto") -> np.ndarray:
 
     ``method`` may be ``"auto"``, ``"floyd_warshall"`` or ``"scipy"``.  The
     automatic choice uses the vectorized Floyd–Warshall for small instances
-    (where it is essentially free and exactly reproducible) and scipy's
-    Dijkstra for larger ones.  The dense matrix Floyd–Warshall needs is
-    built only when it is the chosen kernel.
+    (``n <= FLOYD_WARSHALL_MAX_N``, where it is essentially free and exactly
+    reproducible) and scipy's Dijkstra for larger ones.  The dense matrix
+    Floyd–Warshall needs is built only when it is the chosen kernel.
     """
     if method not in ("auto", "floyd_warshall", "scipy"):
         raise ValueError(f"unknown shortest-path method: {method!r}")
     graph = _as_graph(weights)
-    if method == "floyd_warshall" or (method == "auto" and graph.n <= 192):
+    if method == "floyd_warshall" or (method == "auto" and graph.n <= FLOYD_WARSHALL_MAX_N):
         return floyd_warshall(graph)
     return apsp_scipy(graph)
+
+
+class CarriedDijkstra(NamedTuple):
+    """Outcome of :func:`carry_dijkstra`.
+
+    ``distances`` equals ``apsp_scipy(weights)`` bit for bit; ``unpinned``
+    is the Dijkstra matrix before pinning, the base of a later carry; and
+    ``resolved`` lists the sources whose rows were re-solved.
+    """
+
+    distances: np.ndarray
+    unpinned: np.ndarray
+    resolved: np.ndarray
+
+
+def _edge_arrays(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, b, w = (np.asarray(x) for x in edges)
+    a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
+    w = w.astype(float, copy=False)
+    if not a.shape == b.shape == w.shape or a.ndim != 1:
+        raise ValueError("edges must be three equal-length 1-d arrays (a, b, w)")
+    if a.size and not (0 <= min(a.min(), b.min()) and max(a.max(), b.max()) < n):
+        raise ValueError(f"edge endpoints out of range for n={n}")
+    return a, b, w
+
+
+def carry_dijkstra(
+    weights,
+    previous: np.ndarray | None = None,
+    removed=((), (), ()),
+    added=((), (), ()),
+) -> CarriedDijkstra:
+    """Dijkstra distances of ``weights``, re-solving only the rows that changed.
+
+    Parameters
+    ----------
+    weights:
+        The graph now, dense or CSR as for :func:`floyd_warshall`.
+    previous:
+        The *unpinned* Dijkstra matrix (:attr:`CarriedDijkstra.unpinned`) of
+        an earlier graph, or ``None`` to solve every row.
+    removed, added:
+        The edges that earlier graph had and ``weights`` lacks, and the
+        reverse, each as three equal-length arrays ``(a, b, w)`` (one entry
+        per undirected edge).  Every other edge must be the same in both.
+
+    Notes
+    -----
+    A scipy Dijkstra row is ``min`` over paths of the left-to-right float
+    sum of their weights: float addition of a non-negative weight is
+    monotone, so Dijkstra's settling argument holds for the rounded sums,
+    and the row depends on the graph alone.  A row ``x`` is re-solved when a
+    removed edge is tight for it, ``d(x, a) + w == d(x, b)`` with ``d(x, a)``
+    finite (either direction), or an added edge strictly improves it,
+    ``d(x, a) + w < d(x, b)`` (either direction).  Any other row is
+    unchanged bit for bit.  Removals: if a minimum path to ``y`` crosses a
+    removed edge, its prefix up to the far end ``b`` of the last one sums to
+    more than ``d(x, b)`` (the edge is not tight), so swapping that prefix
+    for a minimum path to ``b`` gives a minimum path to ``y`` again, and
+    induction on ``d(x, ·)`` yields one without removed edges.  Additions:
+    a path through an added edge is no shorter than the same path with its
+    prefix swapped for a minimum path to the edge's far end, which drops
+    that edge.  Cost ``O(n k)`` for ``k`` changed edges, plus one Dijkstra
+    per re-solved row and a pin.
+    """
+    graph = _as_graph(weights)
+    n = graph.n
+    if previous is None:
+        unpinned = _dijkstra(graph)
+        return CarriedDijkstra(_pin(unpinned), unpinned, np.arange(n))
+    d = _as_square_float(previous)
+    if d.shape != (n, n):
+        raise ValueError(f"shape mismatch: previous {d.shape} vs weights {(n, n)}")
+    dirty = np.zeros(n, dtype=bool)
+    a, b, w = _edge_arrays(removed, n)
+    if a.size:
+        da, db = d[:, a], d[:, b]
+        tight = np.isfinite(da) & (da + w == db) | np.isfinite(db) & (db + w == da)
+        dirty |= tight.any(axis=1)
+    a, b, w = _edge_arrays(added, n)
+    if a.size:
+        da, db = d[:, a], d[:, b]
+        dirty |= ((da + w < db) | (db + w < da)).any(axis=1)
+    resolved = np.flatnonzero(dirty)
+    unpinned = d.copy()
+    if resolved.size:
+        unpinned[resolved] = _dijkstra(graph, resolved)
+    return CarriedDijkstra(_pin(unpinned), unpinned, resolved)
 
 
 def single_source_dijkstra(weights, source: int) -> np.ndarray:
@@ -338,10 +465,7 @@ def dijkstra_rows(weights, sources: Sequence[int]) -> np.ndarray:
         return np.zeros((0, graph.n), dtype=float)
     if np.any((src < 0) | (src >= graph.n)):
         raise ValueError(f"sources out of range for n={graph.n}")
-    rows = _scipy_shortest_path(graph.csr(), method="D", directed=True, indices=src)
-    rows = np.asarray(rows, dtype=float)
-    rows[np.arange(src.size), src] = 0.0
-    return rows
+    return _dijkstra(graph, src)
 
 
 @dataclass(frozen=True)
@@ -400,6 +524,7 @@ def decremental_distances(
     removed: Sequence[int] | np.ndarray | None = None,
     max_affected_fraction: float = 0.5,
     tol: float = 1e-9,
+    rebuild: Callable[[_Graph], np.ndarray] | None = None,
 ) -> DecrementalRepair:
     """Exact distances after removing edges incident to ``vertex``.
 
@@ -428,6 +553,11 @@ def decremental_distances(
         Relative slack of the affected test (needed because ``dist`` carries
         accumulated floating-point error); marking *extra* pairs affected is
         harmless, missing one is not.
+    rebuild:
+        Computes that fallback instead: called once with the post-removal
+        graph, it must return the graph's exact all-pairs matrix.  The
+        incremental engine passes one that carries Dijkstra rows over from
+        an earlier fallback (:func:`carry_dijkstra`).
 
     Notes
     -----
@@ -468,7 +598,8 @@ def decremental_distances(
     count = int(source_mask.sum())
     budget = max(1, int(np.ceil(max_affected_fraction * n)))
     if count > budget:
-        return DecrementalRepair(all_pairs_shortest_paths(graph), count, True)
+        rebuilt = all_pairs_shortest_paths(graph) if rebuild is None else rebuild(graph)
+        return DecrementalRepair(rebuilt, count, True)
     sources = np.flatnonzero(source_mask)
     repaired = dijkstra_rows(graph, sources)
     out = d.copy()

@@ -1,0 +1,358 @@
+"""Carried Dijkstra fallbacks: bitwise equal to a fresh solve, at every layer.
+
+:func:`~repro.core.shortest_paths.carry_dijkstra` re-solves only the rows a
+graph change can touch.  The differential battery drives it through random
+sequences of edge removals and additions on small tie-heavy hosts (unit,
+1-2 and zero weights, disconnected parts) and checks, bit for bit, that the
+carried unpinned matrix equals a fresh scipy Dijkstra and the pinned result
+equals :func:`~repro.core.shortest_paths.apsp_scipy`.  The engine keeps the
+unpinned matrix as a ``uint8`` ulp *lift* over the pinned one; a gap over
+255 ulp stores no lift, and the next fallback of that agent runs in full.
+Engine-level tests run past ``FLOYD_WARSHALL_MAX_N``, where fallbacks take
+the Dijkstra path, and a checkpointed run must resume bit-identically and
+write the same checkpoint bytes as before carrying existed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
+
+import repro.core.incremental as incremental
+from repro.core import (
+    GameSession,
+    IncrementalEngine,
+    NetworkCreationGame,
+    SimulationConfig,
+    StrategyProfile,
+    resume_dynamics,
+)
+from repro.core.host_graph import HostGraph
+from repro.core.shortest_paths import (
+    FLOYD_WARSHALL_MAX_N,
+    _as_graph,
+    apsp_scipy,
+    carry_dijkstra,
+    decremental_distances,
+)
+
+from test_parallel_evaluator import _assert_identical_runs
+from test_shortest_paths import _battery_host, _battery_network, _csr
+
+
+def _fresh_unpinned(weights: np.ndarray) -> np.ndarray:
+    """scipy's Dijkstra on the graph, before any pinning."""
+    dist = np.asarray(
+        scipy_shortest_path(_as_graph(weights).csr(), method="D", directed=True), dtype=float
+    )
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# ----------------------------------------------------------------------
+# Differential battery for the kernel
+# ----------------------------------------------------------------------
+@st.composite
+def _edit_sequences(draw):
+    kind = draw(st.sampled_from(("unit", "one_two", "zero", "tree", "metric", "general")))
+    n = draw(st.integers(2, 16))
+    steps = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    as_csr = draw(st.booleans())
+    return kind, n, steps, seed, as_csr
+
+
+def _check_edit_sequence(kind, n, steps, seed, as_csr):
+    rng = np.random.default_rng(seed)
+    host = _battery_host(kind, n, rng)
+    weights = _battery_network(host, rng)
+    first = carry_dijkstra(weights)
+    assert np.array_equal(first.resolved, np.arange(n))
+    pinned, lift = first.distances, incremental._lift(first.unpinned, first.distances)
+    offdiag = ~np.eye(n, dtype=bool)
+    for _ in range(steps):
+        present = np.isfinite(weights) & offdiag
+        # Heavy removals now and then split the graph into parts.
+        p_remove = rng.choice([0.05, 0.2, 0.6])
+        p_add = rng.choice([0.0, 0.05, 0.2])
+        drop = np.triu(present & (rng.random((n, n)) < p_remove), 1)
+        grow = np.triu(~present & np.isfinite(host) & offdiag & (rng.random((n, n)) < p_add), 1)
+        new = weights.copy()
+        new[drop | drop.T] = np.inf
+        new[grow | grow.T] = host[grow | grow.T]
+        removed = tuple(x for x in np.nonzero(drop)) + (host[drop],)
+        added = tuple(x for x in np.nonzero(grow)) + (host[grow],)
+        previous = None if lift is None else incremental._unlift(pinned, lift)
+        carry = carry_dijkstra(_csr(new) if as_csr else new, previous, removed, added)
+        fresh = _fresh_unpinned(new)
+        assert np.array_equal(_bits(carry.unpinned), _bits(fresh))
+        assert np.array_equal(_bits(carry.distances), _bits(apsp_scipy(new)))
+        if previous is None:
+            assert carry.resolved.size == n
+        else:
+            kept = np.setdiff1d(np.arange(n), carry.resolved)
+            assert np.array_equal(_bits(carry.unpinned[kept]), _bits(previous[kept]))
+        pinned, lift = carry.distances, incremental._lift(carry.unpinned, carry.distances)
+        if lift is not None:
+            assert np.array_equal(_bits(incremental._unlift(pinned, lift)), _bits(carry.unpinned))
+        weights = new
+
+
+_TIER1 = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_SLOW = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+
+@_TIER1
+@given(_edit_sequences())
+def test_carried_rows_equal_a_fresh_dijkstra(case):
+    _check_edit_sequence(*case)
+
+
+@pytest.mark.slow
+@_SLOW
+@given(_edit_sequences())
+def test_carried_rows_equal_a_fresh_dijkstra_full_budget(case):
+    _check_edit_sequence(*case)
+
+
+def test_unchanged_graph_resolves_no_row():
+    rng = np.random.default_rng(11)
+    weights = _battery_network(_battery_host("one_two", 12, rng), rng)
+    first = carry_dijkstra(weights)
+    again = carry_dijkstra(weights, first.unpinned)
+    assert again.resolved.size == 0
+    assert np.array_equal(_bits(again.distances), _bits(apsp_scipy(weights)))
+
+
+def test_carry_rejects_bad_input():
+    rng = np.random.default_rng(0)
+    weights = _battery_network(_battery_host("unit", 5, rng), rng)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        carry_dijkstra(weights, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="out of range"):
+        carry_dijkstra(weights, np.zeros((5, 5)), removed=([0], [5], [1.0]))
+    with pytest.raises(ValueError, match="equal-length"):
+        carry_dijkstra(weights, np.zeros((5, 5)), added=([0, 1], [2], [1.0]))
+
+
+def test_decremental_fallback_uses_the_given_rebuild():
+    """The frontier fallback calls ``rebuild`` once, on the post-removal graph,
+    and returns its matrix; a row repair never calls it."""
+    rng = np.random.default_rng(5)
+    weights = _battery_network(_battery_host("one_two", 10, rng), rng)
+    dist = apsp_scipy(weights)
+    v = int(np.argmax(np.isfinite(weights).sum(axis=1)))
+    drop = np.flatnonzero(np.isfinite(weights[v]))
+    drop = drop[drop != v]
+    new = weights.copy()
+    new[v, drop] = new[drop, v] = np.inf
+    seen = []
+
+    def rebuild(graph):
+        seen.append(graph)
+        return apsp_scipy(graph)
+
+    fallback = decremental_distances(
+        dist, new, v, removed=drop, max_affected_fraction=0.0, rebuild=rebuild
+    )
+    assert fallback.rebuilt and len(seen) == 1
+    assert np.array_equal(fallback.distances, apsp_scipy(new))
+    repair = decremental_distances(
+        dist, new, v, removed=drop, max_affected_fraction=1.0, rebuild=rebuild
+    )
+    assert not repair.rebuilt and len(seen) == 1
+
+
+# ----------------------------------------------------------------------
+# Lift overflow
+# ----------------------------------------------------------------------
+def _heavy_path_weights(n: int) -> np.ndarray:
+    """A path whose first edge weighs 1e16 and the rest 0.99 (ulp(1e16) = 2).
+
+    From vertex 0 every 0.99 rounds away, from the far end they add up before
+    the 1e16 does, so ``d(k, 0) - d(0, k)`` is about ``k / 2`` ulp."""
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for i in range(n - 1):
+        w[i, i + 1] = w[i + 1, i] = 0.99
+    w[0, 1] = w[1, 0] = 1e16
+    return w
+
+
+def test_lift_overflow_stores_no_lift():
+    short = carry_dijkstra(_heavy_path_weights(400))
+    lift = incremental._lift(short.unpinned, short.distances)
+    assert lift is not None and 150 < int(lift.max()) <= 255
+    assert np.array_equal(_bits(incremental._unlift(short.distances, lift)), _bits(short.unpinned))
+    long = carry_dijkstra(_heavy_path_weights(700))
+    assert incremental._lift(long.unpinned, long.distances) is None
+
+
+@pytest.fixture
+def carry_calls(monkeypatch):
+    """Every ``carry_dijkstra`` call the engine makes, as (carried?, rows re-solved)."""
+    calls: list[tuple[bool, int]] = []
+
+    def spy(weights, previous=None, removed=((), (), ()), added=((), (), ())):
+        result = carry_dijkstra(weights, previous, removed, added)
+        calls.append((previous is not None, int(result.resolved.size)))
+        return result
+
+    monkeypatch.setattr(incremental, "carry_dijkstra", spy)
+    return calls
+
+
+@pytest.fixture
+def checked_fallbacks(monkeypatch):
+    """Agents of every engine fallback, each checked bitwise against
+    ``apsp_scipy`` of the dense residual weights the exact oracle uses."""
+    rebuild = IncrementalEngine._rebuild
+    agents: list[int] = []
+
+    def checked(self, u, key, graph):
+        d_rest = rebuild(self, u, key, graph)
+        expected = apsp_scipy(self.game.residual_weights(self.profile, u))
+        assert np.array_equal(_bits(d_rest), _bits(expected))
+        agents.append(u)
+        return d_rest
+
+    monkeypatch.setattr(IncrementalEngine, "_rebuild", checked)
+    return agents
+
+
+def test_engine_after_lift_overflow_runs_the_next_fallback_in_full(
+    carry_calls, checked_fallbacks
+):
+    n = 700
+    game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
+    owns = np.zeros((n, n), dtype=bool)
+    owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
+    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
+    wide, narrow = 650, 100  # residual components {0..u}: gaps ~324 and ~49 ulp
+    for u in (wide, narrow):
+        engine.residual(u)
+    assert engine._residuals[wide][2] is None
+    assert engine._residuals[narrow][2] is not None
+    engine.apply(n - 2, [])  # any move changes every other agent's residual key
+    del carry_calls[:]
+    engine.residual(wide)
+    engine.residual(narrow)
+    assert checked_fallbacks[-2:] == [wide, narrow]
+    # Rows 0..narrow cannot reach the dropped edge (n - 2, n - 1): carried.
+    assert carry_calls == [(False, n), (True, n - narrow - 1)]
+
+
+# ----------------------------------------------------------------------
+# Engine level, past the Floyd–Warshall cutoff
+# ----------------------------------------------------------------------
+def _mesh_host(n: int, degree: int = 6, seed: int = 7) -> HostGraph:
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2)) * np.sqrt(n)
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    order = np.argsort(d, axis=1)
+    allowed = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        allowed[u, order[u, 1 : degree + 1]] = True
+    allowed |= allowed.T
+    w = np.where(allowed, d, np.inf)
+    np.fill_diagonal(w, 0.0)
+    return HostGraph(w)
+
+
+def _tree_profile(host: HostGraph) -> StrategyProfile:
+    """A BFS spanning tree of the host support, owned by the parents."""
+    n = host.n
+    finite = np.isfinite(host.weights) & ~np.eye(n, dtype=bool)
+    owns = np.zeros((n, n), dtype=bool)
+    seen, queue = {0}, deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(finite[u]):
+            if int(v) not in seen:
+                seen.add(int(v))
+                owns[u, v] = True
+                queue.append(int(v))
+    assert len(seen) == n
+    return StrategyProfile(owns)
+
+
+N_DIJKSTRA = 200
+assert N_DIJKSTRA > FLOYD_WARSHALL_MAX_N
+
+
+def test_every_fallback_of_a_run_equals_apsp_scipy(carry_calls, checked_fallbacks):
+    host = _mesh_host(N_DIJKSTRA)
+    game = NetworkCreationGame(host, 1.0)
+    cfg = SimulationConfig(
+        response="single", schedule="sequential", max_rounds=2, repair_threshold=0.0
+    )
+    with GameSession(game, cfg) as session:
+        result = session.run(_tree_profile(host))
+    assert len(checked_fallbacks) == result.engine_stats.repair_fallbacks > 0
+    assert len(carry_calls) == len(checked_fallbacks)
+    assert any(carried for carried, _ in carry_calls)
+
+
+def test_local_moves_carry_few_rows(carry_calls, checked_fallbacks):
+    """Near a fixed network a move touches few rows: carried fallbacks of the
+    other agents re-solve a small share of the 200 sources."""
+    host = _mesh_host(N_DIJKSTRA)
+    game = NetworkCreationGame(host, 1.0)
+    owns = np.triu(np.isfinite(host.weights), 1)  # every host edge, owned once
+    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
+    rng = np.random.default_rng(3)
+    owners = np.flatnonzero(owns.any(axis=1))
+    watched = rng.choice(owners, size=8, replace=False)
+    for _ in range(6):
+        for u in watched:
+            engine.residual(int(u))
+        mover = int(rng.choice(owners))
+        engine.apply(mover, sorted(engine.profile.strategy(mover))[1:])
+    carried = [rows for was_carried, rows in carry_calls if was_carried]
+    assert len(checked_fallbacks) == len(carry_calls)
+    assert len(carried) >= 4 * len(watched)
+    assert np.median(carried) < N_DIJKSTRA // 4
+
+
+# ----------------------------------------------------------------------
+# Checkpoints
+# ----------------------------------------------------------------------
+# sha256 of the round-1 checkpoint of the run below, as written before
+# fallbacks were carried: lifts are never serialized, so the bytes must not
+# change.  The template is relative, so the path in the header is fixed.
+ROUND_ONE_CHECKPOINT_SHA256 = "a7cabe42805f99c2be024260ca0e1c5c0b0a46584561da770603447cb9834695"
+
+
+def test_checkpoint_resume_with_carried_fallbacks(tmp_path, monkeypatch, carry_calls):
+    host = _mesh_host(N_DIJKSTRA)
+    game = NetworkCreationGame(host, 1.0)
+    start = _tree_profile(host)
+    cfg = SimulationConfig(response="single", schedule="sequential", max_rounds=2)
+    with GameSession(game, cfg) as session:
+        straight = session.run(start)
+        engine = session._engine
+    assert straight.engine_stats.repair_fallbacks > 0
+    assert any(carried for carried, _ in carry_calls)
+    monkeypatch.chdir(tmp_path)
+    checkpointed = cfg.replace(checkpoint_path="ckpt-{round}.bin", checkpoint_every=1)
+    with GameSession(game, checkpointed) as session:
+        checkpointing = session.run(start)
+    _assert_identical_runs([straight, checkpointing])
+    boundary = tmp_path / "ckpt-1.bin"
+    assert hashlib.sha256(boundary.read_bytes()).hexdigest() == ROUND_ONE_CHECKPOINT_SHA256
+    resumed = resume_dynamics(str(boundary), checkpoint_every=None, checkpoint_path=None)
+    _assert_identical_runs([straight, resumed])
+    residuals = engine.export_state()["residuals"]
+    assert residuals
+    for key, matrix in residuals.values():
+        assert isinstance(key, bytes) and matrix.shape == (N_DIJKSTRA, N_DIJKSTRA)

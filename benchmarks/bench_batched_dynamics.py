@@ -42,7 +42,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.core import NetworkCreationGame, StrategyProfile, run_dynamics
+from repro.core import (
+    NetworkCreationGame,
+    SimulationConfig,
+    StrategyProfile,
+    run_dynamics,
+)
 from repro.core.host_graph import HostGraph
 
 SIZES = (50, 100, 200)
@@ -112,9 +117,7 @@ def outage_instance(n: int) -> tuple[NetworkCreationGame, StrategyProfile]:
     warm = run_dynamics(
         game,
         spanning_tree_profile(host),
-        response="single",
-        order="round_robin",
-        max_rounds=300,
+        SimulationConfig(response="single", order="round_robin", max_rounds=300),
         rng=0,
     )
     assert warm.converged, "warm-up dynamics did not converge"
@@ -129,11 +132,10 @@ def _timed_run(game, start, schedule: str, order: str):
     result = run_dynamics(
         game,
         start,
-        response="single",
-        order=order,
-        max_rounds=100,
+        SimulationConfig(
+            response="single", order=order, max_rounds=100, schedule=schedule
+        ),
         rng=0,
-        schedule=schedule,  # type: ignore[arg-type]
     )
     return time.perf_counter() - t0, result
 

@@ -13,9 +13,10 @@ import pytest
 
 from repro.constructions import clique_of_stars_lower_bound
 from repro.core.bounds import one_two_poa_lower, one_two_poa_upper
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_greedy_equilibrium, is_nash_equilibrium
 from repro.core.social_optimum import algorithm1_one_two
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 from repro.metrics.generators import random_one_two_host
 
@@ -63,7 +64,9 @@ def _theorem9_poa(seed: int, alpha: float) -> float:
 
     game = NetworkCreationGame(host, alpha)
     opt = algorithm1_one_two(game)
-    result = best_response_dynamics(game, StrategyProfile.empty(6), max_rounds=40)
+    result = run_dynamics(
+        game, StrategyProfile.empty(6), SimulationConfig(max_rounds=40)
+    )
     assert result.converged
     return game.social_cost(result.final_profile) / opt.cost
 

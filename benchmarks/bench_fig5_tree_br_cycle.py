@@ -17,6 +17,7 @@ from repro.constructions.br_cycles import (
     search_improving_response_cycle,
 )
 from repro.core.dynamics import run_dynamics, verify_best_response_cycle
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 
 
@@ -51,7 +52,9 @@ def test_fig5_best_response_dynamics_behaviour(benchmark, paper_report):
 
     def run():
         return run_dynamics(
-            game, StrategyProfile.star(10, center=0), response="single", max_rounds=25
+            game,
+            StrategyProfile.star(10, center=0),
+            SimulationConfig(response="single", max_rounds=25),
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

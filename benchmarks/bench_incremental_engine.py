@@ -32,6 +32,7 @@ import pytest
 from repro.core import (
     IncrementalEngine,
     NetworkCreationGame,
+    SimulationConfig,
     StrategyProfile,
     best_response_exact,
     best_response_incremental,
@@ -96,7 +97,7 @@ def dynamics_run(n: int, engine: str) -> tuple[float, object]:
     game, profile, _ = _instance(n)
     t0 = time.perf_counter()
     result = run_dynamics(
-        game, profile, response="single", engine=engine, max_rounds=3  # type: ignore[arg-type]
+        game, profile, SimulationConfig(response="single", engine=engine, max_rounds=3)
     )
     return time.perf_counter() - t0, result
 

@@ -221,7 +221,10 @@ def compare_slot_bytes(n: int) -> dict:
     game, start = localized_instance(n)
     t0 = time.perf_counter()
     serial = run_dynamics(
-        game, start, response="single", schedule="batched", max_rounds=ROUNDS, rng=0
+        game,
+        start,
+        SimulationConfig(response="single", schedule="batched", max_rounds=ROUNDS),
+        rng=0,
     )
     serial_s = time.perf_counter() - t0
     pool_s, pooled, stats, writes = _pool_run(game, start)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import ne_spanner_factor, opt_spanner_factor
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_nash_equilibrium
 from repro.core.game import NetworkCreationGame
 from repro.core.social_optimum import exact_social_optimum
 from repro.core.spanner import spanner_stretch
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 from repro.metrics.generators import random_euclidean_host
 
@@ -27,7 +28,9 @@ def _stretches(alpha: float, instances: int) -> tuple[float, float]:
         game = NetworkCreationGame(random_euclidean_host(6, rng=rng), alpha)
         opt = exact_social_optimum(game)
         worst_opt = max(worst_opt, spanner_stretch(game.host, opt.profile))
-        result = best_response_dynamics(game, StrategyProfile.empty(6), max_rounds=40)
+        result = run_dynamics(
+            game, StrategyProfile.empty(6), SimulationConfig(max_rounds=40)
+        )
         if result.converged and is_nash_equilibrium(game, result.final_profile):
             worst_ne = max(worst_ne, spanner_stretch(game.host, result.final_profile))
     return worst_ne, worst_opt

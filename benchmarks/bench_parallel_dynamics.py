@@ -161,11 +161,10 @@ def equilibrium_instance(n: int) -> tuple[NetworkCreationGame, StrategyProfile]:
     warm = run_dynamics(
         game,
         spanning_tree_profile(host),
-        response="best",
-        order="round_robin",
-        max_rounds=80,
+        SimulationConfig(
+            response="best", order="round_robin", max_rounds=80, schedule="batched"
+        ),
         rng=0,
-        schedule="batched",
     )
     assert warm.converged, "warm-up dynamics did not converge"
     return game, warm.final_profile

@@ -101,7 +101,7 @@ def sweep_instance() -> tuple[NetworkCreationGame, list[StrategyProfile]]:
 def run_per_run_pools(game, starts):
     """The pre-session sweep: every run builds and tears down its own pool."""
     t0 = time.perf_counter()
-    results = [run_dynamics(game, start, config=CONFIG) for start in starts]
+    results = [run_dynamics(game, start, CONFIG) for start in starts]
     return time.perf_counter() - t0, results
 
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import one_two_sqrt_alpha_poa_upper
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_nash_equilibrium
 from repro.core.game import NetworkCreationGame
 from repro.core.social_optimum import exact_social_optimum
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 from repro.metrics.generators import random_one_two_host
 
@@ -27,7 +28,9 @@ def _equilibrium_stats(alpha: float, seed: int) -> tuple[float, float]:
     """Return (equilibrium diameter, equilibrium cost / optimum cost)."""
     rng = np.random.default_rng(seed)
     game = NetworkCreationGame(random_one_two_host(6, rng=rng), alpha)
-    result = best_response_dynamics(game, StrategyProfile.star(6, center=0), max_rounds=40)
+    result = run_dynamics(
+        game, StrategyProfile.star(6, center=0), SimulationConfig(max_rounds=40)
+    )
     profile = result.final_profile
     distances = game.distances(profile)
     diameter = float(distances[np.isfinite(distances)].max())

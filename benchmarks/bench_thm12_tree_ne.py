@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_nash_equilibrium, tree_profile_from_host
 from repro.core.game import NetworkCreationGame
 from repro.core.social_optimum import exact_social_optimum
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 from repro.metrics.generators import random_tree_host
 
@@ -25,7 +26,9 @@ def _equilibrium_edge_counts(instances: int, alpha: float) -> list[int]:
     counts = []
     for _ in range(instances):
         game = NetworkCreationGame(random_tree_host(6, rng=rng), alpha)
-        result = best_response_dynamics(game, StrategyProfile.empty(6), max_rounds=40)
+        result = run_dynamics(
+            game, StrategyProfile.empty(6), SimulationConfig(max_rounds=40)
+        )
         if result.converged and is_nash_equilibrium(game, result.final_profile):
             counts.append(result.final_profile.num_edges())
     return counts

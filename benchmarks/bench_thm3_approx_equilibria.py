@@ -20,6 +20,7 @@ from repro.core.bounds import ae_to_ne_factor, ge_to_ne_factor
 from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import best_deviation_factor, is_greedy_equilibrium
 from repro.core.game import NetworkCreationGame
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 from repro.metrics.generators import random_euclidean_host
 
@@ -34,7 +35,9 @@ def _worst_factors(instances: int, alpha: float) -> tuple[float, float]:
     for _ in range(instances):
         game = NetworkCreationGame(random_euclidean_host(6, rng=rng), alpha)
         result = run_dynamics(
-            game, StrategyProfile.star(6, center=0), response="greedy", max_rounds=40
+            game,
+            StrategyProfile.star(6, center=0),
+            SimulationConfig(response="greedy", max_rounds=40),
         )
         profile = result.final_profile
         if not (result.converged and game.is_connected(profile)):

@@ -26,9 +26,10 @@ import numpy as np
 
 from repro import HostGraph, NetworkCreationGame, StrategyProfile
 from repro.core import (
-    best_response_dynamics,
+    SimulationConfig,
     is_nash_equilibrium,
     metric_poa_upper,
+    run_dynamics,
     social_optimum,
 )
 
@@ -58,8 +59,8 @@ def main() -> None:
 
     for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         game = NetworkCreationGame(host, alpha=alpha)
-        dynamics = best_response_dynamics(
-            game, StrategyProfile.empty(num_cities), max_rounds=60
+        dynamics = run_dynamics(
+            game, StrategyProfile.empty(num_cities), SimulationConfig(max_rounds=60)
         )
         network = dynamics.final_profile
         opt = social_optimum(game)

@@ -19,8 +19,8 @@ driven by one :class:`repro.SimulationConfig`: the independent
 :func:`repro.analysis.run_parallel` process pool with per-cell seeds
 derived via :func:`repro.analysis.spawn_seeds`, while each cell runs its
 instances through game sessions that share the config's intra-round
-workers (``run_parallel(config=...)`` derives ``workers_per_task`` from
-``config.workers`` so the machine is not oversubscribed).
+workers (``run_parallel(config=...)`` caps its own pool at
+``cpu_count // config.workers`` so the machine is not oversubscribed).
 
 Run with ``python examples/price_of_anarchy_sweep.py`` (takes ~a minute).
 """
@@ -43,10 +43,9 @@ def _cell(variant: str, n: int, alpha: float, seed: int):
         variant,
         n,
         alpha,
+        CONFIG.replace(seed=seed),
         instances=3,
         samples_per_instance=4,
-        seed=seed,
-        config=CONFIG,
     )
 
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from repro import HostGraph, NetworkCreationGame, StrategyProfile
 from repro.core import (
-    best_response_dynamics,
+    SimulationConfig,
     is_nash_equilibrium,
     metric_poa_upper,
+    run_dynamics,
     social_optimum,
     spanner_stretch,
 )
@@ -42,7 +43,9 @@ def main() -> None:
     print(f"\nSocial optimum ({opt.method}): cost = {opt.cost:.4f}, "
           f"{opt.profile.num_edges()} edges")
 
-    result = best_response_dynamics(game, StrategyProfile.empty(host.n), max_rounds=50)
+    result = run_dynamics(
+        game, StrategyProfile.empty(host.n), SimulationConfig(max_rounds=50)
+    )
     final = result.final_profile
     print(f"\nBest-response dynamics: converged = {result.converged} "
           f"after {result.moves} improving moves")

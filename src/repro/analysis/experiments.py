@@ -13,22 +13,19 @@ is also usable serially (``workers=0``), which the test-suite relies on.
 
 Two levels of parallelism compose here.  *Instance-level*: independent
 ``(callable, args)`` tasks across a :func:`run_parallel` process pool.
-*Intra-round*: every sweep accepts a ``workers`` switch threaded down to
-:func:`repro.core.dynamics.run_dynamics`, which fans the batched
-evaluations of a single dynamics run out to worker processes over
-shared-memory snapshots (:mod:`repro.core.parallel`).  When composing the
-two, pass the per-task worker count as ``workers_per_task`` to
-:func:`run_parallel` so the instance-level pool is capped at
-``cpu_count // workers_per_task`` and the machine is never oversubscribed.
-Per-instance seeds for parallel sweeps should come from
+*Intra-round*: a config's ``workers`` field fans the batched evaluations
+of a single dynamics run out to worker processes over shared-memory
+snapshots (:mod:`repro.core.parallel`).  When composing the two, pass the
+tasks' config to :func:`run_parallel` so the instance-level pool is capped
+at ``cpu_count // config.workers`` and the machine is never
+oversubscribed.  Per-instance seeds for parallel sweeps should come from
 :func:`spawn_seeds` (``numpy.random.SeedSequence.spawn``), which makes the
 streams independent and reproducible regardless of scheduling order.
 
-Every sweep is configured by a
-:class:`~repro.core.session.SimulationConfig` — passed whole as
-``config=`` or assembled from the legacy ``engine``/``schedule``/
-``workers`` keywords, which override the config's fields — and executes
-its per-instance dynamics runs through one
+Every sweep is configured by one
+:class:`~repro.core.session.SimulationConfig` (``config=``; its ``seed``
+is the sweep's root seed) and executes its per-instance dynamics runs
+through one
 :class:`~repro.core.session.GameSession` per instance, so the runs of an
 instance share a single incremental engine and, for ``workers > 1``, a
 single shared-memory worker pool instead of paying pool start-up per run.
@@ -51,7 +48,12 @@ from ..core.bounds import general_poa_upper, metric_poa_upper
 from ..core.parallel import default_workers
 from ..core.game import NetworkCreationGame
 from ..core.host_graph import HostGraph, ModelVariant
-from ..core.session import GameSession, SimulationConfig, spawn_seeds
+from ..core.session import (
+    MAX_ROUNDS_CONVERGENCE,
+    GameSession,
+    SimulationConfig,
+    spawn_seeds,
+)
 from ..core.strategy import StrategyProfile
 from ..metrics.generators import (
     random_euclidean_host,
@@ -131,51 +133,28 @@ def _upper_bound_for(host: HostGraph, alpha: float) -> float:
     return general_poa_upper(alpha)
 
 
-# Historical round budget of the convergence study (sampling sweeps resolve
-# their 60-round budget inside GameSession.sample_equilibria/poa).
-_CONVERGENCE_MAX_ROUNDS = 40
-
-
-def _resolve_seed(seed: int | None, cfg: SimulationConfig) -> int:
-    """An explicit ``seed`` wins; otherwise the config's seed policy."""
-    return int(seed) if seed is not None else cfg.root_seed()
-
-
 def poa_experiment(
     variant: str,
     n: int,
     alpha: float,
+    config: SimulationConfig | None = None,
     *,
     instances: int = 5,
     samples_per_instance: int = 6,
-    seed: int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
-    config: SimulationConfig | None = None,
 ) -> PoASummary:
     """Measure the empirical PoA of random instances of one variant.
 
     Each instance contributes the worst ratio over all sampled equilibria;
     the summary reports the maximum and mean over instances and whether the
     relevant closed-form upper bound was respected by every measurement.
-    The dynamics machinery is configured by ``config`` (a
-    :class:`~repro.core.session.SimulationConfig`; the legacy ``engine``/
-    ``schedule``/``workers``/``max_candidates`` keywords override its
-    fields) and every instance runs through one
-    :class:`~repro.core.session.GameSession`, so all
-    ``samples_per_instance`` dynamics runs of an instance share a single
-    engine and worker pool.
+    Instances are drawn from the config's seed policy
+    (:meth:`~repro.core.session.SimulationConfig.rng`) and every instance
+    runs through one :class:`~repro.core.session.GameSession` opened on
+    ``config``, so all ``samples_per_instance`` dynamics runs of an
+    instance share a single engine and worker pool.
     """
-    cfg = SimulationConfig.merged(
-        config,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    rng = np.random.default_rng(_resolve_seed(seed, cfg))
+    cfg = SimulationConfig() if config is None else config
+    rng = cfg.rng()
     ratios: list[float] = []
     found = 0
     bound_ok = True
@@ -210,35 +189,28 @@ def sweep_alpha(
     variant: str,
     n: int,
     alphas: Sequence[float],
+    config: SimulationConfig | None = None,
     *,
     instances: int = 3,
     samples_per_instance: int = 4,
-    seed: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
-    config: SimulationConfig | None = None,
 ) -> list[PoASummary]:
     """Run :func:`poa_experiment` for every alpha in a sweep.
 
-    Per-alpha seeds are derived from the root seed (``seed``, or the
-    config's seed policy) with :func:`spawn_seeds`, so the cells of the
-    sweep are statistically independent and may be distributed across a
-    :func:`run_parallel` pool without changing any result.
+    Per-alpha seeds are derived from the config's root seed with
+    :meth:`~repro.core.session.SimulationConfig.spawn_seeds`, so the cells
+    of the sweep are statistically independent and may be distributed
+    across a :func:`run_parallel` pool without changing any result.
     """
-    cfg = SimulationConfig.merged(
-        config, engine=engine, schedule=schedule, workers=workers
-    )
-    seeds = spawn_seeds(_resolve_seed(seed, cfg), len(alphas))
+    cfg = SimulationConfig() if config is None else config
+    seeds = cfg.spawn_seeds(len(alphas))
     return [
         poa_experiment(
             variant,
             n,
             float(alpha),
+            cfg.replace(seed=cell_seed),
             instances=instances,
             samples_per_instance=samples_per_instance,
-            seed=cell_seed,
-            config=cfg,
         )
         for alpha, cell_seed in zip(alphas, seeds)
     ]
@@ -248,34 +220,21 @@ def dynamics_convergence_experiment(
     variant: str,
     n: int,
     alpha: float,
+    config: SimulationConfig | None = None,
     *,
     instances: int = 5,
     runs_per_instance: int = 4,
-    max_rounds: int | None = None,
-    response: str | None = None,
-    seed: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
-    config: SimulationConfig | None = None,
 ) -> DynamicsSummary:
     """Measure how often best-response dynamics converge on random instances.
 
-    Configured like :func:`poa_experiment`; all ``runs_per_instance`` runs
-    of an instance share one :class:`~repro.core.session.GameSession` (and
-    hence one worker pool).
+    Configured like :func:`poa_experiment` (an unset ``max_rounds`` means
+    40 rounds); all ``runs_per_instance`` runs of an instance share one
+    :class:`~repro.core.session.GameSession` (and hence one worker pool).
     """
-    cfg = SimulationConfig.merged(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
+    cfg = SimulationConfig() if config is None else config
     if cfg.max_rounds is None:
-        cfg = cfg.replace(max_rounds=_CONVERGENCE_MAX_ROUNDS)
-    rng = np.random.default_rng(_resolve_seed(seed, cfg))
+        cfg = cfg.replace(max_rounds=MAX_ROUNDS_CONVERGENCE)
+    rng = cfg.rng()
     converged = 0
     cycling = 0
     total_runs = 0
@@ -312,7 +271,6 @@ def run_parallel(
     tasks: Iterable[tuple[Callable, tuple]],
     *,
     workers: int | None = None,
-    workers_per_task: int | None = None,
     config: SimulationConfig | None = None,
 ):
     """Execute ``(callable, args)`` tasks, optionally across processes.
@@ -321,22 +279,16 @@ def run_parallel(
     :class:`ProcessPoolExecutor` with ``workers`` processes (default: CPU
     count capped at 8) is used.  Results are returned in task order.
 
-    ``workers_per_task`` declares how many *additional* processes each task
-    spawns internally — e.g. the intra-round ``workers=`` passed down to
-    :func:`repro.core.dynamics.run_dynamics` inside the task.  When the
-    tasks run under a :class:`~repro.core.session.SimulationConfig`, pass
-    it as ``config`` and ``workers_per_task`` is derived from
-    ``config.workers`` (an explicit ``workers_per_task`` still wins).  The
-    instance-level pool is capped at ``cpu_count // workers_per_task``
-    (at least 1) so composing the two levels of parallelism never
-    oversubscribes the machine.  Task seeds should be pre-derived with
-    :func:`spawn_seeds` and passed through ``args``, which keeps the sweep
-    reproducible no matter how tasks land on processes.
+    When the tasks run under a :class:`~repro.core.session.SimulationConfig`,
+    pass it as ``config``: each task spawns ``config.workers`` processes of
+    its own (1 without a config), so the instance-level pool is capped at
+    ``cpu_count // config.workers`` (at least 1) and composing the two
+    levels of parallelism never oversubscribes the machine.  Task seeds
+    should be pre-derived with :func:`spawn_seeds` and passed through
+    ``args``, which keeps the sweep reproducible no matter how tasks land
+    on processes.
     """
-    if workers_per_task is None:
-        workers_per_task = config.workers if config is not None else 1
-    if workers_per_task < 1:
-        raise ValueError("workers_per_task must be >= 1")
+    workers_per_task = config.workers if config is not None else 1
     task_list = list(tasks)
     if workers == 0 or len(task_list) <= 1:
         return [fn(*args) for fn, args in task_list]

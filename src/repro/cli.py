@@ -361,8 +361,9 @@ def resolve_config(args: argparse.Namespace):
         base = SimulationConfig.from_dict(data)
     else:
         base = SimulationConfig()
-    return SimulationConfig.merged(
-        base, **{field: getattr(args, field, None) for field in _CONFIG_FIELDS}
+    flags = {field: getattr(args, field, None) for field in _CONFIG_FIELDS}
+    return base.replace(
+        **{field: value for field, value in flags.items() if value is not None}
     )
 
 
@@ -432,13 +433,13 @@ def _cmd_simulate(args) -> int:
     from .core.equilibria import is_nash_equilibrium
     from .core.game import NetworkCreationGame
     from .core.host_graph import ModelVariant
-    from .core.session import GameSession
+    from .core.session import MAX_ROUNDS_SIMULATE, GameSession
     from .core.social_optimum import social_optimum
     from .core.strategy import StrategyProfile
 
     cfg = args.sim_config
-    if cfg.max_rounds is None:  # simulate's historical round budget
-        cfg = cfg.replace(max_rounds=60)
+    if cfg.max_rounds is None:
+        cfg = cfg.replace(max_rounds=MAX_ROUNDS_SIMULATE)
     rng = cfg.rng()
     host = host_factory(args.variant, args.n, rng)
     game = NetworkCreationGame(host, args.alpha)

@@ -50,7 +50,6 @@ from .checkpoint import (
 from .dynamics import (
     CycleCheckResult,
     DynamicsResult,
-    best_response_dynamics,
     run_dynamics,
     verify_best_response_cycle,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "algorithm1_one_two",
     "batch_best_responses",
     "best_response",
-    "best_response_dynamics",
     "best_response_exact",
     "best_response_incremental",
     "best_single_move",

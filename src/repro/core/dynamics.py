@@ -94,7 +94,6 @@ __all__ = [
     "DynamicsResult",
     "CycleCheckResult",
     "run_dynamics",
-    "best_response_dynamics",
     "verify_best_response_cycle",
 ]
 
@@ -106,9 +105,6 @@ _PREFILL_WINDOW_INIT = 4
 _PREFILL_WINDOW_PROBE = 8
 
 ResponseKind = Literal["best", "greedy", "single"]
-OrderKind = Literal["round_robin", "random", "max_gain"]
-EngineKind = Literal["exact", "incremental"]
-ScheduleKind = Literal["sequential", "batched"]
 
 
 class _ProposalCache:
@@ -384,102 +380,42 @@ def _respond(
 def run_dynamics(
     game: NetworkCreationGame,
     initial: StrategyProfile,
+    config: "SimulationConfig | None" = None,
     *,
-    response: ResponseKind | None = None,
-    order: OrderKind | Sequence[int] | None = None,
-    max_rounds: int | None = None,
     rng: np.random.Generator | int | None = None,
     record_history: bool = False,
     detect_cycles: bool = True,
-    max_candidates: int | None = None,
-    engine: EngineKind | None = None,
-    schedule: ScheduleKind | None = None,
-    workers: int | None = None,
-    repair_threshold: float | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_path: str | None = None,
     tol: float = _TOL,
-    config: "SimulationConfig | None" = None,
-    session: "GameSession | None" = None,
 ) -> DynamicsResult:
-    """Run response dynamics from ``initial``.
+    """Run response dynamics from ``initial`` under ``config``.
 
-    The run is configured by a
-    :class:`~repro.core.session.SimulationConfig` — passed as ``config``,
-    taken from ``session``, or assembled from the individual keyword
-    arguments below (the historical surface, kept as a shim: every keyword
-    maps to the config field of the same name and, when given explicitly,
-    overrides it).  Without a ``session`` the call opens a one-shot
+    Every knob of the run — response kind, activation order, round budget,
+    engine, schedule, workers, checkpoint policy — is a field of the
+    :class:`~repro.core.session.SimulationConfig` (field defaults when
+    ``config`` is ``None``).  The call opens a one-shot
     :class:`~repro.core.session.GameSession`, so it builds and tears down
-    its own engine and (for ``workers > 1``) worker pool; with a
-    ``session`` the run reuses the session's engine and pool and closes
-    neither.  Prefer a session when running many times on one game.
+    its own engine and (for ``workers > 1``) worker pool; to run many times
+    on one game, open a session and call
+    :meth:`~repro.core.session.GameSession.run` instead.
 
     Parameters
     ----------
-    response:
-        ``"best"`` (exact best responses), ``"greedy"`` (single-move local
-        optimum per activation) or ``"single"`` (one best single move per
-        activation).
-    order:
-        ``"round_robin"``, ``"random"``, ``"max_gain"`` (activate the agent
-        with the largest available improvement), or an explicit activation
-        sequence of agent indices.
-    max_rounds:
-        A *round* activates every agent once (for explicit sequences, one
-        activation counts as one step and ``max_rounds`` bounds the number of
-        passes over the sequence).
+    config:
+        The run's :class:`~repro.core.session.SimulationConfig`.  An unset
+        ``max_rounds`` means 100 rounds.  A checkpointed run
+        (``checkpoint_every``/``checkpoint_path``) resumes with
+        :meth:`~repro.core.session.GameSession.resume` or ``repro resume``;
+        the continuation is byte-identical to the straight-through run.
     rng:
         Randomness for ``order="random"``: a :class:`numpy.random.Generator`
         or an integer seed.  ``None`` uses the config's seed policy
         (:meth:`~repro.core.session.SimulationConfig.rng`, fixed seed 0 by
         default), so two runs with the same arguments always produce
         identical trajectories.
-    engine:
-        ``"incremental"`` (default) runs on the cached-distance engine —
-        residual matrices are reused across sweeps, repaired decrementally
-        after edge removals and distances updated in ``O(n^2)`` per move;
-        ``"exact"`` recomputes every quantity from scratch and is kept as
-        the slow cross-validation oracle.  Both engines play the same
-        (exact) responses.
-    schedule:
-        ``"sequential"`` (default) re-scores every agent at every
-        activation.  ``"batched"`` caches each scored proposal and replays
-        it at later activations, re-scoring only agents whose residual
-        rows an applied move provably invalidated; the trajectory (moves,
-        social costs, final profile) is identical to the sequential
-        schedule — see the module docstring.  Requires
-        ``engine="incremental"`` and a round-robin, random or explicit
-        activation order.
-    workers:
-        Worker-process count for the batched evaluations (the batched
-        schedule's round prefill and every ``max_gain`` step).  ``1``
-        (default) scores in-process; ``k > 1`` fans the batch out to ``k``
-        persistent worker processes over shared-memory snapshots
-        (:mod:`repro.core.parallel`).  The trajectory, the engine stats
-        and the proposal-cache counters are bit-identical for every
-        worker count; the sequential schedule scores one agent per
-        activation and gains nothing from ``workers``.  Requires
-        ``engine="incremental"``.
-    repair_threshold:
-        Decremental-repair frontier bound of the incremental engine (see
-        :class:`~repro.core.incremental.IncrementalEngine`).
-    checkpoint_every, checkpoint_path:
-        Checkpoint policy (see :mod:`repro.core.checkpoint`): every
-        ``checkpoint_every``-th round boundary the run's complete state is
-        atomically serialized to ``checkpoint_path`` (a ``{round}``
-        placeholder keeps one file per boundary).  Resume with
-        :func:`repro.core.session.resume_dynamics` or ``repro resume``;
-        the continuation is byte-identical to the straight-through run.
-    config:
-        A :class:`~repro.core.session.SimulationConfig` providing the
-        defaults for this run; explicit keyword arguments override its
-        fields.  Mutually exclusive with ``session``.
-    session:
-        An open :class:`~repro.core.session.GameSession` to run through;
-        its engine and worker pool are reused (and left open).  The
-        session-scoped fields (``engine``, ``workers``,
-        ``repair_threshold``) cannot be overridden per run.
+    record_history:
+        Keep every visited profile in :attr:`DynamicsResult.history`.
+    detect_cycles:
+        Stop when a state repeats (a best-response cycle).
 
     Returns
     -------
@@ -487,36 +423,9 @@ def run_dynamics(
         Convergence flag, number of improving moves made, cycle information
         and the trajectory of social costs.
     """
-    from .session import GameSession, SimulationConfig, check_session_call
+    from .session import GameSession
 
-    overrides = {
-        key: value
-        for key, value in {
-            "response": response,
-            "order": order,
-            "max_rounds": max_rounds,
-            "max_candidates": max_candidates,
-            "engine": engine,
-            "schedule": schedule,
-            "workers": workers,
-            "repair_threshold": repair_threshold,
-            "checkpoint_every": checkpoint_every,
-            "checkpoint_path": checkpoint_path,
-        }.items()
-        if value is not None
-    }
-    if session is not None:
-        check_session_call(session, game, config)
-        return session.run(
-            initial,
-            rng=rng,
-            record_history=record_history,
-            detect_cycles=detect_cycles,
-            tol=tol,
-            **overrides,
-        )
-    cfg = SimulationConfig.merged(config, **overrides)
-    with GameSession(game, cfg) as one_shot:
+    with GameSession(game, config) as one_shot:
         return one_shot.run(
             initial,
             rng=rng,
@@ -897,14 +806,6 @@ def _run_session_loop(
         schedule_hits=cache.hits if cache is not None else 0,
         schedule_misses=cache.misses if cache is not None else 0,
     )
-
-
-def best_response_dynamics(
-    game: NetworkCreationGame, initial: StrategyProfile, **kwargs
-) -> DynamicsResult:
-    """Convenience wrapper for :func:`run_dynamics` with exact best responses."""
-    kwargs.setdefault("response", "best")
-    return run_dynamics(game, initial, **kwargs)
 
 
 def verify_best_response_cycle(

@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .equilibria import is_nash_equilibrium
 from .game import NetworkCreationGame
-from .social_optimum import OptimumResult, social_optimum
+from .social_optimum import OptimumResult
 from .strategy import StrategyProfile
+
+if TYPE_CHECKING:  # import cycle: the session imports this module
+    from .session import SimulationConfig
 
 __all__ = [
     "PoAEstimate",
@@ -104,84 +107,27 @@ def _initial_profiles(
     return profiles
 
 
-def _sampling_config(
-    config, *, max_rounds, response, max_candidates, engine, schedule, workers
-):
-    """Resolve a sampling config from legacy kwarg overrides.
-
-    An unset ``max_rounds`` stays ``None`` here; the session's sampling
-    entry points resolve it to the historical 60-round budget.
-    """
-    from .session import SimulationConfig
-
-    return SimulationConfig.merged(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-
-
 def sample_equilibria(
     game: NetworkCreationGame,
+    config: "SimulationConfig | None" = None,
     *,
     num_samples: int = 10,
-    max_rounds: int | None = None,
-    response: str | None = None,
     verify: str = "nash",
     rng: np.random.Generator | int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
-    config=None,
-    session=None,
 ) -> list[StrategyProfile]:
     """Sample stable profiles by running response dynamics from varied seeds.
 
     ``verify`` selects the acceptance test for a converged profile:
     ``"nash"`` (exact NE check), ``"greedy"`` (GE check) or ``"none"``.
-    The run machinery is configured by a
-    :class:`~repro.core.session.SimulationConfig` (``config``, or the
-    individual legacy keywords, which override it) and executed through a
-    :class:`~repro.core.session.GameSession` — an injected open ``session``
-    or a one-shot one — so the whole sweep shares a single engine and
-    worker pool; every configuration reaches the same equilibria — see
-    :meth:`repro.core.session.GameSession.sample_equilibria`.
+    The runs are configured by ``config`` and share the engine and worker
+    pool of one one-shot :class:`~repro.core.session.GameSession`; every
+    configuration reaches the same equilibria — see
+    :meth:`repro.core.session.GameSession.sample_equilibria`, which a
+    caller holding an open session calls directly.
     """
-    if session is not None:
-        from .session import check_session_call
-
-        check_session_call(session, game, config)
-        # engine/schedule/workers are forwarded too: schedule is a per-run
-        # override, and a session-scoped mismatch (engine, workers) raises
-        # instead of silently sampling under a different configuration.
-        return session.sample_equilibria(
-            num_samples=num_samples,
-            verify=verify,
-            rng=rng,
-            max_rounds=max_rounds,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
-        )
     from .session import GameSession
 
-    cfg = _sampling_config(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    with GameSession(game, cfg) as one_shot:
+    with GameSession(game, config) as one_shot:
         return one_shot.sample_equilibria(
             num_samples=num_samples, verify=verify, rng=rng
         )
@@ -220,58 +166,27 @@ def enumerate_nash_equilibria(
 
 def estimate_poa(
     game: NetworkCreationGame,
+    config: "SimulationConfig | None" = None,
     *,
     num_samples: int = 10,
-    response: str | None = None,
     verify: str = "nash",
     optimum_method: str = "auto",
     extra_equilibria: Iterable[StrategyProfile] = (),
     rng: np.random.Generator | int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
-    config=None,
-    session=None,
 ) -> PoAEstimate:
     """Empirical Price-of-Anarchy estimate for one instance.
 
     ``extra_equilibria`` lets callers inject known equilibria (e.g. the
     paper's constructions) so the estimate is at least as large as the
-    constructions imply.  The estimate runs through a
-    :class:`~repro.core.session.GameSession` (an injected open ``session``
-    or a one-shot built from ``config``/the legacy keywords), so all
-    sampling runs share one engine and worker pool — see
-    :meth:`repro.core.session.GameSession.poa`.
+    constructions imply.  The estimate runs under ``config`` through one
+    one-shot :class:`~repro.core.session.GameSession`, so all sampling runs
+    share one engine and worker pool — see
+    :meth:`repro.core.session.GameSession.poa`, which a caller holding an
+    open session calls directly.
     """
-    if session is not None:
-        from .session import check_session_call
-
-        check_session_call(session, game, config)
-        return session.poa(
-            num_samples=num_samples,
-            verify=verify,
-            optimum_method=optimum_method,
-            extra_equilibria=extra_equilibria,
-            rng=rng,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
-        )
     from .session import GameSession
 
-    cfg = _sampling_config(
-        config,
-        max_rounds=None,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    with GameSession(game, cfg) as one_shot:
+    with GameSession(game, config) as one_shot:
         return one_shot.poa(
             num_samples=num_samples,
             verify=verify,

@@ -1,22 +1,19 @@
 """Simulation configuration and the session that owns engines, caches and pools.
 
-Three PRs of growth threaded ``engine=``, ``schedule=``, ``workers=`` and
-friends as parallel keyword arguments through every entry point, and every
-call of :func:`repro.core.dynamics.run_dynamics` built — and tore down — its
-own :class:`~repro.core.incremental.IncrementalEngine` and (with
-``workers > 1``) its own :class:`~repro.core.parallel.ParallelEvaluator`
-worker pool.  For sweeps that run dynamics dozens of times on one instance
-(equilibrium sampling, PoA estimation) the pool start-up dominates at small
-``n``.  This module gives the simulation surface one composable home:
+Every knob of a run lives in one :class:`SimulationConfig`, and a
+:class:`GameSession` owns the machinery that runs it.  For sweeps that run
+dynamics dozens of times on one instance (equilibrium sampling, PoA
+estimation) the worker-pool start-up dominates at small ``n``, so a
+session builds its engine and pool once and reuses them across runs:
 
 ``SimulationConfig``
     A frozen dataclass bundling every knob of a dynamics run — distance
     ``engine``, activation ``schedule``, ``workers``, ``repair_threshold``,
     ``response`` kind, activation ``order``, ``max_rounds``,
-    ``max_candidates`` and the ``seed`` policy.  It validates the same
-    cross-field rules the old keyword plumbing enforced (``__post_init__``),
-    supports functional update (:meth:`SimulationConfig.replace`) and
-    round-trips through plain dicts (:meth:`SimulationConfig.to_dict` /
+    ``max_candidates``, the ``seed`` policy and the checkpoint policy.  It
+    validates its cross-field rules (``__post_init__``), supports
+    functional update (:meth:`SimulationConfig.replace`) and round-trips
+    through plain dicts (:meth:`SimulationConfig.to_dict` /
     :meth:`SimulationConfig.from_dict`) so the CLI can load it from JSON.
     The seed policy lives here too: :meth:`SimulationConfig.rng` derives the
     default per-run generator and :meth:`SimulationConfig.spawn_seeds`
@@ -35,14 +32,16 @@ worker pool.  For sweeps that run dynamics dozens of times on one instance
     how many engines/evaluators the session actually created (exactly one
     each, however many runs are made) plus cumulative engine counters.
 
-The legacy keyword entry points still work: they are now thin shims that
-open a one-shot session, so their lifecycle is unchanged (everything a call
-creates, the call closes) while session users amortize the pool across all
-runs of an instance.  A run through a session is *bit-identical* — same
-trajectory, same :class:`~repro.core.incremental.EngineStats` — to the same
-run through the legacy keywords, because the session resets (never reuses)
-engine state between runs; only the worker pool survives.  With
-``workers > 1`` the session injects its one
+The free entry points (:func:`~repro.core.dynamics.run_dynamics`,
+:func:`~repro.core.poa.sample_equilibria`,
+:func:`~repro.core.poa.estimate_poa` and the sweeps of
+:mod:`repro.analysis.experiments`) take a ``config`` and open a one-shot
+session, so everything a call creates, the call closes; session users
+amortize the pool across all runs of an instance.  A run through a session
+is *bit-identical* — same trajectory, same
+:class:`~repro.core.incremental.EngineStats` — to the same one-shot run,
+because the session resets (never reuses) engine state between runs; only
+the worker pool survives.  With ``workers > 1`` the session injects its one
 :class:`~repro.core.parallel.ParallelEvaluator` worker pool into the
 engine; a pool that breaks beyond its one in-place rebuild falls back to
 in-process scoring, bit-identically.
@@ -103,26 +102,6 @@ __all__ = [
 ]
 
 
-def check_session_call(
-    session: "GameSession",
-    game: NetworkCreationGame,
-    config: "SimulationConfig | None",
-) -> None:
-    """Validate a legacy entry point's ``(game, config, session)`` combination.
-
-    The one guard shared by every ``session=``-accepting shim
-    (:func:`repro.core.dynamics.run_dynamics`,
-    :func:`repro.core.poa.sample_equilibria`,
-    :func:`repro.core.poa.estimate_poa`).
-    """
-    if config is not None:
-        raise ValueError("pass either config or session, not both")
-    if session.game is not game:
-        raise ValueError(
-            "session is scoped to a different game: a GameSession's engine "
-            "and caches are bound to the game it was opened on"
-        )
-
 _ENGINES = ("exact", "incremental")
 _SCHEDULES = ("sequential", "batched")
 _RESPONSES = ("best", "greedy", "single")
@@ -169,12 +148,11 @@ RETIRED_FIELDS: dict[str, Any] = {
 }
 
 # Entry-point round budgets applied when ``max_rounds`` is None ("not
-# configured"): plain dynamics runs keep run_dynamics' historical 100,
-# equilibrium sampling its historical 60.  (The convergence study in
-# :mod:`repro.analysis.experiments` and the CLI's ``simulate`` resolve
-# their own historical budgets, 40 and 60, against the same None.)
-MAX_ROUNDS_RUN = 100
-MAX_ROUNDS_SAMPLING = 60
+# configured"): each entry point keeps its historical budget.
+MAX_ROUNDS_RUN = 100  # run_dynamics / GameSession.run
+MAX_ROUNDS_SAMPLING = 60  # sample_equilibria / estimate_poa / poa_experiment
+MAX_ROUNDS_CONVERGENCE = 40  # dynamics_convergence_experiment
+MAX_ROUNDS_SIMULATE = 60  # repro simulate
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
@@ -202,14 +180,36 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 class SimulationConfig:
     """Every knob of a dynamics run, validated and serializable.
 
-    Field defaults equal the historical defaults of
-    :func:`repro.core.dynamics.run_dynamics`, so ``SimulationConfig()``
-    reproduces a bare ``run_dynamics(game, initial)`` call exactly.
+    ``SimulationConfig()`` is the configuration of a bare
+    ``run_dynamics(game, initial)`` call.  The fields:
+
+    * ``engine`` — ``"incremental"`` runs on the cached-distance engine
+      (residuals reused across sweeps, repaired decrementally, distances
+      updated in ``O(n^2)`` per move); ``"exact"`` recomputes everything
+      from scratch and is the slow cross-validation oracle.  Both play the
+      same responses.
+    * ``schedule`` — ``"sequential"`` re-scores every agent at every
+      activation; ``"batched"`` replays cached proposals an applied move
+      provably left valid (identical trajectory, see
+      :mod:`repro.core.dynamics`).
+    * ``workers`` — worker processes for batched evaluations (the batched
+      schedule's prefill and every ``max_gain`` step; the sequential
+      schedule scores one agent per activation and gains nothing); the
+      trajectory and every counter are bit-identical for every count.
+    * ``repair_threshold`` — the incremental engine's decremental-repair
+      frontier bound (see :class:`~repro.core.incremental.IncrementalEngine`).
+    * ``response`` — ``"best"`` (exact best response), ``"greedy"``
+      (single-move local optimum) or ``"single"`` (one best single move).
+    * ``max_candidates`` — the candidate budget of an exact best response.
+    * ``order``, ``max_rounds``, ``seed`` and the checkpoint policy —
+      described below.
 
     ``order`` is one of the named activation orders (``"round_robin"``,
-    ``"random"``, ``"max_gain"``) or an explicit activation sequence, which
-    is normalized to a tuple of ints so configs stay hashable and
-    equality-comparable.  ``max_rounds=None`` (the default) means "the
+    ``"random"``, ``"max_gain"`` — the agent with the largest available
+    improvement) or an explicit activation sequence, which is normalized to
+    a tuple of ints so configs stay hashable and equality-comparable.  A
+    round activates every agent once (for an explicit sequence, one pass
+    over it).  ``max_rounds=None`` (the default) means "the
     entry point's historical budget" — 100 for a plain dynamics run, 60
     for equilibrium sampling, 40 for the convergence study — so one config
     serves every entry point without silently changing any budget; set an
@@ -311,23 +311,6 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     # Functional update and serialization
     # ------------------------------------------------------------------
-    @classmethod
-    def merged(
-        cls,
-        config: "SimulationConfig | None",
-        **overrides: Any,
-    ) -> "SimulationConfig":
-        """The one override-merge policy of every legacy entry point.
-
-        ``config`` (field defaults when ``None``) is updated with the
-        ``overrides`` whose value is not ``None`` — ``None`` means "not
-        given", so explicitly passed keywords always win.
-        """
-        cfg = config if config is not None else cls()
-        return cfg.replace(
-            **{key: value for key, value in overrides.items() if value is not None}
-        )
-
     def replace(self, **changes: Any) -> "SimulationConfig":
         """A new validated config with ``changes`` applied (the original is untouched)."""
         if not changes:
@@ -376,10 +359,6 @@ class SimulationConfig:
         if unknown:
             raise ValueError(f"unknown SimulationConfig field(s): {sorted(unknown)}")
         return cls(**data)
-
-    def resolved_max_rounds(self, default: int) -> int:
-        """The effective round budget: the entry point's ``default`` when unset."""
-        return default if self.max_rounds is None else self.max_rounds
 
     # ------------------------------------------------------------------
     # Seed policy
@@ -454,14 +433,10 @@ class GameSession:
     """
 
     def __init__(
-        self,
-        game: NetworkCreationGame,
-        config: SimulationConfig | None = None,
-        **overrides: Any,
+        self, game: NetworkCreationGame, config: SimulationConfig | None = None
     ) -> None:
-        config = SimulationConfig() if config is None else config
         self._game = game
-        self._config = config.replace(**overrides)
+        self._config = SimulationConfig() if config is None else config
         self._engine: IncrementalEngine | None = None
         self._evaluator: ParallelEvaluator | None = None
         self._cache: _ProposalCache | None = None
@@ -786,46 +761,24 @@ class GameSession:
         num_samples: int = 10,
         verify: str = "nash",
         rng: np.random.Generator | int | None = None,
-        max_rounds: int | None = None,
-        response: str | None = None,
-        max_candidates: int | None = None,
-        engine: str | None = None,
-        schedule: str | None = None,
-        workers: int | None = None,
     ) -> list[StrategyProfile]:
         """Sample stable profiles by running dynamics from varied seed profiles.
 
-        The session-native equivalent of
+        The session-native form of
         :func:`repro.core.poa.sample_equilibria`: every run shares the
         session's engine and worker pool, so a sweep through one session
         creates exactly one :class:`~repro.core.parallel.ParallelEvaluator`
         however many starting profiles it explores.  Activation order is
-        always round-robin (matching the sampling methodology); ``verify``
-        selects the acceptance test (``"nash"``, ``"greedy"`` or
-        ``"none"``) applied to converged profiles.  The remaining keywords
-        are per-run config overrides; session-scoped fields (``engine``,
-        ``workers``) raise unless they match the session's config, they
-        are never silently ignored.
+        always round-robin (matching the sampling methodology) and an unset
+        ``max_rounds`` means 60 rounds; ``verify`` selects the acceptance
+        test (``"nash"``, ``"greedy"`` or ``"none"``) applied to converged
+        profiles.
         """
         self._ensure_open()
         if verify not in ("nash", "greedy", "none"):
             raise ValueError(f"unknown verify mode {verify!r}")
         overrides: dict[str, Any] = {"order": "round_robin"}
-        overrides.update(
-            {
-                key: value
-                for key, value in {
-                    "max_rounds": max_rounds,
-                    "response": response,
-                    "max_candidates": max_candidates,
-                    "engine": engine,
-                    "schedule": schedule,
-                    "workers": workers,
-                }.items()
-                if value is not None
-            }
-        )
-        if max_rounds is None and self._config.max_rounds is None:
+        if self._config.max_rounds is None:
             overrides["max_rounds"] = MAX_ROUNDS_SAMPLING
         cfg = self._run_config(overrides)
         generator = self._coerce_rng(rng, cfg)
@@ -855,33 +808,19 @@ class GameSession:
         optimum_method: str = "auto",
         extra_equilibria: Iterable[StrategyProfile] = (),
         rng: np.random.Generator | int | None = None,
-        max_rounds: int | None = None,
-        response: str | None = None,
-        max_candidates: int | None = None,
-        engine: str | None = None,
-        schedule: str | None = None,
-        workers: int | None = None,
     ) -> PoAEstimate:
         """Empirical Price-of-Anarchy estimate through the session.
 
-        The session-native equivalent of
-        :func:`repro.core.poa.estimate_poa`: the social optimum is computed
-        once, equilibria are sampled via :meth:`sample_equilibria` (sharing
-        the session's pool) and ``extra_equilibria`` — e.g. the paper's
-        constructions — are folded into the worst/best-cost aggregation.
+        The session-native form of :func:`repro.core.poa.estimate_poa`:
+        the social optimum is computed once, equilibria are sampled via
+        :meth:`sample_equilibria` (sharing the session's pool) and
+        ``extra_equilibria`` — e.g. the paper's constructions — are folded
+        into the worst/best-cost aggregation.
         """
         self._ensure_open()
         opt = social_optimum(self._game, method=optimum_method)
         equilibria = self.sample_equilibria(
-            num_samples=num_samples,
-            verify=verify,
-            rng=rng,
-            max_rounds=max_rounds,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
+            num_samples=num_samples, verify=verify, rng=rng
         )
         equilibria.extend(extra_equilibria)
         worst: StrategyProfile | None = None
@@ -935,7 +874,6 @@ def resume_dynamics(
     source: "Checkpoint | str | os.PathLike",
     *,
     game: NetworkCreationGame | None = None,
-    session: "GameSession | None" = None,
     **overrides: Any,
 ) -> DynamicsResult:
     """One-shot resume of a checkpointed dynamics run (fresh-process entry point).
@@ -945,9 +883,8 @@ def resume_dynamics(
     exact instance is rebuilt from the checkpoint itself (host weights +
     alpha travel in the file), so a fresh process needs nothing but the
     file; pass ``game`` to skip the rebuild when the instance is already in
-    hand, or ``session`` to resume through an open
-    :class:`GameSession` (its engine and pool are reused; equivalent to
-    :meth:`GameSession.resume`).
+    hand.  To resume through an open session, call
+    :meth:`GameSession.resume`.
 
     ``overrides`` replace fields of the checkpointed config for the
     continuation — the placement field ``workers`` and the checkpoint
@@ -959,13 +896,6 @@ def resume_dynamics(
     straight-through run and executes only the remaining round budget.
     """
     ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
-    if session is not None:
-        if game is not None and game is not session.game:
-            raise ValueError(
-                "session is scoped to a different game: pass the session's "
-                "own game or none at all"
-            )
-        return session.resume(ckpt, **overrides)
     if game is None:
         game = ckpt.build_game()
     cfg = ckpt.simulation_config().replace(**overrides)

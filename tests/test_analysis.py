@@ -16,6 +16,7 @@ from repro.analysis.experiments import host_factory
 from repro.analysis.table1 import format_table1
 from repro.core.bounds import metric_poa_upper
 from repro.core.host_graph import ModelVariant
+from repro.core.session import SimulationConfig
 
 
 class TestHostFactory:
@@ -44,14 +45,28 @@ class TestHostFactory:
 
 class TestPoAExperiment:
     def test_euclidean_experiment_respects_bound(self):
-        summary = poa_experiment("euclidean", 5, 1.0, instances=2, samples_per_instance=3, seed=1)
+        summary = poa_experiment(
+            "euclidean",
+            5,
+            1.0,
+            SimulationConfig(seed=1),
+            instances=2,
+            samples_per_instance=3,
+        )
         assert summary.equilibria_found > 0
         assert summary.bound_respected
         assert summary.max_ratio <= metric_poa_upper(1.0) + 1e-6
         assert summary.mean_ratio <= summary.max_ratio + 1e-12
 
     def test_tree_experiment(self):
-        summary = poa_experiment("tree", 5, 2.0, instances=2, samples_per_instance=3, seed=2)
+        summary = poa_experiment(
+            "tree",
+            5,
+            2.0,
+            SimulationConfig(seed=2),
+            instances=2,
+            samples_per_instance=3,
+        )
         assert summary.variant == "tree"
         assert summary.upper_bound == pytest.approx(metric_poa_upper(2.0))
 
@@ -65,7 +80,12 @@ class TestPoAExperiment:
 class TestDynamicsExperiment:
     def test_convergence_statistics(self):
         summary = dynamics_convergence_experiment(
-            "euclidean", 5, 1.0, instances=2, runs_per_instance=2, seed=3
+            "euclidean",
+            5,
+            1.0,
+            SimulationConfig(seed=3),
+            instances=2,
+            runs_per_instance=2,
         )
         assert summary.runs == 4
         assert 0 <= summary.converged_runs <= summary.runs
@@ -73,7 +93,7 @@ class TestDynamicsExperiment:
 
     def test_tree_dynamics_converge_often(self):
         summary = dynamics_convergence_experiment(
-            "tree", 5, 1.0, instances=2, runs_per_instance=2, seed=4
+            "tree", 5, 1.0, SimulationConfig(seed=4), instances=2, runs_per_instance=2
         )
         assert summary.converged_runs >= 1
 

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core import (
     IncrementalEngine,
     NetworkCreationGame,
+    SimulationConfig,
     StrategyProfile,
     decremental_distances,
     run_dynamics,
@@ -96,12 +97,20 @@ def test_batched_matches_sequential_social_cost(variant, property_budget):
         response = ("best", "greedy", "single")[trial % 3]
         order = ("round_robin", "random")[trial % 2]
         seq = run_dynamics(
-            game, start, response=response, order=order, max_rounds=25, rng=7,
-            schedule="sequential",
+            game,
+            start,
+            SimulationConfig(
+                response=response, order=order, max_rounds=25, schedule="sequential"
+            ),
+            rng=7,
         )
         bat = run_dynamics(
-            game, start, response=response, order=order, max_rounds=25, rng=7,
-            schedule="batched",
+            game,
+            start,
+            SimulationConfig(
+                response=response, order=order, max_rounds=25, schedule="batched"
+            ),
+            rng=7,
         )
         assert _same_cost(seq.final_social_cost, bat.final_social_cost, tol=1e-7)
         assert seq.converged == bat.converged
@@ -119,8 +128,14 @@ def test_batched_explicit_order_and_reuse():
     game = _random_game("euclidean", 7, rng)
     start = _random_profile(7, rng)
     order = [3, 1, 4, 1, 5, 2, 6, 0, 3]
-    seq = run_dynamics(game, start, order=order, max_rounds=12, schedule="sequential")
-    bat = run_dynamics(game, start, order=order, max_rounds=12, schedule="batched")
+    seq = run_dynamics(
+        game,
+        start,
+        SimulationConfig(order=order, max_rounds=12, schedule="sequential"),
+    )
+    bat = run_dynamics(
+        game, start, SimulationConfig(order=order, max_rounds=12, schedule="batched")
+    )
     assert seq.final_profile == bat.final_profile
     assert seq.moves == bat.moves
     # Once converged, repeated sweeps must be served from the proposal cache.
@@ -131,20 +146,22 @@ def test_batched_requires_incremental_engine():
     game = _random_game("metric", 5, np.random.default_rng(0))
     start = StrategyProfile.empty(5)
     with pytest.raises(ValueError, match="incremental"):
-        run_dynamics(game, start, engine="exact", schedule="batched")
+        run_dynamics(game, start, SimulationConfig(engine="exact", schedule="batched"))
 
 
 def test_batched_rejects_max_gain_order():
     game = _random_game("metric", 5, np.random.default_rng(0))
     start = StrategyProfile.empty(5)
     with pytest.raises(ValueError, match="max_gain"):
-        run_dynamics(game, start, order="max_gain", schedule="batched")
+        run_dynamics(
+            game, start, SimulationConfig(order="max_gain", schedule="batched")
+        )
 
 
 def test_unknown_schedule_rejected():
     game = _random_game("metric", 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="schedule"):
-        run_dynamics(game, StrategyProfile.empty(4), schedule="bulk")
+        run_dynamics(game, StrategyProfile.empty(4), SimulationConfig(schedule="bulk"))
 
 
 def test_batch_best_responses_matches_engine(property_budget):
@@ -247,8 +264,16 @@ def test_batched_dynamics_on_removal_heavy_instance():
     host = VARIANTS["metric"](n, np.random.default_rng(47))
     game = NetworkCreationGame(host, 2.5)
     start = StrategyProfile.star(n, center=0)
-    seq = run_dynamics(game, start, response="single", max_rounds=30, schedule="sequential")
-    bat = run_dynamics(game, start, response="single", max_rounds=30, schedule="batched")
+    seq = run_dynamics(
+        game,
+        start,
+        SimulationConfig(response="single", max_rounds=30, schedule="sequential"),
+    )
+    bat = run_dynamics(
+        game,
+        start,
+        SimulationConfig(response="single", max_rounds=30, schedule="batched"),
+    )
     assert seq.final_profile == bat.final_profile
     assert _same_cost(seq.final_social_cost, bat.final_social_cost)
     assert bat.engine_stats is not None
@@ -303,7 +328,12 @@ def _trajectory(result) -> tuple:
 
 def _check_batched_matches_sequential(game, profile, response):
     runs = [
-        run_dynamics(game, profile, response=response, max_rounds=12, rng=3, schedule=schedule)
+        run_dynamics(
+            game,
+            profile,
+            SimulationConfig(response=response, max_rounds=12, schedule=schedule),
+            rng=3,
+        )
         for schedule in ("sequential", "batched")
     ]
     assert _trajectory(runs[0]) == _trajectory(runs[1])
@@ -311,7 +341,12 @@ def _check_batched_matches_sequential(game, profile, response):
 
 def _check_incremental_matches_exact(game, profile, response):
     exact, incremental = (
-        run_dynamics(game, profile, response=response, max_rounds=12, rng=3, engine=engine)
+        run_dynamics(
+            game,
+            profile,
+            SimulationConfig(response=response, max_rounds=12, engine=engine),
+            rng=3,
+        )
         for engine in ("exact", "incremental")
     )
     assert exact.moves == incremental.moves

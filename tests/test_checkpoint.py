@@ -54,7 +54,12 @@ from repro.core.checkpoint import (
     rng_state_to_dict,
 )
 from repro.core.dynamics import DynamicsResult
-from repro.core.session import MAX_ROUNDS_RUN, MAX_ROUNDS_SAMPLING
+from repro.core.session import (
+    MAX_ROUNDS_CONVERGENCE,
+    MAX_ROUNDS_RUN,
+    MAX_ROUNDS_SAMPLING,
+    MAX_ROUNDS_SIMULATE,
+)
 
 from test_parallel_evaluator import (
     VARIANTS,
@@ -421,6 +426,8 @@ def test_entry_point_budgets_are_pinned(monkeypatch, capsys):
     CLI simulate 60."""
     assert MAX_ROUNDS_RUN == 100
     assert MAX_ROUNDS_SAMPLING == 60
+    assert MAX_ROUNDS_CONVERGENCE == 40
+    assert MAX_ROUNDS_SIMULATE == 60
     captured: list[int] = []
     real_loop = session_mod._run_session_loop
 

@@ -14,7 +14,10 @@ moved them into ``docs/``.  These checks keep that surface honest:
 * ``docs/architecture.md`` names every layer of the evaluation stack and
   the bit-identical-trajectory invariant;
 * the README documents the config-file workflow (``repro config dump`` +
-  ``--config``) and the evaluator matrix.
+  ``--config``) and the evaluator matrix;
+* ``docs/api.md`` teaches one way to configure a run: it names no removed
+  keyword surface (the best-response wrapper, ``workers_per_task``, a
+  ``session=`` argument on a free function).
 """
 
 from __future__ import annotations
@@ -227,3 +230,25 @@ def test_api_doc_documents_the_checkpoint_surface():
         "--checkpoint-every",
     ):
         assert term in api, f"docs/api.md does not mention {term}"
+
+
+def test_api_doc_names_no_retired_keyword_surface():
+    """One way to configure a run: the docs must not teach a removed one."""
+    api = (DOCS / "api.md").read_text()
+    for retired in ("best_response_dynamics", "workers_per_task"):
+        assert retired not in api, f"docs/api.md still documents {retired}"
+    free_functions = (
+        "run_dynamics",
+        "sample_equilibria",
+        "estimate_poa",
+        "poa_experiment",
+        "sweep_alpha",
+        "dynamics_convergence_experiment",
+        "resume_dynamics",
+    )
+    for name in free_functions:
+        for call in re.finditer(rf"\b{name}\(", api):
+            args = api[call.end():api.find(")", call.end())]
+            assert "session=" not in args, (
+                f"docs/api.md passes session= to the free function {name}"
+            )

@@ -5,28 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamics import (
-    best_response_dynamics,
-    run_dynamics,
-    verify_best_response_cycle,
-)
+from repro.core.dynamics import run_dynamics, verify_best_response_cycle
 from repro.core.equilibria import is_greedy_equilibrium, is_nash_equilibrium
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
+from repro.core.session import SimulationConfig
 from repro.core.strategy import StrategyProfile
 
 
 class TestConvergence:
     def test_converges_on_small_euclidean(self, small_euclidean_game):
-        result = best_response_dynamics(
-            small_euclidean_game, StrategyProfile.empty(5), max_rounds=40
+        result = run_dynamics(
+            small_euclidean_game,
+            StrategyProfile.empty(5),
+            SimulationConfig(max_rounds=40),
         )
         assert result.converged
         assert is_nash_equilibrium(small_euclidean_game, result.final_profile)
 
     def test_converged_state_has_no_improving_round(self, small_tree_game):
-        result = best_response_dynamics(
-            small_tree_game, StrategyProfile.empty(5), max_rounds=40
+        result = run_dynamics(
+            small_tree_game, StrategyProfile.empty(5), SimulationConfig(max_rounds=40)
         )
         assert result.converged
         assert result.moves >= 1
@@ -36,8 +35,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.empty(5),
-            response="single",
-            max_rounds=60,
+            SimulationConfig(response="single", max_rounds=60),
         )
         assert result.converged
         assert is_greedy_equilibrium(small_euclidean_game, result.final_profile)
@@ -46,8 +44,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.complete(5),
-            response="greedy",
-            max_rounds=60,
+            SimulationConfig(response="greedy", max_rounds=60),
         )
         assert result.converged
         assert is_greedy_equilibrium(small_euclidean_game, result.final_profile)
@@ -56,8 +53,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.empty(5),
-            order="random",
-            max_rounds=40,
+            SimulationConfig(order="random", max_rounds=40),
             rng=rng,
         )
         assert result.converged
@@ -66,8 +62,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.empty(5),
-            order="max_gain",
-            max_rounds=40,
+            SimulationConfig(order="max_gain", max_rounds=40),
         )
         assert result.converged
         assert is_nash_equilibrium(small_euclidean_game, result.final_profile)
@@ -76,8 +71,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.empty(5),
-            order=[0, 1, 2, 3, 4, 0, 1, 2, 3, 4],
-            max_rounds=10,
+            SimulationConfig(order=[0, 1, 2, 3, 4, 0, 1, 2, 3, 4], max_rounds=10),
         )
         assert result.steps > 0
 
@@ -85,7 +79,7 @@ class TestConvergence:
         result = run_dynamics(
             small_euclidean_game,
             StrategyProfile.empty(5),
-            max_rounds=20,
+            SimulationConfig(max_rounds=20),
             record_history=True,
         )
         assert result.history is not None
@@ -96,24 +90,34 @@ class TestConvergence:
         from repro.core.equilibria import tree_profile_from_host
 
         tree = tree_profile_from_host(small_tree_game)
-        result = best_response_dynamics(small_tree_game, tree, max_rounds=5)
+        result = run_dynamics(small_tree_game, tree, SimulationConfig(max_rounds=5))
         assert result.converged
         assert result.moves == 0
         assert result.final_profile == tree
 
     def test_zero_round_budget_reports_not_converged(self, small_euclidean_game):
-        result = best_response_dynamics(
-            small_euclidean_game, StrategyProfile.empty(5), max_rounds=0
+        result = run_dynamics(
+            small_euclidean_game,
+            StrategyProfile.empty(5),
+            SimulationConfig(max_rounds=0),
         )
         assert not result.converged
 
     def test_unknown_order_rejected(self, small_euclidean_game):
         with pytest.raises(ValueError):
-            run_dynamics(small_euclidean_game, StrategyProfile.empty(5), order="bogus")
+            run_dynamics(
+                small_euclidean_game,
+                StrategyProfile.empty(5),
+                SimulationConfig(order="bogus"),
+            )
 
     def test_unknown_response_rejected(self, small_euclidean_game):
         with pytest.raises(ValueError):
-            run_dynamics(small_euclidean_game, StrategyProfile.empty(5), response="bogus")
+            run_dynamics(
+                small_euclidean_game,
+                StrategyProfile.empty(5),
+                SimulationConfig(response="bogus"),
+            )
 
 
 class TestDeterminism:
@@ -123,8 +127,7 @@ class TestDeterminism:
         return run_dynamics(
             game,
             StrategyProfile.empty(5),
-            order="random",
-            max_rounds=40,
+            SimulationConfig(order="random", max_rounds=40),
             rng=rng,
             record_history=True,
         )
@@ -153,12 +156,15 @@ class TestDeterminism:
         assert a.social_costs == c.social_costs
 
     def test_engines_share_the_random_activation_stream(self, small_euclidean_game):
-        kwargs = dict(order="random", max_rounds=40, record_history=True)
-        a = run_dynamics(
-            small_euclidean_game, StrategyProfile.empty(5), rng=7, engine="exact", **kwargs
-        )
-        b = run_dynamics(
-            small_euclidean_game, StrategyProfile.empty(5), rng=7, engine="incremental", **kwargs
+        a, b = (
+            run_dynamics(
+                small_euclidean_game,
+                StrategyProfile.empty(5),
+                SimulationConfig(order="random", max_rounds=40, engine=engine),
+                rng=7,
+                record_history=True,
+            )
+            for engine in ("exact", "incremental")
         )
         assert a.moves == b.moves
         assert a.final_profile == b.final_profile
@@ -216,7 +222,9 @@ class TestDynamicsOnOneTwo:
 
         host = HostGraph.one_two([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
         game = NetworkCreationGame(host, alpha=0.3)
-        result = best_response_dynamics(game, StrategyProfile.empty(4), max_rounds=30)
+        result = run_dynamics(
+            game, StrategyProfile.empty(4), SimulationConfig(max_rounds=30)
+        )
         assert result.converged
         opt = algorithm1_one_two(game)
         assert game.social_cost(result.final_profile) == pytest.approx(opt.cost)

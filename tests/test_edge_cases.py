@@ -8,11 +8,12 @@ import pytest
 from repro.constructions.common import LowerBoundInstance
 from repro.constructions import tree_star_lower_bound
 from repro.core.best_response import best_response_exact
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_nash_equilibrium
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
 from repro.core.poa import estimate_poa
+from repro.core.session import SimulationConfig
 from repro.core.social_optimum import exact_social_optimum, social_optimum
 from repro.core.spanner import spanner_stretch
 from repro.core.strategy import StrategyProfile
@@ -26,7 +27,9 @@ class TestTinyGames:
         # the only connected network is the single edge
         assert opt.profile.num_edges() == 1
         assert opt.cost == pytest.approx(2.0 * 3.0 + 2 * 3.0)
-        result = best_response_dynamics(game, StrategyProfile.empty(2), max_rounds=10)
+        result = run_dynamics(
+            game, StrategyProfile.empty(2), SimulationConfig(max_rounds=10)
+        )
         assert result.converged
         assert is_nash_equilibrium(game, result.final_profile)
 
@@ -60,7 +63,9 @@ class TestExtremeAlpha:
 
     def test_huge_alpha_equilibria_are_trees(self, small_euclidean_game):
         game = small_euclidean_game.with_alpha(1e3)
-        result = best_response_dynamics(game, StrategyProfile.star(5, center=0), max_rounds=30)
+        result = run_dynamics(
+            game, StrategyProfile.star(5, center=0), SimulationConfig(max_rounds=30)
+        )
         assert result.converged
         profile = result.final_profile
         assert profile.num_edges() == 4  # spanning tree

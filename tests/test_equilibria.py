@@ -22,6 +22,7 @@ from repro.core.equilibria import (
 )
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
+from repro.core.session import SimulationConfig
 from repro.core.social_optimum import algorithm1_one_two
 from repro.core.strategy import StrategyProfile
 
@@ -52,7 +53,9 @@ class TestHierarchy:
 
         host = HostGraph.from_points(rng.random((5, 2)))
         game = NetworkCreationGame(host, alpha=1.0)
-        result = run_dynamics(game, StrategyProfile.empty(5), max_rounds=30)
+        result = run_dynamics(
+            game, StrategyProfile.empty(5), SimulationConfig(max_rounds=30)
+        )
         assert result.converged
         profile = result.final_profile
         if is_nash_equilibrium(game, profile):
@@ -99,7 +102,9 @@ class TestApproximateEquilibria:
             # Build a connected AE by running single-move improving dynamics
             # from a spanning star (the paper implicitly considers connected AE).
             result = run_dynamics(
-                game, StrategyProfile.star(5, center=0), response="single", max_rounds=40
+                game,
+                StrategyProfile.star(5, center=0),
+                SimulationConfig(response="single", max_rounds=40),
             )
             profile = result.final_profile
             if game.is_connected(profile) and is_add_only_equilibrium(game, profile):

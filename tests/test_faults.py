@@ -177,7 +177,10 @@ def test_broken_pool_rescue_completes_bit_identically(variant, property_budget):
         start = _random_profile(n, rng, density=0.35)
         schedule = ("batched", "sequential")[trial % 2]
         serial = run_dynamics(
-            game, start, max_rounds=8, rng=7, schedule=schedule, workers=1
+            game,
+            start,
+            SimulationConfig(max_rounds=8, schedule=schedule, workers=1),
+            rng=7,
         )
         config = SimulationConfig(workers=2, max_rounds=8, schedule=schedule)
         with GameSession(game, config) as session:
@@ -205,7 +208,10 @@ def test_pool_kill_sweep_is_bit_identical(variant, property_budget):
         game = _random_game(variant, n, rng)
         start = _random_profile(n, rng, density=0.35)
         serial = run_dynamics(
-            game, start, schedule="batched", max_rounds=8, rng=7, workers=1
+            game,
+            start,
+            SimulationConfig(schedule="batched", max_rounds=8, workers=1),
+            rng=7,
         )
         config = SimulationConfig(schedule="batched", workers=2, max_rounds=8)
         with GameSession(game, config) as session:
@@ -274,7 +280,9 @@ def test_rescue_survives_a_pool_that_never_started(monkeypatch):
     rng = np.random.default_rng(139)
     game = _random_game("euclidean", 6, rng)
     start = _random_profile(6, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=6, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=6), rng=7
+    )
 
     def refuse(*args, **kwargs):
         raise OSError(28, "No space left on device")
@@ -305,7 +313,9 @@ def test_terminal_failure_flushes_emergency_checkpoint(tmp_path, monkeypatch):
     rng = np.random.default_rng(157)
     game = _random_game("euclidean", 8, rng)
     start = _random_profile(8, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=12, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=12), rng=7
+    )
     assert serial.steps > 2  # the instance survives past the first boundary
 
     def fallback_fails(*args, **kwargs):

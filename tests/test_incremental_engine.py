@@ -20,6 +20,7 @@ import pytest
 from repro.core import (
     IncrementalEngine,
     NetworkCreationGame,
+    SimulationConfig,
     StrategyProfile,
     best_response_exact,
     best_response_incremental,
@@ -119,10 +120,18 @@ class TestBestResponseEquality:
             profile = _random_profile(n, rng)
             response = ("best", "greedy", "single")[trial % 3]
             exact = run_dynamics(
-                game, profile, response=response, engine="exact", max_rounds=20, rng=0
+                game,
+                profile,
+                SimulationConfig(response=response, engine="exact", max_rounds=20),
+                rng=0,
             )
             incremental = run_dynamics(
-                game, profile, response=response, engine="incremental", max_rounds=20, rng=0
+                game,
+                profile,
+                SimulationConfig(
+                    response=response, engine="incremental", max_rounds=20
+                ),
+                rng=0,
             )
             assert exact.converged == incremental.converged
             assert exact.moves == incremental.moves

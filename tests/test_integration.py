@@ -13,10 +13,11 @@ from repro import HostGraph, NetworkCreationGame, StrategyProfile
 from repro.analysis import poa_experiment
 from repro.constructions import tree_star_lower_bound
 from repro.core import (
-    best_response_dynamics,
+    SimulationConfig,
     estimate_poa,
     is_nash_equilibrium,
     metric_poa_upper,
+    run_dynamics,
     social_optimum,
 )
 from repro.core.equilibria import tree_profile_from_host
@@ -40,7 +41,9 @@ class TestFullPipelines:
         game = NetworkCreationGame(host, alpha)
 
         opt = social_optimum(game)
-        dynamics = best_response_dynamics(game, StrategyProfile.empty(6), max_rounds=50)
+        dynamics = run_dynamics(
+            game, StrategyProfile.empty(6), SimulationConfig(max_rounds=50)
+        )
         assert dynamics.converged
         equilibrium = dynamics.final_profile
         assert is_nash_equilibrium(game, equilibrium)
@@ -78,7 +81,14 @@ class TestFullPipelines:
         assert len(cover) == len(exact_set_cover(sc))
 
     def test_experiment_layer_smoke(self):
-        summary = poa_experiment("euclidean", 5, 1.0, instances=1, samples_per_instance=2, seed=0)
+        summary = poa_experiment(
+            "euclidean",
+            5,
+            1.0,
+            SimulationConfig(seed=0),
+            instances=1,
+            samples_per_instance=2,
+        )
         assert summary.bound_respected
 
     def test_public_api_surface(self):

@@ -25,10 +25,11 @@ from repro.core.bounds import (
     ne_spanner_factor,
     opt_spanner_factor,
 )
-from repro.core.dynamics import best_response_dynamics
+from repro.core.dynamics import run_dynamics
 from repro.core.equilibria import is_nash_equilibrium
 from repro.core.game import NetworkCreationGame
 from repro.core.poa import sample_equilibria
+from repro.core.session import SimulationConfig
 from repro.core.social_optimum import exact_social_optimum
 from repro.core.spanner import is_k_spanner
 from repro.core.strategy import StrategyProfile
@@ -47,7 +48,9 @@ _SETTINGS = dict(
 
 
 def _find_equilibrium(game):
-    result = best_response_dynamics(game, StrategyProfile.empty(game.n), max_rounds=40)
+    result = run_dynamics(
+        game, StrategyProfile.empty(game.n), SimulationConfig(max_rounds=40)
+    )
     if not result.converged:
         return None
     profile = result.final_profile

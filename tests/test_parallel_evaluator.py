@@ -42,6 +42,7 @@ from repro.core import (
     NetworkCreationGame,
     ParallelEvaluator,
     SharedSnapshot,
+    SimulationConfig,
     StrategyProfile,
     run_dynamics,
 )
@@ -121,12 +122,14 @@ def test_workers_produce_identical_dynamics(variant, property_budget):
                 run_dynamics(
                     game,
                     start,
-                    response=response,
-                    order=order,
-                    max_rounds=12,
+                    SimulationConfig(
+                        response=response,
+                        order=order,
+                        max_rounds=12,
+                        schedule=schedule,
+                        workers=workers,
+                    ),
                     rng=7,
-                    schedule=schedule,
-                    workers=workers,
                 )
                 for workers in WORKER_COUNTS
             ]
@@ -140,7 +143,9 @@ def test_max_gain_workers_identical():
     start = _random_profile(8, rng)
     runs = [
         run_dynamics(
-            game, start, order="max_gain", max_rounds=8, workers=workers
+            game,
+            start,
+            SimulationConfig(order="max_gain", max_rounds=8, workers=workers),
         )
         for workers in (1, 2)
     ]
@@ -230,9 +235,9 @@ def test_workers_validation():
     game = _random_game("metric", 5, np.random.default_rng(0))
     start = StrategyProfile.empty(5)
     with pytest.raises(ValueError, match="workers"):
-        run_dynamics(game, start, workers=0)
+        run_dynamics(game, start, SimulationConfig(workers=0))
     with pytest.raises(ValueError, match="incremental"):
-        run_dynamics(game, start, engine="exact", workers=2)
+        run_dynamics(game, start, SimulationConfig(engine="exact", workers=2))
     with pytest.raises(TypeError):  # only a session-injected evaluator fans out
         IncrementalEngine(game, start, workers=2)
     with pytest.raises(ValueError, match="workers"):
@@ -427,7 +432,9 @@ def test_run_dynamics_never_leaks_workers():
     rng = np.random.default_rng(19)
     game = _random_game("euclidean", 8, rng)
     start = _random_profile(8, rng)
-    run_dynamics(game, start, schedule="batched", workers=2, max_rounds=6)
+    run_dynamics(
+        game, start, SimulationConfig(schedule="batched", workers=2, max_rounds=6)
+    )
     assert _no_pool_children()
 
 
@@ -455,12 +462,18 @@ def test_double_owned_edge_drop_invalidates_co_owner():
     start = StrategyProfile.from_sets(3, [{2}, {0}, {0, 1}])
     order = [0, 2, 1, 0, 2, 1]
     seq = run_dynamics(
-        game, start, response="single", order=order, max_rounds=10,
-        schedule="sequential",
+        game,
+        start,
+        SimulationConfig(
+            response="single", order=order, max_rounds=10, schedule="sequential"
+        ),
     )
     bat = run_dynamics(
-        game, start, response="single", order=order, max_rounds=10,
-        schedule="batched",
+        game,
+        start,
+        SimulationConfig(
+            response="single", order=order, max_rounds=10, schedule="batched"
+        ),
     )
     assert seq.final_profile == bat.final_profile
     assert seq.moves == bat.moves
@@ -506,12 +519,14 @@ def test_pool_worker_sigkill_mid_batch_recovers_bit_identically():
 def test_pool_kill_during_dynamics_is_bit_identical():
     """An armed pool-kill plan does not perturb a dynamics trajectory."""
     from repro.core.faults import preset
-    from repro.core.session import GameSession, SimulationConfig
+    from repro.core.session import GameSession
 
     rng = np.random.default_rng(37)
     game = _random_game("euclidean", 8, rng)
     start = _random_profile(8, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=10, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=10), rng=7
+    )
     cfg = SimulationConfig(schedule="batched", workers=2, max_rounds=10)
     with GameSession(game, cfg) as session:
         session.arm_faults(preset("pool-kill"))

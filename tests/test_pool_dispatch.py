@@ -65,7 +65,9 @@ def test_light_batches_stay_in_process_and_never_start_the_pool():
     rng = np.random.default_rng(71)
     game = _random_game("euclidean", 9, rng)
     start = _random_profile(9, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=10, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=10), rng=7
+    )
     before = _shm_segments()
     config = SimulationConfig(schedule="batched", workers=2, max_rounds=10)
     pooled, stats, snapshot = _session_run(game, start, config)
@@ -81,7 +83,9 @@ def test_pool_always_sends_the_same_session_to_the_pool():
     rng = np.random.default_rng(71)
     game = _random_game("euclidean", 9, rng)
     start = _random_profile(9, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=10, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=10), rng=7
+    )
     config = SimulationConfig(schedule="batched", workers=2, max_rounds=10)
     with pool_always():
         pooled, stats, _ = _session_run(game, start, config)

@@ -399,7 +399,9 @@ def test_delta_pool_matches_dense_and_serial(variant, property_budget, monkeypat
         game = _random_game(variant, n, rng)
         start = _random_profile(n, rng, density=0.35)
         schedule = ("batched", "sequential")[trial % 2]
-        serial = run_dynamics(game, start, schedule=schedule, max_rounds=8, rng=7)
+        serial = run_dynamics(
+            game, start, SimulationConfig(schedule=schedule, max_rounds=8), rng=7
+        )
         config = SimulationConfig(schedule=schedule, workers=2, max_rounds=8)
         writes.clear()
         with GameSession(game, config) as session:
@@ -435,7 +437,9 @@ def test_pool_kill_mid_delta_batch_resubmits_bit_identically():
     n = 6
     game = _random_game("metric", n, rng)
     start = _random_profile(n, rng)
-    serial = run_dynamics(game, start, schedule="batched", max_rounds=6, rng=7)
+    serial = run_dynamics(
+        game, start, SimulationConfig(schedule="batched", max_rounds=6), rng=7
+    )
     plan = FaultPlan(faults=(Fault(kind="kill_pool_worker", at_batch=1),))
     config = SimulationConfig(workers=2, schedule="batched", max_rounds=6)
     with GameSession(game, config) as session:

@@ -3,18 +3,18 @@
 Four guarantees of the session layer (:mod:`repro.core.session`) are
 enforced here:
 
-* **config round-trip and validation** — ``SimulationConfig`` rejects the
-  same invalid field combinations the keyword surface always rejected, and
-  ``from_dict(to_dict(c)) == c`` holds for every valid config (explicit
-  activation orders included);
+* **config round-trip and validation** — ``SimulationConfig`` rejects
+  invalid field combinations, and ``from_dict(to_dict(c)) == c`` holds for
+  every valid config (explicit activation orders included);
 
-* **shim equivalence** — the legacy keyword entry points
+* **one-shot equivalence** — the free ``config=`` entry points
   (:func:`repro.core.dynamics.run_dynamics`,
   :func:`repro.core.poa.sample_equilibria`,
-  :func:`repro.analysis.experiments.poa_experiment`) produce bit-identical
-  trajectories *and* :class:`~repro.core.incremental.EngineStats` versus
-  the explicit session/config path, across every model variant, both
-  schedules and ``workers in {1, 2}``;
+  :func:`repro.core.poa.estimate_poa`) produce bit-identical trajectories
+  *and* :class:`~repro.core.incremental.EngineStats` versus the same call
+  on an open session, across every model variant, both schedules and
+  ``workers in {1, 2}``; no entry point repeats a config field as a
+  keyword;
 
 * **pool amortization** — an equilibrium-sampling sweep through one
   session creates exactly one
@@ -23,13 +23,14 @@ enforced here:
 
 * **ownership/lifecycle** — a run only ever closes engines and evaluators
   it created itself: session-injected evaluators survive
-  ``run_dynamics(session=...)`` calls and die with the session, never with
-  a run (the ROADMAP-flagged pool-churn leak regression).
+  :meth:`~repro.core.session.GameSession.run` calls and die with the
+  session, never with a run (the pool-churn leak regression).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import multiprocessing as mp
 import zlib
@@ -49,6 +50,7 @@ from repro.core import (
     run_dynamics,
     sample_equilibria,
 )
+from repro.analysis import experiments
 from repro.core import session as session_module
 from repro.metrics.generators import (
     random_euclidean_host,
@@ -106,8 +108,6 @@ class TestSimulationConfig:
         assert cfg.response == "best"
         assert cfg.order == "round_robin"
         assert cfg.max_rounds is None  # = each entry point's historical budget
-        assert cfg.resolved_max_rounds(100) == 100
-        assert cfg.replace(max_rounds=7).resolved_max_rounds(100) == 7
         assert cfg.max_candidates == 22
         assert cfg.repair_threshold == 0.5
         assert cfg.seed == 0
@@ -316,15 +316,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig.from_dict(data)
 
-    def test_merged_precedence(self):
-        # None overrides mean "not given"; explicit keywords always win
-        assert SimulationConfig.merged(None).max_rounds is None
-        assert SimulationConfig.merged(SimulationConfig(max_rounds=60)).max_rounds == 60
-        assert SimulationConfig.merged(
-            SimulationConfig(max_rounds=60), max_rounds=7
-        ).max_rounds == 7
-        assert SimulationConfig.merged(None, workers=None).workers == 1
-
     def test_seed_policy(self):
         a = SimulationConfig(seed=9).rng().random(4)
         assert np.array_equal(a, np.random.default_rng(9).random(4))
@@ -338,12 +329,12 @@ class TestSimulationConfig:
 
 
 # ----------------------------------------------------------------------
-# Deprecation-shim equivalence: legacy kwargs == session path, bit for bit
+# One-shot equivalence: a config= call == the session call, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_legacy_kwargs_match_session_path(variant, property_budget):
-    """run_dynamics(kwargs) == GameSession.run for all variants/schedules/workers."""
+def test_one_shot_config_matches_session_path(variant, property_budget):
+    """run_dynamics(config=) == GameSession.run for all variants/schedules/workers."""
     rng = np.random.default_rng(zlib.crc32(f"session-{variant}".encode()) % 2**32)
     trials = max(1, property_budget // 4)
     for trial in range(trials):
@@ -354,105 +345,110 @@ def test_legacy_kwargs_match_session_path(variant, property_budget):
         order = ("round_robin", "random")[trial % 2]
         workers = (1, 2)[trial % 2]
         for schedule in ("sequential", "batched"):
-            legacy = run_dynamics(
-                game,
-                start,
-                response=response,
-                order=order,
-                max_rounds=10,
-                rng=7,
-                schedule=schedule,
-                workers=workers,
-            )
             cfg = SimulationConfig(
                 response=response,
                 order=order,
                 max_rounds=10,
                 schedule=schedule,
                 workers=workers,
-                seed=7,
             )
-            with GameSession(game, cfg) as session:
-                via_session = session.run(start)
-                via_config = run_dynamics(game, start, rng=7, session=session)
-            _assert_identical(legacy, via_session)
-            _assert_identical(legacy, via_config)
+            one_shot = run_dynamics(game, start, cfg, rng=7)
+            with GameSession(game, cfg.replace(seed=7)) as session:
+                via_seed = session.run(start)
+                via_rng = session.run(start, rng=7)
+            _assert_identical(one_shot, via_seed)
+            _assert_identical(one_shot, via_rng)
 
 
 @pytest.mark.usefixtures("pool_always")
-def test_sample_equilibria_legacy_matches_session():
-    rng_seed = 0
+def test_sample_equilibria_one_shot_matches_session():
     game = _random_game("euclidean", 7, np.random.default_rng(23))
-    for workers in (1, 2):
-        legacy = sample_equilibria(
-            game,
-            num_samples=3,
-            rng=np.random.default_rng(rng_seed),
-            schedule="batched",
-            workers=workers,
+    keys = []
+    for cfg in (
+        SimulationConfig(),
+        SimulationConfig(schedule="batched"),
+        SimulationConfig(schedule="batched", workers=2),
+    ):
+        one_shot = sample_equilibria(
+            game, cfg, num_samples=3, rng=np.random.default_rng(0)
         )
-        cfg = SimulationConfig(max_rounds=60, schedule="batched", workers=workers)
-        with GameSession(game, cfg) as session:
+        with GameSession(game, cfg.replace(max_rounds=60)) as session:
             via_session = session.sample_equilibria(
-                num_samples=3, rng=np.random.default_rng(rng_seed)
+                num_samples=3, rng=np.random.default_rng(0)
             )
-            via_kwarg = sample_equilibria(
-                game, num_samples=3, rng=np.random.default_rng(rng_seed), session=session
-            )
-        assert [p.canonical_key() for p in legacy] == [
+        assert [p.canonical_key() for p in one_shot] == [
             p.canonical_key() for p in via_session
         ]
-        assert [p.canonical_key() for p in legacy] == [
-            p.canonical_key() for p in via_kwarg
-        ]
+        keys.append([p.canonical_key() for p in one_shot])
+    # schedule and workers trade nothing but time: same equilibria
+    assert keys[0] == keys[1] == keys[2]
 
 
-def test_poa_experiment_legacy_matches_config_path():
+def test_poa_experiment_config_paths_agree():
+    """An unset budget with workers=2 equals the pinned 60-round serial sweep."""
     from repro.analysis.experiments import poa_experiment
 
-    legacy = poa_experiment(
-        "euclidean", 5, 1.0, instances=2, samples_per_instance=2, seed=3, workers=2
+    unset = poa_experiment(
+        "euclidean", 5, 1.0, SimulationConfig(workers=2, seed=3),
+        instances=2, samples_per_instance=2,
     )
-    cfg = SimulationConfig(max_rounds=60, workers=2, seed=3)
-    via_config = poa_experiment(
-        "euclidean", 5, 1.0, instances=2, samples_per_instance=2, config=cfg
+    pinned = poa_experiment(
+        "euclidean", 5, 1.0, SimulationConfig(max_rounds=60, seed=3),
+        instances=2, samples_per_instance=2,
     )
-    assert legacy == via_config
+    assert unset == pinned
 
 
-def test_estimate_poa_legacy_matches_session():
+def test_estimate_poa_one_shot_matches_session():
     game = _random_game("metric", 6, np.random.default_rng(31))
-    legacy = estimate_poa(game, num_samples=3, rng=np.random.default_rng(0))
+    one_shot = estimate_poa(game, num_samples=3, rng=np.random.default_rng(0))
     with GameSession(game, SimulationConfig(max_rounds=60)) as session:
         via_session = session.poa(num_samples=3, rng=np.random.default_rng(0))
-    assert legacy.worst_equilibrium_cost == via_session.worst_equilibrium_cost
-    assert legacy.best_equilibrium_cost == via_session.best_equilibrium_cost
-    assert legacy.equilibria_found == via_session.equilibria_found
-    assert legacy.optimum.cost == via_session.optimum.cost
+    assert one_shot.worst_equilibrium_cost == via_session.worst_equilibrium_cost
+    assert one_shot.best_equilibrium_cost == via_session.best_equilibrium_cost
+    assert one_shot.equilibria_found == via_session.equilibria_found
+    assert one_shot.optimum.cost == via_session.optimum.cost
 
 
-def test_config_and_session_are_mutually_exclusive():
-    game = _random_game("euclidean", 5, np.random.default_rng(1))
-    start = StrategyProfile.empty(5)
-    with GameSession(game) as session:
-        with pytest.raises(ValueError, match="not both"):
-            run_dynamics(game, start, config=SimulationConfig(), session=session)
-        with pytest.raises(ValueError, match="not both"):
-            sample_equilibria(game, config=SimulationConfig(), session=session)
+# ----------------------------------------------------------------------
+# One configuration path: no entry point repeats a config field
+# ----------------------------------------------------------------------
+FREE_ENTRY_POINTS = (
+    run_dynamics,
+    sample_equilibria,
+    estimate_poa,
+    experiments.poa_experiment,
+    experiments.sweep_alpha,
+    experiments.dynamics_convergence_experiment,
+    session_module.resume_dynamics,
+)
+SESSION_ENTRY_POINTS = (
+    GameSession.__init__,
+    GameSession.sample_equilibria,
+    GameSession.poa,
+)
 
 
-def test_session_bound_to_a_different_game_is_rejected():
-    """session= must never silently compute on the session's own game."""
-    game1 = _random_game("euclidean", 5, np.random.default_rng(2))
-    game2 = _random_game("euclidean", 5, np.random.default_rng(3))
-    with GameSession(game1) as session:
-        for call in (
-            lambda: run_dynamics(game2, StrategyProfile.empty(5), session=session),
-            lambda: sample_equilibria(game2, num_samples=1, session=session),
-            lambda: estimate_poa(game2, num_samples=1, session=session),
-        ):
-            with pytest.raises(ValueError, match="different game"):
-                call()
+@pytest.mark.parametrize(
+    "entry_point",
+    FREE_ENTRY_POINTS + SESSION_ENTRY_POINTS,
+    ids=lambda fn: fn.__qualname__,
+)
+def test_no_signature_repeats_a_config_field(entry_point):
+    params = set(inspect.signature(entry_point).parameters)
+    assert not params & {f.name for f in dataclasses.fields(SimulationConfig)}
+    if entry_point in FREE_ENTRY_POINTS:
+        assert "session" not in params
+
+
+def test_removed_keyword_paths_fail_loudly():
+    game = _random_game("euclidean", 4, np.random.default_rng(62))
+    with pytest.raises(TypeError):
+        run_dynamics(game, StrategyProfile.empty(4), engine="exact")
+    with pytest.raises(TypeError):
+        GameSession(game, engine="exact")
+    with pytest.raises(ImportError):
+        from repro.core import best_response_dynamics  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -524,11 +520,11 @@ def test_run_never_closes_session_injected_evaluator():
     cfg = SimulationConfig(schedule="batched", workers=2, max_rounds=8)
     session = GameSession(game, cfg)
     try:
-        run_dynamics(game, start, session=session)
+        session.run(start)
         stats = session.stats()
         assert stats.evaluators_created == 1
         assert stats.evaluator_running  # the run did not tear the pool down
-        run_dynamics(game, start, session=session)
+        session.run(start)
         assert session.stats().evaluator_pools_started == 1  # started once, ever
     finally:
         session.close()
@@ -541,7 +537,9 @@ def test_one_shot_run_still_cleans_up_after_itself():
     """Without a session, run_dynamics owns — and closes — what it creates."""
     game = _random_game("euclidean", 7, np.random.default_rng(53))
     start = _random_profile(7, np.random.default_rng(54))
-    run_dynamics(game, start, schedule="batched", workers=2, max_rounds=6)
+    run_dynamics(
+        game, start, SimulationConfig(schedule="batched", workers=2, max_rounds=6)
+    )
     assert mp.active_children() == []
 
 
@@ -592,29 +590,6 @@ def test_session_scoped_fields_cannot_change_per_run():
             session.run(start, schedule="batched", order="max_gain")
 
 
-def test_session_kwargs_on_shims_are_honored_not_dropped():
-    """sample_equilibria/estimate_poa with session= must not ignore legacy kwargs."""
-    game = _random_game("euclidean", 6, np.random.default_rng(60))
-    with GameSession(game, SimulationConfig(max_rounds=60)) as session:
-        # session-scoped mismatch raises instead of silently running differently
-        with pytest.raises(ValueError, match="engine"):
-            sample_equilibria(game, num_samples=1, session=session, engine="exact")
-        with pytest.raises(ValueError, match="workers"):
-            estimate_poa(game, num_samples=1, session=session, workers=2)
-        # schedule is a per-run override: honored, and trajectory-equivalent
-        batched = sample_equilibria(
-            game, num_samples=2, rng=np.random.default_rng(0),
-            session=session, schedule="batched",
-        )
-        assert session.stats().schedule_hits + session.stats().schedule_misses > 0
-    sequential = sample_equilibria(
-        game, num_samples=2, rng=np.random.default_rng(0), max_rounds=60
-    )
-    assert [p.canonical_key() for p in batched] == [
-        p.canonical_key() for p in sequential
-    ]
-
-
 def test_entry_points_resolve_historical_round_budgets(monkeypatch):
     """max_rounds=None resolves per entry point: run 100, sampling 60, study 40."""
     from repro.analysis.experiments import dynamics_convergence_experiment
@@ -642,7 +617,7 @@ def test_entry_points_resolve_historical_round_budgets(monkeypatch):
         assert set(seen[-2:]) == {12}
     seen.clear()
     dynamics_convergence_experiment(
-        "euclidean", 5, 1.0, instances=1, runs_per_instance=1, seed=0
+        "euclidean", 5, 1.0, instances=1, runs_per_instance=1
     )
     assert seen == [40]
 
@@ -660,8 +635,8 @@ def test_convergence_experiment_honors_config_order(monkeypatch):
 
     monkeypatch.setattr(session_module, "_run_session_loop", spy)
     dynamics_convergence_experiment(
-        "euclidean", 5, 1.0, instances=1, runs_per_instance=1, seed=0,
-        config=SimulationConfig(order="random"),
+        "euclidean", 5, 1.0, SimulationConfig(order="random"),
+        instances=1, runs_per_instance=1,
     )
     assert seen == ["random"]
 

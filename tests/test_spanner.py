@@ -113,13 +113,16 @@ class TestLemma1:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 5_000), alpha=st.floats(min_value=0.2, max_value=4.0))
     def test_equilibria_are_spanners(self, seed, alpha):
-        from repro.core.dynamics import best_response_dynamics
+        from repro.core.dynamics import run_dynamics
+        from repro.core.session import SimulationConfig
         from repro.core.equilibria import is_add_only_equilibrium
 
         rng = np.random.default_rng(seed)
         host = HostGraph.from_points(rng.random((5, 2)))
         game = NetworkCreationGame(host, alpha)
-        result = best_response_dynamics(game, StrategyProfile.empty(5), max_rounds=30)
+        result = run_dynamics(
+            game, StrategyProfile.empty(5), SimulationConfig(max_rounds=30)
+        )
         if not result.converged:
             return
         profile = result.final_profile

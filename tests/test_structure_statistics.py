@@ -85,11 +85,14 @@ class TestNetworkStatistics:
 
     def test_statistics_of_equilibrium_respect_lemma7_shape(self, small_euclidean_game):
         """Sanity link to Lemma 7: social cost is O(diameter) * optimum on these instances."""
-        from repro.core.dynamics import best_response_dynamics
+        from repro.core.dynamics import run_dynamics
+        from repro.core.session import SimulationConfig
         from repro.core.social_optimum import exact_social_optimum
 
         game = small_euclidean_game
-        result = best_response_dynamics(game, StrategyProfile.empty(5), max_rounds=30)
+        result = run_dynamics(
+            game, StrategyProfile.empty(5), SimulationConfig(max_rounds=30)
+        )
         stats = network_statistics(game, result.final_profile)
         opt = exact_social_optimum(game)
         host_diam = game.host.host_distances().max()

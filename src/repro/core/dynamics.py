@@ -84,7 +84,8 @@ from .best_response import (
     greedy_response,
 )
 from .game import NetworkCreationGame
-from .incremental import EngineStats, IncrementalEngine
+from .incremental import EngineStats, IncrementalEngine, Residual
+from .residual_delta import dense_residual
 from .strategy import StrategyProfile
 
 if TYPE_CHECKING:  # import cycle: session orchestrates this module's loop
@@ -136,17 +137,20 @@ class _ProposalCache:
     vector work per cached proposal per applied move; row-level testing is
     what lets proposals survive on sparse (1-∞-style) hosts, where a moved
     edge rarely interacts with another agent's candidate rows.  The cache
-    holds at most one ``(n, n)`` residual matrix per agent, mirroring the
-    engine's own residual cache.  ``hits``/``misses`` count served and
-    recomputed lookups for benchmarks and tests.
+    holds each agent's residual exactly as the engine handed it out — the
+    same object as the engine's own cache entry, a repaired residual as a
+    :class:`~repro.core.residual_delta.DeltaResidual` row block over the
+    shared network matrix, a fallback as a dense ``(n, n)`` matrix — and
+    reads it only through ``d_u[rows, col]``.  ``hits``/``misses`` count
+    served and recomputed lookups for benchmarks and tests.
     """
 
     __slots__ = ("_weights", "_proposals", "_rows", "hits", "misses")
 
     def __init__(self, game: NetworkCreationGame) -> None:
         self._weights = game.host.weights
-        # agent -> (response, residual distance matrix it was scored against)
-        self._proposals: dict[int, tuple[BestResponseResult, np.ndarray]] = {}
+        # agent -> (response, residual distances it was scored against)
+        self._proposals: dict[int, tuple[BestResponseResult, Residual]] = {}
         # agent -> indices of the residual rows its responses depend on
         self._rows: dict[int, np.ndarray] = {}
         self.hits = 0
@@ -173,7 +177,7 @@ class _ProposalCache:
         """Membership test that does not touch the hit/miss counters."""
         return u in self._proposals
 
-    def store(self, u: int, result: BestResponseResult, d_rest: np.ndarray) -> None:
+    def store(self, u: int, result: BestResponseResult, d_rest: Residual) -> None:
         self._proposals[u] = (result, d_rest)
 
     def clear(self) -> None:
@@ -196,7 +200,8 @@ class _ProposalCache:
         fresh computation equals a surviving proposal numerically) but shift
         every hit/miss counter and the speculation window's evolution,
         breaking the stats half of the resumed == straight-through
-        invariant.
+        invariant.  Each residual is exported dense (a repaired row block
+        is densified), one ``(n, n)`` matrix per cached proposal.
         """
         return {
             "hits": self.hits,
@@ -208,7 +213,7 @@ class _ProposalCache:
                     "cost": result.cost,
                     "current_cost": result.current_cost,
                     "method": result.method,
-                    "d_rest": d_rest.copy(),
+                    "d_rest": dense_residual(d_rest, copy=True),
                 }
                 for u, (result, d_rest) in self._proposals.items()
             },

@@ -39,7 +39,12 @@ agent's current cost and one for the social cost after a move.
    graph is built in ``O(m)`` from the current network's row-sorted edge
    arrays; a neighbour prefilter narrows the affected test to the rows
    whose paths may run through ``u`` (``O(n deg(u))``); and only affected
-   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  When
+   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  The
+   cache keeps a repair as those rows only, a
+   :class:`~repro.core.residual_delta.DeltaResidual` view over the network
+   matrix it repaired (every repair made under one network shares it), and
+   the engine never writes a network matrix in place (each is published
+   read-only), so the views stay valid after later moves.  When
    the repair frontier exceeds ``repair_threshold * n`` sources (e.g. when
    a hub that owns most of its incident edges is activated) the repair
    falls back to the exact all-pairs matrix of the residual graph,
@@ -74,11 +79,16 @@ candidate strategy scoring             ``O(k n)`` per candidate
 post-move distance update (`apply`)    ``O(n^2)``
 residual cache hit                     ``O(n^2 / 8)`` (key check)
 residual miss, decremental repair      ``O(n deg(u) + a (n + m log n))``
-                                       plus one ``O(n^2)`` copy, ``a <= rn``
+                                       plus an ``O(a n)`` block, ``a <= rn``
 residual miss, fallback in full        ``O(n^3)`` (full APSP)
 residual miss, carried fallback        ``O(n c + r (n + m log n))``
                                        plus ``O(n^2)`` key diff, copy, pin
 =====================================  ===========================
+
+A repair stays an ``O(a n)`` row block: a dense ``(n, n)`` matrix is built
+from it only when its agent moves (:meth:`IncrementalEngine.apply`) or
+the engine state is exported for a checkpoint.  Fallback residuals are
+dense.
 
 A fallback is carried when the agent's previous residual came from a
 Dijkstra fallback (``n > FLOYD_WARSHALL_MAX_N``).  The cache keeps that
@@ -103,6 +113,7 @@ import numpy as np
 from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
 from .parallel import ParallelEvaluator
+from .residual_delta import DeltaResidual, dense_residual
 from .shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     _as_graph,
@@ -115,6 +126,8 @@ from .shortest_paths import (
 from .strategy import StrategyProfile
 
 __all__ = ["EngineStats", "IncrementalEngine"]
+
+Residual = np.ndarray | DeltaResidual
 
 # Widest pinning gap, in ulp, that a residual's lift stores (one uint8).
 _LIFT_MAX = int(np.iinfo(np.uint8).max)
@@ -136,6 +149,13 @@ def _lift(unpinned: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:
 def _unlift(pinned: np.ndarray, lift: np.ndarray) -> np.ndarray:
     """The unpinned matrix :func:`_lift` measured, rebuilt bit for bit."""
     return (pinned.view(np.int64) + lift).view(np.float64)
+
+
+def _published(distances: np.ndarray) -> np.ndarray:
+    """``distances`` made read-only: the engine's network matrices are shared
+    by the repaired residuals built over them, so none is written in place."""
+    distances.flags.writeable = False
+    return distances
 
 
 @dataclass
@@ -218,10 +238,12 @@ class IncrementalEngine:
         self._distances: np.ndarray | None = None
         # Row-sorted edge arrays of the current network, built on demand.
         self._network: _Graph | None = None
-        # agent -> (residual key, residual distance matrix, lift): the lift
-        # (see _lift) is kept for Dijkstra fallbacks only, and rebuilds the
-        # unpinned matrix that the agent's next fallback carries rows from.
-        self._residuals: dict[int, tuple[bytes, np.ndarray, np.ndarray | None]] = {}
+        # agent -> (residual key, residual distances, lift): a repair is a
+        # row-block view over the network matrix it repaired, a fallback a
+        # dense matrix.  The lift (see _lift) is kept for Dijkstra fallbacks
+        # only, and rebuilds the unpinned matrix that the agent's next
+        # fallback carries rows from.
+        self._residuals: dict[int, tuple[bytes, Residual, np.ndarray | None]] = {}
         self._repair_threshold = float(repair_threshold)
         self._evaluator = evaluator
         self.stats = EngineStats()
@@ -265,13 +287,15 @@ class IncrementalEngine:
         at round boundaries; restoring it via :meth:`restore_state` makes a
         resumed run perform exactly the shortest-path work — and report
         exactly the :class:`EngineStats` counters — the straight-through run
-        would.  Matrices are copied, so the snapshot is immune to later
-        in-place engine updates.
+        would.  Every residual is exported as a dense ``(n, n)`` array (a
+        repaired row block is densified), one per cached agent, so the
+        checkpoint bytes do not depend on how the engine holds a residual.
+        Matrices are copied, so the snapshot is independent of the engine.
         """
         return {
             "distances": None if self._distances is None else self._distances.copy(),
             "residuals": {
-                int(u): (key, matrix.copy())
+                int(u): (key, dense_residual(matrix, copy=True))
                 for u, (key, matrix, _) in self._residuals.items()
             },
             "stats": dataclasses.asdict(self.stats),
@@ -291,13 +315,14 @@ class IncrementalEngine:
         will silently serve stale distances — the checkpoint loader validates
         shapes, the pairing is the caller's contract.  Lifts are not part of
         the state, so each agent's first fallback after a restore is
-        recomputed in full.
+        recomputed in full.  Restored residuals are dense.
         """
         n = self._game.n
         if distances is not None:
             distances = np.ascontiguousarray(distances, dtype=np.float64)
             if distances.shape != (n, n):
                 raise ValueError("restored distance matrix has the wrong shape")
+            distances = _published(distances)
         self._distances = distances
         self._residuals = {
             int(u): (bytes(key), np.ascontiguousarray(matrix, dtype=np.float64), None)
@@ -308,9 +333,13 @@ class IncrementalEngine:
 
     @property
     def distances(self) -> np.ndarray:
-        """Cached all-pairs distances of the current created network."""
+        """Cached all-pairs distances of the current created network.
+
+        Read-only: cached repairs are views over this matrix, so writing
+        to it raises instead of silently changing them.
+        """
         if self._distances is None:
-            self._distances = self._game.distances(self._profile)
+            self._distances = _published(self._game.distances(self._profile))
             self.stats.apsp_rebuilds += 1
         return self._distances
 
@@ -400,7 +429,7 @@ class IncrementalEngine:
         self._residuals[u] = (key, d_rest, lift)
         return d_rest
 
-    def residual(self, u: int) -> np.ndarray:
+    def residual(self, u: int) -> Residual:
         """Residual distance matrix of agent ``u``, cached across activations.
 
         A cache miss for an edge-owning agent is served by decremental
@@ -410,6 +439,12 @@ class IncrementalEngine:
         residual graph when the repair frontier exceeds
         ``repair_threshold * n`` sources — recomputed in full, or carried
         row by row from ``u``'s previous fallback (:meth:`_rebuild`).
+
+        A repaired residual comes back as a
+        :class:`~repro.core.residual_delta.DeltaResidual` row-block view over
+        the network matrix, which the scoring kernels read row by row;
+        :func:`~repro.core.residual_delta.dense_residual` builds the dense
+        matrix where one is needed.  Any other residual is a dense array.
         """
         owns = self._profile.ownership
         removed = owns[u] & ~owns[:, u]
@@ -435,8 +470,8 @@ class IncrementalEngine:
             self.stats.apsp_rebuilds += 1
         else:
             self.stats.residual_repairs += 1
-            self._residuals[u] = (key, repair.distances, None)
-        return repair.distances
+            self._residuals[u] = (key, repair.residual, None)
+        return repair.residual
 
     # ------------------------------------------------------------------
     # Responses
@@ -447,7 +482,7 @@ class IncrementalEngine:
         response: str,
         *,
         max_candidates: int = 22,
-        d_rest: np.ndarray | None = None,
+        d_rest: Residual | None = None,
     ) -> BestResponseResult:
         """Response of ``u`` to the current profile, scored by ``score_response``.
 
@@ -474,7 +509,7 @@ class IncrementalEngine:
         response: str = "best",
         *,
         max_candidates: int = 22,
-        d_rests: list[np.ndarray] | None = None,
+        d_rests: list[Residual] | None = None,
     ) -> list[BestResponseResult]:
         """Responses of several agents against the current profile snapshot.
 
@@ -520,10 +555,11 @@ class IncrementalEngine:
         The new network is ``u``'s residual plus ``u``'s new incident edges,
         so the cached distance matrix is refreshed by a single rank-1
         relaxation through ``u`` instead of a full shortest-path rerun.
+        This is where a repaired residual is densified: only the mover's.
         Residual caches of other agents are invalidated automatically by
         their keys; ``u``'s own cached residual stays valid.
         """
-        d_rest = self.residual(u)
+        d_rest = dense_residual(self.residual(u))
         targets = sorted({int(v) for v in strategy})
         new_profile = self._profile.with_strategy(u, targets)
         if targets:
@@ -532,7 +568,7 @@ class IncrementalEngine:
         else:
             new_distances = d_rest
         self._profile = new_profile
-        self._distances = new_distances
+        self._distances = _published(new_distances)
         self._network = None
         self.stats.move_updates += 1
         return new_profile

@@ -102,7 +102,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .best_response import BestResponseResult, score_response, score_tasks
-from .residual_delta import DeltaResidual, delta_if_smaller, unpack_delta
+from .residual_delta import (
+    DeltaResidual,
+    delta_if_smaller,
+    dense_residual,
+    unpack_delta,
+)
 
 if TYPE_CHECKING:  # import cycle: game sits above the evaluator layer
     from .game import NetworkCreationGame
@@ -695,7 +700,12 @@ class ParallelEvaluator:
         """Write the distinct matrices of the tasks from ``pos`` into the slots.
 
         Stops at the first task whose matrix finds no free slot and returns
-        the chunk's worker tasks plus the position to continue from.
+        the chunk's worker tasks plus the position to continue from.  A
+        task's residual may be a repaired
+        :class:`~repro.core.residual_delta.DeltaResidual` view; it is
+        densified first and then written under the same rule as any dense
+        matrix, so the slots and ``bytes_sent`` do not depend on how the
+        engine holds a residual.
         """
         snapshot = self._snapshot
         assert snapshot is not None
@@ -713,13 +723,14 @@ class ParallelEvaluator:
                 slot = len(placed)
                 # Later distinct matrices ride as packed deltas against
                 # the base when that is smaller.
+                matrix = dense_residual(d_rest)
                 payload = None
                 if base is None:
-                    base = d_rest
+                    base = matrix
                 else:
-                    payload = delta_if_smaller(base, d_rest)
+                    payload = delta_if_smaller(base, matrix)
                 if payload is None:
-                    snapshot.write_slot(slot, d_rest)
+                    snapshot.write_slot(slot, matrix)
                     self._bytes_sent += snapshot.n * snapshot.n * 8
                     placed[key] = (slot, None)
                 else:

@@ -48,13 +48,24 @@ is the pool's slot codec:
 ``DeltaResidual``
     A lazy row-view over ``(base, delta)`` implementing exactly the access
     surface the scoring kernels use (``shape``/``dtype``/row indexing — see
-    :func:`repro.core.best_response.score_response`): a worker relaxes
-    candidate strategies straight from ``base + rows`` and never
-    materializes the dense matrix.  Rows in the delta are served verbatim;
-    a row ``i`` outside the delta is ``base[i]`` with its entries at the
-    changed columns overlaid from the packed columns (``matrix[i, r] ==
-    matrix[r, i]`` for rows outside the delta, guaranteed at encode time)
-    — serving plain ``base[i]`` would be wrong.
+    :func:`repro.core.best_response.score_response`) plus the
+    ``view[rows, col]`` reads of the batched schedule's proposal cache: a
+    worker relaxes candidate strategies straight from ``base + rows`` and
+    never materializes the dense matrix.  Rows in the delta are served
+    verbatim; a row ``i`` outside the delta is ``base[i]`` with its entries
+    at the changed columns overlaid from the packed columns
+    (``matrix[i, r] == matrix[r, i]`` for rows outside the delta,
+    guaranteed at encode time) — serving plain ``base[i]`` would be wrong.
+
+    It is also the engine's own form of a repaired residual:
+    :func:`repro.core.shortest_paths.decremental_distances` returns the
+    rows it re-solved as a view over the network matrix it repaired, so a
+    cached repair holds ``|S| * (n + 1)`` floats for ``|S|`` re-solved
+    sources instead of an ``(n, n)`` copy, and every repair made under one
+    network shares that network's matrix as its base.  A view never turns
+    into an array implicitly (``numpy.asarray`` raises); a caller that
+    needs the dense matrix asks for it with :meth:`DeltaResidual.dense` or
+    :func:`dense_residual`.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ __all__ = [
     "unpack_delta",
     "delta_if_smaller",
     "packed_size",
+    "dense_residual",
 ]
 
 # Byte layout of a packed delta (everything little-endian, 8-byte aligned):
@@ -296,18 +308,24 @@ def unpack_delta(payload: bytes | bytearray | memoryview, n: int) -> ResidualDel
 
 
 class DeltaResidual:
-    """Lazy row-view of ``base + delta``, the worker-side face of the codec.
+    """Lazy row-view of ``base + delta``: the pool's slots and the engine's repairs.
 
-    Implements exactly the read surface the scoring kernels use — ``shape``,
-    ``dtype``, ``len`` and row indexing by scalar or 1-D integer sequence —
-    so :func:`repro.core.best_response.score_response` relaxes candidates
+    Implements exactly the read surface the scoring kernels and the
+    proposal cache use — ``shape``, ``dtype``, ``len``, row indexing by
+    scalar or 1-D integer sequence, and ``view[rows, col]`` for one column
+    — so :func:`repro.core.best_response.score_response` relaxes candidates
     straight from the base matrix plus the packed rows without ever
     materializing the dense ``(n, n)`` array.  Rows inside the delta are
     served verbatim from the packed block; a row outside it is the base row
     with its entries at the changed columns overlaid from the packed data
     (``matrix[i, r] == matrix[r, i]`` for every outside row, which
-    :func:`encode_delta` guarantees by construction), which is what keeps
-    every served float bit-identical to the dense matrix.
+    :func:`encode_delta` guarantees by construction and a decremental
+    repair by writing its block that way), which is what keeps every
+    served float bit-identical to the dense matrix.
+
+    The view shares ``base``; writing to it would change the view.  It has
+    no implicit array conversion: ``numpy.asarray(view)`` raises, so a
+    dense use must call :meth:`dense`.
     """
 
     __slots__ = ("base", "delta", "shape")
@@ -328,40 +346,101 @@ class DeltaResidual:
     def __len__(self) -> int:
         return self.shape[0]
 
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError(
+            "DeltaResidual is a row view and has no implicit dense form; "
+            "call .dense() where the full matrix is needed"
+        )
+
     def dense(self) -> np.ndarray:
-        """The full dense matrix (tests and debugging; never on hot paths)."""
+        """The full dense matrix, as a new array (never on hot paths)."""
         return decode_delta(self.base, self.delta)
 
-    def __getitem__(self, index):
-        rows, data = self.delta.rows, self.delta.data
-        n = self.shape[0]
+    def _position(self, i: int) -> int:
+        """Position of row ``i`` in the delta, or ``-1`` when it is not there."""
+        rows = self.delta.rows
+        pos = int(np.searchsorted(rows, i))
+        return pos if pos < rows.size and rows[pos] == i else -1
+
+    def _positions(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Position in the delta of each row index, and whether it is there."""
+        rows = self.delta.rows
+        pos = np.searchsorted(rows, idx)
+        hit = rows[np.minimum(pos, rows.size - 1)] == idx
+        return pos, hit
+
+    def _index(self, index, n: int):
+        """``index`` as an ``int`` or a 1-D ``intp`` array, wrapped into ``[0, n)``."""
         if isinstance(index, (int, np.integer)):
             i = int(index)
             if i < 0:
                 i += n
             if not 0 <= i < n:
                 raise IndexError(f"row {index} out of range for n={n}")
-            pos = int(np.searchsorted(rows, i))
-            if pos < rows.size and rows[pos] == i:
-                return data[pos]
-            row = np.array(self.base[i], dtype=np.float64)
-            if rows.size:
-                row[rows] = data[:, i]
-            return row
+            return i
         idx = np.asarray(index)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
             raise TypeError(
                 "DeltaResidual supports scalar or 1-D integer row indexing only"
             )
-        idx = np.where(idx < 0, idx + n, idx).astype(np.intp)
-        out = self.base[idx].astype(np.float64, copy=False)
+        return np.where(idx < 0, idx + n, idx).astype(np.intp)
+
+    def __getitem__(self, index):
+        n = self.shape[0]
+        if isinstance(index, tuple):
+            if len(index) != 2 or not isinstance(index[1], (int, np.integer)):
+                raise TypeError(
+                    "DeltaResidual supports view[rows, col] with one integer "
+                    "column only"
+                )
+            return self._entries(self._index(index[0], n), self._index(index[1], n))
+        rows, data = self.delta.rows, self.delta.data
+        i = self._index(index, n)
+        if isinstance(i, int):
+            pos = self._position(i)
+            if pos >= 0:
+                return data[pos]
+            row = np.array(self.base[i], dtype=np.float64)
+            if rows.size:
+                row[rows] = data[:, i]
+            return row
+        out = self.base[i].astype(np.float64, copy=False)
         if not out.flags.writeable:  # pragma: no cover - read-only base
             out = out.copy()
         if rows.size:
-            out[:, rows] = data[:, idx].T
-            pos = np.searchsorted(rows, idx)
-            clipped = np.minimum(pos, rows.size - 1)
-            hit = rows[clipped] == idx
-            if hit.any():
-                out[hit] = data[pos[hit]]
+            out[:, rows] = data[:, i].T
+            pos, hit = self._positions(i)
+            out[hit] = data[pos[hit]]
         return out
+
+    def _entries(self, i, col: int):
+        """Entries ``(i, col)`` for a row index or index array ``i``.
+
+        A row in the delta is served from its packed row; otherwise a
+        column in the delta is served from the packed row ``col``
+        (transposed); otherwise the entry is the base's.
+        """
+        rows, data = self.delta.rows, self.delta.data
+        idx = np.atleast_1d(i)
+        col_pos = self._position(col)
+        out = data[col_pos, idx] if col_pos >= 0 else self.base[idx, col]
+        if rows.size:
+            pos, hit = self._positions(idx)
+            out[hit] = data[pos[hit], col]
+        return out[0] if isinstance(i, int) else out
+
+
+def dense_residual(
+    matrix: "np.ndarray | DeltaResidual", *, copy: bool = False
+) -> np.ndarray:
+    """A residual as a dense float64 array: a view's :meth:`~DeltaResidual.dense`.
+
+    An array passes through as is, or as a copy with ``copy=True``; a view
+    always comes back as a new array.  This is the explicit densify of the
+    engine's move update, its checkpoint exports and the pool's slot writer.
+    """
+    if isinstance(matrix, DeltaResidual):
+        return matrix.dense()
+    if copy:
+        return np.array(matrix, dtype=np.float64, copy=True)
+    return np.asarray(matrix, dtype=np.float64)

@@ -96,7 +96,9 @@ primitives used by the fast best-response engine
     prefilter picks those rows, and the pair test runs on them alone.  Only
     the rows of *affected* sources are recomputed (one sparse single-source
     Dijkstra each, ``O(n + m log n)``); all other entries are provably
-    unchanged.  When the affected frontier exceeds
+    unchanged, so the result is a row-block view over the old matrix
+    (:class:`~repro.core.residual_delta.DeltaResidual`) holding just those
+    rows, not a dense copy.  When the affected frontier exceeds
     ``max_affected_fraction * n`` sources, the repair degenerates towards a
     full recomputation and the function falls back to one all-pairs rebuild
     instead.  This is what lets the incremental engine
@@ -113,7 +115,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
 
-from .residual_delta import DeltaResidual
+from .residual_delta import DeltaResidual, ResidualDelta, dense_residual
 
 __all__ = [
     "floyd_warshall",
@@ -282,7 +284,7 @@ def _dijkstra(graph: _Graph, sources: np.ndarray | None = None) -> np.ndarray:
 
     Row ``i`` is source ``sources[i]``'s distance vector, with a zero at the
     source; ``directed=True`` on the symmetric CSR keeps zero-weight edges
-    edges.
+    as edges.
     """
     if graph.n == 0:
         return np.zeros((0, 0))
@@ -472,16 +474,26 @@ def dijkstra_rows(weights, sources: Sequence[int]) -> np.ndarray:
 class DecrementalRepair:
     """Outcome of a decremental distance update (:func:`decremental_distances`).
 
-    ``distances`` is always the exact all-pairs matrix of the post-removal
-    graph.  ``affected_sources`` counts the vertices whose rows the repair
-    had to recompute, and ``rebuilt`` records whether the affected frontier
+    ``residual`` is the exact all-pairs matrix of the post-removal graph:
+    after a row repair, a :class:`~repro.core.residual_delta.DeltaResidual`
+    over the pre-removal matrix whose delta is the sorted re-solved sources
+    ``S`` and their ``(|S|, n)`` rows; after a rebuild, the dense matrix
+    the rebuild returned.  ``distances`` is the same matrix, always dense
+    (built on each access: a reference for tests, not for hot paths).
+    ``affected_sources`` counts the vertices whose rows the repair had to
+    recompute, and ``rebuilt`` records whether the affected frontier
     exceeded the threshold and a full all-pairs rebuild was performed
     instead of the row-wise repair.
     """
 
-    distances: np.ndarray
+    residual: np.ndarray | DeltaResidual
     affected_sources: int
     rebuilt: bool
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The post-removal matrix as a dense array."""
+        return dense_residual(self.residual)
 
 
 def _rows_near_vertex(
@@ -533,7 +545,9 @@ def decremental_distances(
     dist:
         ``(n, n)`` shortest-path matrix of the graph *before* the removal
         (a symmetric metric closure, e.g. the output of
-        :func:`floyd_warshall`; ``inf`` marks unreachable pairs).
+        :func:`floyd_warshall`; ``inf`` marks unreachable pairs).  A row
+        repair returns a view over it, so it must not be written to while
+        the result is in use.
     new_weights:
         Weights of the graph *after* the removal, dense or CSR as for
         :func:`floyd_warshall`.  Every edge present in ``new_weights`` must
@@ -568,9 +582,15 @@ def decremental_distances(
     affected pair (plus ``vertex`` itself) are re-solved, one sparse
     single-source Dijkstra (``O(n + m log n)`` for ``m`` edges) each; the
     repaired rows/columns are exact by the correctness of Dijkstra, the
-    untouched entries by the argument above.  Total cost is
+    untouched entries by the argument above.  The repair keeps the
+    re-solved rows ``R`` of the sorted sources ``S`` as a block with
+    ``block[:, S] = R[:, S].T`` — rows ``S`` of the dense matrix that
+    writes ``R`` into rows ``S`` and ``R.T`` into columns ``S`` of a copy
+    of ``dist`` — and returns it as a view over ``dist``, which serves
+    that dense matrix bit for bit.  Total cost is
     ``O(n deg(vertex) + k n + a (n + m log n))`` for ``k`` rows kept by the
-    prefilter and ``a`` affected sources, plus one copy of ``dist``.
+    prefilter and ``a`` affected sources; nothing of size ``n^2`` is
+    copied.
     """
     d = _as_square_float(dist)
     graph = _as_graph(new_weights)
@@ -601,11 +621,10 @@ def decremental_distances(
         rebuilt = all_pairs_shortest_paths(graph) if rebuild is None else rebuild(graph)
         return DecrementalRepair(rebuilt, count, True)
     sources = np.flatnonzero(source_mask)
-    repaired = dijkstra_rows(graph, sources)
-    out = d.copy()
-    out[sources, :] = repaired
-    out[:, sources] = repaired.T
-    return DecrementalRepair(out, count, False)
+    block = dijkstra_rows(graph, sources)
+    block[:, sources] = block[:, sources].T
+    view = DeltaResidual(d, ResidualDelta(sources, block))
+    return DecrementalRepair(view, count, False)
 
 
 def relax_through_edges(

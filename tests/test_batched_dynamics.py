@@ -39,6 +39,7 @@ from repro.core import (
     run_dynamics,
 )
 from repro.core.best_response import batch_best_responses, residual_distances
+from repro.core.residual_delta import dense_residual
 from repro.core.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.generators import (
     random_euclidean_host,
@@ -220,7 +221,9 @@ def test_engine_residuals_match_oracle_across_variants(property_budget):
             game, profile, repair_threshold=float(rng.choice([0.1, 0.5, 1.0]))
         )
         for u in range(n):
-            assert _same_matrix(engine.residual(u), residual_distances(game, profile, u))
+            assert _same_matrix(
+                dense_residual(engine.residual(u)), residual_distances(game, profile, u)
+            )
 
 
 def test_removal_heavy_hub_forces_repair_fallback():
@@ -252,7 +255,7 @@ def test_leaf_removal_uses_cheap_repair():
     game = NetworkCreationGame(host, 1.0)
     profile = StrategyProfile.complete(n).with_strategy(0, [1])
     engine = IncrementalEngine(game, profile)
-    d_rest = engine.residual(0)
+    d_rest = dense_residual(engine.residual(0))
     assert engine.stats.residual_repairs == 1
     assert engine.stats.repair_fallbacks == 0
     assert _same_matrix(d_rest, residual_distances(game, profile, 0))

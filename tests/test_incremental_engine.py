@@ -32,6 +32,7 @@ from repro.core.best_response import (
     greedy_response,
     residual_distances,
 )
+from repro.core.residual_delta import dense_residual
 from repro.metrics.generators import (
     random_euclidean_host,
     random_general_host,
@@ -162,7 +163,9 @@ class TestEngineCaches:
         engine = IncrementalEngine(game, _random_profile(7, rng))
         for step in range(30):
             u = int(rng.integers(0, 7))
-            assert _same_matrix(engine.residual(u), residual_distances(game, engine.profile, u))
+            assert _same_matrix(
+                dense_residual(engine.residual(u)), residual_distances(game, engine.profile, u)
+            )
             mover = int(rng.integers(0, 7))
             engine.apply(mover, engine.respond(mover, "best").strategy)
 
@@ -171,10 +174,12 @@ class TestEngineCaches:
         rng = np.random.default_rng(9)
         game = _random_game("metric", 6, rng)
         engine = IncrementalEngine(game, _random_profile(6, rng))
-        before = engine.residual(2)
+        before = dense_residual(engine.residual(2))
         engine.apply(2, {0, 1})
-        assert _same_matrix(engine.residual(2), before)
-        assert _same_matrix(engine.residual(2), residual_distances(game, engine.profile, 2))
+        assert _same_matrix(dense_residual(engine.residual(2)), before)
+        assert _same_matrix(
+            dense_residual(engine.residual(2)), residual_distances(game, engine.profile, 2)
+        )
 
     def test_updated_distances_matches_apsp(self, property_budget):
         """CandidateEvaluator.updated_distances equals the network's true APSP."""

@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.core.best_response import score_tasks
 from repro.core.host_graph import HostGraph
-from repro.core.residual_delta import delta_if_smaller
+from repro.core.residual_delta import delta_if_smaller, dense_residual
 from repro.metrics.generators import (
     random_euclidean_host,
     random_general_host,
@@ -262,7 +262,10 @@ def test_slot_pressure_chunks_stay_bit_exact():
     profile = _random_profile(n, rng, density=0.6)
     engine = IncrementalEngine(game, profile)
     # force distinct matrix objects per agent (copies break identity sharing)
-    tasks = [(u, engine.residual(u).copy(), profile.strategy(u)) for u in range(n)]
+    tasks = [
+        (u, dense_residual(engine.residual(u), copy=True), profile.strategy(u))
+        for u in range(n)
+    ]
     serial = [engine.respond(u, "best", d_rest=tasks[u][1]) for u in range(n)]
     with ParallelEvaluator.for_game(game, workers=2, slots=2) as evaluator:
         assert evaluator.evaluate(tasks, "best") == serial

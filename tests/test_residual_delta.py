@@ -18,8 +18,10 @@ certifies the layers bottom-up:
 
 * **row view** — :class:`~repro.core.residual_delta.DeltaResidual` serves
   every row bit-identically to the dense matrix (scalar, negative and
-  fancy indexing), and ``score_response`` over the view equals the dense
-  result field-for-field;
+  fancy indexing), and every ``view[rows, col]`` read with the rows and
+  the column inside or outside the delta; it refuses an implicit
+  ``numpy.asarray``; and ``score_response`` over the view equals the
+  dense result field-for-field;
 
 * **cross-oracle sweep** — the pool's delta slots replay the exact
   trajectory *and* EngineStats of the serial path across model variants
@@ -48,11 +50,13 @@ from repro.core.residual_delta import (
     changed_rows,
     decode_delta,
     delta_if_smaller,
+    dense_residual,
     encode_delta,
     pack_delta,
     packed_size,
     unpack_delta,
 )
+from test_dijkstra_carry import _bits
 from test_parallel_evaluator import (
     VARIANTS,
     _assert_identical_runs,
@@ -334,6 +338,52 @@ def test_view_serves_every_row_bit_identically(property_budget):
         assert np.array_equal(view[idx], matrix[idx])
 
 
+def _check_column_reads(view, matrix, rng):
+    """``view[rows, col]`` equals the dense read bit for bit, for every column
+    and for row sets inside, outside and across the delta."""
+    n = matrix.shape[0]
+    inside = view.delta.rows
+    outside = np.setdiff1d(np.arange(n), inside)
+    mixed = rng.integers(-n, n, size=2 * n + 1)  # shuffled, repeated, negative
+    for col in range(n):
+        for rows in (np.arange(n), inside, outside, mixed):
+            got = view[rows, col]
+            assert np.array_equal(_bits(got), _bits(matrix[rows, col])), (rows, col)
+        for i in range(-n, n):
+            assert _bits(view[i, col]) == _bits(matrix[i, col])
+        assert np.array_equal(_bits(view[mixed, col - n]), _bits(matrix[mixed, col - n]))
+
+
+def test_view_serves_column_reads_bit_identically(property_budget):
+    """The proposal cache's ``d_u[rows, col]`` reads, column in or out of the delta."""
+    rng = np.random.default_rng(zlib.crc32(b"delta-column") % 2**32)
+    for trial in range(max(4, property_budget)):
+        n = int(rng.choice([1, 2, 3, 6, 13]))
+        base = _random_symmetric(n, rng, inf_frac=0.2 if trial % 2 else 0.0)
+        k = int(rng.integers(0, n + 1))
+        rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
+        matrix = _perturb_rows(base, rows, rng)
+        _check_column_reads(DeltaResidual(base, encode_delta(base, matrix)), matrix, rng)
+
+
+def test_column_reads_on_bit_asymmetric_deltas():
+    """A delta whose rows disagree with their columns (as a repair's block
+    does in the last ulp) still serves every ``(row, col)`` entry exactly:
+    a row in the delta wins over a column in the delta."""
+    rng = np.random.default_rng(31)
+    base = rng.random((7, 7))
+    matrix = rng.random((7, 7))
+    _check_column_reads(DeltaResidual(base, encode_delta(base, matrix)), matrix, rng)
+    # A hand-made delta over rows {1, 4}: rows 1 and 4 verbatim, columns 1
+    # and 4 of every other row from the transposed block, base elsewhere.
+    block = rng.random((2, 7))
+    view = DeltaResidual(base, ResidualDelta(np.array([1, 4]), block))
+    dense = view.dense()
+    assert np.array_equal(dense[[1, 4]], block)
+    assert np.array_equal(dense[[0, 2, 3, 5, 6]][:, [1, 4]], block[:, [0, 2, 3, 5, 6]].T)
+    _check_column_reads(view, dense, rng)
+
+
 def test_view_rejects_unsupported_indexing():
     base = np.zeros((3, 3))
     view = DeltaResidual(base, encode_delta(base, base))
@@ -341,10 +391,18 @@ def test_view_rejects_unsupported_indexing():
         view[3]
     with pytest.raises(IndexError):
         view[-4]
+    with pytest.raises(IndexError):
+        view[[0, 1], 3]
     with pytest.raises(TypeError, match="integer row indexing"):
         view[np.zeros((2, 2), dtype=int)]
     with pytest.raises(TypeError, match="integer row indexing"):
         view[np.array([0.5])]
+    with pytest.raises(TypeError, match="one integer column"):
+        view[[0, 1], [0, 1]]
+    with pytest.raises(TypeError, match="one integer column"):
+        view[0, 1, 2]
+    with pytest.raises(TypeError, match="dense"):
+        np.asarray(view)
 
 
 def test_score_response_on_view_matches_dense(property_budget):
@@ -359,7 +417,7 @@ def test_score_response_on_view_matches_dense(property_budget):
 
         engine = IncrementalEngine(game, profile)
         for u in range(n):
-            dense = np.ascontiguousarray(engine.residual(u))
+            dense = np.ascontiguousarray(dense_residual(engine.residual(u)))
             base = _perturb_rows(dense, [int(rng.integers(0, n))], rng)
             view = DeltaResidual(base, encode_delta(base, dense))
             current = profile.strategy(u)

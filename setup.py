@@ -23,7 +23,7 @@ setup(
         "scipy>=1.10",
     ],
     extras_require={
-        "dev": ["pytest>=7", "pytest-benchmark>=4"],
+        "dev": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"],
         "graphs": ["networkx>=3"],
     },
 )

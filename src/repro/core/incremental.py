@@ -39,23 +39,23 @@ agent's current cost and one for the social cost after a move.
    graph is built in ``O(m)`` from the current network's row-sorted edge
    arrays; a neighbour prefilter narrows the affected test to the rows
    whose paths may run through ``u`` (``O(n deg(u))``); and only affected
-   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each).  The
-   cache keeps a repair as those rows only, a
+   rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each) — and of
+   those only the rows that the agent's previous residual does not hold,
+   or that an edge added or removed since can touch
+   (:func:`~repro.core.shortest_paths.carry_dijkstra`); every other row is
+   carried bit for bit.  The cache keeps a repair as those rows only, a
    :class:`~repro.core.residual_delta.DeltaResidual` view over the network
    matrix it repaired (every repair made under one network shares it), and
    the engine never writes a network matrix in place (each is published
    read-only), so the views stay valid after later moves.  When
    the repair frontier exceeds ``repair_threshold * n`` sources (e.g. when
    a hub that owns most of its incident edges is activated) the repair
-   falls back to the exact all-pairs matrix of the residual graph,
-   recomputed in full or carried row by row: above
-   :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N` agents a
-   fallback re-solves only the Dijkstra rows of the agent's previous
-   fallback that the edges added and removed since can touch
-   (:func:`~repro.core.shortest_paths.carry_dijkstra`), and equals a full
-   recomputation bit for bit.  The :attr:`IncrementalEngine.stats`
-   counters record how often each path was taken; a carried fallback
-   counts exactly as a full one.
+   falls back to the exact all-pairs matrix of the residual graph: up to
+   :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N` agents one
+   Floyd–Warshall, above it every Dijkstra row, carried the same way.
+   A carried matrix equals a fresh solve bit for bit.  The
+   :attr:`IncrementalEngine.stats` counters record how often each path was
+   taken; a carried repair or fallback counts exactly as a fresh one.
 
 5. **Multiprocess batch scoring.**  Queries that score *many* agents
    against one snapshot (:meth:`IncrementalEngine.respond_many` — the
@@ -70,7 +70,8 @@ agent's current cost and one for the social cost after a move.
 
 Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
 candidate edges, ``a`` affected repair sources, ``c`` residual edges added
-or removed since the agent's previous fallback, ``r`` rows they touch):
+or removed since the agent's previous residual, and ``a'`` and ``r`` the
+repair and fallback rows that residual lacks or those edges touch):
 
 =====================================  ===========================
 operation                              cost
@@ -78,24 +79,29 @@ operation                              cost
 candidate strategy scoring             ``O(k n)`` per candidate
 post-move distance update (`apply`)    ``O(n^2)``
 residual cache hit                     ``O(n^2 / 8)`` (key check)
-residual miss, decremental repair      ``O(n deg(u) + a (n + m log n))``
+residual miss, decremental repair      ``O(n deg(u) + a c``
+                                       ``+ a' (n + m log n))``
                                        plus an ``O(a n)`` block, ``a <= rn``
 residual miss, fallback in full        ``O(n^3)`` (full APSP)
 residual miss, carried fallback        ``O(n c + r (n + m log n))``
-                                       plus ``O(n^2)`` key diff, copy, pin
+                                       plus ``O(n^2)`` copy, pin and lift
 =====================================  ===========================
 
-A repair stays an ``O(a n)`` row block: a dense ``(n, n)`` matrix is built
-from it only when its agent moves (:meth:`IncrementalEngine.apply`) or
-the engine state is exported for a checkpoint.  Fallback residuals are
-dense.
+The ``a c`` term tests the held rows among the ``a`` sources against the
+``c`` changed edges, and the key diff behind ``c`` is ``O(n^2 / 8)`` byte
+work, like a hit.  A repair stays an ``O(a n)`` row block: a dense
+``(n, n)`` matrix is built from it only when its agent moves
+(:meth:`IncrementalEngine.apply`) or the engine state is exported for a
+checkpoint.  Fallback residuals are dense.
 
-A fallback is carried when the agent's previous residual came from a
-Dijkstra fallback (``n > FLOYD_WARSHALL_MAX_N``).  The cache keeps that
-matrix's unpinned form as a one-byte-per-entry ulp lift over the pinned
-residual (:func:`_lift`); a repair, a Floyd–Warshall fallback, a lift gap
-over 255 ulp or a checkpoint restore leaves none, and the agent's next
-fallback runs in full.
+A miss carries its Dijkstra rows from the raw, unpinned rows the agent's
+cached entry holds (:func:`_held_rows`).  A repair holds the rows it
+solved: its block, whose ``(|S|, |S|)`` square is stored transposed and is
+flipped back when read.  A Dijkstra fallback (``n > FLOYD_WARSHALL_MAX_N``)
+holds every row, as a one-byte-per-entry ulp lift over the pinned
+residual (:func:`_lift`), read row by row.  A Floyd–Warshall fallback, a
+lift gap over 255 ulp or a checkpoint restore holds none, and the agent's
+next miss solves every row it needs.
 
 The engine is *exact*: it returns the same best responses and costs as the
 from-scratch oracle (:func:`repro.core.best_response.best_response_exact`),
@@ -116,6 +122,7 @@ from .parallel import ParallelEvaluator
 from .residual_delta import DeltaResidual, dense_residual
 from .shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
+    CarriedDijkstra,
     _as_graph,
     _Graph,
     all_pairs_shortest_paths,
@@ -151,6 +158,38 @@ def _unlift(pinned: np.ndarray, lift: np.ndarray) -> np.ndarray:
     return (pinned.view(np.int64) + lift).view(np.float64)
 
 
+def _held_rows(
+    entry: tuple[bytes, Residual, np.ndarray | None], sources: np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """The raw Dijkstra rows a residual cache entry holds, of ``sources``.
+
+    Returns ``(held sources, rows)`` (``None`` sources: every vertex, in
+    order), or ``None`` for an entry that holds no such rows.  A repair
+    holds the rows it re-solved: its block with the square
+    ``block[:, S] = R[:, S].T`` transposed back.  A Dijkstra fallback holds
+    every row, read through its lift only for the ``sources`` asked for.
+    """
+    _, residual, lift = entry
+    if isinstance(residual, DeltaResidual):
+        held, block = residual.delta.rows, residual.delta.data
+        if sources is not None:
+            wanted = np.zeros(block.shape[1], dtype=bool)
+            wanted[sources] = True
+            pick = np.flatnonzero(wanted[held])
+            held, block, square = held[pick], block[pick], block[:, held[pick]]
+        else:
+            block, square = block.copy(), block[:, held]
+        if held.size == 0:
+            return None
+        block[:, residual.delta.rows] = square.T
+        return held, block
+    if lift is None:
+        return None
+    if sources is None:
+        return None, _unlift(residual, lift)
+    return sources, _unlift(residual[sources], lift[sources])
+
+
 def _published(distances: np.ndarray) -> np.ndarray:
     """``distances`` made read-only: the engine's network matrices are shared
     by the repaired residuals built over them, so none is written in place."""
@@ -164,11 +203,11 @@ class EngineStats:
 
     ``apsp_rebuilds`` counts exact all-pairs matrices computed outside a
     repair: the initial distance matrix plus every repair fallback, whether
-    recomputed in full or carried row by row from the agent's previous
-    fallback.  ``residual_repairs`` counts the residual cache misses served
-    by decremental row repair, ``repair_fallbacks`` the repairs whose
-    affected frontier exceeded the threshold (these also count as an
-    ``apsp_rebuilds``),
+    solved in full or carried row by row from the agent's previous
+    residual.  ``residual_repairs`` counts the residual cache misses served
+    by decremental row repair, carried or not, ``repair_fallbacks`` the
+    repairs whose affected frontier exceeded the threshold (these also
+    count as an ``apsp_rebuilds``),
     ``residual_cache_hits`` the residual queries answered without any
     shortest-path work (a valid cached matrix, or an agent owning no
     solely-owned edges), and ``move_updates`` the ``O(n^2)`` post-move
@@ -241,8 +280,8 @@ class IncrementalEngine:
         # agent -> (residual key, residual distances, lift): a repair is a
         # row-block view over the network matrix it repaired, a fallback a
         # dense matrix.  The lift (see _lift) is kept for Dijkstra fallbacks
-        # only, and rebuilds the unpinned matrix that the agent's next
-        # fallback carries rows from.
+        # only.  The agent's next miss carries rows from the entry's
+        # Dijkstra rows (_held_rows).
         self._residuals: dict[int, tuple[bytes, Residual, np.ndarray | None]] = {}
         self._repair_threshold = float(repair_threshold)
         self._evaluator = evaluator
@@ -314,8 +353,9 @@ class IncrementalEngine:
         profile; the caches must describe that same profile or later queries
         will silently serve stale distances — the checkpoint loader validates
         shapes, the pairing is the caller's contract.  Lifts are not part of
-        the state, so each agent's first fallback after a restore is
-        recomputed in full.  Restored residuals are dense.
+        the state, so restored residuals are dense and hold no Dijkstra
+        rows: each agent's first miss after a restore solves every row it
+        needs.
         """
         n = self._game.n
         if distances is not None:
@@ -386,44 +426,58 @@ class IncrementalEngine:
         An edge is present iff either direction is owned in the key's
         ownership matrix (row ``u`` is already cleared); each comes back once,
         as ``(a, b, w)`` arrays with ``a < b`` and the network's edge weight.
+        Only the bits that differ are decoded, from the XOR of the packed
+        keys, so the cost is ``O(n^2 / 8)`` byte work plus the flips.
         """
         n = self._game.n
-
-        def present(key: bytes) -> np.ndarray:
-            bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n)
-            owns = bits.reshape(n, n).view(bool)
-            return owns | owns.T
-
-        old = present(old_key)
-        a, b = np.nonzero(old ^ present(new_key))
-        upper = a < b
-        a, b = a[upper], b[upper]
+        pad = bytes(-len(old_key) % 8)  # compare whole 64-bit words
+        keys = np.frombuffer(old_key + pad + new_key + pad, dtype=np.uint8).reshape(2, -1)
+        words = keys.view(np.uint64)
+        at = np.flatnonzero(words[0] != words[1])
+        diff = (words[0, at] ^ words[1, at]).view(np.uint8).reshape(-1, 8)
+        flips = np.unpackbits(diff, axis=1).view(bool)
+        i, j = np.divmod((at[:, None] * 64 + np.arange(64))[flips], n)
+        pair = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+        a, b = np.divmod(pair, n)
+        bit = np.concatenate((pair, b * n + a))
+        owned = keys[:, bit >> 3] >> (7 - (bit & 7)).astype(np.uint8) & 1
+        was, now = owned.reshape(2, 2, -1).any(axis=1)
+        changed = was != now
+        a, b, gone = a[changed], b[changed], was[changed]
         host = self._game.host.weights
         w = np.minimum(host[a, b], host[b, a])
-        gone = old[a, b]
         return (a[gone], b[gone], w[gone]), (a[~gone], b[~gone], w[~gone])
+
+    def _carry(
+        self, u: int, key: bytes, graph: _Graph, sources: np.ndarray | None = None
+    ) -> CarriedDijkstra:
+        """Dijkstra rows of ``sources`` (every vertex when ``None``) on ``graph``,
+        ``u``'s residual under ``key``, carried from the rows ``u``'s cached
+        entry holds (:func:`_held_rows`) and solved where none is held or an
+        edge change since that entry touches it."""
+        cached = self._residuals.get(u)
+        held = None if cached is None else _held_rows(cached, sources)
+        if held is None:
+            return carry_dijkstra(graph, sources=sources)
+        removed, added = self._edge_changes(cached[0], key)
+        return carry_dijkstra(
+            graph, held[1], removed, added, sources=sources, previous_sources=held[0]
+        )
 
     def _rebuild(self, u: int, key: bytes, graph: _Graph) -> np.ndarray:
         """Fallback residual of ``u`` on ``graph`` (the residual under ``key``), cached.
 
         Up to :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N`
-        agents it is one Floyd–Warshall.  Above, it is Dijkstra: carried
-        row by row (:func:`~repro.core.shortest_paths.carry_dijkstra`) from
-        ``u``'s previous fallback when that one left a lift, solved in full
-        otherwise; either way the matrix equals ``apsp_scipy(graph)`` bit for
-        bit, and the new entry keeps a lift for the next carry.
+        agents it is one Floyd–Warshall.  Above, it is Dijkstra, carried
+        row by row from the rows ``u``'s previous residual holds
+        (:meth:`_carry`); either way the matrix equals ``apsp_scipy(graph)``
+        bit for bit, and the new entry keeps a lift for the next carry.
         """
         lift = None
         if graph.n <= FLOYD_WARSHALL_MAX_N:
             d_rest = all_pairs_shortest_paths(graph)
         else:
-            cached = self._residuals.get(u)
-            if cached is not None and cached[2] is not None:
-                old_key, pinned, old_lift = cached
-                removed, added = self._edge_changes(old_key, key)
-                carry = carry_dijkstra(graph, _unlift(pinned, old_lift), removed, added)
-            else:
-                carry = carry_dijkstra(graph)
+            carry = self._carry(u, key, graph)
             d_rest = carry.distances
             lift = _lift(carry.unpinned, d_rest)
         self._residuals[u] = (key, d_rest, lift)
@@ -437,8 +491,9 @@ class IncrementalEngine:
         (only rows whose shortest paths could run through ``u`` are
         re-solved), falling back to the exact all-pairs matrix of the
         residual graph when the repair frontier exceeds
-        ``repair_threshold * n`` sources — recomputed in full, or carried
-        row by row from ``u``'s previous fallback (:meth:`_rebuild`).
+        ``repair_threshold * n`` sources (:meth:`_rebuild`).  Either way
+        the Dijkstra rows ``u``'s previous residual holds are carried where
+        no edge change since touches them (:meth:`_carry`).
 
         A repaired residual comes back as a
         :class:`~repro.core.residual_delta.DeltaResidual` row-block view over
@@ -464,6 +519,7 @@ class IncrementalEngine:
             removed=np.flatnonzero(removed),
             max_affected_fraction=self._repair_threshold,
             rebuild=lambda graph: self._rebuild(u, key, graph),
+            solve_rows=lambda graph, sources: self._carry(u, key, graph, sources).unpinned,
         )
         if repair.rebuilt:
             self.stats.repair_fallbacks += 1

@@ -28,10 +28,9 @@ Two interchangeable all-pairs kernels are provided:
     the instance sizes used throughout the paper (n up to a few hundred).
 
 ``apsp_scipy``
-    :func:`scipy.sparse.csgraph.shortest_path` (Dijkstra) run on the CSR
-    graph directly.  It is used as a cross-validation oracle in the
-    test-suite and as the faster path for large networks
-    (``n > FLOYD_WARSHALL_MAX_N``).
+    :func:`scipy.sparse.csgraph.dijkstra` run on the CSR graph directly.
+    It is used as a cross-validation oracle in the test-suite and as the
+    faster path for large networks (``n > FLOYD_WARSHALL_MAX_N``).
 
 Both return an ``(n, n)`` float array whose diagonal is zero and whose
 unreachable pairs are ``numpy.inf``.  A Dijkstra distance is the minimum over
@@ -43,15 +42,18 @@ primitives used by the fast best-response engine
 (:mod:`repro.core.incremental`):
 
 ``carry_dijkstra``
-    The Dijkstra matrix of a graph carried over from the one of an earlier
-    graph, given the edges removed and added in between.  A scipy Dijkstra
-    row is the minimum over paths of their left-to-right float sums, a pure
-    function of the graph, so a row is unchanged bit for bit unless a
-    removed edge is *tight* for it (``d(x, a) + w == d(x, b)`` in either
-    direction) or an added edge strictly improves it.  Only those rows are
-    re-solved, in one multi-source Dijkstra call, and the result is pinned
-    exactly as :func:`apsp_scipy` pins its own (the affected-row test of
-    Ramalingam and Reps, exact on any host).
+    Dijkstra rows of a graph — the whole matrix or any source subset —
+    carried over from rows of an earlier graph (the whole matrix or any
+    other subset), given the edges removed and added in between.  A scipy
+    Dijkstra row is the minimum over paths of their left-to-right float
+    sums, a pure function of the graph, so a row is unchanged bit for bit
+    unless a removed edge is *tight* for it (``d(x, a) + w == d(x, b)`` in
+    either direction) or an added edge strictly improves it.  Only those
+    rows and the ones the earlier set lacks are solved, in one
+    multi-source Dijkstra call, and a whole matrix is pinned exactly as
+    :func:`apsp_scipy` pins its own (the affected-row test of Ramalingam
+    and Reps, exact on any host).  The engine carries both its repair
+    rows and its fallbacks this way.
 
 ``relax_through_edges``
     Given an already shortest-path-closed distance matrix ``d`` and a set of
@@ -113,7 +115,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
-from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from .residual_delta import DeltaResidual, ResidualDelta, dense_residual
 
@@ -289,7 +291,7 @@ def _dijkstra(graph: _Graph, sources: np.ndarray | None = None) -> np.ndarray:
     if graph.n == 0:
         return np.zeros((0, 0))
     rows = np.asarray(
-        _scipy_shortest_path(graph.csr(), method="D", directed=True, indices=sources),
+        _scipy_dijkstra(graph.csr(), directed=True, indices=sources),
         dtype=float,
     )
     if sources is None:
@@ -344,25 +346,57 @@ def all_pairs_shortest_paths(weights, method: str = "auto") -> np.ndarray:
 class CarriedDijkstra(NamedTuple):
     """Outcome of :func:`carry_dijkstra`.
 
-    ``distances`` equals ``apsp_scipy(weights)`` bit for bit; ``unpinned``
-    is the Dijkstra matrix before pinning, the base of a later carry; and
-    ``resolved`` lists the sources whose rows were re-solved.
+    ``unpinned`` holds the scipy Dijkstra rows of the requested sources, in
+    their order (the whole matrix by default), each bit for bit a fresh
+    solve and the base of a later carry; ``resolved`` lists the sources
+    whose rows were solved rather than carried; and ``distances`` equals
+    ``apsp_scipy(weights)`` bit for bit when every row was requested, and
+    is ``None`` for a subset (a pin needs the whole matrix).
     """
 
-    distances: np.ndarray
+    distances: np.ndarray | None
     unpinned: np.ndarray
     resolved: np.ndarray
 
 
-def _edge_arrays(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a, b, w = (np.asarray(x) for x in edges)
-    a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
-    w = w.astype(float, copy=False)
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, b, w = edges
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    w = np.asarray(w, dtype=float)
     if not a.shape == b.shape == w.shape or a.ndim != 1:
         raise ValueError("edges must be three equal-length 1-d arrays (a, b, w)")
-    if a.size and not (0 <= min(a.min(), b.min()) and max(a.max(), b.max()) < n):
-        raise ValueError(f"edge endpoints out of range for n={n}")
     return a, b, w
+
+
+def _source_array(sources, n: int) -> np.ndarray:
+    src = np.asarray(sources, dtype=np.intp).reshape(-1)
+    if src.size and not 0 <= src.min() <= src.max() < n:
+        raise ValueError(f"sources out of range for n={n}")
+    return src
+
+
+def _dirty_rows(d: np.ndarray, rows: np.ndarray, removed, added, n: int) -> np.ndarray:
+    """Which rows ``d[rows]`` a removed edge is tight for or an added edge
+    strictly improves (see :func:`carry_dijkstra`), from one gather of the
+    edges' endpoint columns."""
+    (ra, rb, rw), (aa, ab, aw) = _edge_arrays(removed), _edge_arrays(added)
+    ends = np.concatenate((ra, rb, aa, ab))
+    if ends.size == 0:
+        return np.zeros(rows.size, dtype=bool)
+    if (ends.view(np.uintp) >= n).any():  # negative ends wrap to huge values
+        raise ValueError(f"edge endpoints out of range for n={n}")
+    k, m = ra.size, aa.size
+    g = d[rows[:, None], ends]
+    dirty = np.zeros(rows.size, dtype=bool)
+    if k:
+        # Either equality leaves both ends equally finite: testing da suffices.
+        da, db = g[:, :k], g[:, k : 2 * k]
+        tight = ((da + rw == db) | (db + rw == da)) & (da < np.inf)
+        dirty |= tight.any(axis=1)
+    if m:
+        da, db = g[:, 2 * k : 2 * k + m], g[:, 2 * k + m :]
+        dirty |= ((da + aw < db) | (db + aw < da)).any(axis=1)
+    return dirty
 
 
 def carry_dijkstra(
@@ -370,63 +404,91 @@ def carry_dijkstra(
     previous: np.ndarray | None = None,
     removed=((), (), ()),
     added=((), (), ()),
+    *,
+    sources=None,
+    previous_sources=None,
 ) -> CarriedDijkstra:
-    """Dijkstra distances of ``weights``, re-solving only the rows that changed.
+    """Dijkstra rows of ``weights``, re-solving only those that changed.
 
     Parameters
     ----------
     weights:
         The graph now, dense or CSR as for :func:`floyd_warshall`.
     previous:
-        The *unpinned* Dijkstra matrix (:attr:`CarriedDijkstra.unpinned`) of
-        an earlier graph, or ``None`` to solve every row.
+        *Unpinned* Dijkstra rows (:attr:`CarriedDijkstra.unpinned`) of an
+        earlier graph: the whole ``(n, n)`` matrix, or the rows of
+        ``previous_sources``.  ``None`` solves every requested row.
     removed, added:
         The edges that earlier graph had and ``weights`` lacks, and the
         reverse, each as three equal-length arrays ``(a, b, w)`` (one entry
         per undirected edge).  Every other edge must be the same in both.
+    sources:
+        The sources whose rows to return, in that order; every vertex when
+        ``None``.
+    previous_sources:
+        The distinct sources of the rows of ``previous``, in order; every
+        vertex when ``None``.  A requested source without a previous row
+        is solved.
 
     Notes
     -----
     A scipy Dijkstra row is ``min`` over paths of the left-to-right float
     sum of their weights: float addition of a non-negative weight is
     monotone, so Dijkstra's settling argument holds for the rounded sums,
-    and the row depends on the graph alone.  A row ``x`` is re-solved when a
-    removed edge is tight for it, ``d(x, a) + w == d(x, b)`` with ``d(x, a)``
-    finite (either direction), or an added edge strictly improves it,
-    ``d(x, a) + w < d(x, b)`` (either direction).  Any other row is
-    unchanged bit for bit.  Removals: if a minimum path to ``y`` crosses a
-    removed edge, its prefix up to the far end ``b`` of the last one sums to
-    more than ``d(x, b)`` (the edge is not tight), so swapping that prefix
-    for a minimum path to ``b`` gives a minimum path to ``y`` again, and
-    induction on ``d(x, ·)`` yields one without removed edges.  Additions:
-    a path through an added edge is no shorter than the same path with its
-    prefix swapped for a minimum path to the edge's far end, which drops
-    that edge.  Cost ``O(n k)`` for ``k`` changed edges, plus one Dijkstra
-    per re-solved row and a pin.
+    and the row depends on the graph alone.  A previous row ``x`` is
+    re-solved when a removed edge is tight for it,
+    ``d(x, a) + w == d(x, b)`` with ``d(x, a)`` finite (either direction),
+    or an added edge strictly improves it, ``d(x, a) + w < d(x, b)``
+    (either direction).  Any other row is unchanged bit for bit.  Removals:
+    if a minimum path to ``y`` crosses a removed edge, its prefix up to the
+    far end ``b`` of the last one sums to more than ``d(x, b)`` (the edge is
+    not tight), so swapping that prefix for a minimum path to ``b`` gives a
+    minimum path to ``y`` again, and induction on ``d(x, ·)`` yields one
+    without removed edges.  Additions: a path through an added edge is no
+    shorter than the same path with its prefix swapped for a minimum path
+    to the edge's far end, which drops that edge.  The test is per row, so
+    it holds for any set of previous rows and any requested subset: the
+    dirty and the missing rows are solved together, in one multi-source
+    Dijkstra call.  Cost ``O(r k)`` for ``r`` previous rows requested and
+    ``k`` changed edges, plus one Dijkstra per solved row (and a pin when
+    every row is requested).
     """
     graph = _as_graph(weights)
     n = graph.n
-    if previous is None:
-        unpinned = _dijkstra(graph)
-        return CarriedDijkstra(_pin(unpinned), unpinned, np.arange(n))
-    d = _as_square_float(previous)
-    if d.shape != (n, n):
-        raise ValueError(f"shape mismatch: previous {d.shape} vs weights {(n, n)}")
-    dirty = np.zeros(n, dtype=bool)
-    a, b, w = _edge_arrays(removed, n)
-    if a.size:
-        da, db = d[:, a], d[:, b]
-        tight = np.isfinite(da) & (da + w == db) | np.isfinite(db) & (db + w == da)
-        dirty |= tight.any(axis=1)
-    a, b, w = _edge_arrays(added, n)
-    if a.size:
-        da, db = d[:, a], d[:, b]
-        dirty |= ((da + w < db) | (db + w < da)).any(axis=1)
-    resolved = np.flatnonzero(dirty)
-    unpinned = d.copy()
-    if resolved.size:
-        unpinned[resolved] = _dijkstra(graph, resolved)
-    return CarriedDijkstra(_pin(unpinned), unpinned, resolved)
+    wanted = np.arange(n) if sources is None else _source_array(sources, n)
+    unpinned = resolved = None
+    if previous is not None:
+        d = np.asarray(previous, dtype=float)
+        if previous_sources is None:
+            if d.shape != (n, n):
+                raise ValueError(f"shape mismatch: previous {d.shape} vs weights {(n, n)}")
+            at = wanted
+        else:
+            held = _source_array(previous_sources, n)
+            if d.shape != (held.size, n):
+                raise ValueError(f"shape mismatch: previous {d.shape} vs {held.size} rows of n={n}")
+            index = np.full(n, -1)
+            index[held] = np.arange(held.size)
+            if np.count_nonzero(index >= 0) != held.size:
+                raise ValueError("previous_sources must be distinct")
+            at = index[wanted]
+        # Position i of the result takes previous row at[i] unless it is dirty.
+        have = np.flatnonzero(at >= 0)
+        rows = at[have]
+        clean = ~_dirty_rows(d, rows, removed, added, n)
+        if clean.any():
+            stale = np.ones(wanted.size, dtype=bool)
+            stale[have[clean]] = False
+            resolved = wanted[stale]
+            unpinned = np.empty((wanted.size, n))
+            unpinned[~stale] = d[rows[clean]]
+            if resolved.size:
+                unpinned[stale] = _dijkstra(graph, resolved)
+    if unpinned is None:
+        resolved = wanted
+        unpinned = _dijkstra(graph, wanted) if wanted.size else np.zeros((0, n))
+    distances = _pin(unpinned) if sources is None else None
+    return CarriedDijkstra(distances, unpinned, resolved)
 
 
 def single_source_dijkstra(weights, source: int) -> np.ndarray:
@@ -537,6 +599,7 @@ def decremental_distances(
     max_affected_fraction: float = 0.5,
     tol: float = 1e-9,
     rebuild: Callable[[_Graph], np.ndarray] | None = None,
+    solve_rows: Callable[[_Graph, np.ndarray], np.ndarray] | None = None,
 ) -> DecrementalRepair:
     """Exact distances after removing edges incident to ``vertex``.
 
@@ -571,7 +634,15 @@ def decremental_distances(
         Computes that fallback instead: called once with the post-removal
         graph, it must return the graph's exact all-pairs matrix.  The
         incremental engine passes one that carries Dijkstra rows over from
-        an earlier fallback (:func:`carry_dijkstra`).
+        the agent's previous residual (:func:`carry_dijkstra`).
+    solve_rows:
+        Computes a row repair's rows instead of :func:`dijkstra_rows`:
+        called once with the post-removal graph and the sorted sources, it
+        must return a new ``(len(sources), n)`` array equal to
+        ``dijkstra_rows(graph, sources)`` bit for bit.  The incremental
+        engine passes one that carries the rows its previous residual of
+        the agent holds and solves only the dirty or missing ones
+        (:func:`carry_dijkstra` with ``sources``).
 
     Notes
     -----
@@ -587,10 +658,12 @@ def decremental_distances(
     ``block[:, S] = R[:, S].T`` — rows ``S`` of the dense matrix that
     writes ``R`` into rows ``S`` and ``R.T`` into columns ``S`` of a copy
     of ``dist`` — and returns it as a view over ``dist``, which serves
-    that dense matrix bit for bit.  Total cost is
+    that dense matrix bit for bit.  The square ``block[:, S]`` is ``R[:, S]``
+    transposed, so transposing it back recovers the raw rows ``R``, the
+    base the engine carries the agent's next rows from.  Total cost is
     ``O(n deg(vertex) + k n + a (n + m log n))`` for ``k`` rows kept by the
-    prefilter and ``a`` affected sources; nothing of size ``n^2`` is
-    copied.
+    prefilter and ``a`` affected sources, of which ``solve_rows`` may solve
+    only ``a' <= a``; nothing of size ``n^2`` is copied.
     """
     d = _as_square_float(dist)
     graph = _as_graph(new_weights)
@@ -621,7 +694,7 @@ def decremental_distances(
         rebuilt = all_pairs_shortest_paths(graph) if rebuild is None else rebuild(graph)
         return DecrementalRepair(rebuilt, count, True)
     sources = np.flatnonzero(source_mask)
-    block = dijkstra_rows(graph, sources)
+    block = dijkstra_rows(graph, sources) if solve_rows is None else solve_rows(graph, sources)
     block[:, sources] = block[:, sources].T
     view = DeltaResidual(d, ResidualDelta(sources, block))
     return DecrementalRepair(view, count, False)

@@ -1,22 +1,29 @@
-"""Carried Dijkstra fallbacks: bitwise equal to a fresh solve, at every layer.
+"""Carried Dijkstra rows: bitwise equal to a fresh solve, at every layer.
 
 :func:`~repro.core.shortest_paths.carry_dijkstra` re-solves only the rows a
-graph change can touch.  The differential battery drives it through random
+graph change can touch.  The differential batteries drive it through random
 sequences of edge removals and additions on small tie-heavy hosts (unit,
-1-2 and zero weights, disconnected parts) and checks, bit for bit, that the
+1-2 and zero weights, disconnected parts) and check, bit for bit, that the
 carried unpinned matrix equals a fresh scipy Dijkstra and the pinned result
-equals :func:`~repro.core.shortest_paths.apsp_scipy`.  The engine keeps the
-unpinned matrix as a ``uint8`` ulp *lift* over the pinned one; a gap over
-255 ulp stores no lift, and the next fallback of that agent runs in full.
+equals :func:`~repro.core.shortest_paths.apsp_scipy`, and that the rows of
+any source subset, carried from the rows of any other subset, equal a fresh
+Dijkstra of those sources.  The engine carries every miss from the rows the
+agent's previous entry holds: a repair's re-solved rows (its block, with
+the transposed square flipped back) or a Dijkstra fallback's whole matrix,
+kept as a ``uint8`` ulp *lift* over the pinned one.  A gap over 255 ulp
+stores no lift; such an entry, a Floyd–Warshall fallback and a restored
+entry hold no rows, and the agent's next miss solves every row fresh.
 Engine-level tests run past ``FLOYD_WARSHALL_MAX_N``, where fallbacks take
-the Dijkstra path, and a checkpointed run must resume bit-identically and
-write the same checkpoint bytes as before carrying existed.
+the Dijkstra path: every carried repair equals the repair built with fresh
+rows, and a checkpointed run must resume bit-identically and write the same
+checkpoint bytes as before carrying existed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,12 +41,15 @@ from repro.core import (
     resume_dynamics,
 )
 from repro.core.host_graph import HostGraph
+from repro.core.residual_delta import dense_residual
 from repro.core.shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     _as_graph,
+    _dijkstra,
     apsp_scipy,
     carry_dijkstra,
     decremental_distances,
+    dijkstra_rows,
 )
 
 from test_parallel_evaluator import _assert_identical_runs
@@ -72,6 +82,24 @@ def _edit_sequences(draw):
     return kind, n, steps, seed, as_csr
 
 
+def _edit(weights: np.ndarray, host: np.ndarray, rng: np.random.Generator):
+    """A random edit of the network: ``(new weights, removed, added)``."""
+    n = host.shape[0]
+    offdiag = ~np.eye(n, dtype=bool)
+    present = np.isfinite(weights) & offdiag
+    # Heavy removals now and then split the graph into parts.
+    p_remove = rng.choice([0.05, 0.2, 0.6])
+    p_add = rng.choice([0.0, 0.05, 0.2])
+    drop = np.triu(present & (rng.random((n, n)) < p_remove), 1)
+    grow = np.triu(~present & np.isfinite(host) & offdiag & (rng.random((n, n)) < p_add), 1)
+    new = weights.copy()
+    new[drop | drop.T] = np.inf
+    new[grow | grow.T] = host[grow | grow.T]
+    removed = tuple(x for x in np.nonzero(drop)) + (host[drop],)
+    added = tuple(x for x in np.nonzero(grow)) + (host[grow],)
+    return new, removed, added
+
+
 def _check_edit_sequence(kind, n, steps, seed, as_csr):
     rng = np.random.default_rng(seed)
     host = _battery_host(kind, n, rng)
@@ -79,19 +107,8 @@ def _check_edit_sequence(kind, n, steps, seed, as_csr):
     first = carry_dijkstra(weights)
     assert np.array_equal(first.resolved, np.arange(n))
     pinned, lift = first.distances, incremental._lift(first.unpinned, first.distances)
-    offdiag = ~np.eye(n, dtype=bool)
     for _ in range(steps):
-        present = np.isfinite(weights) & offdiag
-        # Heavy removals now and then split the graph into parts.
-        p_remove = rng.choice([0.05, 0.2, 0.6])
-        p_add = rng.choice([0.0, 0.05, 0.2])
-        drop = np.triu(present & (rng.random((n, n)) < p_remove), 1)
-        grow = np.triu(~present & np.isfinite(host) & offdiag & (rng.random((n, n)) < p_add), 1)
-        new = weights.copy()
-        new[drop | drop.T] = np.inf
-        new[grow | grow.T] = host[grow | grow.T]
-        removed = tuple(x for x in np.nonzero(drop)) + (host[drop],)
-        added = tuple(x for x in np.nonzero(grow)) + (host[grow],)
+        new, removed, added = _edit(weights, host, rng)
         previous = None if lift is None else incremental._unlift(pinned, lift)
         carry = carry_dijkstra(_csr(new) if as_csr else new, previous, removed, added)
         fresh = _fresh_unpinned(new)
@@ -125,6 +142,91 @@ def test_carried_rows_equal_a_fresh_dijkstra_full_budget(case):
     _check_edit_sequence(*case)
 
 
+def _subset(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random distinct sources in random order: empty, some, or every vertex."""
+    size = int(rng.choice([0, int(rng.integers(1, n + 1)), n]))
+    return rng.permutation(n)[:size]
+
+
+def _check_subset_sequence(kind, n, steps, seed, as_csr):
+    """Rows of any source subset, carried from the rows of any other subset
+    (or the whole matrix), equal a fresh Dijkstra of those sources."""
+    rng = np.random.default_rng(seed)
+    host = _battery_host(kind, n, rng)
+    weights = _battery_network(host, rng)
+    held = _subset(rng, n)
+    rows = carry_dijkstra(weights, sources=held).unpinned
+    for step in range(steps + 1):
+        graph = _as_graph(weights)
+        assert np.array_equal(_bits(rows), _bits(_fresh_unpinned(weights)[held]))
+        if held.size:
+            assert np.array_equal(_bits(rows), _bits(_dijkstra(graph, held)))
+        if step == steps:
+            break
+        new, removed, added = _edit(weights, host, rng)
+        wanted = _subset(rng, n)
+        whole = rng.random() < 0.25  # carry from a whole matrix now and then
+        carry = carry_dijkstra(
+            _csr(new) if as_csr else new,
+            _fresh_unpinned(weights) if whole else rows,
+            removed,
+            added,
+            sources=wanted,
+            previous_sources=None if whole else held,
+        )
+        assert carry.distances is None and carry.unpinned.shape == (wanted.size, n)
+        assert np.isin(carry.resolved, wanted).all()
+        if not whole:
+            assert np.isin(np.setdiff1d(wanted, held), carry.resolved).all()
+        held, rows, weights = wanted, carry.unpinned, new
+
+
+@_TIER1
+@given(_edit_sequences())
+def test_carried_subsets_equal_a_fresh_dijkstra(case):
+    _check_subset_sequence(*case)
+
+
+@pytest.mark.slow
+@_SLOW
+@given(_edit_sequences())
+def test_carried_subsets_equal_a_fresh_dijkstra_full_budget(case):
+    _check_subset_sequence(*case)
+
+
+def test_repair_view_holds_its_raw_rows():
+    """A repaired residual's block, its square transposed back, is the raw
+    Dijkstra rows of its sources: the carry base a repair leaves."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for kind in ("one_two", "unit", "zero", "general"):
+        for _ in range(6):
+            weights = _battery_network(_battery_host(kind, 14, rng), rng)
+            v = int(rng.integers(14))
+            drop = np.flatnonzero(np.isfinite(weights[v]))
+            drop = drop[(drop != v) & (rng.random(drop.size) < 0.6)]
+            new = weights.copy()
+            new[v, drop] = new[drop, v] = np.inf
+            repair = decremental_distances(
+                apsp_scipy(weights), new, v, removed=drop, max_affected_fraction=1.0
+            )
+            sources = repair.residual.delta.rows
+            entry = (b"", repair.residual, None)
+            held, rows = incremental._held_rows(entry, None)
+            assert np.array_equal(held, sources)
+            assert np.array_equal(_bits(rows), _bits(dijkstra_rows(new, sources)))
+            some = rng.permutation(14)[:5]
+            common = np.intersect1d(sources, some)
+            if common.size == 0:
+                assert incremental._held_rows(entry, some) is None
+                continue
+            held, rows = incremental._held_rows(entry, some)
+            assert np.array_equal(held, common)
+            assert np.array_equal(_bits(rows), _bits(dijkstra_rows(new, held)))
+            checked += 1
+    assert checked > 12
+
+
 def test_unchanged_graph_resolves_no_row():
     rng = np.random.default_rng(11)
     weights = _battery_network(_battery_host("one_two", 12, rng), rng)
@@ -139,6 +241,12 @@ def test_carry_rejects_bad_input():
     weights = _battery_network(_battery_host("unit", 5, rng), rng)
     with pytest.raises(ValueError, match="shape mismatch"):
         carry_dijkstra(weights, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        carry_dijkstra(weights, np.zeros((2, 5)), previous_sources=[0, 1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        carry_dijkstra(weights, sources=[0, 5])
+    with pytest.raises(ValueError, match="distinct"):
+        carry_dijkstra(weights, np.zeros((2, 5)), previous_sources=[1, 1])
     with pytest.raises(ValueError, match="out of range"):
         carry_dijkstra(weights, np.zeros((5, 5)), removed=([0], [5], [1.0]))
     with pytest.raises(ValueError, match="equal-length"):
@@ -200,12 +308,18 @@ def test_lift_overflow_stores_no_lift():
 
 @pytest.fixture
 def carry_calls(monkeypatch):
-    """Every ``carry_dijkstra`` call the engine makes, as (carried?, rows re-solved)."""
-    calls: list[tuple[bool, int]] = []
+    """Every ``carry_dijkstra`` call the engine makes.  ``fallbacks`` lists the
+    calls for every row as (carried?, rows re-solved); ``repairs`` the calls
+    for a repair's sources as (carried?, sources, rows re-solved)."""
+    calls = SimpleNamespace(fallbacks=[], repairs=[])
 
-    def spy(weights, previous=None, removed=((), (), ()), added=((), (), ())):
-        result = carry_dijkstra(weights, previous, removed, added)
-        calls.append((previous is not None, int(result.resolved.size)))
+    def spy(weights, previous=None, removed=((), (), ()), added=((), (), ()), **subsets):
+        result = carry_dijkstra(weights, previous, removed, added, **subsets)
+        carried, resolved = previous is not None, int(result.resolved.size)
+        if subsets.get("sources") is None:
+            calls.fallbacks.append((carried, resolved))
+        else:
+            calls.repairs.append((carried, len(subsets["sources"]), resolved))
         return result
 
     monkeypatch.setattr(incremental, "carry_dijkstra", spy)
@@ -244,12 +358,12 @@ def test_engine_after_lift_overflow_runs_the_next_fallback_in_full(
     assert engine._residuals[wide][2] is None
     assert engine._residuals[narrow][2] is not None
     engine.apply(n - 2, [])  # any move changes every other agent's residual key
-    del carry_calls[:]
+    del carry_calls.fallbacks[:]
     engine.residual(wide)
     engine.residual(narrow)
     assert checked_fallbacks[-2:] == [wide, narrow]
     # Rows 0..narrow cannot reach the dropped edge (n - 2, n - 1): carried.
-    assert carry_calls == [(False, n), (True, n - narrow - 1)]
+    assert carry_calls.fallbacks == [(False, n), (True, n - narrow - 1)]
 
 
 # ----------------------------------------------------------------------
@@ -299,29 +413,152 @@ def test_every_fallback_of_a_run_equals_apsp_scipy(carry_calls, checked_fallback
     with GameSession(game, cfg) as session:
         result = session.run(_tree_profile(host))
     assert len(checked_fallbacks) == result.engine_stats.repair_fallbacks > 0
-    assert len(carry_calls) == len(checked_fallbacks)
-    assert any(carried for carried, _ in carry_calls)
+    assert len(carry_calls.fallbacks) == len(checked_fallbacks)
+    assert any(carried for carried, _ in carry_calls.fallbacks)
+
+
+def _local_moves(threshold: float, rounds: int = 6) -> IncrementalEngine:
+    """Residuals of 8 watched agents between single-edge deletions of random
+    owners, on the n = 200 mesh with every host edge owned once."""
+    host = _mesh_host(N_DIJKSTRA)
+    game = NetworkCreationGame(host, 1.0)
+    owns = np.triu(np.isfinite(host.weights), 1)  # every host edge, owned once
+    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=threshold)
+    rng = np.random.default_rng(3)
+    owners = np.flatnonzero(owns.any(axis=1))
+    watched = rng.choice(owners, size=8, replace=False)
+    for _ in range(rounds):
+        for u in watched:
+            engine.residual(int(u))
+        mover = int(rng.choice(owners))
+        engine.apply(mover, sorted(engine.profile.strategy(mover))[1:])
+    return engine
 
 
 def test_local_moves_carry_few_rows(carry_calls, checked_fallbacks):
     """Near a fixed network a move touches few rows: carried fallbacks of the
     other agents re-solve a small share of the 200 sources."""
-    host = _mesh_host(N_DIJKSTRA)
-    game = NetworkCreationGame(host, 1.0)
-    owns = np.triu(np.isfinite(host.weights), 1)  # every host edge, owned once
-    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
-    rng = np.random.default_rng(3)
-    owners = np.flatnonzero(owns.any(axis=1))
-    watched = rng.choice(owners, size=8, replace=False)
-    for _ in range(6):
-        for u in watched:
-            engine.residual(int(u))
-        mover = int(rng.choice(owners))
-        engine.apply(mover, sorted(engine.profile.strategy(mover))[1:])
-    carried = [rows for was_carried, rows in carry_calls if was_carried]
-    assert len(checked_fallbacks) == len(carry_calls)
-    assert len(carried) >= 4 * len(watched)
+    _local_moves(threshold=0.0)
+    carried = [rows for was_carried, rows in carry_calls.fallbacks if was_carried]
+    assert len(checked_fallbacks) == len(carry_calls.fallbacks)
+    assert len(carried) >= 4 * 8
     assert np.median(carried) < N_DIJKSTRA // 4
+
+
+def test_local_moves_repair_few_rows(carry_calls):
+    """Repairs carry too: on local moves they re-solve fewer rows than their
+    affected counts sum to."""
+    engine = _local_moves(threshold=0.5)
+    repairs = carry_calls.repairs
+    assert len(repairs) == engine.stats.residual_repairs >= 8
+    assert sum(carried for carried, _, _ in repairs) >= len(repairs) // 2
+    affected = sum(sources for _, sources, _ in repairs)
+    solved = sum(resolved for _, _, resolved in repairs)
+    assert solved < affected
+
+
+@pytest.fixture
+def checked_repairs(monkeypatch):
+    """Every engine repair, checked to densify bitwise to the matrix that
+    ``decremental_distances`` builds with fresh ``dijkstra_rows``."""
+    checked: list[int] = []
+
+    def checked_repair(*args, **kwargs):
+        repair = decremental_distances(*args, **kwargs)
+        if not repair.rebuilt:
+            del kwargs["solve_rows"]
+            fresh = decremental_distances(*args, **kwargs)
+            assert not fresh.rebuilt and fresh.affected_sources == repair.affected_sources
+            assert np.array_equal(_bits(repair.distances), _bits(fresh.distances))
+            checked.append(repair.affected_sources)
+        return repair
+
+    monkeypatch.setattr(incremental, "decremental_distances", checked_repair)
+    return checked
+
+
+def test_every_carried_repair_equals_a_fresh_repair(carry_calls, checked_repairs):
+    engine = _local_moves(threshold=0.5, rounds=10)
+    assert len(checked_repairs) == engine.stats.residual_repairs >= 8
+    assert any(carried for carried, _, _ in carry_calls.repairs)
+    assert engine.stats.repair_fallbacks > 0  # repairs carry from fallbacks too
+
+
+# ----------------------------------------------------------------------
+# Entries that hold no Dijkstra rows
+# ----------------------------------------------------------------------
+def _mesh_engine(n: int, threshold: float):
+    host = _mesh_host(n)
+    owns = np.triu(np.isfinite(host.weights), 1)
+    engine = IncrementalEngine(
+        NetworkCreationGame(host, 1.0), StrategyProfile(owns), repair_threshold=threshold
+    )
+    owners = np.flatnonzero(owns.sum(axis=1) >= 2)
+    return engine, int(owners[0]), int(owners[1])
+
+
+def _drop_one_edge(engine: IncrementalEngine, mover: int) -> None:
+    engine.apply(mover, sorted(engine.profile.strategy(mover))[1:])
+
+
+def _solved_fresh(call) -> bool:
+    carried, sources, resolved = call
+    return not carried and sources == resolved > 0
+
+
+def test_repair_after_a_floyd_warshall_fallback_solves_every_row(carry_calls):
+    n = 60
+    assert n <= FLOYD_WARSHALL_MAX_N
+    engine, u, other = _mesh_engine(n, threshold=0.0)
+    engine.residual(u)
+    assert engine.stats.repair_fallbacks == 1 and not carry_calls.fallbacks
+    engine._repair_threshold = 1.0
+    _drop_one_edge(engine, other)
+    engine.residual(u)
+    assert engine.stats.residual_repairs >= 1
+    assert _solved_fresh(carry_calls.repairs[-1])
+    # A repair after that repair carries (u's own row is in both).
+    _drop_one_edge(engine, other)
+    engine.residual(u)
+    assert carry_calls.repairs[-1][0]
+
+
+def test_repair_after_a_lift_overflow_solves_every_row(carry_calls):
+    n = 700
+    game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
+    owns = np.zeros((n, n), dtype=bool)
+    owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
+    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
+    wide, narrow = 650, 100
+    for u in (wide, narrow):
+        engine.residual(u)
+    assert engine._residuals[wide][2] is None
+    assert engine._residuals[narrow][2] is not None
+    engine._repair_threshold = 1.0
+    engine.apply(n - 2, [])
+    engine.residual(wide)
+    assert _solved_fresh(carry_calls.repairs[-1])
+    engine.residual(narrow)
+    carried, sources, resolved = carry_calls.repairs[-1]
+    # Rows 0..narrow cannot reach the dropped edge (n - 2, n - 1): carried.
+    assert carried and resolved == sources - (narrow + 1)
+
+
+def test_repair_after_a_restore_solves_every_row(carry_calls):
+    engine, u, other = _mesh_engine(N_DIJKSTRA, threshold=0.0)
+    engine.residual(u)
+    assert engine._residuals[u][2] is not None  # a Dijkstra fallback with a lift
+    restored = IncrementalEngine(engine.game, engine.profile, repair_threshold=1.0)
+    restored.restore_state(**engine.export_state())
+    engine._repair_threshold = 1.0
+    calls, residuals = [], []
+    for e in (restored, engine):
+        _drop_one_edge(e, other)
+        residuals.append(dense_residual(e.residual(u)))
+        calls.append(carry_calls.repairs[-1])
+    assert _solved_fresh(calls[0])
+    assert calls[1][0] and calls[1][2] < calls[1][1]  # the lift carries
+    assert np.array_equal(_bits(residuals[0]), _bits(residuals[1]))
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +579,7 @@ def test_checkpoint_resume_with_carried_fallbacks(tmp_path, monkeypatch, carry_c
         straight = session.run(start)
         engine = session._engine
     assert straight.engine_stats.repair_fallbacks > 0
-    assert any(carried for carried, _ in carry_calls)
+    assert any(carried for carried, _ in carry_calls.fallbacks)
     monkeypatch.chdir(tmp_path)
     checkpointed = cfg.replace(checkpoint_path="ckpt-{round}.bin", checkpoint_every=1)
     with GameSession(game, checkpointed) as session:

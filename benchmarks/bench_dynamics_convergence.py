@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import dynamics_convergence_experiment
+from repro.core import SimulationConfig
 
 VARIANTS = ("one_two", "tree", "euclidean", "metric", "general")
 
@@ -22,7 +23,11 @@ def test_convergence_per_variant(benchmark, variant, paper_report):
     summary = benchmark.pedantic(
         dynamics_convergence_experiment,
         args=(variant, 5, 1.0),
-        kwargs={"instances": 2, "runs_per_instance": 2, "max_rounds": 30, "seed": 0},
+        kwargs={
+            "config": SimulationConfig(max_rounds=30, seed=0),
+            "instances": 2,
+            "runs_per_instance": 2,
+        },
         rounds=1,
         iterations=1,
     )

@@ -288,29 +288,21 @@ def _scan_single_moves(
     """Flat cost vector of every requested single move, plus an index decoder.
 
     The flat order is the historical scan order — adds by ascending target,
-    deletes by ascending current target, swaps by ``(old asc, new asc)`` —
+    deletes by ascending current target, swaps by ``(old asc, new asc)``
+    (:meth:`~repro.core.shortest_paths.SingleMoveScorer.move_costs`) —
     so a first-maximum ``argmax`` breaks ties exactly like the old
     Python-loop implementation.
     """
     adds = scorer.default_add_targets()
     cur = scorer.current
     k, m = len(cur), int(adds.size)
-    parts: list[np.ndarray] = []
     offsets: list[tuple[str, int]] = []
     pos = 0
-    if "add" in moves:
-        offsets.append(("add", pos))
-        parts.append(scorer.add_costs(adds))
-        pos += m
-    if "delete" in moves:
-        offsets.append(("delete", pos))
-        parts.append(scorer.delete_costs())
-        pos += k
-    if "swap" in moves:
-        offsets.append(("swap", pos))
-        parts.append(scorer.swap_costs(adds).ravel())
-        pos += k * m
-    costs = np.concatenate(parts) if parts else np.zeros(0)
+    for kind, size in (("add", m), ("delete", k), ("swap", k * m)):
+        if kind in moves:
+            offsets.append((kind, pos))
+            pos += size
+    costs = scorer.move_costs(moves)
 
     def decode(idx: int) -> SingleMove:
         for kind, start in reversed(offsets):
@@ -481,8 +473,9 @@ def enumerate_single_moves(
     Gains are computed against a fixed residual network, so the whole
     enumeration needs at most one all-pairs shortest-path computation (none
     when a cached ``d_rest`` is supplied), and all move costs come from one
-    stacked relaxation (:class:`~repro.core.shortest_paths.SingleMoveScorer`)
-    instead of a Python loop per move.  Moves are listed adds first
+    vectorized scan (:class:`~repro.core.shortest_paths.SingleMoveScorer`:
+    one row gather and a running two-smallest selection per agent) instead
+    of a Python loop per move.  Moves are listed adds first
     (ascending target), then deletes (ascending), then swaps (old
     ascending, new ascending).
     """
@@ -533,7 +526,8 @@ def greedy_response(
     exactly the per-agent condition of a Greedy Equilibrium.  A cached
     residual matrix can be injected via ``d_rest`` (the whole local search
     then runs without any shortest-path computation); every iteration scans
-    all moves through one vectorized stacked relaxation.
+    all moves through one :class:`~repro.core.shortest_paths.SingleMoveScorer`,
+    whose setup is one row gather and a running two-smallest selection.
     """
     if d_rest is None:
         d_rest = residual_distances(game, profile, u)

@@ -76,13 +76,17 @@ primitives used by the fast best-response engine
 
 ``SingleMoveScorer``
     Batch-scores *all* single-edge moves (add / delete / swap) of one agent
-    through one stacked relaxation instead of per-candidate Python loops.
-    The distances of the current strategy are the row-wise minimum ``m1``
-    over the stacked matrix ``[d_rest(u, ·); w(u, c) + d_rest(c, ·)]`` of
-    the agent's bought rows; keeping the *second* minimum ``m2`` as well
-    makes every deletion (and hence every swap) a pure ``O(n)`` selection —
-    where row ``i`` attains ``m1`` its removal exposes ``m2``, everywhere
-    else ``m1`` survives.  All add/delete/swap costs then follow from a few
+    instead of per-candidate Python loops.  One indexing call gathers the
+    agent's residual row and the relaxation rows ``w(u, t) + d_rest(t, ·)``
+    of its ``k`` bought targets and ``m`` add targets.  The distances of the
+    current strategy are the element-wise minimum ``m1`` of the agent's row
+    and the bought rows; a running selection (three ``O(n)`` passes per
+    bought row) keeps the *second* smallest ``m2`` as well, which makes
+    every deletion (and hence every swap) a pure ``O(n)`` selection — where
+    row ``i`` attains ``m1`` its removal exposes ``m2``, everywhere else
+    ``m1`` survives.  The leave-one-out edge sums come from one
+    ``(k, k - 1)`` gather, so an agent's setup is ``O((k + m) n)`` in a
+    few numpy calls.  All add/delete/swap costs then follow from a few
     dense reductions, which is what makes single-move responses fast even
     in the ``workers=1`` serial fallback of the parallel evaluator.
 
@@ -110,7 +114,9 @@ primitives used by the fast best-response engine
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -160,6 +166,7 @@ class _Graph(NamedTuple):
     Edge ``k`` runs from ``rows[k]`` to ``indices[k]`` with weight
     ``data[k]``; edges are sorted by ``(row, column)``, so row ``i`` holds
     ``indptr[i]:indptr[i + 1]``.  There are no self-loops or duplicates.
+    The index arrays are in scipy's CSR index type (:func:`_index_dtype`).
     """
 
     n: int
@@ -184,7 +191,8 @@ class _Graph(NamedTuple):
         keep = ~(
             (self.rows == v) & flagged[self.indices] | (self.indices == v) & flagged[self.rows]
         )
-        dropped = np.concatenate(([0], np.cumsum(~keep)))
+        dropped = np.zeros(keep.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(~keep, out=dropped[1:])
         return _Graph(
             self.n,
             self.indptr - dropped[self.indptr],
@@ -247,12 +255,28 @@ def _as_graph(weights) -> _Graph:
         raise ValueError("edge weights must be non-negative (and not NaN)")
     if not symmetric:
         raise ValueError("sparse weights must be symmetric")
-    return _Graph(n, indptr, indices, rows, data)
+    index = _index_dtype(n, data.size)
+    return _Graph(
+        n,
+        indptr.astype(index, copy=False),
+        indices.astype(index, copy=False),
+        rows.astype(index, copy=False),
+        data,
+    )
+
+
+def _index_dtype(n: int, m: int) -> type:
+    """scipy's CSR index type for ``n`` vertices and ``m`` edges.
+
+    int32 whenever both fit, as scipy's own index type: a graph built with
+    it goes to scipy's Dijkstra without being checked and cast again.
+    """
+    return np.int32 if max(n, m) < 2**31 else np.int64
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer of sorted row indices."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
+    indptr = np.zeros(n + 1, dtype=_index_dtype(n, rows.size))
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr
 
@@ -770,6 +794,20 @@ def relax_through_edges(
     return relaxed
 
 
+@lru_cache(maxsize=64)
+def _leave_one_out(k: int) -> np.ndarray:
+    """``(k, k - 1)`` index whose row ``i`` is ``0..k-1`` without ``i``.
+
+    Gathering a length-``k`` vector with it and summing each row gives all
+    ``k`` leave-one-out sums, each reduced exactly like the vector with
+    element ``i`` deleted.
+    """
+    cols = np.arange(k - 1)
+    index = cols + (cols >= np.arange(k)[:, None])
+    index.setflags(write=False)
+    return index
+
+
 def _sorted_targets(source: int, targets: Iterable[int]) -> list[int]:
     t = sorted({int(v) for v in targets})
     if any(v == source for v in t):
@@ -964,15 +1002,21 @@ class SingleMoveScorer:
     """Vectorized costs of every single-edge move of one agent.
 
     Scores all adds, deletes and swaps of agent ``u`` against a fixed
-    residual matrix through one *stacked relaxation*: the distance row of
-    the current strategy ``S`` is the element-wise minimum ``m1`` of the
-    ``|S| + 1`` stacked rows ``d_rest(u, ·)`` and ``w(u, c) + d_rest(c, ·)``
-    for ``c in S``.  Keeping the second minimum ``m2`` of the stack as well
-    turns removals into ``O(n)`` selections — where the removed row attains
+    residual matrix.  One indexing call gathers the rows ``d_rest(u, ·)``
+    and ``w(u, c) + d_rest(c, ·)`` of every current target ``c in S`` and
+    every add target; no row is read twice, which matters when the residual
+    is a repaired :class:`~repro.core.residual_delta.DeltaResidual` view.
+    The distance row of ``S`` is the element-wise minimum ``m1`` of the
+    ``|S| + 1`` relaxation rows, and ``m2`` is their element-wise second
+    smallest value; a running selection over the bought rows keeps both,
+    three ``O(n)`` passes per row into preallocated buffers.  ``m2`` turns
+    removals into ``O(n)`` selections — where the removed row attains
     ``m1`` its deletion exposes ``m2``, everywhere else ``m1`` survives —
     so the full add/delete/swap scan costs ``O((|S| + m) n)`` dense work
     plus ``O(|S| m n)`` for the swap grid (chunked to bound memory) instead
-    of one Python-level relaxation per move.
+    of one Python-level relaxation per move.  The per-agent setup is the
+    one gather, the ``3 |S|`` selection passes and one ``(|S|, |S| - 1)``
+    gather of the leave-one-out edge sums.
 
     The per-move *values* are numerically identical to scoring each move
     with :func:`strategy_cost_from_residual` (minima and row sums are
@@ -987,7 +1031,7 @@ class SingleMoveScorer:
     source:
         The agent ``u`` whose moves are scored.
     edge_weights:
-        ``(n,)`` host-graph weight row ``w(u, ·)``.
+        ``(n,)`` host-graph weight row ``w(u, ·)``, non-negative or ``inf``.
     alpha:
         Edge-price parameter of the game.
     current:
@@ -997,8 +1041,8 @@ class SingleMoveScorer:
     """
 
     __slots__ = (
-        "d_rest", "source", "alpha", "current", "add_targets",
-        "_w", "_base", "_reach_cur", "_m1", "_m2", "_del_rows",
+        "d_rest", "source", "alpha", "current",
+        "_w", "_adds", "_w_add", "_reach_cur", "_reach_add", "_m1", "_m2", "_del_rows",
         "_cur_edge_sum", "_edge_sum_wo", "current_cost",
     )
 
@@ -1020,84 +1064,136 @@ class SingleMoveScorer:
         if w.shape != (n,):
             raise ValueError(f"edge_weights must have shape ({n},), got {w.shape}")
         cur = _sorted_targets(source, current)
+        k = len(cur)
         self.d_rest = d
         self.source = int(source)
         self.alpha = float(alpha)
         self._w = w
         self.current = cur
-        base = d[source]
-        self._base = base
-        k = len(cur)
+        pool = np.isfinite(w)
+        pool[source] = False
+        pool[cur] = False
+        adds = pool.nonzero()[0]
+        self._adds = adds
+        # Row 0 is the agent's own row, rows 1..k the current targets' and
+        # the rest the add pool's: one gather, so a DeltaResidual view is
+        # indexed once.  Fancy indexing returns a fresh array, so the
+        # relaxation rows and m1 are built in place.
+        idx = np.concatenate((np.array([source, *cur], dtype=np.intp), adds))
+        rows = d[idx]
+        weights = w[idx[1:]]
+        rows[1:] += weights[:, None]
+        m1, reach_cur = rows[0], rows[1 : k + 1]
+        # Running two-smallest selection over the bought rows.  min and max
+        # are exact, so m1 and m2 are the smallest and second smallest entry
+        # of each column bit for bit, ties included.
+        m2 = None
         if k:
-            reach_cur = w[cur][:, None] + d[cur]  # (k, n)
-            stacked = np.vstack([base[None, :], reach_cur])
-            part = np.partition(stacked, 1, axis=0)
-            m1, m2 = part[0], part[1]
-            w_cur = w[cur]
-            cur_sum = float(w_cur.sum()) if np.all(np.isfinite(w_cur)) else float("inf")
-            sums_wo = np.empty(k)
-            for i in range(k):
-                rest = np.delete(w_cur, i)
-                sums_wo[i] = float(rest.sum()) if np.all(np.isfinite(rest)) else float("inf")
-        else:
-            reach_cur = np.zeros((0, n))
-            m1 = base
-            m2 = np.full(n, np.inf)
-            cur_sum = 0.0
-            sums_wo = np.zeros(0)
+            m2 = np.maximum(m1, reach_cur[0])
+            np.minimum(m1, reach_cur[0], out=m1)
+            larger = np.empty(n)
+            for r in reach_cur[1:]:
+                np.maximum(m1, r, out=larger)
+                np.minimum(m2, larger, out=m2)
+                np.minimum(m1, r, out=m1)
+        # Host weights are non-negative or inf, so a sum over an infinite
+        # weight is inf, and its cost is guarded to inf below.
+        w_cur = weights[:k]
+        cur_sum = float(w_cur.sum())
+        sums_wo = w_cur[_leave_one_out(k)].sum(axis=1)
+        self._w_add = weights[k:]
         self._reach_cur = reach_cur
+        self._reach_add = rows[k + 1 :]
         self._m1 = m1
         self._m2 = m2
         self._del_rows: np.ndarray | None = None
         self._cur_edge_sum = cur_sum
         self._edge_sum_wo = sums_wo
-        self.current_cost = self._cost_of(cur_sum, float(m1.sum()))
+        self.current_cost = (
+            self.alpha * cur_sum + float(m1.sum()) if math.isfinite(cur_sum) else np.inf
+        )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cost_of(self, edge_sum, dist_sum):
+    def _cost_of(self, edge_sum: np.ndarray, dist_sum: np.ndarray) -> np.ndarray:
         """``alpha * edge_sum + dist_sum`` with ``alpha * inf`` guarded to ``inf``."""
-        edge_sum = np.asarray(edge_sum, dtype=float)
         finite = np.isfinite(edge_sum)
-        cost = np.where(
+        return np.where(
             finite, self.alpha * np.where(finite, edge_sum, 0.0) + dist_sum, np.inf
         )
-        return float(cost) if cost.ndim == 0 else cost
 
     def _delete_rows(self) -> np.ndarray:
         """``(k, n)`` distance rows after deleting each current target."""
         if self._del_rows is None:
-            self._del_rows = np.where(
-                self._reach_cur == self._m1[None, :], self._m2[None, :], self._m1[None, :]
-            )
+            self._del_rows = np.where(self._reach_cur == self._m1, self._m2, self._m1)
         return self._del_rows
+
+    def _reach(self, t: np.ndarray) -> np.ndarray:
+        """``(m, n)`` relaxation rows ``w(u, t) + d_rest(t, ·)`` of targets ``t``."""
+        return self._w[t][:, None] + self.d_rest[t]
+
+    def _add_dist(self, reach_t: np.ndarray) -> np.ndarray:
+        return np.minimum(self._m1[None, :], reach_t).sum(axis=1)
+
+    def _swap_dist(self, reach_t: np.ndarray) -> np.ndarray:
+        """``(k, m)`` distance sums of every swap; the grid is chunked."""
+        k, m = len(self.current), reach_t.shape[0]
+        n = self.d_rest.shape[0]
+        del_rows = self._delete_rows()
+        dist = np.empty((k, m))
+        chunk = max(1, self._SWAP_CHUNK // max(1, k * n))
+        for start in range(0, m, chunk):
+            stop = min(start + chunk, m)
+            block = np.minimum(del_rows[:, None, :], reach_t[None, start:stop, :])
+            dist[:, start:stop] = block.sum(axis=2)
+        return dist
 
     def default_add_targets(self) -> np.ndarray:
         """Every finite-weight non-current target — the standard add/swap pool."""
-        mask = np.isfinite(self._w)
-        mask[self.source] = False
-        mask[self.current] = False
-        return np.flatnonzero(mask).astype(int)
+        return self._adds.copy()
 
     # ------------------------------------------------------------------
     # Move costs
     # ------------------------------------------------------------------
+    def move_costs(self, moves: Sequence[str] = ("add", "delete", "swap")) -> np.ndarray:
+        """Flat costs of the requested moves over :meth:`default_add_targets`.
+
+        Adds by ascending target, deletes by ascending current target and
+        swaps by ``(old asc, new asc)``, each kind present only if it is in
+        ``moves``.  Adds and swaps share the gathered add-target rows, and
+        the costs are formed in one elementwise pass over all edge and
+        distance sums; every value equals the one :meth:`add_costs`,
+        :meth:`delete_costs` and :meth:`swap_costs` return.
+        """
+        k, m = len(self.current), self._w_add.size
+        edge: list[np.ndarray] = []
+        dist: list[np.ndarray] = []
+        if m and "add" in moves:
+            edge.append(self._cur_edge_sum + self._w_add)
+            dist.append(self._add_dist(self._reach_add))
+        if k and "delete" in moves:
+            edge.append(self._edge_sum_wo)
+            dist.append(self._delete_rows().sum(axis=1))
+        if k and m and "swap" in moves:
+            edge.append((self._edge_sum_wo[:, None] + self._w_add).ravel())
+            dist.append(self._swap_dist(self._reach_add).ravel())
+        if not edge:
+            return np.zeros(0)
+        return self._cost_of(np.concatenate(edge), np.concatenate(dist))
+
     def add_costs(self, targets: Sequence[int] | np.ndarray) -> np.ndarray:
         """Costs of ``current | {t}`` for each add target ``t``."""
         t = np.asarray(targets, dtype=int)
         if t.size == 0:
             return np.zeros(0)
-        reach_t = self._w[t][:, None] + self.d_rest[t]  # (m, n)
-        dist = np.minimum(self._m1[None, :], reach_t).sum(axis=1)
-        return self._cost_of(self._cur_edge_sum + self._w[t], dist)
+        return self._cost_of(self._cur_edge_sum + self._w[t], self._add_dist(self._reach(t)))
 
     def delete_costs(self) -> np.ndarray:
         """Costs of ``current - {c}`` for each current target, in sorted order."""
         if not self.current:
             return np.zeros(0)
-        dist = self._delete_rows().sum(axis=1)
-        return self._cost_of(self._edge_sum_wo, dist)
+        return self._cost_of(self._edge_sum_wo, self._delete_rows().sum(axis=1))
 
     def swap_costs(self, targets: Sequence[int] | np.ndarray) -> np.ndarray:
         """``(k, m)`` costs of ``(current - {c_i}) | {t_j}`` for every swap.
@@ -1110,14 +1206,5 @@ class SingleMoveScorer:
         k = len(self.current)
         if k == 0 or t.size == 0:
             return np.zeros((k, t.size))
-        n = self.d_rest.shape[0]
-        del_rows = self._delete_rows()
-        reach_t = self._w[t][:, None] + self.d_rest[t]  # (m, n)
-        dist = np.empty((k, t.size))
-        chunk = max(1, self._SWAP_CHUNK // max(1, k * n))
-        for start in range(0, t.size, chunk):
-            stop = min(start + chunk, t.size)
-            block = np.minimum(del_rows[:, None, :], reach_t[None, start:stop, :])
-            dist[:, start:stop] = block.sum(axis=2)
         edge = self._edge_sum_wo[:, None] + self._w[t][None, :]
-        return self._cost_of(edge, dist)
+        return self._cost_of(edge, self._swap_dist(self._reach(t)))

@@ -46,6 +46,7 @@ from repro.core.shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     _as_graph,
     _dijkstra,
+    _index_dtype,
     apsp_scipy,
     carry_dijkstra,
     decremental_distances,
@@ -234,6 +235,28 @@ def test_unchanged_graph_resolves_no_row():
     again = carry_dijkstra(weights, first.unpinned)
     assert again.resolved.size == 0
     assert np.array_equal(_bits(again.distances), _bits(apsp_scipy(weights)))
+
+
+def test_graph_keeps_scipys_index_type():
+    """The CSR index arrays stay int32 for dense and sparse input and an edge
+    removal, so scipy takes them without a cast; the rows are unchanged."""
+    rng = np.random.default_rng(4)
+    weights = _battery_network(_battery_host("metric", 12, rng), rng)
+    for graph in (_as_graph(weights), _as_graph(_csr(weights))):
+        flagged = np.zeros(12, dtype=bool)
+        flagged[graph.indices[graph.indptr[3] : graph.indptr[4]]] = True
+        smaller = graph.without_edges(3, flagged)
+        for g in (graph, smaller):
+            assert {a.dtype for a in (g.indptr, g.indices, g.rows)} == {np.dtype(np.int32)}
+        dense = weights.copy()
+        dense[3, flagged] = dense[flagged, 3] = np.inf
+        fresh = np.asarray(
+            scipy_shortest_path(_csr(dense), method="D", directed=True), dtype=float
+        )
+        np.fill_diagonal(fresh, 0.0)
+        assert np.array_equal(_bits(_dijkstra(smaller)), _bits(fresh))
+    assert _index_dtype(2**31 - 1, 10) is np.int32
+    assert _index_dtype(2**31, 10) is np.int64 and _index_dtype(10, 2**31) is np.int64
 
 
 def test_carry_rejects_bad_input():

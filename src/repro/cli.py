@@ -183,8 +183,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
     ``--config`` file when present — the defaults of
     :class:`repro.core.session.SimulationConfig` otherwise — and explicit
     flags override it.  ``full`` additionally exposes the fields only
-    ``config dump`` needs to freeze (response kind, activation order,
-    budgets, repair threshold).
+    ``config dump`` needs to freeze (response kind, activation order and
+    budgets).
     """
     parser.add_argument(
         "--config",
@@ -273,12 +273,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         parser.add_argument(
             "--max-candidates", dest="max_candidates", type=int, default=None
         )
-        parser.add_argument(
-            "--repair-threshold",
-            dest="repair_threshold",
-            type=float,
-            default=None,
-        )
 
 
 _CONFIG_FIELDS = (
@@ -292,7 +286,6 @@ _CONFIG_FIELDS = (
     "order",
     "max_rounds",
     "max_candidates",
-    "repair_threshold",
 )
 
 

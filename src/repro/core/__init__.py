@@ -76,7 +76,6 @@ from .shortest_paths import (
     DecrementalRepair,
     SingleMoveScorer,
     decremental_distances,
-    relax_through_edges,
 )
 from .poa import PoAEstimate, enumerate_nash_equilibria, estimate_poa, sample_equilibria
 from .session import (
@@ -154,7 +153,6 @@ __all__ = [
     "ne_spanner_factor",
     "opt_spanner_factor",
     "rd_one_norm_poa_lower",
-    "relax_through_edges",
     "rd_pnorm_poa_lower_4node",
     "resume_dynamics",
     "run_dynamics",

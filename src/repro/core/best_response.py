@@ -62,18 +62,13 @@ import numpy as np
 
 from .game import NetworkCreationGame
 from .residual_delta import DeltaResidual
-from .shortest_paths import (
-    CandidateEvaluator,
-    SingleMoveScorer,
-    strategy_cost_from_residual,
-)
+from .shortest_paths import CandidateEvaluator, SingleMoveScorer
 from .strategy import StrategyProfile
 
 __all__ = [
     "BestResponseResult",
     "SingleMove",
     "residual_distances",
-    "strategy_cost_given_residual",
     "score_response",
     "score_tasks",
     "batch_best_responses",
@@ -145,18 +140,6 @@ def residual_distances(game: NetworkCreationGame, profile: StrategyProfile, u: i
     Edges towards ``u`` bought by other agents remain present.
     """
     return game.residual_distances(profile, u)
-
-
-def strategy_cost_given_residual(
-    game: NetworkCreationGame,
-    d_rest: np.ndarray,
-    u: int,
-    strategy: Iterable[int],
-) -> float:
-    """Cost of agent ``u`` playing ``strategy`` against a fixed residual network."""
-    return strategy_cost_from_residual(
-        d_rest, u, game.host.weights[u], game.alpha, strategy
-    )
 
 
 # ----------------------------------------------------------------------

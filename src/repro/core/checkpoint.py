@@ -116,7 +116,6 @@ TRAJECTORY_FIELDS = (
     "order",
     "max_rounds",
     "max_candidates",
-    "repair_threshold",
 )
 
 

@@ -61,10 +61,9 @@ the sequential processes used to explore this empirically:
 Per-activation complexity (``n`` agents, ``k`` candidates, ``a`` affected
 repair sources): candidate scoring is ``O(k n)`` per candidate strategy, an
 applied move updates the cached distances in ``O(n^2)``, a residual cache
-miss costs a decremental repair of ``a`` sparse Dijkstra rows plus one
-``O(n^2)`` copy (full ``O(n^3)`` rebuild only when the repair frontier
-exceeds the engine threshold), and a batched
-cache hit is ``O(1)``.
+miss costs a decremental repair of ``a`` sparse Dijkstra rows kept as an
+``O(a n)`` row block (a full all-pairs rebuild only when the repair frontier
+exceeds half the agents), and a batched cache hit is ``O(1)``.
 """
 
 from __future__ import annotations
@@ -562,19 +561,33 @@ def _run_session_loop(
         speculated.update(pending[1:])
         return batch[0]  # pending[0] is u: its lookup just missed
 
-    def apply_move(u: int, strategy) -> StrategyProfile:
-        if inc is not None:
-            old = inc.profile
-            new = inc.apply(u, strategy)
-            if cache is not None:
-                cache.on_move(u, old, new)
-            return new
-        return profile.with_strategy(u, strategy)
-
     def social_cost() -> float:
         if inc is not None:
             return inc.social_cost()
         return game.social_cost(profile)
+
+    def play(u: int, strategy) -> bool:
+        """Apply ``u``'s move and record it; ``True`` when it closes a cycle."""
+        nonlocal profile, moves, cycle_detected, cycle_length
+        if inc is not None:
+            old = inc.profile
+            profile = inc.apply(u, strategy)
+            if cache is not None:
+                cache.on_move(u, old, profile)
+        else:
+            profile = profile.with_strategy(u, strategy)
+        moves += 1
+        social_costs.append(social_cost())
+        if record_history:
+            history.append(profile)
+        if detect_cycles:
+            key = profile.canonical_key()
+            if key in seen:
+                cycle_detected = True
+                cycle_length = moves - seen[key]
+                return True
+            seen[key] = moves
+        return False
 
     cycle_detected = False
     cycle_length: int | None = None
@@ -679,7 +692,7 @@ def _run_session_loop(
     emergency: "tuple[_checkpoint.Checkpoint, int] | None" = None
 
     def run_rounds() -> DynamicsResult | None:
-        nonlocal emergency, profile, moves, steps, cycle_detected, cycle_length
+        nonlocal emergency, steps
         for round_idx in range(start_round, cfg.max_rounds):
             improved_this_round = False
             if explicit_order is not None:
@@ -715,19 +728,9 @@ def _run_session_loop(
                             best_agent, best_result = u, result
                     if best_result is None:
                         break
-                    profile = apply_move(best_agent, best_result.strategy)
-                    moves += 1
                     improved_this_round = True
-                    social_costs.append(social_cost())
-                    if record_history:
-                        history.append(profile)
-                    if detect_cycles:
-                        key = profile.canonical_key()
-                        if key in seen:
-                            cycle_detected = True
-                            cycle_length = moves - seen[key]
-                            break
-                        seen[key] = moves
+                    if play(best_agent, best_result.strategy):
+                        break
                 if cycle_detected:
                     break
             else:
@@ -739,19 +742,9 @@ def _run_session_loop(
                         else respond(u)
                     )
                     if result.improvement > tol:
-                        profile = apply_move(u, result.strategy)
-                        moves += 1
                         improved_this_round = True
-                        social_costs.append(social_cost())
-                        if record_history:
-                            history.append(profile)
-                        if detect_cycles:
-                            key = profile.canonical_key()
-                            if key in seen:
-                                cycle_detected = True
-                                cycle_length = moves - seen[key]
-                                break
-                            seen[key] = moves
+                        if play(u, result.strategy):
+                            break
                 if cycle_detected:
                     break
 

@@ -47,11 +47,11 @@ agent's current cost and one for the social cost after a move.
    :class:`~repro.core.residual_delta.DeltaResidual` view over the network
    matrix it repaired (every repair made under one network shares it), and
    the engine never writes a network matrix in place (each is published
-   read-only), so the views stay valid after later moves.  When
-   the repair frontier exceeds ``repair_threshold * n`` sources (e.g. when
-   a hub that owns most of its incident edges is activated) the repair
-   falls back to the exact all-pairs matrix of the residual graph: up to
-   :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N` agents one
+   read-only), so the views stay valid after later moves.  When the
+   repair frontier exceeds half the ``n`` sources (``_REPAIR_THRESHOLD``;
+   e.g. when a hub that owns most of its incident edges is activated) the
+   repair falls back to the exact all-pairs matrix of the residual graph:
+   up to :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N` agents one
    Floyd–Warshall, above it every Dijkstra row, carried the same way.
    A carried matrix equals a fresh solve bit for bit.  The
    :attr:`IncrementalEngine.stats` counters record how often each path was
@@ -135,6 +135,10 @@ from .strategy import StrategyProfile
 __all__ = ["EngineStats", "IncrementalEngine"]
 
 Residual = np.ndarray | DeltaResidual
+
+# Largest share of the n sources a decremental repair may re-solve row by
+# row; a larger frontier falls back to the residual's all-pairs matrix.
+_REPAIR_THRESHOLD = 0.5
 
 # Widest pinning gap, in ulp, that a residual's lift stores (one uint8).
 _LIFT_MAX = int(np.iinfo(np.uint8).max)
@@ -230,8 +234,8 @@ class IncrementalEngine:
     ``social_cost``, ``agent_cost``) are side-effect free except for cache
     population; :meth:`apply` advances the profile.
 
-    ``repair_threshold`` bounds the decremental repair used on residual
-    cache misses: when more than ``repair_threshold * n`` sources are
+    :data:`_REPAIR_THRESHOLD` bounds the decremental repair used on
+    residual cache misses: when more than half the ``n`` sources are
     affected by removing the agent's solely-owned edges, the engine falls
     back to the exact all-pairs matrix of the residual graph instead (see
     :func:`repro.core.shortest_paths.decremental_distances` and
@@ -255,7 +259,7 @@ class IncrementalEngine:
 
     __slots__ = (
         "_game", "_profile", "_distances", "_network", "_residuals",
-        "_repair_threshold", "_evaluator", "stats",
+        "_evaluator", "stats",
     )
 
     def __init__(
@@ -263,15 +267,12 @@ class IncrementalEngine:
         game: NetworkCreationGame,
         profile: StrategyProfile,
         *,
-        repair_threshold: float = 0.5,
         evaluator: ParallelEvaluator | None = None,
     ) -> None:
         if profile.n != game.n:
             raise ValueError(
                 f"profile is over {profile.n} agents but the game has {game.n}"
             )
-        if repair_threshold < 0:
-            raise ValueError("repair_threshold must be non-negative")
         self._game = game
         self._profile = profile
         self._distances: np.ndarray | None = None
@@ -283,7 +284,6 @@ class IncrementalEngine:
         # only.  The agent's next miss carries rows from the entry's
         # Dijkstra rows (_held_rows).
         self._residuals: dict[int, tuple[bytes, Residual, np.ndarray | None]] = {}
-        self._repair_threshold = float(repair_threshold)
         self._evaluator = evaluator
         self.stats = EngineStats()
 
@@ -491,7 +491,7 @@ class IncrementalEngine:
         (only rows whose shortest paths could run through ``u`` are
         re-solved), falling back to the exact all-pairs matrix of the
         residual graph when the repair frontier exceeds
-        ``repair_threshold * n`` sources (:meth:`_rebuild`).  Either way
+        ``_REPAIR_THRESHOLD * n`` sources (:meth:`_rebuild`).  Either way
         the Dijkstra rows ``u``'s previous residual holds are carried where
         no edge change since touches them (:meth:`_carry`).
 
@@ -517,7 +517,7 @@ class IncrementalEngine:
             self._residual_graph(u, removed),
             u,
             removed=np.flatnonzero(removed),
-            max_affected_fraction=self._repair_threshold,
+            max_affected_fraction=_REPAIR_THRESHOLD,
             rebuild=lambda graph: self._rebuild(u, key, graph),
             solve_rows=lambda graph, sources: self._carry(u, key, graph, sources).unpinned,
         )

@@ -8,9 +8,9 @@ session builds its engine and pool once and reuses them across runs:
 
 ``SimulationConfig``
     A frozen dataclass bundling every knob of a dynamics run — distance
-    ``engine``, activation ``schedule``, ``workers``, ``repair_threshold``,
-    ``response`` kind, activation ``order``, ``max_rounds``,
-    ``max_candidates``, the ``seed`` policy and the checkpoint policy.  It
+    ``engine``, activation ``schedule``, ``workers``, ``response`` kind,
+    activation ``order``, ``max_rounds``, ``max_candidates``, the ``seed``
+    policy and the checkpoint policy.  It
     validates its cross-field rules (``__post_init__``), supports
     functional update (:meth:`SimulationConfig.replace`) and round-trips
     through plain dicts (:meth:`SimulationConfig.to_dict` /
@@ -65,7 +65,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,7 +110,7 @@ _ORDERS = ("round_robin", "random", "max_gain")
 # Config fields a session cannot change per run: they shape the owned
 # engine and worker pool, so changing them needs a fresh session.  A
 # per-run "override" that equals the session's value is accepted (no-op).
-_SESSION_SCOPED = ("engine", "workers", "repair_threshold")
+_SESSION_SCOPED = ("engine", "workers")
 
 # Fields whose None means "unset" (the entry point's default), with the
 # type any other value is coerced to.
@@ -124,27 +124,46 @@ _OPTIONAL_FIELD_TYPES: tuple[tuple[str, Callable[[Any], Any]], ...] = (
 # Marks a retired field that is dropped whatever its value.
 _ANY_VALUE = object()
 
+
+class _Retired(NamedTuple):
+    """A config field older releases wrote, and why it is gone."""
+
+    old_default: Any
+    reason: str
+
+
+_FLEET = (
+    "configured the remote evaluator backend and its failover, which were "
+    "removed; score on the local worker pool with workers=N instead"
+)
+
 # Fields older releases wrote into every dumped config and checkpoint and
-# that no longer exist, each mapped to the default those files hold.
-# from_dict drops a retired key that holds its old default, so the files
-# still load; any other value asked for behaviour that is gone and raises.
-# ``buffering`` chose between one and two shared-memory slot banks and the
-# residual encoding between dense and delta slot writes; both values of
-# each scored identically, so any value is dropped.  The other ten
-# configured the remote evaluator fleet and its failover ladder.
-RETIRED_FIELDS: dict[str, Any] = {
-    "buffering": _ANY_VALUE,
-    "residual_encoding": _ANY_VALUE,
-    "backend": "local",
-    "endpoints": [],
-    "batch_timeout": None,
-    "max_retries": None,
-    "failover": "ladder",
-    "auth_token": None,
-    "breaker_trip_after": None,
-    "breaker_base_delay": None,
-    "breaker_max_delay": None,
-    "breaker_jitter": None,
+# that no longer exist, each with the default those files hold.  from_dict
+# drops a retired key that holds its old default, so the files still load;
+# any other value asked for behaviour that is gone and raises with the
+# entry's reason.
+RETIRED_FIELDS: dict[str, _Retired] = {
+    "buffering": _Retired(
+        _ANY_VALUE, "chose one or two shared-memory slot banks, which scored identically"
+    ),
+    "residual_encoding": _Retired(
+        _ANY_VALUE, "chose dense or delta slot writes, which scored identically"
+    ),
+    "backend": _Retired("local", _FLEET),
+    "endpoints": _Retired([], _FLEET),
+    "batch_timeout": _Retired(None, _FLEET),
+    "max_retries": _Retired(None, _FLEET),
+    "failover": _Retired("ladder", _FLEET),
+    "auth_token": _Retired(None, _FLEET),
+    "breaker_trip_after": _Retired(None, _FLEET),
+    "breaker_base_delay": _Retired(None, _FLEET),
+    "breaker_max_delay": _Retired(None, _FLEET),
+    "breaker_jitter": _Retired(None, _FLEET),
+    "repair_threshold": _Retired(
+        0.5,
+        "bounded the incremental engine's decremental repair, which now falls "
+        "back to a full rebuild once more than half the sources are affected",
+    ),
 }
 
 # Entry-point round budgets applied when ``max_rounds`` is None ("not
@@ -196,8 +215,6 @@ class SimulationConfig:
       schedule's prefill and every ``max_gain`` step; the sequential
       schedule scores one agent per activation and gains nothing); the
       trajectory and every counter are bit-identical for every count.
-    * ``repair_threshold`` — the incremental engine's decremental-repair
-      frontier bound (see :class:`~repro.core.incremental.IncrementalEngine`).
     * ``response`` — ``"best"`` (exact best response), ``"greedy"``
       (single-move local optimum) or ``"single"`` (one best single move).
     * ``max_candidates`` — the candidate budget of an exact best response.
@@ -237,7 +254,6 @@ class SimulationConfig:
     engine: str = "incremental"
     schedule: str = "sequential"
     workers: int = 1
-    repair_threshold: float = 0.5
     response: str = "best"
     order: str | tuple[int, ...] = "round_robin"
     max_rounds: int | None = None
@@ -263,7 +279,6 @@ class SimulationConfig:
             else:
                 object.__setattr__(self, "order", tuple(int(a) for a in self.order))
             object.__setattr__(self, "workers", int(self.workers))
-            object.__setattr__(self, "repair_threshold", float(self.repair_threshold))
             object.__setattr__(self, "max_candidates", int(self.max_candidates))
             for name, convert in _OPTIONAL_FIELD_TYPES:
                 value = getattr(self, name)
@@ -273,8 +288,6 @@ class SimulationConfig:
             raise ValueError(f"invalid SimulationConfig field value: {exc}") from exc
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.repair_threshold < 0:
-            raise ValueError("repair_threshold must be non-negative")
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         if self.max_candidates < 1:
@@ -343,15 +356,12 @@ class SimulationConfig:
             raise ValueError(
                 f"config must be a mapping of field names, got {type(data).__name__}"
             )
-        for key, old_default in RETIRED_FIELDS.items():
+        for key, (old_default, reason) in RETIRED_FIELDS.items():
             value = data.get(key, old_default)
             if old_default is not _ANY_VALUE and value != old_default:
                 raise ValueError(
-                    f"SimulationConfig field {key!r} configured "
-                    "the remote evaluator backend and its failover, which "
-                    f"were removed (only the old default {old_default!r} "
-                    "still loads); score on the local worker pool with "
-                    "workers=N instead"
+                    f"SimulationConfig field {key!r} {reason} "
+                    f"(only the old default {old_default!r} still loads)"
                 )
         data = {key: value for key, value in data.items() if key not in RETIRED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
@@ -425,9 +435,9 @@ class GameSession:
 
     Per-run keyword overrides may change ``response``, ``order``,
     ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
-    checkpoint policy; the session-scoped fields — ``engine``,
-    ``workers`` and ``repair_threshold`` — are fixed for the session's
-    lifetime because the owned engine and evaluator are shaped by them
+    checkpoint policy; the session-scoped fields — ``engine`` and
+    ``workers`` — are fixed for the session's lifetime because the owned
+    engine and evaluator are shaped by them
     (open a new session — or :meth:`SimulationConfig.replace` the config
     — to change those).
     """
@@ -548,7 +558,6 @@ class GameSession:
             self._engine = IncrementalEngine(
                 self._game,
                 initial,
-                repair_threshold=self._config.repair_threshold,
                 evaluator=self._shared_evaluator(),
             )
             self._engines_created += 1

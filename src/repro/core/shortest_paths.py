@@ -55,16 +55,6 @@ primitives used by the fast best-response engine
     and Reps, exact on any host).  The engine carries both its repair
     rows and its fallbacks this way.
 
-``relax_through_edges``
-    Given an already shortest-path-closed distance matrix ``d`` and a set of
-    extra edges, returns the exact distance matrix of the augmented graph by
-    relaxing only through the new edges:
-    ``d'[u, v] = min(d[u, v], min_{s,t} d[u, s] + d_T[s, t] + d[t, v])``
-    where ``d_T`` are the distances among the new-edge endpoints.  This costs
-    ``O(k^3 + n^2 k)`` for ``k`` endpoints instead of an ``O(n^3)`` rerun of
-    Floyd–Warshall — exact because every shortest path of the augmented graph
-    decomposes into old-graph segments between new-edge endpoints.
-
 ``CandidateEvaluator``
     Scores candidate edge-sets of a single agent against a fixed residual
     distance matrix.  All candidate edges share one endpoint (the agent), so
@@ -87,16 +77,15 @@ primitives used by the fast best-response engine
     ``m1`` survives.  The leave-one-out edge sums come from one
     ``(k, k - 1)`` gather, so an agent's setup is ``O((k + m) n)`` in a
     few numpy calls.  All add/delete/swap costs then follow from a few
-    dense reductions, which is what makes single-move responses fast even
-    in the ``workers=1`` serial fallback of the parallel evaluator.
+    dense reductions, which is what makes single-move responses fast in
+    process, where the parallel evaluator scores them by default.
 
 ``decremental_distances``
-    The *decremental* counterpart of ``relax_through_edges``: exact distances
-    after **removing** edges incident to one vertex, by affected-vertex
-    relaxation.  A pair ``(x, y)`` can only lose its shortest path when some
-    shortest ``x``–``y`` path runs through the touched vertex ``v`` (every
-    removed edge is incident to ``v``), i.e. when
-    ``d(x, v) + d(v, y) == d(x, y)``.  Such a path leaves ``v`` by some edge
+    Exact distances after **removing** edges incident to one vertex, by
+    affected-vertex relaxation.  A pair ``(x, y)`` can only lose its
+    shortest path when some shortest ``x``–``y`` path runs through the
+    touched vertex ``v`` (every removed edge is incident to ``v``), i.e.
+    when ``d(x, v) + d(v, y) == d(x, y)``.  Such a path leaves ``v`` by some edge
     ``(v, b)``, so a source ``x`` can only be affected when ``x -> v -> b`` is
     tight for a pre-removal neighbour ``b`` of ``v``: an ``O(n deg(v))``
     prefilter picks those rows, and the pair test runs on them alone.  Only
@@ -132,9 +121,7 @@ __all__ = [
     "FLOYD_WARSHALL_MAX_N",
     "CarriedDijkstra",
     "carry_dijkstra",
-    "single_source_dijkstra",
     "dijkstra_rows",
-    "relax_through_edges",
     "relax_source_row",
     "strategy_cost_from_residual",
     "CandidateEvaluator",
@@ -143,9 +130,14 @@ __all__ = [
     "decremental_distances",
 ]
 
-# Largest graph that ``all_pairs_shortest_paths(method="auto")`` solves by
-# Floyd–Warshall; larger ones go to scipy's Dijkstra.
+# Largest graph that ``all_pairs_shortest_paths`` solves by Floyd–Warshall;
+# larger ones go to scipy's Dijkstra.
 FLOYD_WARSHALL_MAX_N = 192
+
+# Relative slack of the decremental repair's affected test, needed because
+# a distance matrix carries accumulated floating-point error: marking extra
+# pairs affected is harmless, missing one is not.
+_REPAIR_TOL = 1e-9
 
 
 def _as_square_float(matrix: np.ndarray) -> np.ndarray:
@@ -350,19 +342,16 @@ def apsp_scipy(weights) -> np.ndarray:
     return _pin(_dijkstra(_as_graph(weights)))
 
 
-def all_pairs_shortest_paths(weights, method: str = "auto") -> np.ndarray:
-    """Dispatch to an all-pairs shortest-path kernel.
+def all_pairs_shortest_paths(weights) -> np.ndarray:
+    """All-pairs shortest paths by the kernel that suits the size.
 
-    ``method`` may be ``"auto"``, ``"floyd_warshall"`` or ``"scipy"``.  The
-    automatic choice uses the vectorized Floyd–Warshall for small instances
+    The vectorized Floyd–Warshall for small instances
     (``n <= FLOYD_WARSHALL_MAX_N``, where it is essentially free and exactly
     reproducible) and scipy's Dijkstra for larger ones.  The dense matrix
     Floyd–Warshall needs is built only when it is the chosen kernel.
     """
-    if method not in ("auto", "floyd_warshall", "scipy"):
-        raise ValueError(f"unknown shortest-path method: {method!r}")
     graph = _as_graph(weights)
-    if method == "floyd_warshall" or (method == "auto" and graph.n <= FLOYD_WARSHALL_MAX_N):
+    if graph.n <= FLOYD_WARSHALL_MAX_N:
         return floyd_warshall(graph)
     return apsp_scipy(graph)
 
@@ -515,31 +504,6 @@ def carry_dijkstra(
     return CarriedDijkstra(distances, unpinned, resolved)
 
 
-def single_source_dijkstra(weights, source: int) -> np.ndarray:
-    """Single-source distances on a dense weight matrix.
-
-    A simple ``O(n^2)`` Dijkstra without a heap; for the dense complete-graph
-    setting of the paper this is the appropriate variant.  ``weights`` follows
-    the same convention as :func:`floyd_warshall`.
-    """
-    dist0 = _as_graph(weights).dense()
-    n = dist0.shape[0]
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for n={n}")
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    visited = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        unvisited_dist = np.where(visited, np.inf, dist)
-        u = int(np.argmin(unvisited_dist))
-        if not np.isfinite(unvisited_dist[u]):
-            break
-        visited[u] = True
-        np.minimum(dist, dist[u] + dist0[u], out=dist)
-    dist[source] = 0.0
-    return dist
-
-
 def dijkstra_rows(weights, sources: Sequence[int]) -> np.ndarray:
     """Selected rows of the all-pairs distance matrix.
 
@@ -582,21 +546,16 @@ class DecrementalRepair:
         return dense_residual(self.residual)
 
 
-def _rows_near_vertex(
-    d: np.ndarray, graph: _Graph, v: int, removed, tol: float
-) -> np.ndarray:
+def _rows_near_vertex(d: np.ndarray, graph: _Graph, v: int, removed) -> np.ndarray:
     """Rows ``x != v`` that may hold a pair whose shortest path runs through ``v``.
 
     Any near-shortest ``x -> v -> y`` path leaves ``v`` by some pre-removal
     edge ``(v, b)``, so ``x -> v -> b`` is near-tight with at most the same
     slack.  The slack of the pair test is at most
-    ``tol * (1 + d(x, v) + ecc(v))``; the prefilter allows four times that,
-    which also absorbs the rounding of ``d``.  ``O(n deg(v))``.  Without
-    ``removed`` the pre-removal neighbours are unknown and every row is kept.
+    ``_REPAIR_TOL * (1 + d(x, v) + ecc(v))``; the prefilter allows four
+    times that, which also absorbs the rounding of ``d``.  ``O(n deg(v))``.
     """
     n = d.shape[0]
-    if removed is None:
-        return np.flatnonzero(np.arange(n) != v)
     removed = np.asarray(removed, dtype=np.intp)
     if removed.size and not 0 <= removed.min() <= removed.max() < n:
         raise ValueError(f"removed vertices out of range for n={n}")
@@ -607,7 +566,7 @@ def _rows_near_vertex(
     neighbours = np.flatnonzero(flagged)
     dv = d[v]
     reachable = np.isfinite(dv)
-    delta = 4.0 * tol * (1.0 + dv + dv[reachable].max())
+    delta = 4.0 * _REPAIR_TOL * (1.0 + dv + dv[reachable].max())
     near = (dv[neighbours][:, None] + dv[None, :] <= d[neighbours] + delta).any(axis=0)
     near &= reachable
     near[v] = False
@@ -619,9 +578,8 @@ def decremental_distances(
     new_weights,
     vertex: int,
     *,
-    removed: Sequence[int] | np.ndarray | None = None,
+    removed: Sequence[int] | np.ndarray,
     max_affected_fraction: float = 0.5,
-    tol: float = 1e-9,
     rebuild: Callable[[_Graph], np.ndarray] | None = None,
     solve_rows: Callable[[_Graph, np.ndarray], np.ndarray] | None = None,
 ) -> DecrementalRepair:
@@ -641,19 +599,14 @@ def decremental_distances(
         have been present with the same weight before; only edges incident
         to ``vertex`` may have been dropped.
     removed:
-        The vertices whose edges to ``vertex`` were dropped.  With it, the
-        pre-removal neighbours of ``vertex`` are known and only rows that
-        pass an ``O(n deg(vertex))`` prefilter get the pair test; ``None``
-        tests every row.  The result is the same either way.
+        The vertices whose edges to ``vertex`` were dropped.  With them the
+        pre-removal neighbours of ``vertex`` are known, and only rows that
+        pass an ``O(n deg(vertex))`` prefilter get the pair test.
     max_affected_fraction:
         Fallback threshold: when more than ``max_affected_fraction * n``
         sources are affected, repairing row by row approaches the cost of a
         full rebuild, so one :func:`all_pairs_shortest_paths` run is
         performed instead.
-    tol:
-        Relative slack of the affected test (needed because ``dist`` carries
-        accumulated floating-point error); marking *extra* pairs affected is
-        harmless, missing one is not.
     rebuild:
         Computes that fallback instead: called once with the post-removal
         graph, it must return the graph's exact all-pairs matrix.  The
@@ -697,7 +650,7 @@ def decremental_distances(
     v = int(vertex)
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
-    rows = _rows_near_vertex(d, graph, v, removed, tol)
+    rows = _rows_near_vertex(d, graph, v, removed)
     # Pairs whose old shortest path may run through v (and hence through a
     # removed edge): d(x, v) + d(v, y) <= d(x, y) + slack.  Pairs at infinite
     # distance cannot get worse and are never affected.  The through-v test
@@ -706,7 +659,7 @@ def decremental_distances(
     block = d[rows]
     finite = np.isfinite(block)
     via_v = d[rows, v][:, None] + d[v][None, :]
-    slack = tol * (1.0 + np.where(finite, np.abs(block), 0.0))
+    slack = _REPAIR_TOL * (1.0 + np.where(finite, np.abs(block), 0.0))
     affected = finite & (via_v <= block + slack)
     affected[:, v] = False
     source_mask = np.zeros(n, dtype=bool)
@@ -722,76 +675,6 @@ def decremental_distances(
     block[:, sources] = block[:, sources].T
     view = DeltaResidual(d, ResidualDelta(sources, block))
     return DecrementalRepair(view, count, False)
-
-
-def relax_through_edges(
-    dist: np.ndarray,
-    edges: Sequence[tuple[int, int, float]],
-    *,
-    directed: bool = False,
-) -> np.ndarray:
-    """Exact distances after adding ``edges`` to a shortest-path-closed matrix.
-
-    Parameters
-    ----------
-    dist:
-        ``(n, n)`` matrix of shortest-path distances of some graph ``G`` (it
-        must already be a metric closure, e.g. the output of
-        :func:`floyd_warshall`; ``inf`` marks unreachable pairs).
-    edges:
-        Extra edges ``(a, b, w)`` with non-negative weights ``w``.
-    directed:
-        When ``False`` (the default, matching the undirected created networks
-        of the game) each edge is usable in both directions.
-
-    Returns
-    -------
-    numpy.ndarray
-        The ``(n, n)`` shortest-path matrix of ``G`` plus the extra edges.
-
-    Notes
-    -----
-    Every shortest path of the augmented graph decomposes into maximal
-    segments inside ``G`` separated by new edges, and each segment runs
-    between new-edge endpoints (or the query endpoints).  It therefore
-    suffices to compute exact distances ``d_T`` among the ``k`` endpoints of
-    the new edges — a Floyd–Warshall restricted to those ``k`` nodes seeded
-    with ``dist`` and the new edge weights — and relax::
-
-        d'[u, v] = min(d[u, v], min_{s,t in T} d[u, s] + d_T[s, t] + d[t, v])
-
-    at a total cost of ``O(k^3 + n k^2 + n^2 k)`` instead of ``O(n^3)``.
-    """
-    d = _as_square_float(dist)
-    n = d.shape[0]
-    edge_list = [(int(a), int(b), float(w)) for a, b, w in edges]
-    if not edge_list or n == 0:
-        return d.copy()
-    for a, b, w in edge_list:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
-        if w < 0:
-            raise ValueError("negative edge weights are not supported")
-    terminals = sorted({x for a, b, _ in edge_list for x in (a, b)})
-    t_index = {node: i for i, node in enumerate(terminals)}
-    t = len(terminals)
-    # Seed terminal-to-terminal distances with the old metric, overlay the
-    # new edges, and close under the new edges with a k-node Floyd–Warshall.
-    d_t = d[np.ix_(terminals, terminals)].copy()
-    for a, b, w in edge_list:
-        ia, ib = t_index[a], t_index[b]
-        if w < d_t[ia, ib]:
-            d_t[ia, ib] = w
-        if not directed and w < d_t[ib, ia]:
-            d_t[ib, ia] = w
-    for k in range(t):
-        np.minimum(d_t, d_t[:, k : k + 1] + d_t[k : k + 1, :], out=d_t)
-    # best distance from every node to each terminal, allowed to use new edges
-    into = d[:, terminals]  # (n, t): old-graph distances only
-    via_in = (into[:, :, None] + d_t[None, :, :]).min(axis=1)  # (n, t)
-    out_of = d[terminals, :] if directed else into.T  # (t, n)
-    relaxed = np.minimum(d, (via_in[:, :, None] + out_of[None, :, :]).min(axis=1))
-    return relaxed
 
 
 @lru_cache(maxsize=64)
@@ -940,10 +823,6 @@ class CandidateEvaluator:
     # ------------------------------------------------------------------
     # Arbitrary strategies
     # ------------------------------------------------------------------
-    def distance_row(self, targets: Iterable[int]) -> np.ndarray:
-        """Agent ``u``'s distance vector after buying edges towards ``targets``."""
-        return relax_source_row(self.d_rest, self.source, self._w, targets)
-
     def strategy_cost(self, targets: Iterable[int]) -> float:
         """Total agent cost (edge + distance) of playing ``targets``.
 
@@ -953,15 +832,6 @@ class CandidateEvaluator:
         return strategy_cost_from_residual(
             self.d_rest, self.source, self._w, self.alpha, targets
         )
-
-    def updated_distances(self, targets: Iterable[int]) -> np.ndarray:
-        """Full ``(n, n)`` distance matrix after ``u`` buys edges to ``targets``.
-
-        Exact in ``O(n^2)``: any path using a bought edge passes through
-        ``u``, so ``d'(x, y) = min(d_rest(x, y), d'(u, x) + d'(u, y))``.
-        """
-        du = self.distance_row(targets)
-        return np.minimum(self.d_rest, du[:, None] + du[None, :])
 
     # ------------------------------------------------------------------
     # Candidate subsets (subset lattice)
@@ -1042,7 +912,7 @@ class SingleMoveScorer:
 
     __slots__ = (
         "d_rest", "source", "alpha", "current",
-        "_w", "_adds", "_w_add", "_reach_cur", "_reach_add", "_m1", "_m2", "_del_rows",
+        "_adds", "_w_add", "_reach_cur", "_reach_add", "_m1", "_m2", "_del_rows",
         "_cur_edge_sum", "_edge_sum_wo", "current_cost",
     )
 
@@ -1068,7 +938,6 @@ class SingleMoveScorer:
         self.d_rest = d
         self.source = int(source)
         self.alpha = float(alpha)
-        self._w = w
         self.current = cur
         pool = np.isfinite(w)
         pool[source] = False
@@ -1129,15 +998,9 @@ class SingleMoveScorer:
             self._del_rows = np.where(self._reach_cur == self._m1, self._m2, self._m1)
         return self._del_rows
 
-    def _reach(self, t: np.ndarray) -> np.ndarray:
-        """``(m, n)`` relaxation rows ``w(u, t) + d_rest(t, ·)`` of targets ``t``."""
-        return self._w[t][:, None] + self.d_rest[t]
-
-    def _add_dist(self, reach_t: np.ndarray) -> np.ndarray:
-        return np.minimum(self._m1[None, :], reach_t).sum(axis=1)
-
-    def _swap_dist(self, reach_t: np.ndarray) -> np.ndarray:
+    def _swap_dist(self) -> np.ndarray:
         """``(k, m)`` distance sums of every swap; the grid is chunked."""
+        reach_t = self._reach_add
         k, m = len(self.current), reach_t.shape[0]
         n = self.d_rest.shape[0]
         del_rows = self._delete_rows()
@@ -1163,48 +1026,20 @@ class SingleMoveScorer:
         swaps by ``(old asc, new asc)``, each kind present only if it is in
         ``moves``.  Adds and swaps share the gathered add-target rows, and
         the costs are formed in one elementwise pass over all edge and
-        distance sums; every value equals the one :meth:`add_costs`,
-        :meth:`delete_costs` and :meth:`swap_costs` return.
+        distance sums.
         """
         k, m = len(self.current), self._w_add.size
         edge: list[np.ndarray] = []
         dist: list[np.ndarray] = []
         if m and "add" in moves:
             edge.append(self._cur_edge_sum + self._w_add)
-            dist.append(self._add_dist(self._reach_add))
+            dist.append(np.minimum(self._m1, self._reach_add).sum(axis=1))
         if k and "delete" in moves:
             edge.append(self._edge_sum_wo)
             dist.append(self._delete_rows().sum(axis=1))
         if k and m and "swap" in moves:
             edge.append((self._edge_sum_wo[:, None] + self._w_add).ravel())
-            dist.append(self._swap_dist(self._reach_add).ravel())
+            dist.append(self._swap_dist().ravel())
         if not edge:
             return np.zeros(0)
         return self._cost_of(np.concatenate(edge), np.concatenate(dist))
-
-    def add_costs(self, targets: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Costs of ``current | {t}`` for each add target ``t``."""
-        t = np.asarray(targets, dtype=int)
-        if t.size == 0:
-            return np.zeros(0)
-        return self._cost_of(self._cur_edge_sum + self._w[t], self._add_dist(self._reach(t)))
-
-    def delete_costs(self) -> np.ndarray:
-        """Costs of ``current - {c}`` for each current target, in sorted order."""
-        if not self.current:
-            return np.zeros(0)
-        return self._cost_of(self._edge_sum_wo, self._delete_rows().sum(axis=1))
-
-    def swap_costs(self, targets: Sequence[int] | np.ndarray) -> np.ndarray:
-        """``(k, m)`` costs of ``(current - {c_i}) | {t_j}`` for every swap.
-
-        The ``(k, m, n)`` relaxation grid is materialized in chunks of at
-        most ``_SWAP_CHUNK`` floats to keep memory bounded on dense
-        profiles.
-        """
-        t = np.asarray(targets, dtype=int)
-        k = len(self.current)
-        if k == 0 or t.size == 0:
-            return np.zeros((k, t.size))
-        edge = self._edge_sum_wo[:, None] + self._w[t][None, :]
-        return self._cost_of(edge, self._swap_dist(self._reach(t)))

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.incremental as incremental
 from repro.core import (
     IncrementalEngine,
     NetworkCreationGame,
@@ -204,12 +205,16 @@ def test_decremental_repair_matches_oracle(property_budget):
         removed[v, drop] = np.inf
         removed[drop, v] = np.inf
         repair = decremental_distances(
-            dist, removed, v, max_affected_fraction=float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+            dist,
+            removed,
+            v,
+            removed=drop,
+            max_affected_fraction=float(rng.choice([0.0, 0.3, 0.5, 1.0])),
         )
         assert _same_matrix(repair.distances, all_pairs_shortest_paths(removed))
 
 
-def test_engine_residuals_match_oracle_across_variants(property_budget):
+def test_engine_residuals_match_oracle_across_variants(property_budget, monkeypatch):
     """Engine residual matrices (repair path included) equal the slow oracle."""
     rng = np.random.default_rng(37)
     for trial in range(property_budget):
@@ -217,9 +222,9 @@ def test_engine_residuals_match_oracle_across_variants(property_budget):
         n = int(rng.integers(4, 12))
         game = _random_game(variant, n, rng)
         profile = _random_profile(n, rng)
-        engine = IncrementalEngine(
-            game, profile, repair_threshold=float(rng.choice([0.1, 0.5, 1.0]))
-        )
+        threshold = float(rng.choice([0.1, 0.5, 1.0]))
+        monkeypatch.setattr(incremental, "_REPAIR_THRESHOLD", threshold)
+        engine = IncrementalEngine(game, profile)
         for u in range(n):
             assert _same_matrix(
                 dense_residual(engine.residual(u)), residual_distances(game, profile, u)
@@ -237,7 +242,7 @@ def test_removal_heavy_hub_forces_repair_fallback():
     host = VARIANTS["metric"](n, np.random.default_rng(41))
     game = NetworkCreationGame(host, 1.0)
     star = StrategyProfile.star(n, center=0)
-    engine = IncrementalEngine(game, star, repair_threshold=0.5)
+    engine = IncrementalEngine(game, star)
     d_rest = engine.residual(0)
     assert engine.stats.repair_fallbacks == 1
     assert engine.stats.residual_repairs == 0

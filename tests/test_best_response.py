@@ -17,12 +17,15 @@ from repro.core.best_response import (
     enumerate_single_moves,
     greedy_response,
     residual_distances,
-    strategy_cost_given_residual,
 )
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
 from repro.core.residual_delta import DeltaResidual, encode_delta
-from repro.core.shortest_paths import CandidateEvaluator, floyd_warshall
+from repro.core.shortest_paths import (
+    CandidateEvaluator,
+    floyd_warshall,
+    strategy_cost_from_residual,
+)
 from repro.core.strategy import StrategyProfile
 
 # The module itself (``repro.core.best_response`` as an attribute path is
@@ -62,13 +65,15 @@ class TestResidualDistances:
         # (2,0) is owned by 2 and must remain
         assert d_rest[0, 2] == pytest.approx(game.host.weight(0, 2))
 
-    def test_strategy_cost_given_residual_matches_game(self, small_euclidean_game):
+    def test_strategy_cost_from_residual_matches_game(self, small_euclidean_game):
         game = small_euclidean_game
         profile = StrategyProfile.from_sets(5, [[1], [2], [3], [4], []])
         for u in range(5):
             d_rest = residual_distances(game, profile, u)
             current = set(profile.strategy(u))
-            cost = strategy_cost_given_residual(game, d_rest, u, current)
+            cost = strategy_cost_from_residual(
+                d_rest, u, game.host.weights[u], game.alpha, current
+            )
             assert cost == pytest.approx(game.agent_cost(profile, u))
 
     def test_strategy_cost_rejects_self(self, small_euclidean_game):
@@ -76,7 +81,7 @@ class TestResidualDistances:
         profile = StrategyProfile.empty(5)
         d_rest = residual_distances(game, profile, 0)
         with pytest.raises(ValueError):
-            strategy_cost_given_residual(game, d_rest, 0, {0})
+            strategy_cost_from_residual(d_rest, 0, game.host.weights[0], game.alpha, {0})
 
 
 class TestExactBestResponse:

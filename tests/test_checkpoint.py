@@ -589,6 +589,38 @@ def test_checkpoint_written_with_the_remote_fleet_fields_still_resumes(tmp_path)
         resume_dynamics(str(remote), **NO_CHECKPOINTING)
 
 
+def test_checkpoint_written_with_a_repair_threshold_still_resumes(tmp_path):
+    """Checkpoints written while the repair frontier bound was a config
+    field embed it at 0.5; they save, load and resume bit-identically, and
+    one that configured another bound is refused naming the field."""
+    import dataclasses
+
+    rng = np.random.default_rng(43)
+    game = _random_game("metric", 8, rng)
+    start = _random_profile(8, rng, 0.4)
+    cfg = SimulationConfig(response="single", max_rounds=4)
+    straight = _run_straight(game, start, cfg)
+    assert straight.engine_stats.residual_repairs + straight.engine_stats.repair_fallbacks > 0
+    template, directory = _boundary_files(tmp_path, "threshold")
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    ckpt = load_checkpoint(_written_boundaries(directory)[0])
+    assert "repair_threshold" not in ckpt.config
+    old = tmp_path / "old.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, "repair_threshold": 0.5}), old
+    )
+    loaded = load_checkpoint(old)
+    assert loaded.config["repair_threshold"] == 0.5
+    assert loaded.simulation_config() == ckpt.simulation_config()
+    _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
+    other = tmp_path / "other.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, "repair_threshold": 0.25}), other
+    )
+    with pytest.raises(ValueError, match="'repair_threshold'"):
+        resume_dynamics(str(other), **NO_CHECKPOINTING)
+
+
 @pytest.fixture(scope="module")
 def boundary_checkpoint(tmp_path_factory):
     """One checkpoint boundary of a short serial run."""

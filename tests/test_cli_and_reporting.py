@@ -111,9 +111,10 @@ class TestBackendFlags:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["workers"] == 2
-        assert len(data) == 11
+        assert len(data) == 10
         for retired in (
-            "backend", "endpoints", "failover", "buffering", "residual_encoding"
+            "backend", "endpoints", "failover", "buffering", "residual_encoding",
+            "repair_threshold",
         ):
             assert retired not in data
 
@@ -168,7 +169,8 @@ class TestBackendFlags:
         path.write_text(json.dumps(old))
         assert main(["config", "dump", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data == {k: v for k, v in old.items() if k != "residual_encoding"}
+        retired = ("residual_encoding", "repair_threshold")
+        assert data == {k: v for k, v in old.items() if k not in retired}
         base = ["simulate", "--variant", "metric", "--n", "6", "--seed", "2"]
         assert main(base + ["--schedule", "batched"]) == 0
         fresh_out = capsys.readouterr().out

@@ -367,14 +367,21 @@ def checked_fallbacks(monkeypatch):
     return agents
 
 
+def _repair_threshold(monkeypatch, value: float) -> None:
+    """Set the engine's repair frontier bound: 0 forces every residual
+    miss to fall back, 1 lets every miss repair."""
+    monkeypatch.setattr(incremental, "_REPAIR_THRESHOLD", value)
+
+
 def test_engine_after_lift_overflow_runs_the_next_fallback_in_full(
-    carry_calls, checked_fallbacks
+    carry_calls, checked_fallbacks, monkeypatch
 ):
     n = 700
     game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
     owns = np.zeros((n, n), dtype=bool)
     owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
-    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
+    _repair_threshold(monkeypatch, 0.0)
+    engine = IncrementalEngine(game, StrategyProfile(owns))
     wide, narrow = 650, 100  # residual components {0..u}: gaps ~324 and ~49 ulp
     for u in (wide, narrow):
         engine.residual(u)
@@ -427,12 +434,13 @@ N_DIJKSTRA = 200
 assert N_DIJKSTRA > FLOYD_WARSHALL_MAX_N
 
 
-def test_every_fallback_of_a_run_equals_apsp_scipy(carry_calls, checked_fallbacks):
+def test_every_fallback_of_a_run_equals_apsp_scipy(
+    carry_calls, checked_fallbacks, monkeypatch
+):
     host = _mesh_host(N_DIJKSTRA)
     game = NetworkCreationGame(host, 1.0)
-    cfg = SimulationConfig(
-        response="single", schedule="sequential", max_rounds=2, repair_threshold=0.0
-    )
+    _repair_threshold(monkeypatch, 0.0)
+    cfg = SimulationConfig(response="single", schedule="sequential", max_rounds=2)
     with GameSession(game, cfg) as session:
         result = session.run(_tree_profile(host))
     assert len(checked_fallbacks) == result.engine_stats.repair_fallbacks > 0
@@ -440,13 +448,13 @@ def test_every_fallback_of_a_run_equals_apsp_scipy(carry_calls, checked_fallback
     assert any(carried for carried, _ in carry_calls.fallbacks)
 
 
-def _local_moves(threshold: float, rounds: int = 6) -> IncrementalEngine:
+def _local_moves(rounds: int = 6) -> IncrementalEngine:
     """Residuals of 8 watched agents between single-edge deletions of random
     owners, on the n = 200 mesh with every host edge owned once."""
     host = _mesh_host(N_DIJKSTRA)
     game = NetworkCreationGame(host, 1.0)
     owns = np.triu(np.isfinite(host.weights), 1)  # every host edge, owned once
-    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=threshold)
+    engine = IncrementalEngine(game, StrategyProfile(owns))
     rng = np.random.default_rng(3)
     owners = np.flatnonzero(owns.any(axis=1))
     watched = rng.choice(owners, size=8, replace=False)
@@ -458,10 +466,11 @@ def _local_moves(threshold: float, rounds: int = 6) -> IncrementalEngine:
     return engine
 
 
-def test_local_moves_carry_few_rows(carry_calls, checked_fallbacks):
+def test_local_moves_carry_few_rows(carry_calls, checked_fallbacks, monkeypatch):
     """Near a fixed network a move touches few rows: carried fallbacks of the
     other agents re-solve a small share of the 200 sources."""
-    _local_moves(threshold=0.0)
+    _repair_threshold(monkeypatch, 0.0)
+    _local_moves()
     carried = [rows for was_carried, rows in carry_calls.fallbacks if was_carried]
     assert len(checked_fallbacks) == len(carry_calls.fallbacks)
     assert len(carried) >= 4 * 8
@@ -471,7 +480,7 @@ def test_local_moves_carry_few_rows(carry_calls, checked_fallbacks):
 def test_local_moves_repair_few_rows(carry_calls):
     """Repairs carry too: on local moves they re-solve fewer rows than their
     affected counts sum to."""
-    engine = _local_moves(threshold=0.5)
+    engine = _local_moves()
     repairs = carry_calls.repairs
     assert len(repairs) == engine.stats.residual_repairs >= 8
     assert sum(carried for carried, _, _ in repairs) >= len(repairs) // 2
@@ -501,7 +510,7 @@ def checked_repairs(monkeypatch):
 
 
 def test_every_carried_repair_equals_a_fresh_repair(carry_calls, checked_repairs):
-    engine = _local_moves(threshold=0.5, rounds=10)
+    engine = _local_moves(rounds=10)
     assert len(checked_repairs) == engine.stats.residual_repairs >= 8
     assert any(carried for carried, _, _ in carry_calls.repairs)
     assert engine.stats.repair_fallbacks > 0  # repairs carry from fallbacks too
@@ -510,12 +519,10 @@ def test_every_carried_repair_equals_a_fresh_repair(carry_calls, checked_repairs
 # ----------------------------------------------------------------------
 # Entries that hold no Dijkstra rows
 # ----------------------------------------------------------------------
-def _mesh_engine(n: int, threshold: float):
+def _mesh_engine(n: int):
     host = _mesh_host(n)
     owns = np.triu(np.isfinite(host.weights), 1)
-    engine = IncrementalEngine(
-        NetworkCreationGame(host, 1.0), StrategyProfile(owns), repair_threshold=threshold
-    )
+    engine = IncrementalEngine(NetworkCreationGame(host, 1.0), StrategyProfile(owns))
     owners = np.flatnonzero(owns.sum(axis=1) >= 2)
     return engine, int(owners[0]), int(owners[1])
 
@@ -529,13 +536,14 @@ def _solved_fresh(call) -> bool:
     return not carried and sources == resolved > 0
 
 
-def test_repair_after_a_floyd_warshall_fallback_solves_every_row(carry_calls):
+def test_repair_after_a_floyd_warshall_fallback_solves_every_row(carry_calls, monkeypatch):
     n = 60
     assert n <= FLOYD_WARSHALL_MAX_N
-    engine, u, other = _mesh_engine(n, threshold=0.0)
+    _repair_threshold(monkeypatch, 0.0)
+    engine, u, other = _mesh_engine(n)
     engine.residual(u)
     assert engine.stats.repair_fallbacks == 1 and not carry_calls.fallbacks
-    engine._repair_threshold = 1.0
+    _repair_threshold(monkeypatch, 1.0)
     _drop_one_edge(engine, other)
     engine.residual(u)
     assert engine.stats.residual_repairs >= 1
@@ -546,18 +554,19 @@ def test_repair_after_a_floyd_warshall_fallback_solves_every_row(carry_calls):
     assert carry_calls.repairs[-1][0]
 
 
-def test_repair_after_a_lift_overflow_solves_every_row(carry_calls):
+def test_repair_after_a_lift_overflow_solves_every_row(carry_calls, monkeypatch):
     n = 700
     game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
     owns = np.zeros((n, n), dtype=bool)
     owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
-    engine = IncrementalEngine(game, StrategyProfile(owns), repair_threshold=0.0)
+    _repair_threshold(monkeypatch, 0.0)
+    engine = IncrementalEngine(game, StrategyProfile(owns))
     wide, narrow = 650, 100
     for u in (wide, narrow):
         engine.residual(u)
     assert engine._residuals[wide][2] is None
     assert engine._residuals[narrow][2] is not None
-    engine._repair_threshold = 1.0
+    _repair_threshold(monkeypatch, 1.0)
     engine.apply(n - 2, [])
     engine.residual(wide)
     assert _solved_fresh(carry_calls.repairs[-1])
@@ -567,13 +576,14 @@ def test_repair_after_a_lift_overflow_solves_every_row(carry_calls):
     assert carried and resolved == sources - (narrow + 1)
 
 
-def test_repair_after_a_restore_solves_every_row(carry_calls):
-    engine, u, other = _mesh_engine(N_DIJKSTRA, threshold=0.0)
+def test_repair_after_a_restore_solves_every_row(carry_calls, monkeypatch):
+    _repair_threshold(monkeypatch, 0.0)
+    engine, u, other = _mesh_engine(N_DIJKSTRA)
     engine.residual(u)
     assert engine._residuals[u][2] is not None  # a Dijkstra fallback with a lift
-    restored = IncrementalEngine(engine.game, engine.profile, repair_threshold=1.0)
+    _repair_threshold(monkeypatch, 1.0)
+    restored = IncrementalEngine(engine.game, engine.profile)
     restored.restore_state(**engine.export_state())
-    engine._repair_threshold = 1.0
     calls, residuals = [], []
     for e in (restored, engine):
         _drop_one_edge(e, other)
@@ -587,10 +597,12 @@ def test_repair_after_a_restore_solves_every_row(carry_calls):
 # ----------------------------------------------------------------------
 # Checkpoints
 # ----------------------------------------------------------------------
-# sha256 of the round-1 checkpoint of the run below, as written before
-# fallbacks were carried: lifts are never serialized, so the bytes must not
-# change.  The template is relative, so the path in the header is fixed.
-ROUND_ONE_CHECKPOINT_SHA256 = "a7cabe42805f99c2be024260ca0e1c5c0b0a46584561da770603447cb9834695"
+# sha256 of the round-1 checkpoint of the run below: the bytes written
+# before fallbacks were carried, re-saved without the retired
+# ``repair_threshold`` config key.  Lifts are never serialized, so the bytes
+# must not change.  The template is relative, so the path in the header is
+# fixed.
+ROUND_ONE_CHECKPOINT_SHA256 = "80b4e184718dc28c50cca873f8a7d9ae01da30be2377be2a93d228fda32240d2"
 
 
 def test_checkpoint_resume_with_carried_fallbacks(tmp_path, monkeypatch, carry_calls):

@@ -181,19 +181,19 @@ class TestEngineCaches:
             dense_residual(engine.residual(2)), residual_distances(game, engine.profile, 2)
         )
 
-    def test_updated_distances_matches_apsp(self, property_budget):
-        """CandidateEvaluator.updated_distances equals the network's true APSP."""
+    def test_move_update_matches_apsp(self, property_budget):
+        """The engine's rank-1 move update equals the network's true APSP."""
         rng = np.random.default_rng(13)
         for _ in range(property_budget):
             n = int(rng.integers(3, 10))
             game = _random_game("general", n, rng)
             profile = _random_profile(n, rng)
             u = int(rng.integers(0, n))
-            evaluator = game.candidate_evaluator(profile, u)
             targets = [int(v) for v in rng.choice(n, size=min(3, n - 1), replace=False) if v != u]
-            predicted = evaluator.updated_distances(targets)
+            engine = IncrementalEngine(game, profile)
+            engine.apply(u, targets)
             actual = game.distances(profile.with_strategy(u, targets))
-            assert _same_matrix(predicted, actual, tol=1e-8)
+            assert _same_matrix(engine.distances, actual, tol=1e-8)
 
     def test_infinite_edge_strategy_costs_inf_even_at_alpha_zero(self):
         """Buying an absent (inf-weight) host edge costs inf, never NaN.

@@ -46,9 +46,9 @@ from repro.core.parallel import ParallelEvaluator, pool_always
 from repro.core.residual_delta import DeltaResidual, delta_if_smaller, dense_residual
 from repro.core.shortest_paths import (
     DecrementalRepair,
-    all_pairs_shortest_paths,
     apsp_scipy,
     decremental_distances,
+    floyd_warshall,
 )
 
 from test_dijkstra_carry import _SLOW, _TIER1, _bits
@@ -83,29 +83,32 @@ def _repair_cases(draw):
     disconnected = draw(st.booleans())
     method = draw(st.sampled_from(("floyd_warshall", "scipy")))
     as_csr = draw(st.booleans())
-    give_removed = draw(st.booleans())
-    return kind, n, seed, disconnected, method, as_csr, give_removed
+    padded = draw(st.booleans())
+    return kind, n, seed, disconnected, method, as_csr, padded
 
 
-def _check_repair(kind, n, seed, disconnected, method, as_csr, give_removed):
+def _check_repair(kind, n, seed, disconnected, method, as_csr, padded):
     rng = np.random.default_rng(seed)
     weights = _battery_network(_battery_host(kind, n, rng), rng)
     if disconnected:
         weights = _cut(weights, rng)
-    dist = all_pairs_shortest_paths(weights, method=method)
+    dist = {"floyd_warshall": floyd_warshall, "scipy": apsp_scipy}[method](weights)
     v = int(rng.integers(0, n))
     incident = np.flatnonzero(np.isfinite(weights[v]))
     incident = incident[incident != v]
     drop = incident[rng.random(incident.size) < rng.choice([0.3, 1.0])]
     new = weights.copy()
     new[v, drop] = new[drop, v] = np.inf
+    # Padding ``removed`` with vertices that were never v's neighbours only
+    # widens the prefilter; the repair must not change.
+    removed = np.concatenate((drop, rng.choice(n, size=2))) if padded else drop
     for frac in (0.0, 0.5, 1.0):
         expected, count, rebuilt = _dense_scan_repair(dist, new, v, frac)
         got = decremental_distances(
             dist,
             _csr(new) if as_csr else new,
             v,
-            removed=drop if give_removed else None,
+            removed=removed,
             max_affected_fraction=frac,
         )
         assert (got.affected_sources, got.rebuilt) == (count, rebuilt)
@@ -175,11 +178,10 @@ def _check_run(kind, n, seed, response, schedule, threshold):
     owns = owns | mine.T | (owns.T & (rng.random((n, n)) < 0.2))
     start = StrategyProfile(owns)
     game = NetworkCreationGame(HostGraph(host), float(rng.choice([0.5, 1.0, 3.0])))
-    cfg = SimulationConfig(
-        response=response, schedule=schedule, max_rounds=4, repair_threshold=threshold
-    )
-    views = run_dynamics(game, start, cfg, rng=seed % 97)
+    cfg = SimulationConfig(response=response, schedule=schedule, max_rounds=4)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incremental, "_REPAIR_THRESHOLD", threshold)
+        views = run_dynamics(game, start, cfg, rng=seed % 97)
         _dense_repairs(mp)
         dense = run_dynamics(game, start, cfg, rng=seed % 97)
     _assert_identical_runs([dense, views])
@@ -198,12 +200,13 @@ def test_runs_equal_the_dense_reference_full_budget(case):
     _check_run(*case)
 
 
-def test_repairs_are_cached_as_views_and_read_back_exactly():
+def test_repairs_are_cached_as_views_and_read_back_exactly(monkeypatch):
     """The engine caches repairs as views; scoring them equals scoring dense."""
     rng = np.random.default_rng(zlib.crc32(b"views") % 2**32)
     game = _random_game("general", 9, rng)
     profile = _random_profile(9, rng, density=0.6)
-    engine = IncrementalEngine(game, profile, repair_threshold=1.0)
+    monkeypatch.setattr(incremental, "_REPAIR_THRESHOLD", 1.0)
+    engine = IncrementalEngine(game, profile)
     residuals = [engine.residual(u) for u in range(9)]
     assert engine.stats.residual_repairs > 0
     assert any(isinstance(d, DeltaResidual) for d in residuals)
@@ -289,7 +292,7 @@ def test_views_refuse_implicit_densify():
         np.minimum(views[0], 1.0)
 
 
-def test_forced_pool_scores_repaired_views_like_serial():
+def test_forced_pool_scores_repaired_views_like_serial(monkeypatch):
     """A pool batch of repaired views equals serial scoring, ``bytes_sent`` exact.
 
     Views are densified before they are written, so each slot holds what a
@@ -300,7 +303,8 @@ def test_forced_pool_scores_repaired_views_like_serial():
     n = 9
     game = _random_game("general", n, rng)
     profile = _random_profile(n, rng, density=0.6)
-    engine = IncrementalEngine(game, profile, repair_threshold=1.0)
+    monkeypatch.setattr(incremental, "_REPAIR_THRESHOLD", 1.0)
+    engine = IncrementalEngine(game, profile)
     tasks = [(u, engine.residual(u), profile.strategy(u)) for u in range(n)]
     assert any(isinstance(d, DeltaResidual) for _, d, _ in tasks)
     serial = score_tasks(tasks, game.host.weights, game.alpha, "best")

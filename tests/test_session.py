@@ -109,7 +109,6 @@ class TestSimulationConfig:
         assert cfg.order == "round_robin"
         assert cfg.max_rounds is None  # = each entry point's historical budget
         assert cfg.max_candidates == 22
-        assert cfg.repair_threshold == 0.5
         assert cfg.seed == 0
 
     @pytest.mark.parametrize(
@@ -120,10 +119,10 @@ class TestSimulationConfig:
             {"schedule": "batched", "workers": 4},
             {"order": (2, 0, 1, 0), "response": "greedy"},
             {"order": "random", "seed": 123, "max_rounds": 7},
-            {"seed": None, "repair_threshold": 0.0, "max_candidates": 5},
+            {"seed": None, "max_candidates": 5},
             {"response": "single", "workers": 2, "schedule": "batched"},
             {"checkpoint_path": "run-{round}.ckpt", "checkpoint_every": 3},
-            {"workers": 2, "repair_threshold": 0.25},
+            {"workers": 2, "max_candidates": 3},
             {
                 "order": [4, 1, 3],
                 "workers": 3,
@@ -172,7 +171,6 @@ class TestSimulationConfig:
             ({"response": "bogus"}, "unknown response"),
             ({"order": "bogus"}, "unknown order"),
             ({"workers": 0}, "workers"),
-            ({"repair_threshold": -1.0}, "repair_threshold"),
             ({"max_rounds": -1}, "max_rounds"),
             ({"max_candidates": 0}, "max_candidates"),
             ({"engine": "exact", "workers": 2}, "incremental"),
@@ -193,12 +191,38 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**kwargs)
 
-    def test_eleven_fields(self):
+    def test_ten_fields(self):
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
-            "engine", "schedule", "workers", "repair_threshold", "response",
+            "engine", "schedule", "workers", "response",
             "order", "max_rounds", "max_candidates", "seed",
             "checkpoint_every", "checkpoint_path",
         ]
+
+    def test_from_dict_loads_an_eleven_field_dump(self):
+        # `repro config dump` as written while the repair frontier bound was
+        # a field: eleven fields, the bound at its only loadable value.
+        old_dump = {
+            "engine": "incremental",
+            "schedule": "sequential",
+            "workers": 1,
+            "repair_threshold": 0.5,
+            "response": "best",
+            "order": "round_robin",
+            "max_rounds": None,
+            "max_candidates": 22,
+            "seed": 0,
+            "checkpoint_every": None,
+            "checkpoint_path": None,
+        }
+        assert SimulationConfig.from_dict(json.loads(json.dumps(old_dump))) == SimulationConfig()
+
+    def test_from_dict_rejects_a_repair_threshold_off_its_default(self):
+        data = {**SimulationConfig().to_dict(), "repair_threshold": 0.25}
+        with pytest.raises(ValueError, match="'repair_threshold'") as excinfo:
+            SimulationConfig.from_dict(data)
+        message = str(excinfo.value)
+        assert "decremental repair" in message and "0.5" in message
+        assert "remote evaluator" not in message
 
     @pytest.mark.parametrize("encoding", ["dense", "delta"])
     def test_from_dict_loads_a_twelve_field_dump_with_either_encoding(self, encoding):
@@ -283,12 +307,12 @@ class TestSimulationConfig:
         "key",
         sorted(
             key
-            for key, old_default in session_module.RETIRED_FIELDS.items()
-            if old_default is not session_module._ANY_VALUE
+            for key, retired in session_module.RETIRED_FIELDS.items()
+            if retired.old_default is not session_module._ANY_VALUE
         ),
     )
     def test_from_dict_drops_a_retired_remote_field_at_its_old_default(self, key):
-        old_default = session_module.RETIRED_FIELDS[key]
+        old_default = session_module.RETIRED_FIELDS[key].old_default
         cfg = SimulationConfig(schedule="batched", workers=3, seed=5)
         data = json.loads(json.dumps({**cfg.to_dict(), key: old_default}))
         assert SimulationConfig.from_dict(data) == cfg
@@ -578,7 +602,6 @@ def test_session_scoped_fields_cannot_change_per_run():
         for field, value in (
             ("engine", "exact"),
             ("workers", 2),
-            ("repair_threshold", 0.1),
         ):
             with pytest.raises(ValueError, match=field):
                 session.run(start, **{field: value})

@@ -13,14 +13,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 from repro.core.shortest_paths import (
+    FLOYD_WARSHALL_MAX_N,
     CandidateEvaluator,
     all_pairs_shortest_paths,
     apsp_scipy,
+    carry_dijkstra,
     decremental_distances,
     dijkstra_rows,
     floyd_warshall,
-    relax_through_edges,
-    single_source_dijkstra,
+    relax_source_row,
 )
 from repro.metrics.generators import (
     random_general_host,
@@ -108,15 +109,20 @@ class TestScipyAgreement:
     def test_dispatch_methods_agree(self):
         rng = np.random.default_rng(3)
         w = _random_weight_matrix(7, rng)
-        a = all_pairs_shortest_paths(w, method="floyd_warshall")
-        b = all_pairs_shortest_paths(w, method="scipy")
-        c = all_pairs_shortest_paths(w, method="auto")
+        a = floyd_warshall(w)
+        b = apsp_scipy(w)
+        c = all_pairs_shortest_paths(w)
         assert np.allclose(np.nan_to_num(a, posinf=1e18), np.nan_to_num(b, posinf=1e18))
         assert np.allclose(np.nan_to_num(a, posinf=1e18), np.nan_to_num(c, posinf=1e18))
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            all_pairs_shortest_paths(np.zeros((2, 2)), method="bogus")
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_kernel_switches_past_the_floyd_warshall_size(self, offset):
+        """Floyd–Warshall up to ``FLOYD_WARSHALL_MAX_N`` vertices, scipy's
+        Dijkstra above, each bit for bit."""
+        n = FLOYD_WARSHALL_MAX_N + offset
+        w = _random_weight_matrix(n, np.random.default_rng(n), edge_prob=0.05)
+        expected = floyd_warshall(w) if offset == 0 else apsp_scipy(w)
+        assert np.array_equal(all_pairs_shortest_paths(w), expected)
 
 
 class TestSingleSource:
@@ -125,14 +131,14 @@ class TestSingleSource:
         rng = np.random.default_rng(source + 10)
         w = _random_weight_matrix(8, rng)
         full = floyd_warshall(w)
-        row = single_source_dijkstra(w, source)
+        (row,) = dijkstra_rows(w, [source])
         finite = np.isfinite(full[source])
         assert np.array_equal(finite, np.isfinite(row))
         assert np.allclose(full[source][finite], row[finite])
 
     def test_out_of_range_source(self):
         with pytest.raises(ValueError):
-            single_source_dijkstra(np.zeros((3, 3)), 5)
+            dijkstra_rows(np.zeros((3, 3)), [5])
 
 
 class TestCandidateEdgeDistances:
@@ -146,12 +152,13 @@ class TestCandidateEdgeDistances:
         weights = np.array([0.0, 1.0, 2.0, 0.5, 3.0, 3.0])
         ev = CandidateEvaluator(d, 0, weights, alpha=1.0, candidates=[1, 2, 3])
         expected = np.minimum(d[0], np.minimum(1.0 + d[1], 0.5 + d[3]))
-        assert np.allclose(ev.distance_row([1, 3]), expected)
+        assert np.allclose(relax_source_row(d, 0, weights, [1, 3]), expected)
+        assert ev.strategy_cost([1, 3]) == pytest.approx(1.5 + expected.sum())
 
     def test_empty_subset_returns_base(self):
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
         ev = CandidateEvaluator(d, 0, np.ones(3), alpha=1.0)
-        out = ev.distance_row([])
+        out = relax_source_row(d, 0, np.ones(3), [])
         assert np.array_equal(np.isfinite(out), np.isfinite(d[0]))
         assert np.allclose(out[:2], d[0, :2])
         # subset index 0 of the lattice scan is the empty strategy
@@ -183,12 +190,13 @@ def _assert_same_distances(a: np.ndarray, b: np.ndarray) -> None:
 
 
 class TestCrossOracle:
-    """floyd_warshall, apsp_scipy and relax_through_edges must agree everywhere.
+    """floyd_warshall, apsp_scipy and carry_dijkstra must agree everywhere.
 
     The sweep deliberately stresses the inputs where dense shortest-path
     oracles commonly diverge: zero-weight edges (scipy's plain dense input
     would treat them as non-edges), ``inf`` non-edges and disconnected
-    components.
+    components.  ``carry_dijkstra`` adds edges to the Dijkstra rows of a
+    smaller graph and must land on ``apsp_scipy`` of the larger one.
     """
 
     @staticmethod
@@ -205,6 +213,13 @@ class TestCrossOracle:
         np.fill_diagonal(w, 0.0)
         return w
 
+    @staticmethod
+    def _add_edges(before: np.ndarray, after: np.ndarray, edges) -> np.ndarray:
+        """``after``'s distances, carried from ``before``'s Dijkstra rows."""
+        triple = np.asarray(edges, dtype=float).reshape(-1, 3)
+        added = (triple[:, 0].astype(int), triple[:, 1].astype(int), triple[:, 2])
+        return carry_dijkstra(after, carry_dijkstra(before).unpinned, added=added).distances
+
     @pytest.mark.parametrize("seed", range(8))
     def test_three_oracles_agree(self, seed):
         rng = np.random.default_rng(seed)
@@ -213,8 +228,8 @@ class TestCrossOracle:
         fw = floyd_warshall(w)
         sp = apsp_scipy(w)
         _assert_same_distances(fw, sp)
-        # relax_through_edges oracle: drop a few edges, close the rest, then
-        # add the dropped edges back incrementally — must recover fw exactly.
+        # carry_dijkstra oracle: drop a few edges, solve the rest, then add
+        # the dropped edges back by carrying rows — must recover sp exactly.
         reduced = w.copy()
         dropped: list[tuple[int, int, float]] = []
         finite = [(i, j) for i in range(n) for j in range(i + 1, n) if np.isfinite(w[i, j])]
@@ -222,8 +237,9 @@ class TestCrossOracle:
         for i, j in finite[: max(1, len(finite) // 3)]:
             dropped.append((i, j, float(w[i, j])))
             reduced[i, j] = reduced[j, i] = np.inf
-        relaxed = relax_through_edges(floyd_warshall(reduced), dropped)
-        _assert_same_distances(fw, relaxed)
+        carried = self._add_edges(reduced, w, dropped)
+        assert np.array_equal(carried, sp)
+        _assert_same_distances(fw, carried)
 
     def test_relax_with_zero_weight_bridge(self):
         """A zero-weight edge merging two components must propagate everywhere."""
@@ -233,37 +249,42 @@ class TestCrossOracle:
         w[2, 3] = w[3, 2] = 2.0
         base = floyd_warshall(w)
         assert np.isinf(base[0, 2])
-        relaxed = relax_through_edges(base, [(1, 2, 0.0)])
+        bridged = _with_edge(w, 1, 2, 0.0)
+        relaxed = self._add_edges(w, bridged, [(1, 2, 0.0)])
         assert relaxed[1, 2] == 0.0
         assert relaxed[0, 2] == pytest.approx(1.0)
         assert relaxed[0, 3] == pytest.approx(3.0)
-        _assert_same_distances(relaxed, floyd_warshall(_with_edge(w, 1, 2, 0.0)))
+        _assert_same_distances(relaxed, floyd_warshall(bridged))
 
     def test_relax_empty_edge_list_is_identity(self):
         rng = np.random.default_rng(3)
         w = self._adversarial_matrix(6, rng)
-        d = floyd_warshall(w)
-        out = relax_through_edges(d, [])
-        assert out is not d  # a fresh array, not an alias
-        _assert_same_distances(d, out)
+        d = carry_dijkstra(w)
+        out = carry_dijkstra(w, d.unpinned)
+        assert out.resolved.size == 0  # every row carried
+        assert out.unpinned is not d.unpinned  # a fresh array, not an alias
+        assert np.array_equal(out.distances, d.distances)
+        _assert_same_distances(floyd_warshall(w), out.distances)
 
     def test_relax_multi_edge_paths(self):
         """Shortest paths may chain *several* new edges — the one-hop formula alone is wrong."""
         n = 6
         w = np.full((n, n), np.inf)
-        np.fill_diagonal(w, 0.0)
-        d = floyd_warshall(w)  # totally disconnected base
+        np.fill_diagonal(w, 0.0)  # totally disconnected base
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)]
-        relaxed = relax_through_edges(d, edges)
+        path = w.copy()
+        for a, b, weight in edges:
+            path = _with_edge(path, a, b, weight)
+        relaxed = self._add_edges(w, path, edges)
         assert relaxed[0, 5] == pytest.approx(5.0)
         assert relaxed[5, 0] == pytest.approx(5.0)
 
     def test_relax_rejects_bad_edges(self):
-        d = floyd_warshall(np.zeros((3, 3)))
+        w = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            relax_through_edges(d, [(0, 5, 1.0)])
+            self._add_edges(w, w, [(0, 5, 1.0)])
         with pytest.raises(ValueError):
-            relax_through_edges(d, [(0, 1, -1.0)])
+            self._add_edges(w, _with_edge(w, 0, 1, -1.0), [(0, 1, -1.0)])
 
 
 def _with_edge(w: np.ndarray, i: int, j: int, weight: float) -> np.ndarray:
@@ -287,7 +308,7 @@ class TestCandidateEvaluator:
         assert ev.strategy_cost(targets) == pytest.approx(
             1.5 * (weights[2] + weights[4]) + expected_dist.sum()
         )
-        assert np.allclose(ev.distance_row(targets), expected_dist)
+        assert np.allclose(relax_source_row(d, 0, weights, targets), expected_dist)
         assert ev.strategy_cost([]) == pytest.approx(d[0].sum())
 
     def test_batch_costs_match_scalar_costs(self):
@@ -379,7 +400,7 @@ class TestInvalidWeights:
         "apsp_scipy": apsp_scipy,
         "auto": all_pairs_shortest_paths,
         "dijkstra_rows": lambda w: dijkstra_rows(w, [0]),
-        "single_source_dijkstra": lambda w: single_source_dijkstra(w, 0),
+        "carry_dijkstra": lambda w: carry_dijkstra(w).distances,
         "nearest_metric_repair": nearest_metric_repair,
         "decremental": lambda w: decremental_distances(
             np.zeros(w.shape), w, 0, removed=[1]
@@ -410,7 +431,7 @@ class TestInvalidWeights:
 
     def test_two_node_negative_edge_raises_instead_of_hanging(self):
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        kernels = ("floyd_warshall", "apsp_scipy", "dijkstra_rows", "single_source_dijkstra")
+        kernels = ("floyd_warshall", "apsp_scipy", "dijkstra_rows", "carry_dijkstra")
         for kernel in kernels:
             with pytest.raises(ValueError):
                 self.KERNELS[kernel](w)
@@ -552,11 +573,13 @@ class TestDecrementalBitwise:
 
     Same ``affected_sources``, same ``rebuilt`` decision and
     ``np.array_equal`` distances, on tie-heavy and generic hosts, for every
-    threshold, dense and CSR input, with and without ``removed``.
+    threshold, dense and CSR input, with ``removed`` exact or padded with
+    vertices that were never neighbours of ``v`` (the prefilter only keeps
+    more rows for the pair test, so the result must not change).
     """
 
     @staticmethod
-    def _check(weights, dist, v, drop, input_kind, give_removed):
+    def _check(weights, dist, v, drop, input_kind, padding=()):
         removed_w = weights.copy()
         removed_w[v, drop] = np.inf
         removed_w[drop, v] = np.inf
@@ -567,17 +590,17 @@ class TestDecrementalBitwise:
                 dist,
                 new_weights,
                 v,
-                removed=drop if give_removed else None,
+                removed=np.concatenate((drop, padding)).astype(int),
                 max_affected_fraction=frac,
             )
             assert got.affected_sources == count
             assert got.rebuilt == rebuilt
             assert np.array_equal(got.distances, expected)
 
-    @pytest.mark.parametrize("give_removed", [True, False], ids=["removed", "no-removed"])
+    @pytest.mark.parametrize("padded", [False, True], ids=["removed", "padded-removed"])
     @pytest.mark.parametrize("input_kind", ["dense", "csr"])
     @pytest.mark.parametrize("host_kind", BATTERY_HOSTS)
-    def test_matches_dense_scan(self, host_kind, input_kind, give_removed):
+    def test_matches_dense_scan(self, host_kind, input_kind, padded):
         rng = np.random.default_rng(zlib.crc32(f"repair-{host_kind}".encode()))
         for _ in range(6):
             n = int(rng.integers(3, 26))
@@ -589,7 +612,8 @@ class TestDecrementalBitwise:
             # Drop all of v's edges now and then: v ends up isolated.
             keep = rng.random(incident.size) < (0.0 if rng.random() < 0.25 else 0.5)
             drop = incident[~keep] if (~keep).any() else incident[:1]
-            self._check(weights, dist, v, drop, input_kind, give_removed)
+            padding = rng.choice(n, size=3) if padded else ()
+            self._check(weights, dist, v, drop, input_kind, padding)
 
     @pytest.mark.parametrize("input_kind", ["dense", "csr"])
     def test_matches_dense_scan_past_floyd_warshall_size(self, input_kind):
@@ -599,7 +623,7 @@ class TestDecrementalBitwise:
         dist = all_pairs_shortest_paths(weights)
         hub = int(np.argmax(np.isfinite(weights).sum(axis=1)))
         incident = np.flatnonzero(np.isfinite(weights[hub]))
-        self._check(weights, dist, hub, incident[incident != hub], input_kind, True)
+        self._check(weights, dist, hub, incident[incident != hub], input_kind)
 
     @pytest.mark.parametrize("host_kind", BATTERY_HOSTS)
     def test_apsp_and_rows_match_masked_input(self, host_kind):

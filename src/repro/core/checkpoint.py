@@ -53,6 +53,16 @@ and ``os.replace``d over the target, so a crash mid-write (including
 SIGKILL) always leaves the previous checkpoint intact and loadable — the
 torn-write tests pin this.
 
+Writes are **streamed**: a snapshot shares the engine's and proposal
+cache's read-only residuals instead of copying them, and the writer lays
+out the manifest from each array's dtype and shape and checksums the
+payload one array at a time, then writes the header and each array's
+buffer straight into the temporary file.  A residual row view
+(:class:`~repro.core.residual_delta.RowView`) is densified only for its
+own array, so a save allocates about one ``(n, n)`` matrix beyond the
+header, whatever the file size, and the bytes are the same as for the
+same snapshot with every residual dense.
+
 ``checkpoint_path`` may contain a ``{round}`` placeholder, formatted with
 the number of completed rounds at each write (keep every boundary, e.g.
 for the property harness); without a placeholder the file is atomically
@@ -68,8 +78,8 @@ which never changes a trajectory), :func:`repro.core.session.resume_dynamics`
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -83,6 +93,7 @@ import numpy as np
 from .best_response import BestResponseResult
 from .game import NetworkCreationGame
 from .host_graph import HostGraph
+from .residual_delta import Residual, RowView, dense_residual
 from .strategy import StrategyProfile
 
 if TYPE_CHECKING:  # import cycle: session serializes through this module
@@ -173,7 +184,10 @@ class Checkpoint:
     In memory this is the *rich* form — residual matrices keyed by raw
     bytes, proposals as :class:`~repro.core.best_response.BestResponseResult`
     objects; :func:`save_checkpoint`/:func:`load_checkpoint` convert to and
-    from the versioned binary file format.
+    from the versioned binary file format.  A snapshot built from a live
+    run shares the engine's read-only residuals as they are (dense arrays
+    or :class:`~repro.core.residual_delta.RowView` views), so building one
+    copies no matrix; a loaded one holds dense read-only arrays.
     """
 
     config: dict[str, Any]
@@ -193,7 +207,7 @@ class Checkpoint:
     tol: float
     history: np.ndarray | None = None
     engine_distances: np.ndarray | None = None
-    engine_residuals: dict[int, tuple[bytes, np.ndarray]] = field(default_factory=dict)
+    engine_residuals: dict[int, tuple[bytes, Residual]] = field(default_factory=dict)
     engine_stats: dict[str, int] | None = None
     cache_state: dict[str, Any] | None = None
     version: int = CHECKPOINT_VERSION
@@ -238,11 +252,11 @@ class Checkpoint:
             StrategyProfile(owns, copy=True, validate=False) for owns in self.history
         ]
 
-    def proposals(self) -> dict[int, tuple[BestResponseResult, np.ndarray]]:
+    def proposals(self) -> dict[int, tuple[BestResponseResult, Residual]]:
         """The proposal-cache contents as rich ``(result, residual)`` pairs."""
         if self.cache_state is None:
             return {}
-        out: dict[int, tuple[BestResponseResult, np.ndarray]] = {}
+        out: dict[int, tuple[BestResponseResult, Residual]] = {}
         for key, entry in self.cache_state["proposals"].items():
             result = BestResponseResult(
                 agent=int(entry["agent"]),
@@ -282,51 +296,70 @@ def _require(condition: bool, message: str) -> None:
 
 
 class _ArrayWriter:
-    """Accumulates named arrays into one contiguous payload with a manifest."""
+    """Lays out named arrays as one payload, without building it.
+
+    Each :meth:`add` records the array's manifest entry from its dtype and
+    shape and folds its bytes into a running CRC-32, and keeps the array by
+    reference; :meth:`write` then streams every array's buffer to the file
+    in order.  A residual row view is densified only for its own array,
+    once to checksum it and once to write it, so a save holds at most one
+    dense ``(n, n)`` matrix beside the header, never the payload.
+    """
 
     def __init__(self) -> None:
         self.manifest: dict[str, dict[str, Any]] = {}
-        self.chunks: list[bytes] = []
-        self.offset = 0
+        self.arrays: list[np.ndarray | RowView] = []
+        self.nbytes = 0
+        self.crc32 = 0
 
-    def add(self, name: str, array: np.ndarray) -> None:
-        arr = np.ascontiguousarray(array)
-        raw = arr.tobytes()
+    def add(self, name: str, array: np.ndarray | RowView, dtype: type) -> None:
+        """Append ``array`` as ``dtype`` (a row view is float64 already)."""
+        if not isinstance(array, RowView):
+            array = np.ascontiguousarray(array, dtype=dtype)
+        nbytes = math.prod(array.shape) * np.dtype(dtype).itemsize
         self.manifest[name] = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": self.offset,
-            "nbytes": len(raw),
+            "dtype": np.dtype(dtype).str,
+            "shape": [int(s) for s in array.shape],
+            "offset": self.nbytes,
+            "nbytes": nbytes,
         }
-        self.chunks.append(raw)
-        self.offset += len(raw)
+        self.crc32 = zlib.crc32(_buffer(array), self.crc32)
+        self.arrays.append(array)
+        self.nbytes += nbytes
 
-    def payload(self) -> bytes:
-        return b"".join(self.chunks)
+    def write(self, handle: IO[bytes]) -> None:
+        for array in self.arrays:
+            handle.write(_buffer(array))
 
 
-def _serialize(ckpt: Checkpoint) -> bytes:
+def _buffer(array: np.ndarray | RowView) -> memoryview:
+    """The contiguous buffer of ``array``: a row view densified on the spot."""
+    return (dense_residual(array) if isinstance(array, RowView) else array).data
+
+
+def _serialize(ckpt: Checkpoint) -> tuple[bytes, _ArrayWriter]:
+    """The file's prefix and header, and the writer laying out its payload."""
     writer = _ArrayWriter()
-    writer.add("host_weights", np.asarray(ckpt.host_weights, dtype=np.float64))
-    writer.add("ownership", np.asarray(ckpt.ownership, dtype=bool))
-    writer.add("social_costs", np.asarray(ckpt.social_costs, dtype=np.float64))
-    writer.add("seen_keys", np.asarray(ckpt.seen_keys, dtype=np.uint8))
-    writer.add("seen_moves", np.asarray(ckpt.seen_moves, dtype=np.int64))
+    writer.add("host_weights", ckpt.host_weights, np.float64)
+    writer.add("ownership", ckpt.ownership, bool)
+    writer.add("social_costs", ckpt.social_costs, np.float64)
+    writer.add("seen_keys", ckpt.seen_keys, np.uint8)
+    writer.add("seen_moves", ckpt.seen_moves, np.int64)
     if ckpt.history is not None:
-        writer.add("history", np.asarray(ckpt.history, dtype=bool))
+        writer.add("history", ckpt.history, bool)
     if ckpt.engine_distances is not None:
-        writer.add("engine_distances", np.asarray(ckpt.engine_distances, dtype=np.float64))
+        writer.add("engine_distances", ckpt.engine_distances, np.float64)
     residual_keys: dict[str, str] = {}
     for u in sorted(ckpt.engine_residuals):
         key, matrix = ckpt.engine_residuals[u]
         residual_keys[str(u)] = key.hex()
-        writer.add(f"residual/{u}", np.asarray(matrix, dtype=np.float64))
+        writer.add(f"residual/{u}", matrix, np.float64)
 
     cache_state = None
     if ckpt.cache_state is not None:
         proposals = {}
         for u, entry in ckpt.cache_state["proposals"].items():
-            writer.add(f"proposal/{u}", np.asarray(entry["d_rest"], dtype=np.float64))
+            writer.add(f"proposal/{u}", entry["d_rest"], np.float64)
             proposals[str(int(u))] = {
                 "agent": int(entry["agent"]),
                 "strategy": sorted(int(v) for v in entry["strategy"]),
@@ -343,7 +376,6 @@ def _serialize(ckpt: Checkpoint) -> bytes:
             "proposals": proposals,
         }
 
-    payload = writer.payload()
     header = {
         "schema": _SCHEMA,
         "version": int(ckpt.version),
@@ -363,35 +395,39 @@ def _serialize(ckpt: Checkpoint) -> bytes:
             "cache_state": cache_state,
         },
         "arrays": writer.manifest,
-        "payload_nbytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
+        "payload_nbytes": writer.nbytes,
+        "payload_crc32": writer.crc32,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    return b"".join(
+    prefix = b"".join(
         [
             CHECKPOINT_MAGIC,
             struct.pack("<I", int(ckpt.version)),
             struct.pack("<Q", len(header_bytes)),
             header_bytes,
-            payload,
         ]
     )
+    return prefix, writer
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike[str]) -> None:
     """Atomically write ``ckpt`` to ``path`` (write temp sibling, fsync, rename).
 
-    A crash at any point — including between the temp write and the rename —
-    leaves the previous checkpoint at ``path`` intact and loadable.
+    The header goes first, then each payload array's buffer straight into
+    the temporary file (:class:`_ArrayWriter`), so the file image is never
+    assembled in memory.  A crash at any point — including between the
+    temp write and the rename — leaves the previous checkpoint at ``path``
+    intact and loadable.
     """
-    data = _serialize(ckpt)
+    prefix, writer = _serialize(ckpt)
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent or Path("."), prefix=target.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.write(prefix)
+            writer.write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         _os_replace(tmp_name, target)
@@ -513,7 +549,8 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
         "ownership matrix does not match the host graph size",
     )
 
-    engine_residuals: dict[int, tuple[bytes, np.ndarray]] = {}
+    # Residuals load read-only, as the engine and proposal cache hold them.
+    engine_residuals: dict[int, tuple[bytes, Residual]] = {}
     for key, hexdigest in state["residual_keys"].items():
         name = f"residual/{key}"
         _require(name in arrays, f"checkpoint payload lacks the {name!r} array")
@@ -522,6 +559,7 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
             matrix.shape == (n, n),
             f"residual matrix of agent {key} has the wrong shape",
         )
+        matrix.flags.writeable = False
         try:
             engine_residuals[int(key)] = (bytes.fromhex(hexdigest), matrix)
         except (TypeError, ValueError) as exc:
@@ -539,6 +577,7 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
                 matrix.shape == (n, n),
                 f"cached proposal residual of agent {key} has the wrong shape",
             )
+            matrix.flags.writeable = False
             proposals[int(key)] = {**entry, "d_rest": matrix}
         cache_state = {
             "hits": int(cache_state["hits"]),

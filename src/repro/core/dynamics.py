@@ -83,7 +83,7 @@ from .best_response import (
     greedy_response,
 )
 from .game import NetworkCreationGame
-from .incremental import EngineStats, IncrementalEngine, Residual
+from .incremental import EngineStats, IncrementalEngine, Residual, _published
 from .residual_delta import dense_residual
 from .strategy import StrategyProfile
 
@@ -199,8 +199,10 @@ class _ProposalCache:
         fresh computation equals a surviving proposal numerically) but shift
         every hit/miss counter and the speculation window's evolution,
         breaking the stats half of the resumed == straight-through
-        invariant.  Each residual is exported dense (a repaired row block
-        is densified), one ``(n, n)`` matrix per cached proposal.
+        invariant.  Each residual is exported as the cache holds it — the
+        engine's read-only object, a row view or a dense array — and
+        nothing is copied; the checkpoint writer densifies one view at a
+        time.
         """
         return {
             "hits": self.hits,
@@ -212,7 +214,7 @@ class _ProposalCache:
                     "cost": result.cost,
                     "current_cost": result.current_cost,
                     "method": result.method,
-                    "d_rest": dense_residual(d_rest, copy=True),
+                    "d_rest": d_rest,
                 }
                 for u, (result, d_rest) in self._proposals.items()
             },
@@ -220,14 +222,18 @@ class _ProposalCache:
 
     def restore_state(
         self,
-        proposals: "dict[int, tuple[BestResponseResult, np.ndarray]]",
+        proposals: "dict[int, tuple[BestResponseResult, Residual]]",
         *,
         hits: int,
         misses: int,
     ) -> None:
-        """Install checkpointed proposals and counters (after :meth:`clear`)."""
+        """Install checkpointed proposals and counters (after :meth:`clear`).
+
+        A row view (an in-process :meth:`export_state`) is densified; every
+        installed residual is a read-only dense array.
+        """
         self._proposals = {
-            int(u): (result, np.ascontiguousarray(d_rest, dtype=np.float64))
+            int(u): (result, _published(np.ascontiguousarray(dense_residual(d_rest))))
             for u, (result, d_rest) in proposals.items()
         }
         self.hits = int(hits)
@@ -633,7 +639,7 @@ def _run_session_loop(
             seen_keys = np.zeros((0, keylen), dtype=np.uint8)
             seen_moves = np.zeros((0,), dtype=np.int64)
         engine_distances = None
-        engine_residuals: dict[int, tuple[bytes, np.ndarray]] = {}
+        engine_residuals: dict[int, tuple[bytes, Residual]] = {}
         engine_stats = None
         if inc is not None:
             snap = inc.export_state()
@@ -767,13 +773,14 @@ def _run_session_loop(
             # policy.  Converged runs returned above and the final boundary ends
             # the run, so neither leaves a stale trailing checkpoint behind.
             boundary = round_idx + 1
+            # A snapshot shares the engine's residuals, so none is kept
+            # once it is on disk: it would keep superseded residuals alive.
             if checkpoint_path is not None and boundary < cfg.max_rounds:
-                ckpt = build_checkpoint(boundary)
                 if checkpoint_every is not None and boundary % checkpoint_every == 0:
-                    write_checkpoint(ckpt, boundary)
+                    write_checkpoint(build_checkpoint(boundary), boundary)
                     emergency = None  # this boundary is already on disk
                 else:
-                    emergency = (ckpt, boundary)
+                    emergency = (build_checkpoint(boundary), boundary)
         return None
 
     try:

@@ -84,24 +84,31 @@ residual miss, decremental repair      ``O(n deg(u) + a c``
                                        plus an ``O(a n)`` block, ``a <= rn``
 residual miss, fallback in full        ``O(n^3)`` (full APSP)
 residual miss, carried fallback        ``O(n c + r (n + m log n))``
-                                       plus ``O(n^2)`` copy, pin and lift
+                                       plus an ``O(n^2)`` row copy
 =====================================  ===========================
 
 The ``a c`` term tests the held rows among the ``a`` sources against the
 ``c`` changed edges, and the key diff behind ``c`` is ``O(n^2 / 8)`` byte
-work, like a hit.  A repair stays an ``O(a n)`` row block: a dense
-``(n, n)`` matrix is built from it only when its agent moves
-(:meth:`IncrementalEngine.apply`) or the engine state is exported for a
-checkpoint.  Fallback residuals are dense.
+work, like a hit.  A carried fallback copies its clean rows into a new
+raw matrix; nothing else of size ``n^2`` is made.  A repair stays an
+``O(a n)`` row block, and a Dijkstra fallback (``n >
+FLOYD_WARSHALL_MAX_N``) stays its raw Dijkstra matrix, served pinned
+(``min(D, D.T)``) row by row by a
+:class:`~repro.core.shortest_paths.PinnedResidual`: a dense pinned
+``(n, n)`` matrix is built from either only when its agent moves
+(:meth:`IncrementalEngine.apply`), when the pool writes it to a slot, or
+when the checkpoint writer streams it to disk.  Floyd–Warshall fallbacks
+are dense.  Every cached residual is read-only and shared as it is — with
+the proposal cache and with checkpoint snapshots
+(:meth:`IncrementalEngine.export_state`) — so none is ever copied whole to
+be kept.
 
 A miss carries its Dijkstra rows from the raw, unpinned rows the agent's
 cached entry holds (:func:`_held_rows`).  A repair holds the rows it
 solved: its block, whose ``(|S|, |S|)`` square is stored transposed and is
-flipped back when read.  A Dijkstra fallback (``n > FLOYD_WARSHALL_MAX_N``)
-holds every row, as a one-byte-per-entry ulp lift over the pinned
-residual (:func:`_lift`), read row by row.  A Floyd–Warshall fallback, a
-lift gap over 255 ulp or a checkpoint restore holds none, and the agent's
-next miss solves every row it needs.
+flipped back when read.  A Dijkstra fallback holds every row, its raw
+matrix, read directly.  A Floyd–Warshall fallback or a checkpoint restore
+holds none, and the agent's next miss solves every row it needs.
 
 The engine is *exact*: it returns the same best responses and costs as the
 from-scratch oracle (:func:`repro.core.best_response.best_response_exact`),
@@ -113,16 +120,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from .best_response import BestResponseResult, score_response, score_tasks
 from .game import NetworkCreationGame
 from .parallel import ParallelEvaluator
-from .residual_delta import DeltaResidual, dense_residual
+from .residual_delta import DeltaResidual, Residual, dense_residual
 from .shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     CarriedDijkstra,
+    PinnedResidual,
     _as_graph,
     _Graph,
     all_pairs_shortest_paths,
@@ -132,48 +141,25 @@ from .shortest_paths import (
 )
 from .strategy import StrategyProfile
 
-__all__ = ["EngineStats", "IncrementalEngine"]
-
-Residual = np.ndarray | DeltaResidual
+__all__ = ["EngineStats", "IncrementalEngine", "Residual"]
 
 # Largest share of the n sources a decremental repair may re-solve row by
 # row; a larger frontier falls back to the residual's all-pairs matrix.
 _REPAIR_THRESHOLD = 0.5
 
-# Widest pinning gap, in ulp, that a residual's lift stores (one uint8).
-_LIFT_MAX = int(np.iinfo(np.uint8).max)
-
-
-def _lift(unpinned: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:
-    """The ulp gap from ``pinned = min(unpinned, unpinned.T)`` up to ``unpinned``.
-
-    Distances are non-negative, so their int64 views order like the floats
-    and the gap is a non-negative integer; ``None`` when some entry's gap
-    exceeds :data:`_LIFT_MAX`.
-    """
-    gap = unpinned.view(np.int64) - pinned.view(np.int64)
-    if gap.max(initial=0) > _LIFT_MAX:
-        return None
-    return gap.astype(np.uint8)
-
-
-def _unlift(pinned: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """The unpinned matrix :func:`_lift` measured, rebuilt bit for bit."""
-    return (pinned.view(np.int64) + lift).view(np.float64)
-
 
 def _held_rows(
-    entry: tuple[bytes, Residual, np.ndarray | None], sources: np.ndarray | None
+    residual: Residual, sources: np.ndarray | None
 ) -> tuple[np.ndarray | None, np.ndarray] | None:
-    """The raw Dijkstra rows a residual cache entry holds, of ``sources``.
+    """The raw Dijkstra rows a cached residual holds, of ``sources``.
 
     Returns ``(held sources, rows)`` (``None`` sources: every vertex, in
-    order), or ``None`` for an entry that holds no such rows.  A repair
+    order), or ``None`` for a residual that holds no such rows.  A repair
     holds the rows it re-solved: its block with the square
     ``block[:, S] = R[:, S].T`` transposed back.  A Dijkstra fallback holds
-    every row, read through its lift only for the ``sources`` asked for.
+    every row, its :class:`~repro.core.shortest_paths.PinnedResidual`'s raw
+    matrix, read directly.
     """
-    _, residual, lift = entry
     if isinstance(residual, DeltaResidual):
         held, block = residual.delta.rows, residual.delta.data
         if sources is not None:
@@ -187,18 +173,31 @@ def _held_rows(
             return None
         block[:, residual.delta.rows] = square.T
         return held, block
-    if lift is None:
+    if not isinstance(residual, PinnedResidual):
         return None
     if sources is None:
-        return None, _unlift(residual, lift)
-    return sources, _unlift(residual[sources], lift[sources])
+        return None, residual.raw
+    return sources, residual.raw[sources]
 
 
-def _published(distances: np.ndarray) -> np.ndarray:
-    """``distances`` made read-only: the engine's network matrices are shared
-    by the repaired residuals built over them, so none is written in place."""
-    distances.flags.writeable = False
-    return distances
+_R = TypeVar("_R", bound=Residual)
+
+
+def _published(residual: _R) -> _R:
+    """``residual`` made read-only: every matrix the engine caches or hands
+    out (network matrices, fallbacks, repair blocks) is shared — by the
+    repairs built over a network matrix, the proposal cache and checkpoint
+    snapshots — so none is written in place.  A repair's base is a network
+    matrix, published when it was made."""
+    if isinstance(residual, DeltaResidual):
+        arrays = (residual.delta.rows, residual.delta.data)
+    elif isinstance(residual, PinnedResidual):
+        arrays = (residual.raw,)
+    else:
+        arrays = (residual,)
+    for array in arrays:
+        array.flags.writeable = False
+    return residual
 
 
 @dataclass
@@ -278,12 +277,12 @@ class IncrementalEngine:
         self._distances: np.ndarray | None = None
         # Row-sorted edge arrays of the current network, built on demand.
         self._network: _Graph | None = None
-        # agent -> (residual key, residual distances, lift): a repair is a
-        # row-block view over the network matrix it repaired, a fallback a
-        # dense matrix.  The lift (see _lift) is kept for Dijkstra fallbacks
-        # only.  The agent's next miss carries rows from the entry's
-        # Dijkstra rows (_held_rows).
-        self._residuals: dict[int, tuple[bytes, Residual, np.ndarray | None]] = {}
+        # agent -> (residual key, residual distances), each published
+        # read-only: a repair is a row-block view over the network matrix it
+        # repaired, a Dijkstra fallback a PinnedResidual over its raw rows,
+        # a Floyd–Warshall fallback a dense matrix.  The agent's next miss
+        # carries rows from the entry's raw Dijkstra rows (_held_rows).
+        self._residuals: dict[int, tuple[bytes, Residual]] = {}
         self._evaluator = evaluator
         self.stats = EngineStats()
 
@@ -326,17 +325,17 @@ class IncrementalEngine:
         at round boundaries; restoring it via :meth:`restore_state` makes a
         resumed run perform exactly the shortest-path work — and report
         exactly the :class:`EngineStats` counters — the straight-through run
-        would.  Every residual is exported as a dense ``(n, n)`` array (a
-        repaired row block is densified), one per cached agent, so the
-        checkpoint bytes do not depend on how the engine holds a residual.
-        Matrices are copied, so the snapshot is independent of the engine.
+        would.  Nothing is copied: the snapshot shares the engine's network
+        matrix and cached residuals as they are — dense arrays,
+        :class:`~repro.core.residual_delta.DeltaResidual` repairs and
+        :class:`~repro.core.shortest_paths.PinnedResidual` fallbacks — all
+        read-only, so a later move or miss replaces them and never changes
+        the snapshot.  The checkpoint writer densifies one view at a time,
+        so the file bytes do not depend on how the engine holds a residual.
         """
         return {
-            "distances": None if self._distances is None else self._distances.copy(),
-            "residuals": {
-                int(u): (key, dense_residual(matrix, copy=True))
-                for u, (key, matrix, _) in self._residuals.items()
-            },
+            "distances": self._distances,
+            "residuals": dict(self._residuals),
             "stats": dataclasses.asdict(self.stats),
         }
 
@@ -344,7 +343,7 @@ class IncrementalEngine:
         self,
         *,
         distances: np.ndarray | None,
-        residuals: dict[int, tuple[bytes, np.ndarray]],
+        residuals: dict[int, tuple[bytes, Residual]],
         stats: dict | None,
     ) -> None:
         """Install checkpointed caches and counters (inverse of :meth:`export_state`).
@@ -352,10 +351,10 @@ class IncrementalEngine:
         Call after :meth:`reset` pointed the engine at the checkpointed
         profile; the caches must describe that same profile or later queries
         will silently serve stale distances — the checkpoint loader validates
-        shapes, the pairing is the caller's contract.  Lifts are not part of
-        the state, so restored residuals are dense and hold no Dijkstra
-        rows: each agent's first miss after a restore solves every row it
-        needs.
+        shapes, the pairing is the caller's contract.  A row view (an
+        in-process :meth:`export_state`) is densified, so every restored
+        residual is a dense read-only array that holds no Dijkstra rows:
+        each agent's first miss after a restore solves every row it needs.
         """
         n = self._game.n
         if distances is not None:
@@ -365,7 +364,7 @@ class IncrementalEngine:
             distances = _published(distances)
         self._distances = distances
         self._residuals = {
-            int(u): (bytes(key), np.ascontiguousarray(matrix, dtype=np.float64), None)
+            int(u): (bytes(key), _published(np.ascontiguousarray(dense_residual(matrix))))
             for u, (key, matrix) in residuals.items()
         }
         if stats is not None:
@@ -456,7 +455,7 @@ class IncrementalEngine:
         entry holds (:func:`_held_rows`) and solved where none is held or an
         edge change since that entry touches it."""
         cached = self._residuals.get(u)
-        held = None if cached is None else _held_rows(cached, sources)
+        held = None if cached is None else _held_rows(cached[1], sources)
         if held is None:
             return carry_dijkstra(graph, sources=sources)
         removed, added = self._edge_changes(cached[0], key)
@@ -464,23 +463,23 @@ class IncrementalEngine:
             graph, held[1], removed, added, sources=sources, previous_sources=held[0]
         )
 
-    def _rebuild(self, u: int, key: bytes, graph: _Graph) -> np.ndarray:
+    def _rebuild(self, u: int, key: bytes, graph: _Graph) -> Residual:
         """Fallback residual of ``u`` on ``graph`` (the residual under ``key``), cached.
 
         Up to :data:`~repro.core.shortest_paths.FLOYD_WARSHALL_MAX_N`
-        agents it is one Floyd–Warshall.  Above, it is Dijkstra, carried
-        row by row from the rows ``u``'s previous residual holds
-        (:meth:`_carry`); either way the matrix equals ``apsp_scipy(graph)``
-        bit for bit, and the new entry keeps a lift for the next carry.
+        agents it is one Floyd–Warshall, a dense matrix.  Above, it is
+        Dijkstra, carried row by row from the rows ``u``'s previous residual
+        holds (:meth:`_carry`), and cached as a
+        :class:`~repro.core.shortest_paths.PinnedResidual` over the raw rows,
+        which are the next carry's base.  Either way every read equals
+        ``apsp_scipy(graph)`` bit for bit.
         """
-        lift = None
+        d_rest: Residual
         if graph.n <= FLOYD_WARSHALL_MAX_N:
             d_rest = all_pairs_shortest_paths(graph)
         else:
-            carry = self._carry(u, key, graph)
-            d_rest = carry.distances
-            lift = _lift(carry.unpinned, d_rest)
-        self._residuals[u] = (key, d_rest, lift)
+            d_rest = PinnedResidual(self._carry(u, key, graph).unpinned)
+        self._residuals[u] = (key, _published(d_rest))
         return d_rest
 
     def residual(self, u: int) -> Residual:
@@ -497,9 +496,12 @@ class IncrementalEngine:
 
         A repaired residual comes back as a
         :class:`~repro.core.residual_delta.DeltaResidual` row-block view over
-        the network matrix, which the scoring kernels read row by row;
+        the network matrix, and a Dijkstra fallback as a
+        :class:`~repro.core.shortest_paths.PinnedResidual` over its raw rows;
+        the scoring kernels read both row by row, and
         :func:`~repro.core.residual_delta.dense_residual` builds the dense
         matrix where one is needed.  Any other residual is a dense array.
+        Every residual is read-only.
         """
         owns = self._profile.ownership
         removed = owns[u] & ~owns[:, u]
@@ -526,7 +528,7 @@ class IncrementalEngine:
             self.stats.apsp_rebuilds += 1
         else:
             self.stats.residual_repairs += 1
-            self._residuals[u] = (key, repair.residual, None)
+            self._residuals[u] = (key, _published(repair.residual))
         return repair.residual
 
     # ------------------------------------------------------------------
@@ -611,7 +613,7 @@ class IncrementalEngine:
         The new network is ``u``'s residual plus ``u``'s new incident edges,
         so the cached distance matrix is refreshed by a single rank-1
         relaxation through ``u`` instead of a full shortest-path rerun.
-        This is where a repaired residual is densified: only the mover's.
+        This is where a residual row view is densified: only the mover's.
         Residual caches of other agents are invalidated automatically by
         their keys; ``u``'s own cached residual stays valid.
         """

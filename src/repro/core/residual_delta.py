@@ -66,17 +66,27 @@ is the pool's slot codec:
     into an array implicitly (``numpy.asarray`` raises); a caller that
     needs the dense matrix asks for it with :meth:`DeltaResidual.dense` or
     :func:`dense_residual`.
+
+``RowView``
+    The read surface :class:`DeltaResidual` shares with the engine's other
+    residual view, :class:`repro.core.shortest_paths.PinnedResidual` (a
+    Dijkstra fallback served pinned from its raw rows); ``Residual`` is
+    either an array or a row view, and :func:`dense_residual` densifies
+    both.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 __all__ = [
+    "Residual",
     "ResidualDelta",
+    "RowView",
     "DeltaResidual",
     "changed_rows",
     "encode_delta",
@@ -307,13 +317,81 @@ def unpack_delta(payload: bytes | bytearray | memoryview, n: int) -> ResidualDel
     return ResidualDelta(rows=rows, data=data)
 
 
-class DeltaResidual:
+class RowView:
+    """Read surface shared by the residual row views.
+
+    A row view stands for a dense float64 ``(n, n)`` residual matrix that is
+    never materialized on the hot paths.  It serves ``shape``, ``dtype``,
+    ``len``, row indexing by a scalar or a 1-D integer sequence (negative
+    indices wrap) and ``view[rows, col]`` for one integer column — exactly
+    what the scoring kernels
+    (:func:`repro.core.best_response.score_response`) and the batched
+    schedule's proposal cache read — each bit for bit equal to the same
+    read of :meth:`dense`.  It has no implicit array conversion:
+    ``numpy.asarray(view)`` raises, so a dense use must call :meth:`dense`
+    (or :func:`dense_residual`).  Subclasses implement :meth:`dense`,
+    ``_rows`` and ``_entries``.
+    """
+
+    __slots__ = ("shape",)
+
+    ndim = 2
+    dtype = np.dtype(np.float64)
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError(
+            f"{type(self).__name__} is a row view and has no implicit dense "
+            "form; call .dense() where the full matrix is needed"
+        )
+
+    def dense(self) -> np.ndarray:
+        """The full dense matrix, as a new array (never on hot paths)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _index(index, n: int):
+        """``index`` as an ``int`` or a 1-D ``intp`` array, wrapped into ``[0, n)``."""
+        if isinstance(index, (int, np.integer)):
+            i = int(index)
+            if i < 0:
+                i += n
+            if not 0 <= i < n:
+                raise IndexError(f"row {index} out of range for n={n}")
+            return i
+        idx = np.asarray(index)
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise TypeError("row views support scalar or 1-D integer row indexing only")
+        return np.where(idx < 0, idx + n, idx).astype(np.intp)
+
+    def __getitem__(self, index):
+        n = self.shape[0]
+        if isinstance(index, tuple):
+            if len(index) != 2 or not isinstance(index[1], (int, np.integer)):
+                raise TypeError("row views support view[rows, col] with one integer column only")
+            return self._entries(self._index(index[0], n), self._index(index[1], n))
+        return self._rows(self._index(index, n))
+
+    def _rows(self, i):
+        """Row ``i`` (an ``int``) or rows ``i`` (a wrapped index array)."""
+        raise NotImplementedError
+
+    def _entries(self, i, col: int):
+        """Entries ``(i, col)`` for a row ``int`` or a wrapped index array ``i``."""
+        raise NotImplementedError
+
+
+Residual = Union[np.ndarray, RowView]
+
+
+class DeltaResidual(RowView):
     """Lazy row-view of ``base + delta``: the pool's slots and the engine's repairs.
 
-    Implements exactly the read surface the scoring kernels and the
-    proposal cache use — ``shape``, ``dtype``, ``len``, row indexing by
-    scalar or 1-D integer sequence, and ``view[rows, col]`` for one column
-    — so :func:`repro.core.best_response.score_response` relaxes candidates
+    Implements the :class:`RowView` read surface, so
+    :func:`repro.core.best_response.score_response` relaxes candidates
     straight from the base matrix plus the packed rows without ever
     materializing the dense ``(n, n)`` array.  Rows inside the delta are
     served verbatim from the packed block; a row outside it is the base row
@@ -323,15 +401,10 @@ class DeltaResidual:
     repair by writing its block that way), which is what keeps every
     served float bit-identical to the dense matrix.
 
-    The view shares ``base``; writing to it would change the view.  It has
-    no implicit array conversion: ``numpy.asarray(view)`` raises, so a
-    dense use must call :meth:`dense`.
+    The view shares ``base``; writing to it would change the view.
     """
 
-    __slots__ = ("base", "delta", "shape")
-
-    ndim = 2
-    dtype = np.dtype(np.float64)
+    __slots__ = ("base", "delta")
 
     def __init__(self, base: np.ndarray, delta: ResidualDelta) -> None:
         b = _square(base, "base")
@@ -342,15 +415,6 @@ class DeltaResidual:
         self.base = b
         self.delta = delta
         self.shape = b.shape
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        raise TypeError(
-            "DeltaResidual is a row view and has no implicit dense form; "
-            "call .dense() where the full matrix is needed"
-        )
 
     def dense(self) -> np.ndarray:
         """The full dense matrix, as a new array (never on hot paths)."""
@@ -369,33 +433,8 @@ class DeltaResidual:
         hit = rows[np.minimum(pos, rows.size - 1)] == idx
         return pos, hit
 
-    def _index(self, index, n: int):
-        """``index`` as an ``int`` or a 1-D ``intp`` array, wrapped into ``[0, n)``."""
-        if isinstance(index, (int, np.integer)):
-            i = int(index)
-            if i < 0:
-                i += n
-            if not 0 <= i < n:
-                raise IndexError(f"row {index} out of range for n={n}")
-            return i
-        idx = np.asarray(index)
-        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-            raise TypeError(
-                "DeltaResidual supports scalar or 1-D integer row indexing only"
-            )
-        return np.where(idx < 0, idx + n, idx).astype(np.intp)
-
-    def __getitem__(self, index):
-        n = self.shape[0]
-        if isinstance(index, tuple):
-            if len(index) != 2 or not isinstance(index[1], (int, np.integer)):
-                raise TypeError(
-                    "DeltaResidual supports view[rows, col] with one integer "
-                    "column only"
-                )
-            return self._entries(self._index(index[0], n), self._index(index[1], n))
+    def _rows(self, i):
         rows, data = self.delta.rows, self.delta.data
-        i = self._index(index, n)
         if isinstance(i, int):
             pos = self._position(i)
             if pos >= 0:
@@ -430,17 +469,13 @@ class DeltaResidual:
         return out[0] if isinstance(i, int) else out
 
 
-def dense_residual(
-    matrix: "np.ndarray | DeltaResidual", *, copy: bool = False
-) -> np.ndarray:
-    """A residual as a dense float64 array: a view's :meth:`~DeltaResidual.dense`.
+def dense_residual(matrix: Residual) -> np.ndarray:
+    """A residual as a dense float64 array: a view's :meth:`~RowView.dense`.
 
-    An array passes through as is, or as a copy with ``copy=True``; a view
-    always comes back as a new array.  This is the explicit densify of the
-    engine's move update, its checkpoint exports and the pool's slot writer.
+    An array passes through as is; a view comes back as a new array.  This
+    is the explicit densify of the engine's move update, the checkpoint
+    writer and the pool's slot writer.
     """
-    if isinstance(matrix, DeltaResidual):
+    if isinstance(matrix, RowView):
         return matrix.dense()
-    if copy:
-        return np.array(matrix, dtype=np.float64, copy=True)
     return np.asarray(matrix, dtype=np.float64)

@@ -50,10 +50,16 @@ primitives used by the fast best-response engine
     unless a removed edge is *tight* for it (``d(x, a) + w == d(x, b)`` in
     either direction) or an added edge strictly improves it.  Only those
     rows and the ones the earlier set lacks are solved, in one
-    multi-source Dijkstra call, and a whole matrix is pinned exactly as
-    :func:`apsp_scipy` pins its own (the affected-row test of Ramalingam
-    and Reps, exact on any host).  The engine carries both its repair
+    multi-source Dijkstra call (the affected-row test of Ramalingam and
+    Reps, exact on any host); a whole matrix pins exactly as
+    :func:`apsp_scipy` pins its own.  The engine carries both its repair
     rows and its fallbacks this way.
+
+``PinnedResidual``
+    The engine's Dijkstra fallback residual: the raw rows of a carry,
+    served pinned (``min(raw, raw.T)``) row by row on read, so the raw
+    matrix stays the base of the next carry and no pinned ``(n, n)`` copy
+    is made.
 
 ``CandidateEvaluator``
     Scores candidate edge-sets of a single agent against a fixed residual
@@ -112,7 +118,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from .residual_delta import DeltaResidual, ResidualDelta, dense_residual
+from .residual_delta import DeltaResidual, Residual, ResidualDelta, RowView, dense_residual
 
 __all__ = [
     "floyd_warshall",
@@ -120,6 +126,7 @@ __all__ = [
     "all_pairs_shortest_paths",
     "FLOYD_WARSHALL_MAX_N",
     "CarriedDijkstra",
+    "PinnedResidual",
     "carry_dijkstra",
     "dijkstra_rows",
     "relax_source_row",
@@ -140,10 +147,10 @@ FLOYD_WARSHALL_MAX_N = 192
 _REPAIR_TOL = 1e-9
 
 
-def _as_square_float(matrix: np.ndarray) -> np.ndarray:
-    if isinstance(matrix, DeltaResidual):
-        # A delta-encoded residual view (already square float64): the
-        # scoring kernels only ever index it by row, which the view serves
+def _as_square_float(matrix: Residual) -> Residual:
+    if isinstance(matrix, RowView):
+        # A residual row view (already square float64): the scoring
+        # kernels only ever index it by row, which the view serves
         # bit-identically to the dense matrix without materializing it.
         return matrix
     arr = np.asarray(matrix, dtype=float)
@@ -362,14 +369,59 @@ class CarriedDijkstra(NamedTuple):
     ``unpinned`` holds the scipy Dijkstra rows of the requested sources, in
     their order (the whole matrix by default), each bit for bit a fresh
     solve and the base of a later carry; ``resolved`` lists the sources
-    whose rows were solved rather than carried; and ``distances`` equals
-    ``apsp_scipy(weights)`` bit for bit when every row was requested, and
-    is ``None`` for a subset (a pin needs the whole matrix).
+    whose rows were solved rather than carried; and ``every_row`` records
+    that every row was requested (``sources=None``).
     """
 
-    distances: np.ndarray | None
     unpinned: np.ndarray
     resolved: np.ndarray
+    every_row: bool
+
+    @property
+    def distances(self) -> np.ndarray | None:
+        """``apsp_scipy(weights)`` bit for bit when every row was requested,
+        ``None`` for a subset (a pin needs the whole matrix).  Pinned on each
+        access: a reference for tests, not for hot paths."""
+        return _pin(self.unpinned) if self.every_row else None
+
+
+class PinnedResidual(RowView):
+    """A raw Dijkstra matrix served pinned, ``min(raw, raw.T)``, row by row.
+
+    The engine's form of a Dijkstra fallback residual
+    (``n > FLOYD_WARSHALL_MAX_N``): it keeps the unpinned rows ``raw`` of
+    :attr:`CarriedDijkstra.unpinned` — the base its agent's next carry
+    reads directly — and serves the :class:`~repro.core.residual_delta.RowView`
+    read surface of the pinned matrix :func:`apsp_scipy` would return: row
+    ``i`` is ``min(raw[i], raw[:, i])`` and entry ``(i, c)`` is
+    ``min(raw[i, c], raw[c, i])``, the same minimum :func:`_pin` takes, so
+    every read equals the same read of ``_pin(raw)`` bit for bit.  A read
+    costs ``O(n)`` per row, and no ``(n, n)`` pinned copy exists unless
+    :meth:`dense` builds one.  The view shares ``raw``; writing to it would
+    change the view.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: np.ndarray) -> None:
+        r = np.asarray(raw, dtype=np.float64)
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+            raise ValueError(f"raw must be a square matrix, got shape {r.shape}")
+        self.raw = r
+        self.shape = r.shape
+
+    def dense(self) -> np.ndarray:
+        """The pinned matrix ``_pin(raw)``, as a new array (never on hot paths)."""
+        return _pin(self.raw)
+
+    def _rows(self, i):
+        raw = self.raw
+        if isinstance(i, int):
+            return np.minimum(raw[i], raw[:, i])
+        return np.minimum(raw[i], raw[:, i].T)
+
+    def _entries(self, i, col: int):
+        return np.minimum(self.raw[i, col], self.raw[col, i])
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,8 +515,8 @@ def carry_dijkstra(
     it holds for any set of previous rows and any requested subset: the
     dirty and the missing rows are solved together, in one multi-source
     Dijkstra call.  Cost ``O(r k)`` for ``r`` previous rows requested and
-    ``k`` changed edges, plus one Dijkstra per solved row (and a pin when
-    every row is requested).
+    ``k`` changed edges, plus one Dijkstra per solved row; nothing is
+    pinned until :attr:`CarriedDijkstra.distances` is read.
     """
     graph = _as_graph(weights)
     n = graph.n
@@ -500,8 +552,7 @@ def carry_dijkstra(
     if unpinned is None:
         resolved = wanted
         unpinned = _dijkstra(graph, wanted) if wanted.size else np.zeros((0, n))
-    distances = _pin(unpinned) if sources is None else None
-    return CarriedDijkstra(distances, unpinned, resolved)
+    return CarriedDijkstra(unpinned, resolved, sources is None)
 
 
 def dijkstra_rows(weights, sources: Sequence[int]) -> np.ndarray:
@@ -527,8 +578,10 @@ class DecrementalRepair:
     ``residual`` is the exact all-pairs matrix of the post-removal graph:
     after a row repair, a :class:`~repro.core.residual_delta.DeltaResidual`
     over the pre-removal matrix whose delta is the sorted re-solved sources
-    ``S`` and their ``(|S|, n)`` rows; after a rebuild, the dense matrix
-    the rebuild returned.  ``distances`` is the same matrix, always dense
+    ``S`` and their ``(|S|, n)`` rows; after a rebuild, the matrix the
+    rebuild returned, dense or a row view (the incremental engine's Dijkstra
+    fallbacks are :class:`PinnedResidual` views).  ``distances`` is the same
+    matrix, always dense
     (built on each access: a reference for tests, not for hot paths).
     ``affected_sources`` counts the vertices whose rows the repair had to
     recompute, and ``rebuilt`` records whether the affected frontier
@@ -536,7 +589,7 @@ class DecrementalRepair:
     instead of the row-wise repair.
     """
 
-    residual: np.ndarray | DeltaResidual
+    residual: Residual
     affected_sources: int
     rebuilt: bool
 
@@ -580,7 +633,7 @@ def decremental_distances(
     *,
     removed: Sequence[int] | np.ndarray,
     max_affected_fraction: float = 0.5,
-    rebuild: Callable[[_Graph], np.ndarray] | None = None,
+    rebuild: Callable[[_Graph], Residual] | None = None,
     solve_rows: Callable[[_Graph, np.ndarray], np.ndarray] | None = None,
 ) -> DecrementalRepair:
     """Exact distances after removing edges incident to ``vertex``.
@@ -609,9 +662,11 @@ def decremental_distances(
         performed instead.
     rebuild:
         Computes that fallback instead: called once with the post-removal
-        graph, it must return the graph's exact all-pairs matrix.  The
-        incremental engine passes one that carries Dijkstra rows over from
-        the agent's previous residual (:func:`carry_dijkstra`).
+        graph, it must return the graph's exact all-pairs matrix, dense or
+        as a row view.  The incremental engine passes one that carries
+        Dijkstra rows over from the agent's previous residual
+        (:func:`carry_dijkstra`) and returns them as a
+        :class:`PinnedResidual`.
     solve_rows:
         Computes a row repair's rows instead of :func:`dijkstra_rows`:
         called once with the post-removal graph and the sorted sources, it

@@ -9,7 +9,11 @@ serializer writes.
 The collections are purely syntactic (``writer.add("name", ...)`` calls,
 the header dict literal, ``for required in (...)`` tuples and
 ``state.get()``/``arrays.get()`` reads), which is what lets the self-test
-corpus assert that a single mutated schema field is detected.
+corpus assert that a single mutated schema field is detected.  When one of
+them cannot be found at all — no ``_serialize`` beside ``Checkpoint``, no
+header dict holding both ``"state"`` and ``"arrays"``, or no
+``writer.add("name", ...)`` call — the rule reports what is missing
+instead of passing without checking anything.
 """
 
 from __future__ import annotations
@@ -46,7 +50,14 @@ class ProtocolDrift(LintRule):
                 serialize_fn = node
             elif isinstance(node, ast.FunctionDef) and node.name == "load_checkpoint":
                 load_fn = node
-        if checkpoint_cls is None or serialize_fn is None:
+        if checkpoint_cls is None:
+            return
+        if serialize_fn is None:
+            yield (
+                checkpoint_cls.lineno,
+                "checkpoint.py defines Checkpoint but no _serialize function: "
+                "the schema cannot be checked",
+            )
             return
 
         fields: dict[str, int] = {}
@@ -84,7 +95,17 @@ class ProtocolDrift(LintRule):
                                 state_keys.setdefault(
                                     key_node.value, key_node.lineno
                                 )
-        if not state_keys or not array_names:
+        missing = []
+        if not state_keys:
+            missing.append('a header dict holding both "state" and "arrays"')
+        if not array_names:
+            missing.append('a writer.add("name", ...) call')
+        if missing:
+            yield (
+                serialize_fn.lineno,
+                f"_serialize lacks {' and '.join(missing)}: the schema "
+                "cannot be checked",
+            )
             return
 
         for name, lineno in sorted(fields.items()):

@@ -15,7 +15,11 @@ round-trip of the numpy bit-generator state, loud
 version-mismatched files, and the ``max_rounds`` accounting fix — a
 resumed run honors the *remaining* round budget, never a restarted one,
 with the per-entry-point historical budgets (run 100, sampling 60,
-convergence study 40, CLI ``simulate`` 60) pinned by regression.
+convergence study 40, CLI ``simulate`` 60) pinned by regression.  The
+save path shares the engine's read-only residuals and streams them: a
+save allocates about one ``(n, n)`` matrix beyond its header, a snapshot
+holding row views writes the bytes of its dense form, and an in-process
+restore of views resumes bit-identically.
 
 The randomized sweeps reuse the small-budget/``--slow`` split from
 ``tests/conftest.py`` via the ``property_budget`` fixture.
@@ -23,12 +27,14 @@ The randomized sweeps reuse the small-budget/``--slow`` split from
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -53,7 +59,13 @@ from repro.core.checkpoint import (
     rng_from_state,
     rng_state_to_dict,
 )
-from repro.core.dynamics import DynamicsResult
+from repro.core.dynamics import DynamicsResult, _ProposalCache
+from repro.core.game import NetworkCreationGame
+from repro.core.host_graph import HostGraph
+from repro.core.incremental import IncrementalEngine
+from repro.core.residual_delta import DeltaResidual, dense_residual
+from repro.core.shortest_paths import PinnedResidual
+from repro.core.strategy import StrategyProfile
 from repro.core.session import (
     MAX_ROUNDS_CONVERGENCE,
     MAX_ROUNDS_RUN,
@@ -740,3 +752,171 @@ def test_cli_resume_reports_unreadable_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"this is not a checkpoint")
     assert main(["resume", str(bad)]) == 1
     assert "not a repro checkpoint" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The save path: shared read-only residuals, streamed to disk
+# ----------------------------------------------------------------------
+def _mesh_game(n: int = 200, degree: int = 6, seed: int = 7):
+    """A random geometric mesh past the Floyd–Warshall cutoff (so fallbacks
+    are Dijkstra row views), and a BFS spanning tree owned by the parents."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2)) * np.sqrt(n)
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    allowed = np.zeros((n, n), dtype=bool)
+    nearest = np.argsort(d, axis=1)[:, 1 : degree + 1]
+    allowed[np.repeat(np.arange(n), degree), nearest.ravel()] = True
+    allowed |= allowed.T
+    weights = np.where(allowed, d, np.inf)
+    np.fill_diagonal(weights, 0.0)
+    owns = np.zeros((n, n), dtype=bool)
+    seen, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop(0)
+        for v in np.flatnonzero(allowed[u]):
+            if int(v) not in seen:
+                seen.add(int(v))
+                owns[u, v] = True
+                frontier.append(int(v))
+    assert len(seen) == n
+    return NetworkCreationGame(HostGraph(weights), 1.0), StrategyProfile(owns)
+
+
+class _StopAtBoundary(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def round_one_snapshot(tmp_path_factory):
+    """The in-memory round-1 checkpoint of a single-move run on the n = 200
+    mesh, as ``save_checkpoint`` receives it, and the straight-through run."""
+    game, start = _mesh_game()
+    cfg = SimulationConfig(response="single", schedule="batched", max_rounds=2)
+    straight = _run_straight(game, start, cfg)
+    captured = []
+
+    def capture(ckpt, path):
+        captured.append(ckpt)
+        raise _StopAtBoundary
+
+    directory = tmp_path_factory.mktemp("snapshot")
+    checkpointed = cfg.replace(
+        checkpoint_path=str(directory / "ckpt-{round}.bin"), checkpoint_every=1
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checkpoint_mod, "save_checkpoint", capture)
+        with pytest.raises(_StopAtBoundary):
+            _run_straight(game, start, checkpointed)
+    (ckpt,) = captured
+    return game, cfg, ckpt, straight
+
+
+def _with_proposals(ckpt):
+    """``ckpt`` with proposals holding the engine's own residual objects,
+    a repair view and a fallback view among them."""
+    by_kind: dict[type, int] = {}
+    for u, (_, matrix) in sorted(ckpt.engine_residuals.items()):
+        by_kind.setdefault(type(matrix), u)
+    assert {DeltaResidual, PinnedResidual} <= set(by_kind)
+    proposals = {
+        u: {
+            "agent": u,
+            "strategy": [int(v) for v in np.flatnonzero(ckpt.ownership[u])],
+            "cost": 1.5,
+            "current_cost": 2.5,
+            "method": "single",
+            "d_rest": ckpt.engine_residuals[u][1],
+        }
+        for u in by_kind.values()
+    }
+    cache_state = {
+        "hits": 3, "misses": 4, "prefill_window": 2, "floor_misses": 1,
+        "speculated": [], "proposals": proposals,
+    }
+    return dataclasses.replace(ckpt, cache_state=cache_state)
+
+
+def _densified(ckpt):
+    """``ckpt`` with every residual a dense array."""
+    cache_state = dict(ckpt.cache_state)
+    cache_state["proposals"] = {
+        u: {**entry, "d_rest": dense_residual(entry["d_rest"])}
+        for u, entry in ckpt.cache_state["proposals"].items()
+    }
+    return dataclasses.replace(
+        ckpt,
+        engine_residuals={
+            u: (key, dense_residual(matrix)) for u, (key, matrix) in ckpt.engine_residuals.items()
+        },
+        cache_state=cache_state,
+    )
+
+
+def test_save_allocates_about_one_matrix_not_the_file(round_one_snapshot, tmp_path):
+    """A save streams the payload: its traced peak stays within a few
+    ``(n, n)`` matrices plus the header, far below the file size."""
+    game, _, ckpt, _ = round_one_snapshot
+    n = game.n
+    kinds = [type(matrix) for _, matrix in ckpt.engine_residuals.values()]
+    assert len(kinds) >= 20 and {DeltaResidual, PinnedResidual} <= set(kinds)
+    path = tmp_path / "ckpt.bin"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        save_checkpoint(ckpt, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[12:20])
+    assert len(raw) > 20 * n * n * 8
+    assert peak < 4 * n * n * 8 + 3 * header_len, (peak, len(raw), header_len)
+
+
+def test_views_write_the_bytes_of_their_dense_forms(round_one_snapshot, tmp_path):
+    _, _, ckpt, _ = round_one_snapshot
+    views = _with_proposals(ckpt)
+    dense = _densified(views)
+    save_checkpoint(views, tmp_path / "views.bin")
+    save_checkpoint(dense, tmp_path / "dense.bin")
+    assert (tmp_path / "views.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
+    loaded = load_checkpoint(tmp_path / "views.bin")
+    expected = {u: matrix for u, (_, matrix) in dense.engine_residuals.items()}
+    expected.update(
+        {("proposal", u): entry["d_rest"] for u, entry in dense.cache_state["proposals"].items()}
+    )
+    got = {u: matrix for u, (_, matrix) in loaded.engine_residuals.items()}
+    got.update({("proposal", u): d for u, (_, d) in loaded.proposals().items()})
+    assert got.keys() == expected.keys()
+    for name, matrix in got.items():
+        assert type(matrix) is np.ndarray and not matrix.flags.writeable
+        assert np.array_equal(matrix.view(np.int64), expected[name].view(np.int64))
+
+
+def test_in_process_restore_of_views_resumes_bit_identically(round_one_snapshot):
+    """``restore_state(**export_state())`` with views: a session resumes
+    from the in-memory snapshot (row views and all) bit-identically."""
+    game, cfg, ckpt, straight = round_one_snapshot
+    with GameSession(game, cfg) as session:
+        resumed = session.resume(ckpt, checkpoint_path=None, checkpoint_every=None)
+    _assert_identical_runs([straight, resumed])
+
+    views = _with_proposals(ckpt)
+    engine = IncrementalEngine(game, ckpt.profile())
+    engine.restore_state(
+        distances=views.engine_distances,
+        residuals=views.engine_residuals,
+        stats=views.engine_stats,
+    )
+    cache = _ProposalCache(game)
+    cache.restore_state(views.proposals(), hits=3, misses=4)
+    again = engine.export_state()
+    assert again["stats"] == views.engine_stats
+    for u, (key, matrix) in views.engine_residuals.items():
+        got_key, got = again["residuals"][u]
+        assert got_key == key and type(got) is np.ndarray and not got.flags.writeable
+        assert np.array_equal(got.view(np.int64), dense_residual(matrix).view(np.int64))
+    for u, entry in cache.export_state()["proposals"].items():
+        assert not entry["d_rest"].flags.writeable
+        expected = dense_residual(views.cache_state["proposals"][u]["d_rest"])
+        assert np.array_equal(entry["d_rest"].view(np.int64), expected.view(np.int64))

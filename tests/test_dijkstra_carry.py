@@ -9,10 +9,11 @@ equals :func:`~repro.core.shortest_paths.apsp_scipy`, and that the rows of
 any source subset, carried from the rows of any other subset, equal a fresh
 Dijkstra of those sources.  The engine carries every miss from the rows the
 agent's previous entry holds: a repair's re-solved rows (its block, with
-the transposed square flipped back) or a Dijkstra fallback's whole matrix,
-kept as a ``uint8`` ulp *lift* over the pinned one.  A gap over 255 ulp
-stores no lift; such an entry, a Floyd–Warshall fallback and a restored
-entry hold no rows, and the agent's next miss solves every row fresh.
+the transposed square flipped back) or a Dijkstra fallback's whole raw
+matrix, which its :class:`~repro.core.shortest_paths.PinnedResidual`
+serves pinned on read, however wide the gap between a raw entry and its
+pin.  A Floyd–Warshall fallback and a restored entry hold no rows, and
+the agent's next miss solves every row fresh.
 Engine-level tests run past ``FLOYD_WARSHALL_MAX_N``, where fallbacks take
 the Dijkstra path: every carried repair equals the repair built with fresh
 rows, and a checkpointed run must resume bit-identically and write the same
@@ -44,6 +45,7 @@ from repro.core.host_graph import HostGraph
 from repro.core.residual_delta import dense_residual
 from repro.core.shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
+    PinnedResidual,
     _as_graph,
     _dijkstra,
     _index_dtype,
@@ -107,22 +109,20 @@ def _check_edit_sequence(kind, n, steps, seed, as_csr):
     weights = _battery_network(host, rng)
     first = carry_dijkstra(weights)
     assert np.array_equal(first.resolved, np.arange(n))
-    pinned, lift = first.distances, incremental._lift(first.unpinned, first.distances)
+    # The engine's chain: each fallback is cached as a pinned view over its
+    # raw rows, and the next carry reads the raw rows from that view.
+    view = PinnedResidual(first.unpinned)
     for _ in range(steps):
         new, removed, added = _edit(weights, host, rng)
-        previous = None if lift is None else incremental._unlift(pinned, lift)
+        previous = incremental._held_rows(view, None)[1]
         carry = carry_dijkstra(_csr(new) if as_csr else new, previous, removed, added)
         fresh = _fresh_unpinned(new)
         assert np.array_equal(_bits(carry.unpinned), _bits(fresh))
         assert np.array_equal(_bits(carry.distances), _bits(apsp_scipy(new)))
-        if previous is None:
-            assert carry.resolved.size == n
-        else:
-            kept = np.setdiff1d(np.arange(n), carry.resolved)
-            assert np.array_equal(_bits(carry.unpinned[kept]), _bits(previous[kept]))
-        pinned, lift = carry.distances, incremental._lift(carry.unpinned, carry.distances)
-        if lift is not None:
-            assert np.array_equal(_bits(incremental._unlift(pinned, lift)), _bits(carry.unpinned))
+        kept = np.setdiff1d(np.arange(n), carry.resolved)
+        assert np.array_equal(_bits(carry.unpinned[kept]), _bits(previous[kept]))
+        view = PinnedResidual(carry.unpinned)
+        assert np.array_equal(_bits(view.dense()), _bits(carry.distances))
         weights = new
 
 
@@ -212,7 +212,7 @@ def test_repair_view_holds_its_raw_rows():
                 apsp_scipy(weights), new, v, removed=drop, max_affected_fraction=1.0
             )
             sources = repair.residual.delta.rows
-            entry = (b"", repair.residual, None)
+            entry = repair.residual
             held, rows = incremental._held_rows(entry, None)
             assert np.array_equal(held, sources)
             assert np.array_equal(_bits(rows), _bits(dijkstra_rows(new, sources)))
@@ -305,7 +305,7 @@ def test_decremental_fallback_uses_the_given_rebuild():
 
 
 # ----------------------------------------------------------------------
-# Lift overflow
+# Wide pin gaps
 # ----------------------------------------------------------------------
 def _heavy_path_weights(n: int) -> np.ndarray:
     """A path whose first edge weighs 1e16 and the rest 0.99 (ulp(1e16) = 2).
@@ -320,13 +320,19 @@ def _heavy_path_weights(n: int) -> np.ndarray:
     return w
 
 
-def test_lift_overflow_stores_no_lift():
-    short = carry_dijkstra(_heavy_path_weights(400))
-    lift = incremental._lift(short.unpinned, short.distances)
-    assert lift is not None and 150 < int(lift.max()) <= 255
-    assert np.array_equal(_bits(incremental._unlift(short.distances, lift)), _bits(short.unpinned))
-    long = carry_dijkstra(_heavy_path_weights(700))
-    assert incremental._lift(long.unpinned, long.distances) is None
+def test_pinned_view_serves_a_wide_gap_exactly():
+    """Raw entries over 255 ulp above their pin (which a one-byte ulp lift
+    could not store) are served pinned, and the raw rows stay the fresh
+    solve, so the next carry can read them."""
+    carry = carry_dijkstra(_heavy_path_weights(700))
+    pinned = carry.distances
+    assert (carry.unpinned.view(np.int64) - pinned.view(np.int64)).max() > 255
+    view = PinnedResidual(carry.unpinned)
+    assert np.array_equal(_bits(view.raw), _bits(_fresh_unpinned(_heavy_path_weights(700))))
+    assert np.array_equal(_bits(view.dense()), _bits(pinned))
+    rows = np.array([699, 0, 350, 699])
+    assert np.array_equal(_bits(view[rows]), _bits(pinned[rows]))
+    assert np.array_equal(_bits(view[rows, 1]), _bits(pinned[rows, 1]))
 
 
 @pytest.fixture
@@ -359,7 +365,7 @@ def checked_fallbacks(monkeypatch):
     def checked(self, u, key, graph):
         d_rest = rebuild(self, u, key, graph)
         expected = apsp_scipy(self.game.residual_weights(self.profile, u))
-        assert np.array_equal(_bits(d_rest), _bits(expected))
+        assert np.array_equal(_bits(dense_residual(d_rest)), _bits(expected))
         agents.append(u)
         return d_rest
 
@@ -373,27 +379,34 @@ def _repair_threshold(monkeypatch, value: float) -> None:
     monkeypatch.setattr(incremental, "_REPAIR_THRESHOLD", value)
 
 
-def test_engine_after_lift_overflow_runs_the_next_fallback_in_full(
-    carry_calls, checked_fallbacks, monkeypatch
-):
+def _heavy_path_engine(monkeypatch) -> IncrementalEngine:
+    """The n = 700 heavy path, agent ``i`` owning ``(i, i + 1)``, with the
+    fallbacks of agents 650 and 100 cached: residual components ``{0..u}``
+    whose raw rows sit up to ~324 and ~49 ulp above their pins."""
     n = 700
     game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
     owns = np.zeros((n, n), dtype=bool)
-    owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
+    owns[np.arange(n - 1), np.arange(1, n)] = True
     _repair_threshold(monkeypatch, 0.0)
     engine = IncrementalEngine(game, StrategyProfile(owns))
-    wide, narrow = 650, 100  # residual components {0..u}: gaps ~324 and ~49 ulp
-    for u in (wide, narrow):
+    for u in (650, 100):
         engine.residual(u)
-    assert engine._residuals[wide][2] is None
-    assert engine._residuals[narrow][2] is not None
+        assert isinstance(engine._residuals[u][1], PinnedResidual)
+    return engine
+
+
+def test_fallbacks_after_a_wide_pin_gap_carry_their_rows(
+    carry_calls, checked_fallbacks, monkeypatch
+):
+    engine = _heavy_path_engine(monkeypatch)
+    n = engine.game.n
     engine.apply(n - 2, [])  # any move changes every other agent's residual key
     del carry_calls.fallbacks[:]
-    engine.residual(wide)
-    engine.residual(narrow)
-    assert checked_fallbacks[-2:] == [wide, narrow]
-    # Rows 0..narrow cannot reach the dropped edge (n - 2, n - 1): carried.
-    assert carry_calls.fallbacks == [(False, n), (True, n - narrow - 1)]
+    for u in (650, 100):
+        engine.residual(u)
+    assert checked_fallbacks[-2:] == [650, 100]
+    # Rows 0..u cannot reach the dropped edge (n - 2, n - 1): carried.
+    assert carry_calls.fallbacks == [(True, n - 651), (True, n - 101)]
 
 
 # ----------------------------------------------------------------------
@@ -554,33 +567,26 @@ def test_repair_after_a_floyd_warshall_fallback_solves_every_row(carry_calls, mo
     assert carry_calls.repairs[-1][0]
 
 
-def test_repair_after_a_lift_overflow_solves_every_row(carry_calls, monkeypatch):
-    n = 700
-    game = NetworkCreationGame(HostGraph(_heavy_path_weights(n)), 1.0)
-    owns = np.zeros((n, n), dtype=bool)
-    owns[np.arange(n - 1), np.arange(1, n)] = True  # agent i owns (i, i + 1)
-    _repair_threshold(monkeypatch, 0.0)
-    engine = IncrementalEngine(game, StrategyProfile(owns))
-    wide, narrow = 650, 100
-    for u in (wide, narrow):
-        engine.residual(u)
-    assert engine._residuals[wide][2] is None
-    assert engine._residuals[narrow][2] is not None
+def test_repairs_after_a_wide_pin_gap_carry_their_rows(
+    carry_calls, checked_repairs, monkeypatch
+):
+    engine = _heavy_path_engine(monkeypatch)
+    n = engine.game.n
     _repair_threshold(monkeypatch, 1.0)
     engine.apply(n - 2, [])
-    engine.residual(wide)
-    assert _solved_fresh(carry_calls.repairs[-1])
-    engine.residual(narrow)
-    carried, sources, resolved = carry_calls.repairs[-1]
-    # Rows 0..narrow cannot reach the dropped edge (n - 2, n - 1): carried.
-    assert carried and resolved == sources - (narrow + 1)
+    for u in (650, 100):
+        engine.residual(u)
+        carried, sources, resolved = carry_calls.repairs[-1]
+        # Rows 0..u cannot reach the dropped edge (n - 2, n - 1): carried.
+        assert carried and resolved == sources - (u + 1)
+    assert len(checked_repairs) == 3  # the mover's residual in apply, then u's
 
 
 def test_repair_after_a_restore_solves_every_row(carry_calls, monkeypatch):
     _repair_threshold(monkeypatch, 0.0)
     engine, u, other = _mesh_engine(N_DIJKSTRA)
     engine.residual(u)
-    assert engine._residuals[u][2] is not None  # a Dijkstra fallback with a lift
+    assert isinstance(engine._residuals[u][1], PinnedResidual)  # a Dijkstra fallback
     _repair_threshold(monkeypatch, 1.0)
     restored = IncrementalEngine(engine.game, engine.profile)
     restored.restore_state(**engine.export_state())
@@ -590,7 +596,7 @@ def test_repair_after_a_restore_solves_every_row(carry_calls, monkeypatch):
         residuals.append(dense_residual(e.residual(u)))
         calls.append(carry_calls.repairs[-1])
     assert _solved_fresh(calls[0])
-    assert calls[1][0] and calls[1][2] < calls[1][1]  # the lift carries
+    assert calls[1][0] and calls[1][2] < calls[1][1]  # the raw rows carry
     assert np.array_equal(_bits(residuals[0]), _bits(residuals[1]))
 
 
@@ -599,8 +605,9 @@ def test_repair_after_a_restore_solves_every_row(carry_calls, monkeypatch):
 # ----------------------------------------------------------------------
 # sha256 of the round-1 checkpoint of the run below: the bytes written
 # before fallbacks were carried, re-saved without the retired
-# ``repair_threshold`` config key.  Lifts are never serialized, so the bytes
-# must not change.  The template is relative, so the path in the header is
+# ``repair_threshold`` config key.  A fallback is written as its pinned
+# dense matrix, whatever form the engine holds it in, so the bytes must not
+# change.  The template is relative, so the path in the header is
 # fixed.
 ROUND_ONE_CHECKPOINT_SHA256 = "80b4e184718dc28c50cca873f8a7d9ae01da30be2377be2a93d228fda32240d2"
 
@@ -625,6 +632,6 @@ def test_checkpoint_resume_with_carried_fallbacks(tmp_path, monkeypatch, carry_c
     resumed = resume_dynamics(str(boundary), checkpoint_every=None, checkpoint_path=None)
     _assert_identical_runs([straight, resumed])
     residuals = engine.export_state()["residuals"]
-    assert residuals
+    assert any(isinstance(matrix, PinnedResidual) for _, matrix in residuals.values())
     for key, matrix in residuals.values():
         assert isinstance(key, bytes) and matrix.shape == (N_DIJKSTRA, N_DIJKSTRA)

@@ -502,6 +502,36 @@ def test_proto001_detects_an_unserialized_checkpoint_field(tmp_path):
     assert "Checkpoint field 'detect_cycle' is never written by _serialize" in messages
 
 
+def test_proto001_flags_a_renamed_serializer(tmp_path):
+    # Without a _serialize the rule has nothing to compare: it must say so.
+    path = _drifted_copy(tmp_path, "checkpoint.py", "def _serialize(", "def _encode(")
+    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
+    assert [f.message for f in findings] == [
+        "checkpoint.py defines Checkpoint but no _serialize function: the "
+        "schema cannot be checked"
+    ]
+
+
+def test_proto001_flags_a_renamed_writer_method(tmp_path):
+    path = _drifted_copy(tmp_path, "checkpoint.py", "writer.add(", "writer.put(")
+    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
+    assert [f.message for f in findings] == [
+        '_serialize lacks a writer.add("name", ...) call: the schema cannot '
+        "be checked"
+    ]
+
+
+def test_proto001_flags_a_header_without_state_and_arrays(tmp_path):
+    path = _drifted_copy(
+        tmp_path, "checkpoint.py", '"arrays": writer.manifest', '"manifest": writer.manifest'
+    )
+    findings = [f for f in lint_paths([path], root=tmp_path) if f.rule == "PROTO001"]
+    assert [f.message for f in findings] == [
+        '_serialize lacks a header dict holding both "state" and "arrays": '
+        "the schema cannot be checked"
+    ]
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
 def test_proto001_flags_every_renamed_checkpoint_field(tmp_path, name):
     # No field of the on-disk schema may drift past the rule unnoticed.

@@ -263,7 +263,7 @@ def test_slot_pressure_chunks_stay_bit_exact():
     engine = IncrementalEngine(game, profile)
     # force distinct matrix objects per agent (copies break identity sharing)
     tasks = [
-        (u, dense_residual(engine.residual(u), copy=True), profile.strategy(u))
+        (u, np.array(dense_residual(engine.residual(u))), profile.strategy(u))
         for u in range(n)
     ]
     serial = [engine.respond(u, "best", d_rest=tasks[u][1]) for u in range(n)]

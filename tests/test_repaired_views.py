@@ -15,9 +15,10 @@ checks that nothing observable changes and that the memory goes:
   with every repair densified on the spot;
 * **memory** — after one batched round on a localized tree no cached
   repair owns an ``(n, n)`` buffer, and all of them share one base;
-* **safety** — the network matrices the engine publishes are read-only,
-  and a forced pool scoring repaired views equals serial scoring with
-  exact ``bytes_sent``.
+* **safety** — the network matrices the engine publishes and every
+  residual it caches or the proposal cache stores are read-only, and a
+  forced pool scoring repaired views equals serial scoring with exact
+  ``bytes_sent``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,20 @@ from repro.core import (
     run_dynamics,
 )
 from repro.core.best_response import score_tasks
+from repro.core.dynamics import _ProposalCache
 from repro.core.host_graph import HostGraph
 from repro.core.parallel import ParallelEvaluator, pool_always
 from repro.core.residual_delta import DeltaResidual, delta_if_smaller, dense_residual
 from repro.core.shortest_paths import (
+    FLOYD_WARSHALL_MAX_N,
     DecrementalRepair,
+    PinnedResidual,
     apsp_scipy,
     decremental_distances,
     floyd_warshall,
 )
 
-from test_dijkstra_carry import _SLOW, _TIER1, _bits
+from test_dijkstra_carry import _SLOW, _TIER1, _bits, _mesh_host, _tree_profile
 from test_parallel_evaluator import _assert_identical_runs, _random_game, _random_profile
 from test_shortest_paths import _battery_host, _battery_network, _csr, _dense_scan_repair
 
@@ -247,7 +251,7 @@ def test_batched_round_caches_no_dense_repair(localized_tree):
         proposals = session._cache._proposals
     assert result.engine_stats.residual_repairs >= 8
     assert result.engine_stats.repair_fallbacks == 0
-    cached = [matrix for _, matrix, _ in engine._residuals.values()]
+    cached = [matrix for _, matrix in engine._residuals.values()]
     assert len(cached) == result.engine_stats.residual_repairs
     for matrix in cached:
         owned = (
@@ -264,6 +268,21 @@ def test_batched_round_caches_no_dense_repair(localized_tree):
 # ----------------------------------------------------------------------
 # Safety: read-only network matrices, pool path
 # ----------------------------------------------------------------------
+def _buffers(residual) -> list[np.ndarray]:
+    """The arrays a cached residual owns or shares."""
+    if isinstance(residual, DeltaResidual):
+        return [residual.base, residual.delta.rows, residual.delta.data]
+    if isinstance(residual, PinnedResidual):
+        return [residual.raw]
+    return [residual]
+
+
+def _assert_read_only(residual) -> None:
+    for array in _buffers(residual):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = -1.0
+
+
 def test_published_network_matrices_are_read_only():
     rng = np.random.default_rng(3)
     game = _random_game("metric", 7, rng)
@@ -278,6 +297,50 @@ def test_published_network_matrices_are_read_only():
     engine.restore_state(**state)
     with pytest.raises(ValueError, match="read-only"):
         engine.distances[2, 3] = 0.0
+    # Every residual the engine caches or the proposal cache stores raises
+    # on write too — Floyd–Warshall and Dijkstra fallbacks, repair blocks —
+    # and so does every residual a restore installs.
+    rng = np.random.default_rng(8)
+    game = _random_game("general", 9, rng)
+    _check_cached_residuals_read_only(game, _random_profile(9, rng, density=0.6))
+    host = _mesh_host(200)
+    _check_cached_residuals_read_only(NetworkCreationGame(host, 40.0), _tree_profile(host))
+
+
+def _check_cached_residuals_read_only(game, start) -> None:
+    n = game.n
+    stored: list = []
+    store = _ProposalCache.store
+
+    def spy(self, u, result, d_rest):
+        stored.append(d_rest)
+        store(self, u, result, d_rest)
+
+    cfg = SimulationConfig(schedule="batched", response="single", max_rounds=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ProposalCache, "store", spy)
+        with GameSession(game, cfg) as session:
+            session.run(start)
+            engine = session._engine
+        for threshold in (0.0, 1.0):  # fallbacks, then repairs
+            mp.setattr(incremental, "_REPAIR_THRESHOLD", threshold)
+            for u in range(0, n, 2 if threshold else 3):
+                engine._residuals.pop(u, None)
+                engine.residual(u)
+    cached = [matrix for _, matrix in engine._residuals.values()]
+    kinds = {type(matrix) for matrix in cached}
+    assert DeltaResidual in kinds
+    assert (PinnedResidual if n > FLOYD_WARSHALL_MAX_N else np.ndarray) in kinds
+    assert {type(d_rest) for d_rest in stored} >= {DeltaResidual, np.ndarray} | (
+        {PinnedResidual} if n > FLOYD_WARSHALL_MAX_N else set()
+    )
+    for residual in cached + stored:
+        _assert_read_only(residual)
+    state = engine.export_state()
+    engine.reset(engine.profile)
+    engine.restore_state(**state)
+    for _, matrix in engine._residuals.values():
+        _assert_read_only(matrix)
 
 
 def test_views_refuse_implicit_densify():

@@ -61,7 +61,9 @@ buffer straight into the temporary file.  A residual row view
 (:class:`~repro.core.residual_delta.RowView`) is densified only for its
 own array, so a save allocates about one ``(n, n)`` matrix beyond the
 header, whatever the file size, and the bytes are the same as for the
-same snapshot with every residual dense.
+same snapshot with every residual dense.  A load reads the payload once,
+into one buffer, and hands out views into it, so it allocates about the
+file size.
 
 ``checkpoint_path`` may contain a ``{round}`` placeholder, formatted with
 the number of completed rounds at each write (keep every boundary, e.g.
@@ -187,7 +189,8 @@ class Checkpoint:
     from the versioned binary file format.  A snapshot built from a live
     run shares the engine's read-only residuals as they are (dense arrays
     or :class:`~repro.core.residual_delta.RowView` views), so building one
-    copies no matrix; a loaded one holds dense read-only arrays.
+    copies no matrix; a loaded one holds dense read-only arrays, each a view
+    into the file's one payload buffer.
     """
 
     config: dict[str, Any]
@@ -436,11 +439,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike[str]) -> None:
             os.unlink(tmp_name)
 
 
-def _read_exact(handle: IO[bytes], count: int, what: str) -> bytes:
-    data = handle.read(count)
+def _read_exact(handle: IO[bytes], count: int, what: str) -> bytearray:
+    """``count`` bytes of ``what``, read straight into one new buffer."""
+    _require(count >= 0, f"implausible checkpoint {what} length {count}")
+    data = bytearray(count)
+    got = handle.readinto(data)
     _require(
-        len(data) == count,
-        f"truncated checkpoint: expected {count} bytes of {what}, got {len(data)}",
+        got == count,
+        f"truncated checkpoint: expected {count} bytes of {what}, got {got}",
     )
     return data
 
@@ -451,6 +457,13 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
     Raises :class:`CheckpointError` — never returns partial state — for a
     missing/truncated file, wrong magic, unsupported version, malformed
     header or payload checksum mismatch.
+
+    The payload is read once, into one buffer, and every array is a view
+    into it, so a load allocates about the file size, not twice that.  The
+    buffer lives as long as any of its arrays does.  An array the layout
+    leaves misaligned for its dtype (the byte-sized ownership matrix and
+    seen keys shift the arrays after them, e.g. for odd ``n``) is copied
+    out instead.
     """
     try:
         handle = open(path, "rb")
@@ -460,7 +473,7 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
         magic = _read_exact(handle, len(CHECKPOINT_MAGIC), "magic")
         _require(
             magic == CHECKPOINT_MAGIC,
-            f"{path} is not a repro checkpoint (bad magic {magic!r})",
+            f"{path} is not a repro checkpoint (bad magic {bytes(magic)!r})",
         )
         (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
         _require(
@@ -514,11 +527,13 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
             expected == nbytes,
             f"array {name!r} has inconsistent shape/byte-length in the manifest",
         )
-        arrays[name] = (
-            np.frombuffer(payload, dtype=dtype, count=max(0, nbytes // dtype.itemsize), offset=offset)
-            .reshape(shape)
-            .copy()
-        )
+        view = np.frombuffer(
+            payload, dtype=dtype, count=max(0, nbytes // dtype.itemsize), offset=offset
+        ).reshape(shape)
+        # The payload packs arrays back to back, so the byte-sized arrays
+        # (ownership, seen keys) can shift the ones after them off their
+        # dtype's grid, where numpy runs slow unaligned loops: copy those.
+        arrays[name] = view if view.flags.aligned else view.copy()
 
     state = header["state"]
     _require(isinstance(state, dict), "checkpoint state is not an object")

@@ -38,7 +38,9 @@ agent's current cost and one for the social cost after a move.
    (:func:`repro.core.shortest_paths.decremental_distances`).  The residual
    graph is built in ``O(m)`` from the current network's row-sorted edge
    arrays; a neighbour prefilter narrows the affected test to the rows
-   whose paths may run through ``u`` (``O(n deg(u))``); and only affected
+   whose paths may run through ``u`` (``O(n deg(u))``), whose pair test
+   runs on ``u``'s neighbour columns first (``O(p deg(u))`` for ``p`` kept
+   rows) and on a full row only where none fires; and only affected
    rows are re-solved, by sparse Dijkstra (``O(n + m log n)`` each) — and of
    those only the rows that the agent's previous residual does not hold,
    or that an edge added or removed since can touch
@@ -69,9 +71,11 @@ agent's current cost and one for the social cost after a move.
    trades nothing but time.
 
 Per-operation complexity summary (``n`` agents, ``m`` network edges, ``k``
-candidate edges, ``a`` affected repair sources, ``c`` residual edges added
-or removed since the agent's previous residual, and ``a'`` and ``r`` the
-repair and fallback rows that residual lacks or those edges touch):
+candidate edges, ``p`` rows kept by the repair's prefilter and ``q`` of
+them that no neighbour column decides, ``a`` affected repair sources,
+``c`` residual edges added or removed since the agent's previous residual,
+and ``a'`` and ``r`` the repair and fallback rows that residual lacks or
+those edges touch):
 
 =====================================  ===========================
 operation                              cost
@@ -79,18 +83,22 @@ operation                              cost
 candidate strategy scoring             ``O(k n)`` per candidate
 post-move distance update (`apply`)    ``O(n^2)``
 residual cache hit                     ``O(n^2 / 8)`` (key check)
-residual miss, decremental repair      ``O(n deg(u) + a c``
-                                       ``+ a' (n + m log n))``
+residual miss, decremental repair      ``O(n deg(u) + p deg(u) + q n``
+                                       ``+ a c + a' (n + m log n))``
                                        plus an ``O(a n)`` block, ``a <= rn``
 residual miss, fallback in full        ``O(n^3)`` (full APSP)
-residual miss, carried fallback        ``O(n c + r (n + m log n))``
-                                       plus an ``O(n^2)`` row copy
+residual miss, carried fallback        ``O(n deg(u) + p deg(u) + q n``
+                                       ``+ n c + r (n + m log n))``
+                                       plus one ``O(n^2)`` matrix copy
 =====================================  ===========================
 
-The ``a c`` term tests the held rows among the ``a`` sources against the
-``c`` changed edges, and the key diff behind ``c`` is ``O(n^2 / 8)`` byte
-work, like a hit.  A carried fallback copies its clean rows into a new
-raw matrix; nothing else of size ``n^2`` is made.  A repair stays an
+The ``p deg(u)`` term is the affected test on the neighbour columns; on
+the single-move workloads nearly every kept row is affected, so ``q``
+stays small.  The ``a c`` term tests the held rows among the ``a``
+sources against the ``c`` changed edges, and the key diff behind ``c`` is
+``O(n^2 / 8)`` byte work, like a hit.  A carried fallback copies the
+previous raw matrix once and overwrites its stale rows; nothing else of
+size ``n^2`` is made.  A repair stays an
 ``O(a n)`` row block, and a Dijkstra fallback (``n >
 FLOYD_WARSHALL_MAX_N``) stays its raw Dijkstra matrix, served pinned
 (``min(D, D.T)``) row by row by a

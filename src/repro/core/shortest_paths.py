@@ -22,10 +22,10 @@ edges beyond reading the input.
 Two interchangeable all-pairs kernels are provided:
 
 ``floyd_warshall``
-    A fully vectorized NumPy Floyd–Warshall on a dense matrix built from
-    that graph.  It is the reference implementation: it handles
-    zero-weight edges and ``inf`` non-edges exactly and is fast enough for
-    the instance sizes used throughout the paper (n up to a few hundred).
+    scipy's compiled Floyd–Warshall on that graph.  It is the reference
+    implementation: it handles zero-weight edges and ``inf`` non-edges
+    exactly, is bitwise symmetric, and is fast enough for the instance
+    sizes used throughout the paper (n up to a few hundred).
 
 ``apsp_scipy``
     :func:`scipy.sparse.csgraph.dijkstra` run on the CSR graph directly.
@@ -94,7 +94,9 @@ primitives used by the fast best-response engine
     when ``d(x, v) + d(v, y) == d(x, y)``.  Such a path leaves ``v`` by some edge
     ``(v, b)``, so a source ``x`` can only be affected when ``x -> v -> b`` is
     tight for a pre-removal neighbour ``b`` of ``v``: an ``O(n deg(v))``
-    prefilter picks those rows, and the pair test runs on them alone.  Only
+    prefilter picks those rows, and the pair test runs on them alone — on
+    the neighbour columns first, and on the full row only for the rows
+    those leave undecided.  Only
     the rows of *affected* sources are recomputed (one sparse single-source
     Dijkstra each, ``O(n + m log n)``); all other entries are provably
     unchanged, so the result is a row-block view over the old matrix
@@ -117,6 +119,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
+from scipy.sparse.csgraph import floyd_warshall as _scipy_floyd_warshall
 
 from .residual_delta import DeltaResidual, Residual, ResidualDelta, RowView, dense_residual
 
@@ -176,13 +179,6 @@ class _Graph(NamedTuple):
 
     def csr(self) -> csr_matrix:
         return csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
-
-    def dense(self) -> np.ndarray:
-        """Dense weight matrix: ``inf`` off the edges, zero diagonal."""
-        dense = np.full((self.n, self.n), np.inf)
-        dense[self.rows, self.indices] = self.data
-        np.fill_diagonal(dense, 0.0)
-        return dense
 
     def without_edges(self, v: int, flagged: np.ndarray) -> "_Graph":
         """The graph minus the edges between ``v`` and the vertices ``flagged``
@@ -281,7 +277,7 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def floyd_warshall(weights) -> np.ndarray:
-    """Vectorized Floyd–Warshall.
+    """Floyd–Warshall, by :func:`scipy.sparse.csgraph.floyd_warshall`.
 
     Parameters
     ----------
@@ -296,12 +292,18 @@ def floyd_warshall(weights) -> np.ndarray:
     -------
     numpy.ndarray
         The ``(n, n)`` matrix of shortest-path distances.
+
+    Notes
+    -----
+    scipy's kernel runs the textbook ``k, i, j`` loop in place on the dense
+    matrix of the validated CSR graph (its explicit zeros are edges), so
+    ``d[i, j]`` becomes ``d[i, k] + d[k, j]`` exactly when that sum is
+    smaller.  Row and column ``k`` do not change during pass ``k`` (the
+    diagonal is zero and weights are non-negative), so the result equals the
+    vectorized ``numpy.minimum(d, d[:, k, None] + d[None, k, :])`` sweep bit
+    for bit; the sum of two floats commutes, so it is bitwise symmetric.
     """
-    dist = _as_graph(weights).dense()
-    for k in range(dist.shape[0]):
-        # dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j]) for all i, j.
-        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
-    return dist
+    return _scipy_floyd_warshall(_as_graph(weights).csr(), directed=True)
 
 
 def _dijkstra(graph: _Graph, sources: np.ndarray | None = None) -> np.ndarray:
@@ -352,7 +354,7 @@ def apsp_scipy(weights) -> np.ndarray:
 def all_pairs_shortest_paths(weights) -> np.ndarray:
     """All-pairs shortest paths by the kernel that suits the size.
 
-    The vectorized Floyd–Warshall for small instances
+    Floyd–Warshall (:func:`floyd_warshall`) for small instances
     (``n <= FLOYD_WARSHALL_MAX_N``, where it is essentially free and exactly
     reproducible) and scipy's Dijkstra for larger ones.  The dense matrix
     Floyd–Warshall needs is built only when it is the chosen kernel.
@@ -440,19 +442,20 @@ def _source_array(sources, n: int) -> np.ndarray:
     return src
 
 
-def _dirty_rows(d: np.ndarray, rows: np.ndarray, removed, added, n: int) -> np.ndarray:
-    """Which rows ``d[rows]`` a removed edge is tight for or an added edge
+def _dirty_rows(block: np.ndarray, removed, added) -> np.ndarray:
+    """Which rows of ``block`` a removed edge is tight for or an added edge
     strictly improves (see :func:`carry_dijkstra`), from one gather of the
     edges' endpoint columns."""
     (ra, rb, rw), (aa, ab, aw) = _edge_arrays(removed), _edge_arrays(added)
     ends = np.concatenate((ra, rb, aa, ab))
     if ends.size == 0:
-        return np.zeros(rows.size, dtype=bool)
+        return np.zeros(block.shape[0], dtype=bool)
+    n = block.shape[1]
     if (ends.view(np.uintp) >= n).any():  # negative ends wrap to huge values
         raise ValueError(f"edge endpoints out of range for n={n}")
     k, m = ra.size, aa.size
-    g = d[rows[:, None], ends]
-    dirty = np.zeros(rows.size, dtype=bool)
+    g = block[:, ends]
+    dirty = np.zeros(block.shape[0], dtype=bool)
     if k:
         # Either equality leaves both ends equally finite: testing da suffices.
         da, db = g[:, :k], g[:, k : 2 * k]
@@ -516,7 +519,9 @@ def carry_dijkstra(
     dirty and the missing rows are solved together, in one multi-source
     Dijkstra call.  Cost ``O(r k)`` for ``r`` previous rows requested and
     ``k`` changed edges, plus one Dijkstra per solved row; nothing is
-    pinned until :attr:`CarriedDijkstra.distances` is read.
+    pinned until :attr:`CarriedDijkstra.distances` is read.  A whole
+    matrix carried whole is one copy of ``previous`` with its stale rows
+    overwritten; ``previous`` itself is never written.
     """
     graph = _as_graph(weights)
     n = graph.n
@@ -539,14 +544,21 @@ def carry_dijkstra(
             at = index[wanted]
         # Position i of the result takes previous row at[i] unless it is dirty.
         have = np.flatnonzero(at >= 0)
-        rows = at[have]
-        clean = ~_dirty_rows(d, rows, removed, added, n)
+        whole = sources is None and previous_sources is None
+        block = d if whole else d[at[have]]
+        clean = ~_dirty_rows(block, removed, added)
         if clean.any():
-            stale = np.ones(wanted.size, dtype=bool)
-            stale[have[clean]] = False
+            if whole:
+                # The whole matrix carried whole: one copy, whose stale rows
+                # are overwritten below.
+                stale = ~clean
+                unpinned = d.copy()
+            else:
+                stale = np.ones(wanted.size, dtype=bool)
+                stale[have[clean]] = False
+                unpinned = np.empty((wanted.size, n))
+                unpinned[~stale] = block[clean]
             resolved = wanted[stale]
-            unpinned = np.empty((wanted.size, n))
-            unpinned[~stale] = d[rows[clean]]
             if resolved.size:
                 unpinned[stale] = _dijkstra(graph, resolved)
     if unpinned is None:
@@ -599,8 +611,11 @@ class DecrementalRepair:
         return dense_residual(self.residual)
 
 
-def _rows_near_vertex(d: np.ndarray, graph: _Graph, v: int, removed) -> np.ndarray:
-    """Rows ``x != v`` that may hold a pair whose shortest path runs through ``v``.
+def _rows_near_vertex(
+    d: np.ndarray, graph: _Graph, v: int, removed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``x != v`` that may hold a pair whose shortest path runs through
+    ``v``, and ``v``'s pre-removal neighbours.
 
     Any near-shortest ``x -> v -> y`` path leaves ``v`` by some pre-removal
     edge ``(v, b)``, so ``x -> v -> b`` is near-tight with at most the same
@@ -623,7 +638,16 @@ def _rows_near_vertex(d: np.ndarray, graph: _Graph, v: int, removed) -> np.ndarr
     near = (dv[neighbours][:, None] + dv[None, :] <= d[neighbours] + delta).any(axis=0)
     near &= reachable
     near[v] = False
-    return np.flatnonzero(near)
+    return np.flatnonzero(near), neighbours
+
+
+def _through_vertex(block: np.ndarray, dxv: np.ndarray, dvy: np.ndarray) -> np.ndarray:
+    """The repair's pair test on ``block[i, j] = d(x_i, y_j)``: whether
+    ``d(x_i, v) + d(v, y_j) <= d(x_i, y_j) + slack`` for a finite
+    ``d(x_i, y_j)``, with ``dxv[i] = d(x_i, v)`` and ``dvy[j] = d(v, y_j)``."""
+    finite = np.isfinite(block)
+    slack = _REPAIR_TOL * (1.0 + np.where(finite, np.abs(block), 0.0))
+    return finite & (dxv[:, None] + dvy[None, :] <= block + slack)
 
 
 def decremental_distances(
@@ -692,9 +716,19 @@ def decremental_distances(
     of ``dist`` — and returns it as a view over ``dist``, which serves
     that dense matrix bit for bit.  The square ``block[:, S]`` is ``R[:, S]``
     transposed, so transposing it back recovers the raw rows ``R``, the
-    base the engine carries the agent's next rows from.  Total cost is
-    ``O(n deg(vertex) + k n + a (n + m log n))`` for ``k`` rows kept by the
-    prefilter and ``a`` affected sources, of which ``solve_rows`` may solve
+    base the engine carries the agent's next rows from.
+
+    A source ``x`` is affected as soon as one pair ``(x, y)`` passes the
+    test, and the test is run column by column with the same float
+    expression, so the order in which the columns are tried cannot change
+    the source set.  They are tried on the pre-removal neighbours ``b`` of
+    ``vertex`` first: a shortest ``x -> vertex -> y`` path leaves through
+    some ``b``, so ``x -> vertex -> b`` is tight too, and up to rounding
+    and the slack every affected row fires on a neighbour column.  Only the
+    rows none fires for get the test on their full row.  Total cost is
+    ``O(n deg(vertex) + k deg(vertex) + q n + a (n + m log n))`` for ``k``
+    rows kept by the prefilter, ``q`` of them undecided by the neighbour
+    columns and ``a`` affected sources, of which ``solve_rows`` may solve
     only ``a' <= a``; nothing of size ``n^2`` is copied.
     """
     d = _as_square_float(dist)
@@ -705,20 +739,24 @@ def decremental_distances(
     v = int(vertex)
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
-    rows = _rows_near_vertex(d, graph, v, removed)
+    rows, neighbours = _rows_near_vertex(d, graph, v, removed)
     # Pairs whose old shortest path may run through v (and hence through a
     # removed edge): d(x, v) + d(v, y) <= d(x, y) + slack.  Pairs at infinite
     # distance cannot get worse and are never affected.  The through-v test
     # is meaningless for pairs involving v itself (it degenerates to
-    # equality); v's own row is always recomputed instead.
-    block = d[rows]
-    finite = np.isfinite(block)
-    via_v = d[rows, v][:, None] + d[v][None, :]
-    slack = _REPAIR_TOL * (1.0 + np.where(finite, np.abs(block), 0.0))
-    affected = finite & (via_v <= block + slack)
-    affected[:, v] = False
+    # equality); v's own row is always recomputed instead.  A row is
+    # affected once one pair fires, and most rows that are fire on a
+    # neighbour column y = b, so the test runs on those (k, deg v) columns
+    # first and on the full row only for the rows they leave undecided.
+    dxv = d[rows, v]
+    affected = _through_vertex(d[rows[:, None], neighbours], dxv, d[v, neighbours]).any(axis=1)
+    undecided = np.flatnonzero(~affected)
+    if undecided.size:
+        full = _through_vertex(d[rows[undecided]], dxv[undecided], d[v])
+        full[:, v] = False
+        affected[undecided] = full.any(axis=1)
     source_mask = np.zeros(n, dtype=bool)
-    source_mask[rows[affected.any(axis=1)]] = True
+    source_mask[rows[affected]] = True
     source_mask[v] = True
     count = int(source_mask.sum())
     budget = max(1, int(np.ceil(max_affected_fraction * n)))

@@ -873,6 +873,54 @@ def test_save_allocates_about_one_matrix_not_the_file(round_one_snapshot, tmp_pa
     assert peak < 4 * n * n * 8 + 3 * header_len, (peak, len(raw), header_len)
 
 
+def test_load_allocates_about_the_payload_not_twice(tmp_path):
+    """A load reads the payload once and hands out views into it: loading
+    the round-2 file of a batched single-move run on the n = 200 mesh
+    peaks under 1.2 times its payload (one copy per array would be two)."""
+    game, start = _mesh_game()
+    cfg = SimulationConfig(
+        response="single",
+        schedule="batched",
+        max_rounds=3,
+        checkpoint_path=str(tmp_path / "ckpt-{round}.bin"),
+        checkpoint_every=1,
+    )
+    _run_straight(game, start, cfg)
+    path = tmp_path / "ckpt-2.bin"
+    with open(path, "rb") as handle:
+        (header_len,) = struct.unpack("<Q", handle.read(20)[12:])
+    payload = path.stat().st_size - 20 - header_len
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ckpt = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ckpt.engine_residuals) >= 20
+    assert payload > 20 * game.n * game.n * 8
+    assert peak < 1.2 * payload, (peak, payload)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_loaded_arrays_are_aligned(tmp_path, n):
+    """Every loaded array is aligned for its dtype.  With n = 8 the payload
+    layout aligns them all, and the residuals are views into the one payload
+    buffer; with n = 9 the 81-byte ownership matrix leaves the float arrays
+    after it off the 8-byte grid, and those load as aligned copies."""
+    rng = np.random.default_rng(n)
+    game = _random_game("metric", n, rng)
+    start = _random_profile(n, rng, 0.4)
+    path = tmp_path / "ckpt.bin"
+    _run_straight(game, start, SimulationConfig(seed=3, checkpoint_path=str(path)))
+    ckpt = load_checkpoint(path)
+    residuals = [matrix for _, matrix in ckpt.engine_residuals.values()]
+    assert residuals
+    arrays = [ckpt.host_weights, ckpt.ownership, ckpt.social_costs, ckpt.engine_distances]
+    assert all(a.flags.aligned for a in arrays + residuals)
+    assert all(m.flags.owndata == (n % 2 == 1) for m in residuals)
+
+
 def test_views_write_the_bytes_of_their_dense_forms(round_one_snapshot, tmp_path):
     _, _, ckpt, _ = round_one_snapshot
     views = _with_proposals(ckpt)

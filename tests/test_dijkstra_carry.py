@@ -195,6 +195,28 @@ def test_carried_subsets_equal_a_fresh_dijkstra_full_budget(case):
     _check_subset_sequence(*case)
 
 
+def test_whole_matrix_carry_shares_no_memory_with_previous():
+    """A whole matrix carried whole is one copy of ``previous`` with its
+    stale rows overwritten: the result shares no memory with ``previous``,
+    which stays as it was (read-only, as the engine publishes it)."""
+    rng = np.random.default_rng(11)
+    host = _battery_host("one_two", 24, rng)
+    weights = _battery_network(host, rng)
+    previous = _fresh_unpinned(weights)
+    previous.flags.writeable = False
+    before = previous.copy()
+    mixed = 0
+    for _ in range(20):
+        new, removed, added = _edit(weights, host, rng)
+        carry = carry_dijkstra(new, previous, removed, added)
+        assert not np.shares_memory(carry.unpinned, previous)
+        assert carry.unpinned.flags.writeable
+        assert np.array_equal(_bits(previous), _bits(before))
+        assert np.array_equal(_bits(carry.unpinned), _bits(_fresh_unpinned(new)))
+        mixed += 0 < carry.resolved.size < host.shape[0]
+    assert mixed  # some carries both kept and re-solved rows
+
+
 def test_repair_view_holds_its_raw_rows():
     """A repaired residual's block, its square transposed back, is the raw
     Dijkstra rows of its sources: the carry base a repair leaves."""

@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 from repro.core.shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     CandidateEvaluator,
+    _as_graph,
     all_pairs_shortest_paths,
     apsp_scipy,
     carry_dijkstra,
@@ -644,3 +645,31 @@ class TestDecrementalBitwise:
                     dijkstra_rows(given, sources), _masked_dijkstra_rows(weights, sources)
                 )
                 assert np.array_equal(floyd_warshall(given), _masked_apsp(weights))
+
+
+def _numpy_floyd_warshall(weights) -> np.ndarray:
+    """The former ``floyd_warshall``: the vectorized NumPy sweep over ``k``
+    on the validated graph's dense matrix, kept as the kernel's oracle."""
+    graph = _as_graph(weights)
+    dist = np.full((graph.n, graph.n), np.inf)
+    dist[graph.rows, graph.indices] = graph.data
+    np.fill_diagonal(dist, 0.0)
+    for k in range(graph.n):
+        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+    return dist
+
+
+@pytest.mark.parametrize("host_kind", BATTERY_HOSTS)
+def test_floyd_warshall_equals_the_numpy_sweep(host_kind):
+    """scipy's Floyd–Warshall equals the NumPy sweep bit for bit: 50 graphs
+    per host kind (zero-weight edges, ties, ``inf`` non-edges, split parts),
+    dense and CSR input, and the result is bitwise symmetric."""
+    rng = np.random.default_rng(zlib.crc32(f"floyd-{host_kind}".encode()))
+    for _ in range(50):
+        n = int(rng.integers(0, 40))
+        weights = _battery_network(_battery_host(host_kind, n, rng), rng) if n else np.zeros((0, 0))
+        expected = _numpy_floyd_warshall(weights).view(np.int64)
+        for given in (weights, _csr(weights)):
+            got = floyd_warshall(given)
+            assert np.array_equal(got.view(np.int64), expected)
+            assert np.array_equal(got.view(np.int64), got.T.view(np.int64))

@@ -46,7 +46,11 @@ cache.  The two are cross-validated against each other by the property
 tests in ``tests/test_incremental_engine.py``.
 
 :func:`batch_best_responses` scores a whole set of agents against one
-shared profile snapshot through such an engine.  This
+shared profile snapshot through such an engine.  In process, such a batch
+of single-move responses is scored by :func:`score_tasks` in stacks: the
+agents that share a strategy shape go through one
+:class:`~repro.core.shortest_paths.SingleMoveScorer` pass, with results
+bit-identical to scoring each agent alone.  This
 score-everyone-against-one-state pattern is what ``order="max_gain"``
 activation performs every step and what the batched activation schedule
 (``schedule="batched"`` in :func:`repro.core.dynamics.run_dynamics`)
@@ -56,7 +60,7 @@ amortizes across rounds by caching and re-validating the scored proposals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -80,6 +84,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+_MOVES = ("add", "delete", "swap")
 _MAX_EXACT_CANDIDATES = 22
 # Enumerate subsets in batches of 2**_BATCH_BITS.  The scan keeps the first
 # subset index attaining the minimum regardless of how batches are cut, so
@@ -248,68 +253,75 @@ def best_response_incremental(
 # multiprocess evaluation bit-identical.
 
 
-def _gain(current_cost: float, new_cost: float) -> float:
-    """Cost decrease of a move, treating an inf -> inf transition as no gain."""
-    if np.isinf(current_cost) and np.isinf(new_cost):
-        return 0.0
-    if np.isinf(current_cost):
-        return float("inf")
-    return current_cost - new_cost
-
-
-def _gains_vec(current_cost: float, costs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_gain` against one current cost (never NaN)."""
+def _gains_vec(current_cost, costs: np.ndarray) -> np.ndarray:
+    """Cost decrease of each move, an ``inf -> inf`` transition counting as
+    no gain (never NaN); ``current_cost`` broadcasts against ``costs``."""
     costs = np.asarray(costs, dtype=float)
-    if np.isinf(current_cost):
-        return np.where(np.isinf(costs), 0.0, np.inf)
-    return current_cost - costs
+    current = np.asarray(current_cost, dtype=float)
+    if np.inf not in current.ravel().tolist():
+        return current - costs
+    stuck = np.isinf(current)
+    return np.where(
+        stuck, np.where(np.isinf(costs), 0.0, np.inf), np.where(stuck, 0.0, current) - costs
+    )
 
 
-def _scan_single_moves(
-    scorer: SingleMoveScorer, moves: tuple[str, ...]
-) -> tuple[np.ndarray, Callable[[int], SingleMove]]:
-    """Flat cost vector of every requested single move, plus an index decoder.
+def _best_moves(
+    scorer: SingleMoveScorer, moves: tuple[str, ...], tol: float
+) -> tuple[list[bool], np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Each stacked agent's first highest-gain single move.
 
-    The flat order is the historical scan order — adds by ascending target,
+    Returns, per agent, whether the move improves by more than ``tol``, its
+    cost and gain, and the targets it adds and drops (``-1``: none).  The
+    flat order is the historical scan order — adds by ascending target,
     deletes by ascending current target, swaps by ``(old asc, new asc)``
-    (:meth:`~repro.core.shortest_paths.SingleMoveScorer.move_costs`) —
-    so a first-maximum ``argmax`` breaks ties exactly like the old
-    Python-loop implementation.
+    (:meth:`~repro.core.shortest_paths.SingleMoveScorer.move_costs`) — so a
+    first-maximum ``argmax`` breaks ties exactly like the old Python-loop
+    implementation.
     """
-    adds = scorer.default_add_targets()
-    cur = scorer.current
-    k, m = len(cur), int(adds.size)
-    offsets: list[tuple[str, int]] = []
-    pos = 0
-    for kind, size in (("add", m), ("delete", k), ("swap", k * m)):
-        if kind in moves:
-            offsets.append((kind, pos))
-            pos += size
     costs = scorer.move_costs(moves)
-
-    def decode(idx: int) -> SingleMove:
-        for kind, start in reversed(offsets):
-            if idx >= start:
-                local = idx - start
-                if kind == "add":
-                    return SingleMove("add", target=int(adds[local]))
-                if kind == "delete":
-                    return SingleMove("delete", target=int(cur[local]))
-                i, j = divmod(local, m)
-                return SingleMove("swap", target=int(adds[j]), old_target=int(cur[i]))
-        raise IndexError(idx)  # pragma: no cover - decode is always in range
-
-    return costs, decode
+    g = costs.shape[0]
+    if not costs.shape[1]:
+        return [False] * g, scorer.current_cost, np.zeros(g), [(-1, -1)] * g
+    gains = _gains_vec(scorer.current_cost[:, None], costs)
+    best = gains.argmax(axis=1)
+    agents = np.arange(g)
+    gain = gains[agents, best]
+    moved = scorer.decode(enumerate(best.tolist()), moves)
+    return (gain > tol).tolist(), costs[agents, best], gain, moved
 
 
-def _apply_single_move(current: set[int], move: SingleMove) -> set[int]:
-    if move.kind == "add":
-        return current | {move.target}
-    if move.kind == "delete":
-        return current - {move.target}
-    if move.kind == "swap":
-        return (current - {move.old_target}) | {move.target}
-    return current
+def _moved(current: Iterable[int], added: int, dropped: int) -> frozenset[int]:
+    """``current`` after a move adding ``added`` and dropping ``dropped`` (``-1``: none)."""
+    return frozenset(v for v in (*current, added) if v not in (dropped, -1))
+
+
+def _single_results(
+    scorer: SingleMoveScorer,
+    agents: Sequence[int],
+    moves: tuple[str, ...] = _MOVES,
+    tol: float = _TOL,
+) -> list[BestResponseResult]:
+    """The best single add/delete/swap of each stacked agent as a response."""
+    better, cost, _, moved = _best_moves(scorer, moves, tol)
+    current_cost = scorer.current_cost
+    return [
+        BestResponseResult(
+            agent=u,
+            strategy=_moved(cur, *move) if b else frozenset(cur),
+            cost=c if b else c0,
+            current_cost=c0,
+            method="single",
+        )
+        for u, cur, b, c, c0, move in zip(
+            agents,
+            scorer.current.tolist(),
+            better,
+            cost.tolist(),
+            current_cost.tolist(),
+            moved,
+        )
+    ]
 
 
 def _single_given(
@@ -319,28 +331,12 @@ def _single_given(
     alpha: float,
     current,
     *,
-    moves: tuple[str, ...] = ("add", "delete", "swap"),
+    moves: tuple[str, ...] = _MOVES,
     tol: float = _TOL,
 ) -> BestResponseResult:
     """The best single add/delete/swap of ``u`` as a response, from raw arrays."""
-    current = {int(v) for v in current}
-    scorer = SingleMoveScorer(d_rest, u, edge_weights, alpha, current)
-    current_cost = scorer.current_cost
-    costs, decode = _scan_single_moves(scorer, moves)
-    strategy = frozenset(scorer.current)
-    cost = current_cost
-    if costs.size:
-        idx = int(np.argmax(_gains_vec(current_cost, costs)))
-        if _gain(current_cost, float(costs[idx])) > tol:
-            strategy = frozenset(_apply_single_move(current, decode(idx)))
-            cost = float(costs[idx])
-    return BestResponseResult(
-        agent=int(u),
-        strategy=strategy,
-        cost=float(cost),
-        current_cost=float(current_cost),
-        method="single",
-    )
+    scorer = SingleMoveScorer.for_agent(d_rest, u, edge_weights, alpha, current)
+    return _single_results(scorer, [u], moves, tol)[0]
 
 
 def _greedy_given(
@@ -350,27 +346,23 @@ def _greedy_given(
     alpha: float,
     current,
     *,
-    moves: tuple[str, ...] = ("add", "delete", "swap"),
+    moves: tuple[str, ...] = _MOVES,
     max_iterations: int = 10_000,
     tol: float = _TOL,
 ) -> BestResponseResult:
     """Iterated best single move of ``u`` (greedy local optimum), from raw arrays."""
-    current = {int(v) for v in current}
-    scorer = SingleMoveScorer(d_rest, u, edge_weights, alpha, current)
-    start_cost = scorer.current_cost
+    scorer = SingleMoveScorer.for_agent(d_rest, u, edge_weights, alpha, current)
+    start_cost = scorer.current_cost[0]
     for _ in range(max_iterations):
-        costs, decode = _scan_single_moves(scorer, moves)
-        if not costs.size:
+        better, _, _, moved = _best_moves(scorer, moves, tol)
+        if not better[0]:
             break
-        idx = int(np.argmax(_gains_vec(scorer.current_cost, costs)))
-        if _gain(scorer.current_cost, float(costs[idx])) <= tol:
-            break
-        current = _apply_single_move(current, decode(idx))
-        scorer = SingleMoveScorer(d_rest, u, edge_weights, alpha, current)
+        current = _moved(scorer.current[0].tolist(), *moved[0])
+        scorer = SingleMoveScorer.for_agent(d_rest, u, edge_weights, alpha, current)
     return BestResponseResult(
         agent=int(u),
-        strategy=frozenset(scorer.current),
-        cost=float(scorer.current_cost),
+        strategy=frozenset(scorer.current[0].tolist()),
+        cost=float(scorer.current_cost[0]),
         current_cost=float(start_cost),
         method="greedy",
     )
@@ -420,10 +412,27 @@ def score_tasks(
     """:func:`score_response` over ``(agent, d_rest, strategy)`` tasks, in order.
 
     The one in-process scoring loop: the engine's serial batches and the
-    evaluator's fallback from a broken pool both run it, so every path
-    scores exactly the same way.  ``weights`` is the full
-    host-weight matrix; row ``agent`` is passed to the kernel.
+    evaluator's in-process batches both run it, so every path scores
+    exactly the same way.  ``weights`` is the full host-weight matrix; row
+    ``agent`` is passed to the kernel.  Two or more ``"single"`` tasks are
+    scored in stacks, one per strategy shape
+    (:meth:`~repro.core.shortest_paths.SingleMoveScorer.stacks`), instead of
+    one :func:`score_response` each: an agent's values do not depend on its
+    stack, so each result equals the task's own :func:`score_response` bit
+    for bit.
     """
+    tasks = list(tasks)
+    if response == "single" and len(tasks) > 1:
+        agents = [int(u) for u, _, _ in tasks]
+        results: list = [None] * len(tasks)
+        for stack, scorer in SingleMoveScorer.stacks(
+            [(u, d_rest, strategy) for u, (_, d_rest, strategy) in zip(agents, tasks)],
+            weights,
+            alpha,
+        ):
+            for i, result in zip(stack, _single_results(scorer, [agents[i] for i in stack])):
+                results[i] = result
+        return results
     return [
         score_response(
             d_rest,
@@ -441,6 +450,23 @@ def score_tasks(
 # ----------------------------------------------------------------------
 # Greedy (single-move) responses
 # ----------------------------------------------------------------------
+def _single_move(added: int, dropped: int, gain: float) -> SingleMove:
+    """The :class:`SingleMove` adding ``added`` and dropping ``dropped`` (``-1``: none)."""
+    if dropped < 0:
+        return SingleMove("add", target=added, gain=gain)
+    if added < 0:
+        return SingleMove("delete", target=dropped, gain=gain)
+    return SingleMove("swap", target=added, old_target=dropped, gain=gain)
+
+
+def _agent_scorer(
+    game: NetworkCreationGame, profile: StrategyProfile, u: int, d_rest: np.ndarray | None
+) -> SingleMoveScorer:
+    if d_rest is None:
+        d_rest = residual_distances(game, profile, u)
+    return SingleMoveScorer.for_agent(
+        d_rest, u, game.host.weights[u], game.alpha, profile.strategy(u)
+    )
 
 
 def enumerate_single_moves(
@@ -448,7 +474,7 @@ def enumerate_single_moves(
     profile: StrategyProfile,
     u: int,
     *,
-    moves: tuple[str, ...] = ("add", "delete", "swap"),
+    moves: tuple[str, ...] = _MOVES,
     d_rest: np.ndarray | None = None,
 ) -> list[SingleMove]:
     """All single-edge moves of agent ``u`` with their cost gains.
@@ -456,23 +482,16 @@ def enumerate_single_moves(
     Gains are computed against a fixed residual network, so the whole
     enumeration needs at most one all-pairs shortest-path computation (none
     when a cached ``d_rest`` is supplied), and all move costs come from one
-    vectorized scan (:class:`~repro.core.shortest_paths.SingleMoveScorer`:
-    one row gather and a running two-smallest selection per agent) instead
-    of a Python loop per move.  Moves are listed adds first
-    (ascending target), then deletes (ascending), then swaps (old
-    ascending, new ascending).
+    vectorized scan (:class:`~repro.core.shortest_paths.SingleMoveScorer`
+    with a stack of one) instead of a Python loop per move.  Moves are
+    listed adds first (ascending target), then deletes (ascending), then
+    swaps (old ascending, new ascending).
     """
-    if d_rest is None:
-        d_rest = residual_distances(game, profile, u)
-    scorer = SingleMoveScorer(
-        d_rest, u, game.host.weights[u], game.alpha, profile.strategy(u)
-    )
-    costs, decode = _scan_single_moves(scorer, moves)
-    gains = _gains_vec(scorer.current_cost, costs)
-    return [
-        SingleMove(mv.kind, target=mv.target, old_target=mv.old_target, gain=float(g))
-        for mv, g in ((decode(i), gains[i]) for i in range(costs.size))
-    ]
+    scorer = _agent_scorer(game, profile, u, d_rest)
+    costs = scorer.move_costs(moves)
+    gains = _gains_vec(scorer.current_cost[:, None], costs)[0].tolist()
+    moved = scorer.decode(((0, j) for j in range(costs.shape[1])), moves)
+    return [_single_move(a, d, g) for (a, d), g in zip(moved, gains)]
 
 
 def best_single_move(
@@ -480,18 +499,18 @@ def best_single_move(
     profile: StrategyProfile,
     u: int,
     *,
-    moves: tuple[str, ...] = ("add", "delete", "swap"),
+    moves: tuple[str, ...] = _MOVES,
     tol: float = _TOL,
     d_rest: np.ndarray | None = None,
 ) -> SingleMove:
-    """The highest-gain single-edge move of agent ``u`` (or a no-op if none improves)."""
-    options = enumerate_single_moves(game, profile, u, moves=moves, d_rest=d_rest)
-    if not options:
+    """The highest-gain single-edge move of agent ``u`` (or a no-op if none improves).
+
+    Ties go to the first move in :func:`enumerate_single_moves` order.
+    """
+    better, _, gain, moved = _best_moves(_agent_scorer(game, profile, u, d_rest), moves, tol)
+    if not better[0]:
         return SingleMove("none", gain=0.0)
-    best = max(options, key=lambda mv: mv.gain)
-    if best.gain <= tol:
-        return SingleMove("none", gain=0.0)
-    return best
+    return _single_move(*moved[0], float(gain[0]))
 
 
 def greedy_response(

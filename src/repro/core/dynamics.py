@@ -84,7 +84,7 @@ from .best_response import (
 )
 from .game import NetworkCreationGame
 from .incremental import EngineStats, IncrementalEngine, Residual, _published
-from .residual_delta import dense_residual
+from .residual_delta import dense_residual, residual_block
 from .strategy import StrategyProfile
 
 if TYPE_CHECKING:  # import cycle: session orchestrates this module's loop
@@ -139,9 +139,12 @@ class _ProposalCache:
     holds each agent's residual exactly as the engine handed it out — the
     same object as the engine's own cache entry, a repaired residual as a
     :class:`~repro.core.residual_delta.DeltaResidual` row block over the
-    shared network matrix, a fallback as a dense ``(n, n)`` matrix — and
-    reads it only through ``d_u[rows, col]``.  ``hits``/``misses`` count
-    served and recomputed lookups for benchmarks and tests.
+    shared network matrix, a fallback as a dense ``(n, n)`` matrix or a
+    :class:`~repro.core.shortest_paths.PinnedResidual` — and reads it only
+    through one :func:`~repro.core.residual_delta.residual_block` per
+    proposal and move: the mover's column and every event column over
+    ``u``'s rows.  ``hits``/``misses`` count served and recomputed lookups
+    for benchmarks and tests.
     """
 
     __slots__ = ("_weights", "_proposals", "_rows", "hits", "misses")
@@ -268,39 +271,58 @@ class _ProposalCache:
             return
         w_row = self._weights[mover]
         flipped_set = set(int(t) for t in flipped)
-        for u in list(self._proposals):
-            d_u = self._proposals[u][1]
-            rows = self._agent_rows(u)
-            to_mover = d_u[rows, mover]
-            add_events: tuple[int, ...] | np.ndarray = added
-            remove_events: tuple[int, ...] | np.ndarray = removed
-            if u in flipped_set and old_own[u, mover]:
-                if new_own[mover, u]:
-                    # The mover now co-owns (u, mover): it stops being
-                    # solely owned by u, so u's residual gains the edge.
-                    add_events = [*added, u]
-                else:
-                    # The mover dropped its copy: u is now the sole owner,
-                    # so u's residual loses the edge.
-                    remove_events = [*removed, u]
-            dirty = False
-            for t in add_events:
-                w = w_row[t]
-                to_t = d_u[rows, t]
-                if np.any(to_mover + w < to_t) or np.any(to_t + w < to_mover):
-                    dirty = True
-                    break
-            if not dirty:
-                for t in remove_events:
-                    w = w_row[t]
-                    to_t = d_u[rows, t]
-                    if np.any(np.isclose(to_mover + w, to_t, rtol=1e-9, atol=1e-9)) or np.any(
-                        np.isclose(to_t + w, to_mover, rtol=1e-9, atol=1e-9)
-                    ):
-                        dirty = True
-                        break
-            if dirty:
-                del self._proposals[u]
+        with np.errstate(invalid="ignore"):  # inf - inf in the slack test
+            for u in list(self._proposals):
+                add_events, remove_events = added, removed
+                if u in flipped_set and old_own[u, mover]:
+                    if new_own[mover, u]:
+                        # The mover now co-owns (u, mover): it stops being
+                        # solely owned by u, so u's residual gains the edge.
+                        add_events = np.append(added, u)
+                    else:
+                        # The mover dropped its copy: u is now the sole owner,
+                        # so u's residual loses the edge.
+                        remove_events = np.append(removed, u)
+                if _touches_rows(
+                    self._proposals[u][1], self._agent_rows(u), mover, w_row,
+                    add_events, remove_events,
+                ):
+                    del self._proposals[u]
+
+
+def _near(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.isclose(x, y, rtol=1e-9, atol=1e-9)``, inlined: ``inf`` is close
+    only to itself and NaN to nothing (callers silence the ``inf - inf``)."""
+    return (np.abs(x - y) <= 1e-9 + 1e-9 * np.abs(y)) & np.isfinite(y) | (x == y)
+
+
+def _touches_rows(
+    d_u: Residual,
+    rows: np.ndarray,
+    mover: int,
+    w_row: np.ndarray,
+    added: np.ndarray,
+    removed: np.ndarray,
+) -> bool:
+    """Whether an edge ``(mover, t)`` added or removed can change a row of
+    ``d_u`` in ``rows`` (the tests of :class:`_ProposalCache`).
+
+    One read gathers the mover's column and every event column over
+    ``rows``; the add test and the removed-edge test then run as one
+    expression each, on every event at once.
+    """
+    events = np.concatenate((added, removed))
+    block = residual_block(d_u, rows, np.concatenate(([mover], events)))
+    to_mover, to_t, w = block[:, :1], block[:, 1:], w_row[events]
+    a = added.size
+    if a and (
+        (to_mover + w[:a] < to_t[:, :a]) | (to_t[:, :a] + w[:a] < to_mover)
+    ).any():
+        return True
+    if a == events.size:
+        return False
+    gone, w = to_t[:, a:], w[a:]
+    return bool((_near(to_mover + w, gone) | _near(gone + w, to_mover)).any())
 
 
 @dataclass

@@ -140,8 +140,9 @@ from .shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     CarriedDijkstra,
     PinnedResidual,
-    _as_graph,
     _Graph,
+    _index_dtype,
+    _indptr,
     all_pairs_shortest_paths,
     carry_dijkstra,
     decremental_distances,
@@ -186,6 +187,33 @@ def _held_rows(
     if sources is None:
         return None, residual.raw
     return sources, residual.raw[sources]
+
+
+def _network_graph(host: np.ndarray, owns: np.ndarray) -> _Graph:
+    """The network created by ownership matrix ``owns`` over host weights
+    ``host``, as a :class:`~repro.core.shortest_paths._Graph`, from its
+    owned edges alone.
+
+    Equal field for field to ``_as_graph(game.network_weights(profile))``:
+    every edge bought by either endpoint, once per direction and sorted by
+    ``(row, column)``, weighing ``min(w[u, v], w[v, u])``; an edge whose
+    both directions weigh ``inf`` is no edge.  Beyond one scan of ``owns``,
+    the cost is ``O(m log m)`` for ``m`` owned edges, not the ``O(n^2)``
+    float work of a dense weight matrix.
+    """
+    n = owns.shape[0]
+    owned = np.flatnonzero(owns)
+    u, v = np.divmod(owned, n)
+    rows, cols = np.divmod(np.unique(np.concatenate((owned, v * n + u))), n)
+    data = np.minimum(host[rows, cols], host[cols, rows])
+    edge = data != np.inf
+    rows, cols, data = rows[edge], cols[edge], data[edge]
+    if not np.all(data >= 0):
+        raise ValueError("edge weights must be non-negative (and not NaN)")
+    index = _index_dtype(n, data.size)
+    return _Graph(
+        n, _indptr(rows, n), cols.astype(index), rows.astype(index), data.astype(float, copy=False)
+    )
 
 
 _R = TypeVar("_R", bound=Residual)
@@ -386,7 +414,7 @@ class IncrementalEngine:
         to it raises instead of silently changing them.
         """
         if self._distances is None:
-            self._distances = _published(self._game.distances(self._profile))
+            self._distances = _published(all_pairs_shortest_paths(self._network_graph()))
             self.stats.apsp_rebuilds += 1
         return self._distances
 
@@ -413,17 +441,22 @@ class IncrementalEngine:
         owns[u, :] = False
         return np.packbits(owns).tobytes()
 
+    def _network_graph(self) -> _Graph:
+        """The current network's row-sorted edge arrays, built once per
+        profile from its owned edges (:func:`_network_graph`) and shared by
+        :attr:`distances` and every residual graph."""
+        if self._network is None:
+            self._network = _network_graph(self._game.host.weights, self._profile.ownership)
+        return self._network
+
     def _residual_graph(self, u: int, removed: np.ndarray) -> _Graph:
         """Sparse weights of the network without ``u``'s edges to ``removed``.
 
-        Drops those entries from the current network's row-sorted edge
-        arrays (validated once per profile), so a residual graph costs
-        ``O(m)`` for ``m`` network edges instead of a dense ``O(n^2)`` weight
-        matrix.
+        Drops those entries from the current network's edge arrays, so a
+        residual graph costs ``O(m)`` for ``m`` network edges instead of a
+        dense ``O(n^2)`` weight matrix.
         """
-        if self._network is None:
-            self._network = _as_graph(self._game.network_weights(self._profile))
-        return self._network.without_edges(u, removed)
+        return self._network_graph().without_edges(u, removed)
 
     def _edge_changes(
         self, old_key: bytes, new_key: bytes

@@ -48,8 +48,8 @@ is the pool's slot codec:
 ``DeltaResidual``
     A lazy row-view over ``(base, delta)`` implementing exactly the access
     surface the scoring kernels use (``shape``/``dtype``/row indexing — see
-    :func:`repro.core.best_response.score_response`) plus the
-    ``view[rows, col]`` reads of the batched schedule's proposal cache: a
+    :func:`repro.core.best_response.score_response`) plus the column
+    reads (:func:`residual_block`) of the batched schedule's proposal cache: a
     worker relaxes candidate strategies straight from ``base + rows`` and
     never materializes the dense matrix.  Rows in the delta are served
     verbatim; a row ``i`` outside the delta is ``base[i]`` with its entries
@@ -95,6 +95,7 @@ __all__ = [
     "unpack_delta",
     "delta_if_smaller",
     "packed_size",
+    "residual_block",
     "dense_residual",
 ]
 
@@ -323,14 +324,14 @@ class RowView:
     A row view stands for a dense float64 ``(n, n)`` residual matrix that is
     never materialized on the hot paths.  It serves ``shape``, ``dtype``,
     ``len``, row indexing by a scalar or a 1-D integer sequence (negative
-    indices wrap) and ``view[rows, col]`` for one integer column — exactly
-    what the scoring kernels
+    indices wrap), ``view[rows, col]`` for one integer column and
+    :meth:`block` for a set of columns — exactly what the scoring kernels
     (:func:`repro.core.best_response.score_response`) and the batched
     schedule's proposal cache read — each bit for bit equal to the same
     read of :meth:`dense`.  It has no implicit array conversion:
     ``numpy.asarray(view)`` raises, so a dense use must call :meth:`dense`
     (or :func:`dense_residual`).  Subclasses implement :meth:`dense`,
-    ``_rows`` and ``_entries``.
+    ``_rows`` and ``_block``.
     """
 
     __slots__ = ("shape",)
@@ -372,15 +373,26 @@ class RowView:
         if isinstance(index, tuple):
             if len(index) != 2 or not isinstance(index[1], (int, np.integer)):
                 raise TypeError("row views support view[rows, col] with one integer column only")
-            return self._entries(self._index(index[0], n), self._index(index[1], n))
+            i = self._index(index[0], n)
+            col = np.array([self._index(index[1], n)])
+            out = self._block(np.atleast_1d(i), col)[:, 0]
+            return out[0] if isinstance(i, int) else out
         return self._rows(self._index(index, n))
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries ``(r, c)`` for every ``r`` in ``rows`` and ``c`` in ``cols``
+        (1-D integer sequences), as a new ``(len(rows), len(cols))`` array."""
+        n = self.shape[0]
+        return self._block(
+            np.atleast_1d(self._index(rows, n)), np.atleast_1d(self._index(cols, n))
+        )
 
     def _rows(self, i):
         """Row ``i`` (an ``int``) or rows ``i`` (a wrapped index array)."""
         raise NotImplementedError
 
-    def _entries(self, i, col: int):
-        """Entries ``(i, col)`` for a row ``int`` or a wrapped index array ``i``."""
+    def _block(self, i: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``(i[a], cols[b])`` at ``[a, b]``, for wrapped index arrays."""
         raise NotImplementedError
 
 
@@ -452,21 +464,30 @@ class DeltaResidual(RowView):
             out[hit] = data[pos[hit]]
         return out
 
-    def _entries(self, i, col: int):
-        """Entries ``(i, col)`` for a row index or index array ``i``.
+    def _block(self, i: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``(i, cols)``.
 
         A row in the delta is served from its packed row; otherwise a
         column in the delta is served from the packed row ``col``
         (transposed); otherwise the entry is the base's.
         """
         rows, data = self.delta.rows, self.delta.data
-        idx = np.atleast_1d(i)
-        col_pos = self._position(col)
-        out = data[col_pos, idx] if col_pos >= 0 else self.base[idx, col]
+        out = self.base[i[:, None], cols]
         if rows.size:
-            pos, hit = self._positions(idx)
-            out[hit] = data[pos[hit], col]
-        return out[0] if isinstance(i, int) else out
+            pos, hit = self._positions(cols)
+            out[:, hit] = data[pos[hit][:, None], i].T
+            pos, hit = self._positions(i)
+            out[hit] = data[pos[hit][:, None], cols]
+        return out
+
+
+def residual_block(matrix: Residual, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries ``(r, c)`` of a residual, dense or row view, for every ``r`` in
+    ``rows`` and ``c`` in ``cols``: a new ``(len(rows), len(cols))`` array,
+    bit for bit the same read of the dense matrix."""
+    if isinstance(matrix, RowView):
+        return matrix.block(rows, cols)
+    return matrix[rows[:, None], cols]
 
 
 def dense_residual(matrix: Residual) -> np.ndarray:

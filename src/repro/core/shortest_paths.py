@@ -71,20 +71,23 @@ primitives used by the fast best-response engine
     ``O(n)`` minimum per subset.
 
 ``SingleMoveScorer``
-    Batch-scores *all* single-edge moves (add / delete / swap) of one agent
-    instead of per-candidate Python loops.  One indexing call gathers the
-    agent's residual row and the relaxation rows ``w(u, t) + d_rest(t, ·)``
-    of its ``k`` bought targets and ``m`` add targets.  The distances of the
-    current strategy are the element-wise minimum ``m1`` of the agent's row
-    and the bought rows; a running selection (three ``O(n)`` passes per
-    bought row) keeps the *second* smallest ``m2`` as well, which makes
-    every deletion (and hence every swap) a pure ``O(n)`` selection — where
-    row ``i`` attains ``m1`` its removal exposes ``m2``, everywhere else
-    ``m1`` survives.  The leave-one-out edge sums come from one
-    ``(k, k - 1)`` gather, so an agent's setup is ``O((k + m) n)`` in a
-    few numpy calls.  All add/delete/swap costs then follow from a few
-    dense reductions, which is what makes single-move responses fast in
-    process, where the parallel evaluator scores them by default.
+    Scores *all* single-edge moves (add / delete / swap) of a stack of
+    agents at once, every array carrying a leading agent axis, instead of
+    per-candidate Python loops.  The agents of one stack share their
+    strategy size ``k`` and add-pool size ``m``, so nothing is padded.  One
+    gather per agent fetches its residual row and the relaxation rows
+    ``w(u, t) + d_rest(t, ·)`` of its ``k`` bought targets and ``m`` add
+    targets.  The distances of the current strategy are the element-wise
+    minimum ``m1`` of the agent's row and the bought rows; a running
+    selection (three ``O(n)`` passes per bought row) keeps the *second*
+    smallest ``m2`` as well, which makes every deletion (and hence every
+    swap) a pure ``O(n)`` selection — where row ``i`` attains ``m1`` its
+    removal exposes ``m2``, everywhere else ``m1`` survives.  The
+    leave-one-out edge sums come from one ``(g, k, k - 1)`` gather.  All
+    add/delete/swap costs then follow from a few dense reductions per
+    stack, which is what makes single-move responses fast in process,
+    where the parallel evaluator scores them by default; a batch of
+    ``g`` agents costs the numpy calls of one.
 
 ``decremental_distances``
     Exact distances after **removing** edges incident to one vertex, by
@@ -111,10 +114,10 @@ primitives used by the fast best-response engine
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
@@ -422,8 +425,8 @@ class PinnedResidual(RowView):
             return np.minimum(raw[i], raw[:, i])
         return np.minimum(raw[i], raw[:, i].T)
 
-    def _entries(self, i, col: int):
-        return np.minimum(self.raw[i, col], self.raw[col, i])
+    def _block(self, i: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.minimum(self.raw[i[:, None], cols], self.raw[cols[:, None], i].T)
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -786,7 +789,7 @@ def _leave_one_out(k: int) -> np.ndarray:
 
 def _sorted_targets(source: int, targets: Iterable[int]) -> list[int]:
     t = sorted({int(v) for v in targets})
-    if any(v == source for v in t):
+    if source in t:
         raise ValueError("strategies cannot contain the agent itself")
     return t
 
@@ -961,64 +964,142 @@ class CandidateEvaluator:
         return edge_costs + dist.sum(axis=-1)
 
 
+def _current_targets(source: int, current: Iterable[int], n: int) -> list[int]:
+    """An agent's current targets, ascending, checked to lie in ``[0, n)``."""
+    cur = _sorted_targets(source, current)
+    if cur and not 0 <= cur[0] <= cur[-1] < n:
+        raise ValueError(f"strategy targets out of range for n={n}")
+    return cur
+
+
+def _add_pools(
+    finite: np.ndarray, sources: np.ndarray, currents: Sequence[list[int]]
+) -> tuple[list[int], list[int]]:
+    """Every agent's add pool, ascending: its finite-weight targets other than
+    itself and its current ones (which may have infinite weight).
+
+    ``finite`` is ``(T, n)``, row ``i`` marking the finite host weights of
+    agent ``sources[i]``, and is overwritten; ``currents`` are the agents'
+    current targets (:func:`_current_targets`).  Returns the pools
+    concatenated and the ``T + 1`` offsets where each starts.
+    """
+    agents = np.arange(len(currents))
+    finite[agents, sources] = False
+    counts = [len(c) for c in currents]
+    finite[np.repeat(agents, counts), list(itertools.chain.from_iterable(currents))] = False
+    starts = [0, *itertools.accumulate(np.add.reduce(finite, axis=1, dtype=np.intp).tolist())]
+    return (finite.ravel().nonzero()[0] % finite.shape[1]).tolist(), starts
+
+
 class SingleMoveScorer:
-    """Vectorized costs of every single-edge move of one agent.
+    """Vectorized costs of every single-edge move of a stack of agents.
 
-    Scores all adds, deletes and swaps of agent ``u`` against a fixed
-    residual matrix.  One indexing call gathers the rows ``d_rest(u, ·)``
-    and ``w(u, c) + d_rest(c, ·)`` of every current target ``c in S`` and
-    every add target; no row is read twice, which matters when the residual
-    is a repaired :class:`~repro.core.residual_delta.DeltaResidual` view.
-    The distance row of ``S`` is the element-wise minimum ``m1`` of the
-    ``|S| + 1`` relaxation rows, and ``m2`` is their element-wise second
-    smallest value; a running selection over the bought rows keeps both,
-    three ``O(n)`` passes per row into preallocated buffers.  ``m2`` turns
-    removals into ``O(n)`` selections — where the removed row attains
-    ``m1`` its deletion exposes ``m2``, everywhere else ``m1`` survives —
-    so the full add/delete/swap scan costs ``O((|S| + m) n)`` dense work
-    plus ``O(|S| m n)`` for the swap grid (chunked to bound memory) instead
-    of one Python-level relaxation per move.  The per-agent setup is the
-    one gather, the ``3 |S|`` selection passes and one ``(|S|, |S| - 1)``
-    gather of the leave-one-out edge sums.
+    Scores all adds, deletes and swaps of ``g`` agents, each against its own
+    fixed residual matrix, with every array carrying a leading agent axis.
+    The agents of one stack share the size ``k`` of their current strategy
+    and the size ``m`` of their add pool (:func:`_add_pools`), so nothing
+    is padded.  The input is one gather per agent — its own residual row
+    ``d_rest(u, ·)`` followed by the rows of its ``k`` current and ``m``
+    add targets — which the scorer turns into the relaxation rows
+    ``w(u, c) + d_rest(c, ·)`` in place; no row is read twice, which
+    matters when the residual is a repaired
+    :class:`~repro.core.residual_delta.DeltaResidual` view.
+    :meth:`for_agent` gathers one agent;
+    :func:`repro.core.best_response.score_tasks` gathers a batch.
 
-    The per-move *values* are numerically identical to scoring each move
-    with :func:`strategy_cost_from_residual` (minima and row sums are
-    computed over the same values in the same order); only the association
-    of the edge-cost sums may differ in the last ulp, which every consumer
+    The distance row of a strategy ``S`` is the element-wise minimum ``m1``
+    of the ``k + 1`` relaxation rows, and ``m2`` is their element-wise
+    second smallest value; a running selection over the bought rows keeps
+    both, three ``O(n)`` passes per row.  ``m2`` turns removals into
+    ``O(n)`` selections — where the removed row attains ``m1`` its deletion
+    exposes ``m2``, everywhere else ``m1`` survives — so the full
+    add/delete/swap scan costs ``O((k + m) n)`` dense work plus ``O(k m n)``
+    for the swap grid (chunked to bound memory) per agent, in numpy calls
+    whose number does not grow with ``g``.  The leave-one-out edge sums
+    come from one ``(g, k, k - 1)`` gather.
+
+    Every operation is elementwise or a reduction over the last, contiguous
+    axis, so each agent's values are bit for bit those of a stack of one:
+    how agents are stacked never changes a result.  The per-move values are
+    numerically identical to scoring each move with
+    :func:`strategy_cost_from_residual` (minima and row sums are computed
+    over the same values in the same order); only the association of the
+    edge-cost sums may differ in the last ulp, which every consumer
     compares under tolerances much larger than that.
 
     Parameters
     ----------
-    d_rest:
-        ``(n, n)`` residual shortest-path distances of the agent.
-    source:
-        The agent ``u`` whose moves are scored.
-    edge_weights:
-        ``(n,)`` host-graph weight row ``w(u, ·)``, non-negative or ``inf``.
+    rows:
+        ``(g, 1 + k + m, n)`` fresh float array: per agent its residual
+        rows of itself, of its current targets and of its add targets.
+        The scorer writes into it.
+    weights:
+        ``(g, k + m)`` host weights ``w(u, ·)`` of those targets,
+        non-negative or ``inf``.
+    targets:
+        ``(g, k + m)`` the targets themselves, current ones first, each
+        part ascending.
+    k:
+        Size of every agent's current strategy.
     alpha:
         Edge-price parameter of the game.
-    current:
-        The agent's current strategy (iterable of targets).  Targets with
-        infinite host weight are allowed (their cost is ``inf``, matching
-        the scalar oracle) so randomly seeded profiles score correctly.
     """
 
     __slots__ = (
-        "d_rest", "source", "alpha", "current",
-        "_adds", "_w_add", "_reach_cur", "_reach_add", "_m1", "_m2", "_del_rows",
-        "_cur_edge_sum", "_edge_sum_wo", "current_cost",
+        "alpha", "k", "targets", "current_cost", "_w_add", "_reach_cur", "_reach_add",
+        "_m1", "_m2", "_del_rows", "_cur_edge_sum", "_edge_sum_wo",
     )
 
-    _SWAP_CHUNK = 1 << 21  # max floats materialized per swap-grid chunk
+    _SWAP_CHUNK = 1 << 21  # max floats a stack materializes, temporaries included
 
     def __init__(
-        self,
-        d_rest: np.ndarray,
+        self, rows: np.ndarray, weights: np.ndarray, targets: np.ndarray, k: int, alpha: float
+    ) -> None:
+        g, _, n = rows.shape
+        self.alpha = float(alpha)
+        self.k = int(k)
+        self.targets = targets
+        rows[:, 1:] += weights[:, :, None]
+        m1, reach_cur = rows[:, 0], rows[:, 1 : k + 1]
+        # Running two-smallest selection over the bought rows.  min and max
+        # are exact, so m1 and m2 are the smallest and second smallest entry
+        # of each column bit for bit, ties included.
+        m2 = None
+        if k:
+            m2 = np.maximum(m1, reach_cur[:, 0])
+            np.minimum(m1, reach_cur[:, 0], out=m1)
+            larger = np.empty((g, n)) if k > 1 else None
+            for i in range(1, k):
+                np.maximum(m1, reach_cur[:, i], out=larger)
+                np.minimum(m2, larger, out=m2)
+                np.minimum(m1, reach_cur[:, i], out=m1)
+        # Host weights are non-negative or inf, so a sum over an infinite
+        # weight is inf, and its cost is guarded to inf (_cost_of).
+        w_cur = weights[:, :k]
+        self._w_add = weights[:, k:]
+        self._reach_cur = reach_cur
+        self._reach_add = rows[:, k + 1 :]
+        self._m1 = m1
+        self._m2 = m2
+        self._del_rows: np.ndarray | None = None
+        # Row sums are np.add.reduce along the last axis: ndarray.sum minus
+        # its Python wrapper.  take keeps the gather C-contiguous, so each
+        # row sums along its contiguous last axis exactly like the 1-D sum
+        # of that row.
+        self._cur_edge_sum = np.add.reduce(w_cur, axis=-1)
+        self._edge_sum_wo = np.add.reduce(w_cur.take(_leave_one_out(k), axis=1), axis=-1)
+        self.current_cost = self._cost_of(self._cur_edge_sum, np.add.reduce(m1, axis=-1))
+
+    @classmethod
+    def for_agent(
+        cls,
+        d_rest: Residual,
         source: int,
         edge_weights: np.ndarray,
         alpha: float,
         current: Iterable[int],
-    ) -> None:
+    ) -> "SingleMoveScorer":
+        """The stack of one agent ``source`` with strategy ``current``."""
         d = _as_square_float(d_rest)
         n = d.shape[0]
         if not 0 <= source < n:
@@ -1026,94 +1107,131 @@ class SingleMoveScorer:
         w = np.asarray(edge_weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"edge_weights must have shape ({n},), got {w.shape}")
-        cur = _sorted_targets(source, current)
-        k = len(cur)
-        self.d_rest = d
-        self.source = int(source)
-        self.alpha = float(alpha)
-        self.current = cur
+        cur = _current_targets(source, current, n)
+        # The add pool as _add_pools finds it, without its batch bookkeeping.
         pool = np.isfinite(w)
         pool[source] = False
         pool[cur] = False
-        adds = pool.nonzero()[0]
-        self._adds = adds
-        # Row 0 is the agent's own row, rows 1..k the current targets' and
-        # the rest the add pool's: one gather, so a DeltaResidual view is
-        # indexed once.  Fancy indexing returns a fresh array, so the
-        # relaxation rows and m1 are built in place.
-        idx = np.concatenate((np.array([source, *cur], dtype=np.intp), adds))
-        rows = d[idx]
-        weights = w[idx[1:]]
-        rows[1:] += weights[:, None]
-        m1, reach_cur = rows[0], rows[1 : k + 1]
-        # Running two-smallest selection over the bought rows.  min and max
-        # are exact, so m1 and m2 are the smallest and second smallest entry
-        # of each column bit for bit, ties included.
-        m2 = None
-        if k:
-            m2 = np.maximum(m1, reach_cur[0])
-            np.minimum(m1, reach_cur[0], out=m1)
-            larger = np.empty(n)
-            for r in reach_cur[1:]:
-                np.maximum(m1, r, out=larger)
-                np.minimum(m2, larger, out=m2)
-                np.minimum(m1, r, out=m1)
-        # Host weights are non-negative or inf, so a sum over an infinite
-        # weight is inf, and its cost is guarded to inf below.
-        w_cur = weights[:k]
-        cur_sum = float(w_cur.sum())
-        sums_wo = w_cur[_leave_one_out(k)].sum(axis=1)
-        self._w_add = weights[k:]
-        self._reach_cur = reach_cur
-        self._reach_add = rows[k + 1 :]
-        self._m1 = m1
-        self._m2 = m2
-        self._del_rows: np.ndarray | None = None
-        self._cur_edge_sum = cur_sum
-        self._edge_sum_wo = sums_wo
-        self.current_cost = (
-            self.alpha * cur_sum + float(m1.sum()) if math.isfinite(cur_sum) else np.inf
-        )
+        index = np.concatenate((np.array([source, *cur], dtype=np.intp), pool.nonzero()[0]))
+        return cls(d[index][None], w[index[None, 1:]], index[None, 1:], len(cur), alpha)
+
+    @classmethod
+    def stacks(
+        cls,
+        tasks: Sequence[tuple[int, Residual, Iterable[int]]],
+        weights: np.ndarray,
+        alpha: float,
+    ) -> Iterator[tuple[list[int], "SingleMoveScorer"]]:
+        """Scorers over ``(agent, d_rest, current)`` tasks, stacked by shape.
+
+        ``weights`` is the ``(n, n)`` host-weight matrix; row ``agent`` is
+        the agent's.  Yields each stack with the positions in ``tasks`` of
+        the agents it holds, in stack order.  Tasks group by ``(k, m)``, so
+        nothing is padded, and a group larger than :meth:`stack_size`
+        spans consecutive stacks.  Within a group, tasks that read one
+        residual object sit next to each other: a run over a dense matrix
+        (the network matrix every agent owning no solely-owned edge reads)
+        is gathered by one fancy index, a row view one task at a time.
+        """
+        n = weights.shape[0]
+        residuals: list[Residual] = []
+        currents: list[list[int]] = []
+        runs: list[int] = []  # position of the first task reading the same residual
+        first: dict[int, int] = {}
+        for i, (u, d_rest, current) in enumerate(tasks):
+            j = first.setdefault(id(d_rest), i)
+            d = residuals[j] if j < i else _as_square_float(d_rest)
+            if d.shape[0] != n:
+                raise ValueError(f"residual of shape {d.shape} does not fit n={n}")
+            if not 0 <= u < n:
+                raise ValueError(f"source {u} out of range for n={n}")
+            residuals.append(d)
+            currents.append(_current_targets(u, current, n))
+            runs.append(j)
+        sources = [task[0] for task in tasks]
+        adds, starts = _add_pools(np.isfinite(weights)[sources], np.array(sources), currents)
+        # Per task: the rows it reads — itself, its current and its add
+        # targets — and the groups of tasks sharing (k, m).
+        indices: list[list[int]] = []
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, cur in enumerate(currents):
+            pool = adds[starts[i] : starts[i + 1]]
+            indices.append([sources[i], *cur, *pool])
+            groups.setdefault((len(cur), len(pool)), []).append(i)
+        for (k, m), members in groups.items():
+            members.sort(key=lambda i: (runs[i], i))
+            size = cls.stack_size(k, m, n)
+            for lo in range(0, len(members), size):
+                stack = members[lo : lo + size]
+                index = np.array([indices[i] for i in stack], dtype=np.intp)
+                rows = np.empty((len(stack), 1 + k + m, n))
+                for _, run in itertools.groupby(range(len(stack)), key=lambda p: runs[stack[p]]):
+                    run = list(run)
+                    d = residuals[stack[run[0]]]
+                    if isinstance(d, np.ndarray):
+                        span = slice(run[0], run[-1] + 1)
+                        d.take(index[span], axis=0, out=rows[span], mode="clip")
+                    else:
+                        for p in run:
+                            rows[p] = d[index[p]]
+                targets = index[:, 1:]
+                yield stack, cls(rows, weights[index[:, :1], targets], targets, k, alpha)
+
+    @classmethod
+    def stack_size(cls, k: int, m: int, n: int) -> int:
+        """How many agents of shape ``(k, m)`` over ``n`` vertices one stack
+        may hold: their rows, selection buffers, add and delete rows and
+        swap grid stay within ``_SWAP_CHUNK`` floats (at least one agent)."""
+        return max(1, cls._SWAP_CHUNK // max(1, n * (3 + 2 * k + 2 * m + k * m)))
+
+    @property
+    def current(self) -> np.ndarray:
+        """``(g, k)`` current targets, ascending per agent."""
+        return self.targets[:, : self.k]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _cost_of(self, edge_sum: np.ndarray, dist_sum: np.ndarray) -> np.ndarray:
-        """``alpha * edge_sum + dist_sum`` with ``alpha * inf`` guarded to ``inf``."""
+        """``alpha * edge_sum + dist_sum`` with ``alpha * inf`` guarded to ``inf``.
+
+        Distance sums are non-negative or ``inf``, so for ``alpha > 0`` the
+        plain expression is already ``inf`` wherever ``edge_sum`` is; only
+        ``alpha == 0`` (``0 * inf`` is NaN) needs the guard.
+        """
+        if self.alpha > 0:
+            return self.alpha * edge_sum + dist_sum
         finite = np.isfinite(edge_sum)
         return np.where(
             finite, self.alpha * np.where(finite, edge_sum, 0.0) + dist_sum, np.inf
         )
 
     def _delete_rows(self) -> np.ndarray:
-        """``(k, n)`` distance rows after deleting each current target."""
+        """``(g, k, n)`` distance rows after deleting each current target."""
         if self._del_rows is None:
-            self._del_rows = np.where(self._reach_cur == self._m1, self._m2, self._m1)
+            m1, m2 = self._m1[:, None], self._m2[:, None]
+            self._del_rows = np.where(self._reach_cur == m1, m2, m1)
         return self._del_rows
 
     def _swap_dist(self) -> np.ndarray:
-        """``(k, m)`` distance sums of every swap; the grid is chunked."""
+        """``(g, k, m)`` distance sums of every swap; the grid is chunked."""
         reach_t = self._reach_add
-        k, m = len(self.current), reach_t.shape[0]
-        n = self.d_rest.shape[0]
-        del_rows = self._delete_rows()
-        dist = np.empty((k, m))
-        chunk = max(1, self._SWAP_CHUNK // max(1, k * n))
+        g, m, n = reach_t.shape
+        k = self.k
+        del_rows = self._delete_rows()[:, :, None]
+        dist = np.empty((g, k, m))
+        chunk = max(1, self._SWAP_CHUNK // max(1, g * k * n))
         for start in range(0, m, chunk):
             stop = min(start + chunk, m)
-            block = np.minimum(del_rows[:, None, :], reach_t[None, start:stop, :])
-            dist[:, start:stop] = block.sum(axis=2)
+            block = np.minimum(del_rows, reach_t[:, None, start:stop])
+            dist[:, :, start:stop] = np.add.reduce(block, axis=-1)
         return dist
-
-    def default_add_targets(self) -> np.ndarray:
-        """Every finite-weight non-current target — the standard add/swap pool."""
-        return self._adds.copy()
 
     # ------------------------------------------------------------------
     # Move costs
     # ------------------------------------------------------------------
     def move_costs(self, moves: Sequence[str] = ("add", "delete", "swap")) -> np.ndarray:
-        """Flat costs of the requested moves over :meth:`default_add_targets`.
+        """``(g, L)`` flat costs of each agent's requested moves.
 
         Adds by ascending target, deletes by ascending current target and
         swaps by ``(old asc, new asc)``, each kind present only if it is in
@@ -1121,18 +1239,45 @@ class SingleMoveScorer:
         the costs are formed in one elementwise pass over all edge and
         distance sums.
         """
-        k, m = len(self.current), self._w_add.size
+        g, k, m = self._m1.shape[0], self.k, self._w_add.shape[1]
         edge: list[np.ndarray] = []
         dist: list[np.ndarray] = []
         if m and "add" in moves:
-            edge.append(self._cur_edge_sum + self._w_add)
-            dist.append(np.minimum(self._m1, self._reach_add).sum(axis=1))
+            edge.append(self._cur_edge_sum[:, None] + self._w_add)
+            dist.append(np.add.reduce(np.minimum(self._m1[:, None], self._reach_add), axis=-1))
         if k and "delete" in moves:
             edge.append(self._edge_sum_wo)
-            dist.append(self._delete_rows().sum(axis=1))
+            dist.append(np.add.reduce(self._delete_rows(), axis=-1))
         if k and m and "swap" in moves:
-            edge.append((self._edge_sum_wo[:, None] + self._w_add).ravel())
-            dist.append(self._swap_dist().ravel())
+            edge.append((self._edge_sum_wo[:, :, None] + self._w_add[:, None]).reshape(g, -1))
+            dist.append(self._swap_dist().reshape(g, -1))
         if not edge:
-            return np.zeros(0)
-        return self._cost_of(np.concatenate(edge), np.concatenate(dist))
+            return np.zeros((g, 0))
+        return self._cost_of(np.concatenate(edge, axis=1), np.concatenate(dist, axis=1))
+
+    def decode(
+        self, picks: Iterable[tuple[int, int]], moves: Sequence[str] = ("add", "delete", "swap")
+    ) -> list[tuple[int, int]]:
+        """The target each picked move adds and the one it drops (``-1``: none).
+
+        A pick ``(i, j)`` is position ``j`` in agent ``i``'s row of
+        :meth:`move_costs` for the same ``moves``.  An add adds, a delete
+        drops, a swap does both.  A few integer operations per pick, in
+        Python: cheaper than array calls at the one- and two-agent stacks
+        most batches are.
+        """
+        k, m = self.k, self._w_add.shape[1]
+        add_end = m if "add" in moves else 0
+        swap_start = add_end + (k if "delete" in moves else 0)
+        rows = self.targets.tolist()
+        moved = []
+        for i, j in picks:
+            row = rows[i]
+            if j < add_end:
+                moved.append((row[k + j], -1))
+            elif j < swap_start:
+                moved.append((-1, row[j - add_end]))
+            else:
+                old, new = divmod(j - swap_start, m)
+                moved.append((row[k + new], row[old]))
+        return moved

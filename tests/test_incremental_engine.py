@@ -258,3 +258,49 @@ def test_slow_exhaustive_equality_sweep(variant):
             incremental = engine.respond(u, "best")
             assert exact.strategy == incremental.strategy
             assert _same_cost(exact.cost, incremental.cost)
+
+
+@pytest.mark.parametrize("n", [2, 9, 40, 192, 193, 230])
+def test_network_graph_from_owned_edges_equals_the_dense_build(n):
+    """The engine's network graph, built from the owned edges, equals
+    ``_as_graph(game.network_weights(profile))`` field for field, and the
+    engine's distances equal ``game.distances(profile)`` bit for bit: random
+    profiles with double-owned edges and owned edges whose host weight is
+    ``inf`` in both directions (no edge) or, for the graph alone, in one
+    (the edge weighs the other), on both sides of the Floyd–Warshall
+    cutoff."""
+    from repro.core.host_graph import HostGraph
+    from repro.core.incremental import _network_graph
+    from repro.core.shortest_paths import _as_graph
+
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.02, 0.3):
+        host = np.round(rng.uniform(0.0, 4.0, size=(n, n)), 1)
+        host[rng.random((n, n)) < 0.2] = np.inf  # owned edges that are no edges
+        host = np.maximum(host, host.T)
+        np.fill_diagonal(host, 0.0)
+        owns = rng.random((n, n)) < density
+        owns |= (rng.random((n, n)) < 0.5) & owns.T  # double-owned edges
+        np.fill_diagonal(owns, False)
+        game = NetworkCreationGame(HostGraph(host), 1.0)
+        profile = StrategyProfile(owns)
+        _assert_same_graph(
+            _network_graph(host, profile.ownership), _as_graph(game.network_weights(profile))
+        )
+        engine = IncrementalEngine(game, profile)
+        assert np.array_equal(
+            engine.distances.view(np.int64), game.distances(profile).view(np.int64)
+        )
+        # A host weight inf in one direction only: the edge weighs the other.
+        lopsided = host.copy()
+        lopsided[np.triu(rng.random((n, n)) < 0.3, k=1)] = np.inf
+        dense = np.where(profile.adjacency(), lopsided, np.inf)
+        np.fill_diagonal(dense, 0.0)
+        _assert_same_graph(_network_graph(lopsided, profile.ownership), _as_graph(dense))
+
+
+def _assert_same_graph(got, want) -> None:
+    assert got.n == want.n
+    for field in ("indptr", "indices", "rows", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.best_response import (
-    _gain,
     _gains_vec,
     _greedy_given,
     _single_given,
@@ -37,6 +36,15 @@ from repro.core.shortest_paths import SingleMoveScorer, _leave_one_out, apsp_sci
 from test_shortest_paths import _battery_host, _battery_network
 
 MOVES = ("add", "delete", "swap")
+
+
+def _gain(current_cost: float, new_cost: float) -> float:
+    """Cost decrease of a move, treating an inf -> inf transition as no gain."""
+    if np.isinf(current_cost) and np.isinf(new_cost):
+        return 0.0
+    if np.isinf(current_cost):
+        return float("inf")
+    return current_cost - new_cost
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +239,15 @@ def _check(kind, n, k, seed, sparse, moves):
     ref = _StackedScorer(d_rest, u, w, alpha, current)
     view = DeltaResidual(base, encode_delta(base, d_rest))
     for d in (d_rest, view):
-        scorer = SingleMoveScorer(d, u, w, alpha, current)
-        assert scorer.current == ref.current
-        assert _same(scorer.current_cost, ref.current_cost)
+        scorer = SingleMoveScorer.for_agent(d, u, w, alpha, current)
+        assert scorer.current[0].tolist() == ref.current
+        assert _same(scorer.current_cost, [ref.current_cost])
         adds = ref.default_add_targets()
-        assert np.array_equal(scorer.default_add_targets(), adds)
-        assert _same(scorer.move_costs(("add",)), ref.add_costs(adds))
-        assert _same(scorer.move_costs(("swap",)), ref.swap_costs(adds).ravel())
-        assert _same(scorer.move_costs(("delete",)), ref.delete_costs())
-        assert _same(scorer.move_costs(moves), ref.scan(moves)[0])
+        assert np.array_equal(scorer.targets[0, scorer.k :], adds)
+        assert _same(scorer.move_costs(("add",))[0], ref.add_costs(adds))
+        assert _same(scorer.move_costs(("swap",))[0], ref.swap_costs(adds).ravel())
+        assert _same(scorer.move_costs(("delete",))[0], ref.delete_costs())
+        assert _same(scorer.move_costs(moves)[0], ref.scan(moves)[0])
 
         single = _single_given(d, u, w, alpha, current, moves=moves)
         strategy, cost, start = _reference_response(d_rest, u, w, alpha, current, "single", moves)
@@ -301,8 +309,8 @@ def test_infinite_current_weights_give_infinite_sums():
     d = apsp_scipy(np.where(np.eye(n, dtype=bool), 0.0, 1.0))
     w = np.array([0.0, 1.0, np.inf, 2.0, np.inf, 3.0])
     for current in ([2], [1, 2], [2, 4], [1, 2, 3], [1, 3, 5]):
-        scorer = SingleMoveScorer(d, 0, w, 1.0, current)
+        scorer = SingleMoveScorer.for_agent(d, 0, w, 1.0, current)
         ref = _StackedScorer(d, 0, w, 1.0, current)
-        assert _same(scorer.current_cost, ref.current_cost)
-        assert _same(scorer.move_costs(("delete",)), ref.delete_costs())
-        assert _same(scorer.move_costs(), ref.scan(MOVES)[0])
+        assert _same(scorer.current_cost, [ref.current_cost])
+        assert _same(scorer.move_costs(("delete",))[0], ref.delete_costs())
+        assert _same(scorer.move_costs()[0], ref.scan(MOVES)[0])

@@ -293,7 +293,7 @@ class IncrementalEngine:
     """
 
     __slots__ = (
-        "_game", "_profile", "_distances", "_network", "_residuals",
+        "_game", "_profile", "_distances", "_network", "_owned_bits", "_residuals",
         "_evaluator", "stats",
     )
 
@@ -311,8 +311,10 @@ class IncrementalEngine:
         self._game = game
         self._profile = profile
         self._distances: np.ndarray | None = None
-        # Row-sorted edge arrays of the current network, built on demand.
+        # Row-sorted edge arrays of the current network and its packed
+        # ownership matrix, each built on demand once per profile.
         self._network: _Graph | None = None
+        self._owned_bits: np.ndarray | None = None
         # agent -> (residual key, residual distances), each published
         # read-only: a repair is a row-block view over the network matrix it
         # repaired, a Dijkstra fallback a PinnedResidual over its raw rows,
@@ -351,6 +353,7 @@ class IncrementalEngine:
         self._profile = profile
         self._distances = None
         self._network = None
+        self._owned_bits = None
         self._residuals.clear()
         self.stats = EngineStats()
 
@@ -435,11 +438,21 @@ class IncrementalEngine:
         The residual network contains every edge bought by some other agent
         (including edges towards ``u``) and nothing of ``u``'s own solely-owned
         purchases, so it is fully determined by this key — in particular it is
-        invariant under ``u``'s own moves.
+        invariant under ``u``'s own moves.  The ownership matrix is packed
+        once per profile; a key copies it and clears bits ``[u n, u n + n)``,
+        restoring the neighbouring rows' bits in the two edge bytes.
         """
-        owns = self._profile.ownership.copy()
-        owns[u, :] = False
-        return np.packbits(owns).tobytes()
+        if self._owned_bits is None:
+            self._owned_bits = np.packbits(self._profile.ownership)
+        key = self._owned_bits.copy()
+        n = self._game.n
+        lo, hi = u * n, u * n + n
+        head = int(key[lo >> 3]) & (0xFF00 >> (lo & 7))  # bits before lo
+        tail = int(key[hi >> 3]) & (0xFF >> (hi & 7)) if hi & 7 else 0  # from hi on
+        key[lo >> 3 : (hi + 7) >> 3] = 0
+        key[lo >> 3] |= head
+        key[(hi - 1) >> 3] |= tail
+        return key.tobytes()
 
     def _network_graph(self) -> _Graph:
         """The current network's row-sorted edge arrays, built once per
@@ -669,5 +682,6 @@ class IncrementalEngine:
         self._profile = new_profile
         self._distances = _published(new_distances)
         self._network = None
+        self._owned_bits = None
         self.stats.move_updates += 1
         return new_profile

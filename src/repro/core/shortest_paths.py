@@ -30,7 +30,15 @@ Two interchangeable all-pairs kernels are provided:
 ``apsp_scipy``
     :func:`scipy.sparse.csgraph.dijkstra` run on the CSR graph directly.
     It is used as a cross-validation oracle in the test-suite and as the
-    faster path for large networks (``n > FLOYD_WARSHALL_MAX_N``).
+    faster path for large networks (``n > FLOYD_WARSHALL_MAX_N``).  Where
+    trees hang off the graph's 2-core, scipy solves the core alone: the
+    degree-1 vertices are peeled, each hanging source enters the core
+    through a super-source whose one edge weighs its left-to-right sum up
+    to its root, and the hanging columns are filled top down by exact
+    left folds, in ``O(n * Dijkstra on the core + n * hanging)``.  That is
+    scipy's every bit, since ``fl(a + w)`` is monotone in ``a`` and the only
+    simple path into a hanging vertex runs through its parent
+    (:func:`_dijkstra`, for every request of at least ``n`` rows).
 
 Both return an ``(n, n)`` float array whose diagonal is zero and whose
 unreachable pairs are ``numpy.inf``.  A Dijkstra distance is the minimum over
@@ -315,17 +323,144 @@ def _dijkstra(graph: _Graph, sources: np.ndarray | None = None) -> np.ndarray:
     Row ``i`` is source ``sources[i]``'s distance vector, with a zero at the
     source; ``directed=True`` on the symmetric CSR keeps zero-weight edges
     as edges.
+
+    A request for at least as many rows as the graph has vertices runs
+    scipy on the 2-core only, when the graph has a degree-1 vertex.
+    Degree-1 vertices are peeled round by round into a hanging forest
+    (:func:`_peel`).  scipy then solves the core once, with one
+    super-source per hanging source vertex: its single edge into the
+    source's core root weighs the source's *up-fold* ``s``, the
+    left-to-right sum of the weights on its way up, so scipy starts that
+    root at ``0.0 + s == s``.  The hanging columns are then filled top
+    down, ``D[:, y] = D[:, parent(y)] + w(y)``; each round's entries at a
+    row's own ancestors are overwritten with the row's prefix up-folds, and
+    its diagonal with zero, before the next round reads them
+    (:func:`_fill_hanging`).  Every entry is scipy's bit for bit: a
+    Dijkstra row is the minimum over paths of their left-to-right float
+    sums (:func:`carry_dijkstra`), ``fl(a + w)`` is monotone in ``a``, and
+    the only simple path into a hanging vertex from outside its subtree
+    runs through its parent, while the only one from inside runs straight
+    up.  Cost ``O(rows * Dijkstra on the core + rows * hanging)``.  Smaller
+    requests, the repairs' and carries' rows, stay on plain scipy: there a
+    peel costs more than it saves.
     """
     if graph.n == 0:
         return np.zeros((0, 0))
-    rows = np.asarray(
-        _scipy_dijkstra(graph.csr(), directed=True, indices=sources),
-        dtype=float,
-    )
-    if sources is None:
-        np.fill_diagonal(rows, 0.0)
+    src = np.arange(graph.n) if sources is None else sources
+    forest = _peel(graph) if src.size >= graph.n else None
+    if forest is None:
+        rows = np.asarray(
+            _scipy_dijkstra(graph.csr(), directed=True, indices=sources),
+            dtype=float,
+        )
     else:
-        rows[np.arange(sources.size), sources] = 0.0
+        rows = _fill_hanging(graph, src, forest)
+    rows[np.arange(src.size), src] = 0.0
+    return rows
+
+
+class _HangingForest(NamedTuple):
+    """The trees hanging off a graph's 2-core (:func:`_peel`).
+
+    ``parent[y]`` is the vertex a hanging ``y`` hangs from (``-1`` in the
+    core), ``weight[y]`` the weight of that edge and ``level[y]`` the round
+    that peeled ``y`` (``0`` in the core).  ``rounds[k]`` lists the vertices
+    peeled in round ``k + 1``; a vertex's parent is peeled in a later round
+    or lies in the core.
+    """
+
+    parent: np.ndarray
+    weight: np.ndarray
+    level: np.ndarray
+    rounds: list[np.ndarray]
+
+
+def _peel(graph: _Graph) -> _HangingForest | None:
+    """Peel degree-1 vertices round by round; ``None`` if there are none.
+
+    Each round removes every vertex of degree 1 at its start, with its one
+    remaining edge.  Of an isolated edge only the higher end is peeled: the
+    lower one stays as the root, and isolated vertices stay in the core.
+    Each vertex's row is scanned once, when it is peeled, so the cost is
+    ``O(n + m)`` plus a few numpy calls per round.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    full = np.diff(indptr)
+    degree = full.copy()
+    leaves = np.flatnonzero(degree == 1)
+    if not leaves.size:
+        return None
+    parent = np.full(graph.n, -1, dtype=np.intp)
+    weight = np.zeros(graph.n)
+    level = np.zeros(graph.n, dtype=np.intp)
+    alive = np.ones(graph.n, dtype=bool)
+    rounds = []
+    while leaves.size:
+        # Each leaf's one live edge, from a scan of its CSR row.
+        count = full[leaves]
+        ends = np.cumsum(count)
+        at = np.arange(ends[-1]) + np.repeat(indptr[leaves] - ends + count, count)
+        edge = at[alive[indices[at]]]
+        up = indices[edge]
+        keep = (degree[up] != 1) | (leaves > up)
+        leaves, edge, up = leaves[keep], edge[keep], up[keep]
+        alive[leaves] = False
+        parent[leaves] = up
+        weight[leaves] = graph.data[edge]
+        rounds.append(leaves)
+        level[leaves] = len(rounds)
+        degree -= np.bincount(up, minlength=graph.n).astype(degree.dtype, copy=False)
+        up = np.unique(up)
+        leaves = up[degree[up] == 1]
+    return _HangingForest(parent, weight, level, rounds)
+
+
+def _fill_hanging(graph: _Graph, sources: np.ndarray, forest: _HangingForest) -> np.ndarray:
+    """Dijkstra rows of ``sources`` from one scipy run on the 2-core
+    (see :func:`_dijkstra`); the diagonal of a core row is scipy's."""
+    parent, weight = forest.parent, forest.weight
+    core = parent < 0
+    # Up-folds: walk every hanging row to its root, noting the prefix sum at
+    # each hanging ancestor (and zero at the source) as a cell to overwrite.
+    hanging = np.flatnonzero(~core[sources])
+    at = sources[hanging]
+    supers, first = np.unique(at, return_index=True)
+    cells = [(hanging, at, np.zeros(hanging.size))]
+    fold = np.zeros(hanging.size)
+    root = np.empty(hanging.size, dtype=np.intp)
+    start = np.empty(hanging.size)
+    walking = np.arange(hanging.size)
+    while walking.size:
+        fold = fold + weight[at]
+        at = parent[at]
+        done = core[at]
+        root[walking[done]], start[walking[done]] = at[done], fold[done]
+        walking, at, fold = walking[~done], at[~done], fold[~done]
+        cells.append((hanging[walking], at, fold))
+    # scipy's graph keeps the core's own edges, and each hanging source
+    # vertex becomes its own super-source: its one edge, its up-fold, runs
+    # into its root.  Nothing runs into a hanging vertex, so scipy settles
+    # the core alone, and its rows come out in the graph's column order.
+    inner = core[graph.rows] & core[graph.indices]
+    tails = np.concatenate((graph.rows[inner], supers))
+    order = np.argsort(tails, kind="stable")
+    heads = np.concatenate((graph.indices[inner], root[first]))[order]
+    data = np.concatenate((graph.data[inner], start[first]))[order]
+    csr = csr_matrix((data, heads, _indptr(tails[order], graph.n)), shape=(graph.n, graph.n))
+    rows = np.asarray(_scipy_dijkstra(csr, directed=True, indices=sources), dtype=float)
+    # Top-down fill, one peel round at a time, last round first.  A round's
+    # cells are written before any lower round reads its columns.
+    cell_rows, cell_cols, cell_values = (np.concatenate(c) for c in zip(*cells))
+    order = np.argsort(forest.level[cell_cols], kind="stable")
+    cell_rows, cell_cols, cell_values = cell_rows[order], cell_cols[order], cell_values[order]
+    bounds = np.searchsorted(forest.level[cell_cols], np.arange(len(forest.rounds) + 2))
+    for k in range(len(forest.rounds), 0, -1):
+        peeled = forest.rounds[k - 1]
+        column = rows[:, parent[peeled]]
+        column += weight[peeled]
+        rows[:, peeled] = column
+        span = slice(bounds[k], bounds[k + 1])
+        rows[cell_rows[span], cell_cols[span]] = cell_values[span]
     return rows
 
 

@@ -304,3 +304,27 @@ def _assert_same_graph(got, want) -> None:
     for field in ("indptr", "indices", "rows", "data"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 200, 1000, 1003])
+def test_residual_key_equals_the_packed_row_cleared_ownership(n):
+    """``_residual_key(u)`` clears row ``u`` in the ownership matrix packed
+    once per profile: byte for byte ``np.packbits`` of the matrix with row
+    ``u`` cleared, for rows starting at every bit offset of a byte, and
+    again after a move re-packs the new profile (up to n = 200, where the
+    move's distances are cheap)."""
+    rng = np.random.default_rng(n)
+    engine = IncrementalEngine(NetworkCreationGame(unit_host(n), 1.0), _random_profile(n, rng))
+    agents = range(n) if n <= 200 else [*range(16), *range(n // 2, n // 2 + 8), *range(n - 8, n)]
+
+    def check():
+        for u in agents:
+            cleared = engine.profile.ownership.copy()
+            cleared[u] = False
+            assert engine._residual_key(u) == np.packbits(cleared).tobytes()
+
+    check()
+    if n <= 200:
+        u = int(rng.integers(0, n))
+        engine.apply(u, [v for v in range(min(n, 3)) if v != u])
+        check()

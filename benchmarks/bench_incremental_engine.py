@@ -11,20 +11,28 @@ agents for the two hot paths:
   over its ``k`` nearest candidate targets against a spanning-star profile
   (the canonical activation pattern of PoA sweeps), and
 * a *single-move dynamics run* — three round-robin rounds of best single
-  moves, where the exact engine additionally pays a full shortest-path
-  recomputation for every social-cost sample.
+  moves through :func:`repro.core.run_dynamics`, against the test suite's
+  from-scratch reference loop (``tests/reference_dynamics.py``), which
+  additionally pays a full shortest-path recomputation for every
+  social-cost sample.
 
-Both engines provably play identical responses (see
-``tests/test_incremental_engine.py``); the sweep asserts result equality
-next to the timing, and a >= 3x speedup at ``n = 100``.
+Both sides provably play identical responses (see
+``tests/test_incremental_engine.py`` and
+``tests/test_reference_dynamics.py``); the sweep asserts result equality
+next to the timing, and a >= 3x speedup at ``n = 100``; the dynamics run
+asserts equal moves and final profiles, and a speedup above 1.
 
 Run directly (``python benchmarks/bench_incremental_engine.py``) for a
 plain-text report, or through pytest-benchmark like the other benchmarks.
+Either way the script puts ``tests/`` on ``sys.path`` itself to import the
+reference loop.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +47,9 @@ from repro.core import (
     run_dynamics,
 )
 from repro.metrics.generators import random_metric_host
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_dynamics import reference_dynamics  # noqa: E402
 
 SIZES = (50, 100, 200)
 NUM_CANDIDATES = 8
@@ -92,13 +103,17 @@ def best_response_sweep(n: int) -> dict[str, float]:
     }
 
 
-def dynamics_run(n: int, engine: str) -> tuple[float, object]:
-    """Time three rounds of single-move round-robin dynamics from a star."""
+def dynamics_run(n: int, reference: bool) -> tuple[float, object]:
+    """Time three rounds of single-move round-robin dynamics from a star,
+    through the from-scratch reference loop or through ``run_dynamics``."""
     game, profile, _ = _instance(n)
     t0 = time.perf_counter()
-    result = run_dynamics(
-        game, profile, SimulationConfig(response="single", engine=engine, max_rounds=3)
-    )
+    if reference:
+        result = reference_dynamics(game, profile, response="single", max_rounds=3)
+    else:
+        result = run_dynamics(
+            game, profile, SimulationConfig(response="single", max_rounds=3)
+        )
     return time.perf_counter() - t0, result
 
 
@@ -124,23 +139,23 @@ def test_best_response_sweep_speedup(benchmark, n, paper_report):
 @pytest.mark.parametrize("n", (50, 100))
 def test_single_move_dynamics_speedup(benchmark, n, paper_report):
     def run_both():
-        t_exact, r_exact = dynamics_run(n, "exact")
-        t_incr, r_incr = dynamics_run(n, "incremental")
-        return t_exact, t_incr, r_exact, r_incr
+        t_ref, r_ref = dynamics_run(n, reference=True)
+        t_incr, r_incr = dynamics_run(n, reference=False)
+        return t_ref, t_incr, r_ref, r_incr
 
-    t_exact, t_incr, r_exact, r_incr = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    t_ref, t_incr, r_ref, r_incr = benchmark.pedantic(run_both, rounds=1, iterations=1)
     paper_report(
         f"Incremental engine — single-move dynamics, 3 rounds (n={n})",
         [
-            ("exact engine [s]", "-", t_exact),
+            ("from-scratch reference loop [s]", "-", t_ref),
             ("incremental engine [s]", "-", t_incr),
-            ("speedup", "> 1", t_exact / t_incr),
-            ("identical trajectory", "always", r_exact.final_profile == r_incr.final_profile),
+            ("speedup", "> 1", t_ref / t_incr),
+            ("identical trajectory", "always", r_ref.final_profile == r_incr.final_profile),
         ],
     )
-    assert r_exact.moves == r_incr.moves
-    assert r_exact.final_profile == r_incr.final_profile
-    assert t_exact / t_incr > 1.0
+    assert r_ref.moves == r_incr.moves
+    assert r_ref.final_profile == r_incr.final_profile
+    assert t_ref / t_incr > 1.0
 
 
 def main() -> int:
@@ -157,15 +172,15 @@ def main() -> int:
         if n == 100:
             ok &= stats["speedup"] >= 3.0
     for n in (50, 100):
-        t_exact, r_exact = dynamics_run(n, "exact")
-        t_incr, r_incr = dynamics_run(n, "incremental")
-        same = r_exact.final_profile == r_incr.final_profile
+        t_ref, r_ref = dynamics_run(n, reference=True)
+        t_incr, r_incr = dynamics_run(n, reference=False)
+        same = r_ref.moves == r_incr.moves and r_ref.final_profile == r_incr.final_profile
         print(
             f"  n={n:>3}  single-move dynamics (3 rounds, {r_incr.moves} moves): "
-            f"exact {t_exact:.3f}s  incremental {t_incr:.3f}s  "
-            f"speedup {t_exact / t_incr:.2f}x  identical={same}"
+            f"reference {t_ref:.3f}s  incremental {t_incr:.3f}s  "
+            f"speedup {t_ref / t_incr:.2f}x  identical={same}"
         )
-        ok &= same
+        ok &= same and t_ref / t_incr > 1.0
     print("OK" if ok else "FAILED: engines disagree or speedup below target")
     return 0 if ok else 1
 

@@ -29,8 +29,7 @@ Every command accepts ``--seed`` for reproducibility.  The ``poa``,
 :class:`repro.core.session.SimulationConfig`: pass ``--config path.json``
 to load one (the JSON layout of
 :meth:`~repro.core.session.SimulationConfig.to_dict`) and/or the individual
-flags — ``--engine`` (incremental distance engine vs. exact from-scratch
-oracle), ``--schedule`` (sequential vs. batched proposal-caching
+flags — ``--schedule`` (sequential vs. batched proposal-caching
 activation), ``--workers`` (shared-memory worker processes for the batched
 evaluations), the checkpoint policy and ``--seed`` — which override the
 file.  ``repro config dump`` prints the config the same flags resolve to,
@@ -45,7 +44,7 @@ so a flag combination can be frozen into a reusable JSON file:
 resolves to its historical budget (``poa`` sampling and ``simulate`` 60,
 the ``dynamics`` study 40) — so freezing flags into a file never silently
 changes a round budget.  All configurations compute identical game
-quantities — engine, schedule and workers trade nothing but time (see
+quantities — schedule and workers trade nothing but time (see
 :mod:`repro.core.session`).
 """
 
@@ -184,8 +183,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
     :class:`repro.core.session.SimulationConfig` otherwise — and explicit
     flags override it.  ``full`` additionally exposes the fields only
     ``config dump`` needs to freeze (response kind, activation order and
-    budgets).
+    budgets).  The parser is marked ``config_driven`` so :func:`main`
+    resolves its :class:`SimulationConfig` before dispatching.
     """
+    parser.set_defaults(config_driven=True)
     parser.add_argument(
         "--config",
         metavar="PATH",
@@ -193,18 +194,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
         help=(
             "JSON file holding a SimulationConfig (the layout printed by "
             "'repro config dump'); explicit flags override its fields"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["incremental", "exact"],
-        help=(
-            "distance engine for best-response dynamics: 'incremental' "
-            "(default) caches all-pairs distances, reuses residual matrices "
-            "across sweeps and updates distances in O(n^2) per move; 'exact' "
-            "recomputes shortest paths from scratch at every step (slow "
-            "cross-validation oracle — both engines play identical responses)"
         ),
     )
     parser.add_argument(
@@ -216,8 +205,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
             "(default) re-scores every agent at every activation; 'batched' "
             "caches scored proposals and replays them at later activations, "
             "re-scoring only agents whose residual rows an applied move "
-            "invalidated (identical trajectory, requires --engine "
-            "incremental)"
+            "invalidated (identical trajectory)"
         ),
     )
     parser.add_argument(
@@ -228,8 +216,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
             "worker processes for batched proposal evaluation: 1 (default) "
             "scores in-process, k > 1 fans each batch of proposals out to k "
             "persistent workers over shared-memory distance snapshots — "
-            "bit-identical results for every worker count (requires "
-            "--engine incremental; pays off with --schedule batched).  "
+            "bit-identical results for every worker count (pays off with "
+            "--schedule batched).  "
             "Sweeps share one worker pool per instance via GameSession"
         ),
     )
@@ -276,7 +264,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
 
 
 _CONFIG_FIELDS = (
-    "engine",
     "schedule",
     "workers",
     "seed",
@@ -605,7 +592,7 @@ def _cmd_lint(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "engine"):  # the SimulationConfig-driven commands
+    if getattr(args, "config_driven", False):
         try:
             args.sim_config = resolve_config(args)
         except ValueError as exc:

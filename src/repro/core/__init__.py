@@ -23,7 +23,6 @@ from .best_response import (
     BestResponseResult,
     SingleMove,
     batch_best_responses,
-    best_response,
     best_response_exact,
     best_response_incremental,
     best_single_move,
@@ -127,7 +126,6 @@ __all__ = [
     "ae_to_ne_factor",
     "algorithm1_one_two",
     "batch_best_responses",
-    "best_response",
     "best_response_exact",
     "best_response_incremental",
     "best_single_move",

@@ -80,7 +80,6 @@ __all__ = [
     "best_response_incremental",
     "best_single_move",
     "greedy_response",
-    "best_response",
 ]
 
 _TOL = 1e-9
@@ -572,31 +571,3 @@ def batch_best_responses(
         agents = range(engine.game.n)
     return engine.respond_many(agents, response, max_candidates=max_candidates)
 
-
-def best_response(
-    game: NetworkCreationGame,
-    profile: StrategyProfile,
-    u: int,
-    *,
-    method: str = "auto",
-    max_candidates: int = _MAX_EXACT_CANDIDATES,
-) -> BestResponseResult:
-    """Best response with automatic method selection.
-
-    ``method`` is ``"exact"``, ``"incremental"``, ``"greedy"`` or ``"auto"``
-    (exact when the number of candidate edges is small enough, greedy
-    otherwise).
-    """
-    if method == "exact":
-        return best_response_exact(game, profile, u, max_candidates=max_candidates)
-    if method == "incremental":
-        return best_response_incremental(game, profile, u, max_candidates=max_candidates)
-    if method == "greedy":
-        return greedy_response(game, profile, u)
-    if method != "auto":
-        raise ValueError(f"unknown best-response method {method!r}")
-    finite = np.isfinite(game.host.weights[u])
-    m = int(finite.sum()) - 1
-    if m <= min(max_candidates, 16):
-        return best_response_exact(game, profile, u, max_candidates=max_candidates)
-    return greedy_response(game, profile, u)

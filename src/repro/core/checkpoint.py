@@ -123,7 +123,6 @@ _SCHEMA = "repro-gncg-checkpoint"
 # but time and placement — but never these: the continuation would no
 # longer be the same run.
 TRAJECTORY_FIELDS = (
-    "engine",
     "schedule",
     "response",
     "order",

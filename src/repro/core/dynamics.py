@@ -8,13 +8,14 @@ the sequential processes used to explore this empirically:
 * :func:`run_dynamics` — round-robin / random / max-gain activation of
   agents, each playing an exact best response, a greedy (single-move) local
   optimum, or just the best single move; stops on convergence, on a detected
-  state cycle, or after a step budget.  By default it runs on the
-  *incremental* distance engine (:class:`repro.core.incremental.
-  IncrementalEngine`), which caches the profile's distance matrix, reuses
-  residual matrices across sweeps, repairs them decrementally after edge
-  removals and updates distances in ``O(n^2)`` per move; ``engine="exact"``
-  recomputes everything from scratch and serves as the slow
-  cross-validation oracle.  Random activation is deterministic: ``rng``
+  state cycle, or after a step budget.  It runs on the incremental
+  distance engine (:class:`repro.core.incremental.IncrementalEngine`),
+  which caches the profile's distance matrix, reuses residual matrices
+  across sweeps, repairs them decrementally after edge removals and
+  updates distances in ``O(n^2)`` per move.  The test suite checks every
+  schedule and resume against a from-scratch reference loop
+  (``tests/reference_dynamics.py``) that plays the same responses with no
+  caches.  Random activation is deterministic: ``rng``
   accepts a :class:`numpy.random.Generator` or an integer seed and defaults
   to seed 0 (never a module-level RNG).
 
@@ -45,8 +46,7 @@ the sequential processes used to explore this empirically:
   to lazy per-activation scoring while speculation keeps getting
   invalidated and doubles towards full-round batches while it survives;
   it evolves as a pure function of the trajectory, never of the worker
-  count.  Batching requires the
-  incremental engine and is available for round-robin, random and explicit
+  count.  Batching is available for round-robin, random and explicit
   activation orders (``max_gain`` re-scores every agent per step by
   definition, and ``workers`` parallelizes exactly that re-scoring).
   :func:`repro.core.best_response.batch_best_responses` exposes the
@@ -70,18 +70,13 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import checkpoint as _checkpoint
 from .parallel import EvaluatorError
-from .best_response import (
-    BestResponseResult,
-    best_response_exact,
-    best_single_move,
-    greedy_response,
-)
+from .best_response import BestResponseResult, best_response_exact
 from .game import NetworkCreationGame
 from .incremental import EngineStats, IncrementalEngine, Residual, _published
 from .residual_delta import dense_residual, residual_block
@@ -103,8 +98,6 @@ _TOL = 1e-9
 # at the collapsed window probes one agent ahead so the window can regrow.
 _PREFILL_WINDOW_INIT = 4
 _PREFILL_WINDOW_PROBE = 8
-
-ResponseKind = Literal["best", "greedy", "single"]
 
 
 class _ProposalCache:
@@ -359,7 +352,7 @@ class DynamicsResult:
     final_profile: StrategyProfile
     social_costs: list[float] = field(default_factory=list)
     history: list[StrategyProfile] | None = None
-    engine_stats: "EngineStats | None" = None
+    engine_stats: EngineStats = field(default_factory=EngineStats)
     schedule_hits: int = 0
     schedule_misses: int = 0
 
@@ -384,31 +377,6 @@ class CycleCheckResult:
         return self.is_cycle and self.is_improving
 
 
-def _respond(
-    game: NetworkCreationGame,
-    profile: StrategyProfile,
-    agent: int,
-    response: ResponseKind,
-    max_candidates: int,
-):
-    if response == "best":
-        return best_response_exact(game, profile, agent, max_candidates=max_candidates)
-    if response == "greedy":
-        return greedy_response(game, profile, agent)
-    if response == "single":
-        current = game.agent_cost(profile, agent)
-        # ``apply`` returns ``profile`` itself when no single move improves.
-        moved = best_single_move(game, profile, agent).apply(profile, agent)
-        return BestResponseResult(
-            agent=agent,
-            strategy=moved.strategy(agent),
-            cost=current if moved is profile else game.agent_cost(moved, agent),
-            current_cost=current,
-            method="single",
-        )
-    raise ValueError(f"unknown response kind {response!r}")
-
-
 def run_dynamics(
     game: NetworkCreationGame,
     initial: StrategyProfile,
@@ -422,7 +390,7 @@ def run_dynamics(
     """Run response dynamics from ``initial`` under ``config``.
 
     Every knob of the run — response kind, activation order, round budget,
-    engine, schedule, workers, checkpoint policy — is a field of the
+    schedule, workers, checkpoint policy — is a field of the
     :class:`~repro.core.session.SimulationConfig` (field defaults when
     ``config`` is ``None``).  The call opens a one-shot
     :class:`~repro.core.session.GameSession`, so it builds and tears down
@@ -472,7 +440,7 @@ def _run_session_loop(
     initial: StrategyProfile,
     *,
     cfg: SimulationConfig,
-    inc: IncrementalEngine | None,
+    inc: IncrementalEngine,
     cache: _ProposalCache | None,
     rng: np.random.Generator,
     record_history: bool,
@@ -511,11 +479,6 @@ def _run_session_loop(
     response = cfg.response
     order = cfg.order
     max_candidates = cfg.max_candidates
-
-    def respond(u: int):
-        if inc is not None:
-            return inc.respond(u, response, max_candidates=max_candidates)
-        return _respond(game, profile, u, response, max_candidates)
 
     # Adaptive speculation window of the batched schedule's round prefill.
     # The window evolves as a pure function of the trajectory (hits, misses
@@ -589,23 +552,15 @@ def _run_session_loop(
         speculated.update(pending[1:])
         return batch[0]  # pending[0] is u: its lookup just missed
 
-    def social_cost() -> float:
-        if inc is not None:
-            return inc.social_cost()
-        return game.social_cost(profile)
-
     def play(u: int, strategy) -> bool:
         """Apply ``u``'s move and record it; ``True`` when it closes a cycle."""
         nonlocal profile, moves, cycle_detected, cycle_length
-        if inc is not None:
-            old = inc.profile
-            profile = inc.apply(u, strategy)
-            if cache is not None:
-                cache.on_move(u, old, profile)
-        else:
-            profile = profile.with_strategy(u, strategy)
+        old = inc.profile
+        profile = inc.apply(u, strategy)
+        if cache is not None:
+            cache.on_move(u, old, profile)
         moves += 1
-        social_costs.append(social_cost())
+        social_costs.append(inc.social_cost())
         if record_history:
             history.append(profile)
         if detect_cycles:
@@ -639,7 +594,7 @@ def _run_session_loop(
         history = [initial] if record_history else None
         moves = 0
         steps = 0
-        social_costs = [social_cost()]
+        social_costs = [inc.social_cost()]
         if detect_cycles:
             seen[profile.canonical_key()] = 0
 
@@ -660,14 +615,7 @@ def _run_session_loop(
         else:
             seen_keys = np.zeros((0, keylen), dtype=np.uint8)
             seen_moves = np.zeros((0,), dtype=np.int64)
-        engine_distances = None
-        engine_residuals: dict[int, tuple[bytes, Residual]] = {}
-        engine_stats = None
-        if inc is not None:
-            snap = inc.export_state()
-            engine_distances = snap["distances"]
-            engine_residuals = snap["residuals"]
-            engine_stats = snap["stats"]
+        snap = inc.export_state()
         cache_state = None
         if cache is not None:
             cache_state = cache.export_state()
@@ -695,9 +643,9 @@ def _run_session_loop(
             history=(
                 np.stack([p.ownership for p in history]) if history else None
             ),
-            engine_distances=engine_distances,
-            engine_residuals=engine_residuals,
-            engine_stats=engine_stats,
+            engine_distances=snap["distances"],
+            engine_residuals=snap["residuals"],
+            engine_stats=snap["stats"],
             cache_state=cache_state,
         )
         return ckpt
@@ -741,12 +689,9 @@ def _run_session_loop(
                 # pool when it has one).
                 for _ in range(n):
                     steps += 1
-                    if inc is not None:
-                        results = inc.respond_many(
-                            range(n), response, max_candidates=max_candidates
-                        )
-                    else:
-                        results = [respond(u) for u in range(n)]
+                    results = inc.respond_many(
+                        range(n), response, max_candidates=max_candidates
+                    )
                     best_agent, best_result = None, None
                     for u, result in enumerate(results):
                         if result.improvement > tol and (
@@ -767,7 +712,7 @@ def _run_session_loop(
                     result = (
                         respond_batched(u, position, agents)
                         if cache is not None
-                        else respond(u)
+                        else inc.respond(u, response, max_candidates=max_candidates)
                     )
                     if result.improvement > tol:
                         improved_this_round = True
@@ -786,7 +731,7 @@ def _run_session_loop(
                     final_profile=profile,
                     social_costs=social_costs,
                     history=history,
-                    engine_stats=inc.stats if inc is not None else None,
+                    engine_stats=inc.stats,
                     schedule_hits=cache.hits if cache is not None else 0,
                     schedule_misses=cache.misses if cache is not None else 0,
                 )
@@ -829,7 +774,7 @@ def _run_session_loop(
         final_profile=profile,
         social_costs=social_costs,
         history=history,
-        engine_stats=inc.stats if inc is not None else None,
+        engine_stats=inc.stats,
         schedule_hits=cache.hits if cache is not None else 0,
         schedule_misses=cache.misses if cache is not None else 0,
     )

@@ -121,7 +121,8 @@ holds none, and the agent's next miss solves every row it needs.
 The engine is *exact*: it returns the same best responses and costs as the
 from-scratch oracle (:func:`repro.core.best_response.best_response_exact`),
 which the randomized property tests in ``tests/test_incremental_engine.py``
-and ``tests/test_batched_dynamics.py`` verify across all model variants.
+and the reference-loop harness in ``tests/test_reference_dynamics.py``
+verify across all model variants.
 """
 
 from __future__ import annotations

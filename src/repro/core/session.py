@@ -7,8 +7,8 @@ estimation) the worker-pool start-up dominates at small ``n``, so a
 session builds its engine and pool once and reuses them across runs:
 
 ``SimulationConfig``
-    A frozen dataclass bundling every knob of a dynamics run — distance
-    ``engine``, activation ``schedule``, ``workers``, ``response`` kind,
+    A frozen dataclass bundling every knob of a dynamics run — activation
+    ``schedule``, ``workers``, ``response`` kind,
     activation ``order``, ``max_rounds``, ``max_candidates``, the ``seed``
     policy and the checkpoint policy.  It
     validates its cross-field rules (``__post_init__``), supports
@@ -102,15 +102,14 @@ __all__ = [
 ]
 
 
-_ENGINES = ("exact", "incremental")
 _SCHEDULES = ("sequential", "batched")
 _RESPONSES = ("best", "greedy", "single")
 _ORDERS = ("round_robin", "random", "max_gain")
 
 # Config fields a session cannot change per run: they shape the owned
-# engine and worker pool, so changing them needs a fresh session.  A
-# per-run "override" that equals the session's value is accepted (no-op).
-_SESSION_SCOPED = ("engine", "workers")
+# worker pool, so changing them needs a fresh session.  A per-run
+# "override" that equals the session's value is accepted (no-op).
+_SESSION_SCOPED = ("workers",)
 
 # Fields whose None means "unset" (the entry point's default), with the
 # type any other value is coerced to.
@@ -143,6 +142,12 @@ _FLEET = (
 # any other value asked for behaviour that is gone and raises with the
 # entry's reason.
 RETIRED_FIELDS: dict[str, _Retired] = {
+    "engine": _Retired(
+        "incremental",
+        "selected the from-scratch 'exact' engine, which replayed the "
+        "incremental engine's trajectories more slowly; every run now uses "
+        "the incremental engine",
+    ),
     "buffering": _Retired(
         _ANY_VALUE, "chose one or two shared-memory slot banks, which scored identically"
     ),
@@ -202,11 +207,6 @@ class SimulationConfig:
     ``SimulationConfig()`` is the configuration of a bare
     ``run_dynamics(game, initial)`` call.  The fields:
 
-    * ``engine`` — ``"incremental"`` runs on the cached-distance engine
-      (residuals reused across sweeps, repaired decrementally, distances
-      updated in ``O(n^2)`` per move); ``"exact"`` recomputes everything
-      from scratch and is the slow cross-validation oracle.  Both play the
-      same responses.
     * ``schedule`` — ``"sequential"`` re-scores every agent at every
       activation; ``"batched"`` replays cached proposals an applied move
       provably left valid (identical trajectory, see
@@ -251,7 +251,6 @@ class SimulationConfig:
     budget, never a restarted one.
     """
 
-    engine: str = "incremental"
     schedule: str = "sequential"
     workers: int = 1
     response: str = "best"
@@ -263,8 +262,6 @@ class SimulationConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.response not in _RESPONSES:
@@ -292,12 +289,6 @@ class SimulationConfig:
             raise ValueError("max_rounds must be non-negative")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
-        if self.workers > 1 and self.engine != "incremental":
-            raise ValueError(
-                "workers > 1 requires engine='incremental': the exact oracle "
-                "recomputes from scratch per agent and has no shared snapshot "
-                "to evaluate against"
-            )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_path is None:
@@ -308,18 +299,11 @@ class SimulationConfig:
         if self.checkpoint_path is not None and self.checkpoint_every is None:
             # A path alone means "checkpoint every round boundary".
             object.__setattr__(self, "checkpoint_every", 1)
-        if self.schedule == "batched":
-            if self.engine != "incremental":
-                raise ValueError(
-                    "schedule='batched' requires engine='incremental': the "
-                    "exact oracle keeps no residual matrices to re-validate "
-                    "proposals against"
-                )
-            if self.order == "max_gain":
-                raise ValueError(
-                    "schedule='batched' does not support order='max_gain' "
-                    "(max-gain activation already re-scores every agent per step)"
-                )
+        if self.schedule == "batched" and self.order == "max_gain":
+            raise ValueError(
+                "schedule='batched' does not support order='max_gain' "
+                "(max-gain activation already re-scores every agent per step)"
+            )
 
     # ------------------------------------------------------------------
     # Functional update and serialization
@@ -435,11 +419,10 @@ class GameSession:
 
     Per-run keyword overrides may change ``response``, ``order``,
     ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
-    checkpoint policy; the session-scoped fields — ``engine`` and
-    ``workers`` — are fixed for the session's lifetime because the owned
-    engine and evaluator are shaped by them
-    (open a new session — or :meth:`SimulationConfig.replace` the config
-    — to change those).
+    checkpoint policy; the session-scoped field ``workers`` is fixed for
+    the session's lifetime because it shapes the owned evaluator (open a
+    new session — or :meth:`SimulationConfig.replace` the config — to
+    change it).
     """
 
     def __init__(
@@ -514,11 +497,10 @@ class GameSession:
     def _shared_evaluator(self) -> ParallelEvaluator | None:
         """The session's single shared worker pool (created once, lazily).
 
-        ``None`` unless the config runs the incremental engine with
-        ``workers > 1``.
+        ``None`` unless the config sets ``workers > 1``.
         """
         cfg = self._config
-        if cfg.engine != "incremental" or cfg.workers <= 1:
+        if cfg.workers <= 1:
             return None
         if self._evaluator is None:
             self._evaluator = ParallelEvaluator.for_game(
@@ -544,7 +526,7 @@ class GameSession:
         evaluator.fault_hook = pool_fault_hook(plan)
         return evaluator.fault_hook
 
-    def _engine_for(self, initial: StrategyProfile) -> IncrementalEngine | None:
+    def _engine_for(self, initial: StrategyProfile) -> IncrementalEngine:
         """The owned incremental engine, pointed at ``initial``.
 
         The engine object is created once and *reset* for every later run —
@@ -552,8 +534,6 @@ class GameSession:
         bit-identical to one-shot engines) while the injected evaluator's
         worker pool survives.
         """
-        if self._config.engine != "incremental":
-            return None
         if self._engine is None:
             self._engine = IncrementalEngine(
                 self._game,
@@ -589,7 +569,7 @@ class GameSession:
         if changed:
             raise ValueError(
                 f"cannot override {changed} per run: the session owns the "
-                "engine and worker pool they shape; use "
+                "worker pool they shape; use "
                 "SimulationConfig.replace() and open a new GameSession"
             )
         return cfg
@@ -648,14 +628,12 @@ class GameSession:
     def _account(self, result: DynamicsResult) -> DynamicsResult:
         """Fold one finished run into the session's cumulative counters."""
         self._runs += 1
-        if result.engine_stats is not None:
-            for f in dataclasses.fields(EngineStats):
-                setattr(
-                    self._cum_stats,
-                    f.name,
-                    getattr(self._cum_stats, f.name)
-                    + getattr(result.engine_stats, f.name),
-                )
+        for f in dataclasses.fields(EngineStats):
+            setattr(
+                self._cum_stats,
+                f.name,
+                getattr(self._cum_stats, f.name) + getattr(result.engine_stats, f.name),
+            )
         self._hits += result.schedule_hits
         self._misses += result.schedule_misses
         return result
@@ -714,12 +692,11 @@ class GameSession:
             )
         initial = ckpt.profile()
         engine = self._engine_for(initial)
-        if engine is not None:
-            engine.restore_state(
-                distances=ckpt.engine_distances,
-                residuals=ckpt.engine_residuals,
-                stats=ckpt.engine_stats,
-            )
+        engine.restore_state(
+            distances=ckpt.engine_distances,
+            residuals=ckpt.engine_residuals,
+            stats=ckpt.engine_stats,
+        )
         cache = self._cache_for(cfg)
         if cache is not None and ckpt.cache_state is not None:
             cache.restore_state(

@@ -16,9 +16,8 @@ Two contracts are enforced here:
   frontier exceeds the threshold and the repair falls back to a full
   rebuild (removal-heavy hub instances force this path).
 
-A Hypothesis harness over tie-heavy hosts (1-2, unit and tree) checks both
-the schedules against each other and the incremental engine against
-``engine="exact"``; ``--slow`` raises its instances to n = 60.
+Both schedules are checked against the from-scratch reference loop, on
+tie-heavy hosts too, in ``tests/test_reference_dynamics.py``.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.core.incremental as incremental
 from repro.core import (
@@ -42,47 +39,12 @@ from repro.core import (
 from repro.core.best_response import batch_best_responses, residual_distances
 from repro.core.residual_delta import dense_residual
 from repro.core.shortest_paths import all_pairs_shortest_paths
-from repro.metrics.generators import (
-    random_euclidean_host,
-    random_general_host,
-    random_metric_host,
-    random_one_infinity_host,
-    random_one_two_host,
-    random_tree_host,
-    unit_host,
-)
-
-VARIANTS = {
-    "ncg": lambda n, rng: unit_host(n),
-    "one_two": lambda n, rng: random_one_two_host(n, rng=rng),
-    "one_infinity": lambda n, rng: random_one_infinity_host(n, rng=rng),
-    "tree": lambda n, rng: random_tree_host(n, rng=rng),
-    "euclidean": lambda n, rng: random_euclidean_host(n, rng=rng),
-    "metric": lambda n, rng: random_metric_host(n, rng=rng),
-    "general": lambda n, rng: random_general_host(n, rng=rng),
-}
-
-
-def _same_cost(a: float, b: float, tol: float = 1e-9) -> bool:
-    if np.isinf(a) or np.isinf(b):
-        return np.isinf(a) and np.isinf(b)
-    return abs(a - b) <= tol * max(1.0, abs(a))
+from random_instances import VARIANTS, _random_game, _random_profile, _same_cost
 
 
 def _same_matrix(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
     fa, fb = np.isfinite(a), np.isfinite(b)
     return bool(np.array_equal(fa, fb) and np.allclose(a[fa], b[fb], atol=tol))
-
-
-def _random_profile(n: int, rng: np.random.Generator, density: float = 0.35) -> StrategyProfile:
-    owns = rng.random((n, n)) < density
-    np.fill_diagonal(owns, False)
-    return StrategyProfile(owns, copy=False, validate=False)
-
-
-def _random_game(variant: str, n: int, rng: np.random.Generator) -> NetworkCreationGame:
-    host = VARIANTS[variant](n, rng)
-    return NetworkCreationGame(host, float(rng.uniform(0.2, 3.0)))
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +104,6 @@ def test_batched_explicit_order_and_reuse():
     assert seq.moves == bat.moves
     # Once converged, repeated sweeps must be served from the proposal cache.
     assert bat.schedule_hits > 0
-
-
-def test_batched_requires_incremental_engine():
-    game = _random_game("metric", 5, np.random.default_rng(0))
-    start = StrategyProfile.empty(5)
-    with pytest.raises(ValueError, match="incremental"):
-        run_dynamics(game, start, SimulationConfig(engine="exact", schedule="batched"))
 
 
 def test_batched_rejects_max_gain_order():
@@ -285,114 +240,6 @@ def test_batched_dynamics_on_removal_heavy_instance():
     assert seq.final_profile == bat.final_profile
     assert _same_cost(seq.final_social_cost, bat.final_social_cost)
     assert bat.engine_stats is not None
-
-
-# ----------------------------------------------------------------------
-# Tie-heavy differential harness
-# ----------------------------------------------------------------------
-# 1-2, unit and tree hosts are the paper's own regimes and the ones where
-# tolerance-based code (the 1e-9 repair slack, ``isclose`` invalidation,
-# 1e-15 subset ties) is most likely to take a different branch.  Hypothesis
-# draws the instances; ``derandomize=True`` makes every run draw the same
-# ones, so a failure reproduces from the test id alone.
-TIE_HEAVY = ("ncg", "one_two", "tree")
-
-
-@st.composite
-def _tie_heavy_runs(draw, max_n: int):
-    variant = draw(st.sampled_from(TIE_HEAVY))
-    n = draw(st.integers(3, max_n))
-    # Exact best responses enumerate 2^(n-1) subsets: keep "best" small.
-    kinds = ("best", "greedy", "single") if n <= 9 else ("greedy", "single")
-    response = draw(st.sampled_from(kinds))
-    start = draw(st.sampled_from(("empty", "random", "path", "star")))
-    alpha = draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    game = NetworkCreationGame(VARIANTS[variant](n, rng), alpha)
-    if start == "random":
-        profile = _random_profile(n, rng, density=float(rng.uniform(0.05, 0.4)))
-    elif start == "path":
-        profile = StrategyProfile.path(range(n))
-    else:
-        profile = getattr(StrategyProfile, start)(n)
-    return game, profile, response
-
-
-def _trajectory(result) -> tuple:
-    """Everything a run decides, as bytes: flags, counts, final ownership and
-    the social-cost trajectory.  Engine stats and proposal-cache counters are
-    left out because the two schedules do different residual work by design."""
-    return (
-        result.converged,
-        result.steps,
-        result.moves,
-        result.cycle_detected,
-        result.cycle_length,
-        result.final_profile.ownership.tobytes(),
-        np.asarray(result.social_costs, dtype=float).tobytes(),
-    )
-
-
-def _check_batched_matches_sequential(game, profile, response):
-    runs = [
-        run_dynamics(
-            game,
-            profile,
-            SimulationConfig(response=response, max_rounds=12, schedule=schedule),
-            rng=3,
-        )
-        for schedule in ("sequential", "batched")
-    ]
-    assert _trajectory(runs[0]) == _trajectory(runs[1])
-
-
-def _check_incremental_matches_exact(game, profile, response):
-    exact, incremental = (
-        run_dynamics(
-            game,
-            profile,
-            SimulationConfig(response=response, max_rounds=12, engine=engine),
-            rng=3,
-        )
-        for engine in ("exact", "incremental")
-    )
-    assert exact.moves == incremental.moves
-    assert exact.steps == incremental.steps
-    assert exact.final_profile == incremental.final_profile
-    assert len(exact.social_costs) == len(incremental.social_costs)
-    for a, b in zip(exact.social_costs, incremental.social_costs):
-        assert _same_cost(a, b, tol=1e-9)
-
-
-_TIER1 = settings(derandomize=True, database=None, deadline=None, max_examples=30)
-_SLOW = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
-
-@_TIER1
-@given(_tie_heavy_runs(max_n=8))
-def test_tie_heavy_batched_matches_sequential(run):
-    _check_batched_matches_sequential(*run)
-
-
-@_TIER1
-@given(_tie_heavy_runs(max_n=8))
-def test_tie_heavy_incremental_matches_exact(run):
-    _check_incremental_matches_exact(*run)
-
-
-@pytest.mark.slow
-@_SLOW
-@given(_tie_heavy_runs(max_n=60))
-def test_tie_heavy_batched_matches_sequential_up_to_n60(run):
-    _check_batched_matches_sequential(*run)
-
-
-@pytest.mark.slow
-@_SLOW
-@given(_tie_heavy_runs(max_n=60))
-def test_tie_heavy_incremental_matches_exact_up_to_n60(run):
-    _check_incremental_matches_exact(*run)
 
 
 def test_engine_residual_graph_matches_dense_residual_weights(property_budget):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import itertools
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.best_response as br
 from repro.core.best_response import (
-    best_response,
     best_response_exact,
     best_single_move,
     enumerate_single_moves,
@@ -27,10 +26,6 @@ from repro.core.shortest_paths import (
     strategy_cost_from_residual,
 )
 from repro.core.strategy import StrategyProfile
-
-# The module itself (``repro.core.best_response`` as an attribute path is
-# shadowed by the re-exported function of the same name).
-br = importlib.import_module("repro.core.best_response")
 
 
 def brute_force_best_response(game, profile, u):
@@ -214,24 +209,6 @@ class TestSingleMovesAndGreedy:
 
         profile = StrategyProfile.empty(5)
         assert SingleMove("none").apply(profile, 0) is profile
-
-
-class TestDispatch:
-    def test_method_auto_small_uses_exact(self, small_euclidean_game):
-        game = small_euclidean_game
-        profile = StrategyProfile.empty(5)
-        result = best_response(game, profile, 0, method="auto")
-        assert result.method == "exact"
-
-    def test_method_greedy(self, small_euclidean_game):
-        result = best_response(
-            small_euclidean_game, StrategyProfile.empty(5), 0, method="greedy"
-        )
-        assert result.method == "greedy"
-
-    def test_unknown_method(self, small_euclidean_game):
-        with pytest.raises(ValueError):
-            best_response(small_euclidean_game, StrategyProfile.empty(5), 0, method="bogus")
 
 
 class TestBestResponseProperties:

@@ -73,12 +73,8 @@ from repro.core.session import (
     MAX_ROUNDS_SIMULATE,
 )
 
-from test_parallel_evaluator import (
-    VARIANTS,
-    _assert_identical_runs,
-    _random_game,
-    _random_profile,
-)
+from random_instances import VARIANTS, _random_game, _random_profile
+from test_parallel_evaluator import _assert_identical_runs
 
 
 def _boundary_files(tmp_path: Path, tag: str) -> tuple[str, Path]:
@@ -631,6 +627,42 @@ def test_checkpoint_written_with_a_repair_threshold_still_resumes(tmp_path):
     )
     with pytest.raises(ValueError, match="'repair_threshold'"):
         resume_dynamics(str(other), **NO_CHECKPOINTING)
+
+
+def test_checkpoint_written_with_the_engine_field_still_resumes(tmp_path, capsys):
+    """Checkpoints written while the engine was a config field embed it as
+    ``"incremental"``; they save, load and resume bit-identically, proposal
+    cache included, and one that asked for the exact engine is refused
+    naming the field, by the API and by the CLI."""
+    import dataclasses
+
+    from repro.cli import main
+
+    rng = np.random.default_rng(47)
+    game = _random_game("metric", 8, rng)
+    start = _random_profile(8, rng, 0.4)
+    cfg = SimulationConfig(schedule="batched", response="single", max_rounds=4)
+    straight = _run_straight(game, start, cfg)
+    template, directory = _boundary_files(tmp_path, "engine")
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    ckpt = load_checkpoint(_written_boundaries(directory)[0])
+    assert "engine" not in ckpt.config and ckpt.cache_state is not None
+    old = tmp_path / "old.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, "engine": "incremental"}), old
+    )
+    loaded = load_checkpoint(old)
+    assert loaded.config["engine"] == "incremental"
+    assert loaded.simulation_config() == ckpt.simulation_config()
+    _assert_identical_runs([straight, resume_dynamics(str(old), **NO_CHECKPOINTING)])
+    exact = tmp_path / "exact.bin"
+    save_checkpoint(
+        dataclasses.replace(ckpt, config={**ckpt.config, "engine": "exact"}), exact
+    )
+    with pytest.raises(ValueError, match="'engine'"):
+        resume_dynamics(str(exact), **NO_CHECKPOINTING)
+    assert main(["resume", str(exact), "--no-checkpoint"]) == 2
+    assert "'engine'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

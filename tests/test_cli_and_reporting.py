@@ -111,10 +111,10 @@ class TestBackendFlags:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["workers"] == 2
-        assert len(data) == 10
+        assert len(data) == 9
         for retired in (
             "backend", "endpoints", "failover", "buffering", "residual_encoding",
-            "repair_threshold",
+            "repair_threshold", "engine",
         ):
             assert retired not in data
 
@@ -169,7 +169,7 @@ class TestBackendFlags:
         path.write_text(json.dumps(old))
         assert main(["config", "dump", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
-        retired = ("residual_encoding", "repair_threshold")
+        retired = ("engine", "residual_encoding", "repair_threshold")
         assert data == {k: v for k, v in old.items() if k not in retired}
         base = ["simulate", "--variant", "metric", "--n", "6", "--seed", "2"]
         assert main(base + ["--schedule", "batched"]) == 0

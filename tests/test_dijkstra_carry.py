@@ -627,11 +627,11 @@ def test_repair_after_a_restore_solves_every_row(carry_calls, monkeypatch):
 # ----------------------------------------------------------------------
 # sha256 of the round-1 checkpoint of the run below: the bytes written
 # before fallbacks were carried, re-saved without the retired
-# ``repair_threshold`` config key.  A fallback is written as its pinned
-# dense matrix, whatever form the engine holds it in, so the bytes must not
-# change.  The template is relative, so the path in the header is
-# fixed.
-ROUND_ONE_CHECKPOINT_SHA256 = "80b4e184718dc28c50cca873f8a7d9ae01da30be2377be2a93d228fda32240d2"
+# ``repair_threshold`` and ``engine`` config keys.  A fallback is written as
+# its pinned dense matrix, whatever form the engine holds it in, so the
+# bytes must not change.  The template is relative, so the path in the
+# header is fixed.
+ROUND_ONE_CHECKPOINT_SHA256 = "2392c494fb53c14d1c502ad61e3710b0c89e6b1d144cbf90918dbb0943a3e68c"
 
 
 def test_checkpoint_resume_with_carried_fallbacks(tmp_path, monkeypatch, carry_calls):

@@ -155,20 +155,6 @@ class TestDeterminism:
         c = self._run(small_euclidean_game, 0)
         assert a.social_costs == c.social_costs
 
-    def test_engines_share_the_random_activation_stream(self, small_euclidean_game):
-        a, b = (
-            run_dynamics(
-                small_euclidean_game,
-                StrategyProfile.empty(5),
-                SimulationConfig(order="random", max_rounds=40, engine=engine),
-                rng=7,
-                record_history=True,
-            )
-            for engine in ("exact", "incremental")
-        )
-        assert a.moves == b.moves
-        assert a.final_profile == b.final_profile
-
 
 class TestCycleVerification:
     def _two_state_cycle(self):

@@ -47,11 +47,8 @@ from repro.core.faults import (
     preset_names,
 )
 from repro.core.parallel import EvaluatorError, SharedSnapshot
-from test_parallel_evaluator import (
-    _assert_identical_runs,
-    _random_game,
-    _random_profile,
-)
+from random_instances import _random_game, _random_profile
+from test_parallel_evaluator import _assert_identical_runs
 
 # Every test here exercises the worker pool, so every batch goes to it:
 # the serial-first dispatch rule would keep these small batches in process.

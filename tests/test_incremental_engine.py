@@ -3,11 +3,12 @@
 The incremental best-response engine (:mod:`repro.core.incremental`) must be
 *indistinguishable* from the from-scratch oracle
 (:func:`repro.core.best_response.best_response_exact`) on every input: same
-best-response strategies, same costs, same dynamics trajectories.  These
-tests enforce that with seeded randomized sweeps across all model variants
-of the paper (NCG, 1-2, 1-∞, tree, euclidean/Rd, metric, general) on
-instances up to ``n = 30``.  Budgets are small by default and grow under
-``--slow`` (see ``tests/conftest.py``).
+best-response strategies, same costs.  These tests enforce that with seeded
+randomized sweeps across all model variants of the paper (NCG, 1-2, 1-∞,
+tree, euclidean/Rd, metric, general) on instances up to ``n = 30``.
+Budgets are small by default and grow under ``--slow`` (see
+``tests/conftest.py``).  Whole dynamics trajectories are checked against
+the from-scratch reference loop in ``tests/test_reference_dynamics.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import pytest
 from repro.core import (
     IncrementalEngine,
     NetworkCreationGame,
-    SimulationConfig,
     StrategyProfile,
     best_response_exact,
     best_response_incremental,
-    run_dynamics,
 )
 from repro.core.best_response import (
     best_single_move,
@@ -33,48 +32,14 @@ from repro.core.best_response import (
     residual_distances,
 )
 from repro.core.residual_delta import dense_residual
-from repro.metrics.generators import (
-    random_euclidean_host,
-    random_general_host,
-    random_metric_host,
-    random_one_infinity_host,
-    random_one_two_host,
-    random_tree_host,
-    unit_host,
+from repro.metrics.generators import unit_host
+from random_instances import (
+    VARIANTS,
+    _random_game,
+    _random_profile,
+    _same_cost,
+    _same_matrix,
 )
-
-VARIANTS = {
-    "ncg": lambda n, rng: unit_host(n),
-    "one_two": lambda n, rng: random_one_two_host(n, rng=rng),
-    "one_infinity": lambda n, rng: random_one_infinity_host(n, rng=rng),
-    "tree": lambda n, rng: random_tree_host(n, rng=rng),
-    "euclidean": lambda n, rng: random_euclidean_host(n, rng=rng),
-    "metric": lambda n, rng: random_metric_host(n, rng=rng),
-    "general": lambda n, rng: random_general_host(n, rng=rng),
-}
-
-
-def _same_cost(a: float, b: float, tol: float = 1e-9) -> bool:
-    """Equality treating two infinities (disconnected agents) as equal."""
-    if np.isinf(a) or np.isinf(b):
-        return np.isinf(a) and np.isinf(b)
-    return abs(a - b) <= tol * max(1.0, abs(a))
-
-
-def _same_matrix(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    fa, fb = np.isfinite(a), np.isfinite(b)
-    return bool(np.array_equal(fa, fb) and np.allclose(a[fa], b[fb], atol=tol))
-
-
-def _random_profile(n: int, rng: np.random.Generator, density: float = 0.35) -> StrategyProfile:
-    owns = rng.random((n, n)) < density
-    np.fill_diagonal(owns, False)
-    return StrategyProfile(owns, copy=False, validate=False)
-
-
-def _random_game(variant: str, n: int, rng: np.random.Generator) -> NetworkCreationGame:
-    host = VARIANTS[variant](n, rng)
-    return NetworkCreationGame(host, float(rng.uniform(0.2, 3.0)))
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -111,35 +76,6 @@ class TestBestResponseEquality:
                 )
                 assert exact.strategy == incremental.strategy
                 assert _same_cost(exact.cost, incremental.cost)
-
-    def test_dynamics_trajectories_identical(self, variant, property_budget):
-        """Both engines produce the same moves, costs and final profiles."""
-        rng = np.random.default_rng((zlib.crc32(variant.encode()) + 2) % 2**32)
-        for trial in range(max(2, property_budget // 2)):
-            n = int(rng.integers(3, 8))
-            game = _random_game(variant, n, rng)
-            profile = _random_profile(n, rng)
-            response = ("best", "greedy", "single")[trial % 3]
-            exact = run_dynamics(
-                game,
-                profile,
-                SimulationConfig(response=response, engine="exact", max_rounds=20),
-                rng=0,
-            )
-            incremental = run_dynamics(
-                game,
-                profile,
-                SimulationConfig(
-                    response=response, engine="incremental", max_rounds=20
-                ),
-                rng=0,
-            )
-            assert exact.converged == incremental.converged
-            assert exact.moves == incremental.moves
-            assert exact.final_profile == incremental.final_profile
-            assert len(exact.social_costs) == len(incremental.social_costs)
-            for a, b in zip(exact.social_costs, incremental.social_costs):
-                assert _same_cost(a, b, tol=1e-7)
 
 
 class TestEngineCaches:

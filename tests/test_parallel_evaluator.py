@@ -49,42 +49,13 @@ from repro.core import (
 from repro.core.best_response import score_tasks
 from repro.core.host_graph import HostGraph
 from repro.core.residual_delta import delta_if_smaller, dense_residual
-from repro.metrics.generators import (
-    random_euclidean_host,
-    random_general_host,
-    random_metric_host,
-    random_one_infinity_host,
-    random_one_two_host,
-    random_tree_host,
-    unit_host,
-)
+from random_instances import VARIANTS, _random_game, _random_profile
 
 # Every test here exercises the worker pool, so every batch goes to it:
 # the serial-first dispatch rule would keep these small batches in process.
 pytestmark = pytest.mark.usefixtures("pool_always")
 
-VARIANTS = {
-    "ncg": lambda n, rng: unit_host(n),
-    "one_two": lambda n, rng: random_one_two_host(n, rng=rng),
-    "one_infinity": lambda n, rng: random_one_infinity_host(n, rng=rng),
-    "tree": lambda n, rng: random_tree_host(n, rng=rng),
-    "euclidean": lambda n, rng: random_euclidean_host(n, rng=rng),
-    "metric": lambda n, rng: random_metric_host(n, rng=rng),
-    "general": lambda n, rng: random_general_host(n, rng=rng),
-}
-
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _random_profile(n: int, rng: np.random.Generator, density: float = 0.35) -> StrategyProfile:
-    owns = rng.random((n, n)) < density
-    np.fill_diagonal(owns, False)
-    return StrategyProfile(owns, copy=False, validate=False)
-
-
-def _random_game(variant: str, n: int, rng: np.random.Generator) -> NetworkCreationGame:
-    host = VARIANTS[variant](n, rng)
-    return NetworkCreationGame(host, float(rng.uniform(0.2, 3.0)))
 
 
 def _assert_identical_runs(results) -> None:
@@ -236,8 +207,6 @@ def test_workers_validation():
     start = StrategyProfile.empty(5)
     with pytest.raises(ValueError, match="workers"):
         run_dynamics(game, start, SimulationConfig(workers=0))
-    with pytest.raises(ValueError, match="incremental"):
-        run_dynamics(game, start, SimulationConfig(engine="exact", workers=2))
     with pytest.raises(TypeError):  # only a session-injected evaluator fans out
         IncrementalEngine(game, start, workers=2)
     with pytest.raises(ValueError, match="workers"):

@@ -39,11 +39,8 @@ from repro.core.best_response import score_tasks
 from repro.core.game import NetworkCreationGame
 from repro.core.parallel import _scoring_work, pool_always
 from repro.metrics.generators import unit_host
-from test_parallel_evaluator import (
-    _assert_identical_runs,
-    _random_game,
-    _random_profile,
-)
+from random_instances import _random_game, _random_profile
+from test_parallel_evaluator import _assert_identical_runs
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 

@@ -55,8 +55,9 @@ from repro.core.shortest_paths import (
     floyd_warshall,
 )
 
+from random_instances import _random_game, _random_profile
 from test_dijkstra_carry import _SLOW, _TIER1, _bits, _mesh_host, _tree_profile
-from test_parallel_evaluator import _assert_identical_runs, _random_game, _random_profile
+from test_parallel_evaluator import _assert_identical_runs
 from test_shortest_paths import _battery_host, _battery_network, _csr, _dense_scan_repair
 
 BENCH_LARGE_N = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_large_n.py"

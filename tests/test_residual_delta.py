@@ -57,12 +57,8 @@ from repro.core.residual_delta import (
     unpack_delta,
 )
 from test_dijkstra_carry import _bits
-from test_parallel_evaluator import (
-    VARIANTS,
-    _assert_identical_runs,
-    _random_game,
-    _random_profile,
-)
+from random_instances import VARIANTS, _random_game, _random_profile
+from test_parallel_evaluator import _assert_identical_runs
 
 # The pool tests here measure slot writes, so every batch goes to the
 # pool: the serial-first dispatch rule would keep these small batches in

@@ -42,7 +42,6 @@ from repro.core import (
     EngineStats,
     GameSession,
     IncrementalEngine,
-    NetworkCreationGame,
     ParallelEvaluator,
     SimulationConfig,
     StrategyProfile,
@@ -52,36 +51,7 @@ from repro.core import (
 )
 from repro.analysis import experiments
 from repro.core import session as session_module
-from repro.metrics.generators import (
-    random_euclidean_host,
-    random_general_host,
-    random_metric_host,
-    random_one_infinity_host,
-    random_one_two_host,
-    random_tree_host,
-    unit_host,
-)
-
-VARIANTS = {
-    "ncg": lambda n, rng: unit_host(n),
-    "one_two": lambda n, rng: random_one_two_host(n, rng=rng),
-    "one_infinity": lambda n, rng: random_one_infinity_host(n, rng=rng),
-    "tree": lambda n, rng: random_tree_host(n, rng=rng),
-    "euclidean": lambda n, rng: random_euclidean_host(n, rng=rng),
-    "metric": lambda n, rng: random_metric_host(n, rng=rng),
-    "general": lambda n, rng: random_general_host(n, rng=rng),
-}
-
-
-def _random_profile(n: int, rng: np.random.Generator, density: float = 0.35) -> StrategyProfile:
-    owns = rng.random((n, n)) < density
-    np.fill_diagonal(owns, False)
-    return StrategyProfile(owns, copy=False, validate=False)
-
-
-def _random_game(variant: str, n: int, rng: np.random.Generator) -> NetworkCreationGame:
-    host = VARIANTS[variant](n, rng)
-    return NetworkCreationGame(host, float(rng.uniform(0.2, 3.0)))
+from random_instances import VARIANTS, _random_game, _random_profile
 
 
 def _assert_identical(a, b) -> None:
@@ -102,7 +72,6 @@ def _assert_identical(a, b) -> None:
 class TestSimulationConfig:
     def test_defaults_match_legacy_run_dynamics_surface(self):
         cfg = SimulationConfig()
-        assert cfg.engine == "incremental"
         assert cfg.schedule == "sequential"
         assert cfg.workers == 1
         assert cfg.response == "best"
@@ -115,7 +84,7 @@ class TestSimulationConfig:
         "kwargs",
         [
             {},
-            {"engine": "exact"},
+            {"schedule": "batched"},
             {"schedule": "batched", "workers": 4},
             {"order": (2, 0, 1, 0), "response": "greedy"},
             {"order": "random", "seed": 123, "max_rounds": 7},
@@ -166,20 +135,20 @@ class TestSimulationConfig:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"engine": "bogus"}, "unknown engine"),
+            ({"order": [0, None]}, "invalid SimulationConfig field value"),
             ({"schedule": "bulk"}, "unknown schedule"),
             ({"response": "bogus"}, "unknown response"),
             ({"order": "bogus"}, "unknown order"),
             ({"workers": 0}, "workers"),
             ({"max_rounds": -1}, "max_rounds"),
             ({"max_candidates": 0}, "max_candidates"),
-            ({"engine": "exact", "workers": 2}, "incremental"),
-            ({"engine": "exact", "schedule": "batched"}, "incremental"),
+            ({"workers": -1}, "workers must be >= 1"),
+            ({"schedule": "batched", "order": "max_gain", "workers": 2}, "max_gain"),
             ({"schedule": "batched", "order": "max_gain"}, "max_gain"),
             ({"workers": None}, "invalid SimulationConfig field value"),
             ({"max_candidates": "0"}, "max_candidates"),
             ({"checkpoint_every": 2}, "checkpoint_every without checkpoint_path"),
-            ({"engine": "exact", "workers": 3}, "incremental"),
+            ({"checkpoint_every": 0}, "checkpoint_every must be >= 1"),
             ({"workers": "0"}, "workers"),
             (
                 {"checkpoint_path": "run.ckpt", "checkpoint_every": 0},
@@ -191,9 +160,9 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**kwargs)
 
-    def test_ten_fields(self):
+    def test_nine_fields(self):
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
-            "engine", "schedule", "workers", "response",
+            "schedule", "workers", "response",
             "order", "max_rounds", "max_candidates", "seed",
             "checkpoint_every", "checkpoint_path",
         ]
@@ -215,6 +184,34 @@ class TestSimulationConfig:
             "checkpoint_path": None,
         }
         assert SimulationConfig.from_dict(json.loads(json.dumps(old_dump))) == SimulationConfig()
+
+    def test_from_dict_loads_a_ten_field_dump_with_the_engine(self):
+        # `repro config dump --schedule batched --workers 2` as written while
+        # the engine was a field: ten fields, the engine at its only loadable
+        # value.
+        old_dump = {
+            "engine": "incremental",
+            "schedule": "batched",
+            "workers": 2,
+            "response": "best",
+            "order": "round_robin",
+            "max_rounds": None,
+            "max_candidates": 22,
+            "seed": 0,
+            "checkpoint_every": None,
+            "checkpoint_path": None,
+        }
+        assert SimulationConfig.from_dict(json.loads(json.dumps(old_dump))) == SimulationConfig(
+            schedule="batched", workers=2
+        )
+
+    def test_from_dict_rejects_the_exact_engine_naming_the_field(self):
+        data = {**SimulationConfig().to_dict(), "engine": "exact"}
+        with pytest.raises(ValueError, match="'engine'") as excinfo:
+            SimulationConfig.from_dict(data)
+        assert "'incremental'" in str(excinfo.value)
+        with pytest.raises(TypeError):
+            SimulationConfig(engine="incremental")
 
     def test_from_dict_rejects_a_repair_threshold_off_its_default(self):
         data = {**SimulationConfig().to_dict(), "repair_threshold": 0.25}
@@ -599,14 +596,15 @@ def test_session_scoped_fields_cannot_change_per_run():
     game = _random_game("euclidean", 5, np.random.default_rng(58))
     start = StrategyProfile.empty(5)
     with GameSession(game) as session:
-        for field, value in (
-            ("engine", "exact"),
-            ("workers", 2),
-        ):
-            with pytest.raises(ValueError, match=field):
-                session.run(start, **{field: value})
+        assert session_module._SESSION_SCOPED == ("workers",)
+        with pytest.raises(ValueError, match="workers"):
+            session.run(start, workers=2)
+        # the retired engine field is no override at all, whatever its value
+        for value in ("exact", "incremental"):
+            with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+                session.run(start, engine=value)
         # a "change" to the value the session already has is a no-op
-        session.run(start, workers=1, engine="incremental", max_rounds=3)
+        session.run(start, workers=1, max_rounds=3)
         # run-scoped overrides are fine and still validated
         session.run(start, schedule="batched", max_rounds=3)
         with pytest.raises(ValueError, match="max_gain"):
@@ -712,6 +710,36 @@ class TestCLIConfig:
             main(["worker", "serve"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("value", ["incremental", "exact"])
+    @pytest.mark.parametrize(
+        "command", [["poa"], ["dynamics"], ["simulate"], ["config", "dump"]]
+    )
+    def test_engine_flag_exits_with_usage_error(self, command, value):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--engine", value])
+        assert excinfo.value.code == 2
+
+    def test_ten_field_config_file_with_the_engine_drives_simulate(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        args = ["simulate", "--variant", "metric", "--n", "5", "--seed", "4"]
+        assert main(args) == 0
+        fresh = capsys.readouterr().out
+        path = tmp_path / "old.json"
+        old_dump = {**SimulationConfig(seed=4).to_dict(), "engine": "incremental"}
+        path.write_text(json.dumps(old_dump))
+        assert main(args + ["--config", str(path)]) == 0
+        assert capsys.readouterr().out == fresh
+        path.write_text(json.dumps({**old_dump, "engine": "exact"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--config", str(path)])
+        assert excinfo.value.code == 2
+        assert "'engine'" in capsys.readouterr().err
+
     def test_config_file_selecting_the_remote_backend_is_a_usage_error(
         self, tmp_path, capsys
     ):
@@ -759,20 +787,20 @@ class TestCLIConfig:
         from repro.cli import main
 
         path = tmp_path / "cfg.json"
-        assert main(["config", "dump", "--engine", "exact", "--seed", "5"]) == 0
+        assert main(["config", "dump", "--response", "greedy", "--seed", "5"]) == 0
         path.write_text(capsys.readouterr().out)
         assert main(["config", "dump", "--config", str(path)]) == 0
         assert SimulationConfig.from_dict(
             json.loads(capsys.readouterr().out)
-        ) == SimulationConfig(engine="exact", seed=5)
+        ) == SimulationConfig(response="greedy", seed=5)
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["poa", "--config", "/definitely/not/here.json"],
             ["dynamics", "--workers", "0"],
-            ["simulate", "--engine", "exact", "--schedule", "batched"],
-            ["config", "dump", "--engine", "exact", "--workers", "2"],
+            ["simulate", "--checkpoint-every", "2"],
+            ["config", "dump", "--schedule", "batched", "--order", "max_gain"],
         ],
     )
     def test_invalid_configs_exit_with_usage_error(self, argv, tmp_path):

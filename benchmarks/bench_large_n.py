@@ -1,13 +1,13 @@
 """Large-n localized dynamics: delta residual slots on the pool.
 
-The pool writes each chunk's first distinct residual matrix dense and
-every later one as a packed changed-row delta when that is smaller
-(:mod:`repro.core.residual_delta`).  Residual matrices are near copies of
-the round's distance snapshot, so writing each distinct one as a dense
+The pool writes a repaired residual as the rows its repair re-solved,
+packed (:mod:`repro.core.residual_delta`), over its base — the round's
+distance snapshot — written dense once per chunk.  Residual matrices are
+near copies of that snapshot, so writing each distinct one as a dense
 ``(n, n)`` float64 slot — 8 MB at ``n = 1000`` — would spend almost all
 of the slot writes on bytes the workers already hold.  This benchmark
 measures the effect on a *localized-dynamics* workload built to mirror
-the shape the codec targets:
+the shape the packed deltas target:
 
 * the created network is a doubly-owned BFS spanning tree of a
   degree-bounded geometric mesh — an agent owning no edge solely has a
@@ -16,9 +16,8 @@ the shape the codec targets:
 * a few dozen **hub** agents (tree leaves) each solely buy one shortcut
   to a sibling leaf.  Removing that shortcut reroutes only paths *ending
   at the two leaves* (geometric triangle inequality keeps through
-  traffic off it), so each hub's residual differs from the snapshot in
-  one or two row/column pairs — the delta packs ``O(n)`` bytes instead
-  of ``O(n^2)``.
+  traffic off it), so each hub's repair re-solves one or two rows — the
+  delta packs ``O(n)`` bytes instead of ``O(n^2)``.
 
 A batched prefill at ``n = 1000`` therefore writes one dense base per
 chunk plus tiny per-hub deltas where dense slots would write every
@@ -82,7 +81,7 @@ def localized_instance(n: int) -> tuple[NetworkCreationGame, StrategyProfile]:
     copy (zero gain — edges are free), or drops a load-bearing edge
     (negative gain), so the profile is single-response stable and the
     measured traffic is exactly one clean batched prefill per run — the
-    shape the delta codec targets.
+    shape the packed deltas target.
 
     Every tree edge is bought by *both* endpoints, so a non-hub agent has
     no solely-owned edge and its residual is the distance snapshot itself

@@ -145,32 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="FaultPlan JSON file to replay",
     )
 
+    # The lint tool parses its own flags (repro.tools.lint.build_parser):
+    # this subcommand declares no option, not even -h, and hands every
+    # argument after "lint" through verbatim.
     p_lint = sub.add_parser(
         "lint",
         help="check the tree against the determinism & lifecycle invariant "
         "rules (DET*/RES*/PROTO*; exit 1 on findings)",
+        add_help=False,
+        prefix_chars="\0",
     )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to lint (default: the installed repro "
-        "package tree); pass changed files for pre-commit use",
-    )
-    p_lint.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit findings as a sorted JSON array (stable across runs, "
-        "so CI diffs are deterministic)",
-    )
-    p_lint.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help="directory finding paths are reported relative to (default: "
-        "the current directory)",
-    )
+    p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
 
     return parser
 
@@ -581,12 +566,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_lint(args) -> int:
     from .tools.lint import run
 
-    forwarded = list(args.paths)
-    if args.as_json:
-        forwarded.append("--json")
-    if args.root is not None:
-        forwarded.extend(["--root", args.root])
-    return run(forwarded)
+    return run(args.lint_args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,7 +22,6 @@ The sub-modules are organised bottom-up:
 from .best_response import (
     BestResponseResult,
     SingleMove,
-    batch_best_responses,
     best_response_exact,
     best_response_incremental,
     best_single_move,
@@ -125,7 +124,6 @@ __all__ = [
     "TRAJECTORY_FIELDS",
     "ae_to_ne_factor",
     "algorithm1_one_two",
-    "batch_best_responses",
     "best_response_exact",
     "best_response_incremental",
     "best_single_move",

@@ -45,12 +45,12 @@ performing **zero** additional shortest-path computations when the caller
 cache.  The two are cross-validated against each other by the property
 tests in ``tests/test_incremental_engine.py``.
 
-:func:`batch_best_responses` scores a whole set of agents against one
-shared profile snapshot through such an engine.  In process, such a batch
-of single-move responses is scored by :func:`score_tasks` in stacks: the
-agents that share a strategy shape go through one
-:class:`~repro.core.shortest_paths.SingleMoveScorer` pass, with results
-bit-identical to scoring each agent alone.  This
+:meth:`~repro.core.incremental.IncrementalEngine.respond_many` scores a
+whole set of agents against one shared profile snapshot through such an
+engine.  In process, such a batch of single-move responses is scored by
+:func:`score_tasks` in stacks: the agents that share a strategy shape go
+through one :class:`~repro.core.shortest_paths.SingleMoveScorer` pass,
+with results bit-identical to scoring each agent alone.  This
 score-everyone-against-one-state pattern is what ``order="max_gain"``
 activation performs every step and what the batched activation schedule
 (``schedule="batched"`` in :func:`repro.core.dynamics.run_dynamics`)
@@ -72,10 +72,8 @@ from .strategy import StrategyProfile
 __all__ = [
     "BestResponseResult",
     "SingleMove",
-    "residual_distances",
     "score_response",
     "score_tasks",
-    "batch_best_responses",
     "best_response_exact",
     "best_response_incremental",
     "best_single_move",
@@ -133,17 +131,6 @@ class SingleMove:
         if self.kind == "swap":
             return profile.swap_edge(agent, self.old_target, self.target)
         raise ValueError(f"unknown move kind {self.kind!r}")
-
-
-# ----------------------------------------------------------------------
-# Residual-network machinery
-# ----------------------------------------------------------------------
-def residual_distances(game: NetworkCreationGame, profile: StrategyProfile, u: int) -> np.ndarray:
-    """All-pairs distances of the created network *without* ``u``'s owned edges.
-
-    Edges towards ``u`` bought by other agents remain present.
-    """
-    return game.residual_distances(profile, u)
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +449,7 @@ def _agent_scorer(
     game: NetworkCreationGame, profile: StrategyProfile, u: int, d_rest: np.ndarray | None
 ) -> SingleMoveScorer:
     if d_rest is None:
-        d_rest = residual_distances(game, profile, u)
+        d_rest = game.residual_distances(profile, u)
     return SingleMoveScorer.for_agent(
         d_rest, u, game.host.weights[u], game.alpha, profile.strategy(u)
     )
@@ -531,7 +518,7 @@ def greedy_response(
     whose setup is one row gather and a running two-smallest selection.
     """
     if d_rest is None:
-        d_rest = residual_distances(game, profile, u)
+        d_rest = game.residual_distances(profile, u)
     return _greedy_given(
         d_rest,
         u,
@@ -541,33 +528,4 @@ def greedy_response(
         moves=moves,
         max_iterations=max_iterations,
     )
-
-
-def batch_best_responses(
-    engine,
-    agents: Iterable[int] | None = None,
-    *,
-    response: str = "best",
-    max_candidates: int = _MAX_EXACT_CANDIDATES,
-) -> list[BestResponseResult]:
-    """Responses of several agents against one shared profile snapshot.
-
-    ``engine`` is a stateful evaluator of the current profile — in practice
-    a :class:`repro.core.incremental.IncrementalEngine`; any object with
-    ``game`` and ``respond_many(agents, response, max_candidates=...)``
-    works, which keeps this module free of an engine import.  All agents are
-    scored against the *same* state (no move is applied in between), one
-    residual matrix per agent and zero shortest-path recomputations per
-    candidate strategy, so the batch costs ``O(sum_u a_u n^2)`` repair work
-    plus the candidate scans instead of interleaving full APSP rebuilds.
-
-    :func:`repro.core.dynamics.run_dynamics` performs this scoring pattern
-    inside its activation loop — every step under ``order="max_gain"``,
-    and lazily under ``schedule="batched"``, which additionally caches the
-    results across rounds and re-scores only agents whose residual rows an
-    applied move invalidated.
-    """
-    if agents is None:
-        agents = range(engine.game.n)
-    return engine.respond_many(agents, response, max_candidates=max_candidates)
 

@@ -207,10 +207,10 @@ class Checkpoint:
     detect_cycles: bool
     record_history: bool
     tol: float
+    engine_distances: np.ndarray
+    engine_stats: dict[str, int]
     history: np.ndarray | None = None
-    engine_distances: np.ndarray | None = None
     engine_residuals: dict[int, tuple[bytes, Residual]] = field(default_factory=dict)
-    engine_stats: dict[str, int] | None = None
     cache_state: dict[str, Any] | None = None
     version: int = CHECKPOINT_VERSION
 
@@ -349,8 +349,7 @@ def _serialize(ckpt: Checkpoint) -> tuple[bytes, _ArrayWriter]:
     writer.add("seen_moves", ckpt.seen_moves, np.int64)
     if ckpt.history is not None:
         writer.add("history", ckpt.history, bool)
-    if ckpt.engine_distances is not None:
-        writer.add("engine_distances", ckpt.engine_distances, np.float64)
+    writer.add("engine_distances", ckpt.engine_distances, np.float64)
     residual_keys: dict[str, str] = {}
     for u in sorted(ckpt.engine_residuals):
         key, matrix = ckpt.engine_residuals[u]
@@ -548,9 +547,17 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
         "record_history",
         "tol",
         "residual_keys",
+        "engine_stats",
     ):
         _require(required in state, f"checkpoint state lacks {required!r}")
-    for required in ("host_weights", "ownership", "social_costs", "seen_keys", "seen_moves"):
+    for required in (
+        "host_weights",
+        "ownership",
+        "social_costs",
+        "seen_keys",
+        "seen_moves",
+        "engine_distances",
+    ):
         _require(required in arrays, f"checkpoint payload lacks the {required!r} array")
 
     n = arrays["host_weights"].shape[0]
@@ -602,13 +609,16 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
             "proposals": proposals,
         }
 
-    engine_stats = state.get("engine_stats")
-    if engine_stats is not None:
-        _require(
-            isinstance(engine_stats, dict)
-            and all(isinstance(v, int) for v in engine_stats.values()),
-            "engine_stats is not a counter mapping",
-        )
+    _require(
+        arrays["engine_distances"].shape == (n, n),
+        "engine distance matrix does not match the host graph size",
+    )
+    engine_stats = state["engine_stats"]
+    _require(
+        isinstance(engine_stats, dict)
+        and all(isinstance(v, int) for v in engine_stats.values()),
+        "engine_stats is not a counter mapping",
+    )
 
     return Checkpoint(
         config=dict(state["config"]),
@@ -627,7 +637,7 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint:
         record_history=bool(state["record_history"]),
         tol=float(state["tol"]),
         history=arrays.get("history"),
-        engine_distances=arrays.get("engine_distances"),
+        engine_distances=arrays["engine_distances"],
         engine_residuals=engine_residuals,
         engine_stats=engine_stats,
         cache_state=cache_state,

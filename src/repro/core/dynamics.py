@@ -49,8 +49,8 @@ the sequential processes used to explore this empirically:
   count.  Batching is available for round-robin, random and explicit
   activation orders (``max_gain`` re-scores every agent per step by
   definition, and ``workers`` parallelizes exactly that re-scoring).
-  :func:`repro.core.best_response.batch_best_responses` exposes the
-  underlying score-many-agents-against-one-state primitive directly.
+  :meth:`repro.core.incremental.IncrementalEngine.respond_many` exposes
+  the underlying score-many-agents-against-one-state primitive directly.
 
 * :func:`verify_best_response_cycle` — checks that an explicitly given
   sequence of profiles (e.g. Fig. 5 or Fig. 8 of the paper) is a genuine
@@ -685,8 +685,8 @@ def _run_session_loop(
             if order == "max_gain" and explicit_order is None:
                 # One round = n activations of the currently most-improving
                 # agent; every agent is scored against the same state, exactly
-                # the batch_best_responses primitive (on the session's worker
-                # pool when it has one).
+                # the respond_many primitive (on the session's worker pool
+                # when it has one).
                 for _ in range(n):
                     steps += 1
                     results = inc.respond_many(

@@ -374,7 +374,7 @@ class IncrementalEngine:
         so the file bytes do not depend on how the engine holds a residual.
         """
         return {
-            "distances": self._distances,
+            "distances": self.distances,
             "residuals": dict(self._residuals),
             "stats": dataclasses.asdict(self.stats),
         }
@@ -382,9 +382,9 @@ class IncrementalEngine:
     def restore_state(
         self,
         *,
-        distances: np.ndarray | None,
+        distances: np.ndarray,
         residuals: dict[int, tuple[bytes, Residual]],
-        stats: dict | None,
+        stats: dict,
     ) -> None:
         """Install checkpointed caches and counters (inverse of :meth:`export_state`).
 
@@ -397,18 +397,15 @@ class IncrementalEngine:
         each agent's first miss after a restore solves every row it needs.
         """
         n = self._game.n
-        if distances is not None:
-            distances = np.ascontiguousarray(distances, dtype=np.float64)
-            if distances.shape != (n, n):
-                raise ValueError("restored distance matrix has the wrong shape")
-            distances = _published(distances)
-        self._distances = distances
+        distances = np.ascontiguousarray(distances, dtype=np.float64)
+        if distances.shape != (n, n):
+            raise ValueError("restored distance matrix has the wrong shape")
+        self._distances = _published(distances)
         self._residuals = {
             int(u): (bytes(key), _published(np.ascontiguousarray(dense_residual(matrix))))
             for u, (key, matrix) in residuals.items()
         }
-        if stats is not None:
-            self.stats = EngineStats(**stats)
+        self.stats = EngineStats(**stats)
 
     @property
     def distances(self) -> np.ndarray:

@@ -29,14 +29,19 @@ other evaluations.  This module fans that work out to worker processes:
     matrices than slots is dispatched in chunks, each gathered before the
     next is written.
 
-Slots use one format.  The first distinct matrix of each chunk (its
-*base*) is written dense into slot 0; every later one is written as a
-packed residual delta of its changed rows against the base
-(:mod:`repro.core.residual_delta`) whenever that is strictly smaller than
-the dense matrix, and dense otherwise.  Workers relax from ``base +
-changed rows`` through a lazy
-:class:`~repro.core.residual_delta.DeltaResidual` row-view, so localized
-dynamics move O(k·n) bytes per matrix instead of O(n²).
+A slot holds a residual in the form the engine hands it out.  A dense
+array is written dense.  A :class:`~repro.core.shortest_paths.PinnedResidual`
+(a Dijkstra fallback) is written as its raw matrix, and the worker pins it
+on read through the same class.  A repair's
+:class:`~repro.core.residual_delta.DeltaResidual` is written as its own
+delta, packed (:func:`~repro.core.residual_delta.pack_delta`), and its base
+dense in a slot of its own, once per chunk: every repair made under one
+network shares that network's matrix, so localized dynamics move O(k·n)
+bytes per repair instead of O(n²).  The worker rebuilds the same view
+class over the same arrays the owner scores in process, so the two read
+identical bits through identical code.  A repair whose packed delta would
+not fit a slot is written dense; the engine never makes one, since a
+repair re-solves at most half the rows.
 
 Determinism is the design constraint, not an afterthought: workers execute
 :func:`repro.core.best_response.score_response` — the exact same pure
@@ -53,8 +58,8 @@ Snapshot invariants:
 * a slot is only rewritten after every task of the chunk that referenced it
   has been gathered (dispatch is chunked at ``slots`` distinct matrices and
   each chunk is gathered before the next one is written);
-* matrices are C-contiguous ``float64`` and packed rows are verbatim
-  copies, so worker-side arithmetic sees the same numbers.
+* matrices are C-contiguous ``float64`` copies and packed rows are
+  verbatim copies, so worker-side arithmetic sees the same numbers.
 
 Dispatch is serial-first.  :meth:`ParallelEvaluator.evaluate` sends a
 batch to the pool only when the pool saves more scoring time than it
@@ -104,10 +109,12 @@ import numpy as np
 from .best_response import BestResponseResult, score_response, score_tasks
 from .residual_delta import (
     DeltaResidual,
-    delta_if_smaller,
-    dense_residual,
+    Residual,
+    pack_delta,
+    packed_size,
     unpack_delta,
 )
+from .shortest_paths import PinnedResidual
 
 if TYPE_CHECKING:  # import cycle: game sits above the evaluator layer
     from .game import NetworkCreationGame
@@ -121,6 +128,11 @@ __all__ = [
 ]
 
 _DEFAULT_SLOTS = 16
+
+# How a slot holds a task's residual (the first field of a task's form):
+# an array, a PinnedResidual's raw matrix, or a DeltaResidual's packed
+# delta over a base array in another slot.
+_DENSE, _PINNED, _DELTA = "dense", "pinned", "delta"
 
 # Serial-first dispatch constants, in units of in-process scoring work
 # (``_scoring_work``), fitted by the break-even sweep of
@@ -185,8 +197,8 @@ class EvaluatorStats:
     ``in_process_batches`` counts the batches the serial-first dispatch
     rule kept in process because the pool would not have paid for itself.
     ``bytes_sent`` counts the slot bytes written toward the workers: a
-    dense matrix counts its ``n * n * 8`` bytes, a packed residual delta
-    its packed size.
+    dense array, a pinned fallback's raw matrix or a repair's base counts
+    its ``n * n * 8`` bytes, and a repair's packed delta its packed size.
 
     ``failures`` counts broken pools, ``retries`` the chunk re-submissions
     after an in-place rebuild, and ``fallbacks`` the descents to
@@ -245,8 +257,8 @@ class SharedSnapshot:
             (slots, n, n), dtype=np.float64, buffer=shm_slots.buf
         )
         # Raw byte view of the same slot storage: a slot can alternatively
-        # hold a *packed residual delta* (repro.core.residual_delta) instead
-        # of a dense matrix — always smaller than the slot, so the two
+        # hold a repair's *packed residual delta* (repro.core.residual_delta)
+        # instead of a dense matrix — never larger than the slot, so the two
         # interpretations share the allocation.
         self.slot_bytes = np.ndarray(
             (slots, n * n * 8), dtype=np.uint8, buffer=shm_slots.buf
@@ -357,26 +369,31 @@ def _init_worker(meta: dict[str, Any], alpha: float) -> None:
     _WORKER_STATE["alpha"] = float(alpha)
 
 
-def _score_task(
-    task: tuple[int, int, int | None, Sequence[int], str, int]
-) -> BestResponseResult:
-    """Score one agent against a slot of the shared snapshot.
+def _slot_residual(snapshot: SharedSnapshot, form: tuple) -> Residual:
+    """The residual a task's slot ``form`` holds, as the owner's class.
 
-    ``payload_bytes`` selects the slot's interpretation: ``None`` means the
-    slot holds a dense ``(n, n)`` matrix; a byte count means it holds a
-    packed residual delta against the chunk's dense base matrix in slot 0,
-    which is served to the kernel as a lazy
-    :class:`~repro.core.residual_delta.DeltaResidual` row-view — the dense
-    matrix is never materialized worker-side.
+    ``(_DENSE, slot)`` is the slot's matrix itself, ``(_PINNED, slot)`` a
+    :class:`~repro.core.shortest_paths.PinnedResidual` over it, and
+    ``(_DELTA, slot, size, base_slot)`` a
+    :class:`~repro.core.residual_delta.DeltaResidual` of the ``size``-byte
+    packed delta in ``slot`` over the matrix in ``base_slot``; no dense
+    matrix is built for a view.
     """
-    u, slot, payload_bytes, strategy, response, max_candidates = task
+    kind, slot = form[0], form[1]
+    if kind == _DELTA:
+        size, base_slot = form[2], form[3]
+        delta = unpack_delta(snapshot.slot_payload(slot, size), snapshot.n)
+        return DeltaResidual(snapshot.slot_matrices[base_slot], delta)
+    matrix = snapshot.slot_matrices[slot]
+    return PinnedResidual(matrix) if kind == _PINNED else matrix
+
+
+def _score_task(task: tuple[int, tuple, Sequence[int], str, int]) -> BestResponseResult:
+    """Score one agent against its residual in the shared snapshot."""
+    u, form, strategy, response, max_candidates = task
     snapshot: SharedSnapshot = _WORKER_STATE["snapshot"]
-    d_rest: np.ndarray | DeltaResidual = snapshot.slot_matrices[slot]
-    if payload_bytes is not None:
-        delta = unpack_delta(snapshot.slot_payload(slot, payload_bytes), snapshot.n)
-        d_rest = DeltaResidual(snapshot.slot_matrices[0], delta)
     return score_response(
-        d_rest,
+        _slot_residual(snapshot, form),
         u,
         snapshot.weights[u],
         _WORKER_STATE["alpha"],
@@ -692,55 +709,72 @@ class ParallelEvaluator:
 
     def _write_chunk(
         self,
-        task_list: list[tuple[int, np.ndarray, Sequence[int]]],
+        task_list: list[tuple[int, Residual, Sequence[int]]],
         pos: int,
         response: str,
         max_candidates: int,
     ) -> tuple[list[tuple[Any, ...]], int]:
-        """Write the distinct matrices of the tasks from ``pos`` into the slots.
+        """Write the distinct residuals of the tasks from ``pos`` into the slots.
 
-        Stops at the first task whose matrix finds no free slot and returns
-        the chunk's worker tasks plus the position to continue from.  A
-        task's residual may be a repaired
-        :class:`~repro.core.residual_delta.DeltaResidual` view; it is
-        densified first and then written under the same rule as any dense
-        matrix, so the slots and ``bytes_sent`` do not depend on how the
-        engine holds a residual.
+        Stops at the first task whose residual finds no free slot and
+        returns the chunk's worker tasks plus the position to continue
+        from.  Residuals and repair bases are matched by object identity,
+        so each is written once per chunk however many tasks share it.
         """
-        snapshot = self._snapshot
-        assert snapshot is not None
-        # id(matrix) -> (slot, packed delta size or None when dense); the
-        # chunk's first matrix, its base, is written dense into slot 0.
-        placed: dict[int, tuple[int, int | None]] = {}
-        base: np.ndarray | None = None
+        # id(residual or base) -> its form (see _slot_residual); one slot each.
+        placed: dict[int, tuple] = {}
         chunk: list[tuple[Any, ...]] = []
         while pos < len(task_list):
             u, d_rest, strategy = task_list[pos]
-            key = id(d_rest)
-            if key not in placed:
-                if len(placed) >= self._slots:
-                    break  # chunk full: no free slot left
-                slot = len(placed)
-                # Later distinct matrices ride as packed deltas against
-                # the base when that is smaller.
-                matrix = dense_residual(d_rest)
-                payload = None
-                if base is None:
-                    base = matrix
-                else:
-                    payload = delta_if_smaller(base, matrix)
-                if payload is None:
-                    snapshot.write_slot(slot, matrix)
-                    self._bytes_sent += snapshot.n * snapshot.n * 8
-                    placed[key] = (slot, None)
-                else:
-                    snapshot.write_slot_packed(slot, payload)
-                    self._bytes_sent += len(payload)
-                    placed[key] = (slot, len(payload))
-            slot, payload_bytes = placed[key]
+            form = placed.get(id(d_rest)) or self._place(d_rest, placed)
+            if form is None:
+                break  # chunk full: no free slot left
             strategy = tuple(int(v) for v in strategy)
-            chunk.append(
-                (int(u), slot, payload_bytes, strategy, response, int(max_candidates))
-            )
+            chunk.append((int(u), form, strategy, response, int(max_candidates)))
             pos += 1
         return chunk, pos
+
+    def _place(self, d_rest: Residual, placed: dict[int, tuple]) -> tuple | None:
+        """Write one residual into free slots and return its form.
+
+        Returns ``None`` when too few slots are free: a repair takes one
+        slot for its packed delta and one for its base, unless the chunk
+        already holds that base.
+        """
+        snapshot = self._snapshot
+        assert snapshot is not None
+        free = self._slots - len(placed)
+        n = snapshot.n
+        if isinstance(d_rest, DeltaResidual):
+            size = packed_size(d_rest.delta.num_rows, n)
+            if size <= n * n * 8:
+                base = placed.get(id(d_rest.base))
+                if free < 1 + (base is None):
+                    return None
+                if base is None:
+                    key = id(d_rest.base)
+                    base = self._write_matrix(key, d_rest.base, _DENSE, placed)
+                slot = len(placed)
+                snapshot.write_slot_packed(slot, pack_delta(d_rest.delta))
+                self._bytes_sent += size
+                placed[id(d_rest)] = form = (_DELTA, slot, size, base[1])
+                return form
+        if free < 1:
+            return None
+        if isinstance(d_rest, PinnedResidual):
+            return self._write_matrix(id(d_rest), d_rest.raw, _PINNED, placed)
+        # A repair too large to pack is the one view written dense.
+        matrix = d_rest.dense() if isinstance(d_rest, DeltaResidual) else d_rest
+        return self._write_matrix(id(d_rest), matrix, _DENSE, placed)
+
+    def _write_matrix(
+        self, key: int, matrix: np.ndarray, kind: str, placed: dict[int, tuple]
+    ) -> tuple:
+        """Write an ``(n, n)`` matrix into the next free slot under ``key``."""
+        snapshot = self._snapshot
+        assert snapshot is not None
+        slot = len(placed)
+        snapshot.write_slot(slot, matrix)
+        self._bytes_sent += snapshot.n * snapshot.n * 8
+        placed[key] = form = (kind, slot)
+        return form

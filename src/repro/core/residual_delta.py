@@ -1,71 +1,48 @@
-"""Sparse residual deltas: encode a residual matrix against a base snapshot.
+"""Sparse residual deltas: a residual as a row block over a base matrix.
 
 Residual distance matrices are *near copies* of the profile's distance
 matrix: the decremental repair that produces them
 (:func:`repro.core.shortest_paths.decremental_distances`) rewrites only the
-rows and columns of the affected sources, so two residuals of the same
-round typically differ in ``O(k)`` symmetric row/column pairs out of ``n``.
-Writing each of them as a dense ``(n, n)`` float64 block into the
-shared-memory slots (:mod:`repro.core.parallel`) therefore wastes
-``O(n^2)`` bytes per matrix on data the workers already hold.  This module
-is the pool's slot codec:
+rows and columns of the affected sources, so a repaired residual differs
+from the network matrix in ``O(k)`` symmetric row/column pairs out of
+``n``.  This module holds that form and its byte layout:
 
-``encode_delta`` / ``decode_delta``
-    Encode a matrix as ``(changed row index set, packed changed rows)``
-    against a base matrix, and reconstruct it exactly.  Distance matrices
-    in this codebase are symmetric (created networks are undirected), and
-    symmetry is what lets a row set double as a column set, so a delta of
-    ``k`` rows carries ``k * (n + 1)`` scalars instead of ``n^2``.  The
-    codec does **not** assume bit-level symmetry, though — a solver's
-    output can carry asymmetric floating-point noise in the last ulp — it
-    grows the row set until every row outside it is bitwise
-    column-consistent with the packed block, so decoding is exact for any
-    input.  Reconstruction is bit-exact: the packed rows are
-    verbatim float64 copies, never re-derived, so the delta-encoded pool
-    stays byte-identical to the dense one (the cross-oracle sweep in
-    ``tests/test_residual_delta.py`` asserts this).
-
-``changed_rows``
-    The row auto-detection behind ``encode_delta``: the changed entries
-    form a boolean mask (symmetrized first, since a symmetric rewrite
-    against a bit-asymmetric base yields an asymmetric raw mask), and any
-    **vertex cover** of that mask (every changed entry has its row or its
-    column in the set) is a valid row set.  A greedy max-degree cover is
-    computed deterministically (ties break towards the lowest index), which
-    recovers the affected-source set of a decremental repair exactly in the
-    common case and never returns an unsound cover.  Note that the naive
-    per-row test ``(matrix != base).any(axis=1)`` would mark nearly *every*
-    row — the repair's column writes touch column ``S`` of all rows — which
-    is why the cover formulation matters.
+``ResidualDelta`` / ``decode_delta``
+    A delta is ``(sorted row index set, those rows verbatim)``.  Symmetry
+    is what lets a row set double as a column set, so a delta of ``k``
+    rows carries ``k * (n + 1)`` scalars instead of ``n^2``.  The delta
+    *defines* the matrix it stands for: its rows verbatim, the same
+    indices' columns of every other row from the transposed block, and
+    the base everywhere else.  :func:`decode_delta` builds that matrix
+    densely; reconstruction is bit-exact because the rows are verbatim
+    float64 copies, never re-derived.
 
 ``pack_delta`` / ``unpack_delta``
-    The byte layout written verbatim into a pool slot, pinned byte-for-byte
-    by the golden layout test: an 8-byte little-endian unsigned row
-    count, the sorted row indices as little-endian int64, then the changed
-    rows as C-order little-endian float64.  All sections are 8-byte aligned
-    so a receiver can build zero-copy views over the payload.
+    The byte layout a pool slot holds for a repaired residual
+    (:mod:`repro.core.parallel`), pinned byte-for-byte by the golden
+    layout test: an 8-byte little-endian unsigned row count, the sorted
+    row indices as little-endian int64, then the rows as C-order
+    little-endian float64.  All sections are 8-byte aligned so a receiver
+    can build zero-copy views over the payload.
 
 ``DeltaResidual``
     A lazy row-view over ``(base, delta)`` implementing exactly the access
     surface the scoring kernels use (``shape``/``dtype``/row indexing — see
     :func:`repro.core.best_response.score_response`) plus the column
-    reads (:func:`residual_block`) of the batched schedule's proposal cache: a
-    worker relaxes candidate strategies straight from ``base + rows`` and
-    never materializes the dense matrix.  Rows in the delta are served
-    verbatim; a row ``i`` outside the delta is ``base[i]`` with its entries
-    at the changed columns overlaid from the packed columns
-    (``matrix[i, r] == matrix[r, i]`` for rows outside the delta,
-    guaranteed at encode time) — serving plain ``base[i]`` would be wrong.
+    reads (:func:`residual_block`) of the batched schedule's proposal cache,
+    each bit for bit the same read of :func:`decode_delta`'s matrix, which
+    is never materialized on those paths.
 
-    It is also the engine's own form of a repaired residual:
+    It is the engine's own form of a repaired residual:
     :func:`repro.core.shortest_paths.decremental_distances` returns the
     rows it re-solved as a view over the network matrix it repaired, so a
     cached repair holds ``|S| * (n + 1)`` floats for ``|S|`` re-solved
     sources instead of an ``(n, n)`` copy, and every repair made under one
-    network shares that network's matrix as its base.  A view never turns
-    into an array implicitly (``numpy.asarray`` raises); a caller that
-    needs the dense matrix asks for it with :meth:`DeltaResidual.dense` or
-    :func:`dense_residual`.
+    network shares that network's matrix as its base.  The pool writes a
+    view as its base and its packed delta, and a worker rebuilds the same
+    view from the two slots.  A view never turns into an array implicitly
+    (``numpy.asarray`` raises); a caller that needs the dense matrix asks
+    for it with :meth:`DeltaResidual.dense` or :func:`dense_residual`.
 
 ``RowView``
     The read surface :class:`DeltaResidual` shares with the engine's other
@@ -88,12 +65,9 @@ __all__ = [
     "ResidualDelta",
     "RowView",
     "DeltaResidual",
-    "changed_rows",
-    "encode_delta",
     "decode_delta",
     "pack_delta",
     "unpack_delta",
-    "delta_if_smaller",
     "packed_size",
     "residual_block",
     "dense_residual",
@@ -125,10 +99,9 @@ class ResidualDelta:
     """A residual matrix expressed relative to a base snapshot.
 
     ``rows`` is the sorted, duplicate-free index set of changed rows (a
-    vertex cover of the symmetric changed-entry mask) and ``data`` holds
-    the corresponding full matrix rows, ``data[i] == matrix[rows[i]]``
-    verbatim.  An empty delta (``rows.size == 0``) encodes "identical to
-    the base".
+    repair's re-solved sources) and ``data`` holds the corresponding full
+    matrix rows, ``data[i] == matrix[rows[i]]`` verbatim.  An empty delta
+    (``rows.size == 0``) stands for the base itself.
     """
 
     rows: np.ndarray
@@ -163,91 +136,12 @@ class ResidualDelta:
         return int(self.rows.shape[0])
 
 
-def changed_rows(base: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Deterministic row set covering every entry where ``matrix != base``.
-
-    Computes a greedy maximum-degree vertex cover of the symmetric
-    changed-entry mask: repeatedly pick the index covering the most
-    still-uncovered changed entries (lowest index on ties) and remove its
-    row and column from the mask.  ``inf`` entries compare equal to
-    themselves (``inf != inf`` is false), so unreachable pairs never count
-    as changed.  Returns a sorted int64 array; empty when the matrices are
-    identical.
-    """
-    b = _square(base, "base")
-    m = _square(matrix, "matrix")
-    if b.shape != m.shape:
-        raise ValueError(f"shape mismatch: base {b.shape} vs matrix {m.shape}")
-    uncovered = m != b
-    if not uncovered.any():
-        return np.zeros(0, dtype=np.int64)
-    # Symmetrize before covering: distance matrices are symmetric up to
-    # accumulated floating-point error, and a repair that rewrites row and
-    # column ``u`` against a bit-asymmetric base shows up as one changed
-    # entry in row ``u`` but hundreds in column ``u`` — covering the
-    # symmetrized mask recovers the single index ``u`` where the raw mask
-    # would drown the greedy choice in degree-one rows.  A cover of the
-    # union is still a cover of the actual changed set.
-    np.logical_or(uncovered, uncovered.T, out=uncovered)
-    degree = uncovered.sum(axis=1)
-    picked: list[int] = []
-    while True:
-        i = int(np.argmax(degree))
-        if degree[i] == 0:
-            break
-        picked.append(i)
-        # Covering index i removes row i and column i from the mask; every
-        # other index loses exactly its uncovered entry towards i.
-        degree -= uncovered[:, i]
-        degree[i] = 0
-        uncovered[i, :] = False
-        uncovered[:, i] = False
-    return np.array(sorted(picked), dtype=np.int64)
-
-
-def encode_delta(base: np.ndarray, matrix: np.ndarray) -> ResidualDelta:
-    """Encode ``matrix`` as a delta against ``base`` (both symmetric).
-
-    The changed rows are auto-detected with :func:`changed_rows`, which is
-    deterministic, so encoding the same pair of matrices always yields
-    byte-identical packed output.
-    """
-    rows = changed_rows(base, matrix)  # validates both shapes
-    m = _square(matrix, "matrix")
-    row_set = _close_asymmetric_partners(m, rows)
-    return ResidualDelta(rows=row_set, data=np.ascontiguousarray(m[row_set]))
-
-
-def _close_asymmetric_partners(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Grow ``rows`` until every outside row is column-consistent with it.
-
-    Decoding (and the :class:`DeltaResidual` view) serves entry ``(x, s)``
-    of an uncovered row ``x`` as ``m[s, x]`` — the transpose of the packed
-    row — so bit-exactness needs ``m[x, rows] == m[rows, x].T`` for every
-    ``x`` outside the set.  Distance matrices are symmetric up to
-    floating-point error; where that error makes a pair bit-asymmetric the
-    offending row is simply pulled into the delta (its row then ships
-    verbatim).  The loop terminates because the set only grows; in the
-    degenerate all-rows case every row ships verbatim and no transposed
-    entry survives decoding at all.
-    """
-    n = m.shape[0]
-    while rows.size and rows.size < n:
-        outside = np.setdiff1d(np.arange(n, dtype=np.int64), rows)
-        mismatch = m[np.ix_(outside, rows)] != m[np.ix_(rows, outside)].T
-        bad = outside[mismatch.any(axis=1)]
-        if bad.size == 0:
-            break
-        rows = np.union1d(rows, bad)
-    return rows
-
-
 def decode_delta(base: np.ndarray, delta: ResidualDelta) -> np.ndarray:
-    """Reconstruct the dense matrix a delta encodes (bit-exact).
+    """The dense matrix a delta stands for over ``base`` (bit-exact).
 
-    The changed rows are written verbatim and mirrored onto the matching
-    columns (valid because both matrices are symmetric), so every float of
-    the result equals the originally encoded matrix bit for bit.
+    The delta's rows are written verbatim and mirrored onto the matching
+    columns, so every float of the result is a verbatim copy of a base
+    entry or a delta entry.
     """
     b = _square(base, "base")
     if delta.n != b.shape[0]:
@@ -256,12 +150,10 @@ def decode_delta(base: np.ndarray, delta: ResidualDelta) -> np.ndarray:
         )
     out = np.array(b, dtype=np.float64, order="C", copy=True)
     if delta.num_rows:
-        # Columns first, rows second: a covered row is always served
-        # verbatim from the packed data, and an uncovered row's entries at
-        # the covered columns come from the transpose — exactly the
-        # consistency :func:`_close_asymmetric_partners` guarantees at
-        # encode time, so the reconstruction is bit-exact even when the
-        # matrices are only symmetric up to floating-point error.
+        # Columns first, rows second: a row in the delta is always served
+        # verbatim from the packed data, and any other row's entries at the
+        # delta's columns come from the transpose, even where the block is
+        # symmetric only up to floating-point error.
         out[:, delta.rows] = delta.data.T
         out[delta.rows, :] = delta.data
     return out
@@ -274,21 +166,6 @@ def pack_delta(delta: ResidualDelta) -> bytes:
         + np.ascontiguousarray(delta.rows, dtype=_ROW_DTYPE).tobytes()
         + np.ascontiguousarray(delta.data, dtype=_DATA_DTYPE).tobytes()
     )
-
-
-def delta_if_smaller(base: np.ndarray, matrix: np.ndarray) -> bytes | None:
-    """The packed delta of ``matrix`` against ``base`` if it beats the dense matrix.
-
-    The one dense-vs-delta rule of the slot writer: a delta ships only
-    when its packed size is strictly below the ``n * n * 8`` bytes of the
-    dense matrix, otherwise the caller ships ``matrix`` dense (``None``).
-    At ``n - 1`` changed rows the two sizes are equal and dense wins.
-    """
-    delta = encode_delta(base, matrix)
-    n = np.shape(base)[0]
-    if packed_size(delta.num_rows, n) >= n * n * 8:
-        return None
-    return pack_delta(delta)
 
 
 def unpack_delta(payload: bytes | bytearray | memoryview, n: int) -> ResidualDelta:
@@ -400,18 +277,16 @@ Residual = Union[np.ndarray, RowView]
 
 
 class DeltaResidual(RowView):
-    """Lazy row-view of ``base + delta``: the pool's slots and the engine's repairs.
+    """Lazy row-view of ``base + delta``: the engine's repairs, also in a pool worker.
 
     Implements the :class:`RowView` read surface, so
     :func:`repro.core.best_response.score_response` relaxes candidates
     straight from the base matrix plus the packed rows without ever
     materializing the dense ``(n, n)`` array.  Rows inside the delta are
     served verbatim from the packed block; a row outside it is the base row
-    with its entries at the changed columns overlaid from the packed data
-    (``matrix[i, r] == matrix[r, i]`` for every outside row, which
-    :func:`encode_delta` guarantees by construction and a decremental
-    repair by writing its block that way), which is what keeps every
-    served float bit-identical to the dense matrix.
+    with its entries at the changed columns overlaid from the packed data,
+    exactly as :func:`decode_delta` builds the dense matrix, so every
+    served float is bit-identical to it.
 
     The view shares ``base``; writing to it would change the view.
     """
@@ -494,8 +369,8 @@ def dense_residual(matrix: Residual) -> np.ndarray:
     """A residual as a dense float64 array: a view's :meth:`~RowView.dense`.
 
     An array passes through as is; a view comes back as a new array.  This
-    is the explicit densify of the engine's move update, the checkpoint
-    writer and the pool's slot writer.
+    is the explicit densify of the engine's move update and the checkpoint
+    writer.
     """
     if isinstance(matrix, RowView):
         return matrix.dense()

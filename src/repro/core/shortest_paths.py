@@ -471,8 +471,8 @@ def _pin(dist: np.ndarray) -> np.ndarray:
     ``dist[i, j]`` and ``dist[j, i]`` can disagree in the last ulp even
     though the graph is undirected.  Distances are mathematically
     symmetric, so pin the smaller one: this keeps every snapshot and
-    row/column repair of it exactly symmetric, which is what lets the
-    residual delta codec cover changed entries with a small row set (the
+    row/column repair of it exactly symmetric, which is what lets a
+    repair's re-solved rows double as its changed columns (the
     Floyd–Warshall path is bitwise symmetric already, as float addition
     commutes).  Every pinned matrix of this module comes from here.
     """

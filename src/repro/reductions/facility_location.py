@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.best_response import residual_distances
 from ..core.game import NetworkCreationGame
 from ..core.strategy import StrategyProfile
 
@@ -156,7 +155,7 @@ def umfl_from_agent(
     """
     n = game.n
     nodes = [v for v in range(n) if v != u]
-    d_rest = residual_distances(game, profile, u)
+    d_rest = game.residual_distances(profile, u)
     w_u = game.host.weights[u]
     owners_towards_u = {int(v) for v in np.nonzero(profile.ownership[:, u])[0] if v != u}
 

@@ -36,7 +36,6 @@ from repro.core import (
     decremental_distances,
     run_dynamics,
 )
-from repro.core.best_response import batch_best_responses, residual_distances
 from repro.core.residual_delta import dense_residual
 from repro.core.shortest_paths import all_pairs_shortest_paths
 from random_instances import VARIANTS, _random_game, _random_profile, _same_cost
@@ -121,14 +120,14 @@ def test_unknown_schedule_rejected():
         run_dynamics(game, StrategyProfile.empty(4), SimulationConfig(schedule="bulk"))
 
 
-def test_batch_best_responses_matches_engine(property_budget):
+def test_respond_many_matches_per_agent_responses(property_budget):
     """The shared-snapshot scoring primitive equals per-agent engine calls."""
     rng = np.random.default_rng(23)
     for _ in range(property_budget):
         n = int(rng.integers(3, 9))
         game = _random_game("general", n, rng)
         profile = _random_profile(n, rng)
-        results = batch_best_responses(IncrementalEngine(game, profile))
+        results = IncrementalEngine(game, profile).respond_many(range(n), "best")
         fresh = IncrementalEngine(game, profile)
         for u, result in enumerate(results):
             expected = fresh.respond(u, "best")
@@ -182,7 +181,7 @@ def test_engine_residuals_match_oracle_across_variants(property_budget, monkeypa
         engine = IncrementalEngine(game, profile)
         for u in range(n):
             assert _same_matrix(
-                dense_residual(engine.residual(u)), residual_distances(game, profile, u)
+                dense_residual(engine.residual(u)), game.residual_distances(profile, u)
             )
 
 
@@ -201,7 +200,7 @@ def test_removal_heavy_hub_forces_repair_fallback():
     d_rest = engine.residual(0)
     assert engine.stats.repair_fallbacks == 1
     assert engine.stats.residual_repairs == 0
-    assert _same_matrix(d_rest, residual_distances(game, star, 0))
+    assert _same_matrix(d_rest, game.residual_distances(star, 0))
     # A leaf owning nothing is served straight from the network distances.
     assert engine.stats.residual_cache_hits == 0
     engine.residual(1)
@@ -218,7 +217,7 @@ def test_leaf_removal_uses_cheap_repair():
     d_rest = dense_residual(engine.residual(0))
     assert engine.stats.residual_repairs == 1
     assert engine.stats.repair_fallbacks == 0
-    assert _same_matrix(d_rest, residual_distances(game, profile, 0))
+    assert _same_matrix(d_rest, game.residual_distances(profile, 0))
 
 
 def test_batched_dynamics_on_removal_heavy_instance():

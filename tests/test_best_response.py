@@ -15,11 +15,10 @@ from repro.core.best_response import (
     best_single_move,
     enumerate_single_moves,
     greedy_response,
-    residual_distances,
 )
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
-from repro.core.residual_delta import DeltaResidual, encode_delta
+from repro.core.residual_delta import DeltaResidual, ResidualDelta
 from repro.core.shortest_paths import (
     CandidateEvaluator,
     floyd_warshall,
@@ -47,7 +46,7 @@ class TestResidualDistances:
     def test_residual_removes_only_owned_edges(self, small_euclidean_game):
         game = small_euclidean_game
         profile = StrategyProfile.from_sets(5, [[1, 2], [3], [], [], []])
-        d_rest = residual_distances(game, profile, 0)
+        d_rest = game.residual_distances(profile, 0)
         # edges (0,1),(0,2) removed but (1,3) stays
         w13 = game.host.weight(1, 3)
         assert d_rest[1, 3] == pytest.approx(w13)
@@ -56,7 +55,7 @@ class TestResidualDistances:
     def test_residual_keeps_edges_bought_towards_agent(self, small_euclidean_game):
         game = small_euclidean_game
         profile = StrategyProfile.from_sets(5, [[1], [], [0], [], []])
-        d_rest = residual_distances(game, profile, 0)
+        d_rest = game.residual_distances(profile, 0)
         # (2,0) is owned by 2 and must remain
         assert d_rest[0, 2] == pytest.approx(game.host.weight(0, 2))
 
@@ -64,7 +63,7 @@ class TestResidualDistances:
         game = small_euclidean_game
         profile = StrategyProfile.from_sets(5, [[1], [2], [3], [4], []])
         for u in range(5):
-            d_rest = residual_distances(game, profile, u)
+            d_rest = game.residual_distances(profile, u)
             current = set(profile.strategy(u))
             cost = strategy_cost_from_residual(
                 d_rest, u, game.host.weights[u], game.alpha, current
@@ -74,7 +73,7 @@ class TestResidualDistances:
     def test_strategy_cost_rejects_self(self, small_euclidean_game):
         game = small_euclidean_game
         profile = StrategyProfile.empty(5)
-        d_rest = residual_distances(game, profile, 0)
+        d_rest = game.residual_distances(profile, 0)
         with pytest.raises(ValueError):
             strategy_cost_from_residual(d_rest, 0, game.host.weights[0], game.alpha, {0})
 
@@ -274,7 +273,7 @@ def _lattice_instance(kind: str, m: int, seed: int) -> CandidateEvaluator:
         base[r, :] += 1.0
         base[:, r] = base[r, :]
         base[r, r] = 0.0
-        d_rest = DeltaResidual(base, encode_delta(base, d_rest))
+        d_rest = DeltaResidual(base, ResidualDelta([r], d_rest[[r]]))
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
     ev = CandidateEvaluator(d_rest, u, weights, alpha, candidates)
     assert ev.num_candidates == m

@@ -396,6 +396,30 @@ def test_corrupted_payload_fails_checksum(tmp_path, valid_checkpoint_bytes):
     _expect_load_failure(tmp_path, bytes(data), "failed its checksum")
 
 
+def _edit_header(data: bytes, edit) -> bytes:
+    """``data`` with its JSON header passed through ``edit`` (payload kept)."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<Q", data[start : start + 8])
+    header = json.loads(data[start + 8 : start + 8 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return data[:start] + struct.pack("<Q", len(raw)) + raw + data[start + 8 + length :]
+
+
+def test_file_without_engine_distances_fails_clearly(tmp_path, valid_checkpoint_bytes):
+    data = _edit_header(
+        valid_checkpoint_bytes, lambda header: header["arrays"].pop("engine_distances")
+    )
+    _expect_load_failure(tmp_path, data, "lacks the 'engine_distances' array")
+
+
+def test_file_without_engine_stats_fails_clearly(tmp_path, valid_checkpoint_bytes):
+    data = _edit_header(
+        valid_checkpoint_bytes, lambda header: header["state"].pop("engine_stats")
+    )
+    _expect_load_failure(tmp_path, data, "lacks 'engine_stats'")
+
+
 def test_corrupted_header_fails_clearly(tmp_path, valid_checkpoint_bytes):
     header_start = len(CHECKPOINT_MAGIC) + 4 + 8
     data = bytearray(valid_checkpoint_bytes)

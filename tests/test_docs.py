@@ -109,8 +109,8 @@ def test_architecture_doc_names_the_evaluation_stack():
         "GameSession",
         "bit-identical",
         "Failure semantics",
-        "Delta slots (the one slot format)",
-        "delta_if_smaller",
+        "Slots in the engine's own residual forms",
+        "pack_delta",
         "Serial-first dispatch",
         "pool_always",
         "in_process_batches",

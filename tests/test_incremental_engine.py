@@ -29,7 +29,6 @@ from repro.core.best_response import (
     best_single_move,
     enumerate_single_moves,
     greedy_response,
-    residual_distances,
 )
 from repro.core.residual_delta import dense_residual
 from repro.metrics.generators import unit_host
@@ -100,7 +99,7 @@ class TestEngineCaches:
         for step in range(30):
             u = int(rng.integers(0, 7))
             assert _same_matrix(
-                dense_residual(engine.residual(u)), residual_distances(game, engine.profile, u)
+                dense_residual(engine.residual(u)), game.residual_distances(engine.profile, u)
             )
             mover = int(rng.integers(0, 7))
             engine.apply(mover, engine.respond(mover, "best").strategy)
@@ -114,7 +113,7 @@ class TestEngineCaches:
         engine.apply(2, {0, 1})
         assert _same_matrix(dense_residual(engine.residual(2)), before)
         assert _same_matrix(
-            dense_residual(engine.residual(2)), residual_distances(game, engine.profile, 2)
+            dense_residual(engine.residual(2)), game.residual_distances(engine.profile, 2)
         )
 
     def test_move_update_matches_apsp(self, property_budget):
@@ -165,7 +164,7 @@ class TestEngineCaches:
             game = _random_game("tree", n, rng)
             profile = _random_profile(n, rng)
             u = int(rng.integers(0, n))
-            d_rest = residual_distances(game, profile, u)
+            d_rest = game.residual_distances(profile, u)
             fresh = greedy_response(game, profile, u)
             cached = greedy_response(game, profile, u, d_rest=d_rest)
             assert fresh.strategy == cached.strategy

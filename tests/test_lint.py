@@ -634,6 +634,23 @@ def test_repro_cli_lint_subcommand_delegates(tmp_path, capsys):
     assert cli_main(["lint", str(tmp_path / "none.py")]) == 2
 
 
+def test_repro_cli_lint_flags_are_the_tools_own(capsys):
+    """``repro lint`` declares no flag of its own: help and usage errors come
+    from the tool's parser, options first or last."""
+    from repro.cli import main as cli_main
+
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["lint", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: repro lint [-h] [--json] [--root ROOT]")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["lint", "--no-such-flag"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err
+    assert "repro lint: error: unrecognized arguments: --no-such-flag" in error
+
+
 def test_module_entry_point_runs_the_shipped_tree():
     proc = subprocess.run(
         [sys.executable, "-m", "repro.tools.lint", "--root", str(REPO)],

@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.core.best_response import score_tasks
 from repro.core.host_graph import HostGraph
-from repro.core.residual_delta import delta_if_smaller, dense_residual
+from repro.core.residual_delta import dense_residual
 from random_instances import VARIANTS, _random_game, _random_profile
 
 # Every test here exercises the worker pool, so every batch goes to it:
@@ -222,8 +222,8 @@ def test_slot_pressure_chunks_stay_bit_exact():
     With ``slots=2`` and seven distinct residual matrices the batch spans
     four chunks, and a slot must never be rewritten before its chunk is
     gathered, which the equality against the serial engine would expose
-    immediately.  Each chunk writes its base dense and its second matrix
-    as a packed delta when that is smaller.
+    immediately.  Each task's residual is a dense array, so each is
+    written dense, once.
     """
     rng = np.random.default_rng(53)
     n = 7
@@ -240,14 +240,7 @@ def test_slot_pressure_chunks_stay_bit_exact():
         assert evaluator.evaluate(tasks, "best") == serial
         stats = evaluator.stats
         assert stats.batches == 1 and stats.tasks == n
-    expected = 0
-    for first in range(0, n, 2):  # chunks of two slots: base, then a delta
-        base = tasks[first][1]
-        expected += n * n * 8
-        if first + 1 < n:
-            payload = delta_if_smaller(base, tasks[first + 1][1])
-            expected += n * n * 8 if payload is None else len(payload)
-    assert stats.bytes_sent == expected  # every matrix written once
+    assert stats.bytes_sent == n * n * n * 8  # every matrix written once
 
 
 # ----------------------------------------------------------------------

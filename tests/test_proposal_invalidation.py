@@ -25,7 +25,7 @@ from repro.core.best_response import BestResponseResult
 from repro.core.dynamics import _ProposalCache
 from repro.core.game import NetworkCreationGame
 from repro.core.host_graph import HostGraph
-from repro.core.residual_delta import DeltaResidual, encode_delta
+from repro.core.residual_delta import DeltaResidual, ResidualDelta
 from repro.core.shortest_paths import PinnedResidual
 from repro.core.strategy import StrategyProfile
 
@@ -95,11 +95,11 @@ def _residual(rng, n: int, mover: int, w_row: np.ndarray, kind: str):
     if kind == "dense":
         return d
     if kind == "delta":
+        rows = np.flatnonzero(rng.random(n) < 0.3)
         base = d.copy()
-        noisy = rng.random((n, n)) < 0.3
-        base[noisy] = base[noisy] + 1.0
-        base = np.minimum(base, base.T)
-        return DeltaResidual(base, encode_delta(base, d))
+        base[rows] += 1.0  # stale rows and columns the delta must cover
+        base[:, rows] += 1.0
+        return DeltaResidual(base, ResidualDelta(rows, d[rows]))
     raw = d.copy()
     lower = rng.random((n, n)) < 0.3
     raw[lower] = raw[lower] + 0.5  # pinned reads take min(raw, raw.T) == d

@@ -17,8 +17,9 @@ checks that nothing observable changes and that the memory goes:
   repair owns an ``(n, n)`` buffer, and all of them share one base;
 * **safety** — the network matrices the engine publishes and every
   residual it caches or the proposal cache stores are read-only, and a
-  forced pool scoring repaired views equals serial scoring with exact
-  ``bytes_sent``.
+  forced pool scoring repaired views, pinned fallbacks and dense arrays
+  equals serial scoring with exact ``bytes_sent``, writing each view in
+  its own form (no ``dense()``) and a shared base once per chunk.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from repro.core import (
 from repro.core.best_response import score_tasks
 from repro.core.dynamics import _ProposalCache
 from repro.core.host_graph import HostGraph
-from repro.core.parallel import ParallelEvaluator, pool_always
-from repro.core.residual_delta import DeltaResidual, delta_if_smaller, dense_residual
+from repro.core import residual_delta
+from repro.core.parallel import ParallelEvaluator, SharedSnapshot, pool_always
+from repro.core.residual_delta import DeltaResidual, dense_residual, packed_size
 from repro.core.shortest_paths import (
     FLOYD_WARSHALL_MAX_N,
     DecrementalRepair,
@@ -356,12 +358,21 @@ def test_views_refuse_implicit_densify():
         np.minimum(views[0], 1.0)
 
 
+def _expected_slot_bytes(tasks, n: int) -> int:
+    """``bytes_sent`` of one chunk: each distinct array and repair base dense,
+    and each distinct repair's own delta at its packed size."""
+    distinct = list({id(d): d for _, d, _ in tasks}.values())
+    views = [d for d in distinct if isinstance(d, DeltaResidual)]
+    dense = {id(d) for d in distinct if not isinstance(d, DeltaResidual)}
+    dense |= {id(view.base) for view in views}
+    return len(dense) * n * n * 8 + sum(packed_size(v.delta.num_rows, n) for v in views)
+
+
 def test_forced_pool_scores_repaired_views_like_serial(monkeypatch):
     """A pool batch of repaired views equals serial scoring, ``bytes_sent`` exact.
 
-    Views are densified before they are written, so each slot holds what a
-    dense residual would: the chunk base dense, then a packed delta against
-    it whenever that is smaller.
+    Each repair is written as its own packed delta and its base dense,
+    once; every other residual dense.
     """
     rng = np.random.default_rng(zlib.crc32(b"pool-views") % 2**32)
     n = 9
@@ -376,13 +387,102 @@ def test_forced_pool_scores_repaired_views_like_serial(monkeypatch):
         assert evaluator.evaluate(tasks, "best") == serial
         stats = evaluator.stats
     assert stats.pools_started == 1
-    distinct = list({id(d): d for _, d, _ in tasks}.values())
-    base = dense_residual(distinct[0])
-    expected = n * n * 8
-    for d_rest in distinct[1:]:
-        payload = delta_if_smaller(base, dense_residual(d_rest))
-        expected += n * n * 8 if payload is None else len(payload)
-    assert stats.bytes_sent == expected
+    assert stats.bytes_sent == _expected_slot_bytes(tasks, n)
+
+
+@pytest.fixture
+def mixed_tasks(localized_tree, monkeypatch):
+    """Tasks on the n = 300 localized tree in all three residual forms.
+
+    The first half of the hubs are repaired (``DeltaResidual`` views over
+    the network matrix), the rest take the engine's Dijkstra fallback
+    (``PinnedResidual``, since n > FLOYD_WARSHALL_MAX_N) because every
+    repair is made to give up, and two agents owning no edge alone share
+    the dense network matrix.
+    """
+    game, start = localized_tree
+    engine = IncrementalEngine(game, start)
+    solely = start.ownership & ~start.ownership.T
+    hubs = [int(u) for u in np.flatnonzero(solely.any(axis=1))]
+    plain = [int(u) for u in np.flatnonzero(~solely.any(axis=1))][:2]
+    half = len(hubs) // 2
+    residuals = {u: engine.residual(u) for u in hubs[:half] + plain}
+
+    def give_up(dist, graph, vertex, *, rebuild, **kwargs):
+        return DecrementalRepair(rebuild(graph), game.n, True)
+
+    monkeypatch.setattr(incremental, "decremental_distances", give_up)
+    residuals.update((u, engine.residual(u)) for u in hubs[half:])
+    tasks = [(u, d, start.strategy(u)) for u, d in residuals.items()]
+    kinds = [type(d) for _, d, _ in tasks]
+    assert kinds.count(DeltaResidual) == half
+    assert kinds.count(PinnedResidual) == len(hubs) - half > 0
+    assert kinds.count(np.ndarray) == 2
+    views = [d for d in residuals.values() if isinstance(d, DeltaResidual)]
+    assert all(view.base is engine.distances for view in views)
+    return game, tasks
+
+
+def test_pool_scores_every_residual_form_like_serial(mixed_tasks):
+    """Repairs, pinned fallbacks and dense arrays in one pool batch score
+    bit-identically to in-process ``score_tasks``."""
+    game, tasks = mixed_tasks
+    n = game.n
+    with pool_always(), ParallelEvaluator.for_game(game, workers=2) as evaluator:
+        for response in ("single", "best"):
+            serial = score_tasks(tasks, game.host.weights, game.alpha, response)
+            assert evaluator.evaluate(tasks, response) == serial
+        stats = evaluator.stats
+    assert stats.pools_started == 1
+    # The network matrix is both the plain agents' residual and every
+    # repair's base: written once per batch.
+    assert stats.bytes_sent == 2 * _expected_slot_bytes(tasks, n)
+
+
+def test_slot_writer_densifies_no_view(mixed_tasks, monkeypatch):
+    """The pool writes each view in its own form: no ``dense()`` anywhere."""
+    game, tasks = mixed_tasks
+    calls = []
+
+    def spy(self):
+        calls.append(type(self).__name__)
+        raise AssertionError("the slot writer densified a view")
+
+    for cls in (DeltaResidual, PinnedResidual):
+        monkeypatch.setattr(cls, "dense", spy)
+    monkeypatch.setattr(residual_delta, "dense_residual", spy)
+    with pool_always(), ParallelEvaluator.for_game(game, workers=2) as evaluator:
+        evaluator.evaluate(tasks, "single")
+    assert calls == []
+
+
+def test_shared_base_is_written_once_per_chunk(mixed_tasks, monkeypatch):
+    """Repairs sharing the network matrix write it once per chunk.
+
+    With three slots a chunk holds the base and two repairs, so the
+    repairs span ``ceil(repairs / 2)`` chunks and the base is written in
+    each of them, never twice in one.
+    """
+    game, tasks = mixed_tasks
+    n = game.n
+    repairs = [t for t in tasks if isinstance(t[1], DeltaResidual)]
+    base = repairs[0][1].base
+    writes = []
+    original = SharedSnapshot.write_slot
+
+    def counted(snapshot, slot, matrix):
+        writes.append(matrix is base)
+        original(snapshot, slot, matrix)
+
+    monkeypatch.setattr(SharedSnapshot, "write_slot", counted)
+    serial = score_tasks(repairs, game.host.weights, game.alpha, "single")
+    with pool_always(), ParallelEvaluator.for_game(game, workers=2, slots=3) as pool:
+        assert pool.evaluate(repairs, "single") == serial
+        stats = pool.stats
+    chunks = -(-len(repairs) // 2)
+    assert writes == [True] * chunks
+    packed = sum(packed_size(d.delta.num_rows, n) for _, d, _ in repairs)
+    assert stats.bytes_sent == chunks * n * n * 8 + packed
 
 
 def test_pool_run_on_the_localized_tree_matches_serial(localized_tree):

@@ -1,20 +1,16 @@
-"""Delta-codec certification: the sparse residual slot encoding.
+"""Residual deltas: the row-block form of a repair and its slot layout.
 
-:mod:`repro.core.residual_delta` encodes a residual distance matrix as
-``(changed row index set, packed changed rows)`` against a base snapshot,
-and the worker pool's shared-memory slots hold that encoding verbatim,
-under one dense-vs-delta rule (``delta_if_smaller``).  This battery
-certifies the layers bottom-up:
+:mod:`repro.core.residual_delta` holds a repaired residual as
+``(sorted row index set, those rows verbatim)`` over a base matrix, and a
+worker pool's shared-memory slot holds that delta packed, next to its base
+written dense.  This battery certifies the layers bottom-up:
 
-* **codec** — encode → decode is bit-exact for randomized symmetric
-  matrices and row subsets (empty deltas, full-cover deltas, ``inf`` rows,
-  n in {1, 2, 3, large}), re-encoding is byte-stable, and the changed-row
-  auto-detection returns a vertex cover (one index for a symmetric
-  row/column write — the naive per-row test would return nearly all of
-  them);
+* **delta** — decode is bit-exact for randomized symmetric matrices and
+  row subsets (empty deltas, all-row deltas, ``inf`` rows, n in {1, 2, 3,
+  large}), through the packed bytes too, and malformed input fails loudly;
 
 * **golden layout** — the packed byte layout is pinned byte-for-byte as a
-  literal, so any codec change that silently reshapes it fails here first;
+  literal, so any change that silently reshapes it fails here first;
 
 * **row view** — :class:`~repro.core.residual_delta.DeltaResidual` serves
   every row bit-identically to the dense matrix (scalar, negative and
@@ -23,9 +19,12 @@ certifies the layers bottom-up:
   ``numpy.asarray``; and ``score_response`` over the view equals the
   dense result field-for-field;
 
-* **cross-oracle sweep** — the pool's delta slots replay the exact
-  trajectory *and* EngineStats of the serial path across model variants
-  and schedules, while writing no more bytes than dense slots would;
+* **slot rule** — a view is written as its packed delta whenever that
+  fits a slot, and dense only when it does not;
+
+* **cross-oracle sweep** — the pool replays the exact trajectory *and*
+  EngineStats of the serial path across model variants and schedules,
+  while writing no more bytes than dense slots would;
 
 * **chaos** — a pool worker SIGKILLed while a delta batch is in flight
   costs one pool rebuild and a resubmission against the surviving packed
@@ -34,7 +33,6 @@ certifies the layers bottom-up:
 
 from __future__ import annotations
 
-import struct
 import zlib
 
 import numpy as np
@@ -47,11 +45,8 @@ from repro.core.parallel import ParallelEvaluator, SharedSnapshot
 from repro.core.residual_delta import (
     DeltaResidual,
     ResidualDelta,
-    changed_rows,
     decode_delta,
-    delta_if_smaller,
     dense_residual,
-    encode_delta,
     pack_delta,
     packed_size,
     unpack_delta,
@@ -95,11 +90,18 @@ def _perturb_rows(base, rows, rng):
     return m
 
 
+def _delta(matrix, rows):
+    """The delta of ``matrix`` on ``rows``: exact over any base that equals a
+    bitwise-symmetric ``matrix`` outside those rows and columns."""
+    rows = np.asarray(sorted(rows), dtype=np.int64)
+    return ResidualDelta(rows, matrix[rows])
+
+
 # ----------------------------------------------------------------------
-# Codec: encode -> decode round trips
+# Delta: decode round trips
 # ----------------------------------------------------------------------
 def test_roundtrip_randomized_rows_and_sizes(property_budget):
-    """decode(encode(m)) == m bit-for-bit over random matrices and row sets."""
+    """decode(delta of m) == m bit-for-bit over random matrices and row sets."""
     rng = np.random.default_rng(zlib.crc32(b"delta-roundtrip") % 2**32)
     trials = max(4, property_budget)
     for trial in range(trials):
@@ -108,7 +110,7 @@ def test_roundtrip_randomized_rows_and_sizes(property_budget):
         k = int(rng.integers(0, n + 1))
         rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
         matrix = _perturb_rows(base, rows, rng)
-        delta = encode_delta(base, matrix)
+        delta = _delta(matrix, rows)
         out = decode_delta(base, delta)
         assert out.dtype == np.float64
         assert np.array_equal(out, matrix), (n, rows)
@@ -120,7 +122,7 @@ def test_roundtrip_randomized_rows_and_sizes(property_budget):
 def test_empty_delta_encodes_identity():
     rng = np.random.default_rng(3)
     base = _random_symmetric(6, rng)
-    delta = encode_delta(base, base)
+    delta = _delta(base, [])
     assert delta.num_rows == 0
     assert len(pack_delta(delta)) == packed_size(0, 6) == 8
     assert pack_delta(delta) == b"\x00" * 8
@@ -128,147 +130,32 @@ def test_empty_delta_encodes_identity():
 
 
 def test_all_rows_delta_round_trips():
-    """Every entry changed: the cover takes all rows but one, still exact."""
+    """Every row in the delta: decoding serves the rows verbatim, even of a
+    matrix with no symmetry at all."""
     rng = np.random.default_rng(5)
     base = _random_symmetric(7, rng)
-    matrix = _random_symmetric(7, rng)
-    delta = encode_delta(base, matrix)
-    assert delta.num_rows == 6  # a vertex cover of the complete graph K7
+    matrix = rng.random((7, 7))
+    delta = ResidualDelta(np.arange(7), matrix)
     assert np.array_equal(decode_delta(base, delta), matrix)
-    assert len(pack_delta(delta)) == packed_size(delta.num_rows, 7)
-
-
-def test_dense_wins_at_n_minus_one_changed_rows():
-    """One dense-vs-delta rule for the pool's slots, strict at the boundary.
-
-    A delta of k rows packs to 8 + 8k + 8kn bytes, which equals the dense
-    n * n * 8 bytes at k = n - 1: there the matrix is written dense; one
-    changed row fewer is written as a delta.
-    """
-    rng = np.random.default_rng(31)
-    n = 6
-    weights = _random_symmetric(n, rng)
-    base = _random_symmetric(n, rng)
-    at_boundary = _perturb_rows(base, range(n - 1), rng)
-    below = _perturb_rows(base, range(n - 2), rng)
-    assert encode_delta(base, at_boundary).num_rows == n - 1
-    assert packed_size(n - 1, n) == n * n * 8
-    assert delta_if_smaller(base, at_boundary) is None
-    assert delta_if_smaller(base, below) == pack_delta(encode_delta(base, below))
-    tasks = [(0, base, ()), (1, at_boundary, (0,)), (2, below, (1,))]
-    serial = score_tasks(tasks, weights, 1.0, "single")
-
-    with ParallelEvaluator(weights, 1.0, workers=1) as pool:
-        assert pool.evaluate(tasks, "single") == serial
-        slots = pool._snapshot.slot_matrices
-        assert np.array_equal(slots[1], at_boundary)  # written dense
-        assert not np.array_equal(slots[2], below)  # holds the packed delta
-        assert pool.stats.bytes_sent == 2 * n * n * 8 + packed_size(n - 2, n)
-
-
-def test_inf_entries_never_register_as_changed():
-    """inf != inf is False: unreachable pairs shared with the base drop out."""
-    base = np.array(
-        [
-            [0.0, 1.0, INF],
-            [1.0, 0.0, INF],
-            [INF, INF, 0.0],
-        ]
-    )
-    assert changed_rows(base, base.copy()).size == 0
-    # Row 2 becomes reachable: exactly one cover index, served exactly.
-    matrix = np.array(
-        [
-            [0.0, 1.0, 4.0],
-            [1.0, 0.0, 5.0],
-            [4.0, 5.0, 0.0],
-        ]
-    )
-    delta = encode_delta(base, matrix)
-    assert delta.rows.tolist() == [2]
-    assert np.array_equal(decode_delta(base, delta), matrix)
-    # And the reverse direction carries inf inside the packed rows.
-    back = encode_delta(matrix, base)
-    assert back.rows.tolist() == [2]
-    assert np.array_equal(decode_delta(matrix, back), base)
-
-
-def test_changed_rows_is_a_cover_not_a_naive_row_scan():
-    """A symmetric row/column write yields ONE cover index, not n rows."""
-    rng = np.random.default_rng(11)
-    n = 12
-    base = _random_symmetric(n, rng)
-    matrix = _perturb_rows(base, [4], rng)
-    # Column 4 of every row changed, so the naive per-row test marks all 12.
-    naive = np.flatnonzero((matrix != base).any(axis=1))
-    assert naive.size == n
-    assert changed_rows(base, matrix).tolist() == [4]
-
-
-def test_cover_survives_bit_asymmetric_base():
-    """Ulp-level base asymmetry must not blow up the cover (or break bits).
-
-    A solver's all-pairs output can carry last-ulp asymmetry
-    (``base[i, j] != base[j, i]``): a symmetric row/column rewrite of such a
-    base then yields an *asymmetric* raw change mask — one changed entry in
-    row ``u`` but ``n - 1`` in column ``u`` — which drowned the pre-fix
-    greedy cover in degree-one rows.  The symmetrized cover must recover
-    the single index, and decode/view must stay bit-exact regardless.
-    """
-    rng = np.random.default_rng(23)
-    n = 40
-    base = _random_symmetric(n, rng)
-    noisy = rng.random((n, n)) < 0.5
-    np.fill_diagonal(noisy, False)
-    base[noisy] = np.nextafter(base[noisy], INF)  # asymmetric last-ulp noise
-    assert not np.array_equal(base, base.T)
-    matrix = _perturb_rows(base, [7], rng)
-    assert changed_rows(base, matrix).tolist() == [7]
-    delta = encode_delta(base, matrix)
-    assert delta.rows.tolist() == [7]
-    assert np.array_equal(decode_delta(base, delta), matrix)
+    assert len(pack_delta(delta)) == packed_size(7, 7)
     view = DeltaResidual(base, delta)
-    for i in range(n):
-        assert np.array_equal(view[i], matrix[i]), i
-
-
-def test_fully_asymmetric_matrices_still_decode_exactly():
-    """No symmetry at all: the row set grows until decoding is verbatim."""
-    rng = np.random.default_rng(29)
-    base = rng.random((6, 6))
-    matrix = rng.random((6, 6))
-    delta = encode_delta(base, matrix)
-    assert delta.rows.tolist() == list(range(6))  # closure reached all rows
-    assert np.array_equal(decode_delta(base, delta), matrix)
-    view = DeltaResidual(base, delta)
-    assert np.array_equal(view[np.arange(6)], matrix)
-
-
-def test_reencoding_is_byte_stable():
-    """Same matrices -> same packed bytes, from equal but distinct arrays too."""
-    rng = np.random.default_rng(13)
-    base = _random_symmetric(9, rng)
-    matrix = _perturb_rows(base, [2, 6], rng)
-    reference = pack_delta(encode_delta(base, matrix))
-    assert encode_delta(base, matrix).rows.tolist() == [2, 6]
-    assert pack_delta(encode_delta(base, matrix)) == reference
-    assert pack_delta(encode_delta(base.copy(), matrix.copy())) == reference
+    assert np.array_equal(view[np.arange(7)], matrix)
 
 
 def test_codec_validation_rejects_malformed_input():
     rng = np.random.default_rng(17)
     base = _random_symmetric(4, rng)
-    with pytest.raises(ValueError, match="square"):
-        encode_delta(base, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        encode_delta(base, _random_symmetric(5, rng))
     with pytest.raises(ValueError, match="out of range"):
         ResidualDelta(rows=np.array([7]), data=np.zeros((1, 4)))
     with pytest.raises(ValueError, match="strictly increasing"):
         ResidualDelta(rows=np.array([2, 2]), data=np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="square"):
+        DeltaResidual(np.zeros((4, 3)), _delta(base, [1]))
+    with pytest.raises(ValueError, match="n=4"):
+        decode_delta(_random_symmetric(5, rng), _delta(base, [1]))
     with pytest.raises(ValueError, match="too short"):
         unpack_delta(b"\x00", 4)
-    payload = pack_delta(encode_delta(base, _perturb_rows(base, [1], rng)))
+    payload = pack_delta(_delta(_perturb_rows(base, [1], rng), [1]))
     with pytest.raises(ValueError, match="mis-sized"):
         unpack_delta(payload + b"\x00", 4)
     with pytest.raises(ValueError, match="mis-sized"):
@@ -294,8 +181,7 @@ def test_golden_packed_delta_layout():
             [3.0, INF, 0.0],
         ]
     )
-    delta = encode_delta(base, matrix)
-    assert delta.rows.tolist() == [1]
+    delta = _delta(matrix, [1])
     payload = pack_delta(delta)
     golden = (
         b"\x01\x00\x00\x00\x00\x00\x00\x00"  # k = 1 rows, little-endian u64
@@ -322,7 +208,7 @@ def test_view_serves_every_row_bit_identically(property_budget):
         k = int(rng.integers(0, n + 1))
         rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
         matrix = _perturb_rows(base, rows, rng)
-        view = DeltaResidual(base, encode_delta(base, matrix))
+        view = DeltaResidual(base, _delta(matrix, rows))
         assert view.shape == (n, n) and len(view) == n
         assert view.dtype == np.float64 and view.ndim == 2
         assert np.array_equal(view.dense(), matrix)
@@ -359,7 +245,7 @@ def test_view_serves_column_reads_bit_identically(property_budget):
         k = int(rng.integers(0, n + 1))
         rows = sorted(rng.choice(n, size=k, replace=False)) if k else []
         matrix = _perturb_rows(base, rows, rng)
-        _check_column_reads(DeltaResidual(base, encode_delta(base, matrix)), matrix, rng)
+        _check_column_reads(DeltaResidual(base, _delta(matrix, rows)), matrix, rng)
 
 
 def test_column_reads_on_bit_asymmetric_deltas():
@@ -369,7 +255,8 @@ def test_column_reads_on_bit_asymmetric_deltas():
     rng = np.random.default_rng(31)
     base = rng.random((7, 7))
     matrix = rng.random((7, 7))
-    _check_column_reads(DeltaResidual(base, encode_delta(base, matrix)), matrix, rng)
+    every_row = ResidualDelta(np.arange(7), matrix)
+    _check_column_reads(DeltaResidual(base, every_row), matrix, rng)
     # A hand-made delta over rows {1, 4}: rows 1 and 4 verbatim, columns 1
     # and 4 of every other row from the transposed block, base elsewhere.
     block = rng.random((2, 7))
@@ -382,7 +269,7 @@ def test_column_reads_on_bit_asymmetric_deltas():
 
 def test_view_rejects_unsupported_indexing():
     base = np.zeros((3, 3))
-    view = DeltaResidual(base, encode_delta(base, base))
+    view = DeltaResidual(base, _delta(base, []))
     with pytest.raises(IndexError):
         view[3]
     with pytest.raises(IndexError):
@@ -413,9 +300,11 @@ def test_score_response_on_view_matches_dense(property_budget):
 
         engine = IncrementalEngine(game, profile)
         for u in range(n):
-            dense = np.ascontiguousarray(dense_residual(engine.residual(u)))
-            base = _perturb_rows(dense, [int(rng.integers(0, n))], rng)
-            view = DeltaResidual(base, encode_delta(base, dense))
+            row = int(rng.integers(0, n))
+            residual = np.ascontiguousarray(dense_residual(engine.residual(u)))
+            stale = _perturb_rows(residual, [row], rng)
+            view = DeltaResidual(stale, _delta(residual, [row]))
+            dense = view.dense()
             current = profile.strategy(u)
             for response in ("best", "greedy", "single"):
                 got = score_response(
@@ -425,6 +314,35 @@ def test_score_response_on_view_matches_dense(property_budget):
                     dense, u, game.host.weights[u], game.alpha, current, response
                 )
                 assert got == want, (trial, u, response)
+
+
+# ----------------------------------------------------------------------
+# Slot rule: a view is packed whenever its delta fits a slot
+# ----------------------------------------------------------------------
+def test_view_packs_up_to_a_full_slot_and_only_then_goes_dense():
+    """A delta of k rows packs to 8 + 8k + 8kn bytes, which equals the
+    slot's n * n * 8 bytes at k = n - 1: that view is still written packed
+    over its base; a view of all n rows does not fit and is written dense.
+    """
+    rng = np.random.default_rng(31)
+    n = 6
+    weights = _random_symmetric(n, rng)
+    base = _random_symmetric(n, rng)
+    full = _perturb_rows(base, range(n - 1), rng)
+    fits = DeltaResidual(base, _delta(full, range(n - 1)))
+    every_row = ResidualDelta(np.arange(n), _random_symmetric(n, rng))
+    too_big = DeltaResidual(base, every_row)
+    assert packed_size(n - 1, n) == n * n * 8 < packed_size(n, n)
+    tasks = [(0, fits, (1,)), (1, too_big, (0,)), (2, fits, ())]
+    serial = score_tasks(tasks, weights, 1.0, "single")
+
+    with ParallelEvaluator(weights, 1.0, workers=1) as pool:
+        assert pool.evaluate(tasks, "single") == serial
+        slots = pool._snapshot.slot_matrices
+        assert np.array_equal(slots[0], base)  # the shared base, dense
+        assert pool._snapshot.slot_bytes[1].tobytes() == pack_delta(fits.delta)
+        assert np.array_equal(slots[2], too_big.dense())  # written dense
+        assert pool.stats.bytes_sent == 2 * n * n * 8 + packed_size(n - 1, n)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core.best_response import (
     _single_given,
     score_response,
 )
-from repro.core.residual_delta import DeltaResidual, encode_delta
+from repro.core.residual_delta import DeltaResidual, ResidualDelta
 from repro.core.shortest_paths import SingleMoveScorer, _leave_one_out, apsp_scipy
 
 from test_shortest_paths import _battery_host, _battery_network
@@ -234,10 +234,19 @@ def _cases(draw):
     return kind, n, k, seed, sparse, moves
 
 
+def _repair_view(base: np.ndarray, d_rest: np.ndarray, u: int) -> DeltaResidual:
+    """``d_rest`` (bitwise symmetric) as a repair of ``base`` would hold it: the
+    rows of ``u`` and of every pair that changed off ``u``'s column."""
+    changed = base != d_rest
+    changed[:, u] = False  # column u is row u's transpose, served from the delta
+    rows = np.union1d([u], np.flatnonzero(changed.any(axis=1)))
+    return DeltaResidual(base, ResidualDelta(rows, d_rest[rows]))
+
+
 def _check(kind, n, k, seed, sparse, moves):
     d_rest, base, u, w, alpha, current = _case(kind, n, k, seed, sparse)
     ref = _StackedScorer(d_rest, u, w, alpha, current)
-    view = DeltaResidual(base, encode_delta(base, d_rest))
+    view = _repair_view(base, d_rest, u)
     for d in (d_rest, view):
         scorer = SingleMoveScorer.for_agent(d, u, w, alpha, current)
         assert scorer.current[0].tolist() == ref.current

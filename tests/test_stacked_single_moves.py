@@ -32,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.best_response import score_response, score_tasks
-from repro.core.residual_delta import DeltaResidual, encode_delta
 from repro.core.shortest_paths import (
     PinnedResidual,
     SingleMoveScorer,
@@ -42,7 +41,7 @@ from repro.core.shortest_paths import (
 )
 
 from test_shortest_paths import _battery_host, _battery_network
-from test_single_move_scorer import _reference_response
+from test_single_move_scorer import _reference_response, _repair_view
 
 RESIDUALS = ("shared", "dense", "delta", "pinned")
 
@@ -111,7 +110,7 @@ def _batch(kind: str, n: int, seed: int, size: int, ks: tuple[int, ...], kinds: 
             dense = np.minimum(raw, raw.T)
             own[u] = (
                 dense,
-                DeltaResidual(shared, encode_delta(shared, dense)),
+                _repair_view(shared, dense, u),
                 PinnedResidual(raw),
             )
         residual = str(rng.choice(kinds))
